@@ -6,6 +6,11 @@ and a closure that routes the incoming gradient to those parents.  Calling
 Nodes whose parents all have ``requires_grad=False`` record no tape at all,
 so a forward pass over constant weights (a frozen teacher) costs nothing at
 backward time.
+
+Only the ops the engine calls live here.  Hot multi-op computations are fused
+into one node with a hand-written backward: ``conv2d``,
+``softmax_cross_entropy`` and, in :mod:`edgeslim.engine.layers`, a whole
+recurrent cell, which uses :func:`_stable_sigmoid` as its array kernel.
 """
 
 from __future__ import annotations
@@ -94,9 +99,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-lift(other))
 
-    def __rsub__(self, other):
-        return lift(other) + (-self)
-
     def __truediv__(self, other):
         other = lift(other)
         out_data = self.data / other.data
@@ -111,19 +113,6 @@ class Tensor:
 
         return _node(out_data, (self, other), bwd)
 
-    def __rtruediv__(self, other):
-        return lift(other) / self
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        out_data = self.data**exponent
-
-        def bwd(g):
-            self._accum(g * exponent * self.data ** (exponent - 1))
-
-        return _node(out_data, (self,), bwd)
-
     def __matmul__(self, other):
         other = lift(other)
         if self.data.ndim != 2 or other.data.ndim != 2:
@@ -137,16 +126,6 @@ class Tensor:
                 other._accum(self.data.T @ g)
 
         return _node(out_data, (self, other), bwd)
-
-    def __getitem__(self, key):
-        out_data = self.data[key]
-
-        def bwd(g):
-            full = np.zeros_like(self.data)
-            np.add.at(full, key, g)
-            self._accum(full)
-
-        return _node(out_data, (self,), bwd)
 
     # -- reductions / shape -------------------------------------------------
 
@@ -209,47 +188,15 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 # -- elementwise functions --------------------------------------------------
 
 
-def exp(t: Tensor) -> Tensor:
-    out_data = np.exp(t.data)
-
-    def bwd(g):
-        t._accum(g * out_data)
-
-    return _node(out_data, (t,), bwd)
-
-
-def log(t: Tensor) -> Tensor:
-    def bwd(g):
-        t._accum(g / t.data)
-
-    return _node(np.log(t.data), (t,), bwd)
-
-
-def tanh(t: Tensor) -> Tensor:
-    out_data = np.tanh(t.data)
-
-    def bwd(g):
-        t._accum(g * (1.0 - out_data * out_data))
-
-    return _node(out_data, (t,), bwd)
-
-
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function of a plain array; never overflows ``exp``.
 
-
-def sigmoid(t: Tensor) -> Tensor:
-    out_data = _stable_sigmoid(t.data)
-
-    def bwd(g):
-        t._accum(g * out_data * (1.0 - out_data))
-
-    return _node(out_data, (t,), bwd)
+    1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, both from e = exp(-|x|):
+    no boolean indexing, and the same bits as evaluating the two branches
+    on their halves.
+    """
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def relu(t: Tensor) -> Tensor:

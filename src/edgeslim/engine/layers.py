@@ -6,6 +6,11 @@ be re-initialised or dropped wholesale when the cell is rewritten to its
 reduced form.  The coupled LSTM derives its input gate as ``1 - f``; the
 minimal gated cell uses its single forget gate both to gate the candidate
 input and to blend the new state.
+
+A recurrent cell runs as one fused tape node per layer: the per-gate blocks
+are concatenated for the forward, the input projection of all steps is a
+single GEMM, and a hand-written BPTT scatters the gradients back to the
+per-gate tensors, so storage, masks and checkpoints stay per gate.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 
 from edgeslim.archspec import LayerKind, LayerSpec
 from edgeslim.engine import autodiff as ad
-from edgeslim.engine.autodiff import Tensor, _node, sigmoid, tanh
+from edgeslim.engine.autodiff import Tensor, _node, _stable_sigmoid
 
 
 class ParamDef(NamedTuple):
@@ -89,12 +94,6 @@ def channel_mix(x: Tensor, weight: Tensor) -> Tensor:
     return _node(out_data, (x, weight), bwd)
 
 
-def _gate_inputs(params: dict[str, Tensor], gate: str, I: int):
-    """Split the (I+O, O) gate matrix into input-side and state-side halves."""
-    W = params[f"W{gate}"]
-    return W[:I], W[I:], params[f"b{gate}"]
-
-
 def _dense_forward(x: Tensor, params: dict[str, Tensor]) -> Tensor:
     return x @ params["W"] + params["b"]
 
@@ -123,47 +122,121 @@ def _factorized_conv_forward(x: Tensor, layer: LayerSpec, params: dict[str, Tens
 
 
 def _recurrent_forward(x: Tensor, layer: LayerSpec, params: dict[str, Tensor]) -> Tensor:
+    """All s steps of one recurrent cell as a single tape node.
+
+    The masked per-gate matrices are concatenated once into ``Wx`` (I, G*O)
+    and ``Wh`` (O, G*O); the input projection of every step is one GEMM and
+    each step adds one state GEMM.  Every kind lists its sigmoid gates first
+    and its tanh candidate last.  GRU and MGU feed the candidate ``r*h``
+    (``f*h`` for MGU) through the candidate's own ``Wh`` columns.  The
+    backward is hand-written BPTT over the stored gate activations and
+    scatters the weight gradients back to the per-gate tensors.
+    """
+    kind = layer.kind
     n = x.data.shape[0]
     I, O, s = layer.I, layer.O, layer.s
-    x3 = x.reshape(n, s, I)
-    kind = layer.kind
-    halves = {gate: _gate_inputs(params, gate, I) for gate in GATE_NAMES[kind]}
-    dtype = x.data.dtype
-    h = ad.lift(np.zeros((n, O), dtype=dtype))
-    c = ad.lift(np.zeros((n, O), dtype=dtype)) if kind in (
-        LayerKind.LSTM,
-        LayerKind.COUPLED_LSTM,
-    ) else None
+    Ws = [params[f"W{gate}"] for gate in GATE_NAMES[kind]]
+    bs = [params[f"b{gate}"] for gate in GATE_NAMES[kind]]
+    S = (len(Ws) - 1) * O  # width of the sigmoid block
+    Wx = np.concatenate([W.data[:I] for W in Ws], axis=1)
+    Wh = np.concatenate([W.data[I:] for W in Ws], axis=1)
+    b = np.concatenate([t.data for t in bs])
+    gated = kind in (LayerKind.GRU, LayerKind.MGU)
+    if gated:
+        # the gate that scales the candidate's state: r for GRU, f for MGU
+        reset = slice(O, 2 * O) if kind == LayerKind.GRU else slice(0, O)
+        Wh_sig, Wh_cand = Wh[:, :S].copy(), Wh[:, S:].copy()
 
-    def gate(name, xt, state, pre=None):
-        Wx, Wh, b = halves[name]
-        return xt @ Wx + (state if pre is None else pre) @ Wh + b
-
+    # Step-major rows, so each step's slice is contiguous.  Each step
+    # overwrites its input projection with its activated gates.  The bias is
+    # added after the state GEMM to keep the rounding of (x@Wx + h@Wh) + b,
+    # and step 0 skips the state GEMM because the state starts at zero.
+    xs = x.data.reshape(n, s, I).transpose(1, 0, 2).reshape(s * n, I)
+    gates = (xs @ Wx).reshape(s, n, -1)
+    dtype = gates.dtype
+    hs = np.zeros((s + 1, n, O), dtype=dtype)  # hs[t] is the state entering step t
+    if gated:
+        hin = np.zeros((s, n, O), dtype=dtype)  # gated state fed to the candidate
+    else:
+        cs = np.zeros((s + 1, n, O), dtype=dtype)  # cell state, indexed like hs
+        tcs = np.empty((s, n, O), dtype=dtype)  # tanh of the step's new cell state
     for t in range(s):
-        xt = x3[:, t, :]
-        if kind == LayerKind.LSTM:
-            i = sigmoid(gate("i", xt, h))
-            f = sigmoid(gate("f", xt, h))
-            o = sigmoid(gate("o", xt, h))
-            g = tanh(gate("g", xt, h))
-            c = f * c + i * g
-            h = o * tanh(c)
-        elif kind == LayerKind.COUPLED_LSTM:
-            f = sigmoid(gate("f", xt, h))
-            o = sigmoid(gate("o", xt, h))
-            g = tanh(gate("g", xt, h))
-            c = f * c + (1.0 - f) * g
-            h = o * tanh(c)
-        elif kind == LayerKind.GRU:
-            z = sigmoid(gate("z", xt, h))
-            r = sigmoid(gate("r", xt, h))
-            cand = tanh(gate("h", xt, h, pre=r * h))
-            h = (1.0 - z) * h + z * cand
-        else:  # MGU
-            f = sigmoid(gate("f", xt, h))
-            cand = tanh(gate("h", xt, h, pre=f * h))
-            h = (1.0 - f) * h + f * cand
-    return h
+        h, a = hs[t], gates[t]
+        if gated:
+            a[:, :S] = _stable_sigmoid((a[:, :S] + h @ Wh_sig if t else a[:, :S]) + b[:S])
+            hin[t] = a[:, reset] * h
+            a[:, S:] = np.tanh((a[:, S:] + hin[t] @ Wh_cand if t else a[:, S:]) + b[S:])
+            z, cand = a[:, :O], a[:, S:]
+            hs[t + 1] = (1.0 - z) * h + z * cand
+        else:
+            pre = (a + h @ Wh if t else a) + b
+            a[:, :S] = _stable_sigmoid(pre[:, :S])
+            a[:, S:] = np.tanh(pre[:, S:])
+            o, g = a[:, S - O : S], a[:, S:]
+            if kind == LayerKind.LSTM:
+                i, f = a[:, :O], a[:, O : 2 * O]
+            else:  # coupled: the input gate is 1 - f
+                f = a[:, :O]
+                i = 1.0 - f
+            cs[t + 1] = f * cs[t] + i * g
+            tcs[t] = np.tanh(cs[t + 1])
+            hs[t + 1] = o * tcs[t]
+
+    def bwd(gh):
+        dpre = np.empty(gates.shape, dtype=np.result_type(gh, dtype))
+        dc = np.zeros_like(gh)
+        for t in reversed(range(s)):
+            h, a, d = hs[t], gates[t], dpre[t]
+            if gated:
+                z, cand = a[:, :O], a[:, S:]
+                d[:, S:] = gh * z * (1.0 - cand * cand)
+                d[:, :S] = 0.0
+                d[:, :O] = gh * (cand - h)
+                if t:
+                    dhin = d[:, S:] @ Wh_cand.T
+                    d[:, reset] += dhin * h
+                d[:, :S] *= a[:, :S] * (1.0 - a[:, :S])
+                if t:
+                    gh = gh * (1.0 - z) + dhin * a[:, reset] + d[:, :S] @ Wh_sig.T
+            else:
+                tc, g = tcs[t], a[:, S:]
+                dc = dc + gh * a[:, S - O : S] * (1.0 - tc * tc)
+                d[:, S - O : S] = gh * tc
+                if kind == LayerKind.LSTM:
+                    f = a[:, O : 2 * O]
+                    d[:, :O] = dc * g
+                    d[:, O : 2 * O] = dc * cs[t]
+                    d[:, S:] = dc * a[:, :O]
+                else:
+                    f = a[:, :O]
+                    d[:, :O] = dc * (cs[t] - g)
+                    d[:, S:] = dc * (1.0 - f)
+                d[:, :S] *= a[:, :S] * (1.0 - a[:, :S])
+                d[:, S:] *= 1.0 - g * g
+                if t:
+                    dc = dc * f
+                    gh = d @ Wh.T
+        flat = dpre.reshape(s * n, -1)
+        if x.requires_grad:
+            dx = (flat @ Wx.T).reshape(s, n, I).transpose(1, 0, 2).reshape(n, s * I)
+            x._accum(dx)
+        dWx = xs.T @ flat
+        states = hs[:s].reshape(s * n, O).T
+        if gated:
+            dWh = np.concatenate(
+                [states @ flat[:, :S], hin.reshape(s * n, O).T @ flat[:, S:]], axis=1
+            )
+        else:
+            dWh = states @ flat
+        db = flat.sum(axis=0)
+        for k, (W, bias) in enumerate(zip(Ws, bs)):
+            cols = slice(k * O, (k + 1) * O)
+            if W.requires_grad:
+                W._accum(np.concatenate([dWx[:, cols], dWh[:, cols]], axis=0))
+            if bias.requires_grad:
+                bias._accum(db[cols])
+
+    return _node(hs[s], (x, *Ws, *bs), bwd)
 
 
 def layer_forward(layer: LayerSpec, params: dict[str, Tensor], x: Tensor) -> Tensor:

@@ -248,6 +248,8 @@ def load_checkpoint(payload: dict) -> tuple[MaskedModel, dict]:
         raise ValueError(f"unsupported checkpoint version {payload.get('version')!r}")
     spec = network_from_dict(payload["network"])
     dtype = np.dtype(payload["dtype"])
+    if len(payload["layers"]) != len(spec.layers):
+        raise ValueError("checkpoint layer count does not match its network")
     layers = []
     for layer, entry in zip(spec.layers, payload["layers"]):
         expected = {p.name: p for p in param_layout(layer)}
@@ -267,8 +269,6 @@ def load_checkpoint(payload: dict) -> tuple[MaskedModel, dict]:
                     raise ValueError(f"mask {name!r} has shape {mask.shape}, expected {pdef.shape}")
                 masks[name] = mask
         layers.append(LayerParams(params=params, masks=masks))
-    if len(layers) != len(spec.layers):
-        raise ValueError("checkpoint layer count does not match its network")
     return MaskedModel(spec=spec, layers=layers, dtype=dtype), payload.get("extras", {})
 
 

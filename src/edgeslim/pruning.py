@@ -21,6 +21,7 @@ import numpy as np
 
 from edgeslim.engine.model import (
     MaskedModel,
+    TrainingDiverged,
     connection_count,
     copy_model,
 )
@@ -179,7 +180,7 @@ def run(
         rng = np.random.default_rng(epoch_seed(seed, iteration))
         loss = run_epoch(pruned, dataset, eta=eta, batch_size=batch_size, rng=rng)
         if not np.isfinite(loss):
-            raise RuntimeError(f"dropout round {iteration}: training loss diverged")
+            raise TrainingDiverged(f"dropout round {iteration}: training loss diverged")
         q_b = connection_count(pruned)
         accepted = loss <= reference_loss
         rounds.append(DropoutRound(iteration, state.d, q_a, q_b, loss, accepted))

@@ -97,15 +97,21 @@ class DeviceProfile:
 
     def __post_init__(self) -> None:
         for attr in ("bytes_per_flop", "seconds_per_flop", "flops_per_second", "beta"):
-            value = getattr(self, attr)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise ValueError(f"{attr} must be a positive finite number, got {value!r}")
+            _require_positive(attr, getattr(self, attr))
         if (self.alpha is None) == (self.alpha_ratio is None):
             raise ValueError("exactly one of alpha and alpha_ratio must be set")
         for attr in ("alpha", "alpha_ratio"):
             value = getattr(self, attr)
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{attr} must be a positive finite number, got {value!r}")
+            if value is not None:
+                _require_positive(attr, value)
+
+
+def _require_positive(attr: str, value) -> None:
+    # bool is an int subclass: JSON ``true`` must not pass as 1
+    if isinstance(value, bool) or not (
+        isinstance(value, (int, float)) and math.isfinite(value) and value > 0
+    ):
+        raise ValueError(f"{attr} must be a positive finite number, got {value!r}")
 
 
 def resolve_alpha(device: DeviceProfile, reference_flops: int) -> DeviceProfile:

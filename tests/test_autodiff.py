@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgeslim.archspec import LayerKind, LayerSpec
 from edgeslim.engine import autodiff as ad
+from edgeslim.engine.layers import layer_forward, param_layout
 
 
 def numeric_grad(fn, x, h=1e-6):
@@ -51,18 +53,12 @@ def test_add_mul_broadcast():
     check_op(lambda a: (-a).sum(), (3,))
 
 
-def test_div_pow():
+def test_div():
     check_op(lambda a, b: (a / b).sum(), (3, 3), (3, 3), positive=True)
-    check_op(lambda a: (a ** 3).sum(), (4,))
 
 
 def test_matmul():
     check_op(lambda a, b: (a @ b).sum(), (3, 4), (4, 2))
-
-
-def test_indexing_scatters():
-    idx = np.array([0, 2, 0])  # repeated row: grads must accumulate
-    check_op(lambda a: a[idx].sum(), (4, 3))
 
 
 def test_reductions_and_reshape():
@@ -73,10 +69,6 @@ def test_reductions_and_reshape():
 
 
 def test_elementwise_math():
-    check_op(lambda a: ad.exp(a).sum(), (3, 3))
-    check_op(lambda a: ad.log(a).sum(), (3, 3), positive=True)
-    check_op(lambda a: ad.tanh(a).sum(), (3, 3))
-    check_op(lambda a: ad.sigmoid(a).sum(), (3, 3))
     check_op(lambda a: ad.sqrt(a).sum(), (3, 3), positive=True)
     check_op(lambda a: ad.relu(a + 0.1).sum(), (3, 3))
 
@@ -137,13 +129,28 @@ def test_backward_accumulates_across_reuse():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.floats(min_value=-500.0, max_value=500.0))
-def test_sigmoid_stays_finite(x):
-    t = ad.Tensor(np.array([x]), requires_grad=True)
-    y = ad.sigmoid(t)
-    assert np.isfinite(y.data).all() and 0.0 <= float(y.data[0]) <= 1.0
-    y.sum().backward()
-    assert np.isfinite(t.grad).all()
+@given(
+    st.floats(min_value=-500.0, max_value=500.0),
+    st.sampled_from([LayerKind.LSTM, LayerKind.COUPLED_LSTM, LayerKind.GRU, LayerKind.MGU]),
+)
+def test_sigmoid_stays_finite(x, kind):
+    # every gate bias at x puts each pre-activation of the fused cell near x
+    layer = LayerSpec(kind, I=2, O=3, s=3)
+    rng = np.random.default_rng(0)
+    params = {
+        p.name: ad.Tensor(
+            rng.normal(scale=0.1, size=p.shape) if p.masked else np.full(p.shape, x),
+            requires_grad=True,
+        )
+        for p in param_layout(layer)
+    }
+    inputs = ad.Tensor(rng.normal(size=(2, 6)), requires_grad=True)
+    out = layer_forward(layer, params, inputs)
+    assert np.isfinite(out.data).all() and (np.abs(out.data) <= 1.0).all()
+    out.sum().backward()
+    assert np.isfinite(inputs.grad).all()
+    for tensor in params.values():
+        assert np.isfinite(tensor.grad).all()
 
 
 def test_relu_zero_point_subgradient():

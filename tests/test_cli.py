@@ -97,6 +97,15 @@ def test_estimate_rejects_malformed_json(ws, capsys):
     assert "line 2" in err and "column" in err
 
 
+def test_estimate_rejects_bool_budget(ws, capsys):
+    device = device_dict(alpha=1e9, beta=1.0)
+    device["alpha_bytes"] = True
+    (ws / "bool.json").write_text(json.dumps(device))
+    rc = main(["estimate", "--arch", str(ws / "arch.json"), "--device", str(ws / "bool.json"), "--out", str(ws / "r.json")])
+    assert rc == 2
+    assert "alpha must be a positive finite number, got True" in capsys.readouterr().err
+
+
 def test_estimate_missing_file_is_input_error(ws, capsys):
     rc = main(["estimate", "--arch", str(ws / "nope.json"), "--device", str(ws / "device.json"), "--out", str(ws / "r.json")])
     assert rc == 2
@@ -131,6 +140,29 @@ def test_train_divergence_exit_code(ws, capsys):
     ])
     assert rc == 3
     assert "diverged" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_dropout_divergence_exit_code(ws, capsys):
+    # one fc layer at this eta: the round's loss overflows while every
+    # gradient stays finite, so the dropout loop's own check must fire
+    (ws / "one.json").write_text(json.dumps({
+        "name": "one", "class_count": 3, "shared_prefix": 0,
+        "layers": [{"kind": "fc", "I": 6, "O": 3}],
+    }))
+    ckpt = ws / "one_model.json"
+    assert main([
+        "train", "--arch", str(ws / "one.json"), "--data", str(ws / "data.csv"),
+        "--out", str(ckpt), "--epochs", "6", "--eta", "0.1", "--seed", "3",
+    ]) == 0
+    capsys.readouterr()
+    rc = main([
+        "dropout", "--checkpoint", str(ckpt), "--data", str(ws / "data.csv"),
+        "--out", str(ws / "s.json"), "--eta", "1e38", "--batch-size", "32",
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "dropout round 1: training loss diverged" in err
 
 
 def test_dropout_and_compress_and_eval_chain(ws):

@@ -67,7 +67,6 @@ def test_conv_forward_matches_loop(rng):
 def recurrent_reference(kind, params, x):
     """Hand-rolled recurrences in float64; x is (n, s, I)."""
     n, s, _ = x.shape
-    O = params["b" + ("i" if kind is LayerKind.LSTM else {"f": "f"}.get("f"))].shape[0] if False else None
     first_bias = next(k for k in params if k.startswith("b"))
     O = params[first_bias].shape[0]
     h = np.zeros((n, O))
@@ -102,10 +101,18 @@ def recurrent_reference(kind, params, x):
     return h
 
 
-@pytest.mark.parametrize(
-    "kind",
-    [LayerKind.LSTM, LayerKind.COUPLED_LSTM, LayerKind.GRU, LayerKind.MGU],
-)
+RECURRENT = [LayerKind.LSTM, LayerKind.COUPLED_LSTM, LayerKind.GRU, LayerKind.MGU]
+
+
+def mask_some(model, layer_idx, rng, fraction=0.3):
+    """Zero a random fraction, and at least the first entry, of every
+    weight mask of one layer."""
+    for mask in model.layers[layer_idx].masks.values():
+        mask[rng.random(mask.shape) < fraction] = 0.0
+        mask.flat[0] = 0.0
+
+
+@pytest.mark.parametrize("kind", RECURRENT)
 def test_recurrent_cells_match_reference(kind, rng):
     layer = LayerSpec(kind, I=4, O=6, s=3)
     spec = NetworkSpec("t", [layer, LayerSpec(LayerKind.FC, I=6, O=2)], class_count=2)
@@ -114,6 +121,72 @@ def test_recurrent_cells_match_reference(kind, rng):
     out = layer_forward(layer, lift_params(model.layers[0]), ad.Tensor(x)).data
     expect = recurrent_reference(kind, model.layers[0].params, x)
     np.testing.assert_allclose(out, expect, rtol=1e-10, atol=1e-12)
+
+    # masked weights, through the model's own mask multiply
+    mask_some(model, 0, rng)
+    lp = model.layers[0]
+    effective = {k: v * lp.masks[k] if k in lp.masks else v for k, v in lp.params.items()}
+    out = forward(model, x.reshape(5, 12), trainable=False).activations[0].data
+    expect = recurrent_reference(kind, effective, x)
+    np.testing.assert_allclose(out, expect, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", RECURRENT)
+@pytest.mark.parametrize("steps,batch", [(3, 1), (3, 5), (5, 1), (5, 5)])
+def test_fused_cell_gradients_match_finite_differences(kind, steps, batch):
+    """fc -> cell -> fc in float64: every parameter, the upstream fc included."""
+    rng = np.random.default_rng([steps, batch])
+    I, O = 2, 3
+    spec = check_valid(NetworkSpec("t", [
+        LayerSpec(LayerKind.FC, I=4, O=steps * I),
+        LayerSpec(kind, I=I, O=O, s=steps),
+        LayerSpec(LayerKind.FC, I=O, O=2),
+    ], class_count=2))
+    model = init_model(spec, seed=7, dtype=np.float64)
+    for lp in model.layers:
+        for arr in lp.params.values():
+            arr += rng.normal(scale=0.3, size=arr.shape)  # off the ReLU kink
+    mask_some(model, 0, rng)
+    mask_some(model, 1, rng)
+    x = rng.normal(size=(batch, 4))
+    y = rng.integers(1, 3, size=batch)
+
+    def loss_value():
+        return float(cross_entropy_node(forward(model, x), y).data)
+
+    trace = forward(model, x)
+    cross_entropy_node(trace, y).backward()
+    h = 1e-6
+    for lp, leaves in zip(model.layers, trace.leaves):
+        for name, arr in lp.params.items():
+            analytic = leaves[name].grad
+            numeric = np.zeros_like(arr)
+            flat, out = arr.reshape(-1), numeric.reshape(-1)
+            for i in range(flat.size):
+                keep = flat[i]
+                flat[i] = keep + h
+                up = loss_value()
+                flat[i] = keep - h
+                down = loss_value()
+                flat[i] = keep
+                out[i] = (up - down) / (2 * h)
+            rel = np.abs(analytic - numeric) / np.maximum(np.abs(analytic) + np.abs(numeric), 1e-3)
+            assert rel.max() < 1e-6, f"{name}: rel err {rel.max():.2e}"
+            if name in lp.masks:
+                assert (analytic[lp.masks[name] == 0.0] == 0.0).all()
+
+
+@pytest.mark.parametrize("kind", RECURRENT)
+def test_fused_cell_tape_does_not_grow_with_steps(kind):
+    sizes = []
+    for steps in (2, 6):
+        layer = LayerSpec(kind, I=3, O=4, s=steps)
+        spec = NetworkSpec("t", [layer, LayerSpec(LayerKind.FC, I=4, O=2)], class_count=2)
+        model = init_model(spec, seed=0)
+        x = np.ones((2, 3 * steps), dtype=np.float32)
+        loss = cross_entropy_node(forward(model, x), np.array([1, 2]))
+        sizes.append(len(ad._topo_order(loss)))
+    assert sizes[0] == sizes[1]
 
 
 def test_mgu_zero_weights_keeps_state_at_zero():
@@ -206,6 +279,13 @@ def test_checkpoint_rejects_corruption(fc_spec):
     first[name]["data"] = "!!!not-base64!!!"
     with pytest.raises(ValueError):
         load_checkpoint(broken)
+
+
+def test_checkpoint_rejects_extra_layer_entry(fc_spec):
+    payload = save_checkpoint(init_model(fc_spec, seed=0))
+    payload["layers"].append(payload["layers"][-1])
+    with pytest.raises(ValueError, match="layer count"):
+        load_checkpoint(payload)
 
 
 def test_connection_count_honours_masks(fc_spec):
