@@ -26,7 +26,7 @@ import numpy as np
 from edgeslim.archspec import CONV_KINDS, NetworkSpec
 from edgeslim.datasets import Dataset, train_test_split
 from edgeslim.engine import autodiff as ad
-from edgeslim.engine.autodiff import Tensor
+from edgeslim.engine.autodiff import Tensor, _node, _unbroadcast
 from edgeslim.engine.model import (
     ForwardTrace,
     MaskedModel,
@@ -34,6 +34,7 @@ from edgeslim.engine.model import (
     cross_entropy_node,
     forward,
     model_bytes,
+    sgd_update,
 )
 from edgeslim.engine.training import epoch_seed, iterate_minibatches, predict
 from edgeslim.metrics import accuracy as metric_accuracy
@@ -201,16 +202,45 @@ def distillation_loss(teacher_logits: np.ndarray, student_logits: np.ndarray) ->
     return float(distillation_loss_node(ad.lift(teacher_logits), ad.lift(student_logits)).data)
 
 
-def _normalize_rows(maps: Tensor) -> Tensor:
-    # Rows whose norm falls below the floor (dead ReLU rows, mostly) have no
-    # defined direction; they are detached outright -- value zero, zero
-    # gradient -- rather than divided by the floor, which would turn a dead
-    # row into a 1/NORM_FLOOR gradient kick.
-    sumsq_data = (maps.data.astype(np.float64) ** 2).sum(axis=1, keepdims=True)
-    alive = ad.lift((sumsq_data >= NORM_FLOOR**2).astype(maps.data.dtype))
-    masked = maps * alive
-    sumsq = ad.clip_min((masked * masked).sum(axis=1, keepdims=True), NORM_FLOOR**2)
-    return masked / ad.sqrt(sumsq)
+def _unit_rows(maps: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Row-normalize ``maps``; returns the unit rows and the intermediates.
+
+    Rows whose norm falls below the floor (dead ReLU rows, mostly) have no
+    defined direction; they are detached outright -- value zero, zero
+    gradient -- rather than divided by the floor, which would turn a dead
+    row into a 1/NORM_FLOOR gradient kick.
+    """
+    sumsq64 = (maps.astype(np.float64) ** 2).sum(axis=1, keepdims=True)
+    alive = (sumsq64 >= NORM_FLOOR**2).astype(maps.dtype)
+    live = maps * alive
+    sumsq = (live * live).sum(axis=1, keepdims=True)
+    norm = np.sqrt(np.maximum(sumsq, NORM_FLOOR**2))
+    return live / norm, alive, live, sumsq, norm
+
+
+def _attention_term(t_unit: np.ndarray, s: Tensor) -> Tensor:
+    """Mean over rows of |t_unit - unit(s)|^2 as one tape node.
+
+    ``t_unit`` is the detached teacher side, already row-normalized.  The
+    backward runs, in order, the numpy operations of the generic chain
+    normalize -> difference -> square -> row sum -> mean, so the gradient is
+    bit-identical to it: the square's two factors and the normalization's
+    two uses of the live rows each contribute a separate term.
+    """
+    s_unit, alive, live, sumsq, norm = _unit_rows(s.data)
+    diff = t_unit + (-s_unit)
+    rows = (diff * diff).sum(axis=1)
+    scale = np.asarray(1.0 / rows.size)
+
+    def bwd(g):
+        g_sq = np.broadcast_to(g * scale, diff.shape)
+        g_unit = -(g_sq * diff + g_sq * diff)
+        g_norm = _unbroadcast(-g_unit * live / (norm * norm), norm.shape)
+        g_sumsq = np.broadcast_to(g_norm * 0.5 / norm * (sumsq > NORM_FLOOR**2), live.shape)
+        g_live = g_unit / norm + g_sumsq * live + g_sumsq * live
+        s._accum(g_live * alive)
+
+    return _node(np.asarray(rows.sum()) * scale, (s,), bwd)
 
 
 def attention_loss_node(
@@ -219,7 +249,8 @@ def attention_loss_node(
     """Sum over layers of the mean squared distance of row-normalized maps.
 
     Normalization makes the loss scale-invariant in either map; zero maps
-    fall back to a norm floor instead of dividing by zero.
+    fall back to a norm floor instead of dividing by zero.  Teacher maps are
+    guidance targets and must be detached; each pair is one tape node.
     """
     if len(teacher_maps) != len(student_maps):
         raise ValueError(
@@ -229,8 +260,9 @@ def attention_loss_node(
     for t, s in zip(teacher_maps, student_maps):
         if t.data.shape != s.data.shape:
             raise ValueError(f"map shapes differ: {t.data.shape} vs {s.data.shape}")
-        diff = _normalize_rows(t) - _normalize_rows(s)
-        term = (diff * diff).sum(axis=1).mean()
+        if t.requires_grad:
+            raise ValueError("teacher attention maps must be detached")
+        term = _attention_term(_unit_rows(t.data)[0], s)
         total = term if total is None else total + term
     if total is None:
         return ad.lift(np.float64(0.0))
@@ -360,11 +392,8 @@ def _apply_updates(traces: list[ForwardTrace], eta: float) -> None:
                 if not leaf.requires_grad or id(leaf) in seen:
                     continue
                 seen.add(id(leaf))
-                if leaf.grad is None:
-                    continue
-                if not np.all(np.isfinite(leaf.grad)):
-                    raise TrainingDiverged(f"non-finite gradient for parameter {name!r}")
-                leaf.data -= eta * leaf.grad.astype(leaf.data.dtype, copy=False)
+                if leaf.grad is not None:
+                    sgd_update(leaf.data, leaf.grad, eta, name)
 
 
 def _detached_maps(trace: ForwardTrace, spec: NetworkSpec) -> list[Tensor]:

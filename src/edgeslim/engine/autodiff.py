@@ -7,10 +7,14 @@ Nodes whose parents all have ``requires_grad=False`` record no tape at all,
 so a forward pass over constant weights (a frozen teacher) costs nothing at
 backward time.
 
-Only the ops the engine calls live here.  Hot multi-op computations are fused
-into one node with a hand-written backward: ``conv2d``,
-``softmax_cross_entropy`` and, in :mod:`edgeslim.engine.layers`, a whole
-recurrent cell, which uses :func:`_stable_sigmoid` as its array kernel.
+Only the ops the engine calls live here: the generic arithmetic, reductions
+and reshape that loss assembly uses, and the fused ``softmax_cross_entropy``.
+Hot multi-op computations are fused into one node with a hand-written
+backward elsewhere, built with :func:`_node`: every layer kind in
+:mod:`edgeslim.engine.layers` (mask, GEMM or convolution, bias and ReLU of
+fc, conv and both factorized kinds; a whole recurrent cell, which uses
+:func:`_stable_sigmoid` as its array kernel), and each attention-map pair in
+:mod:`edgeslim.distill`.
 """
 
 from __future__ import annotations
@@ -99,20 +103,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-lift(other))
 
-    def __truediv__(self, other):
-        other = lift(other)
-        out_data = self.data / other.data
-
-        def bwd(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g / other.data, self.data.shape))
-            if other.requires_grad:
-                other._accum(
-                    _unbroadcast(-g * self.data / (other.data * other.data), other.data.shape)
-                )
-
-        return _node(out_data, (self, other), bwd)
-
     def __matmul__(self, other):
         other = lift(other)
         if self.data.ndim != 2 or other.data.ndim != 2:
@@ -197,77 +187,6 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def relu(t: Tensor) -> Tensor:
-    out_data = np.maximum(t.data, 0)
-
-    def bwd(g):
-        t._accum(g * (t.data > 0))
-
-    return _node(out_data, (t,), bwd)
-
-
-def sqrt(t: Tensor) -> Tensor:
-    out_data = np.sqrt(t.data)
-
-    def bwd(g):
-        t._accum(g * 0.5 / out_data)
-
-    return _node(out_data, (t,), bwd)
-
-
-def clip_min(t: Tensor, floor: float) -> Tensor:
-    """max(t, floor) elementwise; gradient passes only above the floor."""
-    out_data = np.maximum(t.data, floor)
-
-    def bwd(g):
-        t._accum(g * (t.data > floor))
-
-    return _node(out_data, (t,), bwd)
-
-
-def conv2d(x: Tensor, weight: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Stride-1 valid cross-correlation: (n,C,H,W) * (O,C,f,g) -> (n,O,h,w).
-
-    Runs one einsum per filter tap in both directions; filters here are small
-    so the tap loop beats building an im2col buffer.
-    """
-    xd, wd = x.data, weight.data
-    n, channels, H, W = xd.shape
-    out_ch, wc, f, g = wd.shape
-    if wc != channels:
-        raise ValueError(f"conv2d channel mismatch: input {channels}, weight {wc}")
-    if (H, W) != (out_h + f - 1, out_w + g - 1):
-        raise ValueError(
-            f"conv2d spatial mismatch: input {H}x{W}, need {out_h + f - 1}x{out_w + g - 1}"
-        )
-    out_data = np.zeros((n, out_ch, out_h, out_w), dtype=xd.dtype)
-    for u in range(f):
-        for v in range(g):
-            out_data += np.einsum(
-                "ncij,oc->noij", xd[:, :, u : u + out_h, v : v + out_w], wd[:, :, u, v]
-            )
-
-    def bwd(grad):
-        if weight.requires_grad:
-            gw = np.zeros_like(wd)
-            for u in range(f):
-                for v in range(g):
-                    gw[:, :, u, v] = np.einsum(
-                        "noij,ncij->oc", grad, xd[:, :, u : u + out_h, v : v + out_w]
-                    )
-            weight._accum(gw)
-        if x.requires_grad:
-            gx = np.zeros_like(xd)
-            for u in range(f):
-                for v in range(g):
-                    gx[:, :, u : u + out_h, v : v + out_w] += np.einsum(
-                        "noij,oc->ncij", grad, wd[:, :, u, v]
-                    )
-            x._accum(gx)
-
-    return _node(out_data, (x, weight), bwd)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Per-kind parameter layouts and forward builders.
+"""Per-kind parameter layouts and fused forward nodes.
 
 Weight matrices are maskable (connection dropout), biases are not.  Recurrent
 cells keep one ``(I+O, O)`` matrix and one bias per gate block so a gate can
@@ -7,10 +7,17 @@ reduced form.  The coupled LSTM derives its input gate as ``1 - f``; the
 minimal gated cell uses its single forget gate both to gate the candidate
 input and to blend the new state.
 
-A recurrent cell runs as one fused tape node per layer: the per-gate blocks
-are concatenated for the forward, the input projection of all steps is a
-single GEMM, and a hand-written BPTT scatters the gradients back to the
-per-gate tensors, so storage, masks and checkpoints stay per gate.
+Every layer runs as one tape node with a hand-written backward, whatever its
+kind.  ``fc``, ``factorized_fc``, ``conv`` and ``factorized_conv`` (its 1x1
+channel mix included) each fold ``W * mask``, the GEMM or tap-loop
+convolution, the bias and an optional ReLU into their node; the backward runs
+the same numpy operations, in the same order, as the chain of generic tape
+ops it replaces, so results are bit-identical to it.  A recurrent cell
+concatenates its masked per-gate blocks for the forward, runs the input
+projection of all steps as a single GEMM, and scatters the gradients of a
+hand-written BPTT back to the per-gate tensors, so storage, masks and
+checkpoints stay per gate.  Gradients of masked weights are multiplied by
+the mask, so masked entries get exactly zero and never revive.
 """
 
 from __future__ import annotations
@@ -20,8 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from edgeslim.archspec import LayerKind, LayerSpec
-from edgeslim.engine import autodiff as ad
-from edgeslim.engine.autodiff import Tensor, _node, _stable_sigmoid
+from edgeslim.engine.autodiff import Tensor, _node, _stable_sigmoid, _unbroadcast
 
 
 class ParamDef(NamedTuple):
@@ -80,48 +86,165 @@ def param_layout(layer: LayerSpec) -> list[ParamDef]:
     raise ValueError(f"no parameter layout for kind {kind!r}")
 
 
-def channel_mix(x: Tensor, weight: Tensor) -> Tensor:
-    """1x1 channel mixing: (n,R,h,w) with (R,O) -> (n,O,h,w)."""
-    xd, wd = x.data, weight.data
-    out_data = np.einsum("nrij,ro->noij", xd, wd)
+Masks = dict[str, np.ndarray] | None
+
+
+def _masked(params: dict[str, Tensor], masks: Masks, name: str) -> np.ndarray:
+    """The weight a layer computes with: ``W * mask``, or ``W`` when unmasked."""
+    weight = params[name].data
+    return weight if masks is None else weight * masks[name]
+
+
+def _unmask(grad: np.ndarray, masks: Masks, name: str) -> np.ndarray:
+    """A weight's gradient with masked entries exactly zero."""
+    return grad if masks is None else grad * masks[name]
+
+
+def _conv(x4: np.ndarray, weight: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Stride-1 valid cross-correlation: (n,C,H,W) * (O,C,f,g) -> (n,O,h,w).
+
+    One einsum per filter tap; filters here are small, so the tap loop beats
+    building an im2col buffer.
+    """
+    out_ch, _, f, g = weight.shape
+    out = np.zeros((x4.shape[0], out_ch, out_h, out_w), dtype=x4.dtype)
+    for u in range(f):
+        for v in range(g):
+            out += np.einsum(
+                "ncij,oc->noij", x4[:, :, u : u + out_h, v : v + out_w], weight[:, :, u, v]
+            )
+    return out
+
+
+def _conv_weight_grad(grad: np.ndarray, x4: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    _, _, f, g = weight.shape
+    out_h, out_w = grad.shape[2:]
+    gw = np.zeros_like(weight)
+    for u in range(f):
+        for v in range(g):
+            gw[:, :, u, v] = np.einsum(
+                "noij,ncij->oc", grad, x4[:, :, u : u + out_h, v : v + out_w]
+            )
+    return gw
+
+
+def _conv_input_grad(grad: np.ndarray, x4: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    _, _, f, g = weight.shape
+    out_h, out_w = grad.shape[2:]
+    gx = np.zeros_like(x4)
+    for u in range(f):
+        for v in range(g):
+            gx[:, :, u : u + out_h, v : v + out_w] += np.einsum(
+                "noij,oc->ncij", grad, weight[:, :, u, v]
+            )
+    return gx
+
+
+def _relu(pre: np.ndarray, relu: bool) -> np.ndarray:
+    return np.maximum(pre, 0) if relu else pre
+
+
+def _fc_forward(x: Tensor, params: dict[str, Tensor], masks: Masks, relu: bool) -> Tensor:
+    w, b = params["W"], params["b"]
+    xd, W = x.data, _masked(params, masks, "W")
+    pre = xd @ W + b.data
 
     def bwd(g):
-        if weight.requires_grad:
-            weight._accum(np.einsum("noij,nrij->ro", g, xd))
+        if relu:
+            g = g * (pre > 0)
+        if b.requires_grad:
+            b._accum(_unbroadcast(g, b.data.shape))
         if x.requires_grad:
-            x._accum(np.einsum("noij,ro->nrij", g, wd))
+            x._accum(g @ W.T)
+        if w.requires_grad:
+            w._accum(_unmask(xd.T @ g, masks, "W"))
 
-    return _node(out_data, (x, weight), bwd)
-
-
-def _dense_forward(x: Tensor, params: dict[str, Tensor]) -> Tensor:
-    return x @ params["W"] + params["b"]
+    return _node(_relu(pre, relu), (x, w, b), bwd)
 
 
-def _factorized_fc_forward(x: Tensor, params: dict[str, Tensor]) -> Tensor:
+def _factorized_fc_forward(
+    x: Tensor, params: dict[str, Tensor], masks: Masks, relu: bool
+) -> Tensor:
     # No nonlinearity between factors: together they stand in for one layer.
-    return (x @ params["W1"] + params["b1"]) @ params["W2"] + params["b2"]
+    w1, b1, w2, b2 = params["W1"], params["b1"], params["W2"], params["b2"]
+    xd, W1, W2 = x.data, _masked(params, masks, "W1"), _masked(params, masks, "W2")
+    mid = xd @ W1 + b1.data
+    pre = mid @ W2 + b2.data
+
+    def bwd(g):
+        if relu:
+            g = g * (pre > 0)
+        if b2.requires_grad:
+            b2._accum(_unbroadcast(g, b2.data.shape))
+        if w2.requires_grad:
+            w2._accum(_unmask(mid.T @ g, masks, "W2"))
+        if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
+            return
+        gmid = g @ W2.T
+        if b1.requires_grad:
+            b1._accum(_unbroadcast(gmid, b1.data.shape))
+        if x.requires_grad:
+            x._accum(gmid @ W1.T)
+        if w1.requires_grad:
+            w1._accum(_unmask(xd.T @ gmid, masks, "W1"))
+
+    return _node(_relu(pre, relu), (x, w1, b1, w2, b2), bwd)
 
 
-def _conv_forward(x: Tensor, layer: LayerSpec, params: dict[str, Tensor]) -> Tensor:
-    n = x.data.shape[0]
-    H, W = layer.input_spatial
-    x4 = x.reshape(n, layer.I, H, W)
-    out = ad.conv2d(x4, params["W"], layer.h, layer.w)
-    return out + params["b"].reshape(1, layer.O, 1, 1)
+def _conv_forward(
+    x: Tensor, layer: LayerSpec, params: dict[str, Tensor], masks: Masks, relu: bool
+) -> Tensor:
+    w, b = params["W"], params["b"]
+    x4 = x.data.reshape(x.data.shape[0], layer.I, *layer.input_spatial)
+    W = _masked(params, masks, "W")
+    pre = _conv(x4, W, layer.h, layer.w) + b.data.reshape(1, layer.O, 1, 1)
+
+    def bwd(g):
+        if relu:
+            g = g * (pre > 0)
+        if b.requires_grad:
+            b._accum(_unbroadcast(g, (1, layer.O, 1, 1)).reshape(layer.O))
+        if w.requires_grad:
+            w._accum(_unmask(_conv_weight_grad(g, x4, W), masks, "W"))
+        if x.requires_grad:
+            x._accum(_conv_input_grad(g, x4, W).reshape(x.data.shape))
+
+    return _node(_relu(pre, relu), (x, w, b), bwd)
 
 
-def _factorized_conv_forward(x: Tensor, layer: LayerSpec, params: dict[str, Tensor]) -> Tensor:
-    n = x.data.shape[0]
-    H, W = layer.input_spatial
-    x4 = x.reshape(n, layer.I, H, W)
-    mid = ad.conv2d(x4, params["W1"], layer.h, layer.w)
-    mid = mid + params["b1"].reshape(1, layer.R, 1, 1)
-    out = channel_mix(mid, params["W2"])
-    return out + params["b2"].reshape(1, layer.O, 1, 1)
+def _factorized_conv_forward(
+    x: Tensor, layer: LayerSpec, params: dict[str, Tensor], masks: Masks, relu: bool
+) -> Tensor:
+    """An R-filter conv, then a 1x1 channel mix (n,R,h,w) @ (R,O) -> (n,O,h,w)."""
+    w1, b1, w2, b2 = params["W1"], params["b1"], params["W2"], params["b2"]
+    x4 = x.data.reshape(x.data.shape[0], layer.I, *layer.input_spatial)
+    W1, W2 = _masked(params, masks, "W1"), _masked(params, masks, "W2")
+    mid = _conv(x4, W1, layer.h, layer.w) + b1.data.reshape(1, layer.R, 1, 1)
+    pre = np.einsum("nrij,ro->noij", mid, W2) + b2.data.reshape(1, layer.O, 1, 1)
+
+    def bwd(g):
+        if relu:
+            g = g * (pre > 0)
+        if b2.requires_grad:
+            b2._accum(_unbroadcast(g, (1, layer.O, 1, 1)).reshape(layer.O))
+        if w2.requires_grad:
+            w2._accum(_unmask(np.einsum("noij,nrij->ro", g, mid), masks, "W2"))
+        if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
+            return
+        gmid = np.einsum("noij,ro->nrij", g, W2)
+        if b1.requires_grad:
+            b1._accum(_unbroadcast(gmid, (1, layer.R, 1, 1)).reshape(layer.R))
+        if w1.requires_grad:
+            w1._accum(_unmask(_conv_weight_grad(gmid, x4, W1), masks, "W1"))
+        if x.requires_grad:
+            x._accum(_conv_input_grad(gmid, x4, W1).reshape(x.data.shape))
+
+    return _node(_relu(pre, relu), (x, w1, b1, w2, b2), bwd)
 
 
-def _recurrent_forward(x: Tensor, layer: LayerSpec, params: dict[str, Tensor]) -> Tensor:
+def _recurrent_forward(
+    x: Tensor, layer: LayerSpec, params: dict[str, Tensor], masks: Masks
+) -> Tensor:
     """All s steps of one recurrent cell as a single tape node.
 
     The masked per-gate matrices are concatenated once into ``Wx`` (I, G*O)
@@ -135,11 +258,13 @@ def _recurrent_forward(x: Tensor, layer: LayerSpec, params: dict[str, Tensor]) -
     kind = layer.kind
     n = x.data.shape[0]
     I, O, s = layer.I, layer.O, layer.s
-    Ws = [params[f"W{gate}"] for gate in GATE_NAMES[kind]]
+    names = [f"W{gate}" for gate in GATE_NAMES[kind]]
+    Ws = [params[name] for name in names]
     bs = [params[f"b{gate}"] for gate in GATE_NAMES[kind]]
     S = (len(Ws) - 1) * O  # width of the sigmoid block
-    Wx = np.concatenate([W.data[:I] for W in Ws], axis=1)
-    Wh = np.concatenate([W.data[I:] for W in Ws], axis=1)
+    masked = [_masked(params, masks, name) for name in names]
+    Wx = np.concatenate([W[:I] for W in masked], axis=1)
+    Wh = np.concatenate([W[I:] for W in masked], axis=1)
     b = np.concatenate([t.data for t in bs])
     gated = kind in (LayerKind.GRU, LayerKind.MGU)
     if gated:
@@ -229,31 +354,43 @@ def _recurrent_forward(x: Tensor, layer: LayerSpec, params: dict[str, Tensor]) -
         else:
             dWh = states @ flat
         db = flat.sum(axis=0)
-        for k, (W, bias) in enumerate(zip(Ws, bs)):
+        for k, (name, W, bias) in enumerate(zip(names, Ws, bs)):
             cols = slice(k * O, (k + 1) * O)
             if W.requires_grad:
-                W._accum(np.concatenate([dWx[:, cols], dWh[:, cols]], axis=0))
+                dW = np.concatenate([dWx[:, cols], dWh[:, cols]], axis=0)
+                W._accum(_unmask(dW, masks, name))
             if bias.requires_grad:
                 bias._accum(db[cols])
 
     return _node(hs[s], (x, *Ws, *bs), bwd)
 
 
-def layer_forward(layer: LayerSpec, params: dict[str, Tensor], x: Tensor) -> Tensor:
-    """Apply one layer to a flat (n, input_width) Tensor.
+def layer_forward(
+    layer: LayerSpec,
+    params: dict[str, Tensor],
+    x: Tensor,
+    masks: Masks = None,
+    relu: bool = False,
+) -> Tensor:
+    """Apply one layer to a flat (n, input_width) Tensor as one tape node.
 
-    Returns the natural-shape output: (n,O) for dense and recurrent kinds,
-    (n,O,h,w) for conv kinds.  The caller flattens before the next layer.
+    ``params`` are the raw leaves; ``masks`` (None: unmasked) multiply the
+    weights inside the node, and ``relu`` rectifies the output of a
+    non-recurrent kind.  Returns the natural-shape output: (n,O) for dense
+    and recurrent kinds, (n,O,h,w) for conv kinds.  The caller flattens
+    before the next layer.
     """
     kind = layer.kind
-    if kind == LayerKind.FC:
-        return _dense_forward(x, params)
-    if kind == LayerKind.FACTORIZED_FC:
-        return _factorized_fc_forward(x, params)
-    if kind == LayerKind.CONV:
-        return _conv_forward(x, layer, params)
-    if kind == LayerKind.FACTORIZED_CONV:
-        return _factorized_conv_forward(x, layer, params)
     if kind in GATE_NAMES:
-        return _recurrent_forward(x, layer, params)
+        if relu:
+            raise ValueError(f"{kind.value} layers take no ReLU")
+        return _recurrent_forward(x, layer, params, masks)
+    if kind == LayerKind.FC:
+        return _fc_forward(x, params, masks, relu)
+    if kind == LayerKind.FACTORIZED_FC:
+        return _factorized_fc_forward(x, params, masks, relu)
+    if kind == LayerKind.CONV:
+        return _conv_forward(x, layer, params, masks, relu)
+    if kind == LayerKind.FACTORIZED_CONV:
+        return _factorized_conv_forward(x, layer, params, masks, relu)
     raise ValueError(f"no forward rule for kind {kind!r}")

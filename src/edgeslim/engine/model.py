@@ -2,9 +2,10 @@
 
 A model is its architecture descriptor plus per-layer parameter arrays and
 binary masks over the weight matrices.  The forward pass multiplies each
-weight by its mask inside the tape, so gradients at masked entries are
-exactly zero and pruned connections never revive.  Class labels are 1-based
-everywhere outside this module; logits columns map to labels 1..k.
+weight by its mask inside the layer's tape node, so gradients at masked
+entries are exactly zero and pruned connections never revive.  Class labels
+are 1-based everywhere outside this module; logits columns map to labels
+1..k.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from edgeslim.archspec import (
 )
 from edgeslim.engine import autodiff as ad
 from edgeslim.engine.autodiff import Tensor, softmax_cross_entropy
-from edgeslim.engine.layers import layer_forward, param_layout
+from edgeslim.engine.layers import ParamDef, layer_forward, param_layout
 
 CHECKPOINT_FORMAT = "edgeslim-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -110,6 +111,7 @@ def forward(
 ) -> ForwardTrace:
     """Run the network on a (n, p) batch.
 
+    Each layer is one tape node over its raw parameter leaves and masks.
     Hidden conv/dense layers get a ReLU; recurrent outputs and final logits
     pass through raw.  ``leaf_cache`` maps ``id(array)`` to its leaf Tensor so
     two models sharing parameter arrays contribute to one tape and a single
@@ -128,7 +130,6 @@ def forward(
     last = len(model.spec.layers) - 1
     for idx, (layer, lp) in enumerate(zip(model.spec.layers, model.layers)):
         layer_leaves: dict[str, Tensor] = {}
-        eff: dict[str, Tensor] = {}
         for name, arr in lp.params.items():
             if leaf_cache is not None and id(arr) in leaf_cache:
                 leaf = leaf_cache[id(arr)]
@@ -137,16 +138,12 @@ def forward(
                 if leaf_cache is not None:
                     leaf_cache[id(arr)] = leaf
             layer_leaves[name] = leaf
-            if name in lp.masks:
-                eff[name] = leaf * ad.lift(lp.masks[name])
-            else:
-                eff[name] = leaf
-        out = layer_forward(layer, eff, cur)
-        if idx != last and layer.kind not in RECURRENT_KINDS:
-            out = ad.relu(out)
+        relu = idx != last and layer.kind not in RECURRENT_KINDS
+        out = layer_forward(layer, layer_leaves, cur, lp.masks, relu)
         activations.append(out)
         leaves.append(layer_leaves)
-        cur = out.reshape(n, layer.output_width)
+        flat = (n, layer.output_width)
+        cur = out if out.data.shape == flat else out.reshape(flat)
     logits = cur
     if logits.data.shape != (n, model.spec.class_count):
         raise ValueError(
@@ -187,17 +184,24 @@ def backward(model: MaskedModel, trace: ForwardTrace, loss: Tensor) -> list[dict
     return grads
 
 
+def sgd_update(param: np.ndarray, grad: np.ndarray, eta: float, name: str) -> None:
+    """In-place ``param -= eta * grad``, with the gradient cast to the
+    parameter's dtype first.  A non-finite gradient raises
+    :class:`TrainingDiverged` and leaves ``param`` untouched."""
+    if not np.all(np.isfinite(grad)):
+        raise TrainingDiverged(f"non-finite gradient for parameter {name!r}")
+    param -= eta * grad.astype(param.dtype, copy=False)
+
+
 def sgd_step(model: MaskedModel, grads: list[dict[str, np.ndarray]], eta: float) -> None:
-    """In-place ``p -= eta * g``.  Rejects non-finite gradients.
+    """One :func:`sgd_update` per parameter of ``model``.
 
     Updates mutate the arrays, so models aliasing these arrays see the step.
     Masked entries have exactly-zero gradients and therefore never move.
     """
     for lp, layer_grads in zip(model.layers, grads):
         for name, g in layer_grads.items():
-            if not np.all(np.isfinite(g)):
-                raise TrainingDiverged(f"non-finite gradient for parameter {name!r}")
-            lp.params[name] -= eta * g.astype(model.dtype, copy=False)
+            sgd_update(lp.params[name], g, eta, name)
 
 
 # -- checkpoints ------------------------------------------------------------
@@ -240,34 +244,60 @@ def save_checkpoint(model: MaskedModel, extras: dict | None = None) -> dict:
     }
 
 
+def _field(obj, key: str, what: str):
+    """``obj[key]`` where ``obj`` must be a JSON object holding ``key``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    if key not in obj:
+        raise ValueError(f"{what} is missing {key!r}")
+    return obj[key]
+
+
+def _load_array(stored, pdef: ParamDef, dtype: np.dtype, what: str) -> np.ndarray:
+    """Decode ``stored[pdef.name]`` and check its shape and dtype."""
+    arr = _decode_array(_field(stored, pdef.name, what))
+    if arr.shape != pdef.shape:
+        raise ValueError(f"{what} {pdef.name!r} has shape {arr.shape}, expected {pdef.shape}")
+    if arr.dtype.newbyteorder("=") != dtype.newbyteorder("="):
+        raise ValueError(f"{what} {pdef.name!r} has dtype {arr.dtype}, expected {dtype}")
+    return arr
+
+
 def load_checkpoint(payload: dict) -> tuple[MaskedModel, dict]:
-    """Rebuild a model from :func:`save_checkpoint` output; bit-exact."""
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    """Rebuild a model from :func:`save_checkpoint` output; bit-exact.
+
+    Any malformed payload raises ``ValueError``: a missing or mistyped
+    entry, an array whose shape or dtype disagrees with the network and the
+    checkpoint's ``dtype``, or a mask holding anything but 0 and 1.
+    """
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError("not a model checkpoint")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('version')!r}")
-    spec = network_from_dict(payload["network"])
-    dtype = np.dtype(payload["dtype"])
-    if len(payload["layers"]) != len(spec.layers):
+    network = _field(payload, "network", "checkpoint")
+    if not isinstance(network, dict):
+        raise ValueError("checkpoint network is not a JSON object")
+    spec = network_from_dict(network)
+    try:
+        dtype = np.dtype(_field(payload, "dtype", "checkpoint"))
+    except TypeError:
+        raise ValueError(f"checkpoint dtype {payload['dtype']!r} is not a numpy dtype") from None
+    entries = _field(payload, "layers", "checkpoint")
+    if not isinstance(entries, list) or len(entries) != len(spec.layers):
         raise ValueError("checkpoint layer count does not match its network")
     layers = []
-    for layer, entry in zip(spec.layers, payload["layers"]):
-        expected = {p.name: p for p in param_layout(layer)}
+    for idx, (layer, entry) in enumerate(zip(spec.layers, entries)):
+        where = f"checkpoint layer {idx}"
+        stored_params = _field(entry, "params", where)
+        stored_masks = _field(entry, "masks", where)
         params, masks = {}, {}
-        for name, pdef in expected.items():
-            if name not in entry["params"]:
-                raise ValueError(f"checkpoint is missing parameter {name!r}")
-            arr = _decode_array(entry["params"][name])
-            if arr.shape != pdef.shape:
-                raise ValueError(
-                    f"parameter {name!r} has shape {arr.shape}, expected {pdef.shape}"
-                )
-            params[name] = arr
+        for pdef in param_layout(layer):
+            params[pdef.name] = _load_array(stored_params, pdef, dtype, f"{where} params")
             if pdef.masked:
-                mask = _decode_array(entry["masks"][name])
-                if mask.shape != pdef.shape:
-                    raise ValueError(f"mask {name!r} has shape {mask.shape}, expected {pdef.shape}")
-                masks[name] = mask
+                mask = _load_array(stored_masks, pdef, dtype, f"{where} masks")
+                if not np.all((mask == 0) | (mask == 1)):
+                    raise ValueError(f"mask {pdef.name!r} holds values other than 0 and 1")
+                masks[pdef.name] = mask
         layers.append(LayerParams(params=params, masks=masks))
     return MaskedModel(spec=spec, layers=layers, dtype=dtype), payload.get("extras", {})
 

@@ -26,12 +26,10 @@ def numeric_grad(fn, x, h=1e-6):
     return grad
 
 
-def check_op(build, *shapes, seed=0, tol=1e-7, positive=False):
+def check_op(build, *shapes, seed=0, tol=1e-7):
     """Gradcheck `build(tensors...) -> scalar Tensor` w.r.t. every input."""
     rng = np.random.default_rng(seed)
     arrays = [rng.normal(size=s).astype(np.float64) for s in shapes]
-    if positive:
-        arrays = [np.abs(a) + 0.5 for a in arrays]
     tensors = [ad.Tensor(a, requires_grad=True) for a in arrays]
     loss = build(*tensors)
     loss.backward()
@@ -53,10 +51,6 @@ def test_add_mul_broadcast():
     check_op(lambda a: (-a).sum(), (3,))
 
 
-def test_div():
-    check_op(lambda a, b: (a / b).sum(), (3, 3), (3, 3), positive=True)
-
-
 def test_matmul():
     check_op(lambda a, b: (a @ b).sum(), (3, 4), (4, 2))
 
@@ -68,23 +62,14 @@ def test_reductions_and_reshape():
     check_op(lambda a: a.mean(), (2, 3))
 
 
-def test_elementwise_math():
-    check_op(lambda a: ad.sqrt(a).sum(), (3, 3), positive=True)
-    check_op(lambda a: ad.relu(a + 0.1).sum(), (3, 3))
-
-
-def test_clip_min_gradient_masks_floor():
-    x = ad.Tensor(np.array([0.5, 2.0, -1.0]), requires_grad=True)
-    y = ad.clip_min(x, 1.0).sum()
-    y.backward()
-    np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0])
-
-
 def test_conv2d():
-    def build(x, w):
-        return ad.conv2d(x, w, 3, 3).sum()
+    # the conv layer node's tap-loop convolution, without mask or ReLU
+    layer = LayerSpec(LayerKind.CONV, I=2, O=3, f=3, g=3, h=3, w=3)
 
-    check_op(build, (2, 2, 5, 5), (3, 2, 3, 3))
+    def build(x, w, b):
+        return layer_forward(layer, {"W": w, "b": b}, x).sum()
+
+    check_op(build, (2, 2, 5, 5), (3, 2, 3, 3), (3,))
 
 
 def test_softmax_cross_entropy_matches_manual():
@@ -154,6 +139,9 @@ def test_sigmoid_stays_finite(x, kind):
 
 
 def test_relu_zero_point_subgradient():
-    t = ad.Tensor(np.array([0.0, -1.0, 1.0]), requires_grad=True)
-    ad.relu(t).sum().backward()
-    np.testing.assert_array_equal(t.grad, [0.0, 0.0, 1.0])
+    # identity weights and zero bias: the fused fc node's pre-activation is x
+    layer = LayerSpec(LayerKind.FC, I=3, O=3)
+    t = ad.Tensor(np.array([[0.0, -1.0, 1.0]]), requires_grad=True)
+    params = {"W": ad.Tensor(np.eye(3)), "b": ad.Tensor(np.zeros(3))}
+    layer_forward(layer, params, t, relu=True).sum().backward()
+    np.testing.assert_array_equal(t.grad, [[0.0, 0.0, 1.0]])

@@ -13,6 +13,7 @@ from edgeslim.archspec import (
 )
 from edgeslim.cli import main
 from edgeslim.datasets import load_csv
+from edgeslim.engine.model import load_checkpoint, save_checkpoint
 
 ARCH = {
     "name": "bench",
@@ -227,6 +228,38 @@ def test_eval_rejects_width_mismatch(ws, capsys):
     rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(thin), "--out", str(ws / "e.json")])
     assert rc == 2
     assert "features" in capsys.readouterr().err
+
+
+def malformed_checkpoint(body, case):
+    if case == "list":
+        return [body]
+    if case == "no-network":
+        del body["network"]
+    elif case == "no-mask":
+        del body["layers"][0]["masks"]["W"]
+    elif case == "non-binary-mask":
+        model, extras = load_checkpoint(body)
+        model.layers[0].masks["W"][0, 0] = 0.5
+        body = save_checkpoint(model, extras)
+    return body
+
+
+@pytest.mark.parametrize("case, message", [
+    ("list", "not a model checkpoint"),
+    ("no-network", "checkpoint is missing 'network'"),
+    ("no-mask", "is missing 'W'"),
+    ("non-binary-mask", "mask 'W' holds values other than 0 and 1"),
+])
+def test_eval_rejects_malformed_checkpoint(ws, capsys, case, message):
+    ckpt = train_checkpoint(ws)
+    bad = ws / "bad_model.json"
+    bad.write_text(json.dumps(malformed_checkpoint(json.loads(ckpt.read_text()), case)))
+    capsys.readouterr()
+    rc = main(["eval", "--checkpoint", str(bad), "--data", str(ws / "data.csv"), "--out", str(ws / "e.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err and err.count("\n") == 1
 
 
 def pipeline_config(ws, out_dir, teacher=None):

@@ -288,6 +288,39 @@ def test_checkpoint_rejects_extra_layer_entry(fc_spec):
         load_checkpoint(payload)
 
 
+def test_checkpoint_rejects_malformed_entries(fc_spec):
+    good = save_checkpoint(init_model(fc_spec, seed=0))
+
+    def broken(edit):
+        payload = json.loads(json.dumps(good))
+        edit(payload)
+        return payload
+
+    def mask_of(value):
+        model = init_model(fc_spec, seed=0)
+        model.layers[1].masks["W"][0, 0] = value
+        return save_checkpoint(model)
+
+    float64_mask = save_checkpoint(init_model(fc_spec, seed=0, dtype=np.float64))
+    cases = [
+        ([good], "not a model checkpoint"),
+        (broken(lambda p: p.pop("network")), "missing 'network'"),
+        (broken(lambda p: p.update(network=[])), "network is not a JSON object"),
+        (broken(lambda p: p.pop("dtype")), "missing 'dtype'"),
+        (broken(lambda p: p.update(dtype="float-ish")), "not a numpy dtype"),
+        (broken(lambda p: p.update(layers={})), "layer count"),
+        (broken(lambda p: p["layers"][0].pop("masks")), "missing 'masks'"),
+        (broken(lambda p: p["layers"][2]["masks"].pop("W")), "missing 'W'"),
+        (broken(lambda p: p["layers"][0]["masks"]["W"].update(
+            float64_mask["layers"][0]["masks"]["W"])), "dtype float64"),
+        (mask_of(0.5), "other than 0 and 1"),
+        (mask_of(np.nan), "other than 0 and 1"),
+    ]
+    for payload, message in cases:
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(payload)
+
+
 def test_connection_count_honours_masks(fc_spec):
     model = init_model(fc_spec, seed=0)
     full = connection_count(model)

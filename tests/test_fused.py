@@ -1,0 +1,277 @@
+"""Fused tape nodes: one per non-recurrent layer and one per attention-map pair.
+
+Each node is checked three ways: its gradients against central differences
+in float64, its float32 output and gradients bit for bit against the same
+computation written op by op in plain numpy, and the size of the tape it
+records.
+"""
+
+import numpy as np
+import pytest
+
+from edgeslim.archspec import LayerKind, LayerSpec, NetworkSpec, check_valid
+from edgeslim.distill import NORM_FLOOR, align_map_pair, attention_loss_node
+from edgeslim.engine import autodiff as ad
+from edgeslim.engine.layers import layer_forward, param_layout
+from edgeslim.engine.model import cross_entropy_node, forward, init_model
+
+FUSED = {
+    "fc": LayerSpec(LayerKind.FC, I=4, O=3),
+    "factorized_fc": LayerSpec(LayerKind.FACTORIZED_FC, I=4, O=3, R=2),
+    "conv": LayerSpec(LayerKind.CONV, I=2, O=3, f=2, g=2, h=3, w=3),
+    "factorized_conv": LayerSpec(LayerKind.FACTORIZED_CONV, I=2, O=3, f=2, g=2, h=3, w=3, R=2),
+}
+BATCH = 3
+
+
+def layer_fixture(kind, dtype, seed=0):
+    """Input, parameters and masks for one layer; every mask holds zeros."""
+    layer = FUSED[kind]
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(BATCH, layer.input_width)).astype(dtype)
+    params, masks = {}, {}
+    for pdef in param_layout(layer):
+        params[pdef.name] = rng.normal(size=pdef.shape).astype(dtype)
+        if pdef.masked:
+            mask = (rng.random(pdef.shape) > 0.3).astype(dtype)
+            mask.flat[0] = 0.0
+            masks[pdef.name] = mask
+    # centre each output channel on zero, so a ReLU cuts some entries
+    pre = layer_forward(layer, {k: ad.Tensor(v) for k, v in params.items()}, ad.Tensor(x), masks)
+    axes = (0, 2, 3) if pre.data.ndim == 4 else (0,)
+    params["b" if "b" in params else "b2"] -= pre.data.mean(axis=axes).astype(dtype)
+    return layer, x, params, masks
+
+
+def run_node(layer, arrays, masks, relu, upstream):
+    """Forward one layer node and backpropagate ``upstream`` into it."""
+    tensors = {k: ad.Tensor(v, requires_grad=True) for k, v in arrays.items()}
+    params = {k: t for k, t in tensors.items() if k != "x"}
+    out = layer_forward(layer, params, tensors["x"], masks, relu)
+    (out * ad.lift(upstream)).sum().backward()
+    return out.data, {k: t.grad for k, t in tensors.items()}
+
+
+def central_differences(loss, arr, h=1e-6):
+    grad = np.zeros_like(arr)
+    flat, out = arr.reshape(-1), grad.reshape(-1)
+    for i in range(flat.size):
+        keep = flat[i]
+        flat[i] = keep + h
+        up = loss()
+        flat[i] = keep - h
+        down = loss()
+        flat[i] = keep
+        out[i] = (up - down) / (2 * h)
+    return grad
+
+
+def assert_close(analytic, numeric, name):
+    rel = np.abs(analytic - numeric) / np.maximum(np.abs(analytic) + np.abs(numeric), 1e-3)
+    assert rel.max() < 1e-6, f"{name}: rel err {rel.max():.2e}"
+
+
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("kind", sorted(FUSED))
+def test_fused_layer_gradients_match_finite_differences(kind, relu):
+    layer, x, params, masks = layer_fixture(kind, np.float64)
+    arrays = {"x": x, **params}
+    probe = {k: ad.Tensor(v) for k, v in arrays.items()}  # views: see in-place probes
+    out, _ = run_node(layer, arrays, masks, relu, np.zeros(1))
+    weights = np.random.default_rng(1).normal(size=out.shape)
+
+    def loss():
+        params_now = {k: t for k, t in probe.items() if k != "x"}
+        out_now = layer_forward(layer, params_now, probe["x"], masks, relu)
+        return float((out_now.data * weights).sum())
+
+    _, grads = run_node(layer, arrays, masks, relu, weights)
+    if relu:
+        assert (out == 0).any() and (out > 0).any()
+    for name, arr in arrays.items():
+        assert_close(grads[name], central_differences(loss, arr), name)
+        if name in masks:
+            assert (grads[name][masks[name] == 0] == 0.0).all()
+
+
+def test_attention_pair_gradients_match_finite_differences():
+    rng = np.random.default_rng(2)
+    # equal widths with a dead row; teacher wider (projected down); student
+    # wider (projected down, with a dead row that stays dead)
+    teachers = [rng.normal(size=(4, 3)), rng.normal(size=(4, 5)), rng.normal(size=(4, 2))]
+    students = [rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), rng.normal(size=(4, 4))]
+    dead = {0: 1, 2: 2}
+    for idx, row in dead.items():
+        students[idx][row] = 1e-8  # row norm below NORM_FLOOR
+    assert np.linalg.norm(students[0][1]) < NORM_FLOOR
+
+    def node(student_tensors):
+        pairs = [
+            align_map_pair(ad.Tensor(t), s, i, 0)
+            for i, (t, s) in enumerate(zip(teachers, student_tensors))
+        ]
+        return attention_loss_node([p[0] for p in pairs], [p[1] for p in pairs])
+
+    tensors = [ad.Tensor(s, requires_grad=True) for s in students]
+    node(tensors).backward()
+    probe = [ad.Tensor(s) for s in students]
+    for idx, (arr, tensor) in enumerate(zip(students, tensors)):
+        live = np.ones(arr.shape[0], dtype=bool)
+        if idx in dead:
+            # a probe step lifts the dead row over the floor, where the loss
+            # jumps: the row is detached by design, so it gets no gradient
+            live[dead[idx]] = False
+            np.testing.assert_array_equal(tensor.grad[dead[idx]], 0.0)
+        numeric = central_differences(lambda: float(node(probe).data), arr)
+        assert_close(tensor.grad[live], numeric[live], f"student map {idx}")
+
+
+def tap_conv(x4, w, out_h, out_w):
+    out = np.zeros((x4.shape[0], w.shape[0], out_h, out_w), dtype=x4.dtype)
+    for u in range(w.shape[2]):
+        for v in range(w.shape[3]):
+            out += np.einsum("ncij,oc->noij", x4[:, :, u : u + out_h, v : v + out_w], w[:, :, u, v])
+    return out
+
+
+def tap_conv_backward(grad, x4, w):
+    out_h, out_w = grad.shape[2:]
+    gw, gx = np.zeros_like(w), np.zeros_like(x4)
+    for u in range(w.shape[2]):
+        for v in range(w.shape[3]):
+            window = x4[:, :, u : u + out_h, v : v + out_w]
+            gw[:, :, u, v] = np.einsum("noij,ncij->oc", grad, window)
+    for u in range(w.shape[2]):
+        for v in range(w.shape[3]):
+            tap = np.einsum("noij,oc->ncij", grad, w[:, :, u, v])
+            gx[:, :, u : u + out_h, v : v + out_w] += tap
+    return gw, gx
+
+
+def reference(kind, layer, x, p, m, relu, g):
+    """One step per generic op: mask multiply, GEMM / conv / channel mix,
+    broadcast bias add, ReLU, and each op's backward in reverse order."""
+    grads = {}
+    if kind in ("conv", "factorized_conv"):
+        x4 = x.reshape(BATCH, layer.I, *layer.input_spatial)
+    if kind == "fc":
+        W = p["W"] * m["W"]
+        pre = x @ W + p["b"]
+    elif kind == "factorized_fc":
+        W1, W2 = p["W1"] * m["W1"], p["W2"] * m["W2"]
+        mid = x @ W1 + p["b1"]
+        pre = mid @ W2 + p["b2"]
+    elif kind == "conv":
+        W = p["W"] * m["W"]
+        pre = tap_conv(x4, W, layer.h, layer.w) + p["b"].reshape(1, layer.O, 1, 1)
+    else:
+        W1, W2 = p["W1"] * m["W1"], p["W2"] * m["W2"]
+        mid = tap_conv(x4, W1, layer.h, layer.w) + p["b1"].reshape(1, layer.R, 1, 1)
+        pre = np.einsum("nrij,ro->noij", mid, W2) + p["b2"].reshape(1, layer.O, 1, 1)
+    out = np.maximum(pre, 0) if relu else pre
+    if relu:
+        g = g * (pre > 0)
+    if kind == "fc":
+        grads["b"] = g.sum(axis=0)
+        grads["x"] = g @ W.T
+        grads["W"] = (x.T @ g) * m["W"]
+    elif kind == "factorized_fc":
+        grads["b2"] = g.sum(axis=0)
+        grads["W2"] = (mid.T @ g) * m["W2"]
+        gmid = g @ W2.T
+        grads["b1"] = gmid.sum(axis=0)
+        grads["x"] = gmid @ W1.T
+        grads["W1"] = (x.T @ gmid) * m["W1"]
+    elif kind == "conv":
+        grads["b"] = g.sum(axis=(0, 2, 3), keepdims=True).reshape(layer.O)
+        gw, gx = tap_conv_backward(g, x4, W)
+        grads["W"], grads["x"] = gw * m["W"], gx.reshape(x.shape)
+    else:
+        grads["b2"] = g.sum(axis=(0, 2, 3), keepdims=True).reshape(layer.O)
+        grads["W2"] = np.einsum("noij,nrij->ro", g, mid) * m["W2"]
+        gmid = np.einsum("noij,ro->nrij", g, W2)
+        grads["b1"] = gmid.sum(axis=(0, 2, 3), keepdims=True).reshape(layer.R)
+        gw, gx = tap_conv_backward(gmid, x4, W1)
+        grads["W1"], grads["x"] = gw * m["W1"], gx.reshape(x.shape)
+    return out, grads
+
+
+@pytest.mark.parametrize("upstream_dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("kind", sorted(FUSED))
+def test_fused_layer_is_bit_identical_to_op_chain(kind, relu, upstream_dtype):
+    # float32 data; training's upstream gradient is float64 (the loss weights
+    # are float64 scalars), the float32 case covers a bare float32 loss
+    layer, x, params, masks = layer_fixture(kind, np.float32, seed=4)
+    out, grads = run_node(layer, {"x": x, **params}, masks, relu, np.zeros(1))
+    g = np.random.default_rng(5).normal(size=out.shape).astype(upstream_dtype)
+    out, grads = run_node(layer, {"x": x, **params}, masks, relu, g)
+    expect_out, expect = reference(kind, layer, x, params, masks, relu, g)
+    assert out.dtype == expect_out.dtype and np.array_equal(out, expect_out)
+    assert grads.keys() == expect.keys()
+    for name, grad in grads.items():
+        assert grad.dtype == expect[name].dtype, name
+        assert np.array_equal(grad, expect[name]), name
+
+
+def test_attention_pair_is_bit_identical_to_op_chain():
+    rng = np.random.default_rng(6)
+    teacher = rng.normal(size=(5, 4)).astype(np.float32)
+    student = rng.normal(size=(5, 4)).astype(np.float32)
+    student[3] = 0.0
+
+    def unit(m):
+        alive = ((m.astype(np.float64) ** 2).sum(axis=1, keepdims=True) >= NORM_FLOOR**2)
+        live = m * alive.astype(m.dtype)
+        sumsq = (live * live).sum(axis=1, keepdims=True)
+        norm = np.sqrt(np.maximum(sumsq, NORM_FLOOR**2))
+        return live / norm, alive.astype(m.dtype), live, sumsq, norm
+
+    # forward: normalize, t + (-s), square, row sum, mean as sum * (1/n)
+    t_unit = unit(teacher)[0]
+    s_unit, alive, live, sumsq, norm = unit(student)
+    diff = t_unit + (-s_unit)
+    scale = np.asarray(1.0 / 5)
+    expect_loss = np.asarray((diff * diff).sum(axis=1).sum()) * scale
+    # backward from the 0.3 weight, each op in reverse; the square and the
+    # two uses of the live rows each add their contributions separately
+    g = np.broadcast_to(np.asarray(0.3) * scale, diff.shape)
+    g_diff = g * diff + g * diff
+    g_unit = -g_diff
+    g_norm = (-g_unit * live / (norm * norm)).sum(axis=1, keepdims=True)
+    g_sumsq = np.broadcast_to(g_norm * 0.5 / norm * (sumsq > NORM_FLOOR**2), live.shape)
+    expect_grad = (g_unit / norm + g_sumsq * live + g_sumsq * live) * alive
+
+    s = ad.Tensor(student, requires_grad=True)
+    loss = attention_loss_node([ad.Tensor(teacher)], [s])
+    (0.3 * loss).backward()
+    assert loss.data.dtype == expect_loss.dtype and np.array_equal(loss.data, expect_loss)
+    assert s.grad.dtype == expect_grad.dtype and np.array_equal(s.grad, expect_grad)
+    np.testing.assert_array_equal(s.grad[3], 0.0)
+
+
+def test_attention_loss_rejects_a_teacher_map_with_gradient():
+    maps = np.ones((2, 3))
+    with pytest.raises(ValueError, match="detached"):
+        attention_loss_node([ad.Tensor(maps, requires_grad=True)], [ad.Tensor(maps)])
+
+
+def test_recurrent_layer_rejects_relu():
+    layer = LayerSpec(LayerKind.GRU, I=2, O=3, s=2)
+    params = {p.name: ad.Tensor(np.zeros(p.shape)) for p in param_layout(layer)}
+    with pytest.raises(ValueError, match="ReLU"):
+        layer_forward(layer, params, ad.Tensor(np.zeros((1, 4))), relu=True)
+
+
+def test_fc_stack_records_three_nodes_per_layer():
+    sizes = {}
+    for depth in (2, 4):
+        hidden = [LayerSpec(LayerKind.FC, I=5, O=5) for _ in range(depth - 1)]
+        spec = check_valid(
+            NetworkSpec("t", [*hidden, LayerSpec(LayerKind.FC, I=5, O=2)], class_count=2)
+        )
+        x = np.ones((3, 5), dtype=np.float32)
+        loss = cross_entropy_node(forward(init_model(spec, seed=0), x), np.array([1, 2, 1]))
+        sizes[depth] = len(ad._topo_order(loss))
+    # the input and the loss, then per layer: the W and b leaves and one node
+    assert sizes == {2: 2 + 3 * 2, 4: 2 + 3 * 4}
