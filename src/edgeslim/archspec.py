@@ -1,4 +1,4 @@
-"""Architecture descriptors: layers, networks, validation, student derivation.
+"""Architecture descriptors: layers, networks, validation, JSON round-trip.
 
 A network is declared as an ordered list of :class:`LayerSpec` plus a class
 count and a shared-prefix length.  Descriptors are plain data; weights and
@@ -10,7 +10,7 @@ rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
@@ -198,49 +198,6 @@ def check_valid(spec: NetworkSpec) -> NetworkSpec:
     return spec
 
 
-def derive_student(
-    teacher: NetworkSpec,
-    dropout_result=None,
-    rewrites: Mapping[int, LayerSpec] | None = None,
-) -> NetworkSpec:
-    """Build the student descriptor: teacher layers with ``rewrites`` applied.
-
-    ``rewrites`` maps layer index to the rewritten LayerSpec (e.g. an fc layer
-    replaced by its factorized form).  Connection dropout thins weights inside
-    a layer without changing its declared shape, so ``dropout_result`` is
-    accepted for symmetry but does not alter the descriptor.  Rewriting a
-    shared layer, or rewriting to a different interface width, is an error.
-    """
-    del dropout_result  # masks live in the model, not the descriptor
-    rewrites = dict(rewrites or {})
-    layers = list(teacher.layers)
-    for idx, new_layer in sorted(rewrites.items()):
-        if not 0 <= idx < len(layers):
-            raise ValueError(f"rewrite index {idx} out of range for depth {len(layers)}")
-        if idx < teacher.shared_prefix:
-            raise ValueError(
-                f"layer {idx} is shared with the teacher and cannot be rewritten"
-            )
-        old = layers[idx]
-        if (new_layer.input_width, new_layer.output_width) != (
-            old.input_width,
-            old.output_width,
-        ):
-            raise ValueError(
-                f"rewrite at layer {idx} changes interface width "
-                f"({old.input_width}->{old.output_width} vs "
-                f"{new_layer.input_width}->{new_layer.output_width})"
-            )
-        layers[idx] = new_layer
-    student = replace(
-        teacher,
-        name=f"{teacher.name}-student",
-        layers=tuple(layers),
-        shared_prefix=teacher.shared_prefix,
-    )
-    return check_valid(student)
-
-
 def layer_to_dict(layer: LayerSpec) -> dict:
     out = {"kind": layer.kind.value, "I": layer.I, "O": layer.O}
     for name in _ALL_DIMS:
@@ -248,7 +205,19 @@ def layer_to_dict(layer: LayerSpec) -> dict:
     return out
 
 
+def is_json_number(value, integral: bool = False) -> bool:
+    """``value`` is a number parsed from JSON, an int when ``integral``.
+
+    bool is an int subclass, but JSON ``true`` must not pass as 1.
+    """
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int if integral else (int, float))
+
+
 def layer_from_dict(data: Mapping) -> LayerSpec:
+    if not isinstance(data, Mapping):
+        raise ValueError(f"layer entry must be a JSON object, got {data!r}")
     known = {"kind", "I", "O", *_ALL_DIMS}
     unknown = sorted(set(data) - known)
     if unknown:
@@ -262,7 +231,7 @@ def layer_from_dict(data: Mapping) -> LayerSpec:
     dims = {}
     for name in ("I", "O", *_ALL_DIMS):
         value = data.get(name)
-        if value is not None and not isinstance(value, int):
+        if value is not None and not is_json_number(value, integral=True):
             raise ValueError(f"layer dim {name} must be an integer, got {value!r}")
         dims[name] = value
     if dims["I"] is None or dims["O"] is None:
@@ -280,6 +249,8 @@ def network_to_dict(spec: NetworkSpec) -> dict:
 
 
 def network_from_dict(data: Mapping) -> NetworkSpec:
+    if not isinstance(data, Mapping):
+        raise ValueError("network entry must be a JSON object")
     known = {"name", "class_count", "shared_prefix", "layers"}
     unknown = sorted(set(data) - known)
     if unknown:
@@ -287,6 +258,12 @@ def network_from_dict(data: Mapping) -> NetworkSpec:
     for key in ("name", "class_count", "layers"):
         if key not in data:
             raise ValueError(f"network entry is missing {key!r}")
+    if not isinstance(data["layers"], list):
+        raise ValueError(f"network layers must be a list, got {data['layers']!r}")
+    for key in ("class_count", "shared_prefix"):
+        value = data.get(key)
+        if value is not None and not is_json_number(value, integral=True):
+            raise ValueError(f"network {key} must be an integer, got {value!r}")
     layers = tuple(layer_from_dict(entry) for entry in data["layers"])
     return check_valid(
         NetworkSpec(

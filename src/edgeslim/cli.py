@@ -203,9 +203,7 @@ def cmd_dropout(args) -> int:
 def cmd_compress(args) -> int:
     model, extras = _load_model(args.checkpoint)
     device = resolve_alpha(_load_device(args.device), pipeline_mod.network_flops(model.spec))
-    outcome = compressor.run(
-        model, device, args.omega, size_penalty=args.size_penalty, seed=args.seed
-    )
+    outcome = compressor.run(model, device, args.omega, size_penalty=args.size_penalty)
     write_json(args.out, save_checkpoint(outcome.model, extras or None))
     if args.report:
         write_json(args.report, _stamp(outcome.log_dict(), omega=args.omega))
@@ -327,11 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=0.1)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--plain", action="store_true",
-        help="explicit marker for reference-loss pretraining (the default and "
-        "only mode; distillation runs under `pipeline`)",
-    )
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("dropout", help="magnitude-dropout a trained checkpoint")
@@ -356,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report")
     p.add_argument("--omega", type=float, default=0.5)
     p.add_argument("--size-penalty", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_compress)
 
     p = sub.add_parser("eval", help="score a checkpoint on a dataset")

@@ -21,17 +21,12 @@ report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import asdict, dataclass, field, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
-from edgeslim.archspec import (
-    LayerKind,
-    LayerSpec,
-    NetworkSpec,
-    check_valid,
-)
+from edgeslim.archspec import FACTORIZED_KINDS, LayerKind, LayerSpec, NetworkSpec, check_valid
 from edgeslim.engine.layers import param_layout
 from edgeslim.engine.model import LayerParams, MaskedModel, copy_model
 from edgeslim.resources import (
@@ -60,16 +55,7 @@ class FactorizationResult:
     flops_after: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "rewrite": "factorization",
-            "layer_index": self.layer_index,
-            "R": self.R,
-            "reconstruction_error": self.reconstruction_error,
-            "params_before": self.params_before,
-            "params_after": self.params_after,
-            "flops_before": self.flops_before,
-            "flops_after": self.flops_after,
-        }
+        return {"rewrite": "factorization", **asdict(self)}
 
 
 @dataclass(frozen=True)
@@ -83,16 +69,7 @@ class GateReductionResult:
     flops_after: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "rewrite": "gate_reduction",
-            "layer_index": self.layer_index,
-            "from_kind": self.from_kind,
-            "to_kind": self.to_kind,
-            "params_before": self.params_before,
-            "params_after": self.params_after,
-            "flops_before": self.flops_before,
-            "flops_after": self.flops_after,
-        }
+        return {"rewrite": "gate_reduction", **asdict(self)}
 
 
 def truncation_errors(weight: np.ndarray) -> np.ndarray:
@@ -147,7 +124,11 @@ def reduce_gates(layer: LayerSpec) -> LayerSpec:
 # -- parameter rewrites -----------------------------------------------------
 
 
-def _effective_matrix(layer: LayerSpec, lp: LayerParams) -> np.ndarray:
+# fc/conv kind -> its factorized kind
+_FACTORIZED = {LayerKind.FC: LayerKind.FACTORIZED_FC, LayerKind.CONV: LayerKind.FACTORIZED_CONV}
+
+
+def effective_matrix(layer: LayerSpec, lp: LayerParams) -> np.ndarray:
     """The masked weight as the 2-d matrix the factorization splits."""
     w = (lp.params["W"] * lp.masks["W"]).astype(np.float64)
     if layer.kind == LayerKind.FC:
@@ -156,42 +137,30 @@ def _effective_matrix(layer: LayerSpec, lp: LayerParams) -> np.ndarray:
     return w.transpose(1, 2, 3, 0).reshape(layer.I * layer.f * layer.g, layer.O)
 
 
-def _svd_factors(matrix: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+def factorize_layer_params(
+    layer: LayerSpec, matrix: np.ndarray, bias: np.ndarray, r: int, dtype
+) -> tuple[LayerSpec, LayerParams]:
+    """Split the fc/conv ``layer`` at rank ``r``; factors carry fresh full masks.
+
+    ``matrix`` is the layer's :func:`effective_matrix` and ``bias`` its
+    ``b``; the factors are the rank-r truncated SVD with the singular values
+    split evenly between them.
+    """
+    if layer.kind not in _FACTORIZED:
+        raise ValueError(f"cannot factorize a {layer.kind.value} layer")
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
     root = np.sqrt(s[:r])
-    return u[:, :r] * root, root[:, None] * vt[:r]
-
-
-def factorize_layer_params(
-    layer: LayerSpec, lp: LayerParams, r: int, dtype
-) -> tuple[LayerSpec, LayerParams]:
-    """Split one fc/conv layer at rank ``r``; factors carry fresh full masks."""
-    matrix = _effective_matrix(layer, lp)
-    a, bmat = _svd_factors(matrix, r)
-    if layer.kind == LayerKind.FC:
-        new_layer = LayerSpec(kind=LayerKind.FACTORIZED_FC, I=layer.I, O=layer.O, R=r)
-        w1 = a.astype(dtype)  # (I, R)
-    elif layer.kind == LayerKind.CONV:
-        new_layer = LayerSpec(
-            kind=LayerKind.FACTORIZED_CONV,
-            I=layer.I,
-            O=layer.O,
-            f=layer.f,
-            g=layer.g,
-            h=layer.h,
-            w=layer.w,
-            R=r,
-        )
-        w1 = a.T.reshape(r, layer.I, layer.f, layer.g).astype(dtype)
-    else:
-        raise ValueError(f"cannot factorize a {layer.kind.value} layer")
+    a, bmat = u[:, :r] * root, root[:, None] * vt[:r]
+    if layer.kind == LayerKind.CONV:
+        a = a.T.reshape(r, layer.I, layer.f, layer.g)
     params = {
-        "W1": w1,
+        "W1": a.astype(dtype),  # fc (I, R); conv (R, I, f, g)
         "b1": np.zeros(r, dtype=dtype),
         "W2": bmat.astype(dtype),  # (R, O)
-        "b2": lp.params["b"].astype(dtype),
+        "b2": bias.astype(dtype),
     }
     masks = {"W1": np.ones_like(params["W1"]), "W2": np.ones_like(params["W2"])}
+    new_layer = replace(layer, kind=_FACTORIZED[layer.kind], R=r)
     return new_layer, LayerParams(params=params, masks=masks)
 
 
@@ -203,16 +172,14 @@ _GATE_SOURCES = {
 
 
 def reduce_layer_params(
-    layer: LayerSpec, lp: LayerParams, rng: np.random.Generator, dtype
+    layer: LayerSpec, lp: LayerParams, dtype
 ) -> tuple[LayerSpec, LayerParams]:
     """Drop the redundant gate; surviving gates keep weights and masks.
 
     The GRU update gate becomes the minimal cell's forget gate (both blend
     old state against the candidate), the reset gate disappears.  Every gate
-    of the reduced cells has a source, so nothing needs re-initialisation;
-    ``rng`` stays for the general contract.
+    of the reduced cells has a source, so nothing needs re-initialisation.
     """
-    del rng
     new_layer = reduce_gates(layer)
     sources = _GATE_SOURCES[new_layer.kind]
     params, masks = {}, {}
@@ -274,32 +241,15 @@ def minimum_flops(spec: NetworkSpec, layer_indices: Sequence[int] | None = None)
     for idx, layer in enumerate(spec.layers):
         candidate = layer
         if idx in eligible:
-            if layer.kind in (LayerKind.FC, LayerKind.CONV):
+            if layer.kind in _FACTORIZED:
                 if factorization_threshold(layer.I, layer.O) >= 1:
-                    candidate = (
-                        LayerSpec(kind=LayerKind.FACTORIZED_FC, I=layer.I, O=layer.O, R=1)
-                        if layer.kind == LayerKind.FC
-                        else replace_conv_rank(layer, 1)
-                    )
+                    candidate = replace(layer, kind=_FACTORIZED[layer.kind], R=1)
             elif layer.kind in (LayerKind.LSTM, LayerKind.GRU):
                 candidate = reduce_gates(layer)
-            elif layer.kind in (LayerKind.FACTORIZED_FC, LayerKind.FACTORIZED_CONV):
-                candidate = replace(candidate, R=1)
+            elif layer.kind in FACTORIZED_KINDS:
+                candidate = replace(layer, R=1)
         total += estimate_layer(candidate).flops
     return total
-
-
-def replace_conv_rank(layer: LayerSpec, r: int) -> LayerSpec:
-    return LayerSpec(
-        kind=LayerKind.FACTORIZED_CONV,
-        I=layer.I,
-        O=layer.O,
-        f=layer.f,
-        g=layer.g,
-        h=layer.h,
-        w=layer.w,
-        R=r,
-    )
 
 
 def run(
@@ -308,7 +258,6 @@ def run(
     omega: float,
     layer_indices: Sequence[int] | None = None,
     size_penalty: float = 0.0,
-    seed: int = 0,
 ) -> CompressionOutcome:
     """Rewrite layers in index order until both budgets hold.
 
@@ -327,14 +276,12 @@ def run(
 
     work = copy_model(model)
     layers = list(spec.layers)
-    rng = np.random.default_rng(seed)
     records: list = []
+    # layer index -> (original layer, effective matrix, bias), for re-splits
     originals: dict[int, tuple[LayerSpec, np.ndarray, np.ndarray]] = {}
 
-    def current_report() -> ResourceReport:
-        return estimate_network(
-            check_valid(replace_layers(spec, layers)), device, omega
-        )
+    def price() -> ResourceReport:
+        return estimate_network(check_valid(replace(spec, layers=tuple(layers))), device, omega)
 
     report = before
     for idx in layer_indices:
@@ -342,57 +289,46 @@ def run(
             break
         layer = layers[idx]
         old_cost = estimate_layer(layer)
-        if layer.kind in (LayerKind.FC, LayerKind.CONV):
+        if layer.kind in _FACTORIZED:
             r_max = factorization_threshold(layer.I, layer.O)
             if r_max < 1:
                 continue
-            matrix = _effective_matrix(layer, work.layers[idx])
+            matrix = effective_matrix(layer, work.layers[idx])
+            bias = work.layers[idx].params["b"].copy()
             result = choose_rank(matrix, r_max, size_penalty=size_penalty)
             new_layer, new_params = factorize_layer_params(
-                layer, work.layers[idx], result.R, work.dtype
+                layer, matrix, bias, result.R, work.dtype
             )
             new_cost = estimate_layer(new_layer)
             if not (new_cost.params < old_cost.params and new_cost.flops < old_cost.flops):
                 continue  # unreachable for legal R; guards the invariant
-            originals[idx] = (layer, matrix, work.layers[idx].params["b"].copy())
-            layers[idx] = new_layer
-            work.layers[idx] = new_params
-            records.append(
-                replace(
-                    result,
-                    layer_index=idx,
-                    params_before=old_cost.params,
-                    params_after=new_cost.params,
-                    flops_before=old_cost.flops,
-                    flops_after=new_cost.flops,
-                )
-            )
+            originals[idx] = (layer, matrix, bias)
+            record = replace(result, layer_index=idx)
         elif layer.kind in (LayerKind.LSTM, LayerKind.GRU):
-            new_layer, new_params = reduce_layer_params(
-                layer, work.layers[idx], rng, work.dtype
-            )
+            new_layer, new_params = reduce_layer_params(layer, work.layers[idx], work.dtype)
             new_cost = estimate_layer(new_layer)
-            layers[idx] = new_layer
-            work.layers[idx] = new_params
-            records.append(
-                GateReductionResult(
-                    layer_index=idx,
-                    from_kind=layer.kind.value,
-                    to_kind=new_layer.kind.value,
-                    params_before=old_cost.params,
-                    params_after=new_cost.params,
-                    flops_before=old_cost.flops,
-                    flops_after=new_cost.flops,
-                )
+            record = GateReductionResult(
+                layer_index=idx, from_kind=layer.kind.value, to_kind=new_layer.kind.value
             )
-        report = current_report()
+        else:
+            continue
+        layers[idx] = new_layer
+        work.layers[idx] = new_params
+        records.append(
+            replace(
+                record,
+                params_before=old_cost.params,
+                params_after=new_cost.params,
+                flops_before=old_cost.flops,
+                flops_after=new_cost.flops,
+            )
+        )
+        report = price()
 
     if not report.feasible:
-        report = _tighten_ranks(
-            work, layers, spec, device, omega, originals, records, report
-        )
+        report = _tighten_ranks(work, layers, originals, device, report, price)
 
-    work.spec = check_valid(replace_layers(spec, layers))
+    work.spec = check_valid(replace(spec, layers=tuple(layers)))
     for i, rec in enumerate(records):
         # refresh in case tightening moved a rank after the record was cut
         layer = work.spec.layers[rec.layer_index]
@@ -406,25 +342,20 @@ def run(
     return CompressionOutcome(model=work, report=report, before=before, records=records)
 
 
-def replace_layers(spec: NetworkSpec, layers: list[LayerSpec]) -> NetworkSpec:
-    return replace(spec, layers=tuple(layers))
-
-
 def _tighten_ranks(
     work: MaskedModel,
     layers: list[LayerSpec],
-    spec: NetworkSpec,
-    device: DeviceProfile,
-    omega: float,
     originals: dict[int, tuple[LayerSpec, np.ndarray, np.ndarray]],
-    records: list,
+    device: DeviceProfile,
     report: ResourceReport,
+    price: Callable[[], ResourceReport],
 ) -> ResourceReport:
     """Lower factorized ranks (index order) until the FLOP budget holds.
 
     The FLOP total is linear in each rank, so the largest fitting rank per
     layer is exact arithmetic; float edges are absorbed by re-checking the
-    report and nudging one step further when needed.
+    report and nudging one step further when needed.  Each new rank is split
+    afresh from the layer's original matrix.
     """
     budget = min(device.alpha / device.bytes_per_flop, device.beta / device.seconds_per_flop)
     for idx in sorted(originals):
@@ -437,39 +368,11 @@ def _tighten_ranks(
         new_r = min(layer.R, max(1, fitting))
         while True:
             if new_r < layer.R:
-                _refactorize_at(work, layers, idx, originals[idx], new_r)
-                report = estimate_network(
-                    check_valid(replace_layers(spec, layers)), device, omega
+                layers[idx], work.layers[idx] = factorize_layer_params(
+                    *originals[idx], new_r, work.dtype
                 )
+                report = price()
             if report.feasible or new_r <= 1:
                 break
             new_r -= 1
     return report
-
-
-def _refactorize_at(
-    work: MaskedModel,
-    layers: list[LayerSpec],
-    idx: int,
-    original: tuple[LayerSpec, np.ndarray, np.ndarray],
-    r: int,
-) -> None:
-    old_layer, matrix, bias = original
-    a, bmat = _svd_factors(matrix, r)
-    if old_layer.kind == LayerKind.FC:
-        new_layer = LayerSpec(kind=LayerKind.FACTORIZED_FC, I=old_layer.I, O=old_layer.O, R=r)
-        w1 = a.astype(work.dtype)
-    else:
-        new_layer = replace_conv_rank(old_layer, r)
-        w1 = a.T.reshape(r, old_layer.I, old_layer.f, old_layer.g).astype(work.dtype)
-    params = {
-        "W1": w1,
-        "b1": np.zeros(r, dtype=work.dtype),
-        "W2": bmat.astype(work.dtype),
-        "b2": bias.astype(work.dtype),
-    }
-    layers[idx] = new_layer
-    work.layers[idx] = LayerParams(
-        params=params,
-        masks={"W1": np.ones_like(params["W1"]), "W2": np.ones_like(params["W2"])},
-    )

@@ -1,6 +1,7 @@
 """Run configuration: one JSON file drives a full pipeline run.
 
-Fields mirror the pipeline and distillation knobs plus the input paths.
+:class:`RunConfig` is :class:`~edgeslim.pipeline.PipelineSettings` plus the
+input paths and the pretraining knobs.
 Any scalar field can be overridden from the environment with the
 ``EDGESLIM_`` prefix (``EDGESLIM_SEED=7``, ``EDGESLIM_SCHEME=S5``, ...),
 applied after the file is read so ad-hoc experiments keep the file intact.
@@ -14,13 +15,17 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
+from edgeslim.archspec import is_json_number
 from edgeslim.pipeline import PipelineSettings
 
 ENV_PREFIX = "EDGESLIM_"
 
 
-@dataclass(frozen=True)
-class RunConfig:
+@dataclass(frozen=True, kw_only=True)
+class RunConfig(PipelineSettings):
+    """The input paths and the pretraining knobs, plus every sweep setting
+    inherited from :class:`PipelineSettings`."""
+
     architecture: str
     device: str
     dataset: str
@@ -28,37 +33,10 @@ class RunConfig:
     teacher: str | None = None  # checkpoint path; None pretrains in-run
     pretrain_epochs: int = 30
     pretrain_eta: float = 0.1
-    seed: int = 0
-    omega: float = 0.5
-    dropout_c: float = 1.0
-    dropout_max_iteration: int = 20
-    dropout_initial_rate: float = 0.5
-    dropout_input_rate: float = 0.8
-    dropout_eta: float = 0.05
-    size_penalty: float = 0.0
-    scheme: str = "S6"
-    lambdas: tuple[float, float, float] | None = None
-    total_epochs: int = 30
-    h_max: int | None = None
-    plateau_epsilon: float = 0.5
-    plateau_window: int = 10
-    de_population: int = 8
-    de_generations: int = 4
-    de_epochs: int = 6
-    eta: float = 0.05
-    batch_size: int = 32
-    val_fraction: float = 0.3
-    reference_tolerance: float = 1e-6
-    workers: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.omega <= 1.0:
-            raise ValueError("omega must lie in [0, 1]")
-        if self.lambdas is not None:
-            object.__setattr__(self, "lambdas", tuple(float(l) for l in self.lambdas))
-            if len(self.lambdas) != 3:
-                raise ValueError("lambdas must hold exactly three weights")
-        if self.pretrain_epochs < 1 or self.total_epochs < 1:
+        super().__post_init__()
+        if self.pretrain_epochs < 1:
             raise ValueError("epoch counts must be positive")
 
     def check_paths(self) -> None:
@@ -73,28 +51,7 @@ class RunConfig:
 
     def pipeline_settings(self) -> PipelineSettings:
         return PipelineSettings(
-            omega=self.omega,
-            dropout_c=self.dropout_c,
-            dropout_max_iteration=self.dropout_max_iteration,
-            dropout_initial_rate=self.dropout_initial_rate,
-            dropout_input_rate=self.dropout_input_rate,
-            dropout_eta=self.dropout_eta,
-            size_penalty=self.size_penalty,
-            scheme=self.scheme,
-            lambdas=self.lambdas,
-            de_population=self.de_population,
-            de_generations=self.de_generations,
-            de_epochs=self.de_epochs,
-            total_epochs=self.total_epochs,
-            h_max=self.h_max,
-            plateau_epsilon=self.plateau_epsilon,
-            plateau_window=self.plateau_window,
-            eta=self.eta,
-            batch_size=self.batch_size,
-            val_fraction=self.val_fraction,
-            seed=self.seed,
-            reference_tolerance=self.reference_tolerance,
-            workers=self.workers,
+            **{f.name: getattr(self, f.name) for f in dataclasses.fields(PipelineSettings)}
         )
 
     def to_dict(self) -> dict:
@@ -104,40 +61,64 @@ class RunConfig:
         return out
 
 
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+
+
+def _check_type(name: str, value) -> None:
+    field_type = _FIELD_TYPES[name]
+    if value is None:
+        ok = "None" in field_type
+    elif "tuple" in field_type:
+        ok = isinstance(value, (list, tuple)) and all(is_json_number(v) for v in value)
+    elif "int" in field_type or "float" in field_type:
+        ok = is_json_number(value, integral="int" in field_type)
+    else:
+        ok = isinstance(value, str)
+    if not ok:
+        raise ValueError(f"config key {name!r} must be of type {field_type}, got {value!r}")
+
+
 def config_from_dict(data: dict) -> RunConfig:
-    names = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = set(data) - names
+    """Build a :class:`RunConfig` from parsed JSON; every field's type is
+    checked before the settings are validated."""
+    if not isinstance(data, dict):
+        raise ValueError("config file must hold a JSON object")
+    unknown = set(data) - set(_FIELD_TYPES)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     missing = {"architecture", "device", "dataset", "output_dir"} - set(data)
     if missing:
         raise ValueError(f"config requires keys: {sorted(missing)}")
+    for name, value in data.items():
+        _check_type(name, value)
     return RunConfig(**data)
 
 
 def _coerce(name: str, raw: str) -> object:
-    field_type = {f.name: f.type for f in dataclasses.fields(RunConfig)}[name]
-    if raw.lower() in ("none", "null"):
+    field_type = _FIELD_TYPES[name]
+    if raw.lower() in ("none", "null") and "None" in field_type:
         return None
-    if "tuple" in field_type:
-        return tuple(float(part) for part in raw.split(","))
-    if "int" in field_type and raw.lstrip("-").isdigit():
-        return int(raw)
-    if "float" in field_type:
-        try:
+    try:
+        if "tuple" in field_type:
+            return tuple(float(part) for part in raw.split(","))
+        if "int" in field_type:
+            return int(raw)
+        if "float" in field_type:
             return float(raw)
-        except ValueError:
-            pass
+    except ValueError:
+        raise ValueError(
+            f"{ENV_PREFIX}{name.upper()}={raw!r} is not a valid {field_type}"
+        ) from None
     return raw
 
 
 def apply_env_overrides(config: RunConfig, env=None) -> RunConfig:
     env = os.environ if env is None else env
     overrides = {}
-    for f in dataclasses.fields(RunConfig):
-        key = ENV_PREFIX + f.name.upper()
+    for name in _FIELD_TYPES:
+        key = ENV_PREFIX + name.upper()
         if key in env:
-            overrides[f.name] = _coerce(f.name, env[key])
+            overrides[name] = _coerce(name, env[key])
     if not overrides:
         return config
     return dataclasses.replace(config, **overrides)
@@ -145,7 +126,4 @@ def apply_env_overrides(config: RunConfig, env=None) -> RunConfig:
 
 def load_config(path, env=None) -> RunConfig:
     with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
-    return apply_env_overrides(config_from_dict(data), env)
+        return apply_env_overrides(config_from_dict(json.load(fh)), env)

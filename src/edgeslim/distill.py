@@ -4,7 +4,7 @@ A derived student trains under two guides: a trainee (an untrained copy of
 the teacher architecture, learning alongside and sharing its leading layers
 with the student) and a pretrained teacher.  Per batch the student minimises
 
-    epoch <= h:  l1*CE_s + l2*AL + l3*DL + l4*CE_te
+    epoch <= h:  l1*CE_s + l2*AL + l3*DL + CE_te
     epoch  > h:  l1*CE_s + l2*AL + l3*DL
 
 where CE_s / CE_te are the student's and trainee's cross-entropies, AL the
@@ -18,7 +18,7 @@ tuned by differential evolution against validation accuracy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -68,21 +68,19 @@ SCHEMES = {
 class DistillPlan:
     """Loss weights, halting policy, and training knobs for one run.
 
-    ``lambda1..3`` live strictly inside the simplex (sum 1 to 1e-9);
-    ``lambda4`` is pinned at 1.  ``halting_epoch`` may be fixed up front or
-    left None for plateau detection (halting schemes only).  ``plateau_*``
-    read validation accuracy in percentage points.
+    ``lambda1..3`` live strictly inside the simplex (sum 1 to 1e-9); the
+    trainee's own CE term always weighs 1.  ``halting_epoch`` may be fixed up
+    front or left None for plateau detection (halting schemes only).
+    ``plateau_*`` read validation accuracy in percentage points.
     """
 
     lambda1: float
     lambda2: float
     lambda3: float
-    lambda4: float = 1.0
     halting_epoch: int | None = None
     total_epochs: int = 30
     scheme: str = "S6"
     shared_prefix: int | None = None
-    raw_logit_matching: bool = True
     eta: float = 0.05
     batch_size: int = 32
     seed: int = 0
@@ -98,8 +96,6 @@ class DistillPlan:
             raise ValueError(f"lambda1+lambda2+lambda3 must equal 1, got {sum(lams)!r}")
         if not all(0.0 < l < 1.0 for l in lams):
             raise ValueError(f"each lambda must lie strictly in (0, 1), got {lams}")
-        if self.lambda4 != 1.0:
-            raise ValueError("lambda4 is fixed at 1")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {sorted(SCHEMES)}")
         if self.total_epochs < 1:
@@ -108,19 +104,19 @@ class DistillPlan:
             raise ValueError("halting_epoch must satisfy 0 <= h < total_epochs")
         if self.h_max is not None and self.h_max >= self.total_epochs:
             raise ValueError("h_max must stay below total_epochs")
-        if not self.raw_logit_matching:
-            raise ValueError("only raw (temperature-free) logit matching is supported")
+        check_plateau(self.plateau_epsilon, self.plateau_window)
 
     def effective_lambdas(self) -> tuple[float, float, float, float]:
         """Per-scheme loss weights.
 
+        The fourth weight is the trainee's CE, 1 whenever a trainee trains.
         Without a trainee there is no attention source being co-trained and
         no trainee CE, so those weights drop and the survivors renormalise
         to sum 1.
         """
         traits = SCHEMES[self.scheme]
         if traits.trainee:
-            return (self.lambda1, self.lambda2, self.lambda3, self.lambda4)
+            return (self.lambda1, self.lambda2, self.lambda3, 1.0)
         total = self.lambda1 + self.lambda3
         return (self.lambda1 / total, 0.0, self.lambda3 / total, 0.0)
 
@@ -136,15 +132,7 @@ class LossBreakdown:
     branch: str  # "pre_halt" | "post_halt"
 
     def to_dict(self) -> dict:
-        return {
-            "ce_student": self.ce_student,
-            "ce_trainee": self.ce_trainee,
-            "attention": self.attention,
-            "distillation": self.distillation,
-            "combined": self.combined,
-            "epoch": self.epoch,
-            "branch": self.branch,
-        }
+        return asdict(self)
 
 
 def combined_loss(
@@ -420,6 +408,12 @@ def train(
     layers through both the student's and the trainee's paths while they
     remain aliased.  On divergence a ``TrainingDiverged`` is raised with the
     partial history attached as ``exc.history``.
+
+    Without a fixed ``plan.halting_epoch`` a halting scheme halts live: at
+    the first epoch e where :func:`plateau_reached` fires, or at the cap.
+    The trainee has then already trained through e, so unlike
+    :func:`determine_halting_epoch` a live halt cannot move h back to where
+    the plateau began.
     """
     traits = SCHEMES[plan.scheme]
     if traits.trainee and trainee is None:
@@ -539,11 +533,8 @@ def train(
             if plan.halting_epoch is not None:
                 if epoch >= plan.halting_epoch:
                     halt_now(epoch)
-            elif epoch >= h_cap:
-                halt_now(epoch)
-            elif epoch >= plan.plateau_window and (
-                acc_pct[-1] - acc_pct[epoch - plan.plateau_window]
-                < plan.plateau_epsilon
+            elif epoch >= h_cap or plateau_reached(
+                acc_pct, plan.plateau_epsilon, plan.plateau_window
             ):
                 halt_now(epoch)
 
@@ -557,7 +548,26 @@ def train(
     )
 
 
-# -- halting epoch from a recorded history ----------------------------------
+# -- the halting trigger ----------------------------------------------------
+
+
+def check_plateau(epsilon: float, window: int) -> None:
+    """Reject a plateau rule that :func:`plateau_reached` cannot apply."""
+    if window < 1:
+        raise ValueError("plateau window must be positive")
+    if epsilon < 0:
+        raise ValueError("plateau epsilon must be non-negative")
+
+
+def plateau_reached(acc_pct: Sequence[float], epsilon: float, window: int) -> bool:
+    """True once accuracy has plateaued at the end of ``acc_pct``.
+
+    With e = len(acc_pct) >= window, the last epoch gained less than
+    ``epsilon`` points over the trailing window: acc(e) - acc(e - window + 1)
+    < epsilon, accuracies in percentage points, epochs 1-based.
+    """
+    e = len(acc_pct)
+    return e >= window and acc_pct[e - 1] - acc_pct[e - window] < epsilon
 
 
 def determine_halting_epoch(
@@ -568,27 +578,22 @@ def determine_halting_epoch(
 ) -> int:
     """Pick h from a validation-accuracy history (percentage points).
 
-    The plateau trigger is the first epoch e >= window whose accuracy gained
-    less than ``epsilon`` points over the trailing window, i.e.
-    acc(e) - acc(e - window + 1) < epsilon.  The halt is then backdated to
-    where the plateau began, h = max(e - window + 1, window); with no
-    trigger h is the history length.  ``h_max`` caps the result, and a
-    history shorter than the window halts at its own length.
+    The first epoch e at which :func:`plateau_reached` fires on the history
+    through e is the trigger.  The halt is then backdated to where the
+    plateau began, h = max(e - window + 1, window); with no trigger h is the
+    history length.  ``h_max`` caps the result, and a history shorter than
+    the window halts at its own length.
     """
-    if window < 1:
-        raise ValueError("window must be positive")
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
+    check_plateau(epsilon, window)
     length = len(accuracies)
     if length == 0:
         raise ValueError("empty accuracy history")
     acc = [float(a) for a in accuracies]
     h = length
-    if length >= window:
-        for e in range(window, length + 1):
-            if acc[e - 1] - acc[e - window] < epsilon:
-                h = max(e - window + 1, window)
-                break
+    for e in range(window, length + 1):
+        if plateau_reached(acc[:e], epsilon, window):
+            h = max(e - window + 1, window)
+            break
     if h_max is not None:
         h = min(h, h_max)
     return h
@@ -679,28 +684,6 @@ def optimize_lambdas(
         return LambdaSolution(uniform, float(fitness[0]), evaluations)
     best = int(np.argmax(fitness))
     return LambdaSolution(softmax_simplex(genomes[best]), float(fitness[best]), evaluations)
-
-
-def literal_lambda_point(
-    ce_student: float,
-    attention: float,
-    distillation: float,
-    epsilon: float = 1e-6,
-) -> tuple[float, float, float]:
-    """Direct minimiser of l1*CE + l2*AL + l3*DL over the simplex.
-
-    The optimum of a linear objective sits at the vertex of the smallest
-    component; this returns that vertex pulled ``epsilon`` inside so the
-    weights stay strictly interior.  Available for comparison only -- the
-    evolutionary search against validation accuracy is the supported path,
-    since minimising the weighted loss in the weights themselves just finds
-    the cheapest term.
-    """
-    components = (ce_student, attention, distillation)
-    low = min(range(3), key=lambda i: components[i])
-    point = [epsilon, epsilon, epsilon]
-    point[low] = 1.0 - 2.0 * epsilon
-    return (point[0], point[1], point[2])
 
 
 # -- curvature probe for the per-coordinate loss surface ---------------------

@@ -1,52 +1,1 @@
-from edgeslim.engine.autodiff import Tensor, lift, softmax, softmax_cross_entropy
-from edgeslim.engine.model import (
-    ForwardTrace,
-    LayerParams,
-    MaskedModel,
-    TrainingDiverged,
-    backward,
-    connection_count,
-    copy_model,
-    cross_entropy,
-    cross_entropy_node,
-    forward,
-    init_layer_params,
-    init_model,
-    load_checkpoint,
-    model_bytes,
-    save_checkpoint,
-    sgd_step,
-)
-from edgeslim.engine.training import (
-    evaluate_accuracy,
-    evaluate_loss,
-    iterate_minibatches,
-    train_classifier,
-)
-
-__all__ = [
-    "Tensor",
-    "lift",
-    "softmax",
-    "softmax_cross_entropy",
-    "ForwardTrace",
-    "LayerParams",
-    "MaskedModel",
-    "TrainingDiverged",
-    "backward",
-    "connection_count",
-    "copy_model",
-    "cross_entropy",
-    "cross_entropy_node",
-    "forward",
-    "init_layer_params",
-    "init_model",
-    "load_checkpoint",
-    "model_bytes",
-    "save_checkpoint",
-    "sgd_step",
-    "evaluate_accuracy",
-    "evaluate_loss",
-    "iterate_minibatches",
-    "train_classifier",
-]
+"""Reverse-mode autodiff, layer kernels, masked models and the SGD loop."""

@@ -162,10 +162,6 @@ def cross_entropy_node(trace: ForwardTrace, labels: np.ndarray) -> Tensor:
     return softmax_cross_entropy(trace.logits, labels - 1)
 
 
-def cross_entropy(trace: ForwardTrace, labels: np.ndarray) -> float:
-    return float(cross_entropy_node(trace, labels).data)
-
-
 def backward(model: MaskedModel, trace: ForwardTrace, loss: Tensor) -> list[dict[str, np.ndarray]]:
     """Backpropagate ``loss`` (once) and collect this model's gradients.
 
@@ -268,7 +264,8 @@ def load_checkpoint(payload: dict) -> tuple[MaskedModel, dict]:
 
     Any malformed payload raises ``ValueError``: a missing or mistyped
     entry, an array whose shape or dtype disagrees with the network and the
-    checkpoint's ``dtype``, or a mask holding anything but 0 and 1.
+    checkpoint's ``dtype``, a parameter holding NaN or infinity, or a mask
+    holding anything but 0 and 1.
     """
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError("not a model checkpoint")
@@ -282,6 +279,9 @@ def load_checkpoint(payload: dict) -> tuple[MaskedModel, dict]:
         dtype = np.dtype(_field(payload, "dtype", "checkpoint"))
     except TypeError:
         raise ValueError(f"checkpoint dtype {payload['dtype']!r} is not a numpy dtype") from None
+    extras = payload.get("extras", {})
+    if not isinstance(extras, dict):
+        raise ValueError("checkpoint extras is not a JSON object")
     entries = _field(payload, "layers", "checkpoint")
     if not isinstance(entries, list) or len(entries) != len(spec.layers):
         raise ValueError("checkpoint layer count does not match its network")
@@ -293,13 +293,15 @@ def load_checkpoint(payload: dict) -> tuple[MaskedModel, dict]:
         params, masks = {}, {}
         for pdef in param_layout(layer):
             params[pdef.name] = _load_array(stored_params, pdef, dtype, f"{where} params")
+            if not np.all(np.isfinite(params[pdef.name])):
+                raise ValueError(f"{where} param {pdef.name!r} holds NaN or infinity")
             if pdef.masked:
                 mask = _load_array(stored_masks, pdef, dtype, f"{where} masks")
                 if not np.all((mask == 0) | (mask == 1)):
                     raise ValueError(f"mask {pdef.name!r} holds values other than 0 and 1")
                 masks[pdef.name] = mask
         layers.append(LayerParams(params=params, masks=masks))
-    return MaskedModel(spec=spec, layers=layers, dtype=dtype), payload.get("extras", {})
+    return MaskedModel(spec=spec, layers=layers, dtype=dtype), extras
 
 
 def model_bytes(model: MaskedModel) -> bytes:

@@ -15,20 +15,24 @@ import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 from edgeslim import compressor, pruning
 from edgeslim.archspec import NetworkSpec, network_to_dict
 from edgeslim.datasets import Dataset, train_test_split
 from edgeslim.distill import (
+    SCHEMES,
     DEBudget,
     DistillPlan,
+    TrainResult,
+    check_plateau,
+    network_flops,
     optimize_lambdas,
     share_prefix_layers,
     train,
 )
-from edgeslim.engine.model import MaskedModel, copy_model, init_model
+from edgeslim.engine.model import MaskedModel, connection_count, copy_model, init_model
 from edgeslim.engine.training import evaluate_loss, predict
-from edgeslim.distill import network_flops
 from edgeslim.metrics import MetricsReport, evaluate_predictions
 from edgeslim.resources import DeviceProfile, ResourceReport, resolve_alpha
 
@@ -82,8 +86,17 @@ class PipelineSettings:
     def __post_init__(self) -> None:
         if not 0.0 <= self.omega <= 1.0:
             raise ValueError("omega must lie in [0, 1]")
+        if self.lambdas is not None:
+            object.__setattr__(self, "lambdas", tuple(float(l) for l in self.lambdas))
+            if len(self.lambdas) != 3:
+                raise ValueError("lambdas must hold exactly three weights")
         if self.total_epochs < 1 or self.de_epochs < 1:
             raise ValueError("epoch counts must be positive")
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {self.scheme!r}; choose from {sorted(SCHEMES)}")
+        if self.h_max is not None and self.h_max >= self.total_epochs:
+            raise ValueError("h_max must stay below total_epochs")
+        check_plateau(self.plateau_epsilon, self.plateau_window)
         if self.workers < 0:
             raise ValueError("workers must be non-negative")
 
@@ -94,15 +107,16 @@ class CandidateRecord:
     spec: NetworkSpec
     feasible: bool
     report: ResourceReport
-    lambdas: tuple[float, float, float] | None
-    final_combined_loss: float | None
-    halting_epoch: int | None
-    val_accuracy: float | None
-    metrics: MetricsReport | None
-    training_flops: int | None
     dropout_rounds: int
     compression_steps: int
-    model: MaskedModel | None = None  # trained student; set on feasible rows
+    # distillation results, set on feasible rows only
+    lambdas: tuple[float, float, float] | None = None
+    final_combined_loss: float | None = None
+    halting_epoch: int | None = None
+    val_accuracy: float | None = None
+    metrics: MetricsReport | None = None
+    training_flops: int | None = None
+    model: MaskedModel | None = None  # the trained student
 
     def to_dict(self) -> dict:
         return {
@@ -156,12 +170,42 @@ def _with_prefix(model: MaskedModel, prefix: int) -> MaskedModel:
     return MaskedModel(spec=spec, layers=clone.layers, dtype=clone.dtype)
 
 
-def _restudent(student: MaskedModel, trainee: MaskedModel, prefix: int, shared: bool):
-    """Fresh aliased copies so each training run starts from the same point."""
-    s, t = copy_model(student), copy_model(trainee)
-    if shared:
-        share_prefix_layers(s, t, prefix)
-    return s, t
+def _distill(
+    settings: PipelineSettings,
+    l: int,
+    student: MaskedModel,
+    trainee: MaskedModel,
+    pretrained: MaskedModel,
+    dataset: Dataset,
+    lambdas: tuple[float, float, float],
+    epochs: int,
+    seed: int,
+) -> TrainResult:
+    """One distillation run of the scheme from fresh copies of the start
+    point, so every run of a candidate begins at the same weights."""
+    traits = SCHEMES[settings.scheme]
+    student, trainee = copy_model(student), copy_model(trainee)
+    if traits.shared:
+        share_prefix_layers(student, trainee, l)
+    plan = DistillPlan(
+        *lambdas,
+        total_epochs=epochs,
+        scheme=settings.scheme,
+        eta=settings.eta,
+        batch_size=settings.batch_size,
+        seed=seed,
+        val_fraction=settings.val_fraction,
+        plateau_epsilon=settings.plateau_epsilon,
+        plateau_window=settings.plateau_window,
+        h_max=None if settings.h_max is None else min(settings.h_max, epochs - 1),
+    )
+    return train(
+        student,
+        trainee if traits.trainee else None,
+        pretrained if traits.pretrained else None,
+        dataset,
+        plan,
+    )
 
 
 def _evaluate_candidate(job: tuple) -> CandidateRecord:
@@ -170,8 +214,6 @@ def _evaluate_candidate(job: tuple) -> CandidateRecord:
 
     if teacher.spec.non_shared_count == 0:
         # Full sharing leaves no tail to slim; the candidate is the teacher.
-        from edgeslim.engine.model import connection_count
-
         dropout = pruning.DropoutResult(
             model=teacher, surviving=connection_count(teacher), rounds=[]
         )
@@ -189,95 +231,50 @@ def _evaluate_candidate(job: tuple) -> CandidateRecord:
             seed=derive_seed(settings.seed, "dropout", l),
         )
     outcome = compressor.run(
-        dropout.model,
-        device,
-        settings.omega,
-        size_penalty=settings.size_penalty,
-        seed=derive_seed(settings.seed, "compress", l),
+        dropout.model, device, settings.omega, size_penalty=settings.size_penalty
     )
     record = CandidateRecord(
         l=l,
         spec=outcome.model.spec,
         feasible=outcome.feasible,
         report=outcome.report,
-        lambdas=None,
-        final_combined_loss=None,
-        halting_epoch=None,
-        val_accuracy=None,
-        metrics=None,
-        training_flops=None,
         dropout_rounds=len(dropout.rounds),
         compression_steps=len(outcome.records),
     )
     if not outcome.feasible:
         return record
 
-    traits_shared = settings.scheme in ("S3", "S5", "S6")
-    trainee_spec = replace(pretrained.spec, shared_prefix=l)
-    base_trainee = init_model(trainee_spec, seed=derive_seed(settings.seed, "trainee", l))
-    base_student = outcome.model
-
-    train_seed = derive_seed(settings.seed, "train", l)
+    trainee = init_model(
+        replace(pretrained.spec, shared_prefix=l), seed=derive_seed(settings.seed, "trainee", l)
+    )
+    fit = partial(_distill, settings, l, outcome.model, trainee, pretrained, dataset)
     if settings.lambdas is not None:
         lambdas = settings.lambdas
     else:
         eval_seed = derive_seed(settings.seed, "lambda-eval", l)
-
-        def score(lams: tuple[float, float, float]) -> float:
-            s, t = _restudent(base_student, base_trainee, l, traits_shared)
-            plan = DistillPlan(
-                *lams,
-                total_epochs=settings.de_epochs,
-                scheme=settings.scheme,
-                eta=settings.eta,
-                batch_size=settings.batch_size,
-                seed=eval_seed,
-                val_fraction=settings.val_fraction,
-                plateau_epsilon=settings.plateau_epsilon,
-                plateau_window=settings.plateau_window,
-                h_max=min(settings.h_max, settings.de_epochs - 1)
-                if settings.h_max is not None
-                else None,
-            )
-            trainee_arg = t if settings.scheme != "S1" else None
-            teacher_arg = pretrained if settings.scheme not in ("S2", "S3") else None
-            return train(s, trainee_arg, teacher_arg, dataset, plan).final_accuracy
-
         budget = DEBudget(
             population=settings.de_population,
             generations=settings.de_generations,
             seed=derive_seed(settings.seed, "lambda-de", l),
         )
-        lambdas = optimize_lambdas(score, budget).lambdas
+        lambdas = optimize_lambdas(
+            lambda lams: fit(lams, settings.de_epochs, eval_seed).final_accuracy, budget
+        ).lambdas
 
-    student, trainee = _restudent(base_student, base_trainee, l, traits_shared)
-    plan = DistillPlan(
-        *lambdas,
-        total_epochs=settings.total_epochs,
-        scheme=settings.scheme,
-        eta=settings.eta,
-        batch_size=settings.batch_size,
-        seed=train_seed,
-        val_fraction=settings.val_fraction,
-        plateau_epsilon=settings.plateau_epsilon,
-        plateau_window=settings.plateau_window,
-        h_max=settings.h_max,
-    )
-    trainee_arg = trainee if settings.scheme != "S1" else None
-    teacher_arg = pretrained if settings.scheme not in ("S2", "S3") else None
-    result = train(student, trainee_arg, teacher_arg, dataset, plan)
-
-    _, val_set = train_test_split(dataset, plan.val_fraction, plan.seed)
+    train_seed = derive_seed(settings.seed, "train", l)
+    result = fit(lambdas, settings.total_epochs, train_seed)
+    _, val_set = train_test_split(dataset, settings.val_fraction, train_seed)
     metrics = evaluate_predictions(val_set.labels, predict(result.student, val_set.features), val_set.k)
-
-    record.lambdas = tuple(lambdas)
-    record.final_combined_loss = result.history[-1].breakdown.combined
-    record.halting_epoch = result.halting_epoch
-    record.val_accuracy = result.final_accuracy
-    record.metrics = metrics
-    record.training_flops = result.total_flops
-    record.model = result.student
-    return record
+    return replace(
+        record,
+        lambdas=tuple(lambdas),
+        final_combined_loss=result.history[-1].breakdown.combined,
+        halting_epoch=result.halting_epoch,
+        val_accuracy=result.final_accuracy,
+        metrics=metrics,
+        training_flops=result.total_flops,
+        model=result.student,
+    )
 
 
 def run(

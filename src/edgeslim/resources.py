@@ -19,17 +19,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple
 
-from edgeslim.archspec import LayerKind, LayerSpec, NetworkSpec
-
-# Execution speeds (FLOPs/s) of the five reference devices, slowest first.
-DEVICE_SPEEDS = {
-    "d1": 11e8,
-    "d2": 3e9,
-    "d3": 5e10,
-    "d4": 18e10,
-    "d5": 29e10,
-}
-
+from edgeslim.archspec import LayerKind, LayerSpec, NetworkSpec, is_json_number
 
 class LayerCost(NamedTuple):
     params: int
@@ -79,10 +69,10 @@ class DeviceProfile:
 
     ``bytes_per_flop`` scales FLOPs into load traffic (held against alpha,
     in bytes); ``seconds_per_flop`` scales them into execution time (held
-    against beta, in seconds).  ``flops_per_second`` is the advertised speed
-    used when estimating a beta budget for a workload; it is kept separate
-    from ``seconds_per_flop`` even though profiles often set one to the
-    other's reciprocal.  ``alpha`` may start unset with ``alpha_ratio``
+    against beta, in seconds).  ``flops_per_second`` is the advertised speed,
+    part of the device file and carried into run manifests; the budget
+    checks read ``seconds_per_flop`` only, even though profiles often set
+    one to the other's reciprocal.  ``alpha`` may start unset with ``alpha_ratio``
     giving it as a fraction of a reference network's load; call
     :func:`resolve_alpha` before estimating against such a profile.
     """
@@ -107,10 +97,7 @@ class DeviceProfile:
 
 
 def _require_positive(attr: str, value) -> None:
-    # bool is an int subclass: JSON ``true`` must not pass as 1
-    if isinstance(value, bool) or not (
-        isinstance(value, (int, float)) and math.isfinite(value) and value > 0
-    ):
+    if not (is_json_number(value) and math.isfinite(value) and value > 0):
         raise ValueError(f"{attr} must be a positive finite number, got {value!r}")
 
 
@@ -190,17 +177,6 @@ def estimate_network(spec: NetworkSpec, device: DeviceProfile, omega: float) -> 
         fits_alpha=t_mem <= device.alpha,
         fits_beta=t_exec <= device.beta,
     )
-
-
-def estimate_beta(device: DeviceProfile, flops: int) -> float:
-    """Execution-time estimate (seconds) for a FLOP total on ``device``.
-
-    The value is compared against the device's beta budget: a network fits
-    when ``estimate_beta(device, total_flops) <= device.beta``.
-    """
-    if flops < 0:
-        raise ValueError(f"flops must be non-negative, got {flops}")
-    return flops / device.flops_per_second
 
 
 def device_to_dict(device: DeviceProfile) -> dict:

@@ -558,7 +558,7 @@ def halting_runs():
         name="halt-dev", bytes_per_flop=4.0, seconds_per_flop=1e-9,
         flops_per_second=1e9, beta=budget * 1e-9, alpha=budget * 4.0,
     )
-    slim = compressor.run(dropped.model, device, omega=0.5, seed=6).model
+    slim = compressor.run(dropped.model, device, omega=0.5).model
 
     s6_student, s6_trainee = copy_model(slim), init_model(_HALT_SPEC, seed=12)
     share_prefix_layers(s6_student, s6_trainee, 2)

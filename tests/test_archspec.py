@@ -10,7 +10,6 @@ from edgeslim.archspec import (
     LayerSpec,
     NetworkSpec,
     check_valid,
-    derive_student,
     layer_from_dict,
     layer_to_dict,
     network_from_dict,
@@ -94,22 +93,6 @@ def test_shared_prefix_defaults_to_half():
     assert spec.non_shared_count == 3
     explicit = NetworkSpec("x", [fc(4, 2)], class_count=2, shared_prefix=0)
     assert explicit.shared_prefix == 0
-
-
-def test_derive_student_rewrites_tail_only():
-    spec = check_valid(NetworkSpec("t", [fc(8, 6), fc(6, 6), fc(6, 2)], class_count=2, shared_prefix=1))
-    student = derive_student(
-        spec, rewrites={1: LayerSpec(LayerKind.FACTORIZED_FC, I=6, O=6, R=2)}
-    )
-    assert student.name == "t-student"
-    assert student.layers[1].kind is LayerKind.FACTORIZED_FC
-    assert student.layers[0] == spec.layers[0]
-    # shared layers must stay untouched
-    with pytest.raises(ValueError):
-        derive_student(spec, rewrites={0: fc(8, 6)})
-    # interface widths are fixed
-    with pytest.raises(ValueError):
-        derive_student(spec, rewrites={1: fc(6, 5)})
 
 
 def test_layer_dict_round_trip():

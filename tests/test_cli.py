@@ -241,6 +241,16 @@ def malformed_checkpoint(body, case):
         model, extras = load_checkpoint(body)
         model.layers[0].masks["W"][0, 0] = 0.5
         body = save_checkpoint(model, extras)
+    elif case == "nan-weight":
+        model, extras = load_checkpoint(body)
+        model.layers[0].params["W"][0, 0] = float("nan")
+        body = save_checkpoint(model, extras)
+    elif case == "extras-not-object":
+        body["extras"] = 5
+    elif case == "layers-not-list":
+        body["network"]["layers"] = 5
+    elif case == "class-count-string":
+        body["network"]["class_count"] = "3"
     return body
 
 
@@ -249,6 +259,10 @@ def malformed_checkpoint(body, case):
     ("no-network", "checkpoint is missing 'network'"),
     ("no-mask", "is missing 'W'"),
     ("non-binary-mask", "mask 'W' holds values other than 0 and 1"),
+    ("nan-weight", "param 'W' holds NaN or infinity"),
+    ("extras-not-object", "extras is not a JSON object"),
+    ("layers-not-list", "network layers must be a list"),
+    ("class-count-string", "class_count must be an integer"),
 ])
 def test_eval_rejects_malformed_checkpoint(ws, capsys, case, message):
     ckpt = train_checkpoint(ws)
@@ -256,6 +270,38 @@ def test_eval_rejects_malformed_checkpoint(ws, capsys, case, message):
     bad.write_text(json.dumps(malformed_checkpoint(json.loads(ckpt.read_text()), case)))
     capsys.readouterr()
     rc = main(["eval", "--checkpoint", str(bad), "--data", str(ws / "data.csv"), "--out", str(ws / "e.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case, message", [
+    ("nan-weight", "holds NaN or infinity"),
+    ("extras-not-object", "extras is not a JSON object"),
+])
+def test_dropout_rejects_malformed_checkpoint(ws, capsys, case, message):
+    ckpt = train_checkpoint(ws)
+    bad = ws / "bad_model.json"
+    bad.write_text(json.dumps(malformed_checkpoint(json.loads(ckpt.read_text()), case)))
+    capsys.readouterr()
+    rc = main(["dropout", "--checkpoint", str(bad), "--data", str(ws / "data.csv"), "--out", str(ws / "d.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key, value, message", [
+    pytest.param("class_count", "3", "class_count must be an integer", id="class-count-string"),
+    pytest.param("class_count", True, "class_count must be an integer", id="class-count-bool"),
+    pytest.param("layers", 5, "network layers must be a list", id="layers-not-list"),
+    pytest.param("layers", [5], "layer entry must be a JSON object", id="layer-not-object"),
+])
+def test_estimate_rejects_mistyped_network(ws, capsys, key, value, message):
+    (ws / "bad_arch.json").write_text(json.dumps({**ARCH, key: value}))
+    rc = main(["estimate", "--arch", str(ws / "bad_arch.json"), "--device", str(ws / "device.json"),
+               "--out", str(ws / "r.json")])
     assert rc == 2
     err = capsys.readouterr().err
     assert message in err
@@ -339,6 +385,35 @@ def test_pipeline_bad_config_is_input_error(ws, capsys):
     config.write_text(json.dumps({"architecture": "a.json"}))
     assert main(["pipeline", "--config", str(config)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, env, message", [
+    pytest.param("workers", -1, {}, "workers must be non-negative", id="workers-negative"),
+    pytest.param(None, None, {"EDGESLIM_WORKERS": "abc"}, "EDGESLIM_WORKERS='abc'",
+                 id="env-workers-not-a-number"),
+    pytest.param("plateau_window", 0, {}, "plateau window must be positive", id="window-zero"),
+    pytest.param("plateau_epsilon", -0.5, {}, "plateau epsilon must be non-negative",
+                 id="epsilon-negative"),
+    pytest.param("batch_size", True, {}, "'batch_size' must be of type int", id="batch-size-bool"),
+    pytest.param("omega", False, {}, "'omega' must be of type float", id="omega-bool"),
+    pytest.param("lambdas", [True, 0.5, 0.5], {}, "'lambdas' must be of type", id="lambda-bool"),
+    pytest.param("scheme", "S9", {}, "unknown scheme 'S9'", id="unknown-scheme"),
+    pytest.param("h_max", 3, {}, "h_max must stay below total_epochs", id="h-max-too-large"),
+])
+def test_pipeline_config_error_exits_2_before_pretraining(
+    ws, capsys, monkeypatch, key, value, env, message
+):
+    config = pipeline_config(ws, ws / "run5")
+    if key is not None:
+        body = json.loads(config.read_text())
+        config.write_text(json.dumps({**body, key: value}))
+    for name, raw in env.items():
+        monkeypatch.setenv(name, raw)
+    assert main(["pipeline", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert not (ws / "run5" / "teacher.json").exists()
 
 
 def test_pipeline_missing_dataset_path(ws, capsys):

@@ -9,6 +9,7 @@ from edgeslim.archspec import LayerKind, LayerSpec, NetworkSpec, check_valid
 from edgeslim import compressor
 from edgeslim.compressor import (
     choose_rank,
+    effective_matrix,
     factorization_threshold,
     factorize_layer_params,
     minimum_flops,
@@ -91,7 +92,9 @@ def test_factorize_fc_params():
     lp = model.layers[0]
     lp.masks["W"][rng.random(lp.masks["W"].shape) < 0.3] = 0.0
     r = 4
-    new_layer, new_lp = factorize_layer_params(layer, lp, r, dtype=np.float32)
+    new_layer, new_lp = factorize_layer_params(
+        layer, effective_matrix(layer, lp), lp.params["b"], r, dtype=np.float32
+    )
     assert new_layer.kind == LayerKind.FACTORIZED_FC
     assert (new_layer.I, new_layer.O, new_layer.R) == (15, 10, 4)
     assert new_lp.params["W1"].shape == (15, 4)
@@ -125,7 +128,9 @@ def test_factorize_conv_params_preserves_map():
     )
     lp = model.layers[0]
     r = 5
-    new_layer, new_lp = factorize_layer_params(layer, lp, r, dtype=np.float32)
+    new_layer, new_lp = factorize_layer_params(
+        layer, effective_matrix(layer, lp), lp.params["b"], r, dtype=np.float32
+    )
     assert new_layer.kind == LayerKind.FACTORIZED_CONV
     assert new_lp.params["W1"].shape == (5, 3, 3, 3)
     assert new_lp.params["W2"].shape == (5, 8)
@@ -172,7 +177,7 @@ def test_reduce_layer_params_carries_weights_and_masks():
     lp = model.layers[0]
     for name in lp.masks:
         lp.masks[name][rng.random(lp.masks[name].shape) < 0.4] = 0.0
-    new_layer, new_lp = reduce_layer_params(gru, lp, rng, dtype=np.float32)
+    new_layer, new_lp = reduce_layer_params(gru, lp, dtype=np.float32)
     assert new_layer.kind == LayerKind.MGU
     # forget gate inherits the update gate, candidate keeps its own weights
     np.testing.assert_array_equal(new_lp.params["Wf"], lp.params["Wz"])
@@ -190,7 +195,7 @@ def test_reduce_layer_params_carries_weights_and_masks():
         check_valid(NetworkSpec("l", [lstm], class_count=6, shared_prefix=0)), seed=8
     )
     llp = lmodel.layers[0]
-    cl_layer, cl_lp = reduce_layer_params(lstm, llp, rng, dtype=np.float32)
+    cl_layer, cl_lp = reduce_layer_params(lstm, llp, dtype=np.float32)
     assert cl_layer.kind == LayerKind.COUPLED_LSTM
     for gate in ("f", "o", "g"):
         np.testing.assert_array_equal(cl_lp.params[f"W{gate}"], llp.params[f"W{gate}"])
@@ -280,8 +285,8 @@ def test_run_is_deterministic():
     model = wide_model()
     floor = minimum_flops(model.spec)
     target = floor + (estimate_network(model.spec, device_for(1), 0.5).total_flops - floor) // 3
-    a = compressor.run(copy_model(model), device_for(target), omega=0.5, seed=3)
-    b = compressor.run(copy_model(model), device_for(target), omega=0.5, seed=3)
+    a = compressor.run(copy_model(model), device_for(target), omega=0.5)
+    b = compressor.run(copy_model(model), device_for(target), omega=0.5)
     assert model_bytes(a.model) == model_bytes(b.model)
     assert a.log_dict() == b.log_dict()
 
@@ -312,3 +317,72 @@ def test_truncation_errors_monotone_property(I, O, seed):
     errors = truncation_errors(w)
     assert (np.diff(errors) <= 1e-9).all()
     assert errors.min() >= -1e-12
+
+
+def test_tightened_ranks_are_direct_factorizations_of_the_original():
+    model = wide_model()
+    floor = minimum_flops(model.spec)
+    outcome = compressor.run(copy_model(model), device_for(floor), omega=0.5)
+    lowered = 0
+    for idx, layer in enumerate(outcome.model.spec.layers):
+        if layer.kind != LayerKind.FACTORIZED_FC:
+            continue
+        original, lp = model.spec.layers[idx], model.layers[idx]
+        matrix = effective_matrix(original, lp)
+        r_max = factorization_threshold(original.I, original.O)
+        lowered += layer.R < choose_rank(matrix, r_max).R
+        _, direct = factorize_layer_params(original, matrix, lp.params["b"], layer.R, model.dtype)
+        for group in ("params", "masks"):
+            got, want = getattr(outcome.model.layers[idx], group), getattr(direct, group)
+            assert got.keys() == want.keys()
+            for name in want:
+                assert np.array_equal(got[name], want[name]), (idx, group, name)
+    assert lowered >= 1  # the tightening pass did lower a rank
+
+
+def _chain(draw):
+    """A small valid fc/conv/gru stack and its shared prefix."""
+    ints = lambda lo, hi: draw(st.integers(min_value=lo, max_value=hi))
+    first = draw(st.sampled_from(["fc", "conv", "gru"]))
+    if first == "conv":
+        layer = LayerSpec(LayerKind.CONV, I=ints(1, 2), O=ints(1, 4), f=ints(1, 3),
+                          g=ints(1, 3), h=ints(1, 3), w=ints(1, 3))
+    elif first == "gru":
+        layer = LayerSpec(LayerKind.GRU, I=ints(1, 6), O=ints(1, 12), s=ints(1, 3))
+    else:
+        layer = LayerSpec(LayerKind.FC, I=ints(1, 12), O=ints(1, 24))
+    layers = [layer]
+    for kind in draw(st.lists(st.sampled_from(["fc", "gru"]), max_size=3)):
+        width = layers[-1].output_width
+        if kind == "gru":
+            s = draw(st.sampled_from([d for d in range(1, 4) if width % d == 0]))
+            layers.append(LayerSpec(LayerKind.GRU, I=width // s, O=ints(1, 12), s=s))
+        else:
+            layers.append(LayerSpec(LayerKind.FC, I=width, O=ints(1, 24)))
+    classes = ints(2, 5)
+    layers.append(LayerSpec(LayerKind.FC, I=layers[-1].output_width, O=classes))
+    prefix = ints(0, len(layers))
+    return check_valid(NetworkSpec("h", layers, class_count=classes, shared_prefix=prefix))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), fraction=st.floats(min_value=0.0, max_value=1.0))
+def test_run_keeps_shared_layers_and_interface_widths(data, fraction):
+    spec = _chain(data.draw)
+    model = init_model(spec, seed=data.draw(st.integers(0, 2**16)))
+    floor = minimum_flops(spec)
+    full = estimate_network(spec, device_for(1), omega=0.5).total_flops
+    outcome = compressor.run(
+        copy_model(model), device_for(floor + fraction * (full - floor)), omega=0.5
+    )
+    assert outcome.feasible
+    out = outcome.model
+    assert out.spec.depth == spec.depth
+    for idx, (old, new) in enumerate(zip(spec.layers, out.spec.layers)):
+        assert (new.input_width, new.output_width) == (old.input_width, old.output_width)
+        if idx < spec.shared_prefix:
+            assert new == old
+            for name, arr in model.layers[idx].params.items():
+                assert np.array_equal(out.layers[idx].params[name], arr)
+            for name, arr in model.layers[idx].masks.items():
+                assert np.array_equal(out.layers[idx].masks[name], arr)

@@ -1,5 +1,6 @@
 """Run-configuration parsing and environment overrides."""
 
+import dataclasses
 import json
 
 import pytest
@@ -11,6 +12,7 @@ from edgeslim.config import (
     config_from_dict,
     load_config,
 )
+from edgeslim.pipeline import PipelineSettings
 
 REQUIRED = {
     "architecture": "arch.json",
@@ -102,6 +104,17 @@ def test_load_config_applies_env(tmp_path):
         load_config(bad)
 
 
+# a non-default value for every PipelineSettings field
+SWEEP = {
+    "omega": 0.7, "dropout_c": 2.0, "dropout_max_iteration": 3, "dropout_initial_rate": 0.4,
+    "dropout_input_rate": 0.6, "dropout_eta": 0.02, "size_penalty": 0.1, "scheme": "S5",
+    "lambdas": (0.2, 0.3, 0.5), "de_population": 5, "de_generations": 2, "de_epochs": 3,
+    "total_epochs": 9, "h_max": 5, "plateau_epsilon": 0.25, "plateau_window": 4,
+    "eta": 0.01, "batch_size": 16, "val_fraction": 0.2, "seed": 11,
+    "reference_tolerance": 1e-5, "workers": 2,
+}
+
+
 def test_pipeline_settings_mirror():
     config = config_from_dict(
         {**REQUIRED, "omega": 0.7, "h_max": 5, "total_epochs": 9, "workers": 2}
@@ -113,3 +126,10 @@ def test_pipeline_settings_mirror():
     assert settings.workers == 2
     # run-only fields stay out of the sweep settings
     assert not hasattr(settings, "pretrain_epochs")
+    # every sweep field reaches the settings, not only the four above
+    fields = dataclasses.fields(PipelineSettings)
+    assert sorted(f.name for f in fields) == sorted(SWEEP)
+    settings = config_from_dict({**REQUIRED, **SWEEP}).pipeline_settings()
+    assert type(settings) is PipelineSettings
+    for f in fields:
+        assert getattr(settings, f.name) == SWEEP[f.name] != f.default, f.name

@@ -18,7 +18,6 @@ from edgeslim.distill import (
     convexity_probe,
     determine_halting_epoch,
     distillation_loss,
-    literal_lambda_point,
     network_flops,
     optimize_lambdas,
     random_interior_points,
@@ -138,15 +137,15 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         DistillPlan(1.0, -0.2, 0.2)
     with pytest.raises(ValueError):
-        DistillPlan(0.5, 0.3, 0.2, lambda4=0.5)
-    with pytest.raises(ValueError):
         DistillPlan(0.5, 0.3, 0.2, scheme="S9")
     with pytest.raises(ValueError):
         DistillPlan(0.5, 0.3, 0.2, total_epochs=5, halting_epoch=5)
     with pytest.raises(ValueError):
         DistillPlan(0.5, 0.3, 0.2, total_epochs=5, h_max=5)
-    with pytest.raises(ValueError):
-        DistillPlan(0.5, 0.3, 0.2, raw_logit_matching=False)
+    with pytest.raises(ValueError, match="plateau window"):
+        DistillPlan(0.5, 0.3, 0.2, plateau_window=0)
+    with pytest.raises(ValueError, match="plateau epsilon"):
+        DistillPlan(0.5, 0.3, 0.2, plateau_epsilon=-0.1)
 
 
 def test_effective_lambdas_renormalize_without_trainee():
@@ -395,15 +394,6 @@ def test_de_budget_validation():
         DEBudget(differential_weight=0.0)
     with pytest.raises(ValueError):
         DEBudget(crossover=1.5)
-
-
-def test_literal_lambda_point_picks_the_cheapest_term():
-    point = literal_lambda_point(3.0, 1.0, 2.0)
-    assert point[1] == pytest.approx(1.0 - 2e-6)
-    assert point[0] == point[2] == pytest.approx(1e-6)
-    assert sum(point) == pytest.approx(1.0)
-    # usable as plan weights
-    DistillPlan(*literal_lambda_point(0.5, 0.1, 0.9))
 
 
 # -- curvature probe --------------------------------------------------------

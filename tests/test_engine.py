@@ -301,6 +301,11 @@ def test_checkpoint_rejects_malformed_entries(fc_spec):
         model.layers[1].masks["W"][0, 0] = value
         return save_checkpoint(model)
 
+    def param_of(value):
+        model = init_model(fc_spec, seed=0)
+        model.layers[1].params["b"][2] = value
+        return save_checkpoint(model)
+
     float64_mask = save_checkpoint(init_model(fc_spec, seed=0, dtype=np.float64))
     cases = [
         ([good], "not a model checkpoint"),
@@ -315,6 +320,11 @@ def test_checkpoint_rejects_malformed_entries(fc_spec):
             float64_mask["layers"][0]["masks"]["W"])), "dtype float64"),
         (mask_of(0.5), "other than 0 and 1"),
         (mask_of(np.nan), "other than 0 and 1"),
+        (param_of(np.nan), "layer 1 param 'b' holds NaN or infinity"),
+        (param_of(np.inf), "layer 1 param 'b' holds NaN or infinity"),
+        (param_of(-np.inf), "layer 1 param 'b' holds NaN or infinity"),
+        (broken(lambda p: p.update(extras=5)), "extras is not a JSON object"),
+        (broken(lambda p: p.update(extras=[])), "extras is not a JSON object"),
     ]
     for payload, message in cases:
         with pytest.raises(ValueError, match=message):

@@ -4,11 +4,9 @@ import pytest
 
 from edgeslim.archspec import LayerKind, LayerSpec, NetworkSpec, check_valid
 from edgeslim.resources import (
-    DEVICE_SPEEDS,
     DeviceProfile,
     device_from_dict,
     device_to_dict,
-    estimate_beta,
     estimate_layer,
     estimate_network,
     resolve_alpha,
@@ -46,21 +44,6 @@ def test_gate_count_drives_recurrent_cost():
     gru = estimate_layer(LayerSpec(LayerKind.GRU, I=10, O=20, s=5))
     assert clstm.params * 4 == lstm.params * 3
     assert mgu.params * 3 == gru.params * 2
-
-
-def test_device_speeds_table():
-    assert DEVICE_SPEEDS == {
-        "d1": 11e8,
-        "d2": 3e9,
-        "d3": 5e10,
-        "d4": 18e10,
-        "d5": 29e10,
-    }
-
-
-def test_estimate_beta():
-    device = make_device(flops_per_second=DEVICE_SPEEDS["d1"])
-    assert estimate_beta(device, 29e10) == pytest.approx(29e10 / 11e8)
 
 
 def make_device(**kw):

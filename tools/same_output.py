@@ -1,0 +1,66 @@
+"""Print digests of the benchmark workloads' outputs for a refactor proof.
+
+A pure refactor must leave every result byte-identical.  Run this script
+once against each source tree and compare the two printouts:
+
+    PYTHONPATH=<parent>/src:<parent>/bench python3 tools/same_output.py > parent.txt
+    PYTHONPATH=<change>/src:<change>/bench python3 tools/same_output.py > change.txt
+    diff parent.txt change.txt
+
+It runs the ``dense`` and ``mixed`` workloads of ``bench/workloads.py`` at
+seeds 0-2 and prints the sha256 of ``manifest.json`` and of
+``best_student.json`` for each, then runs ``layers`` at seed 0 and prints its
+losses as float hex.  Every run uses the same working directory, because the
+manifest records the paths of its inputs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import shutil
+import tempfile
+from pathlib import Path
+
+import workloads  # bench/workloads.py, found through PYTHONPATH
+
+SEEDS = (0, 1, 2)
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _run(name: str, workdir: Path, seed: int):
+    shutil.rmtree(workdir, ignore_errors=True)
+    workload = workloads.WORKLOADS[name]
+    state = workload.setup(workdir, seed)
+    workload.prepare(state)
+    return state, workload.run(state)
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--workdir",
+        default=str(Path(tempfile.gettempdir()) / "edgeslim-same-output"),
+        help="scratch directory, emptied before every run (default: %(default)s)",
+    )
+    workdir = Path(parser.parse_args(argv).workdir)
+    for name in ("dense", "mixed"):
+        for seed in SEEDS:
+            state, code = _run(name, workdir, seed)
+            out = state.output_dir
+            print(
+                f"{name} seed={seed} exit={code}"
+                f" manifest={_sha256(out / 'manifest.json')}"
+                f" best_student={_sha256(out / 'best_student.json')}",
+                flush=True,
+            )
+    _, losses = _run("layers", workdir, 0)
+    print("layers seed=0 losses=" + " ".join(float.hex(v) for v in losses))
+    shutil.rmtree(workdir, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    main()
