@@ -10,12 +10,12 @@ applied after the file is read so ad-hoc experiments keep the file intact.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
 from edgeslim.archspec import is_json_number
+from edgeslim.engine.model import check_learning_rate
 from edgeslim.pipeline import PipelineSettings
 
 ENV_PREFIX = "EDGESLIM_"
@@ -38,6 +38,7 @@ class RunConfig(PipelineSettings):
         super().__post_init__()
         if self.pretrain_epochs < 1:
             raise ValueError("epoch counts must be positive")
+        check_learning_rate(self.pretrain_eta, "pretrain_eta")
 
     def check_paths(self) -> None:
         """The referenced input files must exist before a run starts."""
@@ -123,7 +124,3 @@ def apply_env_overrides(config: RunConfig, env=None) -> RunConfig:
         return config
     return dataclasses.replace(config, **overrides)
 
-
-def load_config(path, env=None) -> RunConfig:
-    with open(path) as fh:
-        return apply_env_overrides(config_from_dict(json.load(fh)), env)

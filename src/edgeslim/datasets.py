@@ -58,12 +58,17 @@ class Dataset:
         return self.subset(np.flatnonzero(keep))
 
 
+def check_fraction(fraction: float, name: str = "test_fraction") -> None:
+    """Reject a split fraction that :func:`train_test_split` cannot apply."""
+    if not 0.0 < fraction < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {fraction}")
+
+
 def train_test_split(
     dataset: Dataset, test_fraction: float = 0.3, seed: int = 0
 ) -> tuple[Dataset, Dataset]:
     """One seeded shuffle, then a head/tail cut.  Both halves stay non-empty."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
+    check_fraction(test_fraction)
     rng = np.random.default_rng(seed)
     order = rng.permutation(dataset.n)
     n_test = int(round(dataset.n * test_fraction))

@@ -14,6 +14,12 @@ the pretrained teacher alone.  While live, the trainee supplies the DL
 targets and learns only from its own CE term; the pretrained teacher
 supplies AL targets whenever present.  The l-weights on the simplex are
 tuned by differential evolution against validation accuracy.
+
+The pretrained teacher is frozen and nothing augments the data, so each
+:func:`train` call runs it once over the training fold, in chunks, and
+indexes its logits and attention maps by each batch's rows.  While the
+trainee is live and shares the student's leading layers, each batch runs
+that shared prefix once and both tails continue from its output.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from edgeslim.engine.model import (
     ForwardTrace,
     MaskedModel,
     TrainingDiverged,
+    check_learning_rate,
     cross_entropy_node,
     forward,
     model_bytes,
@@ -105,6 +112,7 @@ class DistillPlan:
         if self.h_max is not None and self.h_max >= self.total_epochs:
             raise ValueError("h_max must stay below total_epochs")
         check_plateau(self.plateau_epsilon, self.plateau_window)
+        check_learning_rate(self.eta)
 
     def effective_lambdas(self) -> tuple[float, float, float, float]:
         """Per-scheme loss weights.
@@ -388,6 +396,39 @@ def _detached_maps(trace: ForwardTrace, spec: NetworkSpec) -> list[Tensor]:
     return [ad.lift(m.data) for m in build_attention_maps(trace, spec)]
 
 
+FROZEN_CHUNK = 256  # rows per frozen-teacher forward, as in ``predict``
+
+
+def _frozen_outputs(
+    teacher: MaskedModel, features: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The frozen teacher's logits and attention maps for every row.
+
+    Runs the teacher in chunks of ``FROZEN_CHUNK`` rows, so the tape-free
+    intermediates of a whole fold never live at once.  Each output row is a
+    function of its input row alone, so indexing these arrays by a batch's
+    rows gives what a forward pass on that batch would.
+    """
+    logits, maps = [], []
+    for begin in range(0, features.shape[0], FROZEN_CHUNK):
+        trace = forward(teacher, features[begin : begin + FROZEN_CHUNK], trainable=False)
+        logits.append(trace.logits.data)
+        maps.append([m.data for m in build_attention_maps(trace, teacher.spec)])
+    return np.concatenate(logits), [np.concatenate(layer) for layer in zip(*maps)]
+
+
+def _continued(model: MaskedModel, head: ForwardTrace, start: int) -> ForwardTrace:
+    """The trace of a full pass of ``model``: ``head`` (layers before
+    ``start``), then the rest of ``model`` run on the head's output."""
+    tail = forward(model, head.logits, trainable=True, start=start)
+    return ForwardTrace(
+        logits=tail.logits,
+        activations=head.activations + tail.activations,
+        leaves=head.leaves + tail.leaves,
+        batch_size=head.batch_size,
+    )
+
+
 def _val_accuracy(model: MaskedModel, val: Dataset) -> float:
     counts = confusion_counts(val.labels, predict(model, val.features), val.k)
     return metric_accuracy(counts)
@@ -404,9 +445,10 @@ def train(
 
     The dataset splits 70/30 (by ``plan.val_fraction`` and seed) into the
     training and validation folds.  Guidance targets are always detached:
-    the trainee learns from its own CE only, and gradients reach shared
-    layers through both the student's and the trainee's paths while they
-    remain aliased.  On divergence a ``TrainingDiverged`` is raised with the
+    the trainee learns from its own CE only.  While the leading layers stay
+    aliased, one forward of them feeds both the student's and the trainee's
+    tail, and one backward through them carries the sum of both paths'
+    gradients.  On divergence a ``TrainingDiverged`` is raised with the
     partial history attached as ``exc.history``.
 
     Without a fixed ``plan.halting_epoch`` a halting scheme halts live: at
@@ -460,6 +502,9 @@ def train(
         if (fixed_h == 0) or (fixed_h is None and h_cap == 0):
             halt_now(0)
 
+    if pretrained_teacher is not None:
+        teacher_logits, teacher_maps = _frozen_outputs(pretrained_teacher, train_set.features)
+
     acc_pct: list[float] = []
     for epoch in range(1, plan.total_epochs + 1):
         rng = np.random.default_rng(epoch_seed(plan.seed, epoch))
@@ -467,32 +512,37 @@ def train(
         seen_rows = 0
         for idx in iterate_minibatches(train_set.n, plan.batch_size, rng):
             x, y = train_set.features[idx], train_set.labels[idx]
-            cache: dict[int, Tensor] | None = {} if (traits.shared and not halted) else None
-            s_trace = forward(student, x, trainable=True, leaf_cache=cache)
+            if traits.shared and not halted:
+                # the aliased prefix runs once; both tails extend its tape
+                head = forward(student, x, trainable=True, stop=prefix)
+                s_trace = _continued(student, head, prefix)
+            else:
+                s_trace = forward(student, x, trainable=True)
             ce_s = cross_entropy_node(s_trace, y)
             traces = [s_trace]
 
             ce_te_val = 0.0
             loss = l1 * ce_s
             if not halted:
-                te_trace = forward(trainee, x, trainable=True, leaf_cache=cache)
+                if traits.shared:
+                    te_trace = _continued(trainee, head, prefix)
+                else:
+                    te_trace = forward(trainee, x, trainable=True)
                 ce_te = cross_entropy_node(te_trace, y)
                 ce_te_val = float(ce_te.data)
                 loss = loss + l4 * ce_te
                 traces.append(te_trace)
                 dl_source = ad.lift(te_trace.logits.data)
-            if pretrained_teacher is not None:
-                g_trace = forward(pretrained_teacher, x, trainable=False)
-                if halted:
-                    dl_source = g_trace.logits
-                al_source_trace, al_source_spec = g_trace, pretrained_teacher.spec
-            else:
-                al_source_trace, al_source_spec = te_trace, trainee.spec
+            else:  # only schemes with a pretrained teacher halt
+                dl_source = ad.lift(teacher_logits[idx])
 
             dl = distillation_loss_node(dl_source, s_trace.logits)
             al_val = 0.0
             if l2 > 0.0:
-                t_maps = _detached_maps(al_source_trace, al_source_spec)
+                if pretrained_teacher is not None:
+                    t_maps = [ad.lift(m[idx]) for m in teacher_maps]
+                else:
+                    t_maps = _detached_maps(te_trace, trainee.spec)
                 s_maps = build_attention_maps(s_trace, student.spec)
                 pairs = [
                     align_map_pair(t, s, i, plan.attention_seed)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,52 +106,62 @@ class ForwardTrace:
 
 def forward(
     model: MaskedModel,
-    x: np.ndarray,
+    x: np.ndarray | Tensor,
     trainable: bool = True,
-    leaf_cache: dict[int, Tensor] | None = None,
+    start: int = 0,
+    stop: int | None = None,
 ) -> ForwardTrace:
-    """Run the network on a (n, p) batch.
+    """Run layers ``start..stop-1`` of the network on a (n, width) batch.
 
     Each layer is one tape node over its raw parameter leaves and masks.
     Hidden conv/dense layers get a ReLU; recurrent outputs and final logits
-    pass through raw.  ``leaf_cache`` maps ``id(array)`` to its leaf Tensor so
-    two models sharing parameter arrays contribute to one tape and a single
-    backward accumulates both paths.
+    pass through raw.  ``stop`` defaults to the depth.
+
+    A partial range splits one pass into a head and a tail: the head's
+    ``logits`` is its last layer's output flattened to (n, width), which is
+    exactly the ``x`` the tail (``start`` = the head's ``stop``) takes, as a
+    Tensor, so the tail extends the head's tape.  Joining the head's and the
+    tail's ``activations`` and ``leaves`` gives the trace of a full pass,
+    with bit-identical values.  Two tails that start from one head share its
+    nodes, so one backward sums both tails' gradients into the head.  The
+    logits-shape check applies only when ``stop`` is the depth.
     """
-    x = np.asarray(x)
-    if x.ndim != 2:
-        raise ValueError(f"input must be 2-d (batch, features), got shape {x.shape}")
-    expect = model.spec.layers[0].input_width
-    if x.shape[1] != expect:
-        raise ValueError(f"input width {x.shape[1]} does not match first layer ({expect})")
-    n = x.shape[0]
-    cur = ad.lift(x.astype(model.dtype, copy=False))
+    depth = len(model.spec.layers)
+    stop = depth if stop is None else stop
+    if not 0 <= start <= stop <= depth:
+        raise ValueError(f"layer range {start}..{stop} does not fit depth {depth}")
+    if not isinstance(x, Tensor):
+        x = ad.lift(np.asarray(x).astype(model.dtype, copy=False))
+    if x.data.ndim != 2:
+        raise ValueError(f"input must be 2-d (batch, features), got shape {x.data.shape}")
+    if start < depth:
+        expect = model.spec.layers[start].input_width
+        if x.data.shape[1] != expect:
+            raise ValueError(
+                f"input width {x.data.shape[1]} does not match layer {start} ({expect})"
+            )
+    n = x.data.shape[0]
+    cur = x
     activations: list[Tensor] = []
     leaves: list[dict[str, Tensor]] = []
-    last = len(model.spec.layers) - 1
-    for idx, (layer, lp) in enumerate(zip(model.spec.layers, model.layers)):
-        layer_leaves: dict[str, Tensor] = {}
-        for name, arr in lp.params.items():
-            if leaf_cache is not None and id(arr) in leaf_cache:
-                leaf = leaf_cache[id(arr)]
-            else:
-                leaf = Tensor(arr, requires_grad=trainable)
-                if leaf_cache is not None:
-                    leaf_cache[id(arr)] = leaf
-            layer_leaves[name] = leaf
+    last = depth - 1
+    for idx in range(start, stop):
+        layer, lp = model.spec.layers[idx], model.layers[idx]
+        layer_leaves = {
+            name: Tensor(arr, requires_grad=trainable) for name, arr in lp.params.items()
+        }
         relu = idx != last and layer.kind not in RECURRENT_KINDS
         out = layer_forward(layer, layer_leaves, cur, lp.masks, relu)
         activations.append(out)
         leaves.append(layer_leaves)
         flat = (n, layer.output_width)
         cur = out if out.data.shape == flat else out.reshape(flat)
-    logits = cur
-    if logits.data.shape != (n, model.spec.class_count):
+    if stop == depth and cur.data.shape != (n, model.spec.class_count):
         raise ValueError(
-            f"logits shape {logits.data.shape} does not match class count "
+            f"logits shape {cur.data.shape} does not match class count "
             f"{model.spec.class_count}"
         )
-    return ForwardTrace(logits=logits, activations=activations, leaves=leaves, batch_size=n)
+    return ForwardTrace(logits=cur, activations=activations, leaves=leaves, batch_size=n)
 
 
 def cross_entropy_node(trace: ForwardTrace, labels: np.ndarray) -> Tensor:
@@ -178,6 +189,12 @@ def backward(model: MaskedModel, trace: ForwardTrace, loss: Tensor) -> list[dict
             layer_grads[name] = np.zeros_like(leaf.data) if g is None else g
         grads.append(layer_grads)
     return grads
+
+
+def check_learning_rate(eta: float, name: str = "eta") -> None:
+    """An SGD step size must be positive and finite."""
+    if not (math.isfinite(eta) and eta > 0):
+        raise ValueError(f"{name} must be positive and finite, got {eta!r}")
 
 
 def sgd_update(param: np.ndarray, grad: np.ndarray, eta: float, name: str) -> None:

@@ -16,6 +16,7 @@ from edgeslim import metrics
 from edgeslim.engine.model import (
     MaskedModel,
     backward,
+    check_learning_rate,
     cross_entropy_node,
     forward,
     sgd_step,
@@ -44,6 +45,7 @@ def train_classifier(
     seed: int = 0,
 ) -> list[float]:
     """SGD on mean cross-entropy, in place.  Returns mean loss per epoch."""
+    check_learning_rate(eta)
     losses = []
     for epoch in range(1, epochs + 1):
         rng = np.random.default_rng(epoch_seed(seed, epoch))

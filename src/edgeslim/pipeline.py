@@ -19,7 +19,7 @@ from functools import partial
 
 from edgeslim import compressor, pruning
 from edgeslim.archspec import NetworkSpec, network_to_dict
-from edgeslim.datasets import Dataset, train_test_split
+from edgeslim.datasets import Dataset, check_fraction, train_test_split
 from edgeslim.distill import (
     SCHEMES,
     DEBudget,
@@ -31,7 +31,13 @@ from edgeslim.distill import (
     share_prefix_layers,
     train,
 )
-from edgeslim.engine.model import MaskedModel, connection_count, copy_model, init_model
+from edgeslim.engine.model import (
+    MaskedModel,
+    check_learning_rate,
+    connection_count,
+    copy_model,
+    init_model,
+)
 from edgeslim.engine.training import evaluate_loss, predict
 from edgeslim.metrics import MetricsReport, evaluate_predictions
 from edgeslim.resources import DeviceProfile, ResourceReport, resolve_alpha
@@ -99,6 +105,16 @@ class PipelineSettings:
         check_plateau(self.plateau_epsilon, self.plateau_window)
         if self.workers < 0:
             raise ValueError("workers must be non-negative")
+        if not self.reference_tolerance >= 0:  # NaN would pass every comparison
+            raise ValueError("reference_tolerance must be non-negative")
+        # the rules of the code each setting reaches only after pretraining
+        check_fraction(self.val_fraction, "val_fraction")
+        DEBudget(population=self.de_population, generations=self.de_generations)
+        pruning.check_rate(self.dropout_initial_rate, "dropout_initial_rate")
+        pruning.check_rate(self.dropout_input_rate, "dropout_input_rate")
+        pruning.check_schedule(self.dropout_c, self.dropout_max_iteration)
+        check_learning_rate(self.eta, "eta")
+        check_learning_rate(self.dropout_eta, "dropout_eta")
 
 
 @dataclass

@@ -22,6 +22,7 @@ import numpy as np
 from edgeslim.engine.model import (
     MaskedModel,
     TrainingDiverged,
+    check_learning_rate,
     connection_count,
     copy_model,
 )
@@ -44,10 +45,21 @@ class DropoutState:
     reference_loss: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.d <= 1.0:
-            raise ValueError(f"dropout rate must lie in (0, 1], got {self.d}")
-        if self.c <= 0 or self.max_iteration <= 0:
-            raise ValueError("c and max_iteration must be positive")
+        check_rate(self.d)
+        check_schedule(self.c, self.max_iteration)
+
+
+def check_rate(rate: float, name: str = "dropout rate") -> None:
+    """A planner starting rate must lie in (0, 1]."""
+    if not 0.0 < rate <= 1.0:
+        raise ValueError(f"{name} must lie in (0, 1], got {rate}")
+
+
+def check_schedule(c: float, max_iteration: int) -> None:
+    """The rate decay ``1 - iteration / (c * max_iteration)`` needs both
+    factors positive."""
+    if c <= 0 or max_iteration <= 0:
+        raise ValueError("dropout c and max_iteration must be positive")
 
 
 def update_rate(state: DropoutState) -> float:
@@ -149,6 +161,8 @@ def run(
     loop body always runs at least once and stops when the loss degrades, a
     round stops removing connections, or ``max_iteration`` is hit.
     """
+    check_learning_rate(eta)
+    check_rate(input_rate, "input dropout rate")
     if target_layers is None:
         target_layers = list(range(model.spec.shared_prefix, model.spec.depth))
     target_layers = list(target_layers)

@@ -166,6 +166,38 @@ def test_dropout_divergence_exit_code(ws, capsys):
     assert err.count("\n") == 1 and "dropout round 1: training loss diverged" in err
 
 
+@pytest.mark.parametrize("eta", ["-1", "0", "nan", "inf"])
+def test_train_and_dropout_reject_bad_learning_rate(ws, capsys, eta):
+    out = ws / "bad.json"
+    rc = main([
+        "train", "--arch", str(ws / "arch.json"), "--data", str(ws / "data.csv"),
+        "--out", str(out), "--epochs", "2", "--eta", eta,
+    ])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.count("\n") == 1 and "eta must be positive and finite" in err
+    assert not out.exists()
+    ckpt = train_checkpoint(ws, epochs="2")
+    capsys.readouterr()
+    rc = main([
+        "dropout", "--checkpoint", str(ckpt), "--data", str(ws / "data.csv"),
+        "--out", str(out), "--eta", eta,
+    ])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.count("\n") == 1 and "eta must be positive and finite" in err
+    assert not out.exists()
+
+
+def test_dropout_rejects_bad_input_rate(ws, capsys):
+    ckpt = train_checkpoint(ws, epochs="2")
+    capsys.readouterr()
+    rc = main([
+        "dropout", "--checkpoint", str(ckpt), "--data", str(ws / "data.csv"),
+        "--out", str(ws / "s.json"), "--input-rate", "1.5",
+    ])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.count("\n") == 1 and "input dropout rate must lie in (0, 1]" in err
+
+
 def test_dropout_and_compress_and_eval_chain(ws):
     ckpt = train_checkpoint(ws)
     slim = ws / "slim.json"
@@ -399,6 +431,31 @@ def test_pipeline_bad_config_is_input_error(ws, capsys):
     pytest.param("lambdas", [True, 0.5, 0.5], {}, "'lambdas' must be of type", id="lambda-bool"),
     pytest.param("scheme", "S9", {}, "unknown scheme 'S9'", id="unknown-scheme"),
     pytest.param("h_max", 3, {}, "h_max must stay below total_epochs", id="h-max-too-large"),
+    pytest.param("val_fraction", 1.5, {}, "val_fraction must lie in (0, 1)",
+                 id="val-fraction-too-large"),
+    pytest.param("de_population", 2, {}, "population must be at least 4", id="de-population-2"),
+    pytest.param("de_generations", -1, {}, "generations must be non-negative",
+                 id="de-generations-negative"),
+    pytest.param("dropout_initial_rate", 0.0, {}, "dropout_initial_rate must lie in (0, 1]",
+                 id="dropout-rate-zero"),
+    pytest.param("dropout_input_rate", 1.5, {}, "dropout_input_rate must lie in (0, 1]",
+                 id="dropout-input-rate-too-large"),
+    pytest.param("dropout_c", -1, {}, "dropout c and max_iteration must be positive",
+                 id="dropout-c-negative"),
+    pytest.param("dropout_max_iteration", 0, {}, "dropout c and max_iteration must be positive",
+                 id="dropout-max-iteration-zero"),
+    pytest.param("eta", -1, {}, "eta must be positive and finite", id="eta-negative"),
+    pytest.param("eta", float("inf"), {}, "eta must be positive and finite", id="eta-infinite"),
+    pytest.param("dropout_eta", 0, {}, "dropout_eta must be positive and finite",
+                 id="dropout-eta-zero"),
+    pytest.param("pretrain_eta", -0.1, {}, "pretrain_eta must be positive and finite",
+                 id="pretrain-eta-negative"),
+    pytest.param(None, None, {"EDGESLIM_ETA": "nan"}, "eta must be positive and finite",
+                 id="env-eta-nan"),
+    pytest.param("reference_tolerance", -1e-6, {}, "reference_tolerance must be non-negative",
+                 id="reference-tolerance-negative"),
+    pytest.param(None, None, {"EDGESLIM_REFERENCE_TOLERANCE": "nan"},
+                 "reference_tolerance must be non-negative", id="env-reference-tolerance-nan"),
 ])
 def test_pipeline_config_error_exits_2_before_pretraining(
     ws, capsys, monkeypatch, key, value, env, message

@@ -10,7 +10,6 @@ from edgeslim.config import (
     RunConfig,
     apply_env_overrides,
     config_from_dict,
-    load_config,
 )
 from edgeslim.pipeline import PipelineSettings
 
@@ -91,17 +90,6 @@ def test_check_paths_reports_every_missing_file(tmp_path):
         config.check_paths()
     assert "missing-device.json" in str(err.value)
     assert "missing-data.csv" in str(err.value)
-
-
-def test_load_config_applies_env(tmp_path):
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps(REQUIRED))
-    config = load_config(path, env={ENV_PREFIX + "BATCH_SIZE": "16"})
-    assert config.batch_size == 16
-    bad = tmp_path / "list.json"
-    bad.write_text("[1, 2]")
-    with pytest.raises(ValueError):
-        load_config(bad)
 
 
 # a non-default value for every PipelineSettings field

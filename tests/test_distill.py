@@ -5,8 +5,14 @@ import pytest
 
 from edgeslim.archspec import LayerKind, LayerSpec, NetworkSpec, check_valid
 from edgeslim.datasets import make_synthetic, train_test_split
-from edgeslim.engine.model import init_model, model_bytes
-from edgeslim.engine.training import train_classifier
+from edgeslim.engine import autodiff as ad
+from edgeslim.engine import model as engine_model
+from edgeslim.engine.model import cross_entropy_node, forward, init_model, model_bytes
+from edgeslim.engine.training import (
+    epoch_seed,
+    iterate_minibatches,
+    train_classifier,
+)
 from edgeslim import distill
 from edgeslim.distill import (
     DEBudget,
@@ -455,3 +461,129 @@ def test_probe_combined_mixes_terms_by_lambda():
         l1 * parts["ce_student"] + l2 * parts["attention"] + l3 * parts["distillation"],
         rtol=1e-12,
     )
+
+
+# -- the shared head and the frozen-teacher pass ----------------------------
+
+HEAD_TEACHER = check_valid(
+    NetworkSpec(
+        "teacher",
+        [
+            LayerSpec(LayerKind.CONV, I=1, O=2, f=2, g=2, h=3, w=3),
+            LayerSpec(LayerKind.LSTM, I=6, O=5, s=3),
+            LayerSpec(LayerKind.FC, I=5, O=6),
+            LayerSpec(LayerKind.FC, I=6, O=3),
+        ],
+        class_count=3,
+        shared_prefix=2,
+    )
+)
+HEAD_STUDENT = check_valid(
+    NetworkSpec(
+        "student",
+        [
+            *HEAD_TEACHER.layers[:2],
+            LayerSpec(LayerKind.FC, I=5, O=4),
+            LayerSpec(LayerKind.FC, I=4, O=3),
+        ],
+        class_count=3,
+        shared_prefix=2,
+    )
+)
+
+
+class _FirstBatchDone(Exception):
+    pass
+
+
+def test_shared_head_gradients_match_two_full_forwards(monkeypatch):
+    """One S6 pre-halt batch in float64: the shared head's gradients equal
+    those of separate student and trainee forwards summed per array."""
+    data = make_synthetic(k=3, p=16, n=60, seed=5)
+    student = init_model(HEAD_STUDENT, seed=1, dtype=np.float64)
+    trainee = init_model(HEAD_TEACHER, seed=2, dtype=np.float64)
+    pretrained = init_model(HEAD_TEACHER, seed=3, dtype=np.float64)
+    share_prefix_layers(student, trainee, 2)
+    plan = plan_for("S6", batch_size=16)
+
+    # reference: the batch train() draws first, two independent forwards
+    train_set, _ = train_test_split(data, plan.val_fraction, plan.seed)
+    rng = np.random.default_rng(epoch_seed(plan.seed, 1))
+    idx = next(iterate_minibatches(train_set.n, plan.batch_size, rng))
+    x, y = train_set.features[idx], train_set.labels[idx]
+    s_trace, te_trace = forward(student, x), forward(trainee, x)
+    l1, l2, l3, l4 = plan.effective_lambdas()
+    g_trace = forward(pretrained, x, trainable=False)
+    t_maps = [ad.lift(m.data) for m in distill.build_attention_maps(g_trace, pretrained.spec)]
+    s_maps = distill.build_attention_maps(s_trace, student.spec)
+    pairs = [
+        distill.align_map_pair(t, s, i, plan.attention_seed)
+        for i, (t, s) in enumerate(zip(t_maps, s_maps))
+    ]
+    loss = (
+        l1 * cross_entropy_node(s_trace, y)
+        + l4 * cross_entropy_node(te_trace, y)
+        + l2 * distill.attention_loss_node([p[0] for p in pairs], [p[1] for p in pairs])
+        + l3 * distill.distillation_loss_node(ad.lift(te_trace.logits.data), s_trace.logits)
+    )
+    loss.backward()
+    expected: dict[int, np.ndarray] = {}
+    for trace in (s_trace, te_trace):
+        for leaves in trace.leaves:
+            for leaf in leaves.values():
+                key = id(leaf.data)
+                expected[key] = expected.get(key, 0.0) + leaf.grad
+    shared = trainee.layers[1].params["Wf"]
+    student_part = s_trace.leaves[1]["Wf"].grad
+    assert np.abs(expected[id(shared)] - student_part).max() > 1e-6  # both paths count
+
+    got: dict[int, np.ndarray] = {}
+
+    def capture(traces, eta):
+        for trace in traces:
+            for leaves in trace.leaves:
+                for leaf in leaves.values():
+                    got[id(leaf.data)] = leaf.grad.copy()
+        raise _FirstBatchDone
+
+    monkeypatch.setattr(distill, "_apply_updates", capture)
+    with pytest.raises(_FirstBatchDone):
+        train(student, trainee, pretrained, data, plan)
+    assert got.keys() == expected.keys()
+    for key, grad in expected.items():
+        assert np.abs(got[key] - grad).max() <= 1e-12
+
+
+def test_prefix_runs_once_per_batch_and_teacher_once_per_call(monkeypatch):
+    data = make_synthetic(k=3, p=8, n=400, seed=3)
+    student, trainee, pretrained = fresh_models(seed=4)
+    plan = plan_for("S6", total_epochs=3, halting_epoch=2, batch_size=64)
+    n_train = train_test_split(data, plan.val_fraction, plan.seed)[0].n
+    shared_w = trainee.layers[0].params["W"]
+    frozen_calls, prefix_calls = [], []
+
+    real_forward = distill.forward
+
+    def counting_forward(model, x, trainable=True, **kw):
+        if not trainable:
+            frozen_calls.append(model)
+        return real_forward(model, x, trainable=trainable, **kw)
+
+    real_layer_forward = engine_model.layer_forward
+
+    def counting_layer_forward(layer, params, x, masks=None, relu=False):
+        if params["W"].requires_grad and params["W"].data is shared_w:
+            prefix_calls.append(x.data.shape[0])
+        return real_layer_forward(layer, params, x, masks, relu)
+
+    monkeypatch.setattr(distill, "forward", counting_forward)
+    monkeypatch.setattr(engine_model, "layer_forward", counting_layer_forward)
+    result = train(student, trainee, pretrained, data, plan)
+
+    assert result.halting_epoch == 2
+    assert n_train > 256
+    assert len(frozen_calls) == -(-n_train // 256)
+    assert all(model is pretrained for model in frozen_calls)
+    batches = -(-n_train // plan.batch_size)
+    assert len(prefix_calls) == 2 * batches  # epochs 1 and 2 are pre-halt
+    assert sum(prefix_calls) == 2 * n_train

@@ -369,19 +369,59 @@ def test_epoch_seed_varies_by_epoch():
     assert epoch_seed(3, 1) == epoch_seed(3, 1)
 
 
-def test_leaf_cache_shares_tensors(fc_spec, rng):
-    a = init_model(fc_spec, seed=1)
-    b = init_model(fc_spec, seed=2)
-    b.layers[0] = a.layers[0]  # aliased first layer
-    cache = {}
-    x = rng.normal(size=(4, 8)).astype(np.float32)
-    ta = forward(a, x, trainable=True, leaf_cache=cache)
-    tb = forward(b, x, trainable=True, leaf_cache=cache)
-    assert ta.leaves[0]["W"] is tb.leaves[0]["W"]
-    assert ta.leaves[1]["W"] is not tb.leaves[1]["W"]
-    # one backward through both traces accumulates on the shared leaf
-    loss = cross_entropy_node(ta, np.ones(4, dtype=np.int64)) + cross_entropy_node(
-        tb, np.ones(4, dtype=np.int64)
-    )
-    loss.backward()
-    assert ta.leaves[0]["W"].grad is not None
+SPLIT_KINDS = {
+    "fc": LayerSpec(LayerKind.FC, I=5, O=4),
+    "factorized_fc": LayerSpec(LayerKind.FACTORIZED_FC, I=5, O=4, R=2),
+    "conv": LayerSpec(LayerKind.CONV, I=2, O=3, f=2, g=2, h=3, w=3),
+    "factorized_conv": LayerSpec(LayerKind.FACTORIZED_CONV, I=2, O=3, f=2, g=2, h=3, w=3, R=2),
+    "lstm": LayerSpec(LayerKind.LSTM, I=3, O=4, s=2),
+    "gru": LayerSpec(LayerKind.GRU, I=3, O=4, s=2),
+    "coupled_lstm": LayerSpec(LayerKind.COUPLED_LSTM, I=3, O=4, s=2),
+    "mgu": LayerSpec(LayerKind.MGU, I=3, O=4, s=2),
+}
+
+
+def split_nets():
+    """fc -> kind -> fc for every kind, and conv -> conv -> fc, whose split
+    at 1 crosses the flatten/unflatten boundary between two conv layers."""
+    nets = {}
+    for name, layer in SPLIT_KINDS.items():
+        nets[name] = [
+            LayerSpec(LayerKind.FC, I=6, O=layer.input_width),
+            layer,
+            LayerSpec(LayerKind.FC, I=layer.output_width, O=3),
+        ]
+    nets["conv-conv"] = [
+        LayerSpec(LayerKind.CONV, I=1, O=2, f=2, g=2, h=4, w=4),
+        LayerSpec(LayerKind.CONV, I=2, O=3, f=2, g=2, h=3, w=3),
+        LayerSpec(LayerKind.FC, I=27, O=3),
+    ]
+    return nets
+
+
+@pytest.mark.parametrize("name", sorted(split_nets()))
+def test_head_then_tail_matches_full_forward(name, rng):
+    spec = check_valid(NetworkSpec("t", split_nets()[name], class_count=3))
+    model = init_model(spec, seed=4)
+    x = rng.normal(size=(5, spec.layers[0].input_width)).astype(np.float32)
+    full = forward(model, x)
+    for split in range(spec.depth + 1):
+        head = forward(model, x, stop=split)
+        tail = forward(model, head.logits, start=split)
+        assert np.array_equal(tail.logits.data, full.logits.data), f"split {split}"
+        for joined, whole in zip(head.activations + tail.activations, full.activations):
+            assert np.array_equal(joined.data, whole.data)
+        assert len(head.leaves) + len(tail.leaves) == spec.depth
+
+
+def test_forward_range_checks(fc_spec, rng):
+    model = init_model(fc_spec, seed=0)
+    x = rng.normal(size=(2, 8)).astype(np.float32)
+    with pytest.raises(ValueError, match="does not fit depth"):
+        forward(model, x, start=2, stop=1)
+    with pytest.raises(ValueError, match="does not fit depth"):
+        forward(model, x, stop=4)
+    with pytest.raises(ValueError, match="does not match layer 1"):
+        forward(model, x, start=1)
+    # a head stops short of the logits, so no class-count check applies
+    assert forward(model, x, stop=2).logits.data.shape == (2, 12)

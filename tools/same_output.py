@@ -12,12 +12,18 @@ seeds 0-2 and prints the sha256 of ``manifest.json`` and of
 ``best_student.json`` for each, then runs ``layers`` at seed 0 and prints its
 losses as float hex.  Every run uses the same working directory, because the
 manifest records the paths of its inputs.
+
+Each pipeline line also carries the best candidate's ``val_accuracy``,
+``halting_epoch`` and ``final_combined_loss`` (float hex), so when a change
+moves float rounding and the digests differ, the diff shows how far the
+results moved.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import shutil
 import tempfile
 from pathlib import Path
@@ -29,6 +35,17 @@ SEEDS = (0, 1, 2)
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _best_summary(manifest: Path) -> str:
+    """The best record's accuracy, halting epoch and final combined loss."""
+    result = json.loads(manifest.read_text())["result"]
+    best = next(r for r in result["records"] if r["l"] == result["best_l"])
+    return (
+        f"val_accuracy={best['val_accuracy']!r}"
+        f" halting_epoch={best['halting_epoch']}"
+        f" final_combined_loss={float.hex(best['final_combined_loss'])}"
+    )
 
 
 def _run(name: str, workdir: Path, seed: int):
@@ -54,7 +71,8 @@ def main(argv=None) -> None:
             print(
                 f"{name} seed={seed} exit={code}"
                 f" manifest={_sha256(out / 'manifest.json')}"
-                f" best_student={_sha256(out / 'best_student.json')}",
+                f" best_student={_sha256(out / 'best_student.json')}"
+                f" {_best_summary(out / 'manifest.json')}",
                 flush=True,
             )
     _, losses = _run("layers", workdir, 0)
