@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from edgeslim.archspec import FACTORIZED_KINDS, LayerKind, LayerSpec, NetworkSpec, check_valid
-from edgeslim.engine.layers import param_layout
+from edgeslim.engine.layers import conv_matrix, conv_weight, param_layout
 from edgeslim.engine.model import LayerParams, MaskedModel, copy_model
 from edgeslim.resources import (
     DeviceProfile,
@@ -131,10 +131,8 @@ _FACTORIZED = {LayerKind.FC: LayerKind.FACTORIZED_FC, LayerKind.CONV: LayerKind.
 def effective_matrix(layer: LayerSpec, lp: LayerParams) -> np.ndarray:
     """The masked weight as the 2-d matrix the factorization splits."""
     w = (lp.params["W"] * lp.masks["W"]).astype(np.float64)
-    if layer.kind == LayerKind.FC:
-        return w  # (I, O)
-    # conv (O, I, f, g) -> rows indexed by (channel, tap), columns by O
-    return w.transpose(1, 2, 3, 0).reshape(layer.I * layer.f * layer.g, layer.O)
+    # fc: (I, O) as stored; conv: the (I*f*g, O) matrix its kernel multiplies by
+    return w if layer.kind == LayerKind.FC else conv_matrix(w)
 
 
 def factorize_layer_params(
@@ -152,7 +150,7 @@ def factorize_layer_params(
     root = np.sqrt(s[:r])
     a, bmat = u[:, :r] * root, root[:, None] * vt[:r]
     if layer.kind == LayerKind.CONV:
-        a = a.T.reshape(r, layer.I, layer.f, layer.g)
+        a = conv_weight(a, (r, layer.I, layer.f, layer.g))
     params = {
         "W1": a.astype(dtype),  # fc (I, R); conv (R, I, f, g)
         "b1": np.zeros(r, dtype=dtype),

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from edgeslim.archspec import is_json_number
 from edgeslim.engine.model import check_learning_rate
+from edgeslim.engine.training import check_epochs
 from edgeslim.pipeline import PipelineSettings
 
 ENV_PREFIX = "EDGESLIM_"
@@ -36,8 +37,7 @@ class RunConfig(PipelineSettings):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.pretrain_epochs < 1:
-            raise ValueError("epoch counts must be positive")
+        check_epochs(self.pretrain_epochs, "pretrain_epochs")
         check_learning_rate(self.pretrain_eta, "pretrain_eta")
 
     def check_paths(self) -> None:

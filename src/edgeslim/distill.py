@@ -194,10 +194,6 @@ def distillation_loss_node(teacher_logits: Tensor, student_logits: Tensor) -> Te
     return (diff * diff).sum(axis=1).mean()
 
 
-def distillation_loss(teacher_logits: np.ndarray, student_logits: np.ndarray) -> float:
-    return float(distillation_loss_node(ad.lift(teacher_logits), ad.lift(student_logits)).data)
-
-
 def _unit_rows(maps: np.ndarray) -> tuple[np.ndarray, ...]:
     """Row-normalize ``maps``; returns the unit rows and the intermediates.
 
@@ -263,17 +259,6 @@ def attention_loss_node(
     if total is None:
         return ad.lift(np.float64(0.0))
     return total
-
-
-def attention_loss(teacher_maps, student_maps) -> float:
-    """Float surface over plain arrays; a single map pair may be passed bare."""
-    if isinstance(teacher_maps, np.ndarray):
-        teacher_maps = [teacher_maps]
-    if isinstance(student_maps, np.ndarray):
-        student_maps = [student_maps]
-    t = [ad.lift(np.atleast_2d(np.asarray(m, dtype=np.float64))) for m in teacher_maps]
-    s = [ad.lift(np.atleast_2d(np.asarray(m, dtype=np.float64))) for m in student_maps]
-    return float(attention_loss_node(t, s).data)
 
 
 def _projection(seed: int, layer_idx: int, width_from: int, width_to: int) -> np.ndarray:

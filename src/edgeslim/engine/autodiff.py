@@ -11,10 +11,10 @@ Only the ops the engine calls live here: the generic arithmetic, reductions
 and reshape that loss assembly uses, and the fused ``softmax_cross_entropy``.
 Hot multi-op computations are fused into one node with a hand-written
 backward elsewhere, built with :func:`_node`: every layer kind in
-:mod:`edgeslim.engine.layers` (mask, GEMM or convolution, bias and ReLU of
-fc, conv and both factorized kinds; a whole recurrent cell, which uses
-:func:`_stable_sigmoid` as its array kernel), and each attention-map pair in
-:mod:`edgeslim.distill`.
+:mod:`edgeslim.engine.layers` (one shared body of mask, GEMM, bias and ReLU
+for fc, conv and both factorized kinds, the conv kinds over im2col patch
+rows; a whole recurrent cell, which uses :func:`_stable_sigmoid` as its
+array kernel), and each attention-map pair in :mod:`edgeslim.distill`.
 """
 
 from __future__ import annotations

@@ -8,11 +8,13 @@ minimal gated cell uses its single forget gate both to gate the candidate
 input and to blend the new state.
 
 Every layer runs as one tape node with a hand-written backward, whatever its
-kind.  ``fc``, ``factorized_fc``, ``conv`` and ``factorized_conv`` (its 1x1
-channel mix included) each fold ``W * mask``, the GEMM or tap-loop
-convolution, the bias and an optional ReLU into their node; the backward runs
-the same numpy operations, in the same order, as the chain of generic tape
-ops it replaces, so results are bit-identical to it.  A recurrent cell
+kind.  ``fc``, ``factorized_fc``, ``conv`` and ``factorized_conv`` share one
+node body: ``W * mask``, the GEMM of each factor, the bias and an optional
+ReLU over rows.  The fc kinds take the input's rows as they are; the conv
+kinds take its im2col patch rows (one per output pixel, columns in
+(channel, tap) order), read the conv weight as the (I*f*g, O) matrix of
+:func:`conv_matrix`, and scatter the input gradient back with col2im, so a
+convolution is one GEMM per factor and direction.  A recurrent cell
 concatenates its masked per-gate blocks for the forward, runs the input
 projection of all steps as a single GEMM, and scatters the gradients of a
 hand-written BPTT back to the per-gate tensors, so storage, masks and
@@ -25,9 +27,10 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from edgeslim.archspec import LayerKind, LayerSpec
-from edgeslim.engine.autodiff import Tensor, _node, _stable_sigmoid, _unbroadcast
+from edgeslim.engine.autodiff import Tensor, _node, _stable_sigmoid
 
 
 class ParamDef(NamedTuple):
@@ -100,146 +103,103 @@ def _unmask(grad: np.ndarray, masks: Masks, name: str) -> np.ndarray:
     return grad if masks is None else grad * masks[name]
 
 
-def _conv(x4: np.ndarray, weight: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Stride-1 valid cross-correlation: (n,C,H,W) * (O,C,f,g) -> (n,O,h,w).
+def conv_matrix(weight: np.ndarray) -> np.ndarray:
+    """A conv weight (O, I, f, g) as the (I*f*g, O) matrix of its GEMM, as a view.
 
-    One einsum per filter tap; filters here are small, so the tap loop beats
-    building an im2col buffer.
+    Rows run over (channel, tap), the column order of :func:`_patches`; the
+    compressor factorizes this matrix, and :func:`conv_weight` inverts it.
     """
-    out_ch, _, f, g = weight.shape
-    out = np.zeros((x4.shape[0], out_ch, out_h, out_w), dtype=x4.dtype)
+    return weight.reshape(weight.shape[0], -1).T
+
+
+def conv_weight(matrix: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The inverse of :func:`conv_matrix`: an (I*f*g, O) matrix as a weight of ``shape``."""
+    return matrix.T.reshape(shape)
+
+
+def _patches(x4: np.ndarray, f: int, g: int) -> np.ndarray:
+    """im2col: (n, C, H, W) -> (n*h*w, C*f*g), one row per output pixel of
+    the stride-1 valid f x g window, columns in (channel, tap) order."""
+    windows = sliding_window_view(x4, (f, g), axis=(2, 3))  # (n, C, h, w, f, g)
+    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(-1, x4.shape[1] * f * g)
+
+
+def _unpatch(rows: np.ndarray, shape: tuple[int, ...], f: int, g: int) -> np.ndarray:
+    """col2im, the adjoint of :func:`_patches`: add each patch row's
+    gradient back onto the (n, C, H, W) input pixels it was read from."""
+    n, c, H, W = shape
+    h, w = H - f + 1, W - g + 1
+    taps = rows.reshape(n, h, w, c, f, g)
+    out = np.zeros(shape, dtype=rows.dtype)
     for u in range(f):
         for v in range(g):
-            out += np.einsum(
-                "ncij,oc->noij", x4[:, :, u : u + out_h, v : v + out_w], weight[:, :, u, v]
-            )
+            out[:, :, u : u + h, v : v + w] += taps[..., u, v].transpose(0, 3, 1, 2)
     return out
 
 
-def _conv_weight_grad(grad: np.ndarray, x4: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    _, _, f, g = weight.shape
-    out_h, out_w = grad.shape[2:]
-    gw = np.zeros_like(weight)
-    for u in range(f):
-        for v in range(g):
-            gw[:, :, u, v] = np.einsum(
-                "noij,ncij->oc", grad, x4[:, :, u : u + out_h, v : v + out_w]
-            )
-    return gw
+# dense kind -> (weight names, bias names, reads im2col patch rows), one per factor
+_DENSE = {
+    LayerKind.FC: (("W",), ("b",), False),
+    LayerKind.FACTORIZED_FC: (("W1", "W2"), ("b1", "b2"), False),
+    LayerKind.CONV: (("W",), ("b",), True),
+    LayerKind.FACTORIZED_CONV: (("W1", "W2"), ("b1", "b2"), True),
+}
 
 
-def _conv_input_grad(grad: np.ndarray, x4: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    _, _, f, g = weight.shape
-    out_h, out_w = grad.shape[2:]
-    gx = np.zeros_like(x4)
-    for u in range(f):
-        for v in range(g):
-            gx[:, :, u : u + out_h, v : v + out_w] += np.einsum(
-                "noij,oc->ncij", grad, weight[:, :, u, v]
-            )
-    return gx
-
-
-def _relu(pre: np.ndarray, relu: bool) -> np.ndarray:
-    return np.maximum(pre, 0) if relu else pre
-
-
-def _fc_forward(x: Tensor, params: dict[str, Tensor], masks: Masks, relu: bool) -> Tensor:
-    w, b = params["W"], params["b"]
-    xd, W = x.data, _masked(params, masks, "W")
-    pre = xd @ W + b.data
-
-    def bwd(g):
-        if relu:
-            g = g * (pre > 0)
-        if b.requires_grad:
-            b._accum(_unbroadcast(g, b.data.shape))
-        if x.requires_grad:
-            x._accum(g @ W.T)
-        if w.requires_grad:
-            w._accum(_unmask(xd.T @ g, masks, "W"))
-
-    return _node(_relu(pre, relu), (x, w, b), bwd)
-
-
-def _factorized_fc_forward(
-    x: Tensor, params: dict[str, Tensor], masks: Masks, relu: bool
-) -> Tensor:
-    # No nonlinearity between factors: together they stand in for one layer.
-    w1, b1, w2, b2 = params["W1"], params["b1"], params["W2"], params["b2"]
-    xd, W1, W2 = x.data, _masked(params, masks, "W1"), _masked(params, masks, "W2")
-    mid = xd @ W1 + b1.data
-    pre = mid @ W2 + b2.data
-
-    def bwd(g):
-        if relu:
-            g = g * (pre > 0)
-        if b2.requires_grad:
-            b2._accum(_unbroadcast(g, b2.data.shape))
-        if w2.requires_grad:
-            w2._accum(_unmask(mid.T @ g, masks, "W2"))
-        if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
-            return
-        gmid = g @ W2.T
-        if b1.requires_grad:
-            b1._accum(_unbroadcast(gmid, b1.data.shape))
-        if x.requires_grad:
-            x._accum(gmid @ W1.T)
-        if w1.requires_grad:
-            w1._accum(_unmask(xd.T @ gmid, masks, "W1"))
-
-    return _node(_relu(pre, relu), (x, w1, b1, w2, b2), bwd)
-
-
-def _conv_forward(
+def _dense_forward(
     x: Tensor, layer: LayerSpec, params: dict[str, Tensor], masks: Masks, relu: bool
 ) -> Tensor:
-    w, b = params["W"], params["b"]
-    x4 = x.data.reshape(x.data.shape[0], layer.I, *layer.input_spatial)
-    W = _masked(params, masks, "W")
-    pre = _conv(x4, W, layer.h, layer.w) + b.data.reshape(1, layer.O, 1, 1)
+    """One fc, factorized_fc, conv or factorized_conv layer as one tape node.
+
+    All four run ``rows @ W1 + b1 [@ W2 + b2]`` and the optional ReLU: the
+    fc kinds over the rows of ``x``, the conv kinds over its im2col patch
+    rows with the first weight read as :func:`conv_matrix`, their
+    (n*h*w, O) result laid out as (n, O, h, w).  No nonlinearity between
+    factors: together they stand in for one layer.  The backward computes a
+    factor's input gradient only when the input or an earlier factor needs
+    it.
+    """
+    names, bias_names, conv = _DENSE[layer.kind]
+    weights = [_masked(params, masks, name) for name in names]
+    if conv:
+        x4 = x.data.reshape(x.data.shape[0], layer.I, *layer.input_spatial)
+        pre = _patches(x4, layer.f, layer.g)
+        weights[0] = conv_matrix(weights[0])
+    else:
+        pre = x.data
+    ins = []  # each factor's input rows
+    for W, name in zip(weights, bias_names):
+        ins.append(pre)
+        pre = pre @ W + params[name].data
+    out = np.maximum(pre, 0) if relu else pre
+    if conv:
+        maps = out.reshape(x4.shape[0], layer.h, layer.w, layer.O).transpose(0, 3, 1, 2)
+        out = np.ascontiguousarray(maps)
 
     def bwd(g):
+        if conv:
+            g = g.transpose(0, 2, 3, 1).reshape(-1, layer.O)
         if relu:
             g = g * (pre > 0)
-        if b.requires_grad:
-            b._accum(_unbroadcast(g, (1, layer.O, 1, 1)).reshape(layer.O))
-        if w.requires_grad:
-            w._accum(_unmask(_conv_weight_grad(g, x4, W), masks, "W"))
-        if x.requires_grad:
-            x._accum(_conv_input_grad(g, x4, W).reshape(x.data.shape))
+        for k in reversed(range(len(names))):
+            w, b = params[names[k]], params[bias_names[k]]
+            if b.requires_grad:
+                b._accum(g.sum(axis=0))
+            if w.requires_grad:
+                dW = ins[k].T @ g
+                if conv and k == 0:
+                    dW = conv_weight(dW, w.data.shape)
+                w._accum(_unmask(dW, masks, names[k]))
+            if not x.requires_grad and not any(
+                params[n].requires_grad for n in names[:k] + bias_names[:k]
+            ):
+                return
+            g = g @ weights[k].T
+        if conv:
+            g = _unpatch(g, x4.shape, layer.f, layer.g).reshape(x.data.shape)
+        x._accum(g)
 
-    return _node(_relu(pre, relu), (x, w, b), bwd)
-
-
-def _factorized_conv_forward(
-    x: Tensor, layer: LayerSpec, params: dict[str, Tensor], masks: Masks, relu: bool
-) -> Tensor:
-    """An R-filter conv, then a 1x1 channel mix (n,R,h,w) @ (R,O) -> (n,O,h,w)."""
-    w1, b1, w2, b2 = params["W1"], params["b1"], params["W2"], params["b2"]
-    x4 = x.data.reshape(x.data.shape[0], layer.I, *layer.input_spatial)
-    W1, W2 = _masked(params, masks, "W1"), _masked(params, masks, "W2")
-    mid = _conv(x4, W1, layer.h, layer.w) + b1.data.reshape(1, layer.R, 1, 1)
-    pre = np.einsum("nrij,ro->noij", mid, W2) + b2.data.reshape(1, layer.O, 1, 1)
-
-    def bwd(g):
-        if relu:
-            g = g * (pre > 0)
-        if b2.requires_grad:
-            b2._accum(_unbroadcast(g, (1, layer.O, 1, 1)).reshape(layer.O))
-        if w2.requires_grad:
-            w2._accum(_unmask(np.einsum("noij,nrij->ro", g, mid), masks, "W2"))
-        if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
-            return
-        gmid = np.einsum("noij,ro->nrij", g, W2)
-        if b1.requires_grad:
-            b1._accum(_unbroadcast(gmid, (1, layer.R, 1, 1)).reshape(layer.R))
-        if w1.requires_grad:
-            w1._accum(_unmask(_conv_weight_grad(gmid, x4, W1), masks, "W1"))
-        if x.requires_grad:
-            x._accum(_conv_input_grad(gmid, x4, W1).reshape(x.data.shape))
-
-    return _node(_relu(pre, relu), (x, w1, b1, w2, b2), bwd)
+    return _node(out, (x, *params.values()), bwd)
 
 
 def _recurrent_forward(
@@ -385,12 +345,4 @@ def layer_forward(
         if relu:
             raise ValueError(f"{kind.value} layers take no ReLU")
         return _recurrent_forward(x, layer, params, masks)
-    if kind == LayerKind.FC:
-        return _fc_forward(x, params, masks, relu)
-    if kind == LayerKind.FACTORIZED_FC:
-        return _factorized_fc_forward(x, params, masks, relu)
-    if kind == LayerKind.CONV:
-        return _conv_forward(x, layer, params, masks, relu)
-    if kind == LayerKind.FACTORIZED_CONV:
-        return _factorized_conv_forward(x, layer, params, masks, relu)
-    raise ValueError(f"no forward rule for kind {kind!r}")
+    return _dense_forward(x, layer, params, masks, relu)

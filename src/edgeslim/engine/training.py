@@ -36,6 +36,12 @@ def epoch_seed(seed: int, epoch: int) -> int:
     return int(np.random.default_rng([seed, epoch]).integers(0, 2**63 - 1))
 
 
+def check_epochs(epochs: int, name: str = "epochs") -> None:
+    """A training run needs at least one epoch."""
+    if epochs < 1:
+        raise ValueError(f"{name} must be at least 1, got {epochs!r}")
+
+
 def train_classifier(
     model: MaskedModel,
     dataset,
@@ -45,6 +51,7 @@ def train_classifier(
     seed: int = 0,
 ) -> list[float]:
     """SGD on mean cross-entropy, in place.  Returns mean loss per epoch."""
+    check_epochs(epochs)
     check_learning_rate(eta)
     losses = []
     for epoch in range(1, epochs + 1):

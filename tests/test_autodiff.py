@@ -63,7 +63,7 @@ def test_reductions_and_reshape():
 
 
 def test_conv2d():
-    # the conv layer node's tap-loop convolution, without mask or ReLU
+    # the conv layer node's im2col convolution, without mask or ReLU
     layer = LayerSpec(LayerKind.CONV, I=2, O=3, f=3, g=3, h=3, w=3)
 
     def build(x, w, b):

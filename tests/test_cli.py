@@ -187,6 +187,18 @@ def test_train_and_dropout_reject_bad_learning_rate(ws, capsys, eta):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("epochs", ["0", "-1"])
+def test_train_rejects_epochs_below_one(ws, capsys, epochs):
+    out = ws / "untrained.json"
+    rc = main([
+        "train", "--arch", str(ws / "arch.json"), "--data", str(ws / "data.csv"),
+        "--out", str(out), "--epochs", epochs,
+    ])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.count("\n") == 1 and "epochs must be at least 1" in err
+    assert not out.exists()
+
+
 def test_dropout_rejects_bad_input_rate(ws, capsys):
     ckpt = train_checkpoint(ws, epochs="2")
     capsys.readouterr()
@@ -450,6 +462,8 @@ def test_pipeline_bad_config_is_input_error(ws, capsys):
                  id="dropout-eta-zero"),
     pytest.param("pretrain_eta", -0.1, {}, "pretrain_eta must be positive and finite",
                  id="pretrain-eta-negative"),
+    pytest.param("pretrain_epochs", 0, {}, "pretrain_epochs must be at least 1",
+                 id="pretrain-epochs-zero"),
     pytest.param(None, None, {"EDGESLIM_ETA": "nan"}, "eta must be positive and finite",
                  id="env-eta-nan"),
     pytest.param("reference_tolerance", -1e-6, {}, "reference_tolerance must be non-negative",

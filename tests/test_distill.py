@@ -19,11 +19,11 @@ from edgeslim.distill import (
     DistillPlan,
     LemmaPoint,
     SCHEMES,
-    attention_loss,
+    attention_loss_node,
     combined_loss,
     convexity_probe,
     determine_halting_epoch,
-    distillation_loss,
+    distillation_loss_node,
     network_flops,
     optimize_lambdas,
     random_interior_points,
@@ -85,32 +85,37 @@ def data():
 
 
 def test_distillation_loss_fixtures():
-    logits = np.array([[0.3, -1.2, 4.0]])
-    assert distillation_loss(logits, logits) == 0.0
-    assert distillation_loss(np.array([[1.0, 2.0]]), np.zeros((1, 2))) == pytest.approx(5.0)
+    lift = ad.lift
+    logits = lift(np.array([[0.3, -1.2, 4.0]]))
+    assert float(distillation_loss_node(logits, logits).data) == 0.0
+    one = distillation_loss_node(lift(np.array([[1.0, 2.0]])), lift(np.zeros((1, 2))))
+    assert float(one.data) == pytest.approx(5.0)
     # mean over the batch
-    t = np.array([[1.0, 0.0], [0.0, 0.0]])
-    s = np.zeros((2, 2))
-    assert distillation_loss(t, s) == pytest.approx(0.5)
+    t = lift(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    s = lift(np.zeros((2, 2)))
+    assert float(distillation_loss_node(t, s).data) == pytest.approx(0.5)
     with pytest.raises(ValueError):
-        distillation_loss(np.zeros((1, 2)), np.zeros((1, 3)))
+        distillation_loss_node(lift(np.zeros((1, 2))), lift(np.zeros((1, 3))))
 
 
 def test_attention_loss_fixtures():
-    a = np.array([[1.0, 0.0]])
-    b = np.array([[0.0, 1.0]])
-    assert attention_loss(a, b) == pytest.approx(2.0)
-    assert attention_loss(a, a) == 0.0
+    a = ad.lift(np.array([[1.0, 0.0]]))
+    b = ad.lift(np.array([[0.0, 1.0]]))
+
+    def loss(t, s):
+        return float(attention_loss_node([t], [s]).data)
+
+    assert loss(a, b) == pytest.approx(2.0)
+    assert loss(a, a) == 0.0
     # scale invariance through row normalization
-    assert attention_loss(3.0 * a, b) == pytest.approx(attention_loss(a, b))
-    assert attention_loss(a, 0.25 * b) == pytest.approx(2.0)
+    assert loss(3.0 * a, b) == pytest.approx(loss(a, b))
+    assert loss(a, 0.25 * b) == pytest.approx(2.0)
     # all-zero map hits the norm floor instead of dividing by zero
-    assert np.isfinite(attention_loss(np.zeros((1, 2)), b))
+    assert np.isfinite(loss(ad.lift(np.zeros((1, 2))), b))
 
 
 def test_attention_loss_detaches_dead_rows():
     from edgeslim.engine.autodiff import Tensor
-    from edgeslim.distill import attention_loss_node
 
     student = Tensor(np.array([[0.0, 0.0], [0.3, 0.4]]), requires_grad=True)
     teacher = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
@@ -124,15 +129,15 @@ def test_attention_loss_detaches_dead_rows():
 
 
 def test_attention_loss_layer_handling():
-    a = np.array([[1.0, 0.0]])
-    b = np.array([[0.0, 1.0]])
-    two = attention_loss([a, a], [b, b])
+    a = ad.lift(np.array([[1.0, 0.0]]))
+    b = ad.lift(np.array([[0.0, 1.0]]))
+    two = float(attention_loss_node([a, a], [b, b]).data)
     assert two == pytest.approx(4.0)  # sums over layers
-    assert attention_loss([], []) == 0.0
+    assert float(attention_loss_node([], []).data) == 0.0
     with pytest.raises(ValueError):
-        attention_loss([a], [b, b])
+        attention_loss_node([a], [b, b])
     with pytest.raises(ValueError):
-        attention_loss(a, np.zeros((1, 3)))
+        attention_loss_node([a], [ad.lift(np.zeros((1, 3)))])
 
 
 def test_plan_validation():

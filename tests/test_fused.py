@@ -3,13 +3,14 @@
 Each node is checked three ways: its gradients against central differences
 in float64, its float32 output and gradients bit for bit against the same
 computation written op by op in plain numpy, and the size of the tape it
-records.
+records.  The conv kinds are also checked against a per-tap convolution
+loop, within a rounding bound.
 """
 
 import numpy as np
 import pytest
 
-from edgeslim.archspec import LayerKind, LayerSpec, NetworkSpec, check_valid
+from edgeslim.archspec import CONV_KINDS, LayerKind, LayerSpec, NetworkSpec, check_valid
 from edgeslim.distill import NORM_FLOOR, align_map_pair, attention_loss_node
 from edgeslim.engine import autodiff as ad
 from edgeslim.engine.layers import layer_forward, param_layout
@@ -20,6 +21,11 @@ FUSED = {
     "factorized_fc": LayerSpec(LayerKind.FACTORIZED_FC, I=4, O=3, R=2),
     "conv": LayerSpec(LayerKind.CONV, I=2, O=3, f=2, g=2, h=3, w=3),
     "factorized_conv": LayerSpec(LayerKind.FACTORIZED_CONV, I=2, O=3, f=2, g=2, h=3, w=3, R=2),
+    # f != g and h != w: a swapped tap or spatial axis shows only here
+    "conv_rect": LayerSpec(LayerKind.CONV, I=2, O=3, f=2, g=3, h=3, w=4),
+    "factorized_conv_rect": LayerSpec(
+        LayerKind.FACTORIZED_CONV, I=2, O=3, f=2, g=3, h=3, w=4, R=2
+    ),
 }
 BATCH = 3
 
@@ -126,6 +132,98 @@ def test_attention_pair_gradients_match_finite_differences():
         assert_close(tensor.grad[live], numeric[live], f"student map {idx}")
 
 
+def im2col(x4, f, g):
+    """Patch rows read window by window: row (n, i, j), columns (channel, tap)."""
+    n, _, H, W = x4.shape
+    windows = [
+        x4[:, :, i : i + f, j : j + g].reshape(n, -1)
+        for i in range(H - f + 1)
+        for j in range(W - g + 1)
+    ]
+    return np.stack(windows, axis=1).reshape(-1, windows[0].shape[1])
+
+
+def col2im(rows, x_shape, f, g):
+    """Add each patch row's gradient back onto its input pixels, tap by tap."""
+    n, c, H, W = x_shape
+    h, w = H - f + 1, W - g + 1
+    taps = rows.reshape(n, h, w, c, f, g)
+    gx = np.zeros(x_shape, dtype=rows.dtype)
+    for u in range(f):
+        for v in range(g):
+            gx[:, :, u : u + h, v : v + w] += taps[..., u, v].transpose(0, 3, 1, 2)
+    return gx
+
+
+def as_matrix(weight):
+    """A conv weight (O, I, f, g) as its (I*f*g, O) matrix, rows in (channel, tap) order."""
+    return weight.reshape(len(weight), -1).T
+
+
+def reference(layer, x, p, m, relu, g):
+    """One step per numpy op: mask multiply, each factor's GEMM, bias add,
+    ReLU, and each op's backward in reverse order.  A conv kind is its dense
+    kind over im2col patch rows, its weight read as the (I*f*g, O) matrix."""
+    if layer.kind in CONV_KINDS:
+        n = len(x)
+        x4 = x.reshape(n, layer.I, *layer.input_spatial)
+        first = "W" if layer.kind == LayerKind.CONV else "W1"
+        dense = LayerKind.FC if layer.kind == LayerKind.CONV else LayerKind.FACTORIZED_FC
+        out, grads = reference(
+            LayerSpec(dense, I=layer.I * layer.f * layer.g, O=layer.O, R=layer.R),
+            im2col(x4, layer.f, layer.g),
+            {**p, first: as_matrix(p[first])},
+            {**m, first: as_matrix(m[first])},
+            relu,
+            g.transpose(0, 2, 3, 1).reshape(-1, layer.O),
+        )
+        out = out.reshape(n, layer.h, layer.w, layer.O).transpose(0, 3, 1, 2)
+        grads[first] = grads[first].T.reshape(p[first].shape)
+        grads["x"] = col2im(grads["x"], x4.shape, layer.f, layer.g).reshape(x.shape)
+        return out, grads
+    grads = {}
+    if layer.kind == LayerKind.FC:
+        W = p["W"] * m["W"]
+        pre = x @ W + p["b"]
+    else:
+        W1, W2 = p["W1"] * m["W1"], p["W2"] * m["W2"]
+        mid = x @ W1 + p["b1"]
+        pre = mid @ W2 + p["b2"]
+    out = np.maximum(pre, 0) if relu else pre
+    if relu:
+        g = g * (pre > 0)
+    if layer.kind == LayerKind.FC:
+        grads["b"] = g.sum(axis=0)
+        grads["x"] = g @ W.T
+        grads["W"] = (x.T @ g) * m["W"]
+    else:
+        grads["b2"] = g.sum(axis=0)
+        grads["W2"] = (mid.T @ g) * m["W2"]
+        gmid = g @ W2.T
+        grads["b1"] = gmid.sum(axis=0)
+        grads["x"] = gmid @ W1.T
+        grads["W1"] = (x.T @ gmid) * m["W1"]
+    return out, grads
+
+
+@pytest.mark.parametrize("upstream_dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("kind", sorted(FUSED))
+def test_fused_layer_is_bit_identical_to_op_chain(kind, relu, upstream_dtype):
+    # float32 data; training's upstream gradient is float64 (the loss weights
+    # are float64 scalars), the float32 case covers a bare float32 loss
+    layer, x, params, masks = layer_fixture(kind, np.float32, seed=4)
+    out, grads = run_node(layer, {"x": x, **params}, masks, relu, np.zeros(1))
+    g = np.random.default_rng(5).normal(size=out.shape).astype(upstream_dtype)
+    out, grads = run_node(layer, {"x": x, **params}, masks, relu, g)
+    expect_out, expect = reference(layer, x, params, masks, relu, g)
+    assert out.dtype == expect_out.dtype and np.array_equal(out, expect_out)
+    assert grads.keys() == expect.keys()
+    for name, grad in grads.items():
+        assert grad.dtype == expect[name].dtype, name
+        assert np.array_equal(grad, expect[name]), name
+
+
 def tap_conv(x4, w, out_h, out_w):
     out = np.zeros((x4.shape[0], w.shape[0], out_h, out_w), dtype=x4.dtype)
     for u in range(w.shape[2]):
@@ -141,27 +239,17 @@ def tap_conv_backward(grad, x4, w):
         for v in range(w.shape[3]):
             window = x4[:, :, u : u + out_h, v : v + out_w]
             gw[:, :, u, v] = np.einsum("noij,ncij->oc", grad, window)
-    for u in range(w.shape[2]):
-        for v in range(w.shape[3]):
             tap = np.einsum("noij,oc->ncij", grad, w[:, :, u, v])
             gx[:, :, u : u + out_h, v : v + out_w] += tap
     return gw, gx
 
 
-def reference(kind, layer, x, p, m, relu, g):
-    """One step per generic op: mask multiply, GEMM / conv / channel mix,
-    broadcast bias add, ReLU, and each op's backward in reverse order."""
+def tap_reference(layer, x, p, m, relu, g):
+    """A conv kind as a per-tap loop of channel contractions, with the 1x1
+    channel mix of the factorized kind as one contraction over (n, h, w)."""
+    x4 = x.reshape(len(x), layer.I, *layer.input_spatial)
     grads = {}
-    if kind in ("conv", "factorized_conv"):
-        x4 = x.reshape(BATCH, layer.I, *layer.input_spatial)
-    if kind == "fc":
-        W = p["W"] * m["W"]
-        pre = x @ W + p["b"]
-    elif kind == "factorized_fc":
-        W1, W2 = p["W1"] * m["W1"], p["W2"] * m["W2"]
-        mid = x @ W1 + p["b1"]
-        pre = mid @ W2 + p["b2"]
-    elif kind == "conv":
+    if layer.kind == LayerKind.CONV:
         W = p["W"] * m["W"]
         pre = tap_conv(x4, W, layer.h, layer.w) + p["b"].reshape(1, layer.O, 1, 1)
     else:
@@ -171,47 +259,40 @@ def reference(kind, layer, x, p, m, relu, g):
     out = np.maximum(pre, 0) if relu else pre
     if relu:
         g = g * (pre > 0)
-    if kind == "fc":
-        grads["b"] = g.sum(axis=0)
-        grads["x"] = g @ W.T
-        grads["W"] = (x.T @ g) * m["W"]
-    elif kind == "factorized_fc":
-        grads["b2"] = g.sum(axis=0)
-        grads["W2"] = (mid.T @ g) * m["W2"]
-        gmid = g @ W2.T
-        grads["b1"] = gmid.sum(axis=0)
-        grads["x"] = gmid @ W1.T
-        grads["W1"] = (x.T @ gmid) * m["W1"]
-    elif kind == "conv":
-        grads["b"] = g.sum(axis=(0, 2, 3), keepdims=True).reshape(layer.O)
+    if layer.kind == LayerKind.CONV:
+        grads["b"] = g.sum(axis=(0, 2, 3))
         gw, gx = tap_conv_backward(g, x4, W)
         grads["W"], grads["x"] = gw * m["W"], gx.reshape(x.shape)
     else:
-        grads["b2"] = g.sum(axis=(0, 2, 3), keepdims=True).reshape(layer.O)
+        grads["b2"] = g.sum(axis=(0, 2, 3))
         grads["W2"] = np.einsum("noij,nrij->ro", g, mid) * m["W2"]
         gmid = np.einsum("noij,ro->nrij", g, W2)
-        grads["b1"] = gmid.sum(axis=(0, 2, 3), keepdims=True).reshape(layer.R)
+        grads["b1"] = gmid.sum(axis=(0, 2, 3))
         gw, gx = tap_conv_backward(gmid, x4, W1)
         grads["W1"], grads["x"] = gw * m["W1"], gx.reshape(x.shape)
     return out, grads
 
 
-@pytest.mark.parametrize("upstream_dtype", [np.float32, np.float64])
+# Largest difference from the tap loop, relative to the largest magnitude of
+# the array: the two sum the same products in a different order.  16 float32
+# epsilons is about 4x the largest difference seen at these sizes.
+TAP_BOUND = {np.float32: 16 * np.finfo(np.float32).eps, np.float64: 1e-12}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("relu", [False, True])
-@pytest.mark.parametrize("kind", sorted(FUSED))
-def test_fused_layer_is_bit_identical_to_op_chain(kind, relu, upstream_dtype):
-    # float32 data; training's upstream gradient is float64 (the loss weights
-    # are float64 scalars), the float32 case covers a bare float32 loss
-    layer, x, params, masks = layer_fixture(kind, np.float32, seed=4)
-    out, grads = run_node(layer, {"x": x, **params}, masks, relu, np.zeros(1))
-    g = np.random.default_rng(5).normal(size=out.shape).astype(upstream_dtype)
+@pytest.mark.parametrize("kind", sorted(k for k in FUSED if FUSED[k].kind in CONV_KINDS))
+def test_conv_kinds_match_tap_loop(kind, relu, dtype):
+    layer, x, params, masks = layer_fixture(kind, dtype, seed=7)
+    out, _ = run_node(layer, {"x": x, **params}, masks, relu, np.zeros(1))
+    g = np.random.default_rng(8).normal(size=out.shape).astype(dtype)
     out, grads = run_node(layer, {"x": x, **params}, masks, relu, g)
-    expect_out, expect = reference(kind, layer, x, params, masks, relu, g)
-    assert out.dtype == expect_out.dtype and np.array_equal(out, expect_out)
+    expect_out, expect = tap_reference(layer, x, params, masks, relu, g)
     assert grads.keys() == expect.keys()
-    for name, grad in grads.items():
-        assert grad.dtype == expect[name].dtype, name
-        assert np.array_equal(grad, expect[name]), name
+    for name, got, want in [("out", out, expect_out), *((k, grads[k], expect[k]) for k in grads)]:
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        err = np.abs(got - want).max() / np.abs(want).max()
+        assert err <= TAP_BOUND[dtype], f"{name}: relative difference {err:.2e}"
 
 
 def test_attention_pair_is_bit_identical_to_op_chain():

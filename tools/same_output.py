@@ -9,14 +9,17 @@ once against each source tree and compare the two printouts:
 
 It runs the ``dense`` and ``mixed`` workloads of ``bench/workloads.py`` at
 seeds 0-2 and prints the sha256 of ``manifest.json`` and of
-``best_student.json`` for each, then runs ``layers`` at seed 0 and prints its
-losses as float hex.  Every run uses the same working directory, because the
-manifest records the paths of its inputs.
+``best_student.json`` for each, then runs ``layers`` at seed 0 and prints
+each loss as float hex on its own line, labelled with its layer kind and
+batch.  Every run uses the same working directory, because the manifest
+records the paths of its inputs.
 
 Each pipeline line also carries the best candidate's ``val_accuracy``,
-``halting_epoch`` and ``final_combined_loss`` (float hex), so when a change
-moves float rounding and the digests differ, the diff shows how far the
-results moved.
+``halting_epoch`` and ``final_combined_loss`` (float hex), and is followed by
+one line per candidate with its ``l``, ``val_accuracy``, ``halting_epoch``,
+``report.total_flops`` and ``training_flops``.  When a change moves float
+rounding and the digests differ, the diff shows how far the results moved
+and whether any candidate's outcome changed.
 """
 
 from __future__ import annotations
@@ -48,6 +51,16 @@ def _best_summary(manifest: Path) -> str:
     )
 
 
+def _candidates(manifest: Path) -> list[str]:
+    """One line per candidate: its outcome, without float rounding."""
+    return [
+        f"  candidate l={r['l']} val_accuracy={r['val_accuracy']!r}"
+        f" halting_epoch={r['halting_epoch']}"
+        f" total_flops={r['report']['total_flops']} training_flops={r['training_flops']}"
+        for r in json.loads(manifest.read_text())["result"]["records"]
+    ]
+
+
 def _run(name: str, workdir: Path, seed: int):
     shutil.rmtree(workdir, ignore_errors=True)
     workload = workloads.WORKLOADS[name]
@@ -73,10 +86,11 @@ def main(argv=None) -> None:
                 f" manifest={_sha256(out / 'manifest.json')}"
                 f" best_student={_sha256(out / 'best_student.json')}"
                 f" {_best_summary(out / 'manifest.json')}",
-                flush=True,
             )
-    _, losses = _run("layers", workdir, 0)
-    print("layers seed=0 losses=" + " ".join(float.hex(v) for v in losses))
+            print("\n".join(_candidates(out / "manifest.json")), flush=True)
+    state, losses = _run("layers", workdir, 0)
+    for cell, loss in zip(state.cells, losses):
+        print(f"layers seed=0 kind={cell.kind} batch={cell.batch} loss={float.hex(loss)}")
     shutil.rmtree(workdir, ignore_errors=True)
 
 
