@@ -194,7 +194,7 @@ def check_valid(spec: NetworkSpec) -> NetworkSpec:
     """Raise ValueError with all problems if ``spec`` is invalid."""
     problems = validate(spec)
     if problems:
-        raise ValueError("invalid network spec:\n" + "\n".join(problems))
+        raise ValueError("invalid network spec: " + "; ".join(problems))
     return spec
 
 
@@ -262,7 +262,7 @@ def network_from_dict(data: Mapping) -> NetworkSpec:
         raise ValueError(f"network layers must be a list, got {data['layers']!r}")
     for key in ("class_count", "shared_prefix"):
         value = data.get(key)
-        if value is not None and not is_json_number(value, integral=True):
+        if (value is not None or key == "class_count") and not is_json_number(value, True):
             raise ValueError(f"network {key} must be an integer, got {value!r}")
     layers = tuple(layer_from_dict(entry) for entry in data["layers"])
     return check_valid(

@@ -90,18 +90,16 @@ def write_json(path, payload: dict) -> None:
         raise
 
 
-def _load_arch(path):
+def _load(path, build):
+    """``build`` applied to the JSON at ``path``; a ValueError is an input error."""
     try:
-        return check_valid(network_from_dict(read_json(path)))
+        return build(read_json(path))
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from None
 
 
-def _load_device(path):
-    try:
-        return device_from_dict(read_json(path))
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from None
+def _arch(raw):
+    return check_valid(network_from_dict(raw))
 
 
 def _load_dataset(path):
@@ -111,13 +109,6 @@ def _load_dataset(path):
         raise InputError(f"{path}: no such file") from None
     except ValueError as exc:
         raise InputError(str(exc)) from None
-
-
-def _load_model(path):
-    try:
-        return load_checkpoint(read_json(path))
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from None
 
 
 def _stamp(payload: dict, **resolved) -> dict:
@@ -130,8 +121,8 @@ def _stamp(payload: dict, **resolved) -> dict:
 
 
 def cmd_estimate(args) -> int:
-    spec = _load_arch(args.arch)
-    device = _load_device(args.device)
+    spec = _load(args.arch, _arch)
+    device = _load(args.device, device_from_dict)
     report = estimate_network(
         spec, resolve_alpha(device, pipeline_mod.network_flops(spec)), args.omega
     )
@@ -144,22 +135,20 @@ def cmd_gendata(args) -> int:
         raise InputError("gendata needs at least two classes")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    if args.n == 0:
-        tmp = out.with_name(out.name + ".tmp")
-        tmp.write_text("label," + ",".join(f"s{i}" for i in range(args.p)) + "\r\n")
-        os.replace(tmp, out)
-        return EXIT_OK
-    dataset = make_synthetic(
-        k=args.k, p=args.p, n=args.n, seed=args.seed, separation=args.separation
-    )
     tmp = out.with_name(out.name + ".tmp")
-    save_csv(dataset, tmp)
+    if args.n == 0:
+        tmp.write_text("label," + ",".join(f"s{i}" for i in range(args.p)) + "\r\n")
+    else:
+        dataset = make_synthetic(
+            k=args.k, p=args.p, n=args.n, seed=args.seed, separation=args.separation
+        )
+        save_csv(dataset, tmp)
     os.replace(tmp, out)
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    spec = _load_arch(args.arch)
+    spec = _load(args.arch, _arch)
     dataset = _load_dataset(args.data)
     model = init_model(spec, seed=args.seed)
     history = train_classifier(
@@ -179,7 +168,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_dropout(args) -> int:
-    model, extras = _load_model(args.checkpoint)
+    model, extras = _load(args.checkpoint, load_checkpoint)
     dataset = _load_dataset(args.data)
     reference = args.reference_loss
     if reference is None:
@@ -201,8 +190,8 @@ def cmd_dropout(args) -> int:
 
 
 def cmd_compress(args) -> int:
-    model, extras = _load_model(args.checkpoint)
-    device = resolve_alpha(_load_device(args.device), pipeline_mod.network_flops(model.spec))
+    model, extras = _load(args.checkpoint, load_checkpoint)
+    device = resolve_alpha(_load(args.device, device_from_dict), pipeline_mod.network_flops(model.spec))
     outcome = compressor.run(model, device, args.omega, size_penalty=args.size_penalty)
     write_json(args.out, save_checkpoint(outcome.model, extras or None))
     if args.report:
@@ -211,7 +200,7 @@ def cmd_compress(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model, _ = _load_model(args.checkpoint)
+    model, _ = _load(args.checkpoint, load_checkpoint)
     dataset = _load_dataset(args.data)
     if model.spec.layers[0].input_width != dataset.p:
         raise InputError(
@@ -233,13 +222,13 @@ def cmd_pipeline(args) -> int:
     except (ValueError, TypeError, FileNotFoundError) as exc:
         raise InputError(f"{args.config}: {exc}") from None
 
-    spec = _load_arch(config.architecture)
-    device = _load_device(config.device)
+    spec = _load(config.architecture, _arch)
+    device = _load(config.device, device_from_dict)
     dataset = _load_dataset(config.dataset)
     out_dir = Path(config.output_dir)
 
     if config.teacher is not None:
-        teacher, extras = _load_model(config.teacher)
+        teacher, extras = _load(config.teacher, load_checkpoint)
         if teacher.spec.layers != spec.layers:
             raise InputError(
                 f"{config.teacher}: checkpoint architecture does not match "

@@ -28,7 +28,7 @@ import numpy as np
 
 from edgeslim.archspec import FACTORIZED_KINDS, LayerKind, LayerSpec, NetworkSpec, check_valid
 from edgeslim.engine.layers import conv_matrix, conv_weight, param_layout
-from edgeslim.engine.model import LayerParams, MaskedModel, copy_model
+from edgeslim.engine.model import LayerParams, MaskedModel
 from edgeslim.resources import (
     DeviceProfile,
     ResourceReport,
@@ -272,7 +272,7 @@ def run(
     if before.feasible:
         return CompressionOutcome(model=model, report=before, before=before)
 
-    work = copy_model(model)
+    work = list(model.layers)  # per-layer parameters; rewrites replace entries
     layers = list(spec.layers)
     records: list = []
     # layer index -> (original layer, effective matrix, bias), for re-splits
@@ -291,11 +291,11 @@ def run(
             r_max = factorization_threshold(layer.I, layer.O)
             if r_max < 1:
                 continue
-            matrix = effective_matrix(layer, work.layers[idx])
-            bias = work.layers[idx].params["b"].copy()
+            matrix = effective_matrix(layer, work[idx])
+            bias = work[idx].params["b"].copy()
             result = choose_rank(matrix, r_max, size_penalty=size_penalty)
             new_layer, new_params = factorize_layer_params(
-                layer, matrix, bias, result.R, work.dtype
+                layer, matrix, bias, result.R, model.dtype
             )
             new_cost = estimate_layer(new_layer)
             if not (new_cost.params < old_cost.params and new_cost.flops < old_cost.flops):
@@ -303,7 +303,7 @@ def run(
             originals[idx] = (layer, matrix, bias)
             record = replace(result, layer_index=idx)
         elif layer.kind in (LayerKind.LSTM, LayerKind.GRU):
-            new_layer, new_params = reduce_layer_params(layer, work.layers[idx], work.dtype)
+            new_layer, new_params = reduce_layer_params(layer, work[idx], model.dtype)
             new_cost = estimate_layer(new_layer)
             record = GateReductionResult(
                 layer_index=idx, from_kind=layer.kind.value, to_kind=new_layer.kind.value
@@ -311,7 +311,7 @@ def run(
         else:
             continue
         layers[idx] = new_layer
-        work.layers[idx] = new_params
+        work[idx] = new_params
         records.append(
             replace(
                 record,
@@ -324,12 +324,12 @@ def run(
         report = price()
 
     if not report.feasible:
-        report = _tighten_ranks(work, layers, originals, device, report, price)
+        report = _tighten_ranks(work, model.dtype, layers, originals, device, report, price)
 
-    work.spec = check_valid(replace(spec, layers=tuple(layers)))
+    out = MaskedModel(check_valid(replace(spec, layers=tuple(layers))), work, model.dtype)
     for i, rec in enumerate(records):
         # refresh in case tightening moved a rank after the record was cut
-        layer = work.spec.layers[rec.layer_index]
+        layer = out.spec.layers[rec.layer_index]
         cost = estimate_layer(layer)
         rec = replace(rec, params_after=cost.params, flops_after=cost.flops)
         if isinstance(rec, FactorizationResult) and layer.R != rec.R:
@@ -337,11 +337,12 @@ def run(
             error = float(truncation_errors(matrix)[layer.R - 1])
             rec = replace(rec, R=layer.R, reconstruction_error=error)
         records[i] = rec
-    return CompressionOutcome(model=work, report=report, before=before, records=records)
+    return CompressionOutcome(model=out, report=report, before=before, records=records)
 
 
 def _tighten_ranks(
-    work: MaskedModel,
+    work: list[LayerParams],
+    dtype,
     layers: list[LayerSpec],
     originals: dict[int, tuple[LayerSpec, np.ndarray, np.ndarray]],
     device: DeviceProfile,
@@ -366,9 +367,7 @@ def _tighten_ranks(
         new_r = min(layer.R, max(1, fitting))
         while True:
             if new_r < layer.R:
-                layers[idx], work.layers[idx] = factorize_layer_params(
-                    *originals[idx], new_r, work.dtype
-                )
+                layers[idx], work[idx] = factorize_layer_params(*originals[idx], new_r, dtype)
                 report = price()
             if report.feasible or new_r <= 1:
                 break

@@ -16,10 +16,13 @@ supplies AL targets whenever present.  The l-weights on the simplex are
 tuned by differential evolution against validation accuracy.
 
 The pretrained teacher is frozen and nothing augments the data, so each
-:func:`train` call runs it once over the training fold, in chunks, and
-indexes its logits and attention maps by each batch's rows.  While the
-trainee is live and shares the student's leading layers, each batch runs
-that shared prefix once and both tails continue from its output.
+:func:`train` call runs it once over the training fold, in chunks.  Its
+attention targets are also computed once per call: each map projected to
+the student's width where wider, then row-normalised.  Each batch indexes
+the logits and targets by its rows.  While the trainee is live and shares
+the student's leading layers, each batch runs that shared prefix once and
+both tails continue from its output; the student's prefix views the
+trainee's parameter buffer, so one step moves it once.
 """
 
 from __future__ import annotations
@@ -39,9 +42,10 @@ from edgeslim.engine.model import (
     TrainingDiverged,
     check_learning_rate,
     cross_entropy_node,
+    descend,
     forward,
+    gather_grads,
     model_bytes,
-    sgd_update,
 )
 from edgeslim.engine.training import epoch_seed, iterate_minibatches, predict
 from edgeslim.metrics import accuracy as metric_accuracy
@@ -219,6 +223,8 @@ def _attention_term(t_unit: np.ndarray, s: Tensor) -> Tensor:
     bit-identical to it: the square's two factors and the normalization's
     two uses of the live rows each contribute a separate term.
     """
+    if t_unit.shape != s.data.shape:
+        raise ValueError(f"map shapes differ: {t_unit.shape} vs {s.data.shape}")
     s_unit, alive, live, sumsq, norm = _unit_rows(s.data)
     diff = t_unit + (-s_unit)
     rows = (diff * diff).sum(axis=1)
@@ -248,13 +254,16 @@ def attention_loss_node(
         raise ValueError(
             f"map counts differ: {len(teacher_maps)} vs {len(student_maps)}"
         )
+    if any(t.requires_grad for t in teacher_maps):
+        raise ValueError("teacher attention maps must be detached")
+    return _attention_sum([_unit_rows(t.data)[0] for t in teacher_maps], student_maps)
+
+
+def _attention_sum(t_units: Sequence[np.ndarray], student_maps: Sequence[Tensor]) -> Tensor:
+    """Sum of :func:`_attention_term` over the layers, in layer order."""
     total = None
-    for t, s in zip(teacher_maps, student_maps):
-        if t.data.shape != s.data.shape:
-            raise ValueError(f"map shapes differ: {t.data.shape} vs {s.data.shape}")
-        if t.requires_grad:
-            raise ValueError("teacher attention maps must be detached")
-        term = _attention_term(_unit_rows(t.data)[0], s)
+    for t_unit, s in zip(t_units, student_maps):
+        term = _attention_term(t_unit, s)
         total = term if total is None else total + term
     if total is None:
         return ad.lift(np.float64(0.0))
@@ -283,18 +292,27 @@ def build_attention_maps(
     return maps
 
 
+def _project_down(m: Tensor, width: int, layer_idx: int, seed: int) -> Tensor:
+    """``m`` projected to ``width`` columns if it is wider, else ``m``."""
+    if m.data.shape[1] <= width:
+        return m
+    proj = _projection(seed, layer_idx, m.data.shape[1], width)
+    return m @ ad.lift(proj.astype(m.data.dtype))
+
+
 def align_map_pair(
     t_map: Tensor, s_map: Tensor, layer_idx: int, seed: int
 ) -> tuple[Tensor, Tensor]:
     """Project the wider map down when teacher/student widths differ."""
     wt, ws = t_map.data.shape[1], s_map.data.shape[1]
-    if wt == ws:
-        return t_map, s_map
-    if wt > ws:
-        proj = ad.lift(_projection(seed, layer_idx, wt, ws).astype(t_map.data.dtype))
-        return t_map @ proj, s_map
-    proj = ad.lift(_projection(seed, layer_idx, ws, wt).astype(s_map.data.dtype))
-    return t_map, s_map @ proj
+    return _project_down(t_map, ws, layer_idx, seed), _project_down(s_map, wt, layer_idx, seed)
+
+
+def _teacher_attention(targets: Sequence[np.ndarray], s_maps: Sequence[Tensor], seed: int) -> Tensor:
+    """:func:`attention_loss_node` of aligned pairs, against teacher unit rows
+    already aligned (``_frozen_outputs``' targets, indexed by the batch)."""
+    s_maps = [_project_down(s, t.shape[1], i, seed) for i, (t, s) in enumerate(zip(targets, s_maps))]
+    return _attention_sum(targets, s_maps)
 
 
 # -- training loop ----------------------------------------------------------
@@ -307,10 +325,8 @@ class EpochRecord:
     cumulative_flops: int
 
     def to_dict(self) -> dict:
-        out = self.breakdown.to_dict()
-        out["val_accuracy"] = self.val_accuracy
-        out["cumulative_flops"] = self.cumulative_flops
-        return out
+        extra = {"val_accuracy": self.val_accuracy, "cumulative_flops": self.cumulative_flops}
+        return {**self.breakdown.to_dict(), **extra}
 
 
 @dataclass
@@ -336,70 +352,60 @@ def network_flops(spec: NetworkSpec) -> int:
 
 
 def share_prefix_layers(student: MaskedModel, trainee: MaskedModel, prefix: int) -> None:
-    """Alias the first ``prefix`` layers: the student reuses the trainee's
-    arrays, so one update moves both until the halt severs them."""
+    """Alias the first ``prefix`` layers: the student borrows the trainee's
+    layers, which view the trainee's buffer, and repacks its own buffer
+    over the rest.  One update moves the prefix for both until the halt
+    repacks the student whole (``student.pack()``)."""
     for idx in range(prefix):
         if student.spec.layers[idx] != trainee.spec.layers[idx]:
             raise ValueError(f"layer {idx} is not structurally shared")
         student.layers[idx] = trainee.layers[idx]
-
-
-def _shares_prefix(student: MaskedModel, trainee: MaskedModel, prefix: int) -> bool:
-    return all(
-        student.layers[i].params[name] is trainee.layers[i].params[name]
-        for i in range(prefix)
-        for name in student.layers[i].params
-    )
-
-
-def _sever_shared(student: MaskedModel, prefix: int) -> None:
-    """Give the student private copies of the shared arrays (at halt)."""
-    from edgeslim.engine.model import LayerParams
-
-    for idx in range(prefix):
-        lp = student.layers[idx]
-        student.layers[idx] = LayerParams(
-            params={k: v.copy() for k, v in lp.params.items()},
-            masks={k: v.copy() for k, v in lp.masks.items()},
-        )
+    student.pack(prefix)
 
 
 def _apply_updates(traces: list[ForwardTrace], eta: float) -> None:
-    """One SGD step over the union of leaves; shared arrays move once."""
-    seen: set[int] = set()
+    """One SGD step of every trace's model.
+
+    Each model gathers the gradients of the layers its buffer holds; a
+    borrowed prefix is gathered once, with the trainee's.  Every buffer is
+    checked before any parameter moves.
+    """
     for trace in traces:
-        for layer_leaves in trace.leaves:
-            for name, leaf in layer_leaves.items():
-                if not leaf.requires_grad or id(leaf) in seen:
-                    continue
-                seen.add(id(leaf))
-                if leaf.grad is not None:
-                    sgd_update(leaf.data, leaf.grad, eta, name)
-
-
-def _detached_maps(trace: ForwardTrace, spec: NetworkSpec) -> list[Tensor]:
-    return [ad.lift(m.data) for m in build_attention_maps(trace, spec)]
+        gather_grads(trace.model, trace.leaves[trace.model.borrowed :])
+    descend([trace.model for trace in traces], eta)
 
 
 FROZEN_CHUNK = 256  # rows per frozen-teacher forward, as in ``predict``
 
 
 def _frozen_outputs(
-    teacher: MaskedModel, features: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The frozen teacher's logits and attention maps for every row.
+    teacher: MaskedModel, features: np.ndarray, student: MaskedModel, seed: int, keep_maps: bool
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """The frozen teacher's logits, attention maps and attention targets
+    for every row.
 
     Runs the teacher in chunks of ``FROZEN_CHUNK`` rows, so the tape-free
-    intermediates of a whole fold never live at once.  Each output row is a
-    function of its input row alone, so indexing these arrays by a batch's
-    rows gives what a forward pass on that batch would.
+    intermediates of a whole fold never live at once.  The targets are the
+    unit rows of each map, projected first to the width of ``student``'s
+    map where the teacher's is wider; the maps come back only with
+    ``keep_maps`` (else None).  Each output row is a function of its input
+    row alone, so indexing these arrays by a batch's rows gives what a
+    forward pass on that batch would.
     """
     logits, maps = [], []
     for begin in range(0, features.shape[0], FROZEN_CHUNK):
         trace = forward(teacher, features[begin : begin + FROZEN_CHUNK], trainable=False)
         logits.append(trace.logits.data)
         maps.append([m.data for m in build_attention_maps(trace, teacher.spec)])
-    return np.concatenate(logits), [np.concatenate(layer) for layer in zip(*maps)]
+    maps = [np.concatenate(layer) for layer in zip(*maps)]
+    targets = []
+    for i, layer in zip(range(len(maps)), student.spec.layers[:-1]):
+        aligned = _project_down(ad.lift(maps[i]), layer.O, i, seed).data
+        if not keep_maps:
+            maps[i] = None  # freed as its targets replace it
+        chunks = range(0, len(aligned), FROZEN_CHUNK)
+        targets.append(np.concatenate([_unit_rows(aligned[b : b + FROZEN_CHUNK])[0] for b in chunks]))
+    return np.concatenate(logits), maps, targets
 
 
 def _continued(model: MaskedModel, head: ForwardTrace, start: int) -> ForwardTrace:
@@ -411,6 +417,7 @@ def _continued(model: MaskedModel, head: ForwardTrace, start: int) -> ForwardTra
         activations=head.activations + tail.activations,
         leaves=head.leaves + tail.leaves,
         batch_size=head.batch_size,
+        model=model,
     )
 
 
@@ -443,20 +450,19 @@ def train(
     the plateau began.
     """
     traits = SCHEMES[plan.scheme]
-    if traits.trainee and trainee is None:
-        raise ValueError(f"scheme {plan.scheme} needs a trainee model")
-    if not traits.trainee and trainee is not None:
-        raise ValueError(f"scheme {plan.scheme} does not take a trainee")
-    if traits.pretrained and pretrained_teacher is None:
-        raise ValueError(f"scheme {plan.scheme} needs a pretrained teacher")
-    if not traits.pretrained and pretrained_teacher is not None:
-        raise ValueError(f"scheme {plan.scheme} does not take a pretrained teacher")
+    for wanted, model, role in (
+        (traits.trainee, trainee, "trainee model"),
+        (traits.pretrained, pretrained_teacher, "pretrained teacher"),
+    ):
+        if wanted != (model is not None):
+            verb = "needs" if wanted else "does not take"
+            raise ValueError(f"scheme {plan.scheme} {verb} a {role}")
     if trainee is not None and pretrained_teacher is not None:
         if trainee.spec.layers != pretrained_teacher.spec.layers:
             raise ValueError("trainee and pretrained teacher must share one architecture")
     prefix = plan.shared_prefix if plan.shared_prefix is not None else student.spec.shared_prefix
     if traits.shared:
-        if not _shares_prefix(student, trainee, prefix):
+        if student.borrowed != prefix or student.layers[:prefix] != trainee.layers[:prefix]:
             raise ValueError(
                 "scheme shares the leading layers; call share_prefix_layers first"
             )
@@ -480,15 +486,16 @@ def train(
         halting_epoch = epoch
         trainee_bytes = model_bytes(trainee)
         if traits.shared:
-            _sever_shared(student, prefix)
+            student.pack()  # one copy gives the student a private buffer
 
-    if traits.halts:
-        fixed_h = plan.halting_epoch if plan.halting_epoch is not None else None
-        if (fixed_h == 0) or (fixed_h is None and h_cap == 0):
-            halt_now(0)
+    if traits.halts and (plan.halting_epoch if plan.halting_epoch is not None else h_cap) == 0:
+        halt_now(0)
 
     if pretrained_teacher is not None:
-        teacher_logits, teacher_maps = _frozen_outputs(pretrained_teacher, train_set.features)
+        one_row = (train_set.n - 1) % plan.batch_size == 0  # a one-row batch reads raw maps
+        teacher_logits, teacher_maps, targets = _frozen_outputs(
+            pretrained_teacher, train_set.features, student, plan.attention_seed, one_row
+        )
 
     acc_pct: list[float] = []
     for epoch in range(1, plan.total_epochs + 1):
@@ -524,26 +531,27 @@ def train(
             dl = distillation_loss_node(dl_source, s_trace.logits)
             al_val = 0.0
             if l2 > 0.0:
-                if pretrained_teacher is not None:
-                    t_maps = [ad.lift(m[idx]) for m in teacher_maps]
-                else:
-                    t_maps = _detached_maps(te_trace, trainee.spec)
                 s_maps = build_attention_maps(s_trace, student.spec)
-                pairs = [
-                    align_map_pair(t, s, i, plan.attention_seed)
-                    for i, (t, s) in enumerate(zip(t_maps, s_maps))
-                ]
-                al = attention_loss_node([p[0] for p in pairs], [p[1] for p in pairs])
+                # numpy projects a one-row batch by gemv, which rounds unlike
+                # the GEMM over the fold, so that batch projects its own rows
+                if pretrained_teacher is not None and len(idx) > 1:
+                    al = _teacher_attention([t[idx] for t in targets], s_maps, plan.attention_seed)
+                else:
+                    t_maps = (
+                        [ad.lift(m[idx]) for m in teacher_maps] if pretrained_teacher is not None
+                        else [ad.lift(m.data) for m in build_attention_maps(te_trace, trainee.spec)]
+                    )
+                    pairs = [align_map_pair(t, s, i, plan.attention_seed)
+                             for i, (t, s) in enumerate(zip(t_maps, s_maps))]
+                    al = attention_loss_node([p[0] for p in pairs], [p[1] for p in pairs])
                 al_val = float(al.data)
                 loss = loss + l2 * al
             loss = loss + l3 * dl
 
-            if not np.isfinite(float(loss.data)):
-                exc = TrainingDiverged(f"combined loss diverged at epoch {epoch}")
-                exc.history = history
-                raise exc
-            loss.backward()
             try:
+                if not np.isfinite(float(loss.data)):
+                    raise TrainingDiverged(f"combined loss diverged at epoch {epoch}")
+                loss.backward()
                 _apply_updates(traces, plan.eta)
             except TrainingDiverged as exc:
                 exc.history = history

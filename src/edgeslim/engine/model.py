@@ -6,6 +6,13 @@ weight by its mask inside the layer's tape node, so gradients at masked
 entries are exactly zero and pruned connections never revive.  Class labels
 are 1-based everywhere outside this module; logits columns map to labels
 1..k.
+
+Storage: each model copies its parameters, in layer and ``param_layout``
+order, into one buffer ``flat`` (:meth:`MaskedModel.pack`, run by every
+constructor); each ``params`` entry is a view of it, and ``grad`` matches
+it.  An SGD step is one finite check and one ``flat -= eta * grad`` per
+model.  A student may borrow its leading layers from the trainee; those
+view the trainee's buffer.  Masks stay separate arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ import numpy as np
 
 from edgeslim.archspec import (
     RECURRENT_KINDS,
-    LayerSpec,
     NetworkSpec,
     network_from_dict,
     network_to_dict,
@@ -36,52 +42,73 @@ class TrainingDiverged(RuntimeError):
     """Raised when a gradient or update goes non-finite."""
 
 
-@dataclass
+@dataclass(eq=False)
 class LayerParams:
     params: dict[str, np.ndarray]
     masks: dict[str, np.ndarray]
 
 
-@dataclass
+@dataclass(eq=False)
 class MaskedModel:
+    """Parameters and masks; the first ``borrowed`` layers view another
+    model's buffer, and ``grad_views`` are per-layer views of ``grad``."""
+
     spec: NetworkSpec
     layers: list[LayerParams]
     dtype: np.dtype
+    flat: np.ndarray = field(init=False, repr=False)
+    grad: np.ndarray = field(init=False, repr=False)
+    grad_views: list[dict[str, np.ndarray]] = field(init=False, repr=False)
+    borrowed: int = field(init=False, default=0)
 
+    def __post_init__(self) -> None:
+        self.dtype = np.dtype(self.dtype)
+        self.layers = list(self.layers)
+        self.pack()
 
-def init_layer_params(layer: LayerSpec, rng: np.random.Generator, dtype) -> LayerParams:
-    """Fresh parameters: uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases."""
-    params, masks = {}, {}
-    for pdef in param_layout(layer):
-        if pdef.fans is None:
-            value = np.zeros(pdef.shape, dtype=dtype)
-        else:
-            fan_in, fan_out = pdef.fans
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            value = rng.uniform(-limit, limit, size=pdef.shape).astype(dtype)
-        params[pdef.name] = value
-        if pdef.masked:
-            masks[pdef.name] = np.ones(pdef.shape, dtype=dtype)
-    return LayerParams(params=params, masks=masks)
+    def __reduce__(self):  # a pickled copy packs a fresh buffer of its own
+        return MaskedModel, (self.spec, self.layers, self.dtype)
+
+    def pack(self, borrowed: int = 0) -> None:
+        """Copy layers ``borrowed..`` into one fresh buffer that they then
+        view, with copied masks; earlier layers are left as they are."""
+        own = self.layers[borrowed:]
+        arrays = [arr for lp in own for arr in lp.params.values()]
+        self.flat = np.concatenate([np.empty(0), *arrays], axis=None, dtype=self.dtype)
+        self.grad = np.zeros_like(self.flat)
+        self.borrowed, self.grad_views, end = borrowed, [], 0
+        for idx, lp in enumerate(own, borrowed):
+            params, grads = {}, {}
+            for name, arr in lp.params.items():
+                start, end = end, end + arr.size
+                params[name] = self.flat[start:end].reshape(arr.shape)
+                grads[name] = self.grad[start:end].reshape(arr.shape)
+            self.layers[idx] = LayerParams(params, {k: m.copy() for k, m in lp.masks.items()})
+            self.grad_views.append(grads)
 
 
 def init_model(spec: NetworkSpec, seed: int, dtype=np.float32) -> MaskedModel:
-    """Deterministically initialise a model; draw order is layer then layout order."""
+    """Deterministically initialise a model: uniform +-sqrt(6/(fan_in+fan_out))
+    weights, zero biases, full masks; draw order is layer then layout order."""
     rng = np.random.default_rng(seed)
-    dtype = np.dtype(dtype)
-    layers = [init_layer_params(layer, rng, dtype) for layer in spec.layers]
-    return MaskedModel(spec=spec, layers=layers, dtype=dtype)
+    layers = []
+    for layer in spec.layers:
+        params, masks = {}, {}
+        for pdef in param_layout(layer):
+            if pdef.fans is None:
+                params[pdef.name] = np.zeros(pdef.shape)
+            else:
+                limit = np.sqrt(6.0 / sum(pdef.fans))
+                params[pdef.name] = rng.uniform(-limit, limit, size=pdef.shape)
+            if pdef.masked:
+                masks[pdef.name] = np.ones(pdef.shape, dtype=dtype)
+        layers.append(LayerParams(params, masks))
+    return MaskedModel(spec=spec, layers=layers, dtype=dtype)  # casts to dtype
 
 
 def copy_model(model: MaskedModel) -> MaskedModel:
-    layers = [
-        LayerParams(
-            params={k: v.copy() for k, v in lp.params.items()},
-            masks={k: v.copy() for k, v in lp.masks.items()},
-        )
-        for lp in model.layers
-    ]
-    return MaskedModel(spec=model.spec, layers=layers, dtype=model.dtype)
+    """An independent copy, with a private buffer even if ``model`` borrows."""
+    return MaskedModel(spec=model.spec, layers=model.layers, dtype=model.dtype)
 
 
 def connection_count(model: MaskedModel) -> int:
@@ -91,12 +118,13 @@ def connection_count(model: MaskedModel) -> int:
 
 @dataclass
 class ForwardTrace:
-    """One forward pass: logits, per-layer outputs, and the parameter leaves."""
+    """One forward pass of ``model``: logits, layer outputs, parameter leaves."""
 
     logits: Tensor
     activations: list[Tensor]
     leaves: list[dict[str, Tensor]]
     batch_size: int
+    model: MaskedModel
 
     @property
     def predictions(self) -> np.ndarray:
@@ -161,7 +189,7 @@ def forward(
             f"logits shape {cur.data.shape} does not match class count "
             f"{model.spec.class_count}"
         )
-    return ForwardTrace(logits=cur, activations=activations, leaves=leaves, batch_size=n)
+    return ForwardTrace(cur, activations, leaves, batch_size=n, model=model)
 
 
 def cross_entropy_node(trace: ForwardTrace, labels: np.ndarray) -> Tensor:
@@ -174,21 +202,25 @@ def cross_entropy_node(trace: ForwardTrace, labels: np.ndarray) -> Tensor:
 
 
 def backward(model: MaskedModel, trace: ForwardTrace, loss: Tensor) -> list[dict[str, np.ndarray]]:
-    """Backpropagate ``loss`` (once) and collect this model's gradients.
+    """Backpropagate ``loss`` (once) and gather this model's gradients.
 
+    One concatenation fills ``model.grad``, cast to the parameter dtype; the
+    result is its views, ``model.grad_views``, valid until the next gather.
     When several traces feed one loss, call this per model; the tape runs on
     the first call only.  Leaves that the loss never touched get zeros.
     """
     if loss.grad is None:
         loss.backward()
-    grads = []
-    for layer_leaves in trace.leaves:
-        layer_grads = {}
-        for name, leaf in layer_leaves.items():
-            g = leaf.grad
-            layer_grads[name] = np.zeros_like(leaf.data) if g is None else g
-        grads.append(layer_grads)
-    return grads
+    gather_grads(model, trace.leaves)
+    return model.grad_views
+
+
+def gather_grads(model: MaskedModel, leaves: list[dict[str, Tensor]]) -> None:
+    """Concatenate the gradients of ``leaves``, the layers ``model.flat``
+    holds, into ``model.grad``."""
+    leaves = [leaf for layer_leaves in leaves for leaf in layer_leaves.values()]
+    grads = [np.zeros_like(t.data) if t.grad is None else t.grad for t in leaves]
+    np.concatenate([model.grad[:0], *grads], axis=None, out=model.grad)
 
 
 def check_learning_rate(eta: float, name: str = "eta") -> None:
@@ -197,24 +229,28 @@ def check_learning_rate(eta: float, name: str = "eta") -> None:
         raise ValueError(f"{name} must be positive and finite, got {eta!r}")
 
 
-def sgd_update(param: np.ndarray, grad: np.ndarray, eta: float, name: str) -> None:
-    """In-place ``param -= eta * grad``, with the gradient cast to the
-    parameter's dtype first.  A non-finite gradient raises
-    :class:`TrainingDiverged` and leaves ``param`` untouched."""
-    if not np.all(np.isfinite(grad)):
-        raise TrainingDiverged(f"non-finite gradient for parameter {name!r}")
-    param -= eta * grad.astype(param.dtype, copy=False)
+def descend(models: list[MaskedModel], eta: float) -> None:
+    """``flat -= eta * grad`` for each model, once.  Every ``grad`` is
+    checked first: a non-finite entry raises :class:`TrainingDiverged`
+    before any parameter moves.  Masked entries have zero gradients."""
+    for model in models:
+        if not np.isfinite(model.grad).all():
+            raise TrainingDiverged(f"non-finite gradient in model {model.spec.name!r}")
+    for model in models:
+        model.flat -= eta * model.grad
 
 
 def sgd_step(model: MaskedModel, grads: list[dict[str, np.ndarray]], eta: float) -> None:
-    """One :func:`sgd_update` per parameter of ``model``.
+    """One :func:`descend` of ``model``.
 
-    Updates mutate the arrays, so models aliasing these arrays see the step.
-    Masked entries have exactly-zero gradients and therefore never move.
+    ``grads`` (per layer, in ``params`` layout) that are not
+    :func:`backward`'s views are first gathered into ``model.grad``, cast to
+    the parameter dtype, so the finite check sees the cast values.
     """
-    for lp, layer_grads in zip(model.layers, grads):
-        for name, g in layer_grads.items():
-            sgd_update(lp.params[name], g, eta, name)
+    if grads is not model.grad_views:
+        arrays = [layer[name] for lp, layer in zip(model.layers, grads) for name in lp.params]
+        np.concatenate(arrays, axis=None, out=model.grad)
+    descend([model], eta)
 
 
 # -- checkpoints ------------------------------------------------------------
@@ -281,8 +317,8 @@ def load_checkpoint(payload: dict) -> tuple[MaskedModel, dict]:
 
     Any malformed payload raises ``ValueError``: a missing or mistyped
     entry, an array whose shape or dtype disagrees with the network and the
-    checkpoint's ``dtype``, a parameter holding NaN or infinity, or a mask
-    holding anything but 0 and 1.
+    checkpoint's ``dtype``, a parameter holding NaN or infinity, a mask
+    holding anything but 0 and 1, or a non-zero weight under a zero mask.
     """
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError("not a model checkpoint")
@@ -316,6 +352,8 @@ def load_checkpoint(payload: dict) -> tuple[MaskedModel, dict]:
                 mask = _load_array(stored_masks, pdef, dtype, f"{where} masks")
                 if not np.all((mask == 0) | (mask == 1)):
                     raise ValueError(f"mask {pdef.name!r} holds values other than 0 and 1")
+                if params[pdef.name][mask == 0].any():
+                    raise ValueError(f"{where} param {pdef.name!r} is non-zero under a zero mask")
                 masks[pdef.name] = mask
         layers.append(LayerParams(params=params, masks=masks))
     return MaskedModel(spec=spec, layers=layers, dtype=dtype), extras

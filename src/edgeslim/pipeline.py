@@ -182,8 +182,7 @@ def select(records: list[CandidateRecord]) -> CandidateRecord | None:
 
 def _with_prefix(model: MaskedModel, prefix: int) -> MaskedModel:
     spec = replace(model.spec, shared_prefix=prefix)
-    clone = copy_model(model)
-    return MaskedModel(spec=spec, layers=clone.layers, dtype=clone.dtype)
+    return MaskedModel(spec=spec, layers=model.layers, dtype=model.dtype)
 
 
 def _distill(

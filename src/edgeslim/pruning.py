@@ -14,7 +14,7 @@ round (round 1 if none were).  Masked connections never return within a run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -119,14 +119,7 @@ class DropoutRound:
     accepted: bool
 
     def to_dict(self) -> dict:
-        return {
-            "round": self.round,
-            "d": self.d,
-            "q_a": self.q_a,
-            "q_b": self.q_b,
-            "loss": self.loss,
-            "accepted": self.accepted,
-        }
+        return asdict(self)
 
 
 @dataclass

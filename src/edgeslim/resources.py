@@ -16,7 +16,7 @@ absorbs the unit mismatch between them:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Mapping, NamedTuple
 
 from edgeslim.archspec import LayerKind, LayerSpec, NetworkSpec, is_json_number
@@ -130,20 +130,8 @@ class ResourceReport:
         return self.fits_alpha and self.fits_beta
 
     def to_dict(self) -> dict:
-        return {
-            "network": self.network,
-            "device": self.device,
-            "omega": self.omega,
-            "per_layer": [{"params": c.params, "flops": c.flops} for c in self.per_layer],
-            "total_params": self.total_params,
-            "total_flops": self.total_flops,
-            "t_mem": self.t_mem,
-            "t_exec": self.t_exec,
-            "objective": self.objective,
-            "fits_alpha": self.fits_alpha,
-            "fits_beta": self.fits_beta,
-            "feasible": self.feasible,
-        }
+        per_layer = [{"params": c.params, "flops": c.flops} for c in self.per_layer]
+        return {**asdict(self), "per_layer": per_layer, "feasible": self.feasible}
 
 
 def estimate_network(spec: NetworkSpec, device: DeviceProfile, omega: float) -> ResourceReport:
@@ -179,43 +167,28 @@ def estimate_network(spec: NetworkSpec, device: DeviceProfile, omega: float) -> 
     )
 
 
+# device-file key -> DeviceProfile field; every key but the two alpha forms is required
+_DEVICE_KEYS = {
+    "name": "name",
+    "b_e_bytes_per_flop": "bytes_per_flop",
+    "e_m_seconds_per_flop": "seconds_per_flop",
+    "flops_per_second": "flops_per_second",
+    "beta_seconds": "beta",
+    "alpha_bytes": "alpha",
+    "alpha_ratio": "alpha_ratio",
+}
+
+
 def device_to_dict(device: DeviceProfile) -> dict:
-    out = {
-        "name": device.name,
-        "b_e_bytes_per_flop": device.bytes_per_flop,
-        "e_m_seconds_per_flop": device.seconds_per_flop,
-        "flops_per_second": device.flops_per_second,
-        "beta_seconds": device.beta,
-    }
-    if device.alpha is not None:
-        out["alpha_bytes"] = device.alpha
-    else:
-        out["alpha_ratio"] = device.alpha_ratio
-    return out
+    out = {key: getattr(device, attr) for key, attr in _DEVICE_KEYS.items()}
+    return {key: value for key, value in out.items() if value is not None}
 
 
 def device_from_dict(data: Mapping) -> DeviceProfile:
-    known = {
-        "name",
-        "b_e_bytes_per_flop",
-        "e_m_seconds_per_flop",
-        "flops_per_second",
-        "beta_seconds",
-        "alpha_bytes",
-        "alpha_ratio",
-    }
-    unknown = sorted(set(data) - known)
+    unknown = sorted(set(data) - set(_DEVICE_KEYS))
     if unknown:
         raise ValueError(f"unknown device keys: {', '.join(unknown)}")
-    for key in ("name", "b_e_bytes_per_flop", "e_m_seconds_per_flop", "flops_per_second", "beta_seconds"):
+    for key in list(_DEVICE_KEYS)[:-2]:
         if key not in data:
             raise ValueError(f"device entry is missing {key!r}")
-    return DeviceProfile(
-        name=data["name"],
-        bytes_per_flop=data["b_e_bytes_per_flop"],
-        seconds_per_flop=data["e_m_seconds_per_flop"],
-        flops_per_second=data["flops_per_second"],
-        beta=data["beta_seconds"],
-        alpha=data.get("alpha_bytes"),
-        alpha_ratio=data.get("alpha_ratio"),
-    )
+    return DeviceProfile(**{attr: data.get(key) for key, attr in _DEVICE_KEYS.items()})

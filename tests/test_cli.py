@@ -1,8 +1,14 @@
 """Command-line flows, exit codes, and byte-stable JSON reports."""
 
+import base64
+import contextlib
+import io
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeslim.archspec import (
     LayerKind,
@@ -289,12 +295,21 @@ def malformed_checkpoint(body, case):
         model, extras = load_checkpoint(body)
         model.layers[0].params["W"][0, 0] = float("nan")
         body = save_checkpoint(model, extras)
+    elif case == "masked-nonzero-weight":
+        model, extras = load_checkpoint(body)
+        assert model.layers[1].params["W"][2, 1] != 0
+        model.layers[1].masks["W"][2, 1] = 0.0
+        body = save_checkpoint(model, extras)
     elif case == "extras-not-object":
         body["extras"] = 5
     elif case == "layers-not-list":
         body["network"]["layers"] = 5
     elif case == "class-count-string":
         body["network"]["class_count"] = "3"
+    elif case == "class-count-null":
+        body["network"]["class_count"] = None
+    elif case == "zero-width-layer":
+        body["network"]["layers"][0]["I"] = 0
     return body
 
 
@@ -304,9 +319,12 @@ def malformed_checkpoint(body, case):
     ("no-mask", "is missing 'W'"),
     ("non-binary-mask", "mask 'W' holds values other than 0 and 1"),
     ("nan-weight", "param 'W' holds NaN or infinity"),
+    ("masked-nonzero-weight", "layer 1 param 'W' is non-zero under a zero mask"),
     ("extras-not-object", "extras is not a JSON object"),
     ("layers-not-list", "network layers must be a list"),
     ("class-count-string", "class_count must be an integer"),
+    ("class-count-null", "class_count must be an integer, got None"),
+    ("zero-width-layer", "invalid network spec: layer 0 (fc): I must be a positive integer"),
 ])
 def test_eval_rejects_malformed_checkpoint(ws, capsys, case, message):
     ckpt = train_checkpoint(ws)
@@ -318,6 +336,93 @@ def test_eval_rejects_malformed_checkpoint(ws, capsys, case, message):
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def trained_checkpoint(tmp_path_factory):
+    """A workspace holding a trained checkpoint's JSON body and its data."""
+    root = tmp_path_factory.mktemp("ckpt")
+    (root / "arch.json").write_text(json.dumps(ARCH))
+    assert main(["gendata", "--out", str(root / "data.csv"), "--n", "60", "--p", "6", "--k", "3"]) == 0
+    body = json.loads(train_checkpoint(root, epochs="2").read_text())
+    return root, body
+
+
+def _slots(node, path=()):
+    """Every (container path, key) in a JSON tree, depth first."""
+    keys = node.keys() if isinstance(node, dict) else range(len(node))
+    for key in keys:
+        yield path, key
+        if isinstance(node[key], (dict, list)):
+            yield from _slots(node[key], path + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+ODD_VALUES = [None, True, False, 0, -1, 1.5, "x", "", [], {}, [1], {"a": 1}, float("nan")]
+
+
+def _mutate(body, draw):
+    """One random corruption of a checkpoint body, in place."""
+    kind = draw(st.sampled_from(
+        ["delete", "retype", "truncate", "extra", "non-finite", "bool", "masked-nonzero"]
+    ))
+    slots = list(_slots(body))
+    if kind in ("truncate", "non-finite", "masked-nonzero"):
+        group = "masks" if kind == "masked-nonzero" else "params"
+        arrays = [(p, k) for p, k in slots if len(p) == 3 and p[2] == group]
+        path, key = draw(st.sampled_from(arrays))
+        entry = _at(body, path)[key]
+        raw = base64.b64decode(entry["data"])
+        if kind == "truncate":
+            entry["data"] = entry["data"][: draw(st.integers(0, len(entry["data"]) - 1))]
+            return
+        values = np.frombuffer(raw, dtype=entry["dtype"]).copy()
+        spot = draw(st.integers(0, values.size - 1))
+        if kind == "non-finite":
+            values[spot] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        else:  # zero a mask entry over its non-zero weight
+            weight = np.frombuffer(base64.b64decode(_at(body, path[:2])["params"][key]["data"]),
+                                   dtype=entry["dtype"])
+            values[np.flatnonzero(weight)[spot % np.count_nonzero(weight)]] = 0.0
+        entry["data"] = base64.b64encode(values.tobytes()).decode("ascii")
+        return
+    if kind == "bool":
+        numbers = [(p, k) for p, k in slots if type(_at(body, p)[k]) in (int, float)]
+        path, key = draw(st.sampled_from(numbers))
+        _at(body, path)[key] = draw(st.booleans())
+        return
+    path, key = draw(st.sampled_from(slots))
+    parent = _at(body, path)
+    if kind == "delete":
+        del parent[key]
+    elif kind == "retype":
+        parent[key] = draw(st.sampled_from(ODD_VALUES))
+    elif isinstance(parent, dict):
+        parent["zz_extra"] = draw(st.sampled_from(ODD_VALUES))
+    else:
+        parent.append(draw(st.sampled_from([*ODD_VALUES, parent[key]])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_eval_survives_any_checkpoint_mutation(trained_checkpoint, data):
+    root, body = trained_checkpoint
+    mutated = json.loads(json.dumps(body))
+    _mutate(mutated, data.draw)
+    path = root / "mutated.json"
+    path.write_text(json.dumps(mutated))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["eval", "--checkpoint", str(path), "--data", str(root / "data.csv"),
+                   "--out", str(root / "eval.json")])
+    assert rc in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    assert rc == 0 or err.getvalue().count("\n") == 1
 
 
 @pytest.mark.parametrize("case, message", [

@@ -18,6 +18,7 @@ from edgeslim.compressor import (
     truncation_errors,
 )
 from edgeslim.engine.model import connection_count, copy_model, init_model, model_bytes
+from edgeslim.pruning import apply_dropout
 from edgeslim.resources import DeviceProfile, estimate_layer, estimate_network
 
 
@@ -370,6 +371,9 @@ def _chain(draw):
 def test_run_keeps_shared_layers_and_interface_widths(data, fraction):
     spec = _chain(data.draw)
     model = init_model(spec, seed=data.draw(st.integers(0, 2**16)))
+    # prune first, so the rewrites carry real masks
+    rate = data.draw(st.floats(min_value=0.0, max_value=0.9))
+    model = apply_dropout(model, rate, range(spec.depth))
     floor = minimum_flops(spec)
     full = estimate_network(spec, device_for(1), omega=0.5).total_flops
     outcome = compressor.run(
@@ -386,3 +390,9 @@ def test_run_keeps_shared_layers_and_interface_widths(data, fraction):
                 assert np.array_equal(out.layers[idx].params[name], arr)
             for name, arr in model.layers[idx].masks.items():
                 assert np.array_equal(out.layers[idx].masks[name], arr)
+    # every rewrite keeps masked weights at zero, and lands in one fresh buffer
+    assert not np.shares_memory(out.flat, model.flat)
+    for lp in out.layers:
+        assert all(arr.base is out.flat for arr in lp.params.values())
+        for name, mask in lp.masks.items():
+            assert not lp.params[name][mask == 0].any(), name

@@ -140,6 +140,73 @@ def test_attention_loss_layer_handling():
         attention_loss_node([a], [ad.lift(np.zeros((1, 3)))])
 
 
+WIDER_STUDENT_SPEC = check_valid(
+    NetworkSpec(
+        "wide-student",
+        [
+            LayerSpec(LayerKind.FC, I=8, O=16),
+            LayerSpec(LayerKind.FC, I=16, O=20),
+            LayerSpec(LayerKind.FC, I=20, O=3),
+        ],
+        class_count=3,
+        shared_prefix=1,
+    )
+)
+
+
+@pytest.mark.parametrize("student_spec", [TEACHER_SPEC, STUDENT_SPEC, WIDER_STUDENT_SPEC],
+                         ids=["equal-widths", "teacher-wider", "student-wider"])
+def test_cached_teacher_attention_matches_per_batch_bit_for_bit(student_spec):
+    """The targets ``train`` computes once per call give the per-batch
+    ``align_map_pair`` + ``attention_loss_node`` term and gradients, bit for
+    bit, for every batch of two rows or more."""
+    features = make_synthetic(k=3, p=8, n=300, seed=21).features
+    pretrained = init_model(TEACHER_SPEC, seed=22)
+    student = init_model(student_spec, seed=23)
+    logits, maps, targets = distill._frozen_outputs(pretrained, features, student, 5, True)
+    pairs = zip(TEACHER_SPEC.layers[:-1], student_spec.layers[:-1])
+    assert [t.shape for t in targets] == [(300, min(t.O, s.O)) for t, s in pairs]
+    rng = np.random.default_rng(0)
+    for size in [*range(2, 41), 64, 256, 300]:
+        idx = rng.permutation(300)[:size]
+        cached_trace, batch_trace = forward(student, features[idx]), forward(student, features[idx])
+        cached = distill._teacher_attention(
+            [t[idx] for t in targets], distill.build_attention_maps(cached_trace, student.spec), 5
+        )
+        pairs = [
+            distill.align_map_pair(ad.lift(m[idx]), s, i, 5)
+            for i, (m, s) in enumerate(zip(maps, distill.build_attention_maps(batch_trace, student.spec)))
+        ]
+        per_batch = attention_loss_node([p[0] for p in pairs], [p[1] for p in pairs])
+        assert cached.data.tobytes() == per_batch.data.tobytes(), size
+        cached.backward()
+        per_batch.backward()
+        for a, b in zip(cached_trace.leaves, batch_trace.leaves):
+            for name in a:
+                ga, gb = a[name].grad, b[name].grad
+                assert (ga is None and gb is None) or ga.tobytes() == gb.tobytes(), (size, name)
+
+
+def test_one_row_batches_project_their_own_rows(data, monkeypatch):
+    """numpy multiplies a one-row batch by gemv, which can round the
+    projection unlike the GEMM over the fold (it does for a 64 -> 8
+    projection here), so such a batch bypasses the cached targets."""
+    sizes = []
+    real = distill._teacher_attention
+
+    def recording(targets, s_maps, seed):
+        sizes.append(len(targets[0]))
+        return real(targets, s_maps, seed)
+
+    monkeypatch.setattr(distill, "_teacher_attention", recording)
+    n_train = train_test_split(data, 0.3, 0)[0].n
+    for batch_size in (n_train - 1, 1):  # one batch of one row; every batch one row
+        student, trainee, pretrained = fresh_models()
+        result = train(student, trainee, pretrained, data, plan_for("S6", batch_size=batch_size))
+        assert np.isfinite(result.history[-1].breakdown.attention)
+    assert sizes and min(sizes) >= 2
+
+
 def test_plan_validation():
     good = DistillPlan(0.5117, 0.3972, 0.0911)
     assert sum(good.effective_lambdas()[:3]) == pytest.approx(1.0)

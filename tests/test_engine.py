@@ -258,6 +258,7 @@ def test_init_is_deterministic(fc_spec):
 def test_checkpoint_round_trip_bit_exact(fc_spec):
     model = init_model(fc_spec, seed=9)
     model.layers[0].masks["W"][1, 2] = 0.0
+    model.layers[0].params["W"][1, 2] = 0.0  # masked weights are zero
     payload = save_checkpoint(model, extras={"note": 1})
     text = json.dumps(payload)  # survives a real serialisation pass
     restored, extras = load_checkpoint(json.loads(text))

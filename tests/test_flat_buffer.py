@@ -1,0 +1,214 @@
+"""One parameter buffer and one gradient buffer per model, and the one step."""
+
+import pickle
+
+import numpy as np
+import pytest
+
+from edgeslim import compressor, distill
+from edgeslim.archspec import LayerKind, LayerSpec, NetworkSpec, check_valid
+from edgeslim.compressor import minimum_flops
+from edgeslim.datasets import make_synthetic
+from edgeslim.distill import DistillPlan, share_prefix_layers, train
+from edgeslim.engine.model import (
+    TrainingDiverged,
+    backward,
+    copy_model,
+    cross_entropy_node,
+    forward,
+    init_model,
+    load_checkpoint,
+    model_bytes,
+    save_checkpoint,
+    sgd_step,
+)
+from edgeslim.pipeline import _with_prefix
+from edgeslim.pruning import apply_dropout
+from edgeslim.resources import DeviceProfile
+
+TEACHER = check_valid(
+    NetworkSpec(
+        "teacher",
+        [
+            LayerSpec(LayerKind.FC, I=8, O=16),
+            LayerSpec(LayerKind.GRU, I=8, O=12, s=2),
+            LayerSpec(LayerKind.FC, I=12, O=3),
+        ],
+        class_count=3,
+        shared_prefix=1,
+    )
+)
+STUDENT = check_valid(
+    NetworkSpec(
+        "student",
+        [
+            LayerSpec(LayerKind.FC, I=8, O=16),
+            LayerSpec(LayerKind.FC, I=16, O=6),
+            LayerSpec(LayerKind.FC, I=6, O=3),
+        ],
+        class_count=3,
+        shared_prefix=1,
+    )
+)
+
+
+def assert_packed(model, borrowed=0):
+    """Layers ``borrowed..`` view ``model.flat`` back to back, in layer and
+    layout order, and ``grad_views`` view ``model.grad`` the same way."""
+    assert model.borrowed == borrowed
+    assert model.flat.dtype == model.grad.dtype == model.dtype
+    assert model.flat.flags.owndata and model.grad.flags.owndata
+    assert len(model.grad_views) == len(model.layers) - borrowed
+    start = model.flat.ctypes.data
+    offset = 0
+    for lp, grads in zip(model.layers[borrowed:], model.grad_views):
+        assert grads.keys() == lp.params.keys()
+        for name, arr in lp.params.items():
+            assert arr.base is model.flat and grads[name].base is model.grad
+            assert arr.ctypes.data == start + offset * model.flat.itemsize
+            assert grads[name].shape == arr.shape and arr.flags.c_contiguous
+            offset += arr.size
+    assert offset == model.flat.size == model.grad.size
+
+
+def assert_private(model, other):
+    """No parameter or mask of ``model`` shares memory with ``other``."""
+    assert not np.shares_memory(model.flat, other.flat)
+    for lp in model.layers:
+        for arr in [*lp.params.values(), *lp.masks.values()]:
+            assert not np.shares_memory(arr, other.flat)
+            for olp in other.layers:
+                assert all(not np.shares_memory(arr, m) for m in olp.masks.values())
+
+
+def test_every_constructor_packs_one_buffer():
+    model = init_model(TEACHER, seed=1)
+    assert_packed(model)
+
+    copied = copy_model(model)
+    assert_packed(copied)
+    assert_private(copied, model)
+    assert model_bytes(copied) == model_bytes(model)
+
+    loaded, _ = load_checkpoint(save_checkpoint(model))
+    assert_packed(loaded)
+    assert model_bytes(loaded) == model_bytes(model)
+
+    pruned = apply_dropout(model, 0.4, [1, 2])
+    assert_packed(pruned)
+    assert_private(pruned, model)
+
+    prefixed = _with_prefix(model, 2)
+    assert_packed(prefixed)
+    assert_private(prefixed, model)
+    assert prefixed.spec.shared_prefix == 2
+
+    pickled = pickle.loads(pickle.dumps(model))
+    assert_packed(pickled)
+    assert model_bytes(pickled) == model_bytes(model)
+
+    float64 = init_model(TEACHER, seed=1, dtype=np.float64)
+    assert_packed(float64)
+
+
+def test_compressor_rewrites_land_in_a_fresh_buffer():
+    model = apply_dropout(init_model(TEACHER, seed=2), 0.3, [1, 2])
+    floor = minimum_flops(model.spec)
+    device = DeviceProfile("tight", 4.0, 1e-9, 1e9, beta=floor * 1e-9, alpha=floor * 4.0)
+    outcome = compressor.run(model, device, omega=0.5)
+    assert outcome.feasible and outcome.records  # at least one rewrite ran
+    assert outcome.model.spec.layers[1].kind == LayerKind.MGU
+    assert_packed(outcome.model)
+    assert_private(outcome.model, model)
+
+
+def test_shared_prefix_views_the_trainee_buffer_and_moves_once():
+    student, trainee = init_model(STUDENT, seed=3), init_model(TEACHER, seed=4)
+    share_prefix_layers(student, trainee, 1)
+    assert student.layers[0] is trainee.layers[0]
+    assert_packed(student, borrowed=1)
+    assert_packed(trainee)
+    for arr in student.layers[0].params.values():
+        assert arr.base is trainee.flat
+    assert not np.shares_memory(student.flat, trainee.flat)
+
+    data = make_synthetic(k=3, p=8, n=24, seed=5)
+    head = forward(student, data.features, stop=1)
+    s_trace = distill._continued(student, head, 1)
+    te_trace = distill._continued(trainee, head, 1)
+    loss = cross_entropy_node(s_trace, data.labels) + cross_entropy_node(te_trace, data.labels)
+    loss.backward()
+    eta = 0.1
+    leaves = {id(leaf): leaf for t in (s_trace, te_trace) for layer in t.leaves for leaf in layer.values()}
+    expected = {key: leaf.data - eta * leaf.grad for key, leaf in leaves.items()}
+    distill._apply_updates([s_trace, te_trace], eta)
+    for key, leaf in leaves.items():
+        np.testing.assert_array_equal(leaf.data, expected[key])  # each array moved once
+    assert len(leaves) == sum(len(lp.params) for lp in trainee.layers) + sum(
+        len(lp.params) for lp in student.layers[1:]
+    )
+
+
+def test_halt_gives_the_student_one_private_buffer():
+    data = make_synthetic(k=3, p=8, n=120, seed=6)
+    student, trainee = init_model(STUDENT, seed=7), init_model(TEACHER, seed=8)
+    pretrained = init_model(TEACHER, seed=9)
+    share_prefix_layers(student, trainee, 1)
+    plan = DistillPlan(0.5, 0.3, 0.2, total_epochs=3, halting_epoch=1, batch_size=16)
+    result = train(student, trainee, pretrained, data, plan)
+    assert result.halting_epoch == 1
+    assert_packed(student)
+    assert_private(student, trainee)
+    assert student.layers[0] is not trainee.layers[0]
+    # the student kept training after the halt; the trainee did not
+    assert result.trainee_bytes_at_halt == model_bytes(trainee)
+    assert not np.array_equal(student.layers[0].params["W"], trainee.layers[0].params["W"])
+
+
+def _poison_last(traces):
+    last = [leaf for t in traces for layer in t.leaves for leaf in layer.values()][-1]
+    last.grad = last.grad.copy()
+    last.grad.flat[-1] = np.nan
+
+
+def test_non_finite_gradient_leaves_every_model_of_the_step_unchanged():
+    data = make_synthetic(k=3, p=8, n=24, seed=10)
+    student, trainee = init_model(STUDENT, seed=11), init_model(TEACHER, seed=12)
+    share_prefix_layers(student, trainee, 1)
+    before = model_bytes(student), model_bytes(trainee)
+    head = forward(student, data.features, stop=1)
+    traces = [distill._continued(m, head, 1) for m in (student, trainee)]
+    (cross_entropy_node(traces[0], data.labels) + cross_entropy_node(traces[1], data.labels)).backward()
+    _poison_last(traces)  # the trainee's last array, gathered after every other
+    with pytest.raises(TrainingDiverged):
+        distill._apply_updates(traces, 0.1)
+    assert (model_bytes(student), model_bytes(trainee)) == before
+
+    # the same through backward and sgd_step, with the bad entry last
+    model = init_model(TEACHER, seed=13)
+    before = model_bytes(model)
+    trace = forward(model, data.features)
+    grads = backward(model, trace, cross_entropy_node(trace, data.labels))
+    grads[-1]["b"][-1] = np.inf
+    with pytest.raises(TrainingDiverged):
+        sgd_step(model, grads, 0.1)
+    assert model_bytes(model) == before
+
+
+def test_sgd_step_gathers_foreign_gradients_after_the_cast():
+    data = make_synthetic(k=3, p=8, n=24, seed=14)
+    model = init_model(TEACHER, seed=15)
+    twin = copy_model(model)
+    trace = forward(model, data.features)
+    grads = backward(model, trace, cross_entropy_node(trace, data.labels))
+    foreign = [{name: g.astype(np.float64) for name, g in layer.items()} for layer in grads]
+    sgd_step(model, grads, 0.1)
+    sgd_step(twin, foreign, 0.1)
+    assert model_bytes(twin) == model_bytes(model)
+
+    # a finite float64 gradient that overflows float32 is non-finite once cast
+    before = model_bytes(twin)
+    foreign[0]["W"][0, 0] = 1e300
+    with np.errstate(over="ignore"), pytest.raises(TrainingDiverged):
+        sgd_step(twin, foreign, 0.1)
+    assert model_bytes(twin) == before

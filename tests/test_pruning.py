@@ -97,6 +97,29 @@ def test_apply_dropout_counts_and_magnitudes():
         assert (pruned.layers[idx].params["W"][mask == 0] == 0).all()
 
 
+def assert_masked_weights_zero(model):
+    for lp in model.layers:
+        for name, mask in lp.masks.items():
+            assert not lp.params[name][mask == 0].any(), name
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rates=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=3),
+    layers=st.sets(st.integers(min_value=0, max_value=2), min_size=1),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_apply_dropout_keeps_masked_weights_zero(rates, layers, seed):
+    model = init_model(build_model().spec, seed=seed)
+    for rate in rates:  # each round prunes the previous round's output
+        pruned = apply_dropout(model, rate, sorted(layers))
+        assert_masked_weights_zero(pruned)
+        for lp in pruned.layers:  # every parameter views the new model's buffer
+            assert all(arr.base is pruned.flat for arr in lp.params.values())
+        assert not np.shares_memory(pruned.flat, model.flat)
+        model = pruned
+
+
 def test_apply_dropout_masked_stay_masked():
     model = build_model()
     once = apply_dropout(model, 0.5, [1])
