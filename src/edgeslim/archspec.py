@@ -260,6 +260,8 @@ def network_from_dict(data: Mapping) -> NetworkSpec:
             raise ValueError(f"network entry is missing {key!r}")
     if not isinstance(data["layers"], list):
         raise ValueError(f"network layers must be a list, got {data['layers']!r}")
+    if not isinstance(data["name"], str):
+        raise ValueError(f"network name must be a string, got {data['name']!r}")
     for key in ("class_count", "shared_prefix"):
         value = data.get(key)
         if (value is not None or key == "class_count") and not is_json_number(value, True):

@@ -22,7 +22,9 @@ the student's width where wider, then row-normalised.  Each batch indexes
 the logits and targets by its rows.  While the trainee is live and shares
 the student's leading layers, each batch runs that shared prefix once and
 both tails continue from its output; the student's prefix views the
-trainee's parameter buffer, so one step moves it once.
+trainee's parameter buffer, so one step moves it once.  Past the two
+cross-entropies, a batch's loss is three tape nodes: AL over all maps, DL,
+and the l-weighted sum of the terms.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 from edgeslim.archspec import CONV_KINDS, NetworkSpec
 from edgeslim.datasets import Dataset, train_test_split
 from edgeslim.engine import autodiff as ad
-from edgeslim.engine.autodiff import Tensor, _node, _unbroadcast
+from edgeslim.engine.autodiff import Tensor, _node
 from edgeslim.engine.model import (
     ForwardTrace,
     MaskedModel,
@@ -189,13 +191,20 @@ def combined_loss(
 
 
 def distillation_loss_node(teacher_logits: Tensor, student_logits: Tensor) -> Tensor:
-    """Mean over the batch of the squared L2 logit distance."""
-    if teacher_logits.data.shape != student_logits.data.shape:
-        raise ValueError(
-            f"logit shapes differ: {teacher_logits.data.shape} vs {student_logits.data.shape}"
-        )
-    diff = teacher_logits - student_logits
-    return (diff * diff).sum(axis=1).mean()
+    """Mean over the batch of the squared L2 distance to detached teacher logits."""
+    t, s = teacher_logits.data, student_logits
+    if t.shape != s.data.shape:
+        raise ValueError(f"logit shapes differ: {t.shape} vs {s.data.shape}")
+    if teacher_logits.requires_grad:
+        raise ValueError("teacher logits must be detached")
+    diff = t + (-s.data)
+    inv_n = np.asarray(1.0 / len(diff))
+
+    def bwd(g):
+        h = (g * inv_n) * diff
+        s._accum(-(h + h))
+
+    return _node(np.add.reduce(np.add.reduce(diff * diff, axis=1)) * inv_n, (s,), bwd)
 
 
 def _unit_rows(maps: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -206,39 +215,32 @@ def _unit_rows(maps: np.ndarray) -> tuple[np.ndarray, ...]:
     gradient -- rather than divided by the floor, which would turn a dead
     row into a 1/NORM_FLOOR gradient kick.
     """
-    sumsq64 = (maps.astype(np.float64) ** 2).sum(axis=1, keepdims=True)
+    sumsq64 = np.add.reduce(maps.astype(np.float64) ** 2, axis=1, keepdims=True)
     alive = (sumsq64 >= NORM_FLOOR**2).astype(maps.dtype)
     live = maps * alive
-    sumsq = (live * live).sum(axis=1, keepdims=True)
+    sumsq = np.add.reduce(live * live, axis=1, keepdims=True)
     norm = np.sqrt(np.maximum(sumsq, NORM_FLOOR**2))
     return live / norm, alive, live, sumsq, norm
 
 
-def _attention_term(t_unit: np.ndarray, s: Tensor) -> Tensor:
-    """Mean over rows of |t_unit - unit(s)|^2 as one tape node.
-
-    ``t_unit`` is the detached teacher side, already row-normalized.  The
-    backward runs, in order, the numpy operations of the generic chain
-    normalize -> difference -> square -> row sum -> mean, so the gradient is
-    bit-identical to it: the square's two factors and the normalization's
-    two uses of the live rows each contribute a separate term.
-    """
+def _attention_term(t_unit: np.ndarray, s: Tensor) -> tuple[np.ndarray, Callable]:
+    """Mean over rows of |t_unit - unit(s)|^2, against the detached and
+    row-normalized ``t_unit``: its value, and a backward that runs the numpy
+    operations of the generic chain in reverse, so both are bit-identical."""
     if t_unit.shape != s.data.shape:
         raise ValueError(f"map shapes differ: {t_unit.shape} vs {s.data.shape}")
     s_unit, alive, live, sumsq, norm = _unit_rows(s.data)
     diff = t_unit + (-s_unit)
-    rows = (diff * diff).sum(axis=1)
-    scale = np.asarray(1.0 / rows.size)
+    scale = np.asarray(1.0 / len(diff))
 
     def bwd(g):
-        g_sq = np.broadcast_to(g * scale, diff.shape)
-        g_unit = -(g_sq * diff + g_sq * diff)
-        g_norm = _unbroadcast(-g_unit * live / (norm * norm), norm.shape)
-        g_sumsq = np.broadcast_to(g_norm * 0.5 / norm * (sumsq > NORM_FLOOR**2), live.shape)
-        g_live = g_unit / norm + g_sumsq * live + g_sumsq * live
-        s._accum(g_live * alive)
+        p = (g * scale) * diff
+        g_unit = -(p + p)
+        g_norm = np.add.reduce(-g_unit * live / (norm * norm), axis=1, keepdims=True)
+        q = g_norm * 0.5 / norm * (sumsq > NORM_FLOOR**2) * live
+        s._accum((g_unit / norm + q + q) * alive)
 
-    return _node(np.asarray(rows.sum()) * scale, (s,), bwd)
+    return np.asarray(np.add.reduce(np.add.reduce(diff * diff, axis=1))) * scale, bwd
 
 
 def attention_loss_node(
@@ -248,26 +250,41 @@ def attention_loss_node(
 
     Normalization makes the loss scale-invariant in either map; zero maps
     fall back to a norm floor instead of dividing by zero.  Teacher maps are
-    guidance targets and must be detached; each pair is one tape node.
+    guidance targets and must be detached; all pairs form one tape node.
     """
     if len(teacher_maps) != len(student_maps):
-        raise ValueError(
-            f"map counts differ: {len(teacher_maps)} vs {len(student_maps)}"
-        )
+        raise ValueError(f"map counts differ: {len(teacher_maps)} vs {len(student_maps)}")
     if any(t.requires_grad for t in teacher_maps):
         raise ValueError("teacher attention maps must be detached")
     return _attention_sum([_unit_rows(t.data)[0] for t in teacher_maps], student_maps)
 
 
 def _attention_sum(t_units: Sequence[np.ndarray], student_maps: Sequence[Tensor]) -> Tensor:
-    """Sum of :func:`_attention_term` over the layers, in layer order."""
-    total = None
-    for t_unit, s in zip(t_units, student_maps):
-        term = _attention_term(t_unit, s)
-        total = term if total is None else total + term
-    if total is None:
-        return ad.lift(np.float64(0.0))
-    return total
+    """Sum of :func:`_attention_term` over the layers, as one tape node."""
+    pairs = list(zip(t_units, student_maps))
+    return _sum_node([_attention_term(t_unit, s) for t_unit, s in pairs], [s for _, s in pairs])
+
+
+def _weighted_sum(terms: Sequence[tuple[float, Tensor]]) -> Tensor:
+    """Sum of lam * term as one tape node, ``lam`` lifted as the chain's ``*`` lifts it."""
+
+    def scaled(lam, term):
+        return term.data * lam, lambda g: term._accum(g * lam)
+
+    return _sum_node([scaled(np.asarray(lam), term) for lam, term in terms], [t for _, t in terms])
+
+
+def _sum_node(pieces: list[tuple[np.ndarray, Callable]], parents: list[Tensor]) -> Tensor:
+    """One node adding (value, backward) pieces as the chain's add nodes do."""
+    total = pieces[0][0] if pieces else np.float64(0.0)  # no pieces: a constant
+    for value, _ in pieces[1:]:
+        total = total + value
+
+    def bwd(g):
+        for _, piece_bwd in pieces:
+            piece_bwd(g)
+
+    return _node(total, tuple(parents), bwd)
 
 
 def _projection(seed: int, layer_idx: int, width_from: int, width_to: int) -> np.ndarray:
@@ -385,16 +402,19 @@ def _frozen_outputs(
     for every row.
 
     Runs the teacher in chunks of ``FROZEN_CHUNK`` rows, so the tape-free
-    intermediates of a whole fold never live at once.  The targets are the
-    unit rows of each map, projected first to the width of ``student``'s
-    map where the teacher's is wider; the maps come back only with
-    ``keep_maps`` (else None).  Each output row is a function of its input
-    row alone, so indexing these arrays by a batch's rows gives what a
-    forward pass on that batch would.
+    intermediates of a whole fold never live at once; a trailing one-row
+    chunk joins the one before, as numpy multiplies one row by gemv, which
+    can round unlike GEMM.  The targets are the unit rows of each map,
+    projected first to the width of ``student``'s map where the teacher's is
+    wider; the maps come back only with ``keep_maps`` (else None).  Each
+    output row is a function of its input row alone, so indexing these
+    arrays by a batch's rows gives what a forward pass on that batch would.
     """
+    starts = range(0, max(len(features) - 1, 1), FROZEN_CHUNK)
+    chunks = [slice(b, e) for b, e in zip(starts, [*starts[1:], None])]
     logits, maps = [], []
-    for begin in range(0, features.shape[0], FROZEN_CHUNK):
-        trace = forward(teacher, features[begin : begin + FROZEN_CHUNK], trainable=False)
+    for rows in chunks:
+        trace = forward(teacher, features[rows], trainable=False)
         logits.append(trace.logits.data)
         maps.append([m.data for m in build_attention_maps(trace, teacher.spec)])
     maps = [np.concatenate(layer) for layer in zip(*maps)]
@@ -403,8 +423,7 @@ def _frozen_outputs(
         aligned = _project_down(ad.lift(maps[i]), layer.O, i, seed).data
         if not keep_maps:
             maps[i] = None  # freed as its targets replace it
-        chunks = range(0, len(aligned), FROZEN_CHUNK)
-        targets.append(np.concatenate([_unit_rows(aligned[b : b + FROZEN_CHUNK])[0] for b in chunks]))
+        targets.append(np.concatenate([_unit_rows(aligned[rows])[0] for rows in chunks]))
     return np.concatenate(logits), maps, targets
 
 
@@ -514,7 +533,7 @@ def train(
             traces = [s_trace]
 
             ce_te_val = 0.0
-            loss = l1 * ce_s
+            terms = [(l1, ce_s)]
             if not halted:
                 if traits.shared:
                     te_trace = _continued(trainee, head, prefix)
@@ -522,7 +541,7 @@ def train(
                     te_trace = forward(trainee, x, trainable=True)
                 ce_te = cross_entropy_node(te_trace, y)
                 ce_te_val = float(ce_te.data)
-                loss = loss + l4 * ce_te
+                terms.append((l4, ce_te))
                 traces.append(te_trace)
                 dl_source = ad.lift(te_trace.logits.data)
             else:  # only schemes with a pretrained teacher halt
@@ -545,8 +564,8 @@ def train(
                              for i, (t, s) in enumerate(zip(t_maps, s_maps))]
                     al = attention_loss_node([p[0] for p in pairs], [p[1] for p in pairs])
                 al_val = float(al.data)
-                loss = loss + l2 * al
-            loss = loss + l3 * dl
+                terms.append((l2, al))
+            loss = _weighted_sum([*terms, (l3, dl)])
 
             try:
                 if not np.isfinite(float(loss.data)):

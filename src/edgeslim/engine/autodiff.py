@@ -7,14 +7,14 @@ Nodes whose parents all have ``requires_grad=False`` record no tape at all,
 so a forward pass over constant weights (a frozen teacher) costs nothing at
 backward time.
 
-Only the ops the engine calls live here: the generic arithmetic, reductions
-and reshape that loss assembly uses, and the fused ``softmax_cross_entropy``.
-Hot multi-op computations are fused into one node with a hand-written
-backward elsewhere, built with :func:`_node`: every layer kind in
-:mod:`edgeslim.engine.layers` (one shared body of mask, GEMM, bias and ReLU
-for fc, conv and both factorized kinds, the conv kinds over im2col patch
-rows; a whole recurrent cell, which uses :func:`_stable_sigmoid` as its
-array kernel), and each attention-map pair in :mod:`edgeslim.distill`.
+The generic arithmetic, reductions and reshape serve a conv map's mean, a
+projection, a flatten and the tests' reference chains; ``softmax_cross_entropy``
+is fused.  So is each hot multi-op computation, one node with a hand-written
+backward built with :func:`_node` elsewhere: every layer kind in
+:mod:`edgeslim.engine.layers` (one body of mask, GEMM, bias and ReLU for fc,
+conv and both factorized kinds, the conv kinds over im2col patch rows; a whole
+recurrent cell, on :func:`_stable_sigmoid`), and in :mod:`edgeslim.distill`
+the loss: attention over all maps, logit distillation and the weighted sum.
 """
 
 from __future__ import annotations
@@ -77,8 +77,6 @@ class Tensor:
                 other._accum(_unbroadcast(g, other.data.shape))
 
         return _node(out_data, (self, other), bwd)
-
-    __radd__ = __add__
 
     def __mul__(self, other):
         other = lift(other)

@@ -1,0 +1,82 @@
+"""tools/bench_pairs.py on canned result lines: parsing and pair statistics.
+
+No benchmark runs here; the runs are built from result lines in the format
+``bench/run.py`` prints last.
+"""
+
+import importlib.util
+import json
+import subprocess
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def result_line(run_s, setup_s=0.1, accuracy=0.9, failed=0):
+    values = {
+        "setup_s": setup_s, "run_s": run_s, "peak_rss_mb": 50.0, "ok_ratio": 1 - failed / 10,
+        "student_val_accuracy": accuracy, "student_flops": 1000, "train_flops": 5000,
+    }
+    metrics = {name: {"value": value, "unit": "1"} for name, value in values.items()}
+    return json.dumps({"correct": failed == 0, "attempted": 10, "failed": failed, "metrics": metrics})
+
+
+def canned_runs(workload, parent, change, **change_kw):
+    runs = []
+    for pair, (p, c) in enumerate(zip(parent, change)):
+        sides = [("parent", result_line(p)), ("change", result_line(c, **change_kw))]
+        for side, line in sides if pair % 2 == 0 else sides[::-1]:
+            stdout = f"workload {workload}  seed {pair}\n  run_s {p} s\n{line}\n"
+            runs.append({"workload": workload, "pair": pair, "seed": pair, "side": side,
+                         **bench_pairs.parse_result(stdout)})
+    return runs
+
+
+def test_parse_result_reads_the_last_line():
+    got = bench_pairs.parse_result("workload dense\n" + result_line(2.5, failed=3) + "\n")
+    assert got["run_s"] == 2.5 and got["student_flops"] == 1000
+    assert got["attempted"] == 10 and got["failed"] == 3
+
+
+def test_summarize_gives_quartiles_changes_and_wins_per_workload():
+    runs = canned_runs("dense", [2.0, 2.2, 2.1, 2.4, 2.3], [1.8, 1.9, 2.0, 2.5, 1.7])
+    runs += canned_runs("mixed", [1.0, 1.0], [1.0, 1.1], accuracy=0.8, failed=1)
+    runs.append({**runs[0], "pair": 9})  # a pair missing its other side is left out
+    out = bench_pairs.summarize(runs)
+
+    dense = out["dense"]
+    assert dense["pairs"] == 5
+    assert dense["parent"]["run_s"] == {"median": 2.2, "q1": 2.1, "q3": 2.3}
+    assert dense["change"]["run_s"] == {"median": 1.9, "q1": 1.8, "q3": 2.0}
+    assert dense["run_s_change_pct"] == round(100 * (1.9 - 2.2) / 2.2, 2)
+    assert dense["run_s_change_lower_in"] == 4
+    assert dense["setup_s_change_lower_in"] == 0  # ties count for neither side
+    assert dense["parent"]["ok_ratio"] == dense["change"]["ok_ratio"] == 1.0
+    assert dense["outputs_equal_in_every_pair"]
+
+    mixed = out["mixed"]
+    assert mixed["pairs"] == 2 and mixed["run_s_change_lower_in"] == 0
+    assert mixed["change"]["ok_ratio"] == 18 / 20
+    assert not mixed["outputs_equal_in_every_pair"]
+
+
+def test_runs_last_as_long_as_the_benchmark_declares():
+    declared = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())["run_seconds"]
+    assert bench_pairs.SECONDS == declared
+    cmd = bench_pairs.command("dense", 3)
+    assert cmd[cmd.index("--seconds") + 1] == str(declared)
+
+
+def test_parent_commit_is_read_from_the_tree_or_is_none(tmp_path):
+    assert bench_pairs.tree_commit(tmp_path) is None  # not a git checkout
+    git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "x"], check=True)
+    head = subprocess.run(git + ["rev-parse", "--short", "HEAD"], check=True,
+                          capture_output=True, text=True).stdout.strip()
+    assert bench_pairs.tree_commit(tmp_path) == head
+    (tmp_path / "sub").mkdir()
+    assert bench_pairs.tree_commit(tmp_path / "sub") is None  # inside a checkout, not its top

@@ -366,11 +366,16 @@ def _at(node, path):
 ODD_VALUES = [None, True, False, 0, -1, 1.5, "x", "", [], {}, [1], {"a": 1}, float("nan")]
 
 
-def _mutate(body, draw):
-    """One random corruption of a checkpoint body, in place."""
-    kind = draw(st.sampled_from(
-        ["delete", "retype", "truncate", "extra", "non-finite", "bool", "masked-nonzero"]
-    ))
+CHECKPOINT_MUTATIONS = [
+    "delete", "retype", "truncate", "extra", "non-finite", "bool", "masked-nonzero"
+]
+JSON_MUTATIONS = ["delete", "retype", "extra", "bool"]  # for files that hold no arrays
+
+
+def _mutate(body, draw, kinds=CHECKPOINT_MUTATIONS):
+    """One random corruption of a JSON body, in place; by default of a
+    checkpoint, whose arrays the other kinds corrupt."""
+    kind = draw(st.sampled_from(kinds))
     slots = list(_slots(body))
     if kind in ("truncate", "non-finite", "masked-nonzero"):
         group = "masks" if kind == "masked-nonzero" else "params"
@@ -446,6 +451,8 @@ def test_dropout_rejects_malformed_checkpoint(ws, capsys, case, message):
     pytest.param("class_count", True, "class_count must be an integer", id="class-count-bool"),
     pytest.param("layers", 5, "network layers must be a list", id="layers-not-list"),
     pytest.param("layers", [5], "layer entry must be a JSON object", id="layer-not-object"),
+    pytest.param("name", [1, 2], "network name must be a string", id="name-list"),
+    pytest.param("name", None, "network name must be a string", id="name-null"),
 ])
 def test_estimate_rejects_mistyped_network(ws, capsys, key, value, message):
     (ws / "bad_arch.json").write_text(json.dumps({**ARCH, key: value}))
@@ -455,6 +462,30 @@ def test_estimate_rejects_mistyped_network(ws, capsys, key, value, message):
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def estimate_inputs(tmp_path_factory):
+    """A workspace for ``estimate`` and the valid bodies of its two inputs."""
+    return tmp_path_factory.mktemp("estimate"), {"arch": ARCH, "device": device_dict(1e9, 1.0)}
+
+
+@pytest.mark.parametrize("target", ["arch", "device"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_estimate_survives_any_arch_or_device_mutation(estimate_inputs, target, data):
+    root, bodies = estimate_inputs
+    bodies = json.loads(json.dumps(bodies))
+    _mutate(bodies[target], data.draw, JSON_MUTATIONS)
+    for name, body in bodies.items():
+        (root / f"{name}.json").write_text(json.dumps(body))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["estimate", "--arch", str(root / "arch.json"), "--device",
+                   str(root / "device.json"), "--out", str(root / "r.json")])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert rc != 2 or err.getvalue().count("\n") == 1
 
 
 def pipeline_config(ws, out_dir, teacher=None):

@@ -626,6 +626,21 @@ def test_shared_head_gradients_match_two_full_forwards(monkeypatch):
         assert np.abs(got[key] - grad).max() <= 1e-12
 
 
+def test_frozen_teacher_never_runs_a_one_row_chunk():
+    """A 257-row fold leaves one row past the first chunk.  numpy multiplies
+    a lone row by gemv, which rounds unlike GEMM, so that row joins the chunk
+    before: its cached logits and maps equal a two-row forward's bit for bit."""
+    wide = check_valid(NetworkSpec("wide", [
+        LayerSpec(LayerKind.FC, I=8, O=64), LayerSpec(LayerKind.FC, I=64, O=3),
+    ], class_count=3))
+    teacher = init_model(wide, seed=30)
+    features = make_synthetic(k=3, p=8, n=257, seed=31).features
+    logits, maps, _ = distill._frozen_outputs(teacher, features, teacher, 0, True)
+    pair = forward(teacher, features[-2:], trainable=False)
+    assert logits[-1].tobytes() == pair.logits.data[-1].tobytes()
+    assert maps[0][-1].tobytes() == pair.activations[0].data[-1].tobytes()
+
+
 def test_prefix_runs_once_per_batch_and_teacher_once_per_call(monkeypatch):
     data = make_synthetic(k=3, p=8, n=400, seed=3)
     student, trainee, pretrained = fresh_models(seed=4)

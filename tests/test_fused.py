@@ -1,17 +1,21 @@
-"""Fused tape nodes: one per non-recurrent layer and one per attention-map pair.
+"""Fused tape nodes: one per non-recurrent layer, and distillation's three
+loss nodes (attention over all maps, DL, the lambda-weighted sum).
 
-Each node is checked three ways: its gradients against central differences
-in float64, its float32 output and gradients bit for bit against the same
-computation written op by op in plain numpy, and the size of the tape it
-records.  The conv kinds are also checked against a per-tap convolution
+Each node's float32 output and gradients are checked bit for bit against the
+same computation written op by op in plain numpy, and the tape sizes are
+counted: per layer of an fc stack, and per loss term of a pre-halt batch.
+The layer and attention nodes' gradients are also checked against central
+differences in float64, and the conv kinds against a per-tap convolution
 loop, within a rounding bound.
 """
 
 import numpy as np
 import pytest
 
+from edgeslim import distill
 from edgeslim.archspec import CONV_KINDS, LayerKind, LayerSpec, NetworkSpec, check_valid
-from edgeslim.distill import NORM_FLOOR, align_map_pair, attention_loss_node
+from edgeslim.datasets import make_synthetic
+from edgeslim.distill import NORM_FLOOR, align_map_pair, attention_loss_node, distillation_loss_node
 from edgeslim.engine import autodiff as ad
 from edgeslim.engine.layers import layer_forward, param_layout
 from edgeslim.engine.model import cross_entropy_node, forward, init_model
@@ -356,3 +360,122 @@ def test_fc_stack_records_three_nodes_per_layer():
         sizes[depth] = len(ad._topo_order(loss))
     # the input and the loss, then per layer: the W and b leaves and one node
     assert sizes == {2: 2 + 3 * 2, 4: 2 + 3 * 4}
+
+
+def unit_rows_chain(m):
+    """``_unit_rows`` op by op: live rows, their squared norms, the floored norm."""
+    alive = ((m.astype(np.float64) ** 2).sum(axis=1, keepdims=True) >= NORM_FLOOR**2)
+    live = m * alive.astype(m.dtype)
+    sumsq = (live * live).sum(axis=1, keepdims=True)
+    norm = np.sqrt(np.maximum(sumsq, NORM_FLOOR**2))
+    return live / norm, alive.astype(m.dtype), live, sumsq, norm
+
+
+def attention_chain(teacher, student, g):
+    """One map's attention term and its gradient from upstream ``g``, each
+    numpy op of the generic chain in turn, the backward in reverse."""
+    s_unit, alive, live, sumsq, norm = unit_rows_chain(student)
+    diff = unit_rows_chain(teacher)[0] + (-s_unit)
+    scale = np.asarray(1.0 / len(diff))
+    value = np.asarray((diff * diff).sum(axis=1).sum()) * scale
+    g_sq = np.broadcast_to(g * scale, diff.shape)
+    g_unit = -(g_sq * diff + g_sq * diff)
+    g_norm = (-g_unit * live / (norm * norm)).sum(axis=1, keepdims=True)
+    g_sumsq = np.broadcast_to(g_norm * 0.5 / norm * (sumsq > NORM_FLOOR**2), live.shape)
+    return value, (g_unit / norm + g_sumsq * live + g_sumsq * live) * alive
+
+
+def test_attention_over_all_maps_is_one_node_bit_identical_to_op_chain():
+    rng = np.random.default_rng(9)
+    widths = (4, 6, 3)
+    teachers = [rng.normal(size=(5, w)).astype(np.float32) for w in widths]
+    students = [rng.normal(size=(5, w)).astype(np.float32) for w in widths]
+    students[1][2] = 0.0  # a dead row
+    g = np.asarray(0.3)
+    expect = [attention_chain(t, s, g) for t, s in zip(teachers, students)]
+    expect_loss = expect[0][0] + expect[1][0] + expect[2][0]  # left to right
+
+    tensors = [ad.Tensor(s, requires_grad=True) for s in students]
+    loss = attention_loss_node([ad.Tensor(t) for t in teachers], tensors)
+    (0.3 * loss).backward()
+    assert loss._parents == tuple(tensors)  # one node over every map
+    assert loss.data.dtype == expect_loss.dtype and loss.data.tobytes() == expect_loss.tobytes()
+    for tensor, (_, grad) in zip(tensors, expect):
+        assert tensor.grad.dtype == grad.dtype and tensor.grad.tobytes() == grad.tobytes()
+    np.testing.assert_array_equal(tensors[1].grad[2], 0.0)
+
+
+def test_distillation_node_is_bit_identical_to_op_chain():
+    rng = np.random.default_rng(10)
+    teacher = rng.normal(size=(6, 4)).astype(np.float32)
+    student = rng.normal(size=(6, 4)).astype(np.float32)
+    # forward: t + (-s), square, row sum, sum, times 1/n
+    diff = teacher + (-student)
+    inv_n = np.asarray(1.0 / 6)
+    expect_loss = np.asarray((diff * diff).sum(axis=1).sum()) * inv_n
+    # backward from the 0.3 weight, each op in reverse
+    g_rows = np.broadcast_to(np.asarray(0.3) * inv_n, (6,)).copy()
+    g_sq = np.broadcast_to(np.expand_dims(g_rows, 1), diff.shape).copy()
+    expect_grad = -(g_sq * diff + g_sq * diff)
+
+    s = ad.Tensor(student, requires_grad=True)
+    loss = distillation_loss_node(ad.Tensor(teacher), s)
+    (0.3 * loss).backward()
+    assert loss._parents == (s,)
+    assert loss.data.dtype == expect_loss.dtype and loss.data.tobytes() == expect_loss.tobytes()
+    assert s.grad.dtype == expect_grad.dtype and s.grad.tobytes() == expect_grad.tobytes()
+    with pytest.raises(ValueError, match="teacher logits must be detached"):
+        distillation_loss_node(ad.Tensor(teacher, requires_grad=True), s)
+    with pytest.raises(ValueError, match="logit shapes differ"):
+        distillation_loss_node(ad.Tensor(teacher[:, :3]), s)
+
+
+def test_weighted_sum_is_one_node_bit_identical_to_op_chain():
+    rng = np.random.default_rng(11)
+    lams = (0.2, 1.0, 0.35, 0.45)  # l1, l4, l2, l3 as train() orders them
+    values = [np.asarray(v, dtype=np.float32) for v in rng.normal(size=4)]
+    # lam * term, each lam lifted to a 0-d array, then added left to right
+    weights = [np.asarray(lam) for lam in lams]
+    expect_loss = values[0] * weights[0]
+    for value, w in zip(values[1:], weights[1:]):
+        expect_loss = expect_loss + value * w
+    upstream = np.ones_like(expect_loss)
+
+    terms = [ad.Tensor(v, requires_grad=True) for v in values]
+    loss = distill._weighted_sum(list(zip(lams, terms)))
+    loss.backward()
+    assert loss._parents == tuple(terms)
+    assert loss.data.dtype == expect_loss.dtype and loss.data.tobytes() == expect_loss.tobytes()
+    for term, w in zip(terms, weights):
+        grad = upstream * w
+        assert term.grad.dtype == grad.dtype and term.grad.tobytes() == grad.tobytes()
+
+
+class _Taped(Exception):
+    pass
+
+
+def test_pre_halt_batch_records_five_loss_nodes(monkeypatch):
+    """One S6 pre-halt batch: one node per layer of the student and of the
+    trainee's tail, then two CE nodes, the attention node, the DL node and
+    the weighted sum (equal map widths, so no projection node)."""
+    spec = check_valid(NetworkSpec("t", [
+        LayerSpec(LayerKind.FC, I=6, O=5), LayerSpec(LayerKind.FC, I=5, O=4),
+        LayerSpec(LayerKind.FC, I=4, O=4), LayerSpec(LayerKind.FC, I=4, O=3),
+    ], class_count=3, shared_prefix=2))
+    student, trainee, pretrained = (init_model(spec, seed=s) for s in (1, 2, 3))
+    distill.share_prefix_layers(student, trainee, 2)
+    roots = []
+
+    def capture(root):
+        roots.append(root)
+        raise _Taped
+
+    monkeypatch.setattr(ad.Tensor, "backward", capture)
+    data = make_synthetic(k=3, p=6, n=60, seed=4)
+    with pytest.raises(_Taped):
+        distill.train(student, trainee, pretrained, data,
+                      distill.DistillPlan(0.5, 0.3, 0.2, total_epochs=2, batch_size=16))
+    nodes = [n for n in ad._topo_order(roots[0]) if n._backward is not None]
+    layer_nodes = 4 + (4 - 2)
+    assert len(nodes) == layer_nodes + 5
