@@ -128,9 +128,9 @@ def load_csv(path, k: int | None = None) -> Dataset:
             if len(row) != p + 1:
                 raise ValueError(f"{path}:{lineno}: expected {p + 1} fields, got {len(row)}")
             try:
-                labels.append(int(row[0]))
+                labels.append(np.int64(int(row[0])))
                 rows.append([float(v) for v in row[1:]])
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:  # OverflowError: a label past int64
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")

@@ -181,10 +181,15 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
     1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, both from e = exp(-|x|):
     no boolean indexing, and the same bits as evaluating the two branches
-    on their halves.
+    on their halves.  The numerator picks its branch as max(e, x >= 0),
+    which is 1 where x >= 0 (there e <= 1), e elsewhere and NaN for NaN,
+    the bits of ``np.where(x >= 0, 1.0, e)``, but on ``maximum``'s fast
+    loop instead of ``where``'s generic one.  A (256, 96) float32 column
+    slice, the gate block of a recurrent step at batch 256, took 54 µs
+    against 159 µs (best of 5×200 calls; 2-CPU x86_64, numpy 2.4.6).
     """
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -86,6 +86,8 @@ class DeviceProfile:
     alpha_ratio: float | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ValueError(f"device name must be a string, got {self.name!r}")
         for attr in ("bytes_per_flop", "seconds_per_flop", "flops_per_second", "beta"):
             _require_positive(attr, getattr(self, attr))
         if (self.alpha is None) == (self.alpha_ratio is None):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from edgeslim.archspec import LayerKind, LayerSpec
 from edgeslim.engine import autodiff as ad
+from edgeslim.engine import layers
 from edgeslim.engine.layers import layer_forward, param_layout
 
 
@@ -113,11 +114,11 @@ def test_backward_accumulates_across_reuse():
     np.testing.assert_allclose(a.grad, [5.0])
 
 
+RECURRENT = [LayerKind.LSTM, LayerKind.COUPLED_LSTM, LayerKind.GRU, LayerKind.MGU]
+
+
 @settings(max_examples=40, deadline=None)
-@given(
-    st.floats(min_value=-500.0, max_value=500.0),
-    st.sampled_from([LayerKind.LSTM, LayerKind.COUPLED_LSTM, LayerKind.GRU, LayerKind.MGU]),
-)
+@given(st.floats(min_value=-500.0, max_value=500.0), st.sampled_from(RECURRENT))
 def test_sigmoid_stays_finite(x, kind):
     # every gate bias at x puts each pre-activation of the fused cell near x
     layer = LayerSpec(kind, I=2, O=3, s=3)
@@ -136,6 +137,67 @@ def test_sigmoid_stays_finite(x, kind):
     assert np.isfinite(inputs.grad).all()
     for tensor in params.values():
         assert np.isfinite(tensor.grad).all()
+
+
+def two_branch_sigmoid(x):
+    """The reference form of the gate kernel: its numerator picked by ``np.where``."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_stable_sigmoid_matches_the_two_branch_form_bit_for_bit(dtype):
+    tiny = np.finfo(dtype).tiny
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 88.7, -88.7, 104.0, -104.0,
+             tiny, -tiny, tiny / 8, -tiny / 8, 1e-30, -1e-30, 1.0, -1.0]
+    rng = np.random.default_rng(7)
+    values = np.concatenate([np.array(edges, dtype=dtype),
+                             rng.normal(scale=20.0, size=382).astype(dtype)])
+    # the cell passes column slices of its gate buffer, a[:, :S]
+    block = np.stack([values[:200], values[200:]], axis=1).repeat(3, axis=1)
+    for x in (values, block, block[:, :4], block[:, 1::2]):
+        assert same_bits(ad._stable_sigmoid(x), two_branch_sigmoid(x))
+
+
+@pytest.mark.parametrize("upstream_dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 32, 256])
+@pytest.mark.parametrize("kind", RECURRENT)
+def test_recurrent_node_is_bit_identical_under_the_two_branch_sigmoid(
+    monkeypatch, kind, batch, upstream_dtype
+):
+    layer = LayerSpec(kind, I=5, O=6, s=4)
+    rng = np.random.default_rng(batch)
+    # wide pre-activations, so gates saturate on both sides
+    arrays = {"x": rng.normal(scale=3.0, size=(batch, layer.input_width)).astype(np.float32)}
+    masks = {}
+    for pdef in param_layout(layer):
+        arrays[pdef.name] = rng.normal(scale=2.0, size=pdef.shape).astype(np.float32)
+        if pdef.masked:
+            masks[pdef.name] = (rng.random(pdef.shape) > 0.3).astype(np.float32)
+    upstream = rng.normal(size=(batch, layer.O)).astype(upstream_dtype)
+
+    def run():
+        tensors = {k: ad.Tensor(v, requires_grad=True) for k, v in arrays.items()}
+        params = {k: t for k, t in tensors.items() if k != "x"}
+        out = layer_forward(layer, params, tensors["x"], masks)
+        (out * ad.lift(upstream)).sum().backward()
+        return out.data, {k: t.grad for k, t in tensors.items()}
+
+    shipped_out, shipped = run()
+    calls = []
+    monkeypatch.setattr(
+        layers, "_stable_sigmoid", lambda x: calls.append(1) or two_branch_sigmoid(x)
+    )
+    reference_out, reference = run()
+    assert len(calls) == layer.s  # every step's gates went through the reference
+    assert same_bits(shipped_out, reference_out)
+    assert shipped.keys() == reference.keys()
+    for name, grad in shipped.items():
+        assert same_bits(grad, reference[name]), name
 
 
 def test_relu_zero_point_subgradient():

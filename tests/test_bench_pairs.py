@@ -63,6 +63,24 @@ def test_summarize_gives_quartiles_changes_and_wins_per_workload():
     assert not mixed["outputs_equal_in_every_pair"]
 
 
+def test_a_run_s_gain_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_parent_iqr():
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]  # IQR 0.035
+    out = bench_pairs.summarize(
+        canned_runs("clear", parent, [p - 0.1 for p in parent])
+        + canned_runs("one-loss", parent, [p - 0.1 for p in parent[:9]] + [1.2])
+        + canned_runs("two-losses", parent, [p - 0.1 for p in parent[:8]] + [1.2, 1.2])
+        + canned_runs("one-tie", parent, [p - 0.1 for p in parent[:8]] + parent[8:9] + [0.9])
+        + canned_runs("inside-iqr", parent, [p - 0.02 for p in parent])
+    )
+    assert out["clear"]["run_s_gain_holds"]
+    assert out["one-loss"]["run_s_change_lower_in"] == 9 and out["one-loss"]["run_s_gain_holds"]
+    assert not out["two-losses"]["run_s_gain_holds"]  # 8 of 10
+    assert out["one-tie"]["run_s_change_lower_in"] == 9  # a tie counts for neither side
+    assert out["one-tie"]["run_s_gain_holds"]
+    inside = out["inside-iqr"]
+    assert inside["run_s_change_lower_in"] == 10 and not inside["run_s_gain_holds"]
+
+
 def test_runs_last_as_long_as_the_benchmark_declares():
     declared = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())["run_seconds"]
     assert bench_pairs.SECONDS == declared

@@ -2,6 +2,7 @@
 
 import base64
 import contextlib
+import csv
 import io
 import json
 
@@ -111,6 +112,18 @@ def test_estimate_rejects_bool_budget(ws, capsys):
     rc = main(["estimate", "--arch", str(ws / "arch.json"), "--device", str(ws / "bool.json"), "--out", str(ws / "r.json")])
     assert rc == 2
     assert "alpha must be a positive finite number, got True" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", [[1, 2], None, 3], ids=["list", "null", "number"])
+def test_estimate_rejects_a_non_string_device_name(ws, capsys, name):
+    (ws / "named.json").write_text(json.dumps({**device_dict(alpha=1e9, beta=1.0), "name": name}))
+    report = ws / "r.json"
+    rc = main(["estimate", "--arch", str(ws / "arch.json"), "--device", str(ws / "named.json"),
+               "--out", str(report)])
+    assert rc == 2 and not report.exists()
+    err = capsys.readouterr().err
+    assert "device name must be a string" in err
+    assert "Traceback" not in err and err.count("\n") == 1
 
 
 def test_estimate_missing_file_is_input_error(ws, capsys):
@@ -369,13 +382,16 @@ ODD_VALUES = [None, True, False, 0, -1, 1.5, "x", "", [], {}, [1], {"a": 1}, flo
 CHECKPOINT_MUTATIONS = [
     "delete", "retype", "truncate", "extra", "non-finite", "bool", "masked-nonzero"
 ]
-JSON_MUTATIONS = ["delete", "retype", "extra", "bool"]  # for files that hold no arrays
+JSON_MUTATIONS = ["delete", "retype", "extra", "bool", "name"]  # for files that hold no arrays
 
 
 def _mutate(body, draw, kinds=CHECKPOINT_MUTATIONS):
     """One random corruption of a JSON body, in place; by default of a
-    checkpoint, whose arrays the other kinds corrupt."""
+    checkpoint, whose arrays the other kinds corrupt.  Returns its kind."""
     kind = draw(st.sampled_from(kinds))
+    if kind == "name":  # a top-level name that is no string
+        body["name"] = draw(st.sampled_from([v for v in ODD_VALUES if not isinstance(v, str)]))
+        return kind
     slots = list(_slots(body))
     if kind in ("truncate", "non-finite", "masked-nonzero"):
         group = "masks" if kind == "masked-nonzero" else "params"
@@ -385,7 +401,7 @@ def _mutate(body, draw, kinds=CHECKPOINT_MUTATIONS):
         raw = base64.b64decode(entry["data"])
         if kind == "truncate":
             entry["data"] = entry["data"][: draw(st.integers(0, len(entry["data"]) - 1))]
-            return
+            return kind
         values = np.frombuffer(raw, dtype=entry["dtype"]).copy()
         spot = draw(st.integers(0, values.size - 1))
         if kind == "non-finite":
@@ -395,12 +411,12 @@ def _mutate(body, draw, kinds=CHECKPOINT_MUTATIONS):
                                    dtype=entry["dtype"])
             values[np.flatnonzero(weight)[spot % np.count_nonzero(weight)]] = 0.0
         entry["data"] = base64.b64encode(values.tobytes()).decode("ascii")
-        return
+        return kind
     if kind == "bool":
         numbers = [(p, k) for p, k in slots if type(_at(body, p)[k]) in (int, float)]
         path, key = draw(st.sampled_from(numbers))
         _at(body, path)[key] = draw(st.booleans())
-        return
+        return kind
     path, key = draw(st.sampled_from(slots))
     parent = _at(body, path)
     if kind == "delete":
@@ -411,6 +427,7 @@ def _mutate(body, draw, kinds=CHECKPOINT_MUTATIONS):
         parent["zz_extra"] = draw(st.sampled_from(ODD_VALUES))
     else:
         parent.append(draw(st.sampled_from([*ODD_VALUES, parent[key]])))
+    return kind
 
 
 @settings(max_examples=60, deadline=None)
@@ -476,7 +493,7 @@ def estimate_inputs(tmp_path_factory):
 def test_estimate_survives_any_arch_or_device_mutation(estimate_inputs, target, data):
     root, bodies = estimate_inputs
     bodies = json.loads(json.dumps(bodies))
-    _mutate(bodies[target], data.draw, JSON_MUTATIONS)
+    kind = _mutate(bodies[target], data.draw, JSON_MUTATIONS)
     for name, body in bodies.items():
         (root / f"{name}.json").write_text(json.dumps(body))
     err = io.StringIO()
@@ -486,6 +503,71 @@ def test_estimate_survives_any_arch_or_device_mutation(estimate_inputs, target, 
     assert rc in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     assert rc != 2 or err.getvalue().count("\n") == 1
+    assert kind != "name" or rc == 2  # architecture and device names must be strings
+
+
+CSV_MUTATIONS = {
+    "drop-cell": None,
+    "add-cell": ["0.5", "", "x"],
+    "non-numeric": ["x", "", "1,5", "0x10", "--1", "1.2.3"],
+    "non-finite": ["nan", "inf", "-inf", "1e309", "-1e309", "1e300"],
+    "label-zero": ["0", "-0", "-1"],
+    "label-above-k": ["4", "1000000", str(2**63), str(10**30)],
+    "label-non-integer": ["1.5", "2.0", "1e0", "x", ""],
+    "bad-header": ["", "x", "Label", "s9", "label"],
+    "header-only": None,
+    "empty": None,
+}
+
+
+def _mutate_csv(rows, draw):
+    """One random corruption of a dataset CSV given as a list of rows."""
+    kind = draw(st.sampled_from(sorted(CSV_MUTATIONS)))
+    if kind == "empty":
+        return []
+    if kind == "header-only":
+        return rows[:1]
+    if kind == "bad-header":
+        rows[0][draw(st.integers(0, len(rows[0]) - 1))] = draw(st.sampled_from(CSV_MUTATIONS[kind]))
+        return rows
+    # a dropped or added cell may hit the header; the other kinds edit a data row
+    row = rows[draw(st.integers(0 if kind.endswith("cell") else 1, len(rows) - 1))]
+    if kind == "drop-cell":
+        del row[draw(st.integers(0, len(row) - 1))]
+    elif kind == "add-cell":
+        row.insert(draw(st.integers(0, len(row))), draw(st.sampled_from(CSV_MUTATIONS[kind])))
+    else:
+        column = 0 if kind.startswith("label") else draw(st.integers(1, len(row) - 1))
+        row[column] = draw(st.sampled_from(CSV_MUTATIONS[kind]))
+    return rows
+
+
+@pytest.fixture(scope="module")
+def train_inputs(tmp_path_factory):
+    """A workspace with ``ARCH`` and the rows of a small valid dataset for it."""
+    root = tmp_path_factory.mktemp("train")
+    (root / "arch.json").write_text(json.dumps(ARCH))
+    assert main(["gendata", "--out", str(root / "data.csv"), "--n", "12", "--p", "6", "--k", "3",
+                 "--seed", "4"]) == 0
+    with open(root / "data.csv", newline="") as fh:
+        return root, list(csv.reader(fh))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_train_survives_any_csv_mutation(train_inputs, data):
+    root, rows = train_inputs
+    rows = _mutate_csv([list(row) for row in rows], data.draw)
+    with open(root / "mutated.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["train", "--arch", str(root / "arch.json"), "--data", str(root / "mutated.csv"),
+                   "--out", str(root / "model.json"), "--epochs", "1"])
+    assert rc in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert rc != 2 or err.getvalue().count("\n") == 1
+    assert rc != 3 or "diverged" in err.getvalue()
 
 
 def pipeline_config(ws, out_dir, teacher=None):
