@@ -26,6 +26,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from edgeslim import __version__, compressor, pruning
 from edgeslim import pipeline as pipeline_mod
 from edgeslim.archspec import check_valid, network_from_dict
@@ -111,6 +113,18 @@ def _load_dataset(path):
         raise InputError(str(exc)) from None
 
 
+def _check_fits(model, dataset, path) -> None:
+    """Where a command's dataset meets its model: one feature per model
+    input, each within the model dtype's range, since a float64 value past
+    it turns infinite when the first forward casts the batch."""
+    width = model.spec.layers[0].input_width
+    if width != dataset.p:
+        raise InputError(f"{path}: model expects {width} features, dataset has {dataset.p}")
+    limit, features = np.finfo(model.dtype).max, dataset.features
+    if not -limit <= features.min(initial=0.0) <= features.max(initial=0.0) <= limit:
+        raise InputError(f"{path}: a feature is not a finite {model.dtype} value")
+
+
 def _stamp(payload: dict, **resolved) -> dict:
     payload["tool_version"] = __version__
     payload.update(resolved)
@@ -151,6 +165,7 @@ def cmd_train(args) -> int:
     spec = _load(args.arch, _arch)
     dataset = _load_dataset(args.data)
     model = init_model(spec, seed=args.seed)
+    _check_fits(model, dataset, args.data)
     history = train_classifier(
         model, dataset, epochs=args.epochs, eta=args.eta,
         batch_size=args.batch_size, seed=args.seed,
@@ -170,6 +185,7 @@ def cmd_train(args) -> int:
 def cmd_dropout(args) -> int:
     model, extras = _load(args.checkpoint, load_checkpoint)
     dataset = _load_dataset(args.data)
+    _check_fits(model, dataset, args.data)
     reference = args.reference_loss
     if reference is None:
         reference = extras.get("reference_loss")
@@ -202,11 +218,7 @@ def cmd_compress(args) -> int:
 def cmd_eval(args) -> int:
     model, _ = _load(args.checkpoint, load_checkpoint)
     dataset = _load_dataset(args.data)
-    if model.spec.layers[0].input_width != dataset.p:
-        raise InputError(
-            f"model expects {model.spec.layers[0].input_width} features, "
-            f"dataset has {dataset.p}"
-        )
+    _check_fits(model, dataset, args.data)
     report = evaluate_predictions(dataset.labels, predict(model, dataset.features), dataset.k)
     write_json(args.out, _stamp(report.to_dict()))
     return EXIT_OK
@@ -239,6 +251,8 @@ def cmd_pipeline(args) -> int:
             raise InputError(f"{config.teacher}: checkpoint records no reference loss")
     else:
         teacher = init_model(spec, seed=derive_seed(config.seed, "pretrain"))
+    _check_fits(teacher, dataset, config.dataset)
+    if config.teacher is None:
         train_classifier(
             teacher, dataset, epochs=config.pretrain_epochs, eta=config.pretrain_eta,
             batch_size=config.batch_size, seed=derive_seed(config.seed, "pretrain"),

@@ -129,8 +129,9 @@ _FACTORIZED = {LayerKind.FC: LayerKind.FACTORIZED_FC, LayerKind.CONV: LayerKind.
 
 
 def effective_matrix(layer: LayerSpec, lp: LayerParams) -> np.ndarray:
-    """The masked weight as the 2-d matrix the factorization splits."""
-    w = (lp.params["W"] * lp.masks["W"]).astype(np.float64)
+    """The weight as the 2-d matrix the factorization splits; masked
+    entries are zero in it, as in every stored weight."""
+    w = lp.params["W"].astype(np.float64)
     # fc: (I, O) as stored; conv: the (I*f*g, O) matrix its kernel multiplies by
     return w if layer.kind == LayerKind.FC else conv_matrix(w)
 

@@ -77,6 +77,16 @@ SCHEMES = {
 }
 
 
+def check_lambdas(lams: Sequence[float]) -> None:
+    """Three loss weights strictly inside the simplex (sum 1 to 1e-9)."""
+    if len(lams) != 3:
+        raise ValueError("lambdas must hold exactly three weights")
+    if abs(sum(lams) - 1.0) > 1e-9:
+        raise ValueError(f"lambda1+lambda2+lambda3 must equal 1, got {sum(lams)!r}")
+    if not all(0.0 < l < 1.0 for l in lams):
+        raise ValueError(f"each lambda must lie strictly in (0, 1), got {tuple(lams)}")
+
+
 @dataclass(frozen=True)
 class DistillPlan:
     """Loss weights, halting policy, and training knobs for one run.
@@ -104,11 +114,7 @@ class DistillPlan:
     attention_seed: int = 0
 
     def __post_init__(self) -> None:
-        lams = (self.lambda1, self.lambda2, self.lambda3)
-        if abs(sum(lams) - 1.0) > 1e-9:
-            raise ValueError(f"lambda1+lambda2+lambda3 must equal 1, got {sum(lams)!r}")
-        if not all(0.0 < l < 1.0 for l in lams):
-            raise ValueError(f"each lambda must lie strictly in (0, 1), got {lams}")
+        check_lambdas((self.lambda1, self.lambda2, self.lambda3))
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {sorted(SCHEMES)}")
         if self.total_epochs < 1:
@@ -156,22 +162,14 @@ def combined_loss(
     distillation: float,
     plan: DistillPlan,
     epoch: int,
-    halted: bool | None = None,
+    halted: bool,
 ) -> LossBreakdown:
     """Assemble one breakdown row; the branch decides whether CE_te counts.
 
-    ``halted`` overrides the plan's fixed halting epoch (the trainer passes
-    its live flag); otherwise epochs past ``plan.halting_epoch`` take the
-    post-halt branch, as does any scheme without a trainee.
+    ``halted`` is the trainer's live flag; a halted run, like any scheme
+    without a trainee, takes the post-halt branch.
     """
-    traits = SCHEMES[plan.scheme]
-    if halted is None:
-        halted = (
-            traits.halts
-            and plan.halting_epoch is not None
-            and epoch > plan.halting_epoch
-        )
-    post = halted or not traits.trainee
+    post = halted or not SCHEMES[plan.scheme].trainee
     l1, l2, l3, l4 = plan.effective_lambdas()
     combined = l1 * ce_student + l2 * attention + l3 * distillation
     if not post:

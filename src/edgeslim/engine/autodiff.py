@@ -11,10 +11,13 @@ The generic arithmetic, reductions and reshape serve a conv map's mean, a
 projection, a flatten and the tests' reference chains; ``softmax_cross_entropy``
 is fused.  So is each hot multi-op computation, one node with a hand-written
 backward built with :func:`_node` elsewhere: every layer kind in
-:mod:`edgeslim.engine.layers` (one body of mask, GEMM, bias and ReLU for fc,
-conv and both factorized kinds, the conv kinds over im2col patch rows; a whole
+:mod:`edgeslim.engine.layers` (one body of GEMM, bias and ReLU for fc, conv
+and both factorized kinds, the conv kinds over im2col patch rows; a whole
 recurrent cell, on :func:`_stable_sigmoid`), and in :mod:`edgeslim.distill`
 the loss: attention over all maps, logit distillation and the weighted sum.
+No node here knows about masks: a leaf's gradient is the true derivative at
+every entry, and :mod:`edgeslim.engine.model` drops the masked entries when
+it gathers the gradients for an SGD step.
 """
 
 from __future__ import annotations

@@ -1,25 +1,25 @@
 """Per-kind parameter layouts and fused forward nodes.
 
-Weight matrices are maskable (connection dropout), biases are not.  Recurrent
-cells keep one ``(I+O, O)`` matrix and one bias per gate block so a gate can
-be re-initialised or dropped wholesale when the cell is rewritten to its
-reduced form.  The coupled LSTM derives its input gate as ``1 - f``; the
-minimal gated cell uses its single forget gate both to gate the candidate
-input and to blend the new state.
+Weight matrices are maskable (connection dropout), biases are not.  The
+kernels here are plain dense math over the weights as stored: the pruning
+rule, that a masked weight is zero and its gradient is dropped, lives in
+:mod:`edgeslim.engine.model`.  Recurrent cells keep one ``(I+O, O)`` matrix
+and one bias per gate block so a gate can be re-initialised or dropped
+wholesale when the cell is rewritten to its reduced form.  The coupled LSTM
+derives its input gate as ``1 - f``; the minimal gated cell uses its single
+forget gate both to gate the candidate input and to blend the new state.
 
 Every layer runs as one tape node with a hand-written backward, whatever its
 kind.  ``fc``, ``factorized_fc``, ``conv`` and ``factorized_conv`` share one
-node body: ``W * mask``, the GEMM of each factor, the bias and an optional
-ReLU over rows.  The fc kinds take the input's rows as they are; the conv
-kinds take its im2col patch rows (one per output pixel, columns in
-(channel, tap) order), read the conv weight as the (I*f*g, O) matrix of
-:func:`conv_matrix`, and scatter the input gradient back with col2im, so a
-convolution is one GEMM per factor and direction.  A recurrent cell
-concatenates its masked per-gate blocks for the forward, runs the input
-projection of all steps as a single GEMM, and scatters the gradients of a
-hand-written BPTT back to the per-gate tensors, so storage, masks and
-checkpoints stay per gate.  Gradients of masked weights are multiplied by
-the mask, so masked entries get exactly zero and never revive.
+node body: the GEMM of each factor, the bias and an optional ReLU over rows.
+The fc kinds take the input's rows as they are; the conv kinds take its
+im2col patch rows (one per output pixel, columns in (channel, tap) order),
+read the conv weight as the (I*f*g, O) matrix of :func:`conv_matrix`, and
+scatter the input gradient back with col2im, so a convolution is one GEMM
+per factor and direction.  A recurrent cell concatenates its per-gate blocks
+for the forward, runs the input projection of all steps as a single GEMM,
+and scatters the gradients of a hand-written BPTT back to the per-gate
+tensors, so storage, masks and checkpoints stay per gate.
 """
 
 from __future__ import annotations
@@ -89,20 +89,6 @@ def param_layout(layer: LayerSpec) -> list[ParamDef]:
     raise ValueError(f"no parameter layout for kind {kind!r}")
 
 
-Masks = dict[str, np.ndarray] | None
-
-
-def _masked(params: dict[str, Tensor], masks: Masks, name: str) -> np.ndarray:
-    """The weight a layer computes with: ``W * mask``, or ``W`` when unmasked."""
-    weight = params[name].data
-    return weight if masks is None else weight * masks[name]
-
-
-def _unmask(grad: np.ndarray, masks: Masks, name: str) -> np.ndarray:
-    """A weight's gradient with masked entries exactly zero."""
-    return grad if masks is None else grad * masks[name]
-
-
 def conv_matrix(weight: np.ndarray) -> np.ndarray:
     """A conv weight (O, I, f, g) as the (I*f*g, O) matrix of its GEMM, as a view.
 
@@ -146,9 +132,7 @@ _DENSE = {
 }
 
 
-def _dense_forward(
-    x: Tensor, layer: LayerSpec, params: dict[str, Tensor], masks: Masks, relu: bool
-) -> Tensor:
+def _dense_forward(x: Tensor, layer: LayerSpec, params: dict[str, Tensor], relu: bool) -> Tensor:
     """One fc, factorized_fc, conv or factorized_conv layer as one tape node.
 
     All four run ``rows @ W1 + b1 [@ W2 + b2]`` and the optional ReLU: the
@@ -160,7 +144,7 @@ def _dense_forward(
     it.
     """
     names, bias_names, conv = _DENSE[layer.kind]
-    weights = [_masked(params, masks, name) for name in names]
+    weights = [params[name].data for name in names]
     if conv:
         x4 = x.data.reshape(x.data.shape[0], layer.I, *layer.input_spatial)
         pre = _patches(x4, layer.f, layer.g)
@@ -189,7 +173,7 @@ def _dense_forward(
                 dW = ins[k].T @ g
                 if conv and k == 0:
                     dW = conv_weight(dW, w.data.shape)
-                w._accum(_unmask(dW, masks, names[k]))
+                w._accum(dW)
             if not x.requires_grad and not any(
                 params[n].requires_grad for n in names[:k] + bias_names[:k]
             ):
@@ -202,12 +186,10 @@ def _dense_forward(
     return _node(out, (x, *params.values()), bwd)
 
 
-def _recurrent_forward(
-    x: Tensor, layer: LayerSpec, params: dict[str, Tensor], masks: Masks
-) -> Tensor:
+def _recurrent_forward(x: Tensor, layer: LayerSpec, params: dict[str, Tensor]) -> Tensor:
     """All s steps of one recurrent cell as a single tape node.
 
-    The masked per-gate matrices are concatenated once into ``Wx`` (I, G*O)
+    The per-gate matrices are concatenated once into ``Wx`` (I, G*O)
     and ``Wh`` (O, G*O); the input projection of every step is one GEMM and
     each step adds one state GEMM.  Every kind lists its sigmoid gates first
     and its tanh candidate last.  GRU and MGU feed the candidate ``r*h``
@@ -218,13 +200,11 @@ def _recurrent_forward(
     kind = layer.kind
     n = x.data.shape[0]
     I, O, s = layer.I, layer.O, layer.s
-    names = [f"W{gate}" for gate in GATE_NAMES[kind]]
-    Ws = [params[name] for name in names]
+    Ws = [params[f"W{gate}"] for gate in GATE_NAMES[kind]]
     bs = [params[f"b{gate}"] for gate in GATE_NAMES[kind]]
     S = (len(Ws) - 1) * O  # width of the sigmoid block
-    masked = [_masked(params, masks, name) for name in names]
-    Wx = np.concatenate([W[:I] for W in masked], axis=1)
-    Wh = np.concatenate([W[I:] for W in masked], axis=1)
+    Wx = np.concatenate([W.data[:I] for W in Ws], axis=1)
+    Wh = np.concatenate([W.data[I:] for W in Ws], axis=1)
     b = np.concatenate([t.data for t in bs])
     gated = kind in (LayerKind.GRU, LayerKind.MGU)
     if gated:
@@ -314,11 +294,10 @@ def _recurrent_forward(
         else:
             dWh = states @ flat
         db = flat.sum(axis=0)
-        for k, (name, W, bias) in enumerate(zip(names, Ws, bs)):
+        for k, (W, bias) in enumerate(zip(Ws, bs)):
             cols = slice(k * O, (k + 1) * O)
             if W.requires_grad:
-                dW = np.concatenate([dWx[:, cols], dWh[:, cols]], axis=0)
-                W._accum(_unmask(dW, masks, name))
+                W._accum(np.concatenate([dWx[:, cols], dWh[:, cols]], axis=0))
             if bias.requires_grad:
                 bias._accum(db[cols])
 
@@ -326,23 +305,18 @@ def _recurrent_forward(
 
 
 def layer_forward(
-    layer: LayerSpec,
-    params: dict[str, Tensor],
-    x: Tensor,
-    masks: Masks = None,
-    relu: bool = False,
+    layer: LayerSpec, params: dict[str, Tensor], x: Tensor, relu: bool = False
 ) -> Tensor:
     """Apply one layer to a flat (n, input_width) Tensor as one tape node.
 
-    ``params`` are the raw leaves; ``masks`` (None: unmasked) multiply the
-    weights inside the node, and ``relu`` rectifies the output of a
-    non-recurrent kind.  Returns the natural-shape output: (n,O) for dense
-    and recurrent kinds, (n,O,h,w) for conv kinds.  The caller flattens
-    before the next layer.
+    ``params`` are the parameter leaves, used as stored, and ``relu``
+    rectifies the output of a non-recurrent kind.  Returns the
+    natural-shape output: (n,O) for dense and recurrent kinds, (n,O,h,w)
+    for conv kinds.  The caller flattens before the next layer.
     """
     kind = layer.kind
     if kind in GATE_NAMES:
         if relu:
             raise ValueError(f"{kind.value} layers take no ReLU")
-        return _recurrent_forward(x, layer, params, masks)
-    return _dense_forward(x, layer, params, masks, relu)
+        return _recurrent_forward(x, layer, params)
+    return _dense_forward(x, layer, params, relu)

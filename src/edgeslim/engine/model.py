@@ -1,18 +1,21 @@
 """Masked models: parameter storage, forward traces, SGD, checkpoints.
 
 A model is its architecture descriptor plus per-layer parameter arrays and
-binary masks over the weight matrices.  The forward pass multiplies each
-weight by its mask inside the layer's tape node, so gradients at masked
-entries are exactly zero and pruned connections never revive.  Class labels
-are 1-based everywhere outside this module; logits columns map to labels
-1..k.
+binary masks over the weight matrices.  This module owns the pruning rule:
+a masked weight is zero, and it stays zero because its gradient is dropped.
+Whatever sets a mask (dropout, a checkpoint load, a compressor rewrite)
+zeroes the weight under it, so the layer kernels use weights as stored, and
+:func:`gather_grads` multiplies the gathered gradient by the mask once, so
+an SGD step never moves a masked weight.  Class labels are 1-based
+everywhere outside this module; logits columns map to labels 1..k.
 
 Storage: each model copies its parameters, in layer and ``param_layout``
 order, into one buffer ``flat`` (:meth:`MaskedModel.pack`, run by every
-constructor); each ``params`` entry is a view of it, and ``grad`` matches
-it.  An SGD step is one finite check and one ``flat -= eta * grad`` per
-model.  A student may borrow its leading layers from the trainee; those
-view the trainee's buffer.  Masks stay separate arrays.
+constructor); each ``params`` entry is a view of it, and ``grad`` and
+``mask`` match it.  Each ``masks`` entry is a view of ``mask``, which holds
+1 at biases.  An SGD step is one finite check and one
+``flat -= eta * grad`` per model.  A student may borrow its leading layers
+from the trainee; those view the trainee's buffers.
 """
 
 from __future__ import annotations
@@ -51,13 +54,14 @@ class LayerParams:
 @dataclass(eq=False)
 class MaskedModel:
     """Parameters and masks; the first ``borrowed`` layers view another
-    model's buffer, and ``grad_views`` are per-layer views of ``grad``."""
+    model's buffers, and ``grad_views`` are per-layer views of ``grad``."""
 
     spec: NetworkSpec
     layers: list[LayerParams]
     dtype: np.dtype
     flat: np.ndarray = field(init=False, repr=False)
     grad: np.ndarray = field(init=False, repr=False)
+    mask: np.ndarray = field(init=False, repr=False)
     grad_views: list[dict[str, np.ndarray]] = field(init=False, repr=False)
     borrowed: int = field(init=False, default=0)
 
@@ -70,20 +74,25 @@ class MaskedModel:
         return MaskedModel, (self.spec, self.layers, self.dtype)
 
     def pack(self, borrowed: int = 0) -> None:
-        """Copy layers ``borrowed..`` into one fresh buffer that they then
-        view, with copied masks; earlier layers are left as they are."""
+        """Copy the parameters and masks of layers ``borrowed..`` into fresh
+        ``flat`` and ``mask`` buffers that they then view; earlier layers
+        are left as they are."""
         own = self.layers[borrowed:]
         arrays = [arr for lp in own for arr in lp.params.values()]
         self.flat = np.concatenate([np.empty(0), *arrays], axis=None, dtype=self.dtype)
         self.grad = np.zeros_like(self.flat)
+        self.mask = np.ones_like(self.flat)
         self.borrowed, self.grad_views, end = borrowed, [], 0
         for idx, lp in enumerate(own, borrowed):
-            params, grads = {}, {}
+            params, masks, grads = {}, {}, {}
             for name, arr in lp.params.items():
                 start, end = end, end + arr.size
                 params[name] = self.flat[start:end].reshape(arr.shape)
                 grads[name] = self.grad[start:end].reshape(arr.shape)
-            self.layers[idx] = LayerParams(params, {k: m.copy() for k, m in lp.masks.items()})
+                if name in lp.masks:
+                    masks[name] = self.mask[start:end].reshape(arr.shape)
+                    masks[name][...] = lp.masks[name]
+            self.layers[idx] = LayerParams(params, masks)
             self.grad_views.append(grads)
 
 
@@ -141,7 +150,7 @@ def forward(
 ) -> ForwardTrace:
     """Run layers ``start..stop-1`` of the network on a (n, width) batch.
 
-    Each layer is one tape node over its raw parameter leaves and masks.
+    Each layer is one tape node over its parameter leaves.
     Hidden conv/dense layers get a ReLU; recurrent outputs and final logits
     pass through raw.  ``stop`` defaults to the depth.
 
@@ -179,7 +188,7 @@ def forward(
             name: Tensor(arr, requires_grad=trainable) for name, arr in lp.params.items()
         }
         relu = idx != last and layer.kind not in RECURRENT_KINDS
-        out = layer_forward(layer, layer_leaves, cur, lp.masks, relu)
+        out = layer_forward(layer, layer_leaves, cur, relu)
         activations.append(out)
         leaves.append(layer_leaves)
         flat = (n, layer.output_width)
@@ -217,10 +226,12 @@ def backward(model: MaskedModel, trace: ForwardTrace, loss: Tensor) -> list[dict
 
 def gather_grads(model: MaskedModel, leaves: list[dict[str, Tensor]]) -> None:
     """Concatenate the gradients of ``leaves``, the layers ``model.flat``
-    holds, into ``model.grad``."""
+    holds, into ``model.grad``, cast to the parameter dtype, and drop the
+    gradients of masked weights: the one place the mask meets a gradient."""
     leaves = [leaf for layer_leaves in leaves for leaf in layer_leaves.values()]
     grads = [np.zeros_like(t.data) if t.grad is None else t.grad for t in leaves]
     np.concatenate([model.grad[:0], *grads], axis=None, out=model.grad)
+    model.grad *= model.mask
 
 
 def check_learning_rate(eta: float, name: str = "eta") -> None:
@@ -241,15 +252,10 @@ def descend(models: list[MaskedModel], eta: float) -> None:
 
 
 def sgd_step(model: MaskedModel, grads: list[dict[str, np.ndarray]], eta: float) -> None:
-    """One :func:`descend` of ``model``.
-
-    ``grads`` (per layer, in ``params`` layout) that are not
-    :func:`backward`'s views are first gathered into ``model.grad``, cast to
-    the parameter dtype, so the finite check sees the cast values.
-    """
+    """One :func:`descend` of ``model`` along ``grads``, which must be the
+    views that :func:`backward` returned for it."""
     if grads is not model.grad_views:
-        arrays = [layer[name] for lp, layer in zip(model.layers, grads) for name in lp.params]
-        np.concatenate(arrays, axis=None, out=model.grad)
+        raise ValueError("sgd_step takes the gradients backward() gathered for this model")
     descend([model], eta)
 
 

@@ -25,6 +25,7 @@ from edgeslim.distill import (
     DEBudget,
     DistillPlan,
     TrainResult,
+    check_lambdas,
     check_plateau,
     network_flops,
     optimize_lambdas,
@@ -94,8 +95,7 @@ class PipelineSettings:
             raise ValueError("omega must lie in [0, 1]")
         if self.lambdas is not None:
             object.__setattr__(self, "lambdas", tuple(float(l) for l in self.lambdas))
-            if len(self.lambdas) != 3:
-                raise ValueError("lambdas must hold exactly three weights")
+            check_lambdas(self.lambdas)
         if self.total_epochs < 1 or self.de_epochs < 1:
             raise ValueError("epoch counts must be positive")
         if self.scheme not in SCHEMES:

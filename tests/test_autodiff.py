@@ -173,17 +173,16 @@ def test_recurrent_node_is_bit_identical_under_the_two_branch_sigmoid(
     rng = np.random.default_rng(batch)
     # wide pre-activations, so gates saturate on both sides
     arrays = {"x": rng.normal(scale=3.0, size=(batch, layer.input_width)).astype(np.float32)}
-    masks = {}
     for pdef in param_layout(layer):
         arrays[pdef.name] = rng.normal(scale=2.0, size=pdef.shape).astype(np.float32)
-        if pdef.masked:
-            masks[pdef.name] = (rng.random(pdef.shape) > 0.3).astype(np.float32)
+        if pdef.masked:  # pruned: weights zeroed under a drawn mask
+            arrays[pdef.name][rng.random(pdef.shape) <= 0.3] = 0.0
     upstream = rng.normal(size=(batch, layer.O)).astype(upstream_dtype)
 
     def run():
         tensors = {k: ad.Tensor(v, requires_grad=True) for k, v in arrays.items()}
         params = {k: t for k, t in tensors.items() if k != "x"}
-        out = layer_forward(layer, params, tensors["x"], masks)
+        out = layer_forward(layer, params, tensors["x"])
         (out * ad.lift(upstream)).sum().backward()
         return out.data, {k: t.grad for k, t in tensors.items()}
 

@@ -5,6 +5,8 @@ import contextlib
 import csv
 import io
 import json
+import os
+import shutil
 
 import numpy as np
 import pytest
@@ -383,6 +385,10 @@ CHECKPOINT_MUTATIONS = [
     "delete", "retype", "truncate", "extra", "non-finite", "bool", "masked-nonzero"
 ]
 JSON_MUTATIONS = ["delete", "retype", "extra", "bool", "name"]  # for files that hold no arrays
+CONFIG_MUTATIONS = ["delete", "retype", "extra", "bool", "range", "null"]
+# numbers outside some setting's range; all small, so a run that accepts
+# one stays short
+OUT_OF_RANGE = [-1, 0, -0.25, 1.5]
 
 
 def _mutate(body, draw, kinds=CHECKPOINT_MUTATIONS):
@@ -412,15 +418,17 @@ def _mutate(body, draw, kinds=CHECKPOINT_MUTATIONS):
             values[np.flatnonzero(weight)[spot % np.count_nonzero(weight)]] = 0.0
         entry["data"] = base64.b64encode(values.tobytes()).decode("ascii")
         return kind
-    if kind == "bool":
+    if kind in ("bool", "range"):  # a number becomes a bool, or out of range
         numbers = [(p, k) for p, k in slots if type(_at(body, p)[k]) in (int, float)]
         path, key = draw(st.sampled_from(numbers))
-        _at(body, path)[key] = draw(st.booleans())
+        _at(body, path)[key] = draw(st.booleans() if kind == "bool" else st.sampled_from(OUT_OF_RANGE))
         return kind
     path, key = draw(st.sampled_from(slots))
     parent = _at(body, path)
     if kind == "delete":
         del parent[key]
+    elif kind == "null":
+        parent[key] = None
     elif kind == "retype":
         parent[key] = draw(st.sampled_from(ODD_VALUES))
     elif isinstance(parent, dict):
@@ -510,7 +518,8 @@ CSV_MUTATIONS = {
     "drop-cell": None,
     "add-cell": ["0.5", "", "x"],
     "non-numeric": ["x", "", "1,5", "0x10", "--1", "1.2.3"],
-    "non-finite": ["nan", "inf", "-inf", "1e309", "-1e309", "1e300"],
+    "non-finite": ["nan", "inf", "-inf", "1e309", "-1e309"],
+    "out-of-range": ["1e300", "-1e300", "3.5e38"],  # finite, but past float32's range
     "label-zero": ["0", "-0", "-1"],
     "label-above-k": ["4", "1000000", str(2**63), str(10**30)],
     "label-non-integer": ["1.5", "2.0", "1e0", "x", ""],
@@ -521,15 +530,16 @@ CSV_MUTATIONS = {
 
 
 def _mutate_csv(rows, draw):
-    """One random corruption of a dataset CSV given as a list of rows."""
+    """One random corruption of a dataset CSV given as a list of rows;
+    returns its kind and the rows."""
     kind = draw(st.sampled_from(sorted(CSV_MUTATIONS)))
     if kind == "empty":
-        return []
+        return kind, []
     if kind == "header-only":
-        return rows[:1]
+        return kind, rows[:1]
     if kind == "bad-header":
         rows[0][draw(st.integers(0, len(rows[0]) - 1))] = draw(st.sampled_from(CSV_MUTATIONS[kind]))
-        return rows
+        return kind, rows
     # a dropped or added cell may hit the header; the other kinds edit a data row
     row = rows[draw(st.integers(0 if kind.endswith("cell") else 1, len(rows) - 1))]
     if kind == "drop-cell":
@@ -539,7 +549,7 @@ def _mutate_csv(rows, draw):
     else:
         column = 0 if kind.startswith("label") else draw(st.integers(1, len(row) - 1))
         row[column] = draw(st.sampled_from(CSV_MUTATIONS[kind]))
-    return rows
+    return kind, rows
 
 
 @pytest.fixture(scope="module")
@@ -557,7 +567,7 @@ def train_inputs(tmp_path_factory):
 @given(data=st.data())
 def test_train_survives_any_csv_mutation(train_inputs, data):
     root, rows = train_inputs
-    rows = _mutate_csv([list(row) for row in rows], data.draw)
+    kind, rows = _mutate_csv([list(row) for row in rows], data.draw)
     with open(root / "mutated.csv", "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
     err = io.StringIO()
@@ -568,6 +578,34 @@ def test_train_survives_any_csv_mutation(train_inputs, data):
     assert "Traceback" not in err.getvalue()
     assert rc != 2 or err.getvalue().count("\n") == 1
     assert rc != 3 or "diverged" in err.getvalue()
+    # a feature the float32 model cannot hold is bad input, not divergence
+    assert kind not in ("non-finite", "out-of-range") or rc == 2
+
+
+@pytest.mark.parametrize("command", ["train", "dropout", "eval", "pipeline"])
+def test_feature_past_the_model_dtype_exits_2(ws, capsys, command):
+    ckpt = train_checkpoint(ws)
+    with open(ws / "data.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[5][2] = "1e300"  # finite in float64, infinite once cast to float32
+    big = ws / "big.csv"
+    with open(big, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    config = pipeline_config(ws, ws / "run")
+    config.write_text(json.dumps({**json.loads(config.read_text()), "dataset": str(big)}))
+    argv = {
+        "train": ["train", "--arch", str(ws / "arch.json"), "--data", str(big),
+                  "--out", str(ws / "m.json")],
+        "dropout": ["dropout", "--checkpoint", str(ckpt), "--data", str(big),
+                    "--out", str(ws / "d.json")],
+        "eval": ["eval", "--checkpoint", str(ckpt), "--data", str(big), "--out", str(ws / "e.json")],
+        "pipeline": ["pipeline", "--config", str(config)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "a feature is not a finite float32 value" in err and err.count("\n") == 1
+    assert not (ws / "run" / "teacher.json").exists()
 
 
 def pipeline_config(ws, out_dir, teacher=None):
@@ -588,6 +626,61 @@ def pipeline_config(ws, out_dir, teacher=None):
     path = ws / "config.json"
     path.write_text(json.dumps(config))
     return path
+
+
+@pytest.fixture(scope="module")
+def pipeline_inputs(tmp_path_factory):
+    """A workspace with a tiny dataset and a valid, fast pipeline config."""
+    root = tmp_path_factory.mktemp("pipeline")
+    (root / "arch.json").write_text(json.dumps(ARCH))
+    (root / "device.json").write_text(json.dumps(device_dict(alpha=1e9, beta=1.0)))
+    assert main(["gendata", "--out", str(root / "data.csv"), "--n", "30", "--p", "6", "--k", "3",
+                 "--seed", "4"]) == 0
+    config = {
+        "architecture": str(root / "arch.json"),
+        "device": str(root / "device.json"),
+        "dataset": str(root / "data.csv"),
+        "output_dir": str(root / "run" / "out"),
+        "pretrain_epochs": 1,
+        "lambdas": [0.5, 0.3, 0.2],
+        "total_epochs": 2,
+        "h_max": 1,
+        "dropout_max_iteration": 1,
+        "seed": 0,
+    }
+    return root, config
+
+
+@contextlib.contextmanager
+def _cwd(path):
+    """Run in ``path``, so a relative ``output_dir`` lands inside it."""
+    before = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(before)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_pipeline_survives_any_config_mutation(pipeline_inputs, data):
+    root, config = pipeline_inputs
+    run = root / "run"
+    shutil.rmtree(run, ignore_errors=True)
+    run.mkdir()
+    body = json.loads(json.dumps(config))
+    _mutate(body, data.draw, CONFIG_MUTATIONS)
+    path = root / "config.json"
+    path.write_text(json.dumps(body))
+    err = io.StringIO()
+    with _cwd(run), contextlib.redirect_stderr(err):
+        rc = main(["pipeline", "--config", str(path)])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if rc == 2:  # a malformed config stops before pretraining writes anything
+        assert err.getvalue().count("\n") == 1
+        assert not list(run.rglob("teacher.json"))
 
 
 def test_pipeline_manifest_is_byte_identical_across_runs(ws):

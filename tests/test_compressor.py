@@ -91,7 +91,9 @@ def test_factorize_fc_params():
         seed=2,
     )
     lp = model.layers[0]
-    lp.masks["W"][rng.random(lp.masks["W"].shape) < 0.3] = 0.0
+    dropped = rng.random(lp.masks["W"].shape) < 0.3
+    lp.masks["W"][dropped] = 0.0
+    lp.params["W"][dropped] = 0.0  # masked weights are zero
     r = 4
     new_layer, new_lp = factorize_layer_params(
         layer, effective_matrix(layer, lp), lp.params["b"], r, dtype=np.float32
@@ -177,7 +179,9 @@ def test_reduce_layer_params_carries_weights_and_masks():
     )
     lp = model.layers[0]
     for name in lp.masks:
-        lp.masks[name][rng.random(lp.masks[name].shape) < 0.4] = 0.0
+        dropped = rng.random(lp.masks[name].shape) < 0.4
+        lp.masks[name][dropped] = 0.0
+        lp.params[name][dropped] = 0.0  # masked weights are zero
     new_layer, new_lp = reduce_layer_params(gru, lp, dtype=np.float32)
     assert new_layer.kind == LayerKind.MGU
     # forget gate inherits the update gate, candidate keeps its own weights

@@ -237,17 +237,18 @@ def test_effective_lambdas_renormalize_without_trainee():
 
 def test_combined_loss_branches():
     plan = DistillPlan(0.5, 0.3, 0.2, scheme="S6", total_epochs=10, halting_epoch=5)
-    pre = combined_loss(1.0, 2.0, 3.0, 4.0, plan, epoch=5)
-    post = combined_loss(1.0, 2.0, 3.0, 4.0, plan, epoch=6)
+    pre = combined_loss(1.0, 2.0, 3.0, 4.0, plan, epoch=5, halted=False)
+    post = combined_loss(1.0, 2.0, 3.0, 4.0, plan, epoch=6, halted=True)
     assert pre.branch == "pre_halt" and post.branch == "post_halt"
+    assert (pre.epoch, post.epoch) == (5, 6)
     assert pre.combined - post.combined == pytest.approx(1.0 * 2.0)  # lambda4 * CE_te
     assert post.combined == pytest.approx(0.5 * 1.0 + 0.3 * 3.0 + 0.2 * 4.0)
-    # the live-flag override wins over the epoch comparison
+    # the live flag decides, whatever the epoch
     forced = combined_loss(1.0, 2.0, 3.0, 4.0, plan, epoch=1, halted=True)
     assert forced.branch == "post_halt"
-    # trainee-less schemes always sit on the guided branch
+    # trainee-less schemes always sit on the guided branch, even unhalted
     s1 = DistillPlan(0.5, 0.3, 0.2, scheme="S1")
-    row = combined_loss(1.0, 9.9, 3.0, 4.0, s1, epoch=1)
+    row = combined_loss(1.0, 9.9, 3.0, 4.0, s1, epoch=1, halted=False)
     assert row.branch == "post_halt"
     assert row.combined == pytest.approx((0.5 / 0.7) * 1.0 + (0.2 / 0.7) * 4.0)
 
@@ -658,10 +659,10 @@ def test_prefix_runs_once_per_batch_and_teacher_once_per_call(monkeypatch):
 
     real_layer_forward = engine_model.layer_forward
 
-    def counting_layer_forward(layer, params, x, masks=None, relu=False):
+    def counting_layer_forward(layer, params, x, relu=False):
         if params["W"].requires_grad and params["W"].data is shared_w:
             prefix_calls.append(x.data.shape[0])
-        return real_layer_forward(layer, params, x, masks, relu)
+        return real_layer_forward(layer, params, x, relu)
 
     monkeypatch.setattr(distill, "forward", counting_forward)
     monkeypatch.setattr(engine_model, "layer_forward", counting_layer_forward)

@@ -5,12 +5,15 @@ import json
 import numpy as np
 import pytest
 
+from edgeslim import compressor
 from edgeslim.archspec import LayerKind, LayerSpec, NetworkSpec, check_valid
+from edgeslim.compressor import minimum_flops
 from edgeslim.datasets import make_synthetic
 from edgeslim.engine import autodiff as ad
 from edgeslim.engine.layers import layer_forward
 from edgeslim.engine.model import (
     TrainingDiverged,
+    backward,
     connection_count,
     copy_model,
     cross_entropy_node,
@@ -19,6 +22,7 @@ from edgeslim.engine.model import (
     load_checkpoint,
     model_bytes,
     save_checkpoint,
+    sgd_step,
 )
 from edgeslim.engine.training import (
     epoch_seed,
@@ -27,6 +31,8 @@ from edgeslim.engine.training import (
     iterate_minibatches,
     train_classifier,
 )
+from edgeslim.pruning import apply_dropout
+from edgeslim.resources import DeviceProfile
 
 
 def sigmoid(x):
@@ -105,11 +111,13 @@ RECURRENT = [LayerKind.LSTM, LayerKind.COUPLED_LSTM, LayerKind.GRU, LayerKind.MG
 
 
 def mask_some(model, layer_idx, rng, fraction=0.3):
-    """Zero a random fraction, and at least the first entry, of every
-    weight mask of one layer."""
-    for mask in model.layers[layer_idx].masks.values():
+    """Prune a random fraction, and at least the first entry, of every
+    weight of one layer: mask 0 and the weight under it zeroed."""
+    lp = model.layers[layer_idx]
+    for name, mask in lp.masks.items():
         mask[rng.random(mask.shape) < fraction] = 0.0
         mask.flat[0] = 0.0
+        lp.params[name][mask == 0] = 0.0
 
 
 @pytest.mark.parametrize("kind", RECURRENT)
@@ -122,7 +130,7 @@ def test_recurrent_cells_match_reference(kind, rng):
     expect = recurrent_reference(kind, model.layers[0].params, x)
     np.testing.assert_allclose(out, expect, rtol=1e-10, atol=1e-12)
 
-    # masked weights, through the model's own mask multiply
+    # pruned weights: the masked entries are zero, as in every model
     mask_some(model, 0, rng)
     lp = model.layers[0]
     effective = {k: v * lp.masks[k] if k in lp.masks else v for k, v in lp.params.items()}
@@ -155,9 +163,9 @@ def test_fused_cell_gradients_match_finite_differences(kind, steps, batch):
         return float(cross_entropy_node(forward(model, x), y).data)
 
     trace = forward(model, x)
-    cross_entropy_node(trace, y).backward()
+    gathered = backward(model, trace, cross_entropy_node(trace, y))
     h = 1e-6
-    for lp, leaves in zip(model.layers, trace.leaves):
+    for lp, leaves, grads in zip(model.layers, trace.leaves, gathered):
         for name, arr in lp.params.items():
             analytic = leaves[name].grad
             numeric = np.zeros_like(arr)
@@ -170,10 +178,14 @@ def test_fused_cell_gradients_match_finite_differences(kind, steps, batch):
                 down = loss_value()
                 flat[i] = keep
                 out[i] = (up - down) / (2 * h)
+            # the leaf holds the true derivative everywhere, masked entries
+            # included; the gathered gradient drops exactly the masked ones
             rel = np.abs(analytic - numeric) / np.maximum(np.abs(analytic) + np.abs(numeric), 1e-3)
             assert rel.max() < 1e-6, f"{name}: rel err {rel.max():.2e}"
-            if name in lp.masks:
-                assert (analytic[lp.masks[name] == 0.0] == 0.0).all()
+            mask = lp.masks.get(name, np.ones_like(arr))
+            np.testing.assert_array_equal(grads[name], analytic * mask)
+            if (mask == 0).any():  # the pruned layers 0 and 1
+                assert analytic[mask == 0].any()
 
 
 @pytest.mark.parametrize("kind", RECURRENT)
@@ -200,18 +212,48 @@ def test_mgu_zero_weights_keeps_state_at_zero():
     np.testing.assert_array_equal(out, np.zeros((2, 4)))
 
 
-def test_mask_equals_zeroed_weight(rng, fc_spec):
-    model = init_model(fc_spec, seed=4, dtype=np.float64)
-    x = rng.normal(size=(6, 8))
-    masked = copy_model(model)
-    masked.layers[1].masks["W"][2, 3] = 0.0
-    zeroed = copy_model(model)
-    zeroed.layers[1].params["W"][2, 3] = 0.0
-    np.testing.assert_allclose(
-        forward(masked, x, trainable=False).logits.data,
-        forward(zeroed, x, trainable=False).logits.data,
-        rtol=1e-12,
-    )
+def assert_pruned(model, grads=None):
+    """Every masked weight is zero, and so is its gathered gradient."""
+    for idx, lp in enumerate(model.layers):
+        for name, mask in lp.masks.items():
+            assert not lp.params[name][mask == 0].any(), (idx, name)
+            if grads is not None:
+                assert not grads[idx][name][mask == 0].any(), (idx, name)
+
+
+def test_every_way_a_mask_is_set_keeps_its_weight_zero_through_sgd(small_dataset):
+    spec = check_valid(NetworkSpec("t", [
+        LayerSpec(LayerKind.FC, I=8, O=12),
+        LayerSpec(LayerKind.GRU, I=4, O=6, s=3),
+        LayerSpec(LayerKind.FC, I=6, O=3),
+    ], class_count=3))
+    pruned = apply_dropout(init_model(spec, seed=4), 0.5, [0, 1, 2])
+    loaded, _ = load_checkpoint(save_checkpoint(pruned))
+    floor = minimum_flops(spec)
+    device = DeviceProfile("tight", 4.0, 1e-9, 1e9, beta=floor * 1e-9, alpha=floor * 4.0)
+    outcome = compressor.run(copy_model(pruned), device, omega=0.5)
+    # the gate reduction carries the GRU's masks; the factors' fresh masks
+    # are then pruned in turn
+    assert outcome.model.spec.layers[1].kind == LayerKind.MGU
+    assert outcome.model.spec.layers[2].kind == LayerKind.FACTORIZED_FC
+    rewritten = apply_dropout(outcome.model, 0.5, [2])
+    x, y = small_dataset.features[:32], small_dataset.labels[:32]
+    for model in (pruned, loaded, rewritten):
+        assert_pruned(model)
+        before = model_bytes(model)
+        for _ in range(5):
+            trace = forward(model, x)
+            grads = backward(model, trace, cross_entropy_node(trace, y))
+            assert_pruned(model, grads)
+            # the leaves hold the true derivative, non-zero at masked entries
+            assert any(
+                leaves[name].grad[mask == 0].any()
+                for lp, leaves in zip(model.layers, trace.leaves)
+                for name, mask in lp.masks.items()
+            )
+            sgd_step(model, grads, 0.5)
+        assert_pruned(model)
+        assert model_bytes(model) != before  # the steps moved the live weights
 
 
 def test_masked_weight_receives_no_update(fc_spec, small_dataset):

@@ -54,10 +54,11 @@ STUDENT = check_valid(
 
 def assert_packed(model, borrowed=0):
     """Layers ``borrowed..`` view ``model.flat`` back to back, in layer and
-    layout order, and ``grad_views`` view ``model.grad`` the same way."""
+    layout order, and ``grad_views`` and the masks view ``model.grad`` and
+    ``model.mask`` the same way."""
     assert model.borrowed == borrowed
-    assert model.flat.dtype == model.grad.dtype == model.dtype
-    assert model.flat.flags.owndata and model.grad.flags.owndata
+    assert model.flat.dtype == model.grad.dtype == model.mask.dtype == model.dtype
+    assert model.flat.flags.owndata and model.grad.flags.owndata and model.mask.flags.owndata
     assert len(model.grad_views) == len(model.layers) - borrowed
     start = model.flat.ctypes.data
     offset = 0
@@ -67,8 +68,16 @@ def assert_packed(model, borrowed=0):
             assert arr.base is model.flat and grads[name].base is model.grad
             assert arr.ctypes.data == start + offset * model.flat.itemsize
             assert grads[name].shape == arr.shape and arr.flags.c_contiguous
+            # the mask buffer runs parallel: a weight's mask views the same
+            # span of ``model.mask``, a bias's span holds ones
+            if name in lp.masks:
+                mask = lp.masks[name]
+                assert mask.base is model.mask and mask.shape == arr.shape
+                assert mask.ctypes.data == model.mask.ctypes.data + offset * model.mask.itemsize
+            else:
+                assert (model.mask[offset : offset + arr.size] == 1).all()
             offset += arr.size
-    assert offset == model.flat.size == model.grad.size
+    assert offset == model.flat.size == model.grad.size == model.mask.size
 
 
 def assert_private(model, other):
@@ -195,20 +204,31 @@ def test_non_finite_gradient_leaves_every_model_of_the_step_unchanged():
     assert model_bytes(model) == before
 
 
-def test_sgd_step_gathers_foreign_gradients_after_the_cast():
+def test_sgd_step_takes_only_the_gradients_backward_gathered():
     data = make_synthetic(k=3, p=8, n=24, seed=14)
     model = init_model(TEACHER, seed=15)
-    twin = copy_model(model)
     trace = forward(model, data.features)
     grads = backward(model, trace, cross_entropy_node(trace, data.labels))
-    foreign = [{name: g.astype(np.float64) for name, g in layer.items()} for layer in grads]
+    before = model_bytes(model)
+    foreign = [{name: g.copy() for name, g in layer.items()} for layer in grads]
+    with pytest.raises(ValueError, match="backward"):
+        sgd_step(model, foreign, 0.1)
+    assert model_bytes(model) == before
     sgd_step(model, grads, 0.1)
-    sgd_step(twin, foreign, 0.1)
-    assert model_bytes(twin) == model_bytes(model)
+    assert model_bytes(model) != before
 
-    # a finite float64 gradient that overflows float32 is non-finite once cast
-    before = model_bytes(twin)
-    foreign[0]["W"][0, 0] = 1e300
-    with np.errstate(over="ignore"), pytest.raises(TrainingDiverged):
-        sgd_step(twin, foreign, 0.1)
-    assert model_bytes(twin) == before
+
+def test_gathered_gradient_is_cast_before_the_mask():
+    """A float64 leaf gradient past float32's range is non-finite once cast,
+    even under a zero mask: the step diverges instead of dropping it."""
+    data = make_synthetic(k=3, p=8, n=24, seed=16)
+    model = apply_dropout(init_model(TEACHER, seed=17), 0.5, [0])
+    trace = forward(model, data.features)
+    cross_entropy_node(trace, data.labels).backward()
+    leaf = trace.leaves[0]["W"]
+    leaf.grad = leaf.grad.astype(np.float64)
+    leaf.grad[model.layers[0].masks["W"] == 0] = 1e300
+    before = model_bytes(model)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDiverged):
+        distill._apply_updates([trace], 0.1)
+    assert model_bytes(model) == before

@@ -35,29 +35,30 @@ BATCH = 3
 
 
 def layer_fixture(kind, dtype, seed=0):
-    """Input, parameters and masks for one layer; every mask holds zeros."""
+    """Input and parameters for one layer, pruned as a model prunes: every
+    weight has entries zeroed under a drawn mask."""
     layer = FUSED[kind]
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(BATCH, layer.input_width)).astype(dtype)
-    params, masks = {}, {}
+    params = {}
     for pdef in param_layout(layer):
         params[pdef.name] = rng.normal(size=pdef.shape).astype(dtype)
         if pdef.masked:
-            mask = (rng.random(pdef.shape) > 0.3).astype(dtype)
-            mask.flat[0] = 0.0
-            masks[pdef.name] = mask
+            mask = rng.random(pdef.shape) > 0.3
+            mask.flat[0] = False
+            params[pdef.name][~mask] = 0.0
     # centre each output channel on zero, so a ReLU cuts some entries
-    pre = layer_forward(layer, {k: ad.Tensor(v) for k, v in params.items()}, ad.Tensor(x), masks)
+    pre = layer_forward(layer, {k: ad.Tensor(v) for k, v in params.items()}, ad.Tensor(x))
     axes = (0, 2, 3) if pre.data.ndim == 4 else (0,)
     params["b" if "b" in params else "b2"] -= pre.data.mean(axis=axes).astype(dtype)
-    return layer, x, params, masks
+    return layer, x, params
 
 
-def run_node(layer, arrays, masks, relu, upstream):
+def run_node(layer, arrays, relu, upstream):
     """Forward one layer node and backpropagate ``upstream`` into it."""
     tensors = {k: ad.Tensor(v, requires_grad=True) for k, v in arrays.items()}
     params = {k: t for k, t in tensors.items() if k != "x"}
-    out = layer_forward(layer, params, tensors["x"], masks, relu)
+    out = layer_forward(layer, params, tensors["x"], relu)
     (out * ad.lift(upstream)).sum().backward()
     return out.data, {k: t.grad for k, t in tensors.items()}
 
@@ -84,24 +85,24 @@ def assert_close(analytic, numeric, name):
 @pytest.mark.parametrize("relu", [False, True])
 @pytest.mark.parametrize("kind", sorted(FUSED))
 def test_fused_layer_gradients_match_finite_differences(kind, relu):
-    layer, x, params, masks = layer_fixture(kind, np.float64)
+    layer, x, params = layer_fixture(kind, np.float64)
     arrays = {"x": x, **params}
     probe = {k: ad.Tensor(v) for k, v in arrays.items()}  # views: see in-place probes
-    out, _ = run_node(layer, arrays, masks, relu, np.zeros(1))
+    out, _ = run_node(layer, arrays, relu, np.zeros(1))
     weights = np.random.default_rng(1).normal(size=out.shape)
 
     def loss():
         params_now = {k: t for k, t in probe.items() if k != "x"}
-        out_now = layer_forward(layer, params_now, probe["x"], masks, relu)
+        out_now = layer_forward(layer, params_now, probe["x"], relu)
         return float((out_now.data * weights).sum())
 
-    _, grads = run_node(layer, arrays, masks, relu, weights)
+    _, grads = run_node(layer, arrays, relu, weights)
     if relu:
         assert (out == 0).any() and (out > 0).any()
+    # the node's gradient is the true derivative at every entry, zeroed
+    # (pruned) weights included; the model drops masked entries when it gathers
     for name, arr in arrays.items():
         assert_close(grads[name], central_differences(loss, arr), name)
-        if name in masks:
-            assert (grads[name][masks[name] == 0] == 0.0).all()
 
 
 def test_attention_pair_gradients_match_finite_differences():
@@ -164,8 +165,8 @@ def as_matrix(weight):
     return weight.reshape(len(weight), -1).T
 
 
-def reference(layer, x, p, m, relu, g):
-    """One step per numpy op: mask multiply, each factor's GEMM, bias add,
+def reference(layer, x, p, relu, g):
+    """One step per numpy op: each factor's GEMM, bias add,
     ReLU, and each op's backward in reverse order.  A conv kind is its dense
     kind over im2col patch rows, its weight read as the (I*f*g, O) matrix."""
     if layer.kind in CONV_KINDS:
@@ -177,7 +178,6 @@ def reference(layer, x, p, m, relu, g):
             LayerSpec(dense, I=layer.I * layer.f * layer.g, O=layer.O, R=layer.R),
             im2col(x4, layer.f, layer.g),
             {**p, first: as_matrix(p[first])},
-            {**m, first: as_matrix(m[first])},
             relu,
             g.transpose(0, 2, 3, 1).reshape(-1, layer.O),
         )
@@ -187,10 +187,10 @@ def reference(layer, x, p, m, relu, g):
         return out, grads
     grads = {}
     if layer.kind == LayerKind.FC:
-        W = p["W"] * m["W"]
+        W = p["W"]
         pre = x @ W + p["b"]
     else:
-        W1, W2 = p["W1"] * m["W1"], p["W2"] * m["W2"]
+        W1, W2 = p["W1"], p["W2"]
         mid = x @ W1 + p["b1"]
         pre = mid @ W2 + p["b2"]
     out = np.maximum(pre, 0) if relu else pre
@@ -199,14 +199,14 @@ def reference(layer, x, p, m, relu, g):
     if layer.kind == LayerKind.FC:
         grads["b"] = g.sum(axis=0)
         grads["x"] = g @ W.T
-        grads["W"] = (x.T @ g) * m["W"]
+        grads["W"] = x.T @ g
     else:
         grads["b2"] = g.sum(axis=0)
-        grads["W2"] = (mid.T @ g) * m["W2"]
+        grads["W2"] = mid.T @ g
         gmid = g @ W2.T
         grads["b1"] = gmid.sum(axis=0)
         grads["x"] = gmid @ W1.T
-        grads["W1"] = (x.T @ gmid) * m["W1"]
+        grads["W1"] = x.T @ gmid
     return out, grads
 
 
@@ -216,11 +216,11 @@ def reference(layer, x, p, m, relu, g):
 def test_fused_layer_is_bit_identical_to_op_chain(kind, relu, upstream_dtype):
     # float32 data; training's upstream gradient is float64 (the loss weights
     # are float64 scalars), the float32 case covers a bare float32 loss
-    layer, x, params, masks = layer_fixture(kind, np.float32, seed=4)
-    out, grads = run_node(layer, {"x": x, **params}, masks, relu, np.zeros(1))
+    layer, x, params = layer_fixture(kind, np.float32, seed=4)
+    out, grads = run_node(layer, {"x": x, **params}, relu, np.zeros(1))
     g = np.random.default_rng(5).normal(size=out.shape).astype(upstream_dtype)
-    out, grads = run_node(layer, {"x": x, **params}, masks, relu, g)
-    expect_out, expect = reference(layer, x, params, masks, relu, g)
+    out, grads = run_node(layer, {"x": x, **params}, relu, g)
+    expect_out, expect = reference(layer, x, params, relu, g)
     assert out.dtype == expect_out.dtype and np.array_equal(out, expect_out)
     assert grads.keys() == expect.keys()
     for name, grad in grads.items():
@@ -248,16 +248,16 @@ def tap_conv_backward(grad, x4, w):
     return gw, gx
 
 
-def tap_reference(layer, x, p, m, relu, g):
+def tap_reference(layer, x, p, relu, g):
     """A conv kind as a per-tap loop of channel contractions, with the 1x1
     channel mix of the factorized kind as one contraction over (n, h, w)."""
     x4 = x.reshape(len(x), layer.I, *layer.input_spatial)
     grads = {}
     if layer.kind == LayerKind.CONV:
-        W = p["W"] * m["W"]
+        W = p["W"]
         pre = tap_conv(x4, W, layer.h, layer.w) + p["b"].reshape(1, layer.O, 1, 1)
     else:
-        W1, W2 = p["W1"] * m["W1"], p["W2"] * m["W2"]
+        W1, W2 = p["W1"], p["W2"]
         mid = tap_conv(x4, W1, layer.h, layer.w) + p["b1"].reshape(1, layer.R, 1, 1)
         pre = np.einsum("nrij,ro->noij", mid, W2) + p["b2"].reshape(1, layer.O, 1, 1)
     out = np.maximum(pre, 0) if relu else pre
@@ -266,14 +266,14 @@ def tap_reference(layer, x, p, m, relu, g):
     if layer.kind == LayerKind.CONV:
         grads["b"] = g.sum(axis=(0, 2, 3))
         gw, gx = tap_conv_backward(g, x4, W)
-        grads["W"], grads["x"] = gw * m["W"], gx.reshape(x.shape)
+        grads["W"], grads["x"] = gw, gx.reshape(x.shape)
     else:
         grads["b2"] = g.sum(axis=(0, 2, 3))
-        grads["W2"] = np.einsum("noij,nrij->ro", g, mid) * m["W2"]
+        grads["W2"] = np.einsum("noij,nrij->ro", g, mid)
         gmid = np.einsum("noij,ro->nrij", g, W2)
         grads["b1"] = gmid.sum(axis=(0, 2, 3))
         gw, gx = tap_conv_backward(gmid, x4, W1)
-        grads["W1"], grads["x"] = gw * m["W1"], gx.reshape(x.shape)
+        grads["W1"], grads["x"] = gw, gx.reshape(x.shape)
     return out, grads
 
 
@@ -287,11 +287,11 @@ TAP_BOUND = {np.float32: 16 * np.finfo(np.float32).eps, np.float64: 1e-12}
 @pytest.mark.parametrize("relu", [False, True])
 @pytest.mark.parametrize("kind", sorted(k for k in FUSED if FUSED[k].kind in CONV_KINDS))
 def test_conv_kinds_match_tap_loop(kind, relu, dtype):
-    layer, x, params, masks = layer_fixture(kind, dtype, seed=7)
-    out, _ = run_node(layer, {"x": x, **params}, masks, relu, np.zeros(1))
+    layer, x, params = layer_fixture(kind, dtype, seed=7)
+    out, _ = run_node(layer, {"x": x, **params}, relu, np.zeros(1))
     g = np.random.default_rng(8).normal(size=out.shape).astype(dtype)
-    out, grads = run_node(layer, {"x": x, **params}, masks, relu, g)
-    expect_out, expect = tap_reference(layer, x, params, masks, relu, g)
+    out, grads = run_node(layer, {"x": x, **params}, relu, g)
+    expect_out, expect = tap_reference(layer, x, params, relu, g)
     assert grads.keys() == expect.keys()
     for name, got, want in [("out", out, expect_out), *((k, grads[k], expect[k]) for k in grads)]:
         assert got.dtype == want.dtype and got.shape == want.shape, name

@@ -12,7 +12,9 @@ seeds 0-2 and prints the sha256 of ``manifest.json`` and of
 ``best_student.json`` for each, then runs ``layers`` at seed 0 and prints
 each loss as float hex on its own line, labelled with its layer kind and
 batch.  Every run uses the same working directory, because the manifest
-records the paths of its inputs.
+records the paths of its inputs.  A run holds an exclusive lock on
+``<workdir>.lock`` from start to end, so a second run on the same workdir
+waits for the first instead of emptying the directory under it.
 
 Each pipeline line also carries the best candidate's ``val_accuracy``,
 ``halting_epoch`` and ``final_combined_loss`` (float hex), and is followed by
@@ -25,6 +27,8 @@ and whether any candidate's outcome changed.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import fcntl
 import hashlib
 import json
 import shutil
@@ -61,6 +65,15 @@ def _candidates(manifest: Path) -> list[str]:
     ]
 
 
+@contextlib.contextmanager
+def exclusive(workdir: Path):
+    """Hold an exclusive ``flock`` on the lock file beside ``workdir``."""
+    workdir.parent.mkdir(parents=True, exist_ok=True)
+    with open(workdir.with_name(workdir.name + ".lock"), "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
+        yield
+
+
 def _run(name: str, workdir: Path, seed: int):
     shutil.rmtree(workdir, ignore_errors=True)
     workload = workloads.WORKLOADS[name]
@@ -77,21 +90,22 @@ def main(argv=None) -> None:
         help="scratch directory, emptied before every run (default: %(default)s)",
     )
     workdir = Path(parser.parse_args(argv).workdir)
-    for name in ("dense", "mixed"):
-        for seed in SEEDS:
-            state, code = _run(name, workdir, seed)
-            out = state.output_dir
-            print(
-                f"{name} seed={seed} exit={code}"
-                f" manifest={_sha256(out / 'manifest.json')}"
-                f" best_student={_sha256(out / 'best_student.json')}"
-                f" {_best_summary(out / 'manifest.json')}",
-            )
-            print("\n".join(_candidates(out / "manifest.json")), flush=True)
-    state, losses = _run("layers", workdir, 0)
-    for cell, loss in zip(state.cells, losses):
-        print(f"layers seed=0 kind={cell.kind} batch={cell.batch} loss={float.hex(loss)}")
-    shutil.rmtree(workdir, ignore_errors=True)
+    with exclusive(workdir):
+        for name in ("dense", "mixed"):
+            for seed in SEEDS:
+                state, code = _run(name, workdir, seed)
+                out = state.output_dir
+                print(
+                    f"{name} seed={seed} exit={code}"
+                    f" manifest={_sha256(out / 'manifest.json')}"
+                    f" best_student={_sha256(out / 'best_student.json')}"
+                    f" {_best_summary(out / 'manifest.json')}",
+                )
+                print("\n".join(_candidates(out / "manifest.json")), flush=True)
+        state, losses = _run("layers", workdir, 0)
+        for cell, loss in zip(state.cells, losses):
+            print(f"layers seed=0 kind={cell.kind} batch={cell.batch} loss={float.hex(loss)}")
+        shutil.rmtree(workdir, ignore_errors=True)
 
 
 if __name__ == "__main__":
