@@ -26,15 +26,15 @@ class LayerKind(str, Enum):
     MGU = "mgu"
 
 
-# Gate-block counts per recurrent kind; the reduced cells drop one block.
-GATE_DEFAULTS = {
-    LayerKind.LSTM: 4,
-    LayerKind.GRU: 3,
-    LayerKind.COUPLED_LSTM: 3,
-    LayerKind.MGU: 2,
+# Gate blocks per recurrent kind, in parameter order; the reduced cells drop one.
+GATE_NAMES = {
+    LayerKind.LSTM: ("i", "f", "o", "g"),
+    LayerKind.COUPLED_LSTM: ("f", "o", "g"),
+    LayerKind.GRU: ("z", "r", "h"),
+    LayerKind.MGU: ("f", "h"),
 }
 
-RECURRENT_KINDS = frozenset(GATE_DEFAULTS)
+RECURRENT_KINDS = frozenset(GATE_NAMES)
 CONV_KINDS = frozenset({LayerKind.CONV, LayerKind.FACTORIZED_CONV})
 DENSE_KINDS = frozenset({LayerKind.FC, LayerKind.FACTORIZED_FC})
 FACTORIZED_KINDS = frozenset({LayerKind.FACTORIZED_FC, LayerKind.FACTORIZED_CONV})
@@ -59,11 +59,11 @@ class LayerSpec:
     w: int | None = None
     s: int | None = None
     R: int | None = None
-    gates: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.gates is None and self.kind in RECURRENT_KINDS:
-            object.__setattr__(self, "gates", GATE_DEFAULTS[self.kind])
+    @property
+    def gates(self) -> int | None:
+        """Gate-block count of a recurrent kind; None for the other kinds."""
+        return len(GATE_NAMES[self.kind]) if self.kind in RECURRENT_KINDS else None
 
     @property
     def input_width(self) -> int:
@@ -142,14 +142,6 @@ def _layer_problems(idx: int, layer: LayerSpec) -> list[str]:
     for name in _ALL_DIMS:
         if name not in required and getattr(layer, name) is not None:
             problems.append(f"{tag}: {name} does not apply to this kind")
-    if layer.kind in RECURRENT_KINDS:
-        if layer.gates != GATE_DEFAULTS[layer.kind]:
-            problems.append(
-                f"{tag}: gates must stay at the kind default "
-                f"{GATE_DEFAULTS[layer.kind]}, got {layer.gates}"
-            )
-    elif layer.gates is not None:
-        problems.append(f"{tag}: gates does not apply to this kind")
     return problems
 
 

@@ -227,7 +227,7 @@ def cmd_eval(args) -> int:
 def cmd_pipeline(args) -> int:
     raw = read_json(args.config)
     try:
-        config = apply_env_overrides(config_from_dict(raw))
+        config = config_from_dict(apply_env_overrides(raw))
         if args.output_dir:
             config = dataclasses.replace(config, output_dir=args.output_dir)
         config.check_paths()

@@ -1,32 +1,42 @@
 """Layer rewrites that shrink a model onto a device budget.
 
-Two rewrite families, applied layer by layer in index order until the
-resource report turns feasible:
+Two rewrite families:
 
 - Weight factorization: an fc/conv weight becomes a product of two thinner
   maps through an intermediate width R, legal only when R stays strictly
   under I*O/(I+O).  Factors come from the truncated SVD of the effective
   (masked) weight, so the rewritten layer approximates the original before
-  any retraining.
+  any retraining.  A layer that is already factorized is split again from
+  the product of its factors.
 - Gate reduction: LSTM cells become coupled-gate cells (input gate derived
   as 1 - forget), GRU cells become minimal gated cells; surviving gates keep
   their weights and masks.
 
-If the index-order pass ends infeasible, a tightening pass lowers the ranks
-of already-factorized layers (FLOPs are linear in R) down to R=1 before
-giving up.  An infeasible outcome still carries the closest model and its
-report.
+:func:`run` plans on the layer specs first and touches no weight while it
+searches.  An index pass picks each non-shared layer's rewrite until the
+resource report turns feasible.  If it ends infeasible, a tightening pass
+lowers the rank of every non-shared factorized layer, in index order, down
+to R=1; a factorized layer's FLOPs are R times a constant, so its slope is
+read off :func:`~edgeslim.resources.estimate_layer`.  Then each changed
+layer is built once, from the weights it came in with, and recorded once.
+An infeasible outcome still carries the closest model and its report.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Sequence
 
 import numpy as np
 
-from edgeslim.archspec import FACTORIZED_KINDS, LayerKind, LayerSpec, NetworkSpec, check_valid
+from edgeslim.archspec import (
+    CONV_KINDS,
+    FACTORIZED_KINDS,
+    LayerKind,
+    LayerSpec,
+    NetworkSpec,
+    check_valid,
+)
 from edgeslim.engine.layers import conv_matrix, conv_weight, param_layout
 from edgeslim.engine.model import LayerParams, MaskedModel
 from edgeslim.resources import (
@@ -36,12 +46,21 @@ from edgeslim.resources import (
     estimate_network,
 )
 
+# relative tolerance under which two rank scores tie (the smaller R wins)
+_TIE_RTOL = 1e-6
+
 
 def factorization_threshold(I: int, O: int) -> int:
     """Largest R satisfying R < I*O/(I+O) strictly; 0 means no legal rank."""
     if I < 1 or O < 1:
         raise ValueError(f"dimensions must be positive, got I={I}, O={O}")
     return (I * O - 1) // (I + O)
+
+
+def check_size_penalty(size_penalty: float) -> None:
+    """The rank score's cost per unit of R must be finite and non-negative."""
+    if not (math.isfinite(size_penalty) and size_penalty >= 0):
+        raise ValueError(f"size_penalty must be finite and non-negative, got {size_penalty!r}")
 
 
 @dataclass(frozen=True)
@@ -81,19 +100,17 @@ def truncation_errors(weight: np.ndarray) -> np.ndarray:
 
 
 def choose_rank(
-    weight: np.ndarray,
-    r_start: int,
-    size_penalty: float = 0.0,
-    tie_rtol: float = 1e-6,
+    weight: np.ndarray, r_start: int, size_penalty: float = 0.0
 ) -> FactorizationResult:
     """Pick the rank with the best error-vs-size score, scanning 1..r_start.
 
-    The score is reconstruction error plus ``size_penalty * R``; errors
-    within ``tie_rtol`` of the best count as ties and break toward smaller R
-    (an exactly rank-2 matrix scanned from R=10 yields R=2, a zero matrix
-    yields R=1).  ``r_start`` must respect the strict threshold of the
-    matrix being factorized.
+    The score is reconstruction error plus ``size_penalty * R``; scores
+    within a relative 1e-6 of the best count as ties and break toward
+    smaller R (an exactly rank-2 matrix scanned from R=10 yields R=2, a zero
+    matrix yields R=1).  ``r_start`` must respect the strict threshold of
+    the matrix being factorized.
     """
+    check_size_penalty(size_penalty)
     weight = np.asarray(weight, dtype=np.float64)
     if weight.ndim != 2:
         raise ValueError(f"weight must be a matrix, got shape {weight.shape}")
@@ -104,7 +121,7 @@ def choose_rank(
     errors = truncation_errors(weight)[:r_start]
     scores = errors + size_penalty * np.arange(1, r_start + 1)
     best = float(scores.min())
-    tol = tie_rtol * max(float(errors.max(initial=0.0)), 1.0)
+    tol = _TIE_RTOL * max(float(errors.max(initial=0.0)), 1.0)
     tied = np.flatnonzero(scores <= best + tol)
     r = int(tied[0]) + 1
     return FactorizationResult(
@@ -130,27 +147,44 @@ _FACTORIZED = {LayerKind.FC: LayerKind.FACTORIZED_FC, LayerKind.CONV: LayerKind.
 
 def effective_matrix(layer: LayerSpec, lp: LayerParams) -> np.ndarray:
     """The weight as the 2-d matrix the factorization splits; masked
-    entries are zero in it, as in every stored weight."""
-    w = lp.params["W"].astype(np.float64)
-    # fc: (I, O) as stored; conv: the (I*f*g, O) matrix its kernel multiplies by
-    return w if layer.kind == LayerKind.FC else conv_matrix(w)
+    entries are zero in it, as in every stored weight.
+
+    fc: W (I, O) as stored; conv: the (I*f*g, O) matrix its kernel
+    multiplies by.  A factorized layer's matrix is the product of its
+    factors, W1·W2 (conv: ``conv_matrix(W1)``·W2).
+    """
+    factorized = layer.kind in FACTORIZED_KINDS
+    w = lp.params["W1" if factorized else "W"].astype(np.float64)
+    matrix = conv_matrix(w) if layer.kind in CONV_KINDS else w
+    return matrix @ lp.params["W2"].astype(np.float64) if factorized else matrix
+
+
+def effective_bias(layer: LayerSpec, lp: LayerParams) -> np.ndarray:
+    """The bias that goes with :func:`effective_matrix`: b, or b1·W2 + b2
+    for a factorized layer (no nonlinearity sits between its factors)."""
+    p = lp.params
+    if layer.kind in FACTORIZED_KINDS:
+        return p["b1"].astype(np.float64) @ p["W2"].astype(np.float64) + p["b2"]
+    return p["b"]
 
 
 def factorize_layer_params(
     layer: LayerSpec, matrix: np.ndarray, bias: np.ndarray, r: int, dtype
 ) -> tuple[LayerSpec, LayerParams]:
-    """Split the fc/conv ``layer`` at rank ``r``; factors carry fresh full masks.
+    """Split the fc/conv or factorized ``layer`` at rank ``r``; factors
+    carry fresh full masks.
 
-    ``matrix`` is the layer's :func:`effective_matrix` and ``bias`` its
-    ``b``; the factors are the rank-r truncated SVD with the singular values
-    split evenly between them.
+    ``matrix`` and ``bias`` are the layer's :func:`effective_matrix` and
+    :func:`effective_bias`; the factors are the rank-r truncated SVD with
+    the singular values split evenly between them.
     """
-    if layer.kind not in _FACTORIZED:
+    kind = _FACTORIZED.get(layer.kind, layer.kind)
+    if kind not in FACTORIZED_KINDS:
         raise ValueError(f"cannot factorize a {layer.kind.value} layer")
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
     root = np.sqrt(s[:r])
     a, bmat = u[:, :r] * root, root[:, None] * vt[:r]
-    if layer.kind == LayerKind.CONV:
+    if kind == LayerKind.FACTORIZED_CONV:
         a = conv_weight(a, (r, layer.I, layer.f, layer.g))
     params = {
         "W1": a.astype(dtype),  # fc (I, R); conv (R, I, f, g)
@@ -159,8 +193,7 @@ def factorize_layer_params(
         "b2": bias.astype(dtype),
     }
     masks = {"W1": np.ones_like(params["W1"]), "W2": np.ones_like(params["W2"])}
-    new_layer = replace(layer, kind=_FACTORIZED[layer.kind], R=r)
-    return new_layer, LayerParams(params=params, masks=masks)
+    return replace(layer, kind=kind, R=r), LayerParams(params=params, masks=masks)
 
 
 # gate carry-over when a cell is reduced: new gate name -> source gate name
@@ -217,29 +250,17 @@ class CompressionOutcome:
         }
 
 
-def _flop_slope(layer: LayerSpec) -> int:
-    """d(FLOPs)/dR for a factorized layer."""
-    if layer.kind == LayerKind.FACTORIZED_FC:
-        return (2 * layer.I - 1) + layer.O
-    if layer.kind == LayerKind.FACTORIZED_CONV:
-        return layer.f * layer.g * layer.h * layer.w + 1 + layer.O
-    raise ValueError(f"layer kind {layer.kind.value} has no rank slope")
+def minimum_flops(spec: NetworkSpec) -> int:
+    """Total FLOPs when every non-shared layer is rewritten as small as it goes.
 
-
-def minimum_flops(spec: NetworkSpec, layer_indices: Sequence[int] | None = None) -> int:
-    """Total FLOPs when every eligible layer is rewritten as small as it goes.
-
-    Fc/conv layers with a legal rank sit at R=1, recurrent cells at their
-    reduced kind.  This is the floor the budget loop can reach; budgets at or
-    above it are guaranteed satisfiable.
+    Fc/conv layers with a legal rank and already-factorized layers sit at
+    R=1, recurrent cells at their reduced kind.  This is the floor
+    :func:`run` reaches: budgets at or above it are satisfiable.
     """
-    if layer_indices is None:
-        layer_indices = range(spec.shared_prefix, spec.depth)
-    eligible = set(layer_indices)
     total = 0
     for idx, layer in enumerate(spec.layers):
         candidate = layer
-        if idx in eligible:
+        if idx >= spec.shared_prefix:
             if layer.kind in _FACTORIZED:
                 if factorization_threshold(layer.I, layer.O) >= 1:
                     candidate = replace(layer, kind=_FACTORIZED[layer.kind], R=1)
@@ -255,122 +276,81 @@ def run(
     model: MaskedModel,
     device: DeviceProfile,
     omega: float,
-    layer_indices: Sequence[int] | None = None,
     size_penalty: float = 0.0,
 ) -> CompressionOutcome:
-    """Rewrite layers in index order until both budgets hold.
+    """Rewrite non-shared layers until both budgets hold.
 
-    Already-feasible models come back unchanged.  Each rewrite is checked to
-    strictly reduce both parameter and FLOP counts (guaranteed for legal
-    ranks; verified anyway).  After the index pass, still-infeasible models
-    get their factorized ranks tightened toward R=1.
+    Already-feasible models come back unchanged.  Legal ranks and gate
+    reductions strictly reduce both parameter and FLOP counts.  The plan
+    (module docstring) fixes every layer's final spec before any weight is
+    split.
     """
+    check_size_penalty(size_penalty)
     spec = model.spec
-    if layer_indices is None:
-        layer_indices = list(range(spec.shared_prefix, spec.depth))
-    layer_indices = sorted(layer_indices)
     before = estimate_network(spec, device, omega)
     if before.feasible:
         return CompressionOutcome(model=model, report=before, before=before)
 
-    work = list(model.layers)  # per-layer parameters; rewrites replace entries
     layers = list(spec.layers)
-    records: list = []
-    # layer index -> (original layer, effective matrix, bias), for re-splits
-    originals: dict[int, tuple[LayerSpec, np.ndarray, np.ndarray]] = {}
+    non_shared = range(spec.shared_prefix, spec.depth)
 
     def price() -> ResourceReport:
         return estimate_network(check_valid(replace(spec, layers=tuple(layers))), device, omega)
 
     report = before
-    for idx in layer_indices:
+    for idx in non_shared:
         if report.feasible:
             break
         layer = layers[idx]
-        old_cost = estimate_layer(layer)
         if layer.kind in _FACTORIZED:
             r_max = factorization_threshold(layer.I, layer.O)
             if r_max < 1:
                 continue
-            matrix = effective_matrix(layer, work[idx])
-            bias = work[idx].params["b"].copy()
-            result = choose_rank(matrix, r_max, size_penalty=size_penalty)
-            new_layer, new_params = factorize_layer_params(
-                layer, matrix, bias, result.R, model.dtype
-            )
-            new_cost = estimate_layer(new_layer)
-            if not (new_cost.params < old_cost.params and new_cost.flops < old_cost.flops):
-                continue  # unreachable for legal R; guards the invariant
-            originals[idx] = (layer, matrix, bias)
-            record = replace(result, layer_index=idx)
+            matrix = effective_matrix(layer, model.layers[idx])
+            r = choose_rank(matrix, r_max, size_penalty=size_penalty).R
+            layers[idx] = replace(layer, kind=_FACTORIZED[layer.kind], R=r)
         elif layer.kind in (LayerKind.LSTM, LayerKind.GRU):
-            new_layer, new_params = reduce_layer_params(layer, work[idx], model.dtype)
-            new_cost = estimate_layer(new_layer)
-            record = GateReductionResult(
-                layer_index=idx, from_kind=layer.kind.value, to_kind=new_layer.kind.value
-            )
+            layers[idx] = reduce_gates(layer)
         else:
             continue
-        layers[idx] = new_layer
-        work[idx] = new_params
-        records.append(
-            replace(
-                record,
-                params_before=old_cost.params,
-                params_after=new_cost.params,
-                flops_before=old_cost.flops,
-                flops_after=new_cost.flops,
-            )
-        )
         report = price()
 
-    if not report.feasible:
-        report = _tighten_ranks(work, model.dtype, layers, originals, device, report, price)
-
-    out = MaskedModel(check_valid(replace(spec, layers=tuple(layers))), work, model.dtype)
-    for i, rec in enumerate(records):
-        # refresh in case tightening moved a rank after the record was cut
-        layer = out.spec.layers[rec.layer_index]
-        cost = estimate_layer(layer)
-        rec = replace(rec, params_after=cost.params, flops_after=cost.flops)
-        if isinstance(rec, FactorizationResult) and layer.R != rec.R:
-            _, matrix, _ = originals[rec.layer_index]
-            error = float(truncation_errors(matrix)[layer.R - 1])
-            rec = replace(rec, R=layer.R, reconstruction_error=error)
-        records[i] = rec
-    return CompressionOutcome(model=out, report=report, before=before, records=records)
-
-
-def _tighten_ranks(
-    work: list[LayerParams],
-    dtype,
-    layers: list[LayerSpec],
-    originals: dict[int, tuple[LayerSpec, np.ndarray, np.ndarray]],
-    device: DeviceProfile,
-    report: ResourceReport,
-    price: Callable[[], ResourceReport],
-) -> ResourceReport:
-    """Lower factorized ranks (index order) until the FLOP budget holds.
-
-    The FLOP total is linear in each rank, so the largest fitting rank per
-    layer is exact arithmetic; float edges are absorbed by re-checking the
-    report and nudging one step further when needed.  Each new rank is split
-    afresh from the layer's original matrix.
-    """
+    # FLOPs are linear in each rank, so the largest fitting rank is exact
+    # arithmetic; float edges in the budget are absorbed by re-pricing and
+    # stepping one rank further when needed
     budget = min(device.alpha / device.bytes_per_flop, device.beta / device.seconds_per_flop)
-    for idx in sorted(originals):
+    for idx in non_shared:
         if report.feasible:
             break
         layer = layers[idx]
-        slope = _flop_slope(layer)
+        if layer.kind not in FACTORIZED_KINDS:
+            continue
+        slope = estimate_layer(layer).flops // layer.R  # exact: the row is R times a constant
         rest = report.total_flops - slope * layer.R
-        fitting = math.floor((budget - rest) / slope)
-        new_r = min(layer.R, max(1, fitting))
+        # a split keeps at most min(I, O) directions of the layer's matrix
+        new_r = min(layer.R, layer.I, layer.O, max(1, math.floor((budget - rest) / slope)))
         while True:
             if new_r < layer.R:
-                layers[idx], work[idx] = factorize_layer_params(*originals[idx], new_r, dtype)
+                layers[idx] = replace(layer, R=new_r)
                 report = price()
             if report.feasible or new_r <= 1:
                 break
             new_r -= 1
-    return report
+
+    work, records = list(model.layers), []
+    for idx, (old, new) in enumerate(zip(spec.layers, layers)):
+        if new == old:
+            continue
+        (p0, f0), (p1, f1) = estimate_layer(old), estimate_layer(new)
+        costs = dict(params_before=p0, params_after=p1, flops_before=f0, flops_after=f1)
+        if new.kind in FACTORIZED_KINDS:
+            matrix = effective_matrix(old, work[idx])
+            bias = effective_bias(old, work[idx])
+            _, work[idx] = factorize_layer_params(old, matrix, bias, new.R, model.dtype)
+            error = float(truncation_errors(matrix)[new.R - 1])
+            records.append(FactorizationResult(idx, new.R, error, **costs))
+        else:
+            _, work[idx] = reduce_layer_params(old, work[idx], model.dtype)
+            records.append(GateReductionResult(idx, old.kind.value, new.kind.value, **costs))
+    out = MaskedModel(check_valid(replace(spec, layers=tuple(layers))), work, model.dtype)
+    return CompressionOutcome(model=out, report=report, before=before, records=records)

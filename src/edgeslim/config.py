@@ -4,7 +4,8 @@
 input paths and the pretraining knobs.
 Any scalar field can be overridden from the environment with the
 ``EDGESLIM_`` prefix (``EDGESLIM_SEED=7``, ``EDGESLIM_SCHEME=S5``, ...),
-applied after the file is read so ad-hoc experiments keep the file intact.
+merged into the file's values before they are checked, so ad-hoc
+experiments keep the file intact.
 """
 
 from __future__ import annotations
@@ -113,14 +114,15 @@ def _coerce(name: str, raw: str) -> object:
     return raw
 
 
-def apply_env_overrides(config: RunConfig, env=None) -> RunConfig:
+def apply_env_overrides(data: dict, env=None) -> dict:
+    """Merge the converted ``EDGESLIM_*`` values into the parsed config
+    file, so :func:`config_from_dict` checks them with the rest."""
     env = os.environ if env is None else env
     overrides = {}
     for name in _FIELD_TYPES:
         key = ENV_PREFIX + name.upper()
         if key in env:
             overrides[name] = _coerce(name, env[key])
-    if not overrides:
-        return config
-    return dataclasses.replace(config, **overrides)
+    # a file that is not an object keeps its own error in config_from_dict
+    return {**data, **overrides} if overrides and isinstance(data, dict) else data
 

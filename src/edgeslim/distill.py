@@ -462,9 +462,8 @@ def train(
 
     Without a fixed ``plan.halting_epoch`` a halting scheme halts live: at
     the first epoch e where :func:`plateau_reached` fires, or at the cap.
-    The trainee has then already trained through e, so unlike
-    :func:`determine_halting_epoch` a live halt cannot move h back to where
-    the plateau began.
+    The trainee has then already trained through e, so h is e itself, not
+    an epoch backdated to where the plateau began.
     """
     traits = SCHEMES[plan.scheme]
     for wanted, model, role in (
@@ -628,35 +627,6 @@ def plateau_reached(acc_pct: Sequence[float], epsilon: float, window: int) -> bo
     """
     e = len(acc_pct)
     return e >= window and acc_pct[e - 1] - acc_pct[e - window] < epsilon
-
-
-def determine_halting_epoch(
-    accuracies: Sequence[float],
-    epsilon: float = 0.5,
-    window: int = 10,
-    h_max: int | None = None,
-) -> int:
-    """Pick h from a validation-accuracy history (percentage points).
-
-    The first epoch e at which :func:`plateau_reached` fires on the history
-    through e is the trigger.  The halt is then backdated to where the
-    plateau began, h = max(e - window + 1, window); with no trigger h is the
-    history length.  ``h_max`` caps the result, and a history shorter than
-    the window halts at its own length.
-    """
-    check_plateau(epsilon, window)
-    length = len(accuracies)
-    if length == 0:
-        raise ValueError("empty accuracy history")
-    acc = [float(a) for a in accuracies]
-    h = length
-    for e in range(window, length + 1):
-        if plateau_reached(acc[:e], epsilon, window):
-            h = max(e - window + 1, window)
-            break
-    if h_max is not None:
-        h = min(h, h_max)
-    return h
 
 
 # -- loss-weight search on the simplex --------------------------------------

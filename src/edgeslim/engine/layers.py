@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from edgeslim.archspec import LayerKind, LayerSpec
+from edgeslim.archspec import GATE_NAMES, LayerKind, LayerSpec
 from edgeslim.engine.autodiff import Tensor, _node, _stable_sigmoid
 
 
@@ -38,14 +38,6 @@ class ParamDef(NamedTuple):
     shape: tuple[int, ...]
     masked: bool
     fans: tuple[int, int] | None  # (fan_in, fan_out); None for zero-init biases
-
-
-GATE_NAMES = {
-    LayerKind.LSTM: ("i", "f", "o", "g"),
-    LayerKind.COUPLED_LSTM: ("f", "o", "g"),
-    LayerKind.GRU: ("z", "r", "h"),
-    LayerKind.MGU: ("f", "h"),
-}
 
 
 def param_layout(layer: LayerSpec) -> list[ParamDef]:

@@ -113,6 +113,7 @@ class PipelineSettings:
         pruning.check_rate(self.dropout_initial_rate, "dropout_initial_rate")
         pruning.check_rate(self.dropout_input_rate, "dropout_input_rate")
         pruning.check_schedule(self.dropout_c, self.dropout_max_iteration)
+        compressor.check_size_penalty(self.size_penalty)
         check_learning_rate(self.eta, "eta")
         check_learning_rate(self.dropout_eta, "dropout_eta")
 

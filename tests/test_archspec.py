@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from edgeslim.archspec import (
-    GATE_DEFAULTS,
+    GATE_NAMES,
     LayerKind,
     LayerSpec,
     NetworkSpec,
@@ -28,7 +28,8 @@ def test_gate_defaults_fill_in():
     assert LayerSpec(LayerKind.GRU, I=4, O=6, s=3).gates == 3
     assert LayerSpec(LayerKind.COUPLED_LSTM, I=4, O=6, s=3).gates == 3
     assert LayerSpec(LayerKind.MGU, I=4, O=6, s=3).gates == 2
-    assert GATE_DEFAULTS[LayerKind.LSTM] == 4
+    assert GATE_NAMES[LayerKind.LSTM] == ("i", "f", "o", "g")
+    assert fc(4, 2).gates is None
 
 
 def test_widths():
@@ -70,13 +71,6 @@ def test_validate_flags_problems():
     assert any("f must be a positive integer" in p for p in validate(incomplete))
     # extraneous dims flagged
     assert any("does not apply" in p for p in validate(NetworkSpec("x", [LayerSpec(LayerKind.FC, I=4, O=2, f=3)], class_count=2)))
-    # non-default gate counts rejected
-    odd = NetworkSpec(
-        "x",
-        [LayerSpec(LayerKind.LSTM, I=4, O=6, s=3, gates=2), fc(18, 2)],
-        class_count=2,
-    )
-    assert any("gates" in p for p in validate(odd))
 
 
 def test_check_valid_raises_with_all_problems():

@@ -286,6 +286,19 @@ def test_compress_infeasible_exit_code(ws):
     assert body["rewrites"]  # the closest model still got built
 
 
+def test_compress_rejects_a_nan_size_penalty(ws, capsys):
+    ckpt = train_checkpoint(ws)
+    capsys.readouterr()
+    rc = main([
+        "compress", "--checkpoint", str(ckpt), "--device", str(ws / "device.json"),
+        "--out", str(ws / "c.json"), "--size-penalty", "nan",
+    ])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.count("\n") == 1
+    assert "size_penalty must be finite and non-negative" in err
+    assert not (ws / "c.json").exists()
+
+
 def test_eval_rejects_width_mismatch(ws, capsys):
     ckpt = train_checkpoint(ws)
     thin = ws / "thin.csv"
@@ -781,6 +794,12 @@ def test_pipeline_bad_config_is_input_error(ws, capsys):
                  id="reference-tolerance-negative"),
     pytest.param(None, None, {"EDGESLIM_REFERENCE_TOLERANCE": "nan"},
                  "reference_tolerance must be non-negative", id="env-reference-tolerance-nan"),
+    pytest.param("size_penalty", float("nan"), {}, "size_penalty must be finite and non-negative",
+                 id="size-penalty-nan"),
+    pytest.param("size_penalty", float("inf"), {}, "size_penalty must be finite and non-negative",
+                 id="size-penalty-infinite"),
+    pytest.param("size_penalty", -1, {}, "size_penalty must be finite and non-negative",
+                 id="size-penalty-negative"),
 ])
 def test_pipeline_config_error_exits_2_before_pretraining(
     ws, capsys, monkeypatch, key, value, env, message

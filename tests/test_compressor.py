@@ -1,5 +1,7 @@
 """Weight factorization and gate reduction, oracled against direct SVD."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from edgeslim.archspec import LayerKind, LayerSpec, NetworkSpec, check_valid
 from edgeslim import compressor
 from edgeslim.compressor import (
     choose_rank,
+    effective_bias,
     effective_matrix,
     factorization_threshold,
     factorize_layer_params,
@@ -17,7 +20,15 @@ from edgeslim.compressor import (
     reduce_layer_params,
     truncation_errors,
 )
-from edgeslim.engine.model import connection_count, copy_model, init_model, model_bytes
+from edgeslim.engine.layers import param_layout
+from edgeslim.engine.model import (
+    MaskedModel,
+    connection_count,
+    copy_model,
+    forward,
+    init_model,
+    model_bytes,
+)
 from edgeslim.pruning import apply_dropout
 from edgeslim.resources import DeviceProfile, estimate_layer, estimate_network
 
@@ -345,8 +356,83 @@ def test_tightened_ranks_are_direct_factorizations_of_the_original():
     assert lowered >= 1  # the tightening pass did lower a rank
 
 
+@pytest.mark.parametrize("layer", [
+    LayerSpec(LayerKind.FACTORIZED_FC, I=7, O=5, R=3),
+    LayerSpec(LayerKind.FACTORIZED_CONV, I=2, O=3, f=2, g=2, h=2, w=2, R=2),
+], ids=["factorized_fc", "factorized_conv"])
+def test_resplit_of_a_factorized_layer_keeps_its_map(layer):
+    # x·W1·W2 + (b1·W2 + b2) is exact: no nonlinearity sits between factors
+    spec = check_valid(NetworkSpec("f", [layer], class_count=layer.output_width, shared_prefix=0))
+    model = init_model(spec, seed=5, dtype=np.float64)
+    rng = np.random.default_rng(5)
+    for name in ("b1", "b2"):
+        model.layers[0].params[name][...] = rng.normal(size=model.layers[0].params[name].shape)
+    lp = model.layers[0]
+    new_layer, new_lp = factorize_layer_params(
+        layer, effective_matrix(layer, lp), effective_bias(layer, lp), layer.R, np.float64
+    )
+    assert new_layer == layer
+    x = rng.normal(size=(4, layer.input_width))
+    resplit = MaskedModel(spec, [new_lp], np.float64)
+    np.testing.assert_allclose(
+        forward(resplit, x, trainable=False).logits.data,
+        forward(model, x, trainable=False).logits.data,
+        atol=1e-12,
+    )
+
+
+def prefactorized_spec(R):
+    return check_valid(
+        NetworkSpec(
+            "p",
+            [
+                LayerSpec(LayerKind.FC, I=16, O=48),
+                LayerSpec(LayerKind.FACTORIZED_FC, I=48, O=32, R=R),
+                LayerSpec(LayerKind.FC, I=32, O=4),
+            ],
+            class_count=4,
+            shared_prefix=1,
+        )
+    )
+
+
+def test_run_reaches_the_floor_through_an_already_factorized_layer():
+    spec = prefactorized_spec(R=12)
+    floor = minimum_flops(spec)
+    assert floor == 1682
+    model = init_model(spec, seed=0)
+    outcome = compressor.run(copy_model(model), device_for(floor), omega=0.5)
+    assert outcome.feasible
+    assert outcome.report.total_flops == floor
+    assert [layer.R for layer in outcome.model.spec.layers[1:]] == [1, 1]
+    # the factorized layer is re-split from its own product and recorded once
+    first = outcome.records[0]
+    assert (first.layer_index, first.R) == (1, 1)
+    assert (first.params_before, first.flops_before) == tuple(estimate_layer(spec.layers[1]))
+    matrix = effective_matrix(spec.layers[1], model.layers[1])
+    assert first.reconstruction_error == float(truncation_errors(matrix)[0])
+
+
+def test_run_lowers_a_declared_rank_past_min_i_o_to_a_splittable_one():
+    # the (48, 32) product of R=40 factors has 32 directions to keep at most
+    spec = prefactorized_spec(R=40)
+    budget = sum(
+        estimate_layer(layer).flops
+        for layer in (
+            spec.layers[0],
+            replace(spec.layers[1], R=35),
+            LayerSpec(LayerKind.FACTORIZED_FC, I=32, O=4, R=3),
+        )
+    )
+    outcome = compressor.run(init_model(spec, seed=0), device_for(budget), omega=0.5)
+    assert outcome.feasible
+    layer, lp = outcome.model.spec.layers[1], outcome.model.layers[1]
+    assert layer.R == 32
+    assert lp.params["W1"].shape == (48, 32) and lp.params["W2"].shape == (32, 32)
+
+
 def _chain(draw):
-    """A small valid fc/conv/gru stack and its shared prefix."""
+    """A small valid fc/conv/gru/factorized_fc stack and its shared prefix."""
     ints = lambda lo, hi: draw(st.integers(min_value=lo, max_value=hi))
     first = draw(st.sampled_from(["fc", "conv", "gru"]))
     if first == "conv":
@@ -357,11 +443,13 @@ def _chain(draw):
     else:
         layer = LayerSpec(LayerKind.FC, I=ints(1, 12), O=ints(1, 24))
     layers = [layer]
-    for kind in draw(st.lists(st.sampled_from(["fc", "gru"]), max_size=3)):
+    for kind in draw(st.lists(st.sampled_from(["fc", "gru", "factorized_fc"]), max_size=3)):
         width = layers[-1].output_width
         if kind == "gru":
             s = draw(st.sampled_from([d for d in range(1, 4) if width % d == 0]))
             layers.append(LayerSpec(LayerKind.GRU, I=width // s, O=ints(1, 12), s=s))
+        elif kind == "factorized_fc":  # R may pass min(I, O): a legal, wasteful declaration
+            layers.append(LayerSpec(LayerKind.FACTORIZED_FC, I=width, O=ints(1, 24), R=ints(1, 12)))
         else:
             layers.append(LayerSpec(LayerKind.FC, I=width, O=ints(1, 24)))
     classes = ints(2, 5)
@@ -384,6 +472,8 @@ def test_run_keeps_shared_layers_and_interface_widths(data, fraction):
         copy_model(model), device_for(floor + fraction * (full - floor)), omega=0.5
     )
     assert outcome.feasible
+    for rec in outcome.records:  # each rewrite strictly shrank both costs
+        assert rec.params_after < rec.params_before and rec.flops_after < rec.flops_before
     out = outcome.model
     assert out.spec.depth == spec.depth
     for idx, (old, new) in enumerate(zip(spec.layers, out.spec.layers)):
@@ -396,7 +486,10 @@ def test_run_keeps_shared_layers_and_interface_widths(data, fraction):
                 assert np.array_equal(out.layers[idx].masks[name], arr)
     # every rewrite keeps masked weights at zero, and lands in one fresh buffer
     assert not np.shares_memory(out.flat, model.flat)
-    for lp in out.layers:
+    for layer, lp in zip(out.spec.layers, out.layers):
+        assert {d.name: d.shape for d in param_layout(layer)} == {
+            name: arr.shape for name, arr in lp.params.items()
+        }
         assert all(arr.base is out.flat for arr in lp.params.values())
         for name, mask in lp.masks.items():
             assert not lp.params[name][mask == 0].any(), name

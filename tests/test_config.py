@@ -54,7 +54,7 @@ def test_validation():
 
 
 def test_env_overrides_coerce_by_field_type():
-    config = config_from_dict(dict(REQUIRED))
+    raw = dict(REQUIRED)
     env = {
         ENV_PREFIX + "SEED": "7",
         ENV_PREFIX + "OMEGA": "0.25",
@@ -63,7 +63,7 @@ def test_env_overrides_coerce_by_field_type():
         ENV_PREFIX + "H_MAX": "12",
         ENV_PREFIX + "TEACHER": "none",
     }
-    changed = apply_env_overrides(config, env)
+    changed = config_from_dict(apply_env_overrides(raw, env))
     assert changed.seed == 7
     assert changed.omega == 0.25
     assert changed.scheme == "S5"
@@ -71,8 +71,12 @@ def test_env_overrides_coerce_by_field_type():
     assert changed.h_max == 12
     assert changed.teacher is None
     # untouched fields keep their values; no env means no copy
-    assert changed.architecture == config.architecture
-    assert apply_env_overrides(config, {}) is config
+    assert changed.architecture == REQUIRED["architecture"]
+    assert apply_env_overrides(raw, {}) is raw
+    assert "seed" not in raw  # the merge leaves the parsed file alone
+    # the one parse checks an override like a value from the file
+    with pytest.raises(ValueError, match="omega"):
+        config_from_dict(apply_env_overrides(raw, {ENV_PREFIX + "OMEGA": "2"}))
 
 
 def test_check_paths_reports_every_missing_file(tmp_path):

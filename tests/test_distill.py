@@ -22,7 +22,6 @@ from edgeslim.distill import (
     attention_loss_node,
     combined_loss,
     convexity_probe,
-    determine_halting_epoch,
     distillation_loss_node,
     network_flops,
     optimize_lambdas,
@@ -296,26 +295,6 @@ def test_share_prefix_layers_aliases_and_validates():
 
 
 # -- halting ----------------------------------------------------------------
-
-
-def test_halting_epoch_fixtures():
-    flat = [50.0] * 100
-    assert determine_halting_epoch(flat) == 10
-    # accuracy climbs a point per epoch through 60 then plateaus
-    curve = [float(min(e, 60)) for e in range(1, 101)]
-    assert determine_halting_epoch(curve) == 60
-    # never plateaus: halt at the end, or at the cap when one is given
-    rising = [float(e) for e in range(1, 101)]
-    assert determine_halting_epoch(rising) == 100
-    assert determine_halting_epoch(rising, h_max=35) == 35
-    # shorter than the window: halt at the history length
-    assert determine_halting_epoch([1.0, 2.0, 3.0]) == 3
-    with pytest.raises(ValueError):
-        determine_halting_epoch([])
-    with pytest.raises(ValueError):
-        determine_halting_epoch(flat, window=0)
-    with pytest.raises(ValueError):
-        determine_halting_epoch(flat, epsilon=-1.0)
 
 
 def test_fixed_halt_flips_branch_and_freezes_trainee(data):
