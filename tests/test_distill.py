@@ -25,6 +25,7 @@ from edgeslim.distill import (
     distillation_loss_node,
     network_flops,
     optimize_lambdas,
+    plateau_reached,
     random_interior_points,
     share_prefix_layers,
     softmax_simplex,
@@ -318,6 +319,19 @@ def test_halt_at_zero_means_never_train_the_trainee(data):
     assert result.halting_epoch == 0
     assert model_bytes(trainee) == before
     assert all(r.breakdown.branch == "post_halt" for r in result.history)
+
+
+def test_plateau_reached_fixtures():
+    # fires once the last epoch gained less than epsilon over the window
+    flat = [50.0] * 10
+    assert plateau_reached(flat, 0.5, 10)
+    assert not plateau_reached(flat[:9], 0.5, 10)  # shorter than the window
+    assert not plateau_reached([0.0] * 9 + [0.5], 0.5, 10)  # the bound is strict
+    # accuracy climbs a point per epoch through 60, then holds
+    curve = [float(min(e, 60)) for e in range(1, 101)]
+    assert [e for e in range(1, 101) if plateau_reached(curve[:e], 0.5, 10)][0] == 69
+    rising = [float(e) for e in range(1, 101)]
+    assert not any(plateau_reached(rising[:e], 0.5, 10) for e in range(1, 101))
 
 
 def test_plateau_halt_online(data):
