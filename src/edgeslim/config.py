@@ -115,14 +115,14 @@ def _coerce(name: str, raw: str) -> object:
 
 
 def apply_env_overrides(data: dict, env=None) -> dict:
-    """Merge the converted ``EDGESLIM_*`` values into the parsed config
-    file, so :func:`config_from_dict` checks them with the rest."""
+    """Merge the converted ``EDGESLIM_*`` values into the parsed config file,
+    so :func:`config_from_dict` checks them; one naming no setting is an error."""
     env = os.environ if env is None else env
-    overrides = {}
-    for name in _FIELD_TYPES:
-        key = ENV_PREFIX + name.upper()
-        if key in env:
-            overrides[name] = _coerce(name, env[key])
+    known = {ENV_PREFIX + name.upper(): name for name in _FIELD_TYPES}
+    unknown = sorted(key for key in env if key.startswith(ENV_PREFIX) and key not in known)
+    if unknown:
+        raise ValueError(f"unknown config variables: {unknown}")
+    overrides = {name: _coerce(name, env[key]) for key, name in known.items() if key in env}
     # a file that is not an object keeps its own error in config_from_dict
     return {**data, **overrides} if overrides and isinstance(data, dict) else data
 

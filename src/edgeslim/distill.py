@@ -49,7 +49,8 @@ from edgeslim.engine.model import (
     gather_grads,
     model_bytes,
 )
-from edgeslim.engine.training import epoch_seed, iterate_minibatches, predict
+from edgeslim.engine.training import EVAL_BATCH, check_batch_size, check_epochs, epoch_seed
+from edgeslim.engine.training import iterate_minibatches, predict
 from edgeslim.metrics import accuracy as metric_accuracy
 from edgeslim.metrics import confusion_counts
 from edgeslim.resources import estimate_layer
@@ -117,14 +118,12 @@ class DistillPlan:
         check_lambdas((self.lambda1, self.lambda2, self.lambda3))
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {sorted(SCHEMES)}")
-        if self.total_epochs < 1:
-            raise ValueError("total_epochs must be positive")
-        if self.halting_epoch is not None and not 0 <= self.halting_epoch < self.total_epochs:
-            raise ValueError("halting_epoch must satisfy 0 <= h < total_epochs")
-        if self.h_max is not None and self.h_max >= self.total_epochs:
-            raise ValueError("h_max must stay below total_epochs")
+        check_epochs(self.total_epochs, "total_epochs")
+        check_halting_epoch(self.halting_epoch, self.total_epochs, "halting_epoch")
+        check_halting_epoch(self.h_max, self.total_epochs, "h_max")
         check_plateau(self.plateau_epsilon, self.plateau_window)
         check_learning_rate(self.eta)
+        check_batch_size(self.batch_size)
 
     def effective_lambdas(self) -> tuple[float, float, float, float]:
         """Per-scheme loss weights.
@@ -390,25 +389,22 @@ def _apply_updates(traces: list[ForwardTrace], eta: float) -> None:
     descend([trace.model for trace in traces], eta)
 
 
-FROZEN_CHUNK = 256  # rows per frozen-teacher forward, as in ``predict``
-
-
 def _frozen_outputs(
     teacher: MaskedModel, features: np.ndarray, student: MaskedModel, seed: int, keep_maps: bool
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
     """The frozen teacher's logits, attention maps and attention targets
     for every row.
 
-    Runs the teacher in chunks of ``FROZEN_CHUNK`` rows, so the tape-free
-    intermediates of a whole fold never live at once; a trailing one-row
-    chunk joins the one before, as numpy multiplies one row by gemv, which
-    can round unlike GEMM.  The targets are the unit rows of each map,
+    Runs the teacher in chunks of ``EVAL_BATCH`` rows, as ``predict`` does,
+    so the tape-free intermediates of a whole fold never live at once; a
+    trailing one-row chunk joins the one before, as numpy multiplies one
+    row by gemv, which can round unlike GEMM.  The targets are the unit rows of each map,
     projected first to the width of ``student``'s map where the teacher's is
     wider; the maps come back only with ``keep_maps`` (else None).  Each
     output row is a function of its input row alone, so indexing these
     arrays by a batch's rows gives what a forward pass on that batch would.
     """
-    starts = range(0, max(len(features) - 1, 1), FROZEN_CHUNK)
+    starts = range(0, max(len(features) - 1, 1), EVAL_BATCH)
     chunks = [slice(b, e) for b, e in zip(starts, [*starts[1:], None])]
     logits, maps = [], []
     for rows in chunks:
@@ -610,11 +606,17 @@ def train(
 # -- the halting trigger ----------------------------------------------------
 
 
+def check_halting_epoch(epoch: int | None, total_epochs: int, name: str) -> None:
+    """A set halting epoch, fixed or a cap, satisfies 0 <= epoch < total_epochs."""
+    if epoch is not None and not 0 <= epoch < total_epochs:
+        raise ValueError(f"{name} must stay below total_epochs and be non-negative, got {epoch!r}")
+
+
 def check_plateau(epsilon: float, window: int) -> None:
     """Reject a plateau rule that :func:`plateau_reached` cannot apply."""
     if window < 1:
         raise ValueError("plateau window must be positive")
-    if epsilon < 0:
+    if not epsilon >= 0:  # NaN would pass ``epsilon < 0``
         raise ValueError("plateau epsilon must be non-negative")
 
 
@@ -648,12 +650,13 @@ def random_interior_points(seed: int, count: int) -> list[tuple[float, float, fl
     return [softmax_simplex(g) for g in genomes]
 
 
+DIFFERENTIAL_WEIGHT, CROSSOVER = 0.7, 0.9  # rand/1/bin's F and CR (Storn & Price 1997)
+
+
 @dataclass(frozen=True)
 class DEBudget:
     population: int = 20
     generations: int = 15
-    differential_weight: float = 0.7
-    crossover: float = 0.9
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -661,10 +664,6 @@ class DEBudget:
             raise ValueError("population must be at least 4")
         if self.generations < 0:
             raise ValueError("generations must be non-negative")
-        if not 0.0 < self.differential_weight <= 2.0:
-            raise ValueError("differential_weight must lie in (0, 2]")
-        if not 0.0 <= self.crossover <= 1.0:
-            raise ValueError("crossover must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -698,8 +697,8 @@ def optimize_lambdas(
         for i in range(budget.population):
             others = [j for j in range(budget.population) if j != i]
             a, b, c = rng.choice(others, size=3, replace=False)
-            mutant = genomes[a] + budget.differential_weight * (genomes[b] - genomes[c])
-            cross = rng.random(3) < budget.crossover
+            mutant = genomes[a] + DIFFERENTIAL_WEIGHT * (genomes[b] - genomes[c])
+            cross = rng.random(3) < CROSSOVER
             cross[rng.integers(3)] = True
             trial = np.where(cross, mutant, genomes[i])
             trial_fit = float(score(softmax_simplex(trial)))

@@ -70,7 +70,9 @@ class MaskedModel:
         self.layers = list(self.layers)
         self.pack()
 
-    def __reduce__(self):  # a pickled copy packs a fresh buffer of its own
+    def __reduce__(self):
+        # rebuilt so a pickled or deep-copied model's ``params`` view its own ``flat``;
+        # copied apart, SGD would move a buffer that ``forward`` never reads
         return MaskedModel, (self.spec, self.layers, self.dtype)
 
     def pack(self, borrowed: int = 0) -> None:

@@ -23,10 +23,18 @@ from edgeslim.engine.model import (
 )
 
 
+EVAL_BATCH = 256  # rows per tape-free forward in ``predict`` and ``evaluate_loss``
+
+
+def check_batch_size(batch_size: int) -> None:
+    """A minibatch holds at least one row."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size!r}")
+
+
 def iterate_minibatches(n: int, batch_size: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
     """Yield index arrays covering 0..n-1 once, shuffled, in batch-size runs."""
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
+    check_batch_size(batch_size)
     order = rng.permutation(n)
     for start in range(0, n, batch_size):
         yield order[start : start + batch_size]
@@ -83,22 +91,22 @@ def run_epoch(
     return total / count
 
 
-def evaluate_loss(model: MaskedModel, dataset, batch_size: int = 256) -> float:
+def evaluate_loss(model: MaskedModel, dataset) -> float:
     """Mean cross-entropy over the whole dataset, no updates."""
     total = 0.0
-    for start in range(0, dataset.n, batch_size):
-        sl = slice(start, start + batch_size)
+    for start in range(0, dataset.n, EVAL_BATCH):
+        sl = slice(start, start + EVAL_BATCH)
         trace = forward(model, dataset.features[sl], trainable=False)
         node = cross_entropy_node(trace, dataset.labels[sl])
         total += float(node.data) * (trace.batch_size)
     return total / dataset.n
 
 
-def predict(model: MaskedModel, features: np.ndarray, batch_size: int = 256) -> np.ndarray:
+def predict(model: MaskedModel, features: np.ndarray) -> np.ndarray:
     """Predicted 1-based labels for a feature matrix."""
     out = []
-    for start in range(0, features.shape[0], batch_size):
-        trace = forward(model, features[start : start + batch_size], trainable=False)
+    for start in range(0, features.shape[0], EVAL_BATCH):
+        trace = forward(model, features[start : start + EVAL_BATCH], trainable=False)
         out.append(trace.predictions)
     return np.concatenate(out)
 

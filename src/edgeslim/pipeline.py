@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -25,6 +24,7 @@ from edgeslim.distill import (
     DEBudget,
     DistillPlan,
     TrainResult,
+    check_halting_epoch,
     check_lambdas,
     check_plateau,
     network_flops,
@@ -39,7 +39,7 @@ from edgeslim.engine.model import (
     copy_model,
     init_model,
 )
-from edgeslim.engine.training import evaluate_loss, predict
+from edgeslim.engine.training import check_batch_size, check_epochs, evaluate_loss, predict
 from edgeslim.metrics import MetricsReport, evaluate_predictions
 from edgeslim.resources import DeviceProfile, ResourceReport, resolve_alpha
 
@@ -88,7 +88,6 @@ class PipelineSettings:
     val_fraction: float = 0.3
     seed: int = 0
     reference_tolerance: float = 1e-6
-    workers: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.omega <= 1.0:
@@ -96,15 +95,13 @@ class PipelineSettings:
         if self.lambdas is not None:
             object.__setattr__(self, "lambdas", tuple(float(l) for l in self.lambdas))
             check_lambdas(self.lambdas)
-        if self.total_epochs < 1 or self.de_epochs < 1:
-            raise ValueError("epoch counts must be positive")
+        check_epochs(self.total_epochs, "total_epochs")
+        check_epochs(self.de_epochs, "de_epochs")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {sorted(SCHEMES)}")
-        if self.h_max is not None and self.h_max >= self.total_epochs:
-            raise ValueError("h_max must stay below total_epochs")
+        check_halting_epoch(self.h_max, self.total_epochs, "h_max")
         check_plateau(self.plateau_epsilon, self.plateau_window)
-        if self.workers < 0:
-            raise ValueError("workers must be non-negative")
+        check_batch_size(self.batch_size)
         if not self.reference_tolerance >= 0:  # NaN would pass every comparison
             raise ValueError("reference_tolerance must be non-negative")
         # the rules of the code each setting reaches only after pretraining
@@ -224,8 +221,10 @@ def _distill(
     )
 
 
-def _evaluate_candidate(job: tuple) -> CandidateRecord:
-    l, pretrained, reference_loss, dataset, device, settings = job
+def _evaluate_candidate(
+    l: int, pretrained: MaskedModel, reference_loss: float, dataset: Dataset,
+    device: DeviceProfile, settings: PipelineSettings,
+) -> CandidateRecord:
     teacher = _with_prefix(pretrained, l)
 
     if teacher.spec.non_shared_count == 0:
@@ -305,9 +304,9 @@ def run(
     The teacher must first reproduce its recorded training loss on this
     dataset (guards against mismatched checkpoint/dataset pairs); then each
     depth runs dropout, compression, the loss-weight search, and the full
-    distillation, serially or across worker processes.
+    distillation, one depth after another.
     """
-    actual = evaluate_loss(pretrained, dataset, batch_size=settings.batch_size)
+    actual = evaluate_loss(pretrained, dataset)
     if not math.isfinite(actual) or abs(actual - reference_loss) > settings.reference_tolerance:
         raise ReferenceMismatch(
             f"teacher loss {actual:.8f} does not match the recorded "
@@ -317,13 +316,8 @@ def run(
     # load", so it pins to the uncompressed network once, up front.
     device = resolve_alpha(device, network_flops(pretrained.spec))
 
-    jobs = [
-        (l, pretrained, reference_loss, dataset, device, settings)
+    records = [
+        _evaluate_candidate(l, pretrained, reference_loss, dataset, device, settings)
         for l in prefix_sweep(pretrained.spec.depth)
     ]
-    if settings.workers > 1:
-        with ProcessPoolExecutor(max_workers=settings.workers) as pool:
-            records = list(pool.map(_evaluate_candidate, jobs))
-    else:
-        records = [_evaluate_candidate(job) for job in jobs]
     return PipelineResult(records=records, best=select(records))

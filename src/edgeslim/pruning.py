@@ -58,7 +58,7 @@ def check_rate(rate: float, name: str = "dropout rate") -> None:
 def check_schedule(c: float, max_iteration: int) -> None:
     """The rate decay ``1 - iteration / (c * max_iteration)`` needs both
     factors positive."""
-    if c <= 0 or max_iteration <= 0:
+    if not (c > 0 and max_iteration > 0):  # NaN would pass ``c <= 0``
         raise ValueError("dropout c and max_iteration must be positive")
 
 
@@ -139,7 +139,6 @@ def run(
     reference_loss: float,
     c: float = 1.0,
     max_iteration: int = 20,
-    target_layers: Sequence[int] | None = None,
     initial_rate: float = 0.5,
     input_rate: float = 0.8,
     batch_size: int = 32,
@@ -148,17 +147,15 @@ def run(
     """Iteratively prune ``model`` while one-epoch retraining stays within
     ``reference_loss``.
 
-    ``target_layers`` defaults to every non-shared layer.  The first targeted
-    layer (the one nearest the input) starts at ``input_rate``; the rest at
+    The targets are the non-shared layers.  The first of them (the one
+    nearest the input) starts at ``input_rate``; the rest at
     ``initial_rate``; both scale by the same update factor each round.  The
     loop body always runs at least once and stops when the loss degrades, a
     round stops removing connections, or ``max_iteration`` is hit.
     """
     check_learning_rate(eta)
     check_rate(input_rate, "input dropout rate")
-    if target_layers is None:
-        target_layers = list(range(model.spec.shared_prefix, model.spec.depth))
-    target_layers = list(target_layers)
+    target_layers = range(model.spec.shared_prefix, model.spec.depth)
     if not target_layers:
         raise ValueError("no target layers to prune")
 

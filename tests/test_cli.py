@@ -231,6 +231,19 @@ def test_dropout_rejects_bad_input_rate(ws, capsys):
     assert rc == 2 and err.count("\n") == 1 and "input dropout rate must lie in (0, 1]" in err
 
 
+def test_dropout_rejects_nan_c(ws, capsys):
+    ckpt = train_checkpoint(ws, epochs="2")
+    capsys.readouterr()
+    out = ws / "s.json"
+    rc = main([
+        "dropout", "--checkpoint", str(ckpt), "--data", str(ws / "data.csv"),
+        "--out", str(out), "--c", "nan",
+    ])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.count("\n") == 1 and "dropout c and max_iteration must be positive" in err
+    assert not out.exists()
+
+
 def test_dropout_and_compress_and_eval_chain(ws):
     ckpt = train_checkpoint(ws)
     slim = ws / "slim.json"
@@ -399,9 +412,9 @@ CHECKPOINT_MUTATIONS = [
 ]
 JSON_MUTATIONS = ["delete", "retype", "extra", "bool", "name"]  # for files that hold no arrays
 CONFIG_MUTATIONS = ["delete", "retype", "extra", "bool", "range", "null"]
-# numbers outside some setting's range; all small, so a run that accepts
-# one stays short
-OUT_OF_RANGE = [-1, 0, -0.25, 1.5]
+# numbers outside some setting's range; all small or non-finite, so a run
+# that accepts one stays short (``json`` writes and reads the non-finite ones)
+OUT_OF_RANGE = [-1, 0, -0.25, 1.5, float("nan"), float("inf"), float("-inf")]
 
 
 def _mutate(body, draw, kinds=CHECKPOINT_MUTATIONS):
@@ -643,12 +656,16 @@ def pipeline_config(ws, out_dir, teacher=None):
 
 @pytest.fixture(scope="module")
 def pipeline_inputs(tmp_path_factory):
-    """A workspace with a tiny dataset and a valid, fast pipeline config."""
+    """A workspace with a tiny dataset, a teacher checkpoint trained on it,
+    and a valid, fast pipeline config."""
     root = tmp_path_factory.mktemp("pipeline")
     (root / "arch.json").write_text(json.dumps(ARCH))
     (root / "device.json").write_text(json.dumps(device_dict(alpha=1e9, beta=1.0)))
     assert main(["gendata", "--out", str(root / "data.csv"), "--n", "30", "--p", "6", "--k", "3",
                  "--seed", "4"]) == 0
+    teacher = root / "teacher-checkpoint.json"
+    assert main(["train", "--arch", str(root / "arch.json"), "--data", str(root / "data.csv"),
+                 "--out", str(teacher), "--epochs", "1"]) == 0
     config = {
         "architecture": str(root / "arch.json"),
         "device": str(root / "device.json"),
@@ -660,8 +677,12 @@ def pipeline_inputs(tmp_path_factory):
         "h_max": 1,
         "dropout_max_iteration": 1,
         "seed": 0,
+        "batch_size": 32,
+        "size_penalty": 0.0,
+        "plateau_epsilon": 0.5,
+        "dropout_c": 1.0,
     }
-    return root, config
+    return root, config, teacher
 
 
 @contextlib.contextmanager
@@ -678,11 +699,13 @@ def _cwd(path):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_pipeline_survives_any_config_mutation(pipeline_inputs, data):
-    root, config = pipeline_inputs
+    root, config, teacher = pipeline_inputs
     run = root / "run"
     shutil.rmtree(run, ignore_errors=True)
     run.mkdir()
     body = json.loads(json.dumps(config))
+    if data.draw(st.booleans(), label="with teacher"):  # else the run pretrains one
+        body["teacher"] = str(teacher)
     _mutate(body, data.draw, CONFIG_MUTATIONS)
     path = root / "config.json"
     path.write_text(json.dumps(body))
@@ -755,56 +778,73 @@ def test_pipeline_bad_config_is_input_error(ws, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value, env, message", [
-    pytest.param("workers", -1, {}, "workers must be non-negative", id="workers-negative"),
-    pytest.param(None, None, {"EDGESLIM_WORKERS": "abc"}, "EDGESLIM_WORKERS='abc'",
-                 id="env-workers-not-a-number"),
-    pytest.param("plateau_window", 0, {}, "plateau window must be positive", id="window-zero"),
-    pytest.param("plateau_epsilon", -0.5, {}, "plateau epsilon must be non-negative",
+def _config_case(key, value, env, message, id, teacher=False):
+    return pytest.param(key, value, env, message, teacher, id=id)
+
+
+@pytest.mark.parametrize("key, value, env, message, teacher", [
+    _config_case("workers", 2, {}, "unknown config keys: ['workers']", id="workers-removed"),
+    _config_case(None, None, {"EDGESLIM_WORKERS": "2"},
+                 "unknown config variables: ['EDGESLIM_WORKERS']", id="env-workers-removed"),
+    _config_case(None, None, {"EDGESLIM_DE_EPOCHS": "abc"}, "EDGESLIM_DE_EPOCHS='abc'",
+                 id="env-de-epochs-not-a-number"),
+    _config_case("batch_size", 0, {}, "batch_size must be at least 1", id="batch-size-zero"),
+    _config_case("batch_size", 0, {}, "batch_size must be at least 1",
+                 id="batch-size-zero-teacher", teacher=True),
+    _config_case("batch_size", -3, {}, "batch_size must be at least 1",
+                 id="batch-size-negative-teacher", teacher=True),
+    _config_case("h_max", -1, {}, "h_max must stay below total_epochs and be non-negative",
+                 id="h-max-negative"),
+    _config_case("plateau_epsilon", float("nan"), {}, "plateau epsilon must be non-negative",
+                 id="epsilon-nan"),
+    _config_case("dropout_c", float("nan"), {}, "dropout c and max_iteration must be positive",
+                 id="dropout-c-nan"),
+    _config_case("plateau_window", 0, {}, "plateau window must be positive", id="window-zero"),
+    _config_case("plateau_epsilon", -0.5, {}, "plateau epsilon must be non-negative",
                  id="epsilon-negative"),
-    pytest.param("batch_size", True, {}, "'batch_size' must be of type int", id="batch-size-bool"),
-    pytest.param("omega", False, {}, "'omega' must be of type float", id="omega-bool"),
-    pytest.param("lambdas", [True, 0.5, 0.5], {}, "'lambdas' must be of type", id="lambda-bool"),
-    pytest.param("scheme", "S9", {}, "unknown scheme 'S9'", id="unknown-scheme"),
-    pytest.param("h_max", 3, {}, "h_max must stay below total_epochs", id="h-max-too-large"),
-    pytest.param("val_fraction", 1.5, {}, "val_fraction must lie in (0, 1)",
+    _config_case("batch_size", True, {}, "'batch_size' must be of type int", id="batch-size-bool"),
+    _config_case("omega", False, {}, "'omega' must be of type float", id="omega-bool"),
+    _config_case("lambdas", [True, 0.5, 0.5], {}, "'lambdas' must be of type", id="lambda-bool"),
+    _config_case("scheme", "S9", {}, "unknown scheme 'S9'", id="unknown-scheme"),
+    _config_case("h_max", 3, {}, "h_max must stay below total_epochs", id="h-max-too-large"),
+    _config_case("val_fraction", 1.5, {}, "val_fraction must lie in (0, 1)",
                  id="val-fraction-too-large"),
-    pytest.param("de_population", 2, {}, "population must be at least 4", id="de-population-2"),
-    pytest.param("de_generations", -1, {}, "generations must be non-negative",
+    _config_case("de_population", 2, {}, "population must be at least 4", id="de-population-2"),
+    _config_case("de_generations", -1, {}, "generations must be non-negative",
                  id="de-generations-negative"),
-    pytest.param("dropout_initial_rate", 0.0, {}, "dropout_initial_rate must lie in (0, 1]",
+    _config_case("dropout_initial_rate", 0.0, {}, "dropout_initial_rate must lie in (0, 1]",
                  id="dropout-rate-zero"),
-    pytest.param("dropout_input_rate", 1.5, {}, "dropout_input_rate must lie in (0, 1]",
+    _config_case("dropout_input_rate", 1.5, {}, "dropout_input_rate must lie in (0, 1]",
                  id="dropout-input-rate-too-large"),
-    pytest.param("dropout_c", -1, {}, "dropout c and max_iteration must be positive",
+    _config_case("dropout_c", -1, {}, "dropout c and max_iteration must be positive",
                  id="dropout-c-negative"),
-    pytest.param("dropout_max_iteration", 0, {}, "dropout c and max_iteration must be positive",
+    _config_case("dropout_max_iteration", 0, {}, "dropout c and max_iteration must be positive",
                  id="dropout-max-iteration-zero"),
-    pytest.param("eta", -1, {}, "eta must be positive and finite", id="eta-negative"),
-    pytest.param("eta", float("inf"), {}, "eta must be positive and finite", id="eta-infinite"),
-    pytest.param("dropout_eta", 0, {}, "dropout_eta must be positive and finite",
+    _config_case("eta", -1, {}, "eta must be positive and finite", id="eta-negative"),
+    _config_case("eta", float("inf"), {}, "eta must be positive and finite", id="eta-infinite"),
+    _config_case("dropout_eta", 0, {}, "dropout_eta must be positive and finite",
                  id="dropout-eta-zero"),
-    pytest.param("pretrain_eta", -0.1, {}, "pretrain_eta must be positive and finite",
+    _config_case("pretrain_eta", -0.1, {}, "pretrain_eta must be positive and finite",
                  id="pretrain-eta-negative"),
-    pytest.param("pretrain_epochs", 0, {}, "pretrain_epochs must be at least 1",
+    _config_case("pretrain_epochs", 0, {}, "pretrain_epochs must be at least 1",
                  id="pretrain-epochs-zero"),
-    pytest.param(None, None, {"EDGESLIM_ETA": "nan"}, "eta must be positive and finite",
+    _config_case(None, None, {"EDGESLIM_ETA": "nan"}, "eta must be positive and finite",
                  id="env-eta-nan"),
-    pytest.param("reference_tolerance", -1e-6, {}, "reference_tolerance must be non-negative",
+    _config_case("reference_tolerance", -1e-6, {}, "reference_tolerance must be non-negative",
                  id="reference-tolerance-negative"),
-    pytest.param(None, None, {"EDGESLIM_REFERENCE_TOLERANCE": "nan"},
+    _config_case(None, None, {"EDGESLIM_REFERENCE_TOLERANCE": "nan"},
                  "reference_tolerance must be non-negative", id="env-reference-tolerance-nan"),
-    pytest.param("size_penalty", float("nan"), {}, "size_penalty must be finite and non-negative",
+    _config_case("size_penalty", float("nan"), {}, "size_penalty must be finite and non-negative",
                  id="size-penalty-nan"),
-    pytest.param("size_penalty", float("inf"), {}, "size_penalty must be finite and non-negative",
+    _config_case("size_penalty", float("inf"), {}, "size_penalty must be finite and non-negative",
                  id="size-penalty-infinite"),
-    pytest.param("size_penalty", -1, {}, "size_penalty must be finite and non-negative",
+    _config_case("size_penalty", -1, {}, "size_penalty must be finite and non-negative",
                  id="size-penalty-negative"),
 ])
 def test_pipeline_config_error_exits_2_before_pretraining(
-    ws, capsys, monkeypatch, key, value, env, message
+    ws, capsys, monkeypatch, key, value, env, message, teacher
 ):
-    config = pipeline_config(ws, ws / "run5")
+    config = pipeline_config(ws, ws / "run5", teacher=train_checkpoint(ws) if teacher else None)
     if key is not None:
         body = json.loads(config.read_text())
         config.write_text(json.dumps({**body, key: value}))
@@ -814,7 +854,7 @@ def test_pipeline_config_error_exits_2_before_pretraining(
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err and err.count("\n") == 1
-    assert not (ws / "run5" / "teacher.json").exists()
+    assert not (ws / "run5").exists()
 
 
 def test_pipeline_missing_dataset_path(ws, capsys):

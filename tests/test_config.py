@@ -103,19 +103,19 @@ SWEEP = {
     "lambdas": (0.2, 0.3, 0.5), "de_population": 5, "de_generations": 2, "de_epochs": 3,
     "total_epochs": 9, "h_max": 5, "plateau_epsilon": 0.25, "plateau_window": 4,
     "eta": 0.01, "batch_size": 16, "val_fraction": 0.2, "seed": 11,
-    "reference_tolerance": 1e-5, "workers": 2,
+    "reference_tolerance": 1e-5,
 }
 
 
 def test_pipeline_settings_mirror():
     config = config_from_dict(
-        {**REQUIRED, "omega": 0.7, "h_max": 5, "total_epochs": 9, "workers": 2}
+        {**REQUIRED, "omega": 0.7, "h_max": 5, "total_epochs": 9, "de_epochs": 3}
     )
     settings = config.pipeline_settings()
     assert settings.omega == 0.7
     assert settings.h_max == 5
     assert settings.total_epochs == 9
-    assert settings.workers == 2
+    assert settings.de_epochs == 3
     # run-only fields stay out of the sweep settings
     assert not hasattr(settings, "pretrain_epochs")
     # every sweep field reaches the settings, not only the four above

@@ -220,10 +220,16 @@ def test_plan_validation():
         DistillPlan(0.5, 0.3, 0.2, total_epochs=5, halting_epoch=5)
     with pytest.raises(ValueError):
         DistillPlan(0.5, 0.3, 0.2, total_epochs=5, h_max=5)
+    with pytest.raises(ValueError, match="h_max"):
+        DistillPlan(0.5, 0.3, 0.2, h_max=-1)
+    with pytest.raises(ValueError, match="batch_size"):
+        DistillPlan(0.5, 0.3, 0.2, batch_size=0)
     with pytest.raises(ValueError, match="plateau window"):
         DistillPlan(0.5, 0.3, 0.2, plateau_window=0)
     with pytest.raises(ValueError, match="plateau epsilon"):
         DistillPlan(0.5, 0.3, 0.2, plateau_epsilon=-0.1)
+    with pytest.raises(ValueError, match="plateau epsilon"):
+        DistillPlan(0.5, 0.3, 0.2, plateau_epsilon=float("nan"))
 
 
 def test_effective_lambdas_renormalize_without_trainee():
@@ -463,9 +469,7 @@ def test_de_budget_validation():
     with pytest.raises(ValueError):
         DEBudget(population=3)
     with pytest.raises(ValueError):
-        DEBudget(differential_weight=0.0)
-    with pytest.raises(ValueError):
-        DEBudget(crossover=1.5)
+        DEBudget(generations=-1)
 
 
 # -- curvature probe --------------------------------------------------------

@@ -230,22 +230,12 @@ def test_run_resolves_ratio_alpha_against_the_teacher(bench):
     assert [r.feasible for r in result.records] == [r.feasible for r in again.records]
 
 
-def test_run_parallel_matches_serial(bench):
-    teacher, data, reference = bench
-    device, _, _ = mid_budget_device(teacher)
-    from dataclasses import replace
-
-    serial = pipeline.run(teacher, reference, data, device, SETTINGS)
-    parallel = pipeline.run(
-        teacher, reference, data, device, replace(SETTINGS, workers=2)
-    )
-    assert serial.to_dict() == parallel.to_dict()
-
-
 def test_settings_validation():
     with pytest.raises(ValueError):
         PipelineSettings(omega=1.5)
     with pytest.raises(ValueError):
         PipelineSettings(total_epochs=0)
-    with pytest.raises(ValueError):
-        PipelineSettings(workers=-1)
+    with pytest.raises(ValueError, match="batch_size"):
+        PipelineSettings(batch_size=0)
+    with pytest.raises(ValueError, match="h_max"):
+        PipelineSettings(h_max=-1)

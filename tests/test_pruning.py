@@ -1,5 +1,7 @@
 """Magnitude-dropout planner: rate updates, masking, and the retrain loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from edgeslim.archspec import LayerKind, LayerSpec, NetworkSpec, check_valid
 from edgeslim.datasets import make_synthetic
-from edgeslim.engine.model import connection_count, init_model, model_bytes
+from edgeslim.engine.model import MaskedModel, connection_count, init_model, model_bytes
 from edgeslim.engine.training import evaluate_loss, train_classifier
 from edgeslim import pruning
 from edgeslim.pruning import DropoutState, apply_dropout, update_rate
@@ -54,6 +56,8 @@ def test_state_validation():
         state(d=1.5)
     with pytest.raises(ValueError):
         state(c=0.0)
+    with pytest.raises(ValueError):
+        state(c=float("nan"))
     with pytest.raises(ValueError):
         update_rate(state(q_a=0, q_b=0))
 
@@ -205,5 +209,8 @@ def test_run_is_deterministic():
 
 def test_run_requires_targets():
     model, data, reference = make_trained()
-    with pytest.raises(ValueError):
-        pruning.run(model, data, eta=0.05, reference_loss=reference, target_layers=[])
+    # every layer shared leaves nothing to prune
+    shared = replace(model.spec, shared_prefix=model.spec.depth)
+    model = MaskedModel(spec=shared, layers=model.layers, dtype=model.dtype)
+    with pytest.raises(ValueError, match="no target layers"):
+        pruning.run(model, data, eta=0.05, reference_loss=reference)
