@@ -42,6 +42,7 @@ from edgeslim.engine.model import (
     ForwardTrace,
     MaskedModel,
     TrainingDiverged,
+    check_labels,
     check_learning_rate,
     cross_entropy_node,
     descend,
@@ -194,7 +195,7 @@ def distillation_loss_node(teacher_logits: Tensor, student_logits: Tensor) -> Te
         raise ValueError(f"logit shapes differ: {t.shape} vs {s.data.shape}")
     if teacher_logits.requires_grad:
         raise ValueError("teacher logits must be detached")
-    diff = t + (-s.data)
+    diff = t - s.data
     inv_n = np.asarray(1.0 / len(diff))
 
     def bwd(g):
@@ -222,20 +223,20 @@ def _unit_rows(maps: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _attention_term(t_unit: np.ndarray, s: Tensor) -> tuple[np.ndarray, Callable]:
     """Mean over rows of |t_unit - unit(s)|^2, against the detached and
-    row-normalized ``t_unit``: its value, and a backward that runs the numpy
-    operations of the generic chain in reverse, so both are bit-identical."""
+    row-normalized ``t_unit``: its value, and a backward that gives the
+    generic chain's gradient bit for bit (``a - b`` is ``a + (-b)`` exactly)."""
     if t_unit.shape != s.data.shape:
         raise ValueError(f"map shapes differ: {t_unit.shape} vs {s.data.shape}")
     s_unit, alive, live, sumsq, norm = _unit_rows(s.data)
-    diff = t_unit + (-s_unit)
+    diff = t_unit - s_unit
     scale = np.asarray(1.0 / len(diff))
 
     def bwd(g):
         p = (g * scale) * diff
-        g_unit = -(p + p)
-        g_norm = np.add.reduce(-g_unit * live / (norm * norm), axis=1, keepdims=True)
+        twice = p + p  # the gradient of unit(s) is -twice
+        g_norm = np.add.reduce(twice * live / (norm * norm), axis=1, keepdims=True)
         q = g_norm * 0.5 / norm * (sumsq > NORM_FLOOR**2) * live
-        s._accum((g_unit / norm + q + q) * alive)
+        s._accum((-(twice / norm) + q + q) * alive)
 
     return np.asarray(np.add.reduce(np.add.reduce(diff * diff, axis=1))) * scale, bwd
 
@@ -479,6 +480,8 @@ def train(
                 "scheme shares the leading layers; call share_prefix_layers first"
             )
 
+    for model in filter(None, (student, trainee)):
+        check_labels(dataset.labels, model)
     train_set, val_set = train_test_split(dataset, plan.val_fraction, plan.seed)
     l1, l2, l3, l4 = plan.effective_lambdas()
     f_student = network_flops(student.spec)
@@ -512,7 +515,7 @@ def train(
     acc_pct: list[float] = []
     for epoch in range(1, plan.total_epochs + 1):
         rng = np.random.default_rng(epoch_seed(plan.seed, epoch))
-        sums = np.zeros(4)  # ce_s, ce_te, al, dl weighted by batch size
+        sums = [0.0] * 4  # ce_s, ce_te, al, dl weighted by batch size
         seen_rows = 0
         for idx in iterate_minibatches(train_set.n, plan.batch_size, rng):
             x, y = train_set.features[idx], train_set.labels[idx]
@@ -569,10 +572,11 @@ def train(
                 exc.history = history
                 raise
             n = len(idx)
-            sums += n * np.array([float(ce_s.data), ce_te_val, al_val, float(dl.data)])
+            values = (float(ce_s.data), ce_te_val, al_val, float(dl.data))
+            sums = [s + n * v for s, v in zip(sums, values)]
             seen_rows += n
 
-        ce_s_m, ce_te_m, al_m, dl_m = (sums / seen_rows).tolist()
+        ce_s_m, ce_te_m, al_m, dl_m = (s / seen_rows for s in sums)
         breakdown = combined_loss(ce_s_m, ce_te_m, al_m, dl_m, plan, epoch, halted=halted)
         per_instance = 3 * f_student
         if not halted:

@@ -62,7 +62,7 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError(f"backward needs a scalar, got shape {self.data.shape}")
         order = _topo_order(self)
-        self.grad = np.ones_like(self.data)
+        self.grad = np.array(1, self.data.dtype).reshape(self.data.shape)
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -147,9 +147,8 @@ class Tensor:
         return _node(out_data, (self,), bwd)
 
 
-def _node(data, parents, bwd) -> Tensor:
-    requires = any(p.requires_grad for p in parents)
-    return Tensor(data, parents=parents, backward=bwd, requires_grad=requires)
+def _node(data, parents, bwd) -> Tensor:  # ``any`` of a list: a generator costs more
+    return Tensor(data, parents, bwd, any([p.requires_grad for p in parents]))
 
 
 def lift(value, dtype=None) -> Tensor:
@@ -160,6 +159,7 @@ def lift(value, dtype=None) -> Tensor:
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
+    """``root`` and the nodes with a backward it reads, each after its inputs."""
     order, seen, stack = [], set(), [(root, False)]
     while stack:
         node, expanded = stack.pop()
@@ -171,7 +171,7 @@ def _topo_order(root: Tensor) -> list[Tensor]:
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
-            if id(parent) not in seen:
+            if parent._backward is not None and id(parent) not in seen:
                 stack.append((parent, False))
     return order
 
@@ -195,13 +195,6 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return np.maximum(e, x >= 0) / (1.0 + e)
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of a plain array (shift-stabilised)."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=-1, keepdims=True)
-
-
 def softmax_cross_entropy(logits: Tensor, labels0: np.ndarray) -> Tensor:
     """Mean negative log-likelihood; ``labels0`` are 0-based class indices.
 
@@ -214,13 +207,14 @@ def softmax_cross_entropy(logits: Tensor, labels0: np.ndarray) -> Tensor:
     if labels0.shape != (n,):
         raise ValueError(f"labels shape {labels0.shape} does not match batch {n}")
     shifted = z - z.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=1))
-    logp = shifted[np.arange(n), labels0] - logsumexp
-    out_data = np.asarray(-logp.mean(), dtype=z.dtype)
+    ex = np.exp(shifted)
+    sums = ex.sum(axis=1, keepdims=True)
+    logp = shifted[np.arange(n), labels0] - np.log(sums[:, 0])
+    out_data = -(np.add.reduce(logp) / n)
 
     def bwd(g):
-        p = softmax(z)
-        p[np.arange(n), labels0] -= 1.0
-        logits._accum(g * p / n)
+        # the softmax from the forward's exp and row sums, less 1 at each label
+        onehot = labels0[:, None] == np.arange(z.shape[1])
+        logits._accum(g * (ex / sums - onehot) / n)
 
     return _node(out_data, (logits,), bwd)

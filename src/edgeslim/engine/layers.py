@@ -143,10 +143,11 @@ def _dense_forward(x: Tensor, layer: LayerSpec, params: dict[str, Tensor], relu:
         weights[0] = conv_matrix(weights[0])
     else:
         pre = x.data
-    ins = []  # each factor's input rows
-    for W, name in zip(weights, bias_names):
+    ins, feeds = [], [x.requires_grad]  # each factor's input rows; whether they need a gradient
+    for W, name, bias_name in zip(weights, names, bias_names):
         ins.append(pre)
-        pre = pre @ W + params[name].data
+        feeds.append(feeds[-1] or params[name].requires_grad or params[bias_name].requires_grad)
+        pre = pre @ W + params[bias_name].data
     out = np.maximum(pre, 0) if relu else pre
     if conv:
         maps = out.reshape(x4.shape[0], layer.h, layer.w, layer.O).transpose(0, 3, 1, 2)
@@ -160,15 +161,13 @@ def _dense_forward(x: Tensor, layer: LayerSpec, params: dict[str, Tensor], relu:
         for k in reversed(range(len(names))):
             w, b = params[names[k]], params[bias_names[k]]
             if b.requires_grad:
-                b._accum(g.sum(axis=0))
+                b._accum(np.add.reduce(g, axis=0))
             if w.requires_grad:
                 dW = ins[k].T @ g
                 if conv and k == 0:
                     dW = conv_weight(dW, w.data.shape)
                 w._accum(dW)
-            if not x.requires_grad and not any(
-                params[n].requires_grad for n in names[:k] + bias_names[:k]
-            ):
+            if not feeds[k]:
                 return
             g = g @ weights[k].T
         if conv:

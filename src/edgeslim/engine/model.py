@@ -203,13 +203,16 @@ def forward(
     return ForwardTrace(cur, activations, leaves, batch_size=n, model=model)
 
 
-def cross_entropy_node(trace: ForwardTrace, labels: np.ndarray) -> Tensor:
-    """Mean cross-entropy of a trace against 1-based labels, as a tape node."""
-    labels = np.asarray(labels)
-    k = trace.logits.data.shape[1]
+def check_labels(labels: np.ndarray, model: MaskedModel) -> None:
+    """Class labels must lie in 1..k, k the model's class count."""
+    k = model.spec.class_count
     if labels.min(initial=1) < 1 or labels.max(initial=k) > k:
         raise ValueError(f"labels must lie in 1..{k}")
-    return softmax_cross_entropy(trace.logits, labels - 1)
+
+
+def cross_entropy_node(trace: ForwardTrace, labels: np.ndarray) -> Tensor:
+    """Mean cross-entropy node against 1-based labels that passed :func:`check_labels`."""
+    return softmax_cross_entropy(trace.logits, np.asarray(labels) - 1)
 
 
 def backward(model: MaskedModel, trace: ForwardTrace, loss: Tensor) -> list[dict[str, np.ndarray]]:

@@ -16,6 +16,7 @@ from edgeslim import metrics
 from edgeslim.engine.model import (
     MaskedModel,
     backward,
+    check_labels,
     check_learning_rate,
     cross_entropy_node,
     forward,
@@ -80,6 +81,7 @@ def run_epoch(
     The mean weights batches by size, so it equals the epoch's mean
     per-instance loss under the weights each batch was scored with.
     """
+    check_labels(dataset.labels, model)
     total, count = 0.0, 0
     for idx in iterate_minibatches(dataset.n, batch_size, rng):
         trace = forward(model, dataset.features[idx])
@@ -93,6 +95,7 @@ def run_epoch(
 
 def evaluate_loss(model: MaskedModel, dataset) -> float:
     """Mean cross-entropy over the whole dataset, no updates."""
+    check_labels(dataset.labels, model)
     total = 0.0
     for start in range(0, dataset.n, EVAL_BATCH):
         sl = slice(start, start + EVAL_BATCH)

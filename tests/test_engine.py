@@ -14,6 +14,7 @@ from edgeslim.engine.layers import layer_forward
 from edgeslim.engine.model import (
     TrainingDiverged,
     backward,
+    check_labels,
     connection_count,
     copy_model,
     cross_entropy_node,
@@ -29,6 +30,7 @@ from edgeslim.engine.training import (
     evaluate_accuracy,
     evaluate_loss,
     iterate_minibatches,
+    run_epoch,
     train_classifier,
 )
 from edgeslim.pruning import apply_dropout
@@ -286,10 +288,17 @@ def test_predictions_are_one_based(fc_spec, rng):
 
 def test_cross_entropy_rejects_bad_labels(fc_spec):
     model = init_model(fc_spec, seed=0)
-    trace = forward(model, np.zeros((2, 8), dtype=np.float32), trainable=False)
     for labels in ([0, 1], [1, 4]):
-        with pytest.raises(ValueError):
-            cross_entropy_node(trace, np.array(labels))
+        with pytest.raises(ValueError, match=r"labels must lie in 1\.\.3"):
+            check_labels(np.array(labels), model)
+    # the loops check the whole fold once, before the first batch
+    four_classes = make_synthetic(k=4, p=8, n=40, seed=0)
+    before = model_bytes(model)
+    with pytest.raises(ValueError, match=r"labels must lie in 1\.\.3"):
+        run_epoch(model, four_classes, eta=0.1, batch_size=8, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"labels must lie in 1\.\.3"):
+        evaluate_loss(model, four_classes)
+    assert model_bytes(model) == before
 
 
 def test_init_is_deterministic(fc_spec):

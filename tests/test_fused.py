@@ -348,7 +348,7 @@ def test_recurrent_layer_rejects_relu():
         layer_forward(layer, params, ad.Tensor(np.zeros((1, 4))), relu=True)
 
 
-def test_fc_stack_records_three_nodes_per_layer():
+def test_fc_stack_records_one_node_per_layer():
     sizes = {}
     for depth in (2, 4):
         hidden = [LayerSpec(LayerKind.FC, I=5, O=5) for _ in range(depth - 1)]
@@ -358,8 +358,8 @@ def test_fc_stack_records_three_nodes_per_layer():
         x = np.ones((3, 5), dtype=np.float32)
         loss = cross_entropy_node(forward(init_model(spec, seed=0), x), np.array([1, 2, 1]))
         sizes[depth] = len(ad._topo_order(loss))
-    # the input and the loss, then per layer: the W and b leaves and one node
-    assert sizes == {2: 2 + 3 * 2, 4: 2 + 3 * 4}
+    # the backward walk visits the loss and one node per layer, never a leaf
+    assert sizes == {2: 1 + 2, 4: 1 + 4}
 
 
 def unit_rows_chain(m):
