@@ -196,7 +196,7 @@ def distillation_loss_node(teacher_logits: Tensor, student_logits: Tensor) -> Te
     if teacher_logits.requires_grad:
         raise ValueError("teacher logits must be detached")
     diff = t - s.data
-    inv_n = np.asarray(1.0 / len(diff))
+    inv_n = ad.lift(1.0 / len(diff), diff).data
 
     def bwd(g):
         h = (g * inv_n) * diff
@@ -229,7 +229,7 @@ def _attention_term(t_unit: np.ndarray, s: Tensor) -> tuple[np.ndarray, Callable
         raise ValueError(f"map shapes differ: {t_unit.shape} vs {s.data.shape}")
     s_unit, alive, live, sumsq, norm = _unit_rows(s.data)
     diff = t_unit - s_unit
-    scale = np.asarray(1.0 / len(diff))
+    scale = ad.lift(1.0 / len(diff), diff).data
 
     def bwd(g):
         p = (g * scale) * diff
@@ -269,7 +269,7 @@ def _weighted_sum(terms: Sequence[tuple[float, Tensor]]) -> Tensor:
     def scaled(lam, term):
         return term.data * lam, lambda g: term._accum(g * lam)
 
-    return _sum_node([scaled(np.asarray(lam), term) for lam, term in terms], [t for _, t in terms])
+    return _sum_node([scaled(ad.lift(w, t.data).data, t) for w, t in terms], [t for _, t in terms])
 
 
 def _sum_node(pieces: list[tuple[np.ndarray, Callable]], parents: list[Tensor]) -> Tensor:

@@ -17,7 +17,8 @@ recurrent cell, on :func:`_stable_sigmoid`), and in :mod:`edgeslim.distill`
 the loss: attention over all maps, logit distillation and the weighted sum.
 No node here knows about masks: a leaf's gradient is the true derivative at
 every entry, and :mod:`edgeslim.engine.model` drops the masked entries when
-it gathers the gradients for an SGD step.
+it gathers the gradients for an SGD step.  A Python scalar on the tape takes
+its partner's dtype in :func:`lift` (NEP 50), so float32 backward stays float32.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ class Tensor:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        other = lift(other)
+        other = lift(other, self.data)
         out_data = self.data + other.data
 
         def bwd(g):
@@ -82,7 +83,7 @@ class Tensor:
         return _node(out_data, (self, other), bwd)
 
     def __mul__(self, other):
-        other = lift(other)
+        other = lift(other, self.data)
         out_data = self.data * other.data
 
         def bwd(g):
@@ -102,7 +103,7 @@ class Tensor:
         return _node(-self.data, (self,), bwd)
 
     def __sub__(self, other):
-        return self + (-lift(other))
+        return self + (-lift(other, self.data))
 
     def __matmul__(self, other):
         other = lift(other)
@@ -131,9 +132,8 @@ class Tensor:
         return _node(out_data, (self,), bwd)
 
     def mean(self, axis=None, keepdims=False):
-        count = self.data.size if axis is None else np.prod(
-            [self.data.shape[a] for a in np.atleast_1d(axis)]
-        )
+        axes = range(self.data.ndim) if axis is None else np.atleast_1d(axis)
+        count = int(np.prod([self.data.shape[a] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     def reshape(self, *shape):
@@ -151,11 +151,14 @@ def _node(data, parents, bwd) -> Tensor:  # ``any`` of a list: a generator costs
     return Tensor(data, parents, bwd, any([p.requires_grad for p in parents]))
 
 
-def lift(value, dtype=None) -> Tensor:
-    """Wrap a constant as a gradient-free Tensor; pass Tensors through."""
+def lift(value, like: np.ndarray | None = None) -> Tensor:
+    """Wrap a constant as a gradient-free Tensor; pass Tensors through.  A
+    Python int or float takes the dtype NEP 50 gives it against ``like``."""
     if isinstance(value, Tensor):
         return value
-    return Tensor(np.asarray(value, dtype=dtype))
+    if like is not None and type(value) in (int, float):
+        return Tensor(np.asarray(value, dtype=np.result_type(like, value)))
+    return Tensor(np.asarray(value))
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:

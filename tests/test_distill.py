@@ -624,6 +624,49 @@ def test_shared_head_gradients_match_two_full_forwards(monkeypatch):
         assert np.abs(got[key] - grad).max() <= 1e-12
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("scheme", ["S6", "S1"])
+@pytest.mark.parametrize(
+    "teacher_spec, student_spec",
+    [(TEACHER_SPEC, STUDENT_SPEC), (HEAD_TEACHER, HEAD_STUDENT)],
+    ids=["fc", "conv-lstm"],
+)
+def test_distillation_batch_stays_in_the_model_dtype(
+    teacher_spec, student_spec, scheme, dtype, monkeypatch
+):
+    """One batch of train's loss: its value, every tape node's gradient and
+    every leaf's ``.grad`` are in the model's dtype.  The conv net's maps go
+    through ``Tensor.mean``; S1 reads the pretrained teacher's logits."""
+    data = make_synthetic(k=3, p=teacher_spec.layers[0].input_width, n=60, seed=5)
+    student = init_model(student_spec, seed=1, dtype=dtype)
+    pretrained = init_model(teacher_spec, seed=3, dtype=dtype)
+    trainee = None
+    if SCHEMES[scheme].trainee:
+        trainee = init_model(teacher_spec, seed=2, dtype=dtype)
+        share_prefix_layers(student, trainee, student_spec.shared_prefix)
+    roots, traces = [], []
+    tape_backward = ad.Tensor.backward
+
+    def record(root):
+        roots.append(root)
+        tape_backward(root)
+
+    def capture(batch_traces, eta):
+        traces.extend(batch_traces)
+        raise _FirstBatchDone
+
+    monkeypatch.setattr(ad.Tensor, "backward", record)
+    monkeypatch.setattr(distill, "_apply_updates", capture)
+    with pytest.raises(_FirstBatchDone):
+        train(student, trainee, pretrained, data, plan_for(scheme, batch_size=16))
+    (loss,) = roots
+    assert loss.data.dtype == dtype
+    nodes = [node for node in ad._topo_order(loss) if node._backward is not None]
+    assert {node.grad.dtype for node in nodes} == {np.dtype(dtype)}
+    leaves = [leaf for trace in traces for layer in trace.leaves for leaf in layer.values()]
+    assert {leaf.grad.dtype for leaf in leaves} == {np.dtype(dtype)}
+
+
 def test_frozen_teacher_never_runs_a_one_row_chunk():
     """A 257-row fold leaves one row past the first chunk.  numpy multiplies
     a lone row by gemv, which rounds unlike GEMM, so that row joins the chunk

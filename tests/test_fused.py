@@ -214,8 +214,8 @@ def reference(layer, x, p, relu, g):
 @pytest.mark.parametrize("relu", [False, True])
 @pytest.mark.parametrize("kind", sorted(FUSED))
 def test_fused_layer_is_bit_identical_to_op_chain(kind, relu, upstream_dtype):
-    # float32 data; training's upstream gradient is float64 (the loss weights
-    # are float64 scalars), the float32 case covers a bare float32 loss
+    # float32 data; a float32 model's training sends a float32 upstream
+    # gradient, and the float64 case covers a float64 loss above the node
     layer, x, params = layer_fixture(kind, np.float32, seed=4)
     out, grads = run_node(layer, {"x": x, **params}, relu, np.zeros(1))
     g = np.random.default_rng(5).normal(size=out.shape).astype(upstream_dtype)
@@ -312,15 +312,16 @@ def test_attention_pair_is_bit_identical_to_op_chain():
         norm = np.sqrt(np.maximum(sumsq, NORM_FLOOR**2))
         return live / norm, alive.astype(m.dtype), live, sumsq, norm
 
-    # forward: normalize, t + (-s), square, row sum, mean as sum * (1/n)
+    # forward: normalize, t + (-s), square, row sum, mean as sum * (1/n),
+    # each Python scalar lifted in its partner's dtype, float32 here
     t_unit = unit(teacher)[0]
     s_unit, alive, live, sumsq, norm = unit(student)
     diff = t_unit + (-s_unit)
-    scale = np.asarray(1.0 / 5)
+    scale = np.asarray(1.0 / 5, dtype=np.float32)
     expect_loss = np.asarray((diff * diff).sum(axis=1).sum()) * scale
     # backward from the 0.3 weight, each op in reverse; the square and the
     # two uses of the live rows each add their contributions separately
-    g = np.broadcast_to(np.asarray(0.3) * scale, diff.shape)
+    g = np.broadcast_to(np.asarray(0.3, dtype=np.float32) * scale, diff.shape)
     g_diff = g * diff + g * diff
     g_unit = -g_diff
     g_norm = (-g_unit * live / (norm * norm)).sum(axis=1, keepdims=True)
@@ -376,7 +377,7 @@ def attention_chain(teacher, student, g):
     numpy op of the generic chain in turn, the backward in reverse."""
     s_unit, alive, live, sumsq, norm = unit_rows_chain(student)
     diff = unit_rows_chain(teacher)[0] + (-s_unit)
-    scale = np.asarray(1.0 / len(diff))
+    scale = np.asarray(1.0 / len(diff), dtype=diff.dtype)  # 1/n in the maps' dtype
     value = np.asarray((diff * diff).sum(axis=1).sum()) * scale
     g_sq = np.broadcast_to(g * scale, diff.shape)
     g_unit = -(g_sq * diff + g_sq * diff)
@@ -391,7 +392,7 @@ def test_attention_over_all_maps_is_one_node_bit_identical_to_op_chain():
     teachers = [rng.normal(size=(5, w)).astype(np.float32) for w in widths]
     students = [rng.normal(size=(5, w)).astype(np.float32) for w in widths]
     students[1][2] = 0.0  # a dead row
-    g = np.asarray(0.3)
+    g = np.asarray(0.3, dtype=np.float32)  # the weight, lifted as the loss's dtype
     expect = [attention_chain(t, s, g) for t, s in zip(teachers, students)]
     expect_loss = expect[0][0] + expect[1][0] + expect[2][0]  # left to right
 
@@ -409,12 +410,13 @@ def test_distillation_node_is_bit_identical_to_op_chain():
     rng = np.random.default_rng(10)
     teacher = rng.normal(size=(6, 4)).astype(np.float32)
     student = rng.normal(size=(6, 4)).astype(np.float32)
-    # forward: t + (-s), square, row sum, sum, times 1/n
+    # forward: t + (-s), square, row sum, sum, times 1/n, each Python scalar
+    # lifted in its partner's dtype, float32 here
     diff = teacher + (-student)
-    inv_n = np.asarray(1.0 / 6)
+    inv_n = np.asarray(1.0 / 6, dtype=np.float32)
     expect_loss = np.asarray((diff * diff).sum(axis=1).sum()) * inv_n
     # backward from the 0.3 weight, each op in reverse
-    g_rows = np.broadcast_to(np.asarray(0.3) * inv_n, (6,)).copy()
+    g_rows = np.broadcast_to(np.asarray(0.3, dtype=np.float32) * inv_n, (6,)).copy()
     g_sq = np.broadcast_to(np.expand_dims(g_rows, 1), diff.shape).copy()
     expect_grad = -(g_sq * diff + g_sq * diff)
 
@@ -434,8 +436,9 @@ def test_weighted_sum_is_one_node_bit_identical_to_op_chain():
     rng = np.random.default_rng(11)
     lams = (0.2, 1.0, 0.35, 0.45)  # l1, l4, l2, l3 as train() orders them
     values = [np.asarray(v, dtype=np.float32) for v in rng.normal(size=4)]
-    # lam * term, each lam lifted to a 0-d array, then added left to right
-    weights = [np.asarray(lam) for lam in lams]
+    # lam * term, each lam lifted to a 0-d array in the term's dtype, then
+    # added left to right
+    weights = [np.asarray(lam, dtype=np.float32) for lam in lams]
     expect_loss = values[0] * weights[0]
     for value, w in zip(values[1:], weights[1:]):
         expect_loss = expect_loss + value * w
