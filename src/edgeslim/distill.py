@@ -646,12 +646,15 @@ def softmax_simplex(genome: np.ndarray) -> tuple[float, float, float]:
     return (float(z[0]), float(z[1]), float(z[2]))
 
 
+def _draw_genomes(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` genomes: the evolutionary search's initial population."""
+    return rng.normal(size=(count, 3))
+
+
 def random_interior_points(seed: int, count: int) -> list[tuple[float, float, float]]:
-    """Baseline draw: ``count`` simplex points from the same stream the
-    evolutionary search seeds its initial population with."""
-    rng = np.random.default_rng(seed)
-    genomes = rng.normal(size=(count, 3))
-    return [softmax_simplex(g) for g in genomes]
+    """Baseline draw: the simplex points of the initial population that
+    :func:`optimize_lambdas` draws for the same seed and count."""
+    return [softmax_simplex(g) for g in _draw_genomes(np.random.default_rng(seed), count)]
 
 
 DIFFERENTIAL_WEIGHT, CROSSOVER = 0.7, 0.9  # rand/1/bin's F and CR (Storn & Price 1997)
@@ -692,7 +695,7 @@ def optimize_lambdas(
     and the uniform weights are returned instead.
     """
     rng = np.random.default_rng(budget.seed)
-    genomes = rng.normal(size=(budget.population, 3))
+    genomes = _draw_genomes(rng, budget.population)
     fitness = np.array([score(softmax_simplex(g)) for g in genomes], dtype=np.float64)
     evaluations = budget.population
     all_equal = bool(np.all(fitness == fitness[0]))

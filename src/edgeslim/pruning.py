@@ -41,8 +41,6 @@ class DropoutState:
     iteration: int
     max_iteration: int
     c: float
-    target_layers: int
-    reference_loss: float
 
     def __post_init__(self) -> None:
         check_rate(self.d)
@@ -164,14 +162,7 @@ def run(
     best_q = connection_count(model)
     rounds: list[DropoutRound] = []
     state = DropoutState(
-        d=initial_rate,
-        q_a=best_q,
-        q_b=best_q,
-        iteration=0,
-        max_iteration=max_iteration,
-        c=c,
-        target_layers=len(target_layers),
-        reference_loss=reference_loss,
+        d=initial_rate, q_a=best_q, q_b=best_q, iteration=0, max_iteration=max_iteration, c=c
     )
     input_scale = input_rate / initial_rate
 
@@ -194,10 +185,8 @@ def run(
             best, best_q = pruned, q_b
         state.iteration = iteration
         state.q_a, state.q_b = q_a, q_b
-        if not accepted:
-            break
-        if q_b == q_a:
-            break  # rate update cannot remove anything further
+        if not accepted or q_b == q_a:
+            break  # rejected, or nothing removed: the rate update cannot remove more
         state.d = update_rate(state)
         current = pruned
 

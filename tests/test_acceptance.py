@@ -317,8 +317,6 @@ def test_criterion_4():
             iteration=int(rng.integers(0, 200)),
             max_iteration=int(rng.integers(1, 200)),
             c=float(rng.uniform(0.1, 5.0)),
-            target_layers=int(rng.integers(1, 5)),
-            reference_loss=float(rng.uniform(0.1, 3.0)),
         )
         state.q_b = min(state.q_b, state.q_a)
         expected = state.d * max(

@@ -18,10 +18,13 @@ from edgeslim.archspec import (
     LayerSpec,
     NetworkSpec,
     check_valid,
+    network_from_dict,
     network_to_dict,
 )
 from edgeslim.cli import main
+from edgeslim.compressor import minimum_flops
 from edgeslim.datasets import load_csv
+from edgeslim.distill import network_flops
 from edgeslim.engine.model import load_checkpoint, save_checkpoint
 
 ARCH = {
@@ -657,10 +660,16 @@ def pipeline_config(ws, out_dir, teacher=None):
 @pytest.fixture(scope="module")
 def pipeline_inputs(tmp_path_factory):
     """A workspace with a tiny dataset, a teacher checkpoint trained on it,
-    and a valid, fast pipeline config."""
+    a valid, fast pipeline config, and a tight device beside its roomy one."""
     root = tmp_path_factory.mktemp("pipeline")
     (root / "arch.json").write_text(json.dumps(ARCH))
     (root / "device.json").write_text(json.dumps(device_dict(alpha=1e9, beta=1.0)))
+    # halfway between the compressor's floor and the full cost, as the bench's
+    # devices are, so the compressor rewrites layers and picks their ranks
+    spec = network_from_dict(ARCH)
+    budget = (minimum_flops(spec) + network_flops(spec)) / 2
+    tight = device_dict(alpha=4.0 * budget, beta=1e-9 * budget)
+    (root / "device-tight.json").write_text(json.dumps(tight))
     assert main(["gendata", "--out", str(root / "data.csv"), "--n", "30", "--p", "6", "--k", "3",
                  "--seed", "4"]) == 0
     teacher = root / "teacher-checkpoint.json"
@@ -706,6 +715,8 @@ def test_pipeline_survives_any_config_mutation(pipeline_inputs, data):
     body = json.loads(json.dumps(config))
     if data.draw(st.booleans(), label="with teacher"):  # else the run pretrains one
         body["teacher"] = str(teacher)
+    if data.draw(st.booleans(), label="tight device"):
+        body["device"] = str(root / "device-tight.json")
     _mutate(body, data.draw, CONFIG_MUTATIONS)
     path = root / "config.json"
     path.write_text(json.dumps(body))

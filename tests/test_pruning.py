@@ -16,10 +16,7 @@ from edgeslim.pruning import DropoutState, apply_dropout, update_rate
 
 
 def state(d=0.5, q_a=1000, q_b=1000, iteration=0, max_iteration=20, c=1.0):
-    return DropoutState(
-        d=d, q_a=q_a, q_b=q_b, iteration=iteration, max_iteration=max_iteration,
-        c=c, target_layers=2, reference_loss=1.0,
-    )
+    return DropoutState(d, q_a, q_b, iteration, max_iteration, c)
 
 
 def test_update_rate_fixtures():
