@@ -18,13 +18,13 @@ tuned by differential evolution against validation accuracy.
 The pretrained teacher is frozen and nothing augments the data, so each
 :func:`train` call runs it once over the training fold, in chunks.  Its
 attention targets are also computed once per call: each map projected to
-the student's width where wider, then row-normalised.  Each batch indexes
-the logits and targets by its rows.  While the trainee is live and shares
-the student's leading layers, each batch runs that shared prefix once and
-both tails continue from its output; the student's prefix views the
-trainee's parameter buffer, so one step moves it once.  Past the two
-cross-entropies, a batch's loss is three tape nodes: AL over all maps, DL,
-and the l-weighted sum of the terms.
+the student's width where wider, laid side by side, then row-normalised.
+Each batch indexes the logits and targets by its rows.  While the trainee
+is live and shares the student's leading layers, each batch runs that
+shared prefix once and both tails continue from its output; the student's
+prefix views the trainee's parameter buffer, so one step moves it once.
+Past the two cross-entropies, a batch's loss is three tape nodes: DL, the
+l-weighted sum, and AL, one node over all maps laid side by side.
 """
 
 from __future__ import annotations
@@ -205,84 +205,83 @@ def distillation_loss_node(teacher_logits: Tensor, student_logits: Tensor) -> Te
     return _node(np.add.reduce(np.add.reduce(diff * diff, axis=1)) * inv_n, (s,), bwd)
 
 
-def _unit_rows(maps: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Row-normalize ``maps``; returns the unit rows and the intermediates.
-
-    Rows whose norm falls below the floor (dead ReLU rows, mostly) have no
-    defined direction; they are detached outright -- value zero, zero
-    gradient -- rather than divided by the floor, which would turn a dead
-    row into a 1/NORM_FLOOR gradient kick.
-    """
-    sumsq64 = np.add.reduce(maps.astype(np.float64) ** 2, axis=1, keepdims=True)
-    alive = (sumsq64 >= NORM_FLOOR**2).astype(maps.dtype)
-    live = maps * alive
-    sumsq = np.add.reduce(live * live, axis=1, keepdims=True)
-    norm = np.sqrt(np.maximum(sumsq, NORM_FLOOR**2))
-    return live / norm, alive, live, sumsq, norm
+class Segments(NamedTuple):  # the column layout of attention maps laid side by side
+    starts: np.ndarray  # each map's first column, for ``reduceat``
+    widths: np.ndarray  # each map's width, for ``repeat``
+    cols: list[slice]  # each map's columns
 
 
-def _attention_term(t_unit: np.ndarray, s: Tensor) -> tuple[np.ndarray, Callable]:
-    """Mean over rows of |t_unit - unit(s)|^2, against the detached and
-    row-normalized ``t_unit``: its value, and a backward that gives the
-    generic chain's gradient bit for bit (``a - b`` is ``a + (-b)`` exactly)."""
-    if t_unit.shape != s.data.shape:
-        raise ValueError(f"map shapes differ: {t_unit.shape} vs {s.data.shape}")
-    s_unit, alive, live, sumsq, norm = _unit_rows(s.data)
-    diff = t_unit - s_unit
-    scale = ad.lift(1.0 / len(diff), diff).data
+def _segments(widths: list[int]) -> Segments:
+    ends = np.cumsum(widths, dtype=np.intp)
+    cols = [slice(e - w, e) for e, w in zip(ends.tolist(), widths)]
+    return Segments(ends - widths, np.asarray(widths, np.intp), cols)
+
+
+def _unit_rows(maps: np.ndarray, segments: Segments) -> tuple[np.ndarray, np.ndarray]:
+    """Row-normalize each of the side-by-side ``maps``: the unit rows, and
+    per entry the inverse norm of its row of its map.  A row whose sum of
+    squares is below the squared floor (dead ReLU rows, mostly) has no
+    direction; it is detached -- inverse norm 0, so zero value and gradient
+    -- not divided by the floor, which would make a 1/NORM_FLOOR gradient
+    kick.  A row whose sum of squares overflows gets inverse norm 0 too."""
+    sumsq = np.add.reduceat(maps * maps, segments.starts, axis=1)
+    inv = (sumsq >= NORM_FLOOR**2) / np.sqrt(np.maximum(sumsq, NORM_FLOOR**2))
+    inv = np.repeat(inv, segments.widths, axis=1)
+    return maps * inv, inv
+
+
+def _attention_node(t_unit: np.ndarray, s_maps: Sequence[Tensor], segments: Segments) -> Tensor:
+    """Sum over maps of the mean over rows of |t_unit - unit(s)|^2, one node
+    over the student maps side by side against the detached unit rows
+    ``t_unit``.  With u = unit(s), diff = t_unit - u and p = 2 g/n diff,
+    each row's gradient is (u (u . p) - p) / |s|, zero on detached rows."""
+    s = np.concatenate([m.data for m in s_maps], axis=1)
+    u, inv = _unit_rows(s, segments)
+    diff = t_unit - u
+    inv_n = ad.lift(1.0 / len(diff), diff).data
 
     def bwd(g):
-        p = (g * scale) * diff
-        twice = p + p  # the gradient of unit(s) is -twice
-        g_norm = np.add.reduce(twice * live / (norm * norm), axis=1, keepdims=True)
-        q = g_norm * 0.5 / norm * (sumsq > NORM_FLOOR**2) * live
-        s._accum((-(twice / norm) + q + q) * alive)
+        c = g * inv_n
+        p = (c + c) * diff
+        along = np.add.reduceat(u * p, segments.starts, axis=1)
+        grad = (u * np.repeat(along, segments.widths, axis=1) - p) * inv
+        for m, cols in zip(s_maps, segments.cols):
+            m._accum(grad[:, cols])
 
-    return np.asarray(np.add.reduce(np.add.reduce(diff * diff, axis=1))) * scale, bwd
+    return _node(np.add.reduce(diff * diff, axis=None) * inv_n, tuple(s_maps), bwd)
 
 
-def attention_loss_node(
-    teacher_maps: Sequence[Tensor], student_maps: Sequence[Tensor]
-) -> Tensor:
+def attention_loss_node(teacher_maps: Sequence[Tensor], student_maps: Sequence[Tensor]) -> Tensor:
     """Sum over layers of the mean squared distance of row-normalized maps.
 
-    Normalization makes the loss scale-invariant in either map; zero maps
-    fall back to a norm floor instead of dividing by zero.  Teacher maps are
-    guidance targets and must be detached; all pairs form one tape node.
+    Normalization makes the loss scale-invariant in either map; a zero row
+    is detached, not divided by zero.  Teacher maps are guidance targets and
+    must be detached; all pairs form one tape node, :func:`_attention_node`.
     """
-    if len(teacher_maps) != len(student_maps):
-        raise ValueError(f"map counts differ: {len(teacher_maps)} vs {len(student_maps)}")
     if any(t.requires_grad for t in teacher_maps):
         raise ValueError("teacher attention maps must be detached")
-    return _attention_sum([_unit_rows(t.data)[0] for t in teacher_maps], student_maps)
+    shapes = [t.shape for t in teacher_maps], [s.shape for s in student_maps]
+    if shapes[0] != shapes[1]:  # unequal map counts too
+        raise ValueError(f"map shapes differ: {shapes[0]} vs {shapes[1]}")
+    if not student_maps:
+        return ad.lift(0.0)
+    segments = _segments([s.shape[1] for s in student_maps])
+    t_unit = _unit_rows(np.concatenate([t.data for t in teacher_maps], axis=1), segments)[0]
+    return _attention_node(t_unit, student_maps, segments)
 
 
-def _attention_sum(t_units: Sequence[np.ndarray], student_maps: Sequence[Tensor]) -> Tensor:
-    """Sum of :func:`_attention_term` over the layers, as one tape node."""
-    pairs = list(zip(t_units, student_maps))
-    return _sum_node([_attention_term(t_unit, s) for t_unit, s in pairs], [s for _, s in pairs])
-
-
-def _weighted_sum(terms: Sequence[tuple[float, Tensor]]) -> Tensor:
-    """Sum of lam * term as one tape node, ``lam`` lifted as the chain's ``*`` lifts it."""
-
-    def scaled(lam, term):
-        return term.data * lam, lambda g: term._accum(g * lam)
-
-    return _sum_node([scaled(ad.lift(w, t.data).data, t) for w, t in terms], [t for _, t in terms])
-
-
-def _sum_node(pieces: list[tuple[np.ndarray, Callable]], parents: list[Tensor]) -> Tensor:
-    """One node adding (value, backward) pieces as the chain's add nodes do."""
-    total = pieces[0][0] if pieces else np.float64(0.0)  # no pieces: a constant
-    for value, _ in pieces[1:]:
-        total = total + value
+def _weighted_sum(terms: Sequence[tuple[np.ndarray, Tensor]]) -> Tensor:
+    """Sum of lam * term as one tape node, added left to right as the chain's
+    add nodes do; :func:`train` lifts each lam once, as the chain's ``*`` would."""
+    total = terms[0][1].data * terms[0][0]
+    for lam, term in terms[1:]:
+        total = total + term.data * lam
 
     def bwd(g):
-        for _, piece_bwd in pieces:
-            piece_bwd(g)
+        for lam, term in terms:
+            term._accum(g * lam)
 
-    return _node(total, tuple(parents), bwd)
+    return _node(total, tuple(term for _, term in terms), bwd)
 
 
 def _projection(seed: int, layer_idx: int, width_from: int, width_to: int) -> np.ndarray:
@@ -323,11 +322,12 @@ def align_map_pair(
     return _project_down(t_map, ws, layer_idx, seed), _project_down(s_map, wt, layer_idx, seed)
 
 
-def _teacher_attention(targets: Sequence[np.ndarray], s_maps: Sequence[Tensor], seed: int) -> Tensor:
+def _teacher_attention(t_unit: np.ndarray, s_maps: list[Tensor], segments: Segments, seed: int) -> Tensor:
     """:func:`attention_loss_node` of aligned pairs, against teacher unit rows
     already aligned (``_frozen_outputs``' targets, indexed by the batch)."""
-    s_maps = [_project_down(s, t.shape[1], i, seed) for i, (t, s) in enumerate(zip(targets, s_maps))]
-    return _attention_sum(targets, s_maps)
+    widths = segments.widths.tolist()
+    s_maps = [_project_down(s, w, i, seed) for i, (s, w) in enumerate(zip(s_maps, widths))]
+    return _attention_node(t_unit, s_maps, segments)
 
 
 # -- training loop ----------------------------------------------------------
@@ -392,18 +392,19 @@ def _apply_updates(traces: list[ForwardTrace], eta: float) -> None:
 
 def _frozen_outputs(
     teacher: MaskedModel, features: np.ndarray, student: MaskedModel, seed: int, keep_maps: bool
-) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray | None, Segments]:
     """The frozen teacher's logits, attention maps and attention targets
-    for every row.
+    for every row, and the targets' column layout.
 
     Runs the teacher in chunks of ``EVAL_BATCH`` rows, as ``predict`` does,
     so the tape-free intermediates of a whole fold never live at once; a
     trailing one-row chunk joins the one before, as numpy multiplies one
-    row by gemv, which can round unlike GEMM.  The targets are the unit rows of each map,
-    projected first to the width of ``student``'s map where the teacher's is
-    wider; the maps come back only with ``keep_maps`` (else None).  Each
-    output row is a function of its input row alone, so indexing these
-    arrays by a batch's rows gives what a forward pass on that batch would.
+    row by gemv, which can round unlike GEMM.  The targets are the unit rows
+    of the maps side by side (None without maps), each projected first to
+    the width of ``student``'s map where the teacher's is wider; the maps
+    come back only with ``keep_maps`` (else None).  Each output row is a
+    function of its input row alone, so indexing these arrays by a batch's
+    rows gives what a forward pass on that batch would.
     """
     starts = range(0, max(len(features) - 1, 1), EVAL_BATCH)
     chunks = [slice(b, e) for b, e in zip(starts, [*starts[1:], None])]
@@ -413,13 +414,14 @@ def _frozen_outputs(
         logits.append(trace.logits.data)
         maps.append([m.data for m in build_attention_maps(trace, teacher.spec)])
     maps = [np.concatenate(layer) for layer in zip(*maps)]
-    targets = []
+    aligned = []
     for i, layer in zip(range(len(maps)), student.spec.layers[:-1]):
-        aligned = _project_down(ad.lift(maps[i]), layer.O, i, seed).data
+        aligned.append(_project_down(ad.lift(maps[i]), layer.O, i, seed).data)
         if not keep_maps:
-            maps[i] = None  # freed as its targets replace it
-        targets.append(np.concatenate([_unit_rows(aligned[rows])[0] for rows in chunks]))
-    return np.concatenate(logits), maps, targets
+            maps[i] = None  # freed as its projection replaces it
+    segments = _segments([a.shape[1] for a in aligned])
+    targets = _unit_rows(np.concatenate(aligned, axis=1), segments)[0] if aligned else None
+    return np.concatenate(logits), maps, targets, segments
 
 
 def _continued(model: MaskedModel, head: ForwardTrace, start: int) -> ForwardTrace:
@@ -433,11 +435,6 @@ def _continued(model: MaskedModel, head: ForwardTrace, start: int) -> ForwardTra
         batch_size=head.batch_size,
         model=model,
     )
-
-
-def _val_accuracy(model: MaskedModel, val: Dataset) -> float:
-    counts = confusion_counts(val.labels, predict(model, val.features), val.k)
-    return metric_accuracy(counts)
 
 
 def train(
@@ -484,6 +481,8 @@ def train(
         check_labels(dataset.labels, model)
     train_set, val_set = train_test_split(dataset, plan.val_fraction, plan.seed)
     l1, l2, l3, l4 = plan.effective_lambdas()
+    w1, w2, w3, w4 = (ad.lift(lam, student.flat).data for lam in (l1, l2, l3, l4))  # model dtype
+    attend = l2 > 0.0 and len(student.spec.layers) > 1  # a one-layer network has no maps
     f_student = network_flops(student.spec)
     f_trainee = network_flops(trainee.spec) if trainee is not None else 0
     f_teacher = network_flops(pretrained_teacher.spec) if pretrained_teacher is not None else 0
@@ -508,7 +507,7 @@ def train(
 
     if pretrained_teacher is not None:
         one_row = (train_set.n - 1) % plan.batch_size == 0  # a one-row batch reads raw maps
-        teacher_logits, teacher_maps, targets = _frozen_outputs(
+        teacher_logits, teacher_maps, targets, segments = _frozen_outputs(
             pretrained_teacher, train_set.features, student, plan.attention_seed, one_row
         )
 
@@ -529,7 +528,7 @@ def train(
             traces = [s_trace]
 
             ce_te_val = 0.0
-            terms = [(l1, ce_s)]
+            terms = [(w1, ce_s)]
             if not halted:
                 if traits.shared:
                     te_trace = _continued(trainee, head, prefix)
@@ -537,7 +536,7 @@ def train(
                     te_trace = forward(trainee, x, trainable=True)
                 ce_te = cross_entropy_node(te_trace, y)
                 ce_te_val = float(ce_te.data)
-                terms.append((l4, ce_te))
+                terms.append((w4, ce_te))
                 traces.append(te_trace)
                 dl_source = ad.lift(te_trace.logits.data)
             else:  # only schemes with a pretrained teacher halt
@@ -545,12 +544,12 @@ def train(
 
             dl = distillation_loss_node(dl_source, s_trace.logits)
             al_val = 0.0
-            if l2 > 0.0:
+            if attend:
                 s_maps = build_attention_maps(s_trace, student.spec)
                 # numpy projects a one-row batch by gemv, which rounds unlike
                 # the GEMM over the fold, so that batch projects its own rows
                 if pretrained_teacher is not None and len(idx) > 1:
-                    al = _teacher_attention([t[idx] for t in targets], s_maps, plan.attention_seed)
+                    al = _teacher_attention(targets[idx], s_maps, segments, plan.attention_seed)
                 else:
                     t_maps = (
                         [ad.lift(m[idx]) for m in teacher_maps] if pretrained_teacher is not None
@@ -560,8 +559,8 @@ def train(
                              for i, (t, s) in enumerate(zip(t_maps, s_maps))]
                     al = attention_loss_node([p[0] for p in pairs], [p[1] for p in pairs])
                 al_val = float(al.data)
-                terms.append((l2, al))
-            loss = _weighted_sum([*terms, (l3, dl)])
+                terms.append((w2, al))
+            loss = _weighted_sum([*terms, (w3, dl)])
 
             try:
                 if not np.isfinite(float(loss.data)):
@@ -584,7 +583,8 @@ def train(
         if pretrained_teacher is not None:
             per_instance += f_teacher
         cumulative += per_instance * seen_rows
-        val_acc = _val_accuracy(student, val_set)
+        counts = confusion_counts(val_set.labels, predict(student, val_set.features), val_set.k)
+        val_acc = metric_accuracy(counts)
         acc_pct.append(100.0 * val_acc)
         history.append(EpochRecord(breakdown, val_acc, cumulative))
 

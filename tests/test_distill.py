@@ -163,15 +163,16 @@ def test_cached_teacher_attention_matches_per_batch_bit_for_bit(student_spec):
     features = make_synthetic(k=3, p=8, n=300, seed=21).features
     pretrained = init_model(TEACHER_SPEC, seed=22)
     student = init_model(student_spec, seed=23)
-    logits, maps, targets = distill._frozen_outputs(pretrained, features, student, 5, True)
+    logits, maps, targets, segments = distill._frozen_outputs(pretrained, features, student, 5, True)
     pairs = zip(TEACHER_SPEC.layers[:-1], student_spec.layers[:-1])
-    assert [t.shape for t in targets] == [(300, min(t.O, s.O)) for t, s in pairs]
+    widths = [min(t.O, s.O) for t, s in pairs]
+    assert segments.widths.tolist() == widths and targets.shape == (300, sum(widths))
     rng = np.random.default_rng(0)
     for size in [*range(2, 41), 64, 256, 300]:
         idx = rng.permutation(300)[:size]
         cached_trace, batch_trace = forward(student, features[idx]), forward(student, features[idx])
         cached = distill._teacher_attention(
-            [t[idx] for t in targets], distill.build_attention_maps(cached_trace, student.spec), 5
+            targets[idx], distill.build_attention_maps(cached_trace, student.spec), segments, 5
         )
         pairs = [
             distill.align_map_pair(ad.lift(m[idx]), s, i, 5)
@@ -194,9 +195,9 @@ def test_one_row_batches_project_their_own_rows(data, monkeypatch):
     sizes = []
     real = distill._teacher_attention
 
-    def recording(targets, s_maps, seed):
-        sizes.append(len(targets[0]))
-        return real(targets, s_maps, seed)
+    def recording(t_unit, s_maps, segments, seed):
+        sizes.append(len(t_unit))
+        return real(t_unit, s_maps, segments, seed)
 
     monkeypatch.setattr(distill, "_teacher_attention", recording)
     n_train = train_test_split(data, 0.3, 0)[0].n
@@ -624,25 +625,30 @@ def test_shared_head_gradients_match_two_full_forwards(monkeypatch):
         assert np.abs(got[key] - grad).max() <= 1e-12
 
 
+ONE_LAYER = check_valid(NetworkSpec("one", [LayerSpec(LayerKind.FC, I=6, O=3)], class_count=3))
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("scheme", ["S6", "S1"])
+@pytest.mark.parametrize("scheme", ["S6", "S4", "S1"])
 @pytest.mark.parametrize(
     "teacher_spec, student_spec",
-    [(TEACHER_SPEC, STUDENT_SPEC), (HEAD_TEACHER, HEAD_STUDENT)],
-    ids=["fc", "conv-lstm"],
+    [(TEACHER_SPEC, STUDENT_SPEC), (HEAD_TEACHER, HEAD_STUDENT), (ONE_LAYER, ONE_LAYER)],
+    ids=["fc", "conv-lstm", "fc-one-layer"],
 )
 def test_distillation_batch_stays_in_the_model_dtype(
     teacher_spec, student_spec, scheme, dtype, monkeypatch
 ):
     """One batch of train's loss: its value, every tape node's gradient and
     every leaf's ``.grad`` are in the model's dtype.  The conv net's maps go
-    through ``Tensor.mean``; S1 reads the pretrained teacher's logits."""
+    through ``Tensor.mean``; S1 reads the pretrained teacher's logits; a
+    one-layer network has no attention maps, under a trainee scheme too."""
     data = make_synthetic(k=3, p=teacher_spec.layers[0].input_width, n=60, seed=5)
     student = init_model(student_spec, seed=1, dtype=dtype)
     pretrained = init_model(teacher_spec, seed=3, dtype=dtype)
     trainee = None
     if SCHEMES[scheme].trainee:
         trainee = init_model(teacher_spec, seed=2, dtype=dtype)
+    if SCHEMES[scheme].shared:
         share_prefix_layers(student, trainee, student_spec.shared_prefix)
     roots, traces = [], []
     tape_backward = ad.Tensor.backward
@@ -676,7 +682,7 @@ def test_frozen_teacher_never_runs_a_one_row_chunk():
     ], class_count=3))
     teacher = init_model(wide, seed=30)
     features = make_synthetic(k=3, p=8, n=257, seed=31).features
-    logits, maps, _ = distill._frozen_outputs(teacher, features, teacher, 0, True)
+    logits, maps, _, _ = distill._frozen_outputs(teacher, features, teacher, 0, True)
     pair = forward(teacher, features[-2:], trainable=False)
     assert logits[-1].tobytes() == pair.logits.data[-1].tobytes()
     assert maps[0][-1].tobytes() == pair.activations[0].data[-1].tobytes()

@@ -5,8 +5,9 @@ Each node's float32 output and gradients are checked bit for bit against the
 same computation written op by op in plain numpy, and the tape sizes are
 counted: per layer of an fc stack, and per loss term of a pre-halt batch.
 The layer and attention nodes' gradients are also checked against central
-differences in float64, and the conv kinds against a per-tap convolution
-loop, within a rounding bound.
+differences in float64, and, within a rounding bound, the conv kinds against
+a per-tap convolution loop and the attention node against the generic
+``Tensor`` chain.
 """
 
 import numpy as np
@@ -304,35 +305,14 @@ def test_attention_pair_is_bit_identical_to_op_chain():
     teacher = rng.normal(size=(5, 4)).astype(np.float32)
     student = rng.normal(size=(5, 4)).astype(np.float32)
     student[3] = 0.0
-
-    def unit(m):
-        alive = ((m.astype(np.float64) ** 2).sum(axis=1, keepdims=True) >= NORM_FLOOR**2)
-        live = m * alive.astype(m.dtype)
-        sumsq = (live * live).sum(axis=1, keepdims=True)
-        norm = np.sqrt(np.maximum(sumsq, NORM_FLOOR**2))
-        return live / norm, alive.astype(m.dtype), live, sumsq, norm
-
-    # forward: normalize, t + (-s), square, row sum, mean as sum * (1/n),
-    # each Python scalar lifted in its partner's dtype, float32 here
-    t_unit = unit(teacher)[0]
-    s_unit, alive, live, sumsq, norm = unit(student)
-    diff = t_unit + (-s_unit)
-    scale = np.asarray(1.0 / 5, dtype=np.float32)
-    expect_loss = np.asarray((diff * diff).sum(axis=1).sum()) * scale
-    # backward from the 0.3 weight, each op in reverse; the square and the
-    # two uses of the live rows each add their contributions separately
-    g = np.broadcast_to(np.asarray(0.3, dtype=np.float32) * scale, diff.shape)
-    g_diff = g * diff + g * diff
-    g_unit = -g_diff
-    g_norm = (-g_unit * live / (norm * norm)).sum(axis=1, keepdims=True)
-    g_sumsq = np.broadcast_to(g_norm * 0.5 / norm * (sumsq > NORM_FLOOR**2), live.shape)
-    expect_grad = (g_unit / norm + g_sumsq * live + g_sumsq * live) * alive
+    # backward from the 0.3 weight, lifted in the loss's dtype, float32 here
+    expect_loss, (expect_grad,) = attention_chain([teacher], [student], np.float32(0.3))
 
     s = ad.Tensor(student, requires_grad=True)
     loss = attention_loss_node([ad.Tensor(teacher)], [s])
     (0.3 * loss).backward()
-    assert loss.data.dtype == expect_loss.dtype and np.array_equal(loss.data, expect_loss)
-    assert s.grad.dtype == expect_grad.dtype and np.array_equal(s.grad, expect_grad)
+    assert loss.data.dtype == expect_loss.dtype and loss.data.tobytes() == expect_loss.tobytes()
+    assert s.grad.dtype == expect_grad.dtype and s.grad.tobytes() == expect_grad.tobytes()
     np.testing.assert_array_equal(s.grad[3], 0.0)
 
 
@@ -364,26 +344,28 @@ def test_fc_stack_records_one_node_per_layer():
 
 
 def unit_rows_chain(m):
-    """``_unit_rows`` op by op: live rows, their squared norms, the floored norm."""
-    alive = ((m.astype(np.float64) ** 2).sum(axis=1, keepdims=True) >= NORM_FLOOR**2)
-    live = m * alive.astype(m.dtype)
-    sumsq = (live * live).sum(axis=1, keepdims=True)
-    norm = np.sqrt(np.maximum(sumsq, NORM_FLOOR**2))
-    return live / norm, alive.astype(m.dtype), live, sumsq, norm
+    """``_unit_rows`` of one map, op by op: each row's sum of squares, its
+    inverse norm (0 on a dead row), the unit rows."""
+    sumsq = np.add.reduceat(m * m, [0], axis=1)
+    inv = (sumsq >= NORM_FLOOR**2) / np.sqrt(np.maximum(sumsq, NORM_FLOOR**2))
+    return m * inv, inv
 
 
-def attention_chain(teacher, student, g):
-    """One map's attention term and its gradient from upstream ``g``, each
-    numpy op of the generic chain in turn, the backward in reverse."""
-    s_unit, alive, live, sumsq, norm = unit_rows_chain(student)
-    diff = unit_rows_chain(teacher)[0] + (-s_unit)
-    scale = np.asarray(1.0 / len(diff), dtype=diff.dtype)  # 1/n in the maps' dtype
-    value = np.asarray((diff * diff).sum(axis=1).sum()) * scale
-    g_sq = np.broadcast_to(g * scale, diff.shape)
-    g_unit = -(g_sq * diff + g_sq * diff)
-    g_norm = (-g_unit * live / (norm * norm)).sum(axis=1, keepdims=True)
-    g_sumsq = np.broadcast_to(g_norm * 0.5 / norm * (sumsq > NORM_FLOOR**2), live.shape)
-    return value, (g_unit / norm + g_sumsq * live + g_sumsq * live) * alive
+def attention_chain(teachers, students, g):
+    """The attention term over all maps and each student map's gradient from
+    upstream ``g``, in plain numpy, one map at a time: the value reduces the
+    squared differences of all maps laid side by side, and with p = 2 g/n diff
+    each gradient is (u (u . p) - p) / |s| per row."""
+    units = [unit_rows_chain(s) for s in students]
+    diffs = [unit_rows_chain(t)[0] - u for t, (u, _) in zip(teachers, units)]
+    everything = np.concatenate(diffs, axis=1)
+    scale = np.asarray(1.0 / len(everything), dtype=everything.dtype)  # 1/n in the maps' dtype
+    value = np.add.reduce(everything * everything, axis=None) * scale
+    grads = []
+    for (u, inv), diff in zip(units, diffs):
+        p = (g * scale + g * scale) * diff
+        grads.append((u * np.add.reduceat(u * p, [0], axis=1) - p) * inv)
+    return value, grads
 
 
 def test_attention_over_all_maps_is_one_node_bit_identical_to_op_chain():
@@ -393,17 +375,85 @@ def test_attention_over_all_maps_is_one_node_bit_identical_to_op_chain():
     students = [rng.normal(size=(5, w)).astype(np.float32) for w in widths]
     students[1][2] = 0.0  # a dead row
     g = np.asarray(0.3, dtype=np.float32)  # the weight, lifted as the loss's dtype
-    expect = [attention_chain(t, s, g) for t, s in zip(teachers, students)]
-    expect_loss = expect[0][0] + expect[1][0] + expect[2][0]  # left to right
+    expect_loss, expect_grads = attention_chain(teachers, students, g)
 
     tensors = [ad.Tensor(s, requires_grad=True) for s in students]
     loss = attention_loss_node([ad.Tensor(t) for t in teachers], tensors)
     (0.3 * loss).backward()
     assert loss._parents == tuple(tensors)  # one node over every map
     assert loss.data.dtype == expect_loss.dtype and loss.data.tobytes() == expect_loss.tobytes()
-    for tensor, (_, grad) in zip(tensors, expect):
+    for tensor, grad in zip(tensors, expect_grads):
         assert tensor.grad.dtype == grad.dtype and tensor.grad.tobytes() == grad.tobytes()
     np.testing.assert_array_equal(tensors[1].grad[2], 0.0)
+
+
+def floored_inverse_norm(sumsq):
+    """1 / sqrt(max(sumsq, NORM_FLOOR**2)) as a tape node: the one op of the
+    generic attention chain that ``Tensor`` lacks."""
+    root = np.sqrt(np.maximum(sumsq.data, NORM_FLOOR**2))
+
+    def bwd(g):
+        sumsq._accum(g * (-0.5 / (root * root * root)) * (sumsq.data > NORM_FLOOR**2))
+
+    return ad._node(1.0 / root, (sumsq,), bwd)
+
+
+def generic_unit_rows(m):
+    """A map's rows divided by their floored norm, as generic ``Tensor`` ops;
+    a row whose float64 sum of squares is below the squared floor is masked
+    out as a constant."""
+    alive = (np.add.reduce(m.data.astype(np.float64) ** 2, axis=1, keepdims=True) >= NORM_FLOOR**2)
+    live = m * ad.lift(alive.astype(m.data.dtype))
+    return live * floored_inverse_norm((live * live).sum(axis=1, keepdims=True))
+
+
+def generic_attention(teacher_maps, student_maps):
+    """The attention term as a chain of generic ``Tensor`` ops: the mean over
+    rows of the squared distance of unit rows, summed over the maps."""
+    total = None
+    for t, s in zip(teacher_maps, student_maps):
+        diff = generic_unit_rows(t) - generic_unit_rows(s)
+        term = (diff * diff).sum(axis=1).mean()
+        total = term if total is None else total + term
+    return total
+
+
+# Largest difference from the generic chain, relative to the largest
+# magnitude of the array: the node divides by the norm through its
+# reciprocal and sums in its own order.
+CHAIN_BOUND = {np.float32: 256 * np.finfo(np.float32).eps, np.float64: 256 * np.finfo(np.float64).eps}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_node_matches_the_generic_chain(dtype):
+    """Mixed widths, a dead row, a row whose sum of squares overflows the
+    dtype (finite value, zero gradient), and a student map wider than the
+    teacher's (projected down before the node)."""
+    rng = np.random.default_rng(12)
+    teachers = [rng.normal(size=(6, w)).astype(dtype) for w in (5, 3, 4)]
+    students = [rng.normal(size=(6, w)).astype(dtype) for w in (3, 3, 7)]
+    students[1][4] = 0.0  # dead
+    students[1][1] = 2 * np.sqrt(np.finfo(dtype).max)  # its squares overflow
+    got_tensors, want_tensors = (
+        [ad.Tensor(s.copy(), requires_grad=True) for s in students] for _ in range(2)
+    )
+
+    def pairs(tensors):
+        aligned = [align_map_pair(ad.Tensor(t), s, i, 0) for i, (t, s) in enumerate(zip(teachers, tensors))]
+        return [p[0] for p in aligned], [p[1] for p in aligned]
+
+    with np.errstate(over="ignore"):
+        got = attention_loss_node(*pairs(got_tensors))
+        want = generic_attention(*pairs(want_tensors))
+        (0.3 * got).backward()
+        (0.3 * want).backward()
+    assert got.data.dtype == want.data.dtype == dtype and np.isfinite(got.data)
+    assert abs(got.data - want.data) <= CHAIN_BOUND[dtype] * abs(want.data)
+    for idx, (a, b) in enumerate(zip(got_tensors, want_tensors)):
+        assert a.grad.dtype == b.grad.dtype == dtype
+        err = np.abs(a.grad - b.grad).max() / np.abs(b.grad).max()
+        assert err <= CHAIN_BOUND[dtype], f"student map {idx}: relative difference {err:.2e}"
+    np.testing.assert_array_equal(got_tensors[1].grad[[1, 4]], 0.0)
 
 
 def test_distillation_node_is_bit_identical_to_op_chain():

@@ -8,8 +8,10 @@ once against each source tree and compare the two printouts:
     diff parent.txt change.txt
 
 It runs the ``dense`` and ``mixed`` workloads of ``bench/workloads.py`` at
-seeds 0-2 and prints the sha256 of ``manifest.json`` and of
-``best_student.json`` for each, then runs ``layers`` at seed 0 and prints
+seeds 0-2 (or the ``--seeds`` given) and prints the exit code and the sha256
+of ``manifest.json`` and of ``best_student.json`` for each; a run that exits
+non-zero writes no manifest, so its line is the exit code alone.  It then
+runs ``layers`` at seed 0 and prints
 each loss as float hex on its own line, labelled with its layer kind and
 batch.  Every run uses the same working directory, because the manifest
 records the paths of its inputs.  A run holds an exclusive lock on
@@ -89,11 +91,19 @@ def main(argv=None) -> None:
         default=str(Path(tempfile.gettempdir()) / "edgeslim-same-output"),
         help="scratch directory, emptied before every run (default: %(default)s)",
     )
-    workdir = Path(parser.parse_args(argv).workdir)
+    parser.add_argument(
+        "--seeds", type=int, nargs="+", default=SEEDS,
+        help="seeds of the dense and mixed runs (default: %(default)s)",
+    )
+    args = parser.parse_args(argv)
+    workdir = Path(args.workdir)
     with exclusive(workdir):
         for name in ("dense", "mixed"):
-            for seed in SEEDS:
+            for seed in args.seeds:
                 state, code = _run(name, workdir, seed)
+                if code != 0:
+                    print(f"{name} seed={seed} exit={code}", flush=True)
+                    continue
                 out = state.output_dir
                 print(
                     f"{name} seed={seed} exit={code}"
