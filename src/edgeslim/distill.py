@@ -207,14 +207,14 @@ def distillation_loss_node(teacher_logits: Tensor, student_logits: Tensor) -> Te
 
 class Segments(NamedTuple):  # the column layout of attention maps laid side by side
     starts: np.ndarray  # each map's first column, for ``reduceat``
-    widths: np.ndarray  # each map's width, for ``repeat``
+    widths: list[int]  # each map's width, for ``repeat``
     cols: list[slice]  # each map's columns
 
 
 def _segments(widths: list[int]) -> Segments:
     ends = np.cumsum(widths, dtype=np.intp)
     cols = [slice(e - w, e) for e, w in zip(ends.tolist(), widths)]
-    return Segments(ends - widths, np.asarray(widths, np.intp), cols)
+    return Segments(ends - widths, list(widths), cols)
 
 
 def _unit_rows(maps: np.ndarray, segments: Segments) -> tuple[np.ndarray, np.ndarray]:
@@ -231,10 +231,9 @@ def _unit_rows(maps: np.ndarray, segments: Segments) -> tuple[np.ndarray, np.nda
 
 
 def _attention_node(t_unit: np.ndarray, s_maps: Sequence[Tensor], segments: Segments) -> Tensor:
-    """Sum over maps of the mean over rows of |t_unit - unit(s)|^2, one node
-    over the student maps side by side against the detached unit rows
-    ``t_unit``.  With u = unit(s), diff = t_unit - u and p = 2 g/n diff,
-    each row's gradient is (u (u . p) - p) / |s|, zero on detached rows."""
+    """Sum over maps of the mean over rows of |t_unit - unit(s)|^2: one node over
+    the student maps side by side.  With u = unit(s), diff = t_unit - u and
+    p = 2 g/n diff, a row's gradient is (u (u . p) - p) / |s|, 0 if detached."""
     s = np.concatenate([m.data for m in s_maps], axis=1)
     u, inv = _unit_rows(s, segments)
     diff = t_unit - u
@@ -325,8 +324,7 @@ def align_map_pair(
 def _teacher_attention(t_unit: np.ndarray, s_maps: list[Tensor], segments: Segments, seed: int) -> Tensor:
     """:func:`attention_loss_node` of aligned pairs, against teacher unit rows
     already aligned (``_frozen_outputs``' targets, indexed by the batch)."""
-    widths = segments.widths.tolist()
-    s_maps = [_project_down(s, w, i, seed) for i, (s, w) in enumerate(zip(s_maps, widths))]
+    s_maps = [_project_down(s, w, i, seed) for i, (s, w) in enumerate(zip(s_maps, segments.widths))]
     return _attention_node(t_unit, s_maps, segments)
 
 
@@ -414,13 +412,15 @@ def _frozen_outputs(
         logits.append(trace.logits.data)
         maps.append([m.data for m in build_attention_maps(trace, teacher.spec)])
     maps = [np.concatenate(layer) for layer in zip(*maps)]
-    aligned = []
+    targets = []
     for i, layer in zip(range(len(maps)), student.spec.layers[:-1]):
-        aligned.append(_project_down(ad.lift(maps[i]), layer.O, i, seed).data)
+        targets.append(_project_down(ad.lift(maps[i]), layer.O, i, seed).data)
         if not keep_maps:
             maps[i] = None  # freed as its projection replaces it
-    segments = _segments([a.shape[1] for a in aligned])
-    targets = _unit_rows(np.concatenate(aligned, axis=1), segments)[0] if aligned else None
+    segments = _segments([t.shape[1] for t in targets])
+    targets = np.concatenate(targets, axis=1) if targets else None
+    for rows in chunks if targets is not None else ():  # normalised in place, chunk by chunk
+        targets[rows] = _unit_rows(targets[rows], segments)[0]
     return np.concatenate(logits), maps, targets, segments
 
 
