@@ -19,12 +19,15 @@ The pretrained teacher is frozen and nothing augments the data, so each
 :func:`train` call runs it once over the training fold, in chunks.  Its
 attention targets are also computed once per call: each map projected to
 the student's width where wider, laid side by side, then row-normalised.
-Each batch indexes the logits and targets by its rows.  While the trainee
-is live and shares the student's leading layers, each batch runs that
-shared prefix once and both tails continue from its output; the student's
-prefix views the trainee's parameter buffer, so one step moves it once.
-Past the two cross-entropies, a batch's loss is three tape nodes: DL, the
-l-weighted sum, and AL, one node over all maps laid side by side.
+Each batch, one row or many, indexes the logits and targets by its rows.
+While the trainee is live and shares the student's leading layers, each
+batch runs that shared prefix once and both tails continue from its output;
+the student's prefix is the trainee's, so its gradient lands in the
+trainee's gradient buffer and one step moves it once.  Past the two
+cross-entropies, a batch's loss is three tape nodes: DL, the l-weighted
+sum, and AL, one node over all maps laid side by side.  The layer nodes
+write the parameter gradients, and one :func:`descend` of the step's models
+applies them.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from edgeslim.engine.model import (
     cross_entropy_node,
     descend,
     forward,
-    gather_grads,
     model_bytes,
 )
 from edgeslim.engine.training import EVAL_BATCH, check_batch_size, check_epochs, epoch_seed
@@ -376,33 +378,21 @@ def share_prefix_layers(student: MaskedModel, trainee: MaskedModel, prefix: int)
     student.pack(prefix)
 
 
-def _apply_updates(traces: list[ForwardTrace], eta: float) -> None:
-    """One SGD step of every trace's model.
-
-    Each model gathers the gradients of the layers its buffer holds; a
-    borrowed prefix is gathered once, with the trainee's.  Every buffer is
-    checked before any parameter moves.
-    """
-    for trace in traces:
-        gather_grads(trace.model, trace.leaves[trace.model.borrowed :])
-    descend([trace.model for trace in traces], eta)
-
-
 def _frozen_outputs(
-    teacher: MaskedModel, features: np.ndarray, student: MaskedModel, seed: int, keep_maps: bool
-) -> tuple[np.ndarray, list[np.ndarray], np.ndarray | None, Segments]:
-    """The frozen teacher's logits, attention maps and attention targets
-    for every row, and the targets' column layout.
+    teacher: MaskedModel, features: np.ndarray, student: MaskedModel, seed: int
+) -> tuple[np.ndarray, np.ndarray | None, Segments]:
+    """The frozen teacher's logits and attention targets for every row, and
+    the targets' column layout.
 
     Runs the teacher in chunks of ``EVAL_BATCH`` rows, as ``predict`` does,
     so the tape-free intermediates of a whole fold never live at once; a
     trailing one-row chunk joins the one before, as numpy multiplies one
     row by gemv, which can round unlike GEMM.  The targets are the unit rows
     of the maps side by side (None without maps), each projected first to
-    the width of ``student``'s map where the teacher's is wider; the maps
-    come back only with ``keep_maps`` (else None).  Each output row is a
-    function of its input row alone, so indexing these arrays by a batch's
-    rows gives what a forward pass on that batch would.
+    the width of ``student``'s map where the teacher's is wider.  Each
+    output row is a function of its input row alone, so indexing these
+    arrays by a batch's rows gives what a forward pass on that batch would;
+    a one-row batch reads its row of the fold's GEMM, not a gemv of its own.
     """
     starts = range(0, max(len(features) - 1, 1), EVAL_BATCH)
     chunks = [slice(b, e) for b, e in zip(starts, [*starts[1:], None])]
@@ -415,26 +405,19 @@ def _frozen_outputs(
     targets = []
     for i, layer in zip(range(len(maps)), student.spec.layers[:-1]):
         targets.append(_project_down(ad.lift(maps[i]), layer.O, i, seed).data)
-        if not keep_maps:
-            maps[i] = None  # freed as its projection replaces it
+        maps[i] = None  # freed as its projection replaces it
     segments = _segments([t.shape[1] for t in targets])
     targets = np.concatenate(targets, axis=1) if targets else None
     for rows in chunks if targets is not None else ():  # normalised in place, chunk by chunk
         targets[rows] = _unit_rows(targets[rows], segments)[0]
-    return np.concatenate(logits), maps, targets, segments
+    return np.concatenate(logits), targets, segments
 
 
 def _continued(model: MaskedModel, head: ForwardTrace, start: int) -> ForwardTrace:
     """The trace of a full pass of ``model``: ``head`` (layers before
     ``start``), then the rest of ``model`` run on the head's output."""
     tail = forward(model, head.logits, trainable=True, start=start)
-    return ForwardTrace(
-        logits=tail.logits,
-        activations=head.activations + tail.activations,
-        leaves=head.leaves + tail.leaves,
-        batch_size=head.batch_size,
-        model=model,
-    )
+    return ForwardTrace(tail.logits, head.activations + tail.activations, head.batch_size)
 
 
 def train(
@@ -506,9 +489,8 @@ def train(
         halt_now(0)
 
     if pretrained_teacher is not None:
-        one_row = (train_set.n - 1) % plan.batch_size == 0  # a one-row batch reads raw maps
-        teacher_logits, teacher_maps, targets, segments = _frozen_outputs(
-            pretrained_teacher, train_set.features, student, plan.attention_seed, one_row
+        teacher_logits, targets, segments = _frozen_outputs(
+            pretrained_teacher, train_set.features, student, plan.attention_seed
         )
 
     acc_pct: list[float] = []
@@ -525,7 +507,7 @@ def train(
             else:
                 s_trace = forward(student, x, trainable=True)
             ce_s = cross_entropy_node(s_trace, y)
-            traces = [s_trace]
+            models = [student]
 
             ce_te_val = 0.0
             terms = [(w1, ce_s)]
@@ -537,7 +519,7 @@ def train(
                 ce_te = cross_entropy_node(te_trace, y)
                 ce_te_val = float(ce_te.data)
                 terms.append((w4, ce_te))
-                traces.append(te_trace)
+                models.append(trainee)
                 dl_source = ad.lift(te_trace.logits.data)
             else:  # only schemes with a pretrained teacher halt
                 dl_source = ad.lift(teacher_logits[idx])
@@ -546,15 +528,10 @@ def train(
             al_val = 0.0
             if attend:
                 s_maps = build_attention_maps(s_trace, student.spec)
-                # numpy projects a one-row batch by gemv, which rounds unlike
-                # the GEMM over the fold, so that batch projects its own rows
-                if pretrained_teacher is not None and len(idx) > 1:
+                if pretrained_teacher is not None:
                     al = _teacher_attention(targets[idx], s_maps, segments, plan.attention_seed)
                 else:
-                    t_maps = (
-                        [ad.lift(m[idx]) for m in teacher_maps] if pretrained_teacher is not None
-                        else [ad.lift(m.data) for m in build_attention_maps(te_trace, trainee.spec)]
-                    )
+                    t_maps = [ad.lift(m.data) for m in build_attention_maps(te_trace, trainee.spec)]
                     pairs = [align_map_pair(t, s, i, plan.attention_seed)
                              for i, (t, s) in enumerate(zip(t_maps, s_maps))]
                     al = attention_loss_node([p[0] for p in pairs], [p[1] for p in pairs])
@@ -566,7 +543,7 @@ def train(
                 if not np.isfinite(float(loss.data)):
                     raise TrainingDiverged(f"combined loss diverged at epoch {epoch}")
                 loss.backward()
-                _apply_updates(traces, plan.eta)
+                descend(models, plan.eta)
             except TrainingDiverged as exc:
                 exc.history = history
                 raise

@@ -15,10 +15,12 @@ backward built with :func:`_node` elsewhere: every layer kind in
 and both factorized kinds, the conv kinds over im2col patch rows; a whole
 recurrent cell, on :func:`_stable_sigmoid`), and in :mod:`edgeslim.distill`
 the loss: attention over all maps, logit distillation and the weighted sum.
-No node here knows about masks: a leaf's gradient is the true derivative at
-every entry, and :mod:`edgeslim.engine.model` drops the masked entries when
-it gathers the gradients for an SGD step.  A Python scalar on the tape takes
-its partner's dtype in :func:`lift` (NEP 50), so float32 backward stays float32.
+Parameters are not on the tape: a layer node's only parent is its input,
+and its backward assigns the weight gradients to the model's gradient
+views.  No node here knows about masks: a gradient is the true derivative
+at every entry, and :mod:`edgeslim.engine.model` drops the masked entries
+in its SGD step.  A Python scalar on the tape takes its partner's dtype in
+:func:`lift` (NEP 50), so float32 backward stays float32.
 """
 
 from __future__ import annotations

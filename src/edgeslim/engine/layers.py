@@ -1,25 +1,29 @@
 """Per-kind parameter layouts and fused forward nodes.
 
 Weight matrices are maskable (connection dropout), biases are not.  The
-kernels here are plain dense math over the weights as stored: the pruning
-rule, that a masked weight is zero and its gradient is dropped, lives in
-:mod:`edgeslim.engine.model`.  Recurrent cells keep one ``(I+O, O)`` matrix
-and one bias per gate block so a gate can be re-initialised or dropped
-wholesale when the cell is rewritten to its reduced form.  The coupled LSTM
-derives its input gate as ``1 - f``; the minimal gated cell uses its single
-forget gate both to gate the candidate input and to blend the new state.
+kernels here are plain dense math over the weights as stored, and write the
+true derivative of every weight: the pruning rule, that a masked weight is
+zero and its gradient is dropped, lives in :mod:`edgeslim.engine.model`.
+Recurrent cells keep one ``(I+O, O)`` matrix and one bias per gate block so
+a gate can be re-initialised or dropped wholesale when the cell is rewritten
+to its reduced form.  The coupled LSTM derives its input gate as ``1 - f``;
+the minimal gated cell uses its single forget gate both to gate the
+candidate input and to blend the new state.
 
 Every layer runs as one tape node with a hand-written backward, whatever its
-kind.  ``fc``, ``factorized_fc``, ``conv`` and ``factorized_conv`` share one
-node body: the GEMM of each factor, the bias and an optional ReLU over rows.
+kind.  Its only parent is its input: the parameters are plain arrays, and
+unless the layer is frozen the backward assigns each parameter's gradient to
+the matching array of a ``grads`` dict, the model's gradient views.  ``fc``,
+``factorized_fc``, ``conv`` and ``factorized_conv`` share one node body:
+the GEMM of each factor, the bias and an optional ReLU over rows.
 The fc kinds take the input's rows as they are; the conv kinds take its
 im2col patch rows (one per output pixel, columns in (channel, tap) order),
 read the conv weight as the (I*f*g, O) matrix of :func:`conv_matrix`, and
 scatter the input gradient back with col2im, so a convolution is one GEMM
 per factor and direction.  A recurrent cell concatenates its per-gate blocks
 for the forward, runs the input projection of all steps as a single GEMM,
-and scatters the gradients of a hand-written BPTT back to the per-gate
-tensors, so storage, masks and checkpoints stay per gate.
+and writes the gradients of a hand-written BPTT back to the per-gate
+arrays, so storage, masks and checkpoints stay per gate.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from edgeslim.archspec import GATE_NAMES, LayerKind, LayerSpec
-from edgeslim.engine.autodiff import Tensor, _node, _stable_sigmoid
+from edgeslim.engine.autodiff import Tensor, _stable_sigmoid
 
 
 class ParamDef(NamedTuple):
@@ -124,30 +128,36 @@ _DENSE = {
 }
 
 
-def _dense_forward(x: Tensor, layer: LayerSpec, params: dict[str, Tensor], relu: bool) -> Tensor:
+def _dense_forward(
+    x: Tensor,
+    layer: LayerSpec,
+    params: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray] | None,
+    relu: bool,
+) -> Tensor:
     """One fc, factorized_fc, conv or factorized_conv layer as one tape node.
 
     All four run ``rows @ W1 + b1 [@ W2 + b2]`` and the optional ReLU: the
     fc kinds over the rows of ``x``, the conv kinds over its im2col patch
     rows with the first weight read as :func:`conv_matrix`, their
     (n*h*w, O) result laid out as (n, O, h, w).  No nonlinearity between
-    factors: together they stand in for one layer.  The backward computes a
-    factor's input gradient only when the input or an earlier factor needs
-    it.
+    factors: together they stand in for one layer.  The backward assigns
+    each factor's dW and db into ``grads`` (first dW through
+    :func:`conv_matrix` for conv kinds), and computes the gradient of the
+    first factor's input only when ``x`` needs it.
     """
     names, bias_names, conv = _DENSE[layer.kind]
-    weights = [params[name].data for name in names]
+    weights = [params[name] for name in names]
     if conv:
         x4 = x.data.reshape(x.data.shape[0], layer.I, *layer.input_spatial)
         pre = _patches(x4, layer.f, layer.g)
         weights[0] = conv_matrix(weights[0])
     else:
         pre = x.data
-    ins, feeds = [], [x.requires_grad]  # each factor's input rows; whether they need a gradient
-    for W, name, bias_name in zip(weights, names, bias_names):
+    ins = []  # each factor's input rows
+    for W, bias_name in zip(weights, bias_names):
         ins.append(pre)
-        feeds.append(feeds[-1] or params[name].requires_grad or params[bias_name].requires_grad)
-        pre = pre @ W + params[bias_name].data
+        pre = pre @ W + params[bias_name]
     out = np.maximum(pre, 0) if relu else pre
     if conv:
         maps = out.reshape(x4.shape[0], layer.h, layer.w, layer.O).transpose(0, 3, 1, 2)
@@ -159,25 +169,23 @@ def _dense_forward(x: Tensor, layer: LayerSpec, params: dict[str, Tensor], relu:
         if relu:
             g = g * (pre > 0)
         for k in reversed(range(len(names))):
-            w, b = params[names[k]], params[bias_names[k]]
-            if b.requires_grad:
-                b._accum(np.add.reduce(g, axis=0))
-            if w.requires_grad:
-                dW = ins[k].T @ g
-                if conv and k == 0:
-                    dW = conv_weight(dW, w.data.shape)
-                w._accum(dW)
-            if not feeds[k]:
+            if grads is not None:
+                grads[bias_names[k]][...] = np.add.reduce(g, axis=0)
+                dW = grads[names[k]]
+                (conv_matrix(dW) if conv and k == 0 else dW)[...] = ins[k].T @ g
+            if not (k or x.requires_grad):
                 return
             g = g @ weights[k].T
         if conv:
             g = _unpatch(g, x4.shape, layer.f, layer.g).reshape(x.data.shape)
         x._accum(g)
 
-    return _node(out, (x, *params.values()), bwd)
+    return Tensor(out, (x,), bwd, x.requires_grad or grads is not None)
 
 
-def _recurrent_forward(x: Tensor, layer: LayerSpec, params: dict[str, Tensor]) -> Tensor:
+def _recurrent_forward(
+    x: Tensor, layer: LayerSpec, params: dict[str, np.ndarray], grads: dict[str, np.ndarray] | None
+) -> Tensor:
     """All s steps of one recurrent cell as a single tape node.
 
     The per-gate matrices are concatenated once into ``Wx`` (I, G*O)
@@ -185,18 +193,19 @@ def _recurrent_forward(x: Tensor, layer: LayerSpec, params: dict[str, Tensor]) -
     each step adds one state GEMM.  Every kind lists its sigmoid gates first
     and its tanh candidate last.  GRU and MGU feed the candidate ``r*h``
     (``f*h`` for MGU) through the candidate's own ``Wh`` columns.  The
-    backward is hand-written BPTT over the stored gate activations and
-    scatters the weight gradients back to the per-gate tensors.
+    backward is hand-written BPTT over the stored gate activations; it
+    assigns each gate's ``Wx`` and ``Wh`` columns to the ``[:I]`` and
+    ``[I:]`` rows of that gate's gradient in ``grads``.
     """
     kind = layer.kind
     n = x.data.shape[0]
     I, O, s = layer.I, layer.O, layer.s
-    Ws = [params[f"W{gate}"] for gate in GATE_NAMES[kind]]
-    bs = [params[f"b{gate}"] for gate in GATE_NAMES[kind]]
+    gate_names = GATE_NAMES[kind]
+    Ws = [params[f"W{gate}"] for gate in gate_names]
     S = (len(Ws) - 1) * O  # width of the sigmoid block
-    Wx = np.concatenate([W.data[:I] for W in Ws], axis=1)
-    Wh = np.concatenate([W.data[I:] for W in Ws], axis=1)
-    b = np.concatenate([t.data for t in bs])
+    Wx = np.concatenate([W[:I] for W in Ws], axis=1)
+    Wh = np.concatenate([W[I:] for W in Ws], axis=1)
+    b = np.concatenate([params[f"b{gate}"] for gate in gate_names])
     gated = kind in (LayerKind.GRU, LayerKind.MGU)
     if gated:
         # the gate that scales the candidate's state: r for GRU, f for MGU
@@ -276,6 +285,8 @@ def _recurrent_forward(x: Tensor, layer: LayerSpec, params: dict[str, Tensor]) -
         if x.requires_grad:
             dx = (flat @ Wx.T).reshape(s, n, I).transpose(1, 0, 2).reshape(n, s * I)
             x._accum(dx)
+        if grads is None:
+            return
         dWx = xs.T @ flat
         states = hs[:s].reshape(s * n, O).T
         if gated:
@@ -285,23 +296,28 @@ def _recurrent_forward(x: Tensor, layer: LayerSpec, params: dict[str, Tensor]) -
         else:
             dWh = states @ flat
         db = flat.sum(axis=0)
-        for k, (W, bias) in enumerate(zip(Ws, bs)):
+        for k, gate in enumerate(gate_names):
             cols = slice(k * O, (k + 1) * O)
-            if W.requires_grad:
-                W._accum(np.concatenate([dWx[:, cols], dWh[:, cols]], axis=0))
-            if bias.requires_grad:
-                bias._accum(db[cols])
+            dW = grads[f"W{gate}"]
+            dW[:I], dW[I:] = dWx[:, cols], dWh[:, cols]
+            grads[f"b{gate}"][...] = db[cols]
 
-    return _node(hs[s], (x, *Ws, *bs), bwd)
+    return Tensor(hs[s], (x,), bwd, x.requires_grad or grads is not None)
 
 
 def layer_forward(
-    layer: LayerSpec, params: dict[str, Tensor], x: Tensor, relu: bool = False
+    layer: LayerSpec,
+    params: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray] | None,
+    x: Tensor,
+    relu: bool = False,
 ) -> Tensor:
     """Apply one layer to a flat (n, input_width) Tensor as one tape node.
 
-    ``params`` are the parameter leaves, used as stored, and ``relu``
-    rectifies the output of a non-recurrent kind.  Returns the
+    ``params`` are the parameter arrays, used as stored.  ``grads`` holds an
+    array of the same shape per parameter, or is None for a frozen layer;
+    the node's backward assigns each parameter's gradient to it, once.
+    ``relu`` rectifies the output of a non-recurrent kind.  Returns the
     natural-shape output: (n,O) for dense and recurrent kinds, (n,O,h,w)
     for conv kinds.  The caller flattens before the next layer.
     """
@@ -309,5 +325,5 @@ def layer_forward(
     if kind in GATE_NAMES:
         if relu:
             raise ValueError(f"{kind.value} layers take no ReLU")
-        return _recurrent_forward(x, layer, params)
-    return _dense_forward(x, layer, params, relu)
+        return _recurrent_forward(x, layer, params, grads)
+    return _dense_forward(x, layer, params, grads, relu)

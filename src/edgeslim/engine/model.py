@@ -4,18 +4,22 @@ A model is its architecture descriptor plus per-layer parameter arrays and
 binary masks over the weight matrices.  This module owns the pruning rule:
 a masked weight is zero, and it stays zero because its gradient is dropped.
 Whatever sets a mask (dropout, a checkpoint load, a compressor rewrite)
-zeroes the weight under it, so the layer kernels use weights as stored, and
-:func:`gather_grads` multiplies the gathered gradient by the mask once, so
-an SGD step never moves a masked weight.  Class labels are 1-based
-everywhere outside this module; logits columns map to labels 1..k.
+zeroes the weight under it, so the layer kernels use weights as stored and
+write the true derivative, and :func:`descend` multiplies the gradient by
+the mask once, so an SGD step never moves a masked weight.  Class labels
+are 1-based everywhere outside this module; logits columns map to labels
+1..k.
 
 Storage: each model copies its parameters, in layer and ``param_layout``
 order, into one buffer ``flat`` (:meth:`MaskedModel.pack`, run by every
-constructor); each ``params`` entry is a view of it, and ``grad`` and
-``mask`` match it.  Each ``masks`` entry is a view of ``mask``, which holds
-1 at biases.  An SGD step is one finite check and one
+constructor); each ``params`` entry is a view of it, each ``grads`` entry
+the matching view of ``grad``, and ``mask`` matches it too.  Each ``masks``
+entry is a view of ``mask``, which holds 1 at biases.  A backward pass
+writes every trainable layer's gradient straight into its ``grads`` views;
+an SGD step is then one mask multiply, one finite check and one
 ``flat -= eta * grad`` per model.  A student may borrow its leading layers
-from the trainee; those view the trainee's buffers.
+from the trainee: those are the trainee's ``LayerParams``, so they view the
+trainee's buffers and their gradients land in the trainee's ``grad``.
 """
 
 from __future__ import annotations
@@ -49,12 +53,13 @@ class TrainingDiverged(RuntimeError):
 class LayerParams:
     params: dict[str, np.ndarray]
     masks: dict[str, np.ndarray]
+    grads: dict[str, np.ndarray] = field(default_factory=dict, repr=False)  # set by ``pack``
 
 
 @dataclass(eq=False)
 class MaskedModel:
     """Parameters and masks; the first ``borrowed`` layers view another
-    model's buffers, and ``grad_views`` are per-layer views of ``grad``."""
+    model's buffers, and ``grad_views`` are the ``grads`` of the others."""
 
     spec: NetworkSpec
     layers: list[LayerParams]
@@ -94,7 +99,7 @@ class MaskedModel:
                 if name in lp.masks:
                     masks[name] = self.mask[start:end].reshape(arr.shape)
                     masks[name][...] = lp.masks[name]
-            self.layers[idx] = LayerParams(params, masks)
+            self.layers[idx] = LayerParams(params, masks, grads)
             self.grad_views.append(grads)
 
 
@@ -129,13 +134,11 @@ def connection_count(model: MaskedModel) -> int:
 
 @dataclass
 class ForwardTrace:
-    """One forward pass of ``model``: logits, layer outputs, parameter leaves."""
+    """One forward pass: logits and layer outputs."""
 
     logits: Tensor
     activations: list[Tensor]
-    leaves: list[dict[str, Tensor]]
     batch_size: int
-    model: MaskedModel
 
     @property
     def predictions(self) -> np.ndarray:
@@ -152,16 +155,22 @@ def forward(
 ) -> ForwardTrace:
     """Run layers ``start..stop-1`` of the network on a (n, width) batch.
 
-    Each layer is one tape node over its parameter leaves.
-    Hidden conv/dense layers get a ReLU; recurrent outputs and final logits
-    pass through raw.  ``stop`` defaults to the depth.
+    Each layer is one tape node over the parameters as stored.  With
+    ``trainable`` its backward assigns the layer's gradients to its
+    ``grads`` views, so a backward pass leaves in ``model.grad`` the true
+    derivative of its loss, masked entries included.  Assignment, not
+    accumulation, is right because each parameter feeds exactly one node
+    per backward: a layer runs once per trace, and a shared prefix runs
+    once per batch, as a head that two tails continue.  Hidden conv/dense
+    layers get a ReLU; recurrent outputs and final logits pass through raw.
+    ``stop`` defaults to the depth.
 
     A partial range splits one pass into a head and a tail: the head's
     ``logits`` is its last layer's output flattened to (n, width), which is
     exactly the ``x`` the tail (``start`` = the head's ``stop``) takes, as a
     Tensor, so the tail extends the head's tape.  Joining the head's and the
-    tail's ``activations`` and ``leaves`` gives the trace of a full pass,
-    with bit-identical values.  Two tails that start from one head share its
+    tail's ``activations`` gives the trace of a full pass, with
+    bit-identical values.  Two tails that start from one head share its
     nodes, so one backward sums both tails' gradients into the head.  The
     logits-shape check applies only when ``stop`` is the depth.
     """
@@ -182,17 +191,12 @@ def forward(
     n = x.data.shape[0]
     cur = x
     activations: list[Tensor] = []
-    leaves: list[dict[str, Tensor]] = []
     last = depth - 1
     for idx in range(start, stop):
         layer, lp = model.spec.layers[idx], model.layers[idx]
-        layer_leaves = {
-            name: Tensor(arr, requires_grad=trainable) for name, arr in lp.params.items()
-        }
         relu = idx != last and layer.kind not in RECURRENT_KINDS
-        out = layer_forward(layer, layer_leaves, cur, relu)
+        out = layer_forward(layer, lp.params, lp.grads if trainable else None, cur, relu)
         activations.append(out)
-        leaves.append(layer_leaves)
         flat = (n, layer.output_width)
         cur = out if out.data.shape == flat else out.reshape(flat)
     if stop == depth and cur.data.shape != (n, model.spec.class_count):
@@ -200,7 +204,7 @@ def forward(
             f"logits shape {cur.data.shape} does not match class count "
             f"{model.spec.class_count}"
         )
-    return ForwardTrace(cur, activations, leaves, batch_size=n, model=model)
+    return ForwardTrace(cur, activations, batch_size=n)
 
 
 def check_labels(labels: np.ndarray, model: MaskedModel) -> None:
@@ -216,27 +220,17 @@ def cross_entropy_node(trace: ForwardTrace, labels: np.ndarray) -> Tensor:
 
 
 def backward(model: MaskedModel, trace: ForwardTrace, loss: Tensor) -> list[dict[str, np.ndarray]]:
-    """Backpropagate ``loss`` (once) and gather this model's gradients.
+    """Backpropagate ``loss`` (once) and return ``model``'s gradients.
 
-    One concatenation fills ``model.grad``, cast to the parameter dtype; the
-    result is its views, ``model.grad_views``, valid until the next gather.
-    When several traces feed one loss, call this per model; the tape runs on
-    the first call only.  Leaves that the loss never touched get zeros.
+    The layer nodes of ``trace`` write into ``model.grad``, cast to the
+    parameter dtype; the result is its views, ``model.grad_views``, which
+    hold the true derivative until :func:`descend` masks them.  When
+    several traces feed one loss, call this per model; the tape runs on the
+    first call only.
     """
     if loss.grad is None:
         loss.backward()
-    gather_grads(model, trace.leaves)
     return model.grad_views
-
-
-def gather_grads(model: MaskedModel, leaves: list[dict[str, Tensor]]) -> None:
-    """Concatenate the gradients of ``leaves``, the layers ``model.flat``
-    holds, into ``model.grad``, cast to the parameter dtype, and drop the
-    gradients of masked weights: the one place the mask meets a gradient."""
-    leaves = [leaf for layer_leaves in leaves for leaf in layer_leaves.values()]
-    grads = [np.zeros_like(t.data) if t.grad is None else t.grad for t in leaves]
-    np.concatenate([model.grad[:0], *grads], axis=None, out=model.grad)
-    model.grad *= model.mask
 
 
 def check_learning_rate(eta: float, name: str = "eta") -> None:
@@ -246,10 +240,12 @@ def check_learning_rate(eta: float, name: str = "eta") -> None:
 
 
 def descend(models: list[MaskedModel], eta: float) -> None:
-    """``flat -= eta * grad`` for each model, once.  Every ``grad`` is
-    checked first: a non-finite entry raises :class:`TrainingDiverged`
-    before any parameter moves.  Masked entries have zero gradients."""
+    """``flat -= eta * grad`` for each model, once.  Each ``grad`` is first
+    multiplied by its mask, the one place the mask meets a gradient, and
+    then checked: a non-finite entry, masked or not, raises
+    :class:`TrainingDiverged` before any parameter moves."""
     for model in models:
+        model.grad *= model.mask
         if not np.isfinite(model.grad).all():
             raise TrainingDiverged(f"non-finite gradient in model {model.spec.name!r}")
     for model in models:
@@ -260,7 +256,7 @@ def sgd_step(model: MaskedModel, grads: list[dict[str, np.ndarray]], eta: float)
     """One :func:`descend` of ``model`` along ``grads``, which must be the
     views that :func:`backward` returned for it."""
     if grads is not model.grad_views:
-        raise ValueError("sgd_step takes the gradients backward() gathered for this model")
+        raise ValueError("sgd_step takes the gradients backward() returned for this model")
     descend([model], eta)
 
 

@@ -166,47 +166,46 @@ def _combined_value(student, trainee, teacher, x, y, dl_target):
     pairs = [distill.align_map_pair(t, s, i, 0) for i, (t, s) in enumerate(zip(t_maps, s_maps))]
     loss = loss + l2 * distill.attention_loss_node([p[0] for p in pairs], [p[1] for p in pairs])
     dl = distill.distillation_loss_node(ad.lift(dl_target), s_trace.logits)
-    return loss + l3 * dl, (s_trace, te_trace)
+    return loss + l3 * dl
 
 
 def _single_value(kind, student, teacher, x, y):
     s_trace = forward(student, x, trainable=True)
     if kind == "ce":
-        return cross_entropy_node(s_trace, y), s_trace
+        return cross_entropy_node(s_trace, y)
     if kind == "dl":
         g_trace = forward(teacher, x, trainable=False)
-        return distill.distillation_loss_node(ad.lift(g_trace.logits.data), s_trace.logits), s_trace
+        return distill.distillation_loss_node(ad.lift(g_trace.logits.data), s_trace.logits)
     g_trace = forward(teacher, x, trainable=False)
     t_maps = [ad.lift(m.data) for m in distill.build_attention_maps(g_trace, teacher.spec)]
     s_maps = distill.build_attention_maps(s_trace, student.spec)
     pairs = [distill.align_map_pair(t, s, i, 0) for i, (t, s) in enumerate(zip(t_maps, s_maps))]
-    return distill.attention_loss_node([p[0] for p in pairs], [p[1] for p in pairs]), s_trace
+    return distill.attention_loss_node([p[0] for p in pairs], [p[1] for p in pairs])
 
 
 def _check_grads(models, loss_fn):
-    """Backprop grads on every parameter vs central differences in place."""
-    node, traces = loss_fn()
-    node.backward()
-    grads = {}
-    for trace in traces if isinstance(traces, tuple) else (traces,):
-        for layer_leaves in trace.leaves:
-            for name, leaf in layer_leaves.items():
-                grads[id(leaf.data)] = None if leaf.grad is None else leaf.grad.copy()
-    worst = 0.0
+    """Backprop grads on every parameter vs central differences in place.
+
+    The gradient buffers are zeroed first: a layer the loss never reaches
+    (the logits layer under the attention term alone) writes nothing."""
+    node = loss_fn()
     for model in models:
-        for lp in model.layers:
+        model.grad[...] = 0.0
+    node.backward()
+    grads = [[{name: g.copy() for name, g in lp.grads.items()} for lp in m.layers] for m in models]
+    worst = 0.0
+    for model, model_grads in zip(models, grads):
+        for lp, layer_grads in zip(model.layers, model_grads):
             for name, arr in lp.params.items():
-                analytic = grads.get(id(arr))
-                if analytic is None:
-                    analytic = np.zeros_like(arr)
+                analytic = layer_grads[name]
                 flat = arr.reshape(-1)
                 aflat = analytic.reshape(-1)
                 for i in range(flat.size):
                     keep = flat[i]
                     flat[i] = keep + _FD_STEP
-                    up = float(loss_fn()[0].data)
+                    up = float(loss_fn().data)
                     flat[i] = keep - _FD_STEP
-                    down = float(loss_fn()[0].data)
+                    down = float(loss_fn().data)
                     flat[i] = keep
                     numeric = (up - down) / (2 * _FD_STEP)
                     rel = abs(aflat[i] - numeric) / max(abs(aflat[i]) + abs(numeric), 1e-3)

@@ -40,10 +40,12 @@ def check_op(build, *shapes, seed=0, tol=1e-7):
             probe[idx] = ad.Tensor(x)
             return float(build(*probe).data)
 
-        num = numeric_grad(partial, arr.copy())
-        denom = np.maximum(np.abs(num) + np.abs(tensor.grad), 1e-8)
-        rel = np.abs(tensor.grad - num) / denom
-        assert rel.max() < tol, f"input {idx}: rel err {rel.max():.2e}"
+        assert_rel_close(tensor.grad, numeric_grad(partial, arr.copy()), tol, f"input {idx}")
+
+
+def assert_rel_close(analytic, num, tol, what):
+    rel = np.abs(analytic - num) / np.maximum(np.abs(num) + np.abs(analytic), 1e-8)
+    assert rel.max() < tol, f"{what}: rel err {rel.max():.2e}"
 
 
 def test_add_mul_broadcast():
@@ -64,13 +66,22 @@ def test_reductions_and_reshape():
 
 
 def test_conv2d():
-    # the conv layer node's im2col convolution, without mask or ReLU
+    # the conv layer node's im2col convolution, without mask or ReLU: the
+    # input's gradient on the tape, the parameters' in the ``grads`` arrays
     layer = LayerSpec(LayerKind.CONV, I=2, O=3, f=3, g=3, h=3, w=3)
+    rng = np.random.default_rng(0)
+    arrays = {name: rng.normal(size=s) for name, s in
+              (("x", (2, 2, 5, 5)), ("W", (3, 2, 3, 3)), ("b", (3,)))}
+    params = {"W": arrays["W"], "b": arrays["b"]}
+    grads = {name: np.zeros_like(arr) for name, arr in params.items()}
+    x = ad.Tensor(arrays["x"], requires_grad=True)
+    layer_forward(layer, params, grads, x).sum().backward()
 
-    def build(x, w, b):
-        return layer_forward(layer, {"W": w, "b": b}, x).sum()
+    def value(_):  # reads ``arrays``, which numeric_grad moves in place
+        return float(layer_forward(layer, params, None, ad.Tensor(arrays["x"])).data.sum())
 
-    check_op(build, (2, 2, 5, 5), (3, 2, 3, 3), (3,))
+    for name, analytic in {"x": x.grad, **grads}.items():
+        assert_rel_close(analytic, numeric_grad(value, arrays[name]), 1e-7, name)
 
 
 def test_softmax_cross_entropy_matches_manual():
@@ -117,19 +128,17 @@ def test_sigmoid_stays_finite(x, kind):
     layer = LayerSpec(kind, I=2, O=3, s=3)
     rng = np.random.default_rng(0)
     params = {
-        p.name: ad.Tensor(
-            rng.normal(scale=0.1, size=p.shape) if p.masked else np.full(p.shape, x),
-            requires_grad=True,
-        )
+        p.name: rng.normal(scale=0.1, size=p.shape) if p.masked else np.full(p.shape, x)
         for p in param_layout(layer)
     }
+    grads = {name: np.full_like(arr, np.nan) for name, arr in params.items()}
     inputs = ad.Tensor(rng.normal(size=(2, 6)), requires_grad=True)
-    out = layer_forward(layer, params, inputs)
+    out = layer_forward(layer, params, grads, inputs)
     assert np.isfinite(out.data).all() and (np.abs(out.data) <= 1.0).all()
     out.sum().backward()
     assert np.isfinite(inputs.grad).all()
-    for tensor in params.values():
-        assert np.isfinite(tensor.grad).all()
+    for grad in grads.values():
+        assert np.isfinite(grad).all()
 
 
 def two_branch_sigmoid(x):
@@ -173,11 +182,12 @@ def test_recurrent_node_is_bit_identical_under_the_two_branch_sigmoid(
     upstream = rng.normal(size=(batch, layer.O)).astype(upstream_dtype)
 
     def run():
-        tensors = {k: ad.Tensor(v, requires_grad=True) for k, v in arrays.items()}
-        params = {k: t for k, t in tensors.items() if k != "x"}
-        out = layer_forward(layer, params, tensors["x"])
+        x = ad.Tensor(arrays["x"], requires_grad=True)
+        params = {k: v for k, v in arrays.items() if k != "x"}
+        grads = {k: np.full(v.shape, np.nan, np.result_type(v, upstream)) for k, v in params.items()}
+        out = layer_forward(layer, params, grads, x)
         (out * ad.lift(upstream)).sum().backward()
-        return out.data, {k: t.grad for k, t in tensors.items()}
+        return out.data, {"x": x.grad, **grads}
 
     shipped_out, shipped = run()
     calls = []
@@ -196,6 +206,6 @@ def test_relu_zero_point_subgradient():
     # identity weights and zero bias: the fused fc node's pre-activation is x
     layer = LayerSpec(LayerKind.FC, I=3, O=3)
     t = ad.Tensor(np.array([[0.0, -1.0, 1.0]]), requires_grad=True)
-    params = {"W": ad.Tensor(np.eye(3)), "b": ad.Tensor(np.zeros(3))}
-    layer_forward(layer, params, t, relu=True).sum().backward()
+    params = {"W": np.eye(3), "b": np.zeros(3)}
+    layer_forward(layer, params, None, t, relu=True).sum().backward()
     np.testing.assert_array_equal(t.grad, [[0.0, 0.0, 1.0]])

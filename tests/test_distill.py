@@ -9,6 +9,7 @@ from edgeslim.engine import autodiff as ad
 from edgeslim.engine import model as engine_model
 from edgeslim.engine.model import cross_entropy_node, forward, init_model, model_bytes
 from edgeslim.engine.training import (
+    EVAL_BATCH,
     epoch_seed,
     iterate_minibatches,
     train_classifier,
@@ -159,11 +160,17 @@ WIDER_STUDENT_SPEC = check_valid(
 def test_cached_teacher_attention_matches_per_batch_bit_for_bit(student_spec):
     """The targets ``train`` computes once per call give the per-batch
     ``align_map_pair`` + ``attention_loss_node`` term and gradients, bit for
-    bit, for every batch of two rows or more."""
+    bit, for every batch of two rows or more.  The per-batch term reads the
+    teacher's maps of the fold, run in ``_frozen_outputs``' chunks."""
     features = make_synthetic(k=3, p=8, n=300, seed=21).features
     pretrained = init_model(TEACHER_SPEC, seed=22)
     student = init_model(student_spec, seed=23)
-    logits, maps, targets, segments = distill._frozen_outputs(pretrained, features, student, 5, True)
+    logits, targets, segments = distill._frozen_outputs(pretrained, features, student, 5)
+    chunks = (slice(0, EVAL_BATCH), slice(EVAL_BATCH, None))
+    maps = [np.concatenate([m.data for m in layer]) for layer in zip(*(
+        distill.build_attention_maps(forward(pretrained, features[rows], trainable=False), TEACHER_SPEC)
+        for rows in chunks
+    ))]
     pairs = zip(TEACHER_SPEC.layers[:-1], student_spec.layers[:-1])
     widths = [min(t.O, s.O) for t, s in pairs]
     assert segments.widths == widths and targets.shape == (300, sum(widths))
@@ -180,32 +187,44 @@ def test_cached_teacher_attention_matches_per_batch_bit_for_bit(student_spec):
         ]
         per_batch = attention_loss_node([p[0] for p in pairs], [p[1] for p in pairs])
         assert cached.data.tobytes() == per_batch.data.tobytes(), size
-        cached.backward()
-        per_batch.backward()
-        for a, b in zip(cached_trace.leaves, batch_trace.leaves):
-            for name in a:
-                ga, gb = a[name].grad, b[name].grad
-                assert (ga is None and gb is None) or ga.tobytes() == gb.tobytes(), (size, name)
+        grads = []
+        for loss in (cached, per_batch):  # both traces write the student's buffer
+            student.grad[...] = 0.0  # the logits layer feeds no map and is not written
+            loss.backward()
+            grads.append(student.grad.tobytes())
+        assert grads[0] == grads[1], size
 
 
-def test_one_row_batches_project_their_own_rows(data, monkeypatch):
-    """numpy multiplies a one-row batch by gemv, which can round the
-    projection unlike the GEMM over the fold (it does for a 64 -> 8
-    projection here), so such a batch bypasses the cached targets."""
-    sizes = []
-    real = distill._teacher_attention
+def test_one_row_batches_read_the_cached_targets(data, monkeypatch):
+    """A batch of one row indexes the targets ``_frozen_outputs`` cached for
+    the fold, as every other batch does, and its attention term stays finite."""
+    cached, rows = [], []
+    real_outputs, real_attention = distill._frozen_outputs, distill._teacher_attention
+
+    def caching(*args):
+        out = real_outputs(*args)
+        cached.append(out[1])
+        return out
 
     def recording(t_unit, s_maps, segments, seed):
-        sizes.append(len(t_unit))
-        return real(t_unit, s_maps, segments, seed)
+        rows.append(t_unit)
+        return real_attention(t_unit, s_maps, segments, seed)
 
+    monkeypatch.setattr(distill, "_frozen_outputs", caching)
     monkeypatch.setattr(distill, "_teacher_attention", recording)
     n_train = train_test_split(data, 0.3, 0)[0].n
-    for batch_size in (n_train - 1, 1):  # one batch of one row; every batch one row
+    for batch_size, singles in ((n_train - 1, 1), (1, n_train)):  # one-row batches per epoch
+        cached.clear()
+        rows.clear()
         student, trainee, pretrained = fresh_models()
-        result = train(student, trainee, pretrained, data, plan_for("S6", batch_size=batch_size))
-        assert np.isfinite(result.history[-1].breakdown.attention)
-    assert sizes and min(sizes) >= 2
+        plan = plan_for("S6", batch_size=batch_size)
+        result = train(student, trainee, pretrained, data, plan)
+        assert np.isfinite([r.breakdown.attention for r in result.history]).all()
+        (targets,) = cached
+        ones = [t_unit for t_unit in rows if len(t_unit) == 1]
+        assert len(ones) == singles * plan.total_epochs
+        for t_unit in ones:
+            assert (targets == t_unit).all(axis=1).any()
 
 
 def test_plan_validation():
@@ -569,7 +588,8 @@ class _FirstBatchDone(Exception):
 
 def test_shared_head_gradients_match_two_full_forwards(monkeypatch):
     """One S6 pre-halt batch in float64: the shared head's gradients equal
-    those of separate student and trainee forwards summed per array."""
+    those of separate student and trainee forwards and backward passes,
+    summed per array."""
     data = make_synthetic(k=3, p=16, n=60, seed=5)
     student = init_model(HEAD_STUDENT, seed=1, dtype=np.float64)
     trainee = init_model(HEAD_TEACHER, seed=2, dtype=np.float64)
@@ -591,33 +611,33 @@ def test_shared_head_gradients_match_two_full_forwards(monkeypatch):
         distill.align_map_pair(t, s, i, plan.attention_seed)
         for i, (t, s) in enumerate(zip(t_maps, s_maps))
     ]
-    loss = (
+    student_loss = (
         l1 * cross_entropy_node(s_trace, y)
-        + l4 * cross_entropy_node(te_trace, y)
         + l2 * distill.attention_loss_node([p[0] for p in pairs], [p[1] for p in pairs])
         + l3 * distill.distillation_loss_node(ad.lift(te_trace.logits.data), s_trace.logits)
     )
-    loss.backward()
+    # each pass writes the gradient views of the layers it ran, the shared
+    # head's included, so each is read before the next pass overwrites it
     expected: dict[int, np.ndarray] = {}
-    for trace in (s_trace, te_trace):
-        for leaves in trace.leaves:
-            for leaf in leaves.values():
-                key = id(leaf.data)
-                expected[key] = expected.get(key, 0.0) + leaf.grad
-    shared = trainee.layers[1].params["Wf"]
-    student_part = s_trace.leaves[1]["Wf"].grad
-    assert np.abs(expected[id(shared)] - student_part).max() > 1e-6  # both paths count
+    shared_parts = []
+    for model, loss in ((student, student_loss), (trainee, l4 * cross_entropy_node(te_trace, y))):
+        loss.backward()
+        for lp in model.layers:
+            for name, arr in lp.params.items():
+                expected[id(arr)] = expected.get(id(arr), 0.0) + lp.grads[name]
+        shared_parts.append(trainee.layers[1].grads["Wf"].copy())
+    assert min(np.abs(part).max() for part in shared_parts) > 1e-6  # both paths count
 
     got: dict[int, np.ndarray] = {}
 
-    def capture(traces, eta):
-        for trace in traces:
-            for leaves in trace.leaves:
-                for leaf in leaves.values():
-                    got[id(leaf.data)] = leaf.grad.copy()
+    def capture(models, eta):
+        for model in models:
+            for lp in model.layers[model.borrowed :]:
+                for name, arr in lp.params.items():
+                    got[id(arr)] = lp.grads[name].copy()
         raise _FirstBatchDone
 
-    monkeypatch.setattr(distill, "_apply_updates", capture)
+    monkeypatch.setattr(distill, "descend", capture)
     with pytest.raises(_FirstBatchDone):
         train(student, trainee, pretrained, data, plan)
     assert got.keys() == expected.keys()
@@ -639,9 +659,10 @@ def test_distillation_batch_stays_in_the_model_dtype(
     teacher_spec, student_spec, scheme, dtype, monkeypatch
 ):
     """One batch of train's loss: its value, every tape node's gradient and
-    every leaf's ``.grad`` are in the model's dtype.  The conv net's maps go
-    through ``Tensor.mean``; S1 reads the pretrained teacher's logits; a
-    one-layer network has no attention maps, under a trainee scheme too."""
+    every gradient view of the step's models are in the model's dtype.  The
+    conv net's maps go through ``Tensor.mean``; S1 reads the pretrained
+    teacher's logits; a one-layer network has no attention maps, under a
+    trainee scheme too."""
     data = make_synthetic(k=3, p=teacher_spec.layers[0].input_width, n=60, seed=5)
     student = init_model(student_spec, seed=1, dtype=dtype)
     pretrained = init_model(teacher_spec, seed=3, dtype=dtype)
@@ -650,42 +671,45 @@ def test_distillation_batch_stays_in_the_model_dtype(
         trainee = init_model(teacher_spec, seed=2, dtype=dtype)
     if SCHEMES[scheme].shared:
         share_prefix_layers(student, trainee, student_spec.shared_prefix)
-    roots, traces = [], []
+    roots, models = [], []
     tape_backward = ad.Tensor.backward
 
     def record(root):
         roots.append(root)
         tape_backward(root)
 
-    def capture(batch_traces, eta):
-        traces.extend(batch_traces)
+    def capture(step_models, eta):
+        models.extend(step_models)
         raise _FirstBatchDone
 
     monkeypatch.setattr(ad.Tensor, "backward", record)
-    monkeypatch.setattr(distill, "_apply_updates", capture)
+    monkeypatch.setattr(distill, "descend", capture)
     with pytest.raises(_FirstBatchDone):
         train(student, trainee, pretrained, data, plan_for(scheme, batch_size=16))
     (loss,) = roots
     assert loss.data.dtype == dtype
     nodes = [node for node in ad._topo_order(loss) if node._backward is not None]
     assert {node.grad.dtype for node in nodes} == {np.dtype(dtype)}
-    leaves = [leaf for trace in traces for layer in trace.leaves for leaf in layer.values()]
-    assert {leaf.grad.dtype for leaf in leaves} == {np.dtype(dtype)}
+    assert models == [m for m in (student, trainee) if m is not None]
+    views = [g for model in models for layer in model.grad_views for g in layer.values()]
+    assert {g.dtype for g in views} == {np.dtype(dtype)}
 
 
 def test_frozen_teacher_never_runs_a_one_row_chunk():
     """A 257-row fold leaves one row past the first chunk.  numpy multiplies
     a lone row by gemv, which rounds unlike GEMM, so that row joins the chunk
-    before: its cached logits and maps equal a two-row forward's bit for bit."""
+    before: its cached logits and attention target equal a two-row forward's
+    bit for bit."""
     wide = check_valid(NetworkSpec("wide", [
         LayerSpec(LayerKind.FC, I=8, O=64), LayerSpec(LayerKind.FC, I=64, O=3),
     ], class_count=3))
     teacher = init_model(wide, seed=30)
     features = make_synthetic(k=3, p=8, n=257, seed=31).features
-    logits, maps, _, _ = distill._frozen_outputs(teacher, features, teacher, 0, True)
+    logits, targets, segments = distill._frozen_outputs(teacher, features, teacher, 0)
     pair = forward(teacher, features[-2:], trainable=False)
     assert logits[-1].tobytes() == pair.logits.data[-1].tobytes()
-    assert maps[0][-1].tobytes() == pair.activations[0].data[-1].tobytes()
+    unit = distill._unit_rows(pair.activations[0].data, segments)[0]
+    assert targets[-1].tobytes() == unit[-1].tobytes()
 
 
 def test_prefix_runs_once_per_batch_and_teacher_once_per_call(monkeypatch):
@@ -705,10 +729,10 @@ def test_prefix_runs_once_per_batch_and_teacher_once_per_call(monkeypatch):
 
     real_layer_forward = engine_model.layer_forward
 
-    def counting_layer_forward(layer, params, x, relu=False):
-        if params["W"].requires_grad and params["W"].data is shared_w:
+    def counting_layer_forward(layer, params, grads, x, relu=False):
+        if grads is not None and params["W"] is shared_w:
             prefix_calls.append(x.data.shape[0])
-        return real_layer_forward(layer, params, x, relu)
+        return real_layer_forward(layer, params, grads, x, relu)
 
     monkeypatch.setattr(distill, "forward", counting_forward)
     monkeypatch.setattr(engine_model, "layer_forward", counting_layer_forward)

@@ -41,16 +41,12 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def lift_params(layer_params):
-    return {k: ad.Tensor(v) for k, v in layer_params.params.items()}
-
-
 def test_fc_forward_matches_manual(rng):
     layer = LayerSpec(LayerKind.FC, I=5, O=3)
     spec = NetworkSpec("t", [layer], class_count=3)
     model = init_model(spec, seed=1, dtype=np.float64)
     x = rng.normal(size=(4, 5))
-    out = layer_forward(layer, lift_params(model.layers[0]), ad.Tensor(x)).data
+    out = layer_forward(layer, model.layers[0].params, None, ad.Tensor(x)).data
     p = model.layers[0].params
     np.testing.assert_allclose(out, x @ p["W"] + p["b"], rtol=1e-12)
 
@@ -60,7 +56,7 @@ def test_conv_forward_matches_loop(rng):
     spec = NetworkSpec("t", [layer, LayerSpec(LayerKind.FC, I=48, O=2)], class_count=2)
     model = init_model(spec, seed=2, dtype=np.float64)
     x = rng.normal(size=(2, 2, 6, 6))  # padded input plane
-    out = layer_forward(layer, lift_params(model.layers[0]), ad.Tensor(x)).data
+    out = layer_forward(layer, model.layers[0].params, None, ad.Tensor(x)).data
     W, b = model.layers[0].params["W"], model.layers[0].params["b"]
     expect = np.zeros((2, 3, 4, 4))
     for n in range(2):
@@ -128,7 +124,7 @@ def test_recurrent_cells_match_reference(kind, rng):
     spec = NetworkSpec("t", [layer, LayerSpec(LayerKind.FC, I=6, O=2)], class_count=2)
     model = init_model(spec, seed=3, dtype=np.float64)
     x = rng.normal(size=(5, 3, 4))
-    out = layer_forward(layer, lift_params(model.layers[0]), ad.Tensor(x)).data
+    out = layer_forward(layer, model.layers[0].params, None, ad.Tensor(x)).data
     expect = recurrent_reference(kind, model.layers[0].params, x)
     np.testing.assert_allclose(out, expect, rtol=1e-10, atol=1e-12)
 
@@ -165,11 +161,12 @@ def test_fused_cell_gradients_match_finite_differences(kind, steps, batch):
         return float(cross_entropy_node(forward(model, x), y).data)
 
     trace = forward(model, x)
-    gathered = backward(model, trace, cross_entropy_node(trace, y))
+    views = backward(model, trace, cross_entropy_node(trace, y))
+    analytics = [{name: grad.copy() for name, grad in layer.items()} for layer in views]
     h = 1e-6
-    for lp, leaves, grads in zip(model.layers, trace.leaves, gathered):
+    for lp, layer_analytics in zip(model.layers, analytics):
         for name, arr in lp.params.items():
-            analytic = leaves[name].grad
+            analytic = layer_analytics[name]
             numeric = np.zeros_like(arr)
             flat, out = arr.reshape(-1), numeric.reshape(-1)
             for i in range(flat.size):
@@ -180,14 +177,17 @@ def test_fused_cell_gradients_match_finite_differences(kind, steps, batch):
                 down = loss_value()
                 flat[i] = keep
                 out[i] = (up - down) / (2 * h)
-            # the leaf holds the true derivative everywhere, masked entries
-            # included; the gathered gradient drops exactly the masked ones
+            # backward leaves the true derivative everywhere, masked entries
+            # included; the step drops exactly the masked ones
             rel = np.abs(analytic - numeric) / np.maximum(np.abs(analytic) + np.abs(numeric), 1e-3)
             assert rel.max() < 1e-6, f"{name}: rel err {rel.max():.2e}"
-            mask = lp.masks.get(name, np.ones_like(arr))
-            np.testing.assert_array_equal(grads[name], analytic * mask)
-            if (mask == 0).any():  # the pruned layers 0 and 1
-                assert analytic[mask == 0].any()
+            if name in lp.masks and (lp.masks[name] == 0).any():  # the pruned layers 0 and 1
+                assert analytic[lp.masks[name] == 0].any()
+    sgd_step(model, views, 1e-3)
+    for lp, layer_analytics, layer_views in zip(model.layers, analytics, views):
+        for name, analytic in layer_analytics.items():
+            mask = lp.masks.get(name, np.ones_like(analytic))
+            np.testing.assert_array_equal(layer_views[name], analytic * mask)
 
 
 @pytest.mark.parametrize("kind", RECURRENT)
@@ -210,12 +210,12 @@ def test_mgu_zero_weights_keeps_state_at_zero():
     for name in model.layers[0].params:
         model.layers[0].params[name][...] = 0.0
     x = np.random.default_rng(1).normal(size=(2, 6, 3))
-    out = layer_forward(layer, lift_params(model.layers[0]), ad.Tensor(x)).data
+    out = layer_forward(layer, model.layers[0].params, None, ad.Tensor(x)).data
     np.testing.assert_array_equal(out, np.zeros((2, 4)))
 
 
 def assert_pruned(model, grads=None):
-    """Every masked weight is zero, and so is its gathered gradient."""
+    """Every masked weight is zero, and so is its stepped gradient."""
     for idx, lp in enumerate(model.layers):
         for name, mask in lp.masks.items():
             assert not lp.params[name][mask == 0].any(), (idx, name)
@@ -246,14 +246,14 @@ def test_every_way_a_mask_is_set_keeps_its_weight_zero_through_sgd(small_dataset
         for _ in range(5):
             trace = forward(model, x)
             grads = backward(model, trace, cross_entropy_node(trace, y))
-            assert_pruned(model, grads)
-            # the leaves hold the true derivative, non-zero at masked entries
+            # backward leaves the true derivative, non-zero at masked entries
             assert any(
-                leaves[name].grad[mask == 0].any()
-                for lp, leaves in zip(model.layers, trace.leaves)
+                layer_grads[name][mask == 0].any()
+                for lp, layer_grads in zip(model.layers, grads)
                 for name, mask in lp.masks.items()
             )
             sgd_step(model, grads, 0.5)
+            assert_pruned(model, grads)
         assert_pruned(model)
         assert model_bytes(model) != before  # the steps moved the live weights
 
@@ -463,7 +463,7 @@ def test_head_then_tail_matches_full_forward(name, rng):
         assert np.array_equal(tail.logits.data, full.logits.data), f"split {split}"
         for joined, whole in zip(head.activations + tail.activations, full.activations):
             assert np.array_equal(joined.data, whole.data)
-        assert len(head.leaves) + len(tail.leaves) == spec.depth
+        assert len(head.activations) + len(tail.activations) == spec.depth
 
 
 def test_forward_range_checks(fc_spec, rng):

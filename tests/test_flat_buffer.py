@@ -10,11 +10,13 @@ from edgeslim.archspec import LayerKind, LayerSpec, NetworkSpec, check_valid
 from edgeslim.compressor import minimum_flops
 from edgeslim.datasets import make_synthetic
 from edgeslim.distill import DistillPlan, share_prefix_layers, train
+from edgeslim.engine import autodiff as ad
 from edgeslim.engine.model import (
     TrainingDiverged,
     backward,
     copy_model,
     cross_entropy_node,
+    descend,
     forward,
     init_model,
     load_checkpoint,
@@ -22,6 +24,7 @@ from edgeslim.engine.model import (
     save_checkpoint,
     sgd_step,
 )
+from edgeslim.engine.training import run_epoch
 from edgeslim.pipeline import _with_prefix
 from edgeslim.pruning import apply_dropout
 from edgeslim.resources import DeviceProfile
@@ -54,8 +57,8 @@ STUDENT = check_valid(
 
 def assert_packed(model, borrowed=0):
     """Layers ``borrowed..`` view ``model.flat`` back to back, in layer and
-    layout order, and ``grad_views`` and the masks view ``model.grad`` and
-    ``model.mask`` the same way."""
+    layout order, and their ``grads`` (listed in ``grad_views``) and masks
+    view ``model.grad`` and ``model.mask`` the same way."""
     assert model.borrowed == borrowed
     assert model.flat.dtype == model.grad.dtype == model.mask.dtype == model.dtype
     assert model.flat.flags.owndata and model.grad.flags.owndata and model.mask.flags.owndata
@@ -63,7 +66,7 @@ def assert_packed(model, borrowed=0):
     start = model.flat.ctypes.data
     offset = 0
     for lp, grads in zip(model.layers[borrowed:], model.grad_views):
-        assert grads.keys() == lp.params.keys()
+        assert grads is lp.grads and grads.keys() == lp.params.keys()
         for name, arr in lp.params.items():
             assert arr.base is model.flat and grads[name].base is model.grad
             assert arr.ctypes.data == start + offset * model.flat.itemsize
@@ -148,14 +151,15 @@ def test_shared_prefix_views_the_trainee_buffer_and_moves_once():
     loss = cross_entropy_node(s_trace, data.labels) + cross_entropy_node(te_trace, data.labels)
     loss.backward()
     eta = 0.1
-    leaves = {id(leaf): leaf for t in (s_trace, te_trace) for layer in t.leaves for leaf in layer.values()}
-    expected = {key: leaf.data - eta * leaf.grad for key, leaf in leaves.items()}
-    distill._apply_updates([s_trace, te_trace], eta)
-    for key, leaf in leaves.items():
-        np.testing.assert_array_equal(leaf.data, expected[key])  # each array moved once
-    assert len(leaves) == sum(len(lp.params) for lp in trainee.layers) + sum(
-        len(lp.params) for lp in student.layers[1:]
-    )
+    # the prefix's gradient lands in the trainee's buffer, the rest in each model's own
+    for arr in student.layers[0].grads.values():
+        assert arr.base is trainee.grad
+    pairs = [(lp.params[name], lp.grads[name]) for model in (student, trainee)
+             for lp in model.layers[model.borrowed :] for name in lp.params]
+    expected = [arr - eta * grad for arr, grad in pairs]  # every mask is all ones
+    descend([student, trainee], eta)
+    for (arr, _), want in zip(pairs, expected):
+        np.testing.assert_array_equal(arr, want)  # each array moved once
 
 
 def test_halt_gives_the_student_one_private_buffer():
@@ -174,12 +178,6 @@ def test_halt_gives_the_student_one_private_buffer():
     assert not np.array_equal(student.layers[0].params["W"], trainee.layers[0].params["W"])
 
 
-def _poison_last(traces):
-    last = [leaf for t in traces for layer in t.leaves for leaf in layer.values()][-1]
-    last.grad = last.grad.copy()
-    last.grad.flat[-1] = np.nan
-
-
 def test_non_finite_gradient_leaves_every_model_of_the_step_unchanged():
     data = make_synthetic(k=3, p=8, n=24, seed=10)
     student, trainee = init_model(STUDENT, seed=11), init_model(TEACHER, seed=12)
@@ -188,9 +186,9 @@ def test_non_finite_gradient_leaves_every_model_of_the_step_unchanged():
     head = forward(student, data.features, stop=1)
     traces = [distill._continued(m, head, 1) for m in (student, trainee)]
     (cross_entropy_node(traces[0], data.labels) + cross_entropy_node(traces[1], data.labels)).backward()
-    _poison_last(traces)  # the trainee's last array, gathered after every other
+    trainee.grad_views[-1]["b"][-1] = np.nan  # the trainee's last view, checked after every other
     with pytest.raises(TrainingDiverged):
-        distill._apply_updates(traces, 0.1)
+        descend([student, trainee], 0.1)
     assert (model_bytes(student), model_bytes(trainee)) == before
 
     # the same through backward and sgd_step, with the bad entry last
@@ -219,16 +217,55 @@ def test_sgd_step_takes_only_the_gradients_backward_gathered():
 
 
 def test_gathered_gradient_is_cast_before_the_mask():
-    """A float64 leaf gradient past float32's range is non-finite once cast,
-    even under a zero mask: the step diverges instead of dropping it."""
+    """A float64 gradient past float32's range is non-finite once written to
+    the float32 gradient view, even under a zero mask: the step diverges
+    instead of dropping it."""
     data = make_synthetic(k=3, p=8, n=24, seed=16)
     model = apply_dropout(init_model(TEACHER, seed=17), 0.5, [0])
     trace = forward(model, data.features)
-    cross_entropy_node(trace, data.labels).backward()
-    leaf = trace.leaves[0]["W"]
-    leaf.grad = leaf.grad.astype(np.float64)
-    leaf.grad[model.layers[0].masks["W"] == 0] = 1e300
+    grads = backward(model, trace, cross_entropy_node(trace, data.labels))
+    with np.errstate(over="ignore"):
+        grads[0]["W"][model.layers[0].masks["W"] == 0] = np.float64(1e300)
+    assert np.isinf(grads[0]["W"]).any()
     before = model_bytes(model)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDiverged):
-        distill._apply_updates([trace], 0.1)
+    with np.errstate(invalid="ignore"), pytest.raises(TrainingDiverged):
+        sgd_step(model, grads, 0.1)
     assert model_bytes(model) == before
+
+
+def test_backward_assigns_each_gradient_instead_of_adding_it():
+    """Two backward passes of one batch leave the gradient buffers as one
+    pass does, byte for byte: each layer assigns its gradient, also where
+    two tails continue a shared head and sum into it."""
+    data = make_synthetic(k=3, p=8, n=24, seed=18)
+    student, trainee = init_model(STUDENT, seed=19), init_model(TEACHER, seed=20)
+    share_prefix_layers(student, trainee, 1)
+
+    def one_pass():
+        head = forward(student, data.features, stop=1)
+        traces = [distill._continued(m, head, 1) for m in (student, trainee)]
+        loss = cross_entropy_node(traces[0], data.labels) + cross_entropy_node(traces[1], data.labels)
+        loss.backward()
+        return student.grad.tobytes(), trainee.grad.tobytes()
+
+    once = one_pass()
+    assert any(np.frombuffer(buf, student.dtype).any() for buf in once)
+    assert one_pass() == once
+
+
+@pytest.mark.parametrize("spec", [STUDENT, TEACHER], ids=["fc", "fc-gru-fc"])
+def test_a_training_step_builds_no_tensor_per_parameter(spec, monkeypatch):
+    """One step of an L-layer model whose layers all emit flat rows builds
+    L + 2 ``Tensor``s: the lifted input, one node per layer and the loss."""
+    built = []
+    real_init = ad.Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    data = make_synthetic(k=3, p=8, n=16, seed=21)
+    model = init_model(spec, seed=22)
+    monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
+    run_epoch(model, data, eta=0.1, batch_size=data.n, rng=np.random.default_rng(0))
+    assert len(built) == spec.depth + 2

@@ -49,19 +49,22 @@ def layer_fixture(kind, dtype, seed=0):
             mask.flat[0] = False
             params[pdef.name][~mask] = 0.0
     # centre each output channel on zero, so a ReLU cuts some entries
-    pre = layer_forward(layer, {k: ad.Tensor(v) for k, v in params.items()}, ad.Tensor(x))
+    pre = layer_forward(layer, params, None, ad.Tensor(x))
     axes = (0, 2, 3) if pre.data.ndim == 4 else (0,)
     params["b" if "b" in params else "b2"] -= pre.data.mean(axis=axes).astype(dtype)
     return layer, x, params
 
 
 def run_node(layer, arrays, relu, upstream):
-    """Forward one layer node and backpropagate ``upstream`` into it."""
-    tensors = {k: ad.Tensor(v, requires_grad=True) for k, v in arrays.items()}
-    params = {k: t for k, t in tensors.items() if k != "x"}
-    out = layer_forward(layer, params, tensors["x"], relu)
+    """Forward one layer node and backpropagate ``upstream`` into it.  The
+    parameter gradients land in NaN-filled arrays of the upstream's result
+    dtype, so none is cast and an entry the node never writes shows."""
+    x = ad.Tensor(arrays["x"], requires_grad=True)
+    params = {k: v for k, v in arrays.items() if k != "x"}
+    grads = {k: np.full(v.shape, np.nan, np.result_type(v, upstream)) for k, v in params.items()}
+    out = layer_forward(layer, params, grads, x, relu)
     (out * ad.lift(upstream)).sum().backward()
-    return out.data, {k: t.grad for k, t in tensors.items()}
+    return out.data, {"x": x.grad, **grads}
 
 
 def central_differences(loss, arr, h=1e-6):
@@ -88,20 +91,18 @@ def assert_close(analytic, numeric, name):
 def test_fused_layer_gradients_match_finite_differences(kind, relu):
     layer, x, params = layer_fixture(kind, np.float64)
     arrays = {"x": x, **params}
-    probe = {k: ad.Tensor(v) for k, v in arrays.items()}  # views: see in-place probes
     out, _ = run_node(layer, arrays, relu, np.zeros(1))
     weights = np.random.default_rng(1).normal(size=out.shape)
 
-    def loss():
-        params_now = {k: t for k, t in probe.items() if k != "x"}
-        out_now = layer_forward(layer, params_now, probe["x"], relu)
+    def loss():  # reads ``arrays``, which the probes move in place
+        out_now = layer_forward(layer, params, None, ad.Tensor(x), relu)
         return float((out_now.data * weights).sum())
 
     _, grads = run_node(layer, arrays, relu, weights)
     if relu:
         assert (out == 0).any() and (out > 0).any()
     # the node's gradient is the true derivative at every entry, zeroed
-    # (pruned) weights included; the model drops masked entries when it gathers
+    # (pruned) weights included; the model drops masked entries in its SGD step
     for name, arr in arrays.items():
         assert_close(grads[name], central_differences(loss, arr), name)
 
@@ -324,9 +325,9 @@ def test_attention_loss_rejects_a_teacher_map_with_gradient():
 
 def test_recurrent_layer_rejects_relu():
     layer = LayerSpec(LayerKind.GRU, I=2, O=3, s=2)
-    params = {p.name: ad.Tensor(np.zeros(p.shape)) for p in param_layout(layer)}
+    params = {p.name: np.zeros(p.shape) for p in param_layout(layer)}
     with pytest.raises(ValueError, match="ReLU"):
-        layer_forward(layer, params, ad.Tensor(np.zeros((1, 4))), relu=True)
+        layer_forward(layer, params, None, ad.Tensor(np.zeros((1, 4))), relu=True)
 
 
 def test_fc_stack_records_one_node_per_layer():
@@ -339,7 +340,7 @@ def test_fc_stack_records_one_node_per_layer():
         x = np.ones((3, 5), dtype=np.float32)
         loss = cross_entropy_node(forward(init_model(spec, seed=0), x), np.array([1, 2, 1]))
         sizes[depth] = len(ad._topo_order(loss))
-    # the backward walk visits the loss and one node per layer, never a leaf
+    # the backward walk visits the loss and one node per layer
     assert sizes == {2: 1 + 2, 4: 1 + 4}
 
 

@@ -76,3 +76,60 @@ def test_a_run_that_exits_non_zero_prints_its_exit_code_alone(tmp_path, monkeypa
     assert lines[3] == "mixed seed=405 exit=3"
     assert lines[6] == f"layers seed=0 kind=fc batch=32 loss={float.hex(0.5)}"
     assert len(lines) == 7
+
+
+BEFORE = """\
+dense seed=0 exit=0 manifest=aa best_student=bb val_accuracy=0.95 halting_epoch=11 final_combined_loss=0x1p-1
+  candidate l=2 val_accuracy=0.95 halting_epoch=11 total_flops=10 training_flops=20
+dense seed=1 exit=0 manifest=cc best_student=dd val_accuracy=0.9 halting_epoch=11 final_combined_loss=0x1p-1
+dense seed=2 exit=0 manifest=ee best_student=ff val_accuracy=0.8 halting_epoch=5 final_combined_loss=0x1p-1
+dense seed=3 exit=0 manifest=gg best_student=hh val_accuracy=0.7 halting_epoch=5 final_combined_loss=0x1p-1
+dense seed=36 exit=0 manifest=ii best_student=jj val_accuracy=0.9575 halting_epoch=11 final_combined_loss=0x1p-1
+dense seed=405 exit=3
+src/edgeslim/engine/layers.py:158: RuntimeWarning: overflow encountered in matmul
+  pre = pre @ W + params[bias_name]
+
+mixed seed=0 exit=0 manifest=kk best_student=ll val_accuracy=0.825 halting_epoch=9 final_combined_loss=0x1p+2
+layers seed=0 kind=fc batch=32 loss=0x1.0p-1
+layers seed=0 kind=gru batch=256 loss=0x1.8p-1
+"""
+
+AFTER = """\
+dense seed=0 exit=0 manifest=aa best_student=bb val_accuracy=0.95 halting_epoch=11 final_combined_loss=0x1p-1
+  candidate l=2 val_accuracy=0.95 halting_epoch=11 total_flops=10 training_flops=20
+dense seed=1 exit=0 manifest=xx best_student=yy val_accuracy=0.925 halting_epoch=11 final_combined_loss=0x1p-1
+dense seed=2 exit=0 manifest=xx best_student=yy val_accuracy=0.85 halting_epoch=7 final_combined_loss=0x1p-1
+dense seed=3 exit=3
+dense seed=36 exit=0 manifest=xx best_student=yy val_accuracy=0.636 halting_epoch=11 final_combined_loss=0x1p-1
+dense seed=405 exit=3
+dense seed=1104 exit=3
+mixed seed=0 exit=0 manifest=kk best_student=ll val_accuracy=0.825 halting_epoch=9 final_combined_loss=0x1p+2
+layers seed=0 kind=fc batch=32 loss=0x1.0p-1
+layers seed=0 kind=gru batch=256 loss=0x1.9p-1
+"""
+
+
+def test_compare_reports_exit_codes_halting_epochs_and_accuracy_moves(tmp_path, monkeypatch, capsys):
+    """Per workload: a changed exit code, a moved halting epoch, each
+    direction's count, worst move and seeds, and the layers cells whose
+    loss changed; runs in one printout only are named, not compared, and
+    lines that are no run's (a warning on stderr) are skipped."""
+    same_output = load_tool(monkeypatch)
+    assert same_output.compare(BEFORE, AFTER) == [
+        "dense: 6 runs in both printouts",
+        "  in one printout only: 1104",
+        "  halting epoch moved: seed=2 5 -> 7",
+        "  exit changed: seed=3 0 -> 3",
+        "  val_accuracy rose: 2, worst +0.050000 at seed=2 (seeds 1, 2)",
+        "  val_accuracy fell: 1, worst -0.321500 at seed=36 (seeds 36)",
+        "mixed: 1 runs in both printouts",
+        "  val_accuracy rose: 0",
+        "  val_accuracy fell: 0",
+        "layers: 2 runs in both printouts",
+        "  loss changed: 1 (gru/256)",
+    ]
+    paths = [tmp_path / "before.txt", tmp_path / "after.txt"]
+    for path, text in zip(paths, (BEFORE, AFTER)):
+        path.write_text(text)
+    same_output.main(["--compare", *map(str, paths)])
+    assert capsys.readouterr().out.splitlines() == same_output.compare(BEFORE, AFTER)

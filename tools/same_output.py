@@ -24,6 +24,16 @@ one line per candidate with its ``l``, ``val_accuracy``, ``halting_epoch``,
 ``report.total_flops`` and ``training_flops``.  When a change moves float
 rounding and the digests differ, the diff shows how far the results moved
 and whether any candidate's outcome changed.
+
+A change that moves rounding is swept wider (``--seeds`` 0 to 59), and the
+compare step sums two such printouts up instead of a diff:
+
+    python3 tools/same_output.py --compare parent.txt change.txt
+
+It prints, per pipeline workload, the runs whose exit code changed, the
+runs whose best halting epoch moved, and how many runs' best
+``val_accuracy`` rose and fell, each direction with its worst move and the
+seeds that moved; and for ``layers``, the cells whose loss changed.
 """
 
 from __future__ import annotations
@@ -36,8 +46,6 @@ import json
 import shutil
 import tempfile
 from pathlib import Path
-
-import workloads  # bench/workloads.py, found through PYTHONPATH
 
 SEEDS = (0, 1, 2)
 
@@ -77,11 +85,72 @@ def exclusive(workdir: Path):
 
 
 def _run(name: str, workdir: Path, seed: int):
+    import workloads  # bench/workloads.py, found through PYTHONPATH
+
     shutil.rmtree(workdir, ignore_errors=True)
     workload = workloads.WORKLOADS[name]
     state = workload.setup(workdir, seed)
     workload.prepare(state)
     return state, workload.run(state)
+
+
+def _fields(text: str) -> dict[tuple, dict[str, str]]:
+    """The run lines of a printout, keyed by (workload, seed) or, for
+    ``layers``, by (workload, kind, batch); each maps to its ``key=value``
+    fields.  Candidate lines and any other line (a warning a run printed to
+    stderr, say) are skipped."""
+    runs = {}
+    for line in text.splitlines():
+        words = line.split()
+        if len(words) < 2 or not words[1].startswith("seed="):
+            continue
+        name, *pairs = words
+        fields = dict(pair.split("=", 1) for pair in pairs)
+        key = (name, fields["kind"], int(fields["batch"])) if "kind" in fields else (name, int(fields["seed"]))
+        runs[key] = fields
+    return runs
+
+
+def _seeds(seeds) -> str:
+    return ", ".join(str(seed) for seed in seeds)
+
+
+def compare(before: str, after: str) -> list[str]:
+    """Report how the runs of printout ``after`` moved from ``before``."""
+    old, new = _fields(before), _fields(after)
+    lines = []
+    for name in dict.fromkeys(key[0] for key in [*old, *new]):
+        keys = [key for key in dict.fromkeys([*old, *new]) if key[0] == name]
+        both = [key for key in keys if key in old and key in new]
+        lines.append(f"{name}: {len(both)} runs in both printouts")
+        if len(both) < len(keys):
+            only = [" ".join(map(str, key[1:])) for key in keys if key not in both]
+            lines.append(f"  in one printout only: {', '.join(only)}")
+        if name == "layers":
+            moved = [f"{k[1]}/{k[2]}" for k in both if old[k]["loss"] != new[k]["loss"]]
+            lines.append(f"  loss changed: {len(moved)}" + (f" ({', '.join(moved)})" if moved else ""))
+            continue
+        for key in both:
+            a, b = old[key], new[key]
+            if a["exit"] != b["exit"]:
+                lines.append(f"  exit changed: seed={key[1]} {a['exit']} -> {b['exit']}")
+            elif a.get("halting_epoch") != b.get("halting_epoch"):
+                lines.append(
+                    f"  halting epoch moved: seed={key[1]} {a['halting_epoch']} -> {b['halting_epoch']}"
+                )
+        moves = sorted(
+            (float(new[key]["val_accuracy"]) - float(old[key]["val_accuracy"]), key[1])
+            for key in both
+            if "val_accuracy" in old[key] and "val_accuracy" in new[key]
+        )
+        for label, side in (("rose", [m for m in reversed(moves) if m[0] > 0]),
+                            ("fell", [m for m in moves if m[0] < 0])):
+            line = f"  val_accuracy {label}: {len(side)}"
+            if side:
+                line += f", worst {side[0][0]:+.6f} at seed={side[0][1]}"
+                line += f" (seeds {_seeds(sorted(seed for _, seed in side))})"
+            lines.append(line)
+    return lines
 
 
 def main(argv=None) -> None:
@@ -95,7 +164,15 @@ def main(argv=None) -> None:
         "--seeds", type=int, nargs="+", default=SEEDS,
         help="seeds of the dense and mixed runs (default: %(default)s)",
     )
+    parser.add_argument(
+        "--compare", nargs=2, metavar=("BEFORE", "AFTER"),
+        help="run nothing; report how the runs of printout AFTER moved from BEFORE",
+    )
     args = parser.parse_args(argv)
+    if args.compare:
+        before, after = (Path(path).read_text() for path in args.compare)
+        print("\n".join(compare(before, after)))
+        return
     workdir = Path(args.workdir)
     with exclusive(workdir):
         for name in ("dense", "mixed"):
