@@ -224,9 +224,10 @@ def backward(model: MaskedModel, trace: ForwardTrace, loss: Tensor) -> list[dict
 
     The layer nodes of ``trace`` write into ``model.grad``, cast to the
     parameter dtype; the result is its views, ``model.grad_views``, which
-    hold the true derivative until :func:`descend` masks them.  When
-    several traces feed one loss, call this per model; the tape runs on the
-    first call only.
+    hold the true derivative until :func:`descend` masks them.  A layer the
+    loss does not reach writes nothing and keeps its views' old values.
+    When several traces feed one loss, call this per model; the tape runs
+    on the first call only.
     """
     if loss.grad is None:
         loss.backward()

@@ -184,7 +184,9 @@ def test_recurrent_node_is_bit_identical_under_the_two_branch_sigmoid(
     def run():
         x = ad.Tensor(arrays["x"], requires_grad=True)
         params = {k: v for k, v in arrays.items() if k != "x"}
-        grads = {k: np.full(v.shape, np.nan, np.result_type(v, upstream)) for k, v in params.items()}
+        grads = {
+            k: np.full(v.shape, np.nan, np.result_type(v, upstream)) for k, v in params.items()
+        }
         out = layer_forward(layer, params, grads, x)
         (out * ad.lift(upstream)).sum().backward()
         return out.data, {"x": x.grad, **grads}

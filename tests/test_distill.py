@@ -167,10 +167,11 @@ def test_cached_teacher_attention_matches_per_batch_bit_for_bit(student_spec):
     student = init_model(student_spec, seed=23)
     logits, targets, segments = distill._frozen_outputs(pretrained, features, student, 5)
     chunks = (slice(0, EVAL_BATCH), slice(EVAL_BATCH, None))
-    maps = [np.concatenate([m.data for m in layer]) for layer in zip(*(
-        distill.build_attention_maps(forward(pretrained, features[rows], trainable=False), TEACHER_SPEC)
-        for rows in chunks
-    ))]
+    traces = [forward(pretrained, features[rows], trainable=False) for rows in chunks]
+    maps = [
+        np.concatenate([m.data for m in layer])
+        for layer in zip(*(distill.build_attention_maps(t, TEACHER_SPEC) for t in traces))
+    ]
     pairs = zip(TEACHER_SPEC.layers[:-1], student_spec.layers[:-1])
     widths = [min(t.O, s.O) for t, s in pairs]
     assert segments.widths == widths and targets.shape == (300, sum(widths))

@@ -244,8 +244,8 @@ def test_backward_assigns_each_gradient_instead_of_adding_it():
     def one_pass():
         head = forward(student, data.features, stop=1)
         traces = [distill._continued(m, head, 1) for m in (student, trainee)]
-        loss = cross_entropy_node(traces[0], data.labels) + cross_entropy_node(traces[1], data.labels)
-        loss.backward()
+        s_loss, te_loss = (cross_entropy_node(trace, data.labels) for trace in traces)
+        (s_loss + te_loss).backward()
         return student.grad.tobytes(), trainee.grad.tobytes()
 
     once = one_pass()

@@ -106,13 +106,11 @@ def _fields(text: str) -> dict[tuple, dict[str, str]]:
             continue
         name, *pairs = words
         fields = dict(pair.split("=", 1) for pair in pairs)
-        key = (name, fields["kind"], int(fields["batch"])) if "kind" in fields else (name, int(fields["seed"]))
-        runs[key] = fields
+        if "kind" in fields:
+            runs[name, fields["kind"], int(fields["batch"])] = fields
+        else:
+            runs[name, int(fields["seed"])] = fields
     return runs
-
-
-def _seeds(seeds) -> str:
-    return ", ".join(str(seed) for seed in seeds)
 
 
 def compare(before: str, after: str) -> list[str]:
@@ -128,16 +126,16 @@ def compare(before: str, after: str) -> list[str]:
             lines.append(f"  in one printout only: {', '.join(only)}")
         if name == "layers":
             moved = [f"{k[1]}/{k[2]}" for k in both if old[k]["loss"] != new[k]["loss"]]
-            lines.append(f"  loss changed: {len(moved)}" + (f" ({', '.join(moved)})" if moved else ""))
+            listed = f" ({', '.join(moved)})" if moved else ""
+            lines.append(f"  loss changed: {len(moved)}{listed}")
             continue
         for key in both:
             a, b = old[key], new[key]
             if a["exit"] != b["exit"]:
                 lines.append(f"  exit changed: seed={key[1]} {a['exit']} -> {b['exit']}")
             elif a.get("halting_epoch") != b.get("halting_epoch"):
-                lines.append(
-                    f"  halting epoch moved: seed={key[1]} {a['halting_epoch']} -> {b['halting_epoch']}"
-                )
+                h, g = a["halting_epoch"], b["halting_epoch"]
+                lines.append(f"  halting epoch moved: seed={key[1]} {h} -> {g}")
         moves = sorted(
             (float(new[key]["val_accuracy"]) - float(old[key]["val_accuracy"]), key[1])
             for key in both
@@ -148,7 +146,7 @@ def compare(before: str, after: str) -> list[str]:
             line = f"  val_accuracy {label}: {len(side)}"
             if side:
                 line += f", worst {side[0][0]:+.6f} at seed={side[0][1]}"
-                line += f" (seeds {_seeds(sorted(seed for _, seed in side))})"
+                line += f" (seeds {', '.join(map(str, sorted(seed for _, seed in side)))})"
             lines.append(line)
     return lines
 
