@@ -17,15 +17,19 @@ tuned by differential evolution against validation accuracy.
 
 The pretrained teacher is frozen and nothing augments the data, so each
 :func:`train` call runs it once over the training fold, in chunks.  Its
-attention targets are also computed once per call: each map projected to
-the student's width where wider, laid side by side, then row-normalised.
-Each batch, one row or many, indexes the logits and targets by its rows.
+attention targets are also computed once per call, by
+:func:`attention_targets`: each layer's map (a conv layer's mean over
+positions) projected to the student's width where wider, laid side by
+side, then row-normalised.  Each batch, one row or many, indexes the logits
+and targets by its rows; a live trainee's targets come from the same
+function, per batch.
 While the trainee is live and shares the student's leading layers, each
 batch runs that shared prefix once and both tails continue from its output;
 the student's prefix is the trainee's, so its gradient lands in the
 trainee's gradient buffer and one step moves it once.  Past the two
 cross-entropies, a batch's loss is three tape nodes: DL, the l-weighted
-sum, and AL, one node over all maps laid side by side.  The layer nodes
+sum, and AL, one node that forms the student's maps from its layer outputs
+in the same way and compares them side by side.  The layer nodes
 write the parameter gradients, and one :func:`descend` of the step's models
 applies them.
 """
@@ -37,7 +41,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from edgeslim.archspec import CONV_KINDS, NetworkSpec
+from edgeslim.archspec import CONV_KINDS, LayerSpec, NetworkSpec
 from edgeslim.datasets import Dataset, train_test_split
 from edgeslim.engine import autodiff as ad
 from edgeslim.engine.autodiff import Tensor, _node
@@ -232,12 +236,70 @@ def _unit_rows(maps: np.ndarray, segments: Segments) -> tuple[np.ndarray, np.nda
     return maps * inv, inv
 
 
-def _attention_node(t_unit: np.ndarray, s_maps: Sequence[Tensor], segments: Segments) -> Tensor:
-    """Sum over maps of the mean over rows of |t_unit - unit(s)|^2: one node over
-    the student maps side by side.  With u = unit(s), diff = t_unit - u and
-    p = 2 g/n diff, a row's gradient is (u (u . p) - p) / |s|, 0 if detached."""
-    s = np.concatenate([m.data for m in s_maps], axis=1)
-    u, inv = _unit_rows(s, segments)
+def _projection(seed: int, layer_idx: int, width_from: int, width_to: int) -> np.ndarray:
+    rng = np.random.default_rng([seed, layer_idx, width_from, width_to])
+    return rng.normal(size=(width_from, width_to)) / np.sqrt(width_from)
+
+
+def _map(
+    x: np.ndarray, layer: LayerSpec, width: int, idx: int, seed: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The attention map of layer ``idx``'s (n, output_width) output ``x``,
+    and the projection it went through: for conv kinds each channel's mean
+    over its h*w positions, else ``x``; then, where wider than ``width``,
+    projected down to it (the projection is None where not)."""
+    if layer.kind in CONV_KINDS:
+        x = x.reshape(len(x), layer.O, layer.h, layer.w).sum(axis=(2, 3))
+        x = x * x.dtype.type(1.0 / (layer.h * layer.w))
+    if x.shape[1] <= width:
+        return x, None
+    proj = _projection(seed, idx, x.shape[1], width).astype(x.dtype)
+    return x @ proj, proj
+
+
+def attention_targets(
+    trace: ForwardTrace, layers: Sequence[LayerSpec], student_layers: Sequence[LayerSpec], seed: int
+) -> tuple[np.ndarray, Segments]:
+    """A guide's attention targets for one batch, from its ``trace``: the
+    :func:`_map` of each non-logit layer (spec in ``layers``), projected to
+    the width of the student's map where wider, laid side by side and
+    row-normalised by :func:`_unit_rows`; and the maps' column layout.
+    Plain arrays: a target is detached by construction."""
+    pairs = zip(trace.activations[:-1], layers, student_layers[:-1])
+    maps = [_map(act.data, layer, s.O, i, seed)[0] for i, (act, layer, s) in enumerate(pairs)]
+    segments = _segments([m.shape[1] for m in maps])
+    if not maps:  # a one-layer guide
+        return np.empty((trace.batch_size, 0), trace.logits.data.dtype), segments
+    return _unit_rows(np.concatenate(maps, axis=1), segments)[0], segments
+
+
+def attention_loss_node(
+    t_unit: np.ndarray,
+    acts: Sequence[Tensor],
+    layers: Sequence[LayerSpec],
+    segments: Segments,
+    seed: int,
+) -> Tensor:
+    """Sum over maps of the mean over rows of |t_unit - unit(s)|^2, one node
+    over the student's layer outputs ``acts`` (specs in ``layers``).
+
+    ``t_unit`` and ``segments`` come from :func:`attention_targets`.  The
+    student's map i is the :func:`_map` of ``acts[i]`` at the width of
+    segment i, as the guide's was; the maps lie side by side.
+    Normalization makes the loss scale-invariant in either map; a dead row
+    is detached, not divided by zero.  With u = unit(s), diff = t_unit - u
+    and p = 2 g/n diff, a row's gradient is (u (u . p) - p) / |s|, 0 if
+    detached; it reaches ``acts[i]`` through the projection's transpose and,
+    for a conv kind, the mean's broadcast over positions.
+    """
+    pairs = zip(acts, layers, segments.widths)
+    aligned = [_map(act.data, layer, w, i, seed) for i, (act, layer, w) in enumerate(pairs)]
+    maps = [m for m, _ in aligned]
+    shapes = [m.shape for m in maps], [(len(t_unit), w) for w in segments.widths]
+    if shapes[0] != shapes[1]:  # unequal map counts too
+        raise ValueError(f"student map shapes {shapes[0]} do not match the targets' {shapes[1]}")
+    parents = tuple(acts[: len(maps)])
+    u, inv = _unit_rows(np.concatenate(maps, axis=1), segments)
     diff = t_unit - u
     inv_n = ad.lift(1.0 / len(diff), diff).data
 
@@ -246,29 +308,15 @@ def _attention_node(t_unit: np.ndarray, s_maps: Sequence[Tensor], segments: Segm
         p = (c + c) * diff
         along = np.add.reduceat(u * p, segments.starts, axis=1)
         grad = (u * np.repeat(along, segments.widths, axis=1) - p) * inv
-        for m, cols in zip(s_maps, segments.cols):
-            m._accum(grad[:, cols])
+        for act, layer, (_, proj), cols in zip(parents, layers, aligned, segments.cols):
+            g_map = grad[:, cols] if proj is None else grad[:, cols] @ proj.T
+            if layer.kind in CONV_KINDS:  # each position gets 1/(h*w) of its channel's
+                g_map = g_map * act.data.dtype.type(1.0 / (layer.h * layer.w))
+                g_map = np.broadcast_to(g_map[:, :, None, None], (*g_map.shape, layer.h, layer.w))
+                g_map = g_map.reshape(act.data.shape)
+            act._accum(g_map)
 
-    return _node(np.add.reduce(diff * diff, axis=None) * inv_n, tuple(s_maps), bwd)
-
-
-def attention_loss_node(teacher_maps: Sequence[Tensor], student_maps: Sequence[Tensor]) -> Tensor:
-    """Sum over layers of the mean squared distance of row-normalized maps.
-
-    Normalization makes the loss scale-invariant in either map; a zero row
-    is detached, not divided by zero.  Teacher maps are guidance targets and
-    must be detached; all pairs form one tape node, :func:`_attention_node`.
-    """
-    if any(t.requires_grad for t in teacher_maps):
-        raise ValueError("teacher attention maps must be detached")
-    shapes = [t.shape for t in teacher_maps], [s.shape for s in student_maps]
-    if shapes[0] != shapes[1]:  # unequal map counts too
-        raise ValueError(f"map shapes differ: {shapes[0]} vs {shapes[1]}")
-    if not student_maps:
-        return ad.lift(0.0)
-    segments = _segments([s.shape[1] for s in student_maps])
-    t_unit = _unit_rows(np.concatenate([t.data for t in teacher_maps], axis=1), segments)[0]
-    return _attention_node(t_unit, student_maps, segments)
+    return _node(np.add.reduce(diff * diff, axis=None) * inv_n, parents, bwd)
 
 
 def _weighted_sum(terms: Sequence[tuple[np.ndarray, Tensor]]) -> Tensor:
@@ -283,51 +331,6 @@ def _weighted_sum(terms: Sequence[tuple[np.ndarray, Tensor]]) -> Tensor:
             term._accum(g * lam)
 
     return _node(total, tuple(term for _, term in terms), bwd)
-
-
-def _projection(seed: int, layer_idx: int, width_from: int, width_to: int) -> np.ndarray:
-    rng = np.random.default_rng([seed, layer_idx, width_from, width_to])
-    return rng.normal(size=(width_from, width_to)) / np.sqrt(width_from)
-
-
-def build_attention_maps(
-    trace: ForwardTrace, spec: NetworkSpec
-) -> list[Tensor]:
-    """Per-layer summaries for every layer except the logits layer.
-
-    Conv outputs collapse to per-channel spatial means; dense and recurrent
-    outputs pass through.  Shapes: (batch, width) per layer.
-    """
-    maps = []
-    for layer, act in zip(spec.layers[:-1], trace.activations[:-1]):
-        if layer.kind in CONV_KINDS:
-            maps.append(act.mean(axis=(2, 3)))
-        else:
-            maps.append(act)
-    return maps
-
-
-def _project_down(m: Tensor, width: int, layer_idx: int, seed: int) -> Tensor:
-    """``m`` projected to ``width`` columns if it is wider, else ``m``."""
-    if m.data.shape[1] <= width:
-        return m
-    proj = _projection(seed, layer_idx, m.data.shape[1], width)
-    return m @ ad.lift(proj.astype(m.data.dtype))
-
-
-def align_map_pair(
-    t_map: Tensor, s_map: Tensor, layer_idx: int, seed: int
-) -> tuple[Tensor, Tensor]:
-    """Project the wider map down when teacher/student widths differ."""
-    wt, ws = t_map.data.shape[1], s_map.data.shape[1]
-    return _project_down(t_map, ws, layer_idx, seed), _project_down(s_map, wt, layer_idx, seed)
-
-
-def _teacher_attention(t_unit: np.ndarray, s_maps: list[Tensor], segments: Segments, seed: int) -> Tensor:
-    """:func:`attention_loss_node` of aligned pairs, against teacher unit rows
-    already aligned (``_frozen_outputs``' targets, indexed by the batch)."""
-    s_maps = [_project_down(s, w, i, seed) for i, (s, w) in enumerate(zip(s_maps, segments.widths))]
-    return _attention_node(t_unit, s_maps, segments)
 
 
 # -- training loop ----------------------------------------------------------
@@ -380,37 +383,27 @@ def share_prefix_layers(student: MaskedModel, trainee: MaskedModel, prefix: int)
 
 def _frozen_outputs(
     teacher: MaskedModel, features: np.ndarray, student: MaskedModel, seed: int
-) -> tuple[np.ndarray, np.ndarray | None, Segments]:
-    """The frozen teacher's logits and attention targets for every row, and
-    the targets' column layout.
+) -> tuple[np.ndarray, np.ndarray, Segments]:
+    """The frozen teacher's logits and :func:`attention_targets` for every
+    row, and the targets' column layout.
 
     Runs the teacher in chunks of ``EVAL_BATCH`` rows, as ``predict`` does,
     so the tape-free intermediates of a whole fold never live at once; a
     trailing one-row chunk joins the one before, as numpy multiplies one
-    row by gemv, which can round unlike GEMM.  The targets are the unit rows
-    of the maps side by side (None without maps), each projected first to
-    the width of ``student``'s map where the teacher's is wider.  Each
-    output row is a function of its input row alone, so indexing these
+    row by gemv, which can round unlike GEMM.  Each chunk's targets are
+    taken from its own trace, projected to the widths of ``student``'s maps.
+    Each output row is a function of its input row alone, so indexing these
     arrays by a batch's rows gives what a forward pass on that batch would;
     a one-row batch reads its row of the fold's GEMM, not a gemv of its own.
     """
     starts = range(0, max(len(features) - 1, 1), EVAL_BATCH)
-    chunks = [slice(b, e) for b, e in zip(starts, [*starts[1:], None])]
-    logits, maps = [], []
-    for rows in chunks:
+    logits, targets = [], []
+    for rows in (slice(b, e) for b, e in zip(starts, [*starts[1:], None])):
         trace = forward(teacher, features[rows], trainable=False)
         logits.append(trace.logits.data)
-        maps.append([m.data for m in build_attention_maps(trace, teacher.spec)])
-    maps = [np.concatenate(layer) for layer in zip(*maps)]
-    targets = []
-    for i, layer in zip(range(len(maps)), student.spec.layers[:-1]):
-        targets.append(_project_down(ad.lift(maps[i]), layer.O, i, seed).data)
-        maps[i] = None  # freed as its projection replaces it
-    segments = _segments([t.shape[1] for t in targets])
-    targets = np.concatenate(targets, axis=1) if targets else None
-    for rows in chunks if targets is not None else ():  # normalised in place, chunk by chunk
-        targets[rows] = _unit_rows(targets[rows], segments)[0]
-    return np.concatenate(logits), targets, segments
+        unit, segments = attention_targets(trace, teacher.spec.layers, student.spec.layers, seed)
+        targets.append(unit)
+    return np.concatenate(logits), np.concatenate(targets), segments
 
 
 def _continued(model: MaskedModel, head: ForwardTrace, start: int) -> ForwardTrace:
@@ -527,14 +520,16 @@ def train(
             dl = distillation_loss_node(dl_source, s_trace.logits)
             al_val = 0.0
             if attend:
-                s_maps = build_attention_maps(s_trace, student.spec)
                 if pretrained_teacher is not None:
-                    al = _teacher_attention(targets[idx], s_maps, segments, plan.attention_seed)
+                    t_unit = targets[idx]
                 else:
-                    t_maps = [ad.lift(m.data) for m in build_attention_maps(te_trace, trainee.spec)]
-                    pairs = [align_map_pair(t, s, i, plan.attention_seed)
-                             for i, (t, s) in enumerate(zip(t_maps, s_maps))]
-                    al = attention_loss_node([p[0] for p in pairs], [p[1] for p in pairs])
+                    t_unit, segments = attention_targets(
+                        te_trace, trainee.spec.layers, student.spec.layers, plan.attention_seed
+                    )
+                al = attention_loss_node(
+                    t_unit, s_trace.activations[:-1], student.spec.layers, segments,
+                    plan.attention_seed,
+                )
                 al_val = float(al.data)
                 terms.append((w2, al))
             loss = _weighted_sum([*terms, (w3, dl)])

@@ -7,14 +7,14 @@ Nodes whose parents all have ``requires_grad=False`` record no tape at all,
 so a forward pass over constant weights (a frozen teacher) costs nothing at
 backward time.
 
-The generic arithmetic, reductions and reshape serve a conv map's mean, a
-projection, a flatten and the tests' reference chains; ``softmax_cross_entropy``
-is fused.  So is each hot multi-op computation, one node with a hand-written
-backward built with :func:`_node` elsewhere: every layer kind in
-:mod:`edgeslim.engine.layers` (one body of GEMM, bias and ReLU for fc, conv
-and both factorized kinds, the conv kinds over im2col patch rows; a whole
-recurrent cell, on :func:`_stable_sigmoid`), and in :mod:`edgeslim.distill`
-the loss: attention over all maps, logit distillation and the weighted sum.
+There are no generic ops: each node is one fused computation with a
+hand-written backward, built with :func:`_node` where it is used.  Here,
+``softmax_cross_entropy``; in :mod:`edgeslim.engine.layers`, every layer
+kind, each emitting flat ``(n, output_width)`` rows (one body of GEMM, bias
+and ReLU for fc, conv and both factorized kinds, the conv kinds over im2col
+patch rows; a whole recurrent cell, on :func:`_stable_sigmoid`); and in
+:mod:`edgeslim.distill` the loss: attention read straight off the layer
+outputs, logit distillation and the weighted sum.
 Parameters are not on the tape: a layer node's only parent is its input,
 and its backward assigns the weight gradients to the model's gradient
 views.  No node here knows about masks: a gradient is the true derivative
@@ -28,19 +28,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum ``grad`` down to ``shape``, undoing numpy broadcasting."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
@@ -50,10 +37,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents = parents if requires_grad else ()
         self._backward = backward if requires_grad else None
-
-    @property
-    def shape(self):
-        return self.data.shape
 
     def _accum(self, piece: np.ndarray) -> None:
         # Never mutate in place: the initial assignment may alias an upstream
@@ -70,94 +53,14 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other):
-        other = lift(other, self.data)
-        out_data = self.data + other.data
-
-        def bwd(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g, self.data.shape))
-            if other.requires_grad:
-                other._accum(_unbroadcast(g, other.data.shape))
-
-        return _node(out_data, (self, other), bwd)
-
-    def __mul__(self, other):
-        other = lift(other, self.data)
-        out_data = self.data * other.data
-
-        def bwd(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g * other.data, self.data.shape))
-            if other.requires_grad:
-                other._accum(_unbroadcast(g * self.data, other.data.shape))
-
-        return _node(out_data, (self, other), bwd)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        def bwd(g):
-            self._accum(-g)
-
-        return _node(-self.data, (self,), bwd)
-
-    def __sub__(self, other):
-        return self + (-lift(other, self.data))
-
-    def __matmul__(self, other):
-        other = lift(other)
-        if self.data.ndim != 2 or other.data.ndim != 2:
-            raise ValueError("matmul expects 2-d operands")
-        out_data = self.data @ other.data
-
-        def bwd(g):
-            if self.requires_grad:
-                self._accum(g @ other.data.T)
-            if other.requires_grad:
-                other._accum(self.data.T @ g)
-
-        return _node(out_data, (self, other), bwd)
-
-    # -- reductions / shape -------------------------------------------------
-
-    def sum(self, axis=None, keepdims=False):
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def bwd(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            self._accum(np.broadcast_to(g, self.data.shape).copy())
-
-        return _node(out_data, (self,), bwd)
-
-    def mean(self, axis=None, keepdims=False):
-        axes = range(self.data.ndim) if axis is None else np.atleast_1d(axis)
-        count = int(np.prod([self.data.shape[a] for a in axes]))
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        out_data = self.data.reshape(shape)
-
-        def bwd(g):
-            self._accum(g.reshape(self.data.shape))
-
-        return _node(out_data, (self,), bwd)
-
 
 def _node(data, parents, bwd) -> Tensor:  # ``any`` of a list: a generator costs more
     return Tensor(data, parents, bwd, any([p.requires_grad for p in parents]))
 
 
 def lift(value, like: np.ndarray | None = None) -> Tensor:
-    """Wrap a constant as a gradient-free Tensor; pass Tensors through.  A
-    Python int or float takes the dtype NEP 50 gives it against ``like``."""
-    if isinstance(value, Tensor):
-        return value
+    """Wrap a constant as a gradient-free Tensor.  A Python int or float
+    takes the dtype NEP 50 gives it against ``like``."""
     if like is not None and type(value) in (int, float):
         return Tensor(np.asarray(value, dtype=np.result_type(like, value)))
     return Tensor(np.asarray(value))

@@ -11,7 +11,8 @@ the minimal gated cell uses its single forget gate both to gate the
 candidate input and to blend the new state.
 
 Every layer runs as one tape node with a hand-written backward, whatever its
-kind.  Its only parent is its input: the parameters are plain arrays, and
+kind, and emits flat (n, output_width) rows, so the next layer takes them as
+they are.  Its only parent is its input: the parameters are plain arrays, and
 unless the layer is frozen the backward assigns each parameter's gradient to
 the matching array of a ``grads`` dict, the model's gradient views.  ``fc``,
 ``factorized_fc``, ``conv`` and ``factorized_conv`` share one node body:
@@ -140,7 +141,8 @@ def _dense_forward(
     All four run ``rows @ W1 + b1 [@ W2 + b2]`` and the optional ReLU: the
     fc kinds over the rows of ``x``, the conv kinds over its im2col patch
     rows with the first weight read as :func:`conv_matrix`, their
-    (n*h*w, O) result laid out as (n, O, h, w).  No nonlinearity between
+    (n*h*w, O) result laid out channel-major, (n, O, h, w), in the flat
+    (n, O*h*w) rows that every kind returns.  No nonlinearity between
     factors: together they stand in for one layer.  The backward assigns
     each factor's dW and db into ``grads`` (first dW through
     :func:`conv_matrix` for conv kinds), and computes the gradient of the
@@ -148,8 +150,9 @@ def _dense_forward(
     """
     names, bias_names, conv = _DENSE[layer.kind]
     weights = [params[name] for name in names]
+    n = x.data.shape[0]
     if conv:
-        x4 = x.data.reshape(x.data.shape[0], layer.I, *layer.input_spatial)
+        x4 = x.data.reshape(n, layer.I, *layer.input_spatial)
         pre = _patches(x4, layer.f, layer.g)
         weights[0] = conv_matrix(weights[0])
     else:
@@ -160,12 +163,12 @@ def _dense_forward(
         pre = pre @ W + params[bias_name]
     out = np.maximum(pre, 0) if relu else pre
     if conv:
-        maps = out.reshape(x4.shape[0], layer.h, layer.w, layer.O).transpose(0, 3, 1, 2)
-        out = np.ascontiguousarray(maps)
+        maps = out.reshape(n, layer.h, layer.w, layer.O).transpose(0, 3, 1, 2)
+        out = np.ascontiguousarray(maps).reshape(n, -1)
 
     def bwd(g):
         if conv:
-            g = g.transpose(0, 2, 3, 1).reshape(-1, layer.O)
+            g = g.reshape(n, layer.O, layer.h, layer.w).transpose(0, 2, 3, 1).reshape(-1, layer.O)
         if relu:
             g = g * (pre > 0)
         for k in reversed(range(len(names))):
@@ -317,9 +320,9 @@ def layer_forward(
     ``params`` are the parameter arrays, used as stored.  ``grads`` holds an
     array of the same shape per parameter, or is None for a frozen layer;
     the node's backward assigns each parameter's gradient to it, once.
-    ``relu`` rectifies the output of a non-recurrent kind.  Returns the
-    natural-shape output: (n,O) for dense and recurrent kinds, (n,O,h,w)
-    for conv kinds.  The caller flattens before the next layer.
+    ``relu`` rectifies the output of a non-recurrent kind.  Every kind
+    returns (n, output_width) rows, the next layer's input as it is: a conv
+    kind's row holds its (O, h, w) maps channel-major.
     """
     kind = layer.kind
     if kind in GATE_NAMES:

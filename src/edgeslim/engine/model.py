@@ -134,7 +134,7 @@ def connection_count(model: MaskedModel) -> int:
 
 @dataclass
 class ForwardTrace:
-    """One forward pass: logits and layer outputs."""
+    """One forward pass: logits and layer outputs, each (n, output_width)."""
 
     logits: Tensor
     activations: list[Tensor]
@@ -163,12 +163,13 @@ def forward(
     per backward: a layer runs once per trace, and a shared prefix runs
     once per batch, as a head that two tails continue.  Hidden conv/dense
     layers get a ReLU; recurrent outputs and final logits pass through raw.
-    ``stop`` defaults to the depth.
+    Every layer returns (n, output_width) rows, which the next layer takes
+    as they are.  ``stop`` defaults to the depth.
 
     A partial range splits one pass into a head and a tail: the head's
-    ``logits`` is its last layer's output flattened to (n, width), which is
-    exactly the ``x`` the tail (``start`` = the head's ``stop``) takes, as a
-    Tensor, so the tail extends the head's tape.  Joining the head's and the
+    ``logits`` is its last layer's output, which is exactly the ``x`` the
+    tail (``start`` = the head's ``stop``) takes, as a Tensor, so the tail
+    extends the head's tape.  Joining the head's and the
     tail's ``activations`` gives the trace of a full pass, with
     bit-identical values.  Two tails that start from one head share its
     nodes, so one backward sums both tails' gradients into the head.  The
@@ -195,10 +196,8 @@ def forward(
     for idx in range(start, stop):
         layer, lp = model.spec.layers[idx], model.layers[idx]
         relu = idx != last and layer.kind not in RECURRENT_KINDS
-        out = layer_forward(layer, lp.params, lp.grads if trainable else None, cur, relu)
-        activations.append(out)
-        flat = (n, layer.output_width)
-        cur = out if out.data.shape == flat else out.reshape(flat)
+        cur = layer_forward(layer, lp.params, lp.grads if trainable else None, cur, relu)
+        activations.append(cur)
     if stop == depth and cur.data.shape != (n, model.spec.class_count):
         raise ValueError(
             f"logits shape {cur.data.shape} does not match class count "

@@ -13,6 +13,7 @@ from dataclasses import replace as dc_replace
 import numpy as np
 import pytest
 
+import generic_ops as ops
 from edgeslim import compressor, distill, pruning
 from edgeslim.archspec import LayerKind, LayerSpec, NetworkSpec, check_valid
 from edgeslim.cli import main as cli_main
@@ -160,13 +161,18 @@ def _combined_value(student, trainee, teacher, x, y, dl_target):
     s_trace = forward(student, x, trainable=True)
     te_trace = forward(trainee, x, trainable=True)
     g_trace = forward(teacher, x, trainable=False)
-    loss = l1 * cross_entropy_node(s_trace, y) + l4 * cross_entropy_node(te_trace, y)
-    t_maps = [ad.lift(m.data) for m in distill.build_attention_maps(g_trace, teacher.spec)]
-    s_maps = distill.build_attention_maps(s_trace, student.spec)
-    pairs = [distill.align_map_pair(t, s, i, 0) for i, (t, s) in enumerate(zip(t_maps, s_maps))]
-    loss = loss + l2 * distill.attention_loss_node([p[0] for p in pairs], [p[1] for p in pairs])
+    ce_s, ce_te = cross_entropy_node(s_trace, y), cross_entropy_node(te_trace, y)
+    loss = ops.add(ops.mul(ce_s, l1), ops.mul(ce_te, l4))
+    loss = ops.add(loss, ops.mul(_attention(teacher, student, g_trace, s_trace), l2))
     dl = distill.distillation_loss_node(ad.lift(dl_target), s_trace.logits)
-    return loss + l3 * dl
+    return ops.add(loss, ops.mul(dl, l3))
+
+
+def _attention(teacher, student, g_trace, s_trace):
+    """The attention term of ``student``'s trace against ``teacher``'s maps."""
+    layers = student.spec.layers
+    t_unit, segments = distill.attention_targets(g_trace, teacher.spec.layers, layers, 0)
+    return distill.attention_loss_node(t_unit, s_trace.activations[:-1], layers, segments, 0)
 
 
 def _single_value(kind, student, teacher, x, y):
@@ -176,11 +182,7 @@ def _single_value(kind, student, teacher, x, y):
     if kind == "dl":
         g_trace = forward(teacher, x, trainable=False)
         return distill.distillation_loss_node(ad.lift(g_trace.logits.data), s_trace.logits)
-    g_trace = forward(teacher, x, trainable=False)
-    t_maps = [ad.lift(m.data) for m in distill.build_attention_maps(g_trace, teacher.spec)]
-    s_maps = distill.build_attention_maps(s_trace, student.spec)
-    pairs = [distill.align_map_pair(t, s, i, 0) for i, (t, s) in enumerate(zip(t_maps, s_maps))]
-    return distill.attention_loss_node([p[0] for p in pairs], [p[1] for p in pairs])
+    return _attention(teacher, student, forward(teacher, x, trainable=False), s_trace)
 
 
 def _check_grads(models, loss_fn):

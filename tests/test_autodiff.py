@@ -1,10 +1,12 @@
-"""Tape autodiff: every op against central finite differences."""
+"""Tape autodiff: the generic reference ops and the fused nodes against
+central finite differences."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import generic_ops as ops
 from edgeslim.archspec import LayerKind, LayerSpec
 from edgeslim.engine import autodiff as ad
 from edgeslim.engine import layers
@@ -49,20 +51,20 @@ def assert_rel_close(analytic, num, tol, what):
 
 
 def test_add_mul_broadcast():
-    check_op(lambda a, b: (a * b + b).sum(), (3, 4), (4,))
-    check_op(lambda a, b: (a - b).mean(), (2, 5), (2, 5))
-    check_op(lambda a: (-a).sum(), (3,))
+    check_op(lambda a, b: ops.total(ops.add(ops.mul(a, b), b)), (3, 4), (4,))
+    check_op(lambda a, b: ops.mean(ops.sub(a, b)), (2, 5), (2, 5))
+    check_op(lambda a: ops.total(ops.neg(a)), (3,))
 
 
 def test_matmul():
-    check_op(lambda a, b: (a @ b).sum(), (3, 4), (4, 2))
+    check_op(lambda a, b: ops.total(ops.matmul(a, b)), (3, 4), (4, 2))
 
 
 def test_reductions_and_reshape():
-    check_op(lambda a: a.sum(axis=1).mean(), (3, 5))
-    check_op(lambda a: a.sum(axis=1, keepdims=True).sum(), (3, 5))
-    check_op(lambda a: a.reshape(6).sum(), (2, 3))
-    check_op(lambda a: a.mean(), (2, 3))
+    check_op(lambda a: ops.mean(ops.total(a, axis=1)), (3, 5))
+    check_op(lambda a: ops.total(ops.total(a, axis=1, keepdims=True)), (3, 5))
+    check_op(lambda a: ops.total(ops.reshape(a, (6,))), (2, 3))
+    check_op(lambda a: ops.mean(a), (2, 3))
 
 
 def test_conv2d():
@@ -75,7 +77,7 @@ def test_conv2d():
     params = {"W": arrays["W"], "b": arrays["b"]}
     grads = {name: np.zeros_like(arr) for name, arr in params.items()}
     x = ad.Tensor(arrays["x"], requires_grad=True)
-    layer_forward(layer, params, grads, x).sum().backward()
+    ops.total(layer_forward(layer, params, grads, x)).backward()
 
     def value(_):  # reads ``arrays``, which numeric_grad moves in place
         return float(layer_forward(layer, params, None, ad.Tensor(arrays["x"])).data.sum())
@@ -103,17 +105,17 @@ def test_softmax_cross_entropy_gradient():
 def test_requires_grad_pruning():
     a = ad.Tensor(np.ones(3), requires_grad=True)
     b = ad.Tensor(np.ones(3))  # constant branch
-    loss = (a * b).sum()
+    loss = ops.total(ops.mul(a, b))
     assert loss.requires_grad
     loss.backward()
     assert b.grad is None  # no gradient work spent on constants
-    const = (b * b).sum()
+    const = ops.total(ops.mul(b, b))
     assert not const.requires_grad
 
 
 def test_backward_accumulates_across_reuse():
     a = ad.Tensor(np.array([2.0]), requires_grad=True)
-    loss = (a * a + a).sum()  # d/da = 2a + 1 = 5
+    loss = ops.total(ops.add(ops.mul(a, a), a))  # d/da = 2a + 1 = 5
     loss.backward()
     np.testing.assert_allclose(a.grad, [5.0])
 
@@ -135,7 +137,7 @@ def test_sigmoid_stays_finite(x, kind):
     inputs = ad.Tensor(rng.normal(size=(2, 6)), requires_grad=True)
     out = layer_forward(layer, params, grads, inputs)
     assert np.isfinite(out.data).all() and (np.abs(out.data) <= 1.0).all()
-    out.sum().backward()
+    ops.total(out).backward()
     assert np.isfinite(inputs.grad).all()
     for grad in grads.values():
         assert np.isfinite(grad).all()
@@ -188,7 +190,7 @@ def test_recurrent_node_is_bit_identical_under_the_two_branch_sigmoid(
             k: np.full(v.shape, np.nan, np.result_type(v, upstream)) for k, v in params.items()
         }
         out = layer_forward(layer, params, grads, x)
-        (out * ad.lift(upstream)).sum().backward()
+        ops.total(ops.mul(out, upstream)).backward()
         return out.data, {"x": x.grad, **grads}
 
     shipped_out, shipped = run()
@@ -209,5 +211,5 @@ def test_relu_zero_point_subgradient():
     layer = LayerSpec(LayerKind.FC, I=3, O=3)
     t = ad.Tensor(np.array([[0.0, -1.0, 1.0]]), requires_grad=True)
     params = {"W": np.eye(3), "b": np.zeros(3)}
-    layer_forward(layer, params, None, t, relu=True).sum().backward()
+    ops.total(layer_forward(layer, params, None, t, relu=True)).backward()
     np.testing.assert_array_equal(t.grad, [[0.0, 0.0, 1.0]])

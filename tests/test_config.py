@@ -1,16 +1,10 @@
 """Run-configuration parsing and environment overrides."""
 
 import dataclasses
-import json
 
 import pytest
 
-from edgeslim.config import (
-    ENV_PREFIX,
-    RunConfig,
-    apply_env_overrides,
-    config_from_dict,
-)
+from edgeslim.config import ENV_PREFIX, apply_env_overrides, config_from_dict
 from edgeslim.pipeline import PipelineSettings
 
 REQUIRED = {

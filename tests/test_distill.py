@@ -3,17 +3,13 @@
 import numpy as np
 import pytest
 
+import generic_ops as ops
 from edgeslim.archspec import LayerKind, LayerSpec, NetworkSpec, check_valid
 from edgeslim.datasets import make_synthetic, train_test_split
 from edgeslim.engine import autodiff as ad
 from edgeslim.engine import model as engine_model
 from edgeslim.engine.model import cross_entropy_node, forward, init_model, model_bytes
-from edgeslim.engine.training import (
-    EVAL_BATCH,
-    epoch_seed,
-    iterate_minibatches,
-    train_classifier,
-)
+from edgeslim.engine.training import epoch_seed, iterate_minibatches, train_classifier
 from edgeslim import distill
 from edgeslim.distill import (
     DEBudget,
@@ -100,11 +96,11 @@ def test_distillation_loss_fixtures():
 
 
 def test_attention_loss_fixtures():
-    a = ad.lift(np.array([[1.0, 0.0]]))
-    b = ad.lift(np.array([[0.0, 1.0]]))
+    a = np.array([[1.0, 0.0]])
+    b = np.array([[0.0, 1.0]])
 
     def loss(t, s):
-        return float(attention_loss_node([t], [s]).data)
+        return float(ops.fc_attention([t], [ad.lift(s)]).data)
 
     assert loss(a, b) == pytest.approx(2.0)
     assert loss(a, a) == 0.0
@@ -112,15 +108,13 @@ def test_attention_loss_fixtures():
     assert loss(3.0 * a, b) == pytest.approx(loss(a, b))
     assert loss(a, 0.25 * b) == pytest.approx(2.0)
     # all-zero map hits the norm floor instead of dividing by zero
-    assert np.isfinite(loss(ad.lift(np.zeros((1, 2))), b))
+    assert np.isfinite(loss(np.zeros((1, 2)), b))
 
 
 def test_attention_loss_detaches_dead_rows():
-    from edgeslim.engine.autodiff import Tensor
-
-    student = Tensor(np.array([[0.0, 0.0], [0.3, 0.4]]), requires_grad=True)
-    teacher = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    loss = attention_loss_node([teacher], [student])
+    student = ad.Tensor(np.array([[0.0, 0.0], [0.3, 0.4]]), requires_grad=True)
+    teacher = np.array([[1.0, 0.0], [0.0, 1.0]])
+    loss = ops.fc_attention([teacher], [student])
     loss.backward()
     assert np.isfinite(student.grad).all()
     # the dead row carries no gradient; the live one does
@@ -130,15 +124,22 @@ def test_attention_loss_detaches_dead_rows():
 
 
 def test_attention_loss_layer_handling():
-    a = ad.lift(np.array([[1.0, 0.0]]))
+    a = np.array([[1.0, 0.0]])
     b = ad.lift(np.array([[0.0, 1.0]]))
-    two = float(attention_loss_node([a, a], [b, b]).data)
+    two = float(ops.fc_attention([a, a], [b, b]).data)
     assert two == pytest.approx(4.0)  # sums over layers
-    assert float(attention_loss_node([], []).data) == 0.0
-    with pytest.raises(ValueError):
-        attention_loss_node([a], [b, b])
-    with pytest.raises(ValueError):
-        attention_loss_node([a], [ad.lift(np.zeros((1, 3)))])
+    # a one-layer guide has no maps: its targets are (n, 0)
+    one = check_valid(NetworkSpec("one", [LayerSpec(LayerKind.FC, I=8, O=3)], class_count=3))
+    trace = forward(init_model(one, seed=0), np.ones((2, 8)), trainable=False)
+    t_unit, segments = distill.attention_targets(trace, one.layers, STUDENT_SPEC.layers, 0)
+    assert t_unit.shape == (2, 0) and segments.widths == []
+    # the student's maps must match the targets' layout, in count and in width
+    segments = distill._segments([2])
+    t_unit = distill._unit_rows(a, segments)[0]
+    fc = [LayerSpec(LayerKind.FC, I=1, O=2), LayerSpec(LayerKind.FC, I=2, O=2)]
+    for acts in ([], [ad.lift(np.zeros((1, 1)))]):
+        with pytest.raises(ValueError, match="do not match"):
+            attention_loss_node(t_unit, acts, fc, segments, 0)
 
 
 WIDER_STUDENT_SPEC = check_valid(
@@ -158,61 +159,45 @@ WIDER_STUDENT_SPEC = check_valid(
 @pytest.mark.parametrize("student_spec", [TEACHER_SPEC, STUDENT_SPEC, WIDER_STUDENT_SPEC],
                          ids=["equal-widths", "teacher-wider", "student-wider"])
 def test_cached_teacher_attention_matches_per_batch_bit_for_bit(student_spec):
-    """The targets ``train`` computes once per call give the per-batch
-    ``align_map_pair`` + ``attention_loss_node`` term and gradients, bit for
-    bit, for every batch of two rows or more.  The per-batch term reads the
-    teacher's maps of the fold, run in ``_frozen_outputs``' chunks."""
+    """The targets ``train`` computes once per call, in ``_frozen_outputs``'
+    chunks, are bit for bit the targets that the batch's own teacher forward
+    gives, for every batch of two rows or more; so are the attention term and
+    its gradients, which read nothing else of the teacher."""
     features = make_synthetic(k=3, p=8, n=300, seed=21).features
     pretrained = init_model(TEACHER_SPEC, seed=22)
     student = init_model(student_spec, seed=23)
     logits, targets, segments = distill._frozen_outputs(pretrained, features, student, 5)
-    chunks = (slice(0, EVAL_BATCH), slice(EVAL_BATCH, None))
-    traces = [forward(pretrained, features[rows], trainable=False) for rows in chunks]
-    maps = [
-        np.concatenate([m.data for m in layer])
-        for layer in zip(*(distill.build_attention_maps(t, TEACHER_SPEC) for t in traces))
-    ]
     pairs = zip(TEACHER_SPEC.layers[:-1], student_spec.layers[:-1])
     widths = [min(t.O, s.O) for t, s in pairs]
     assert segments.widths == widths and targets.shape == (300, sum(widths))
     rng = np.random.default_rng(0)
     for size in [*range(2, 41), 64, 256, 300]:
         idx = rng.permutation(300)[:size]
-        cached_trace, batch_trace = forward(student, features[idx]), forward(student, features[idx])
-        cached = distill._teacher_attention(
-            targets[idx], distill.build_attention_maps(cached_trace, student.spec), segments, 5
+        guide = forward(pretrained, features[idx], trainable=False)
+        per_batch, batch_segments = distill.attention_targets(
+            guide, TEACHER_SPEC.layers, student_spec.layers, 5
         )
-        pairs = [
-            distill.align_map_pair(ad.lift(m[idx]), s, i, 5)
-            for i, (m, s) in enumerate(zip(maps, distill.build_attention_maps(batch_trace, student.spec)))
-        ]
-        per_batch = attention_loss_node([p[0] for p in pairs], [p[1] for p in pairs])
-        assert cached.data.tobytes() == per_batch.data.tobytes(), size
-        grads = []
-        for loss in (cached, per_batch):  # both traces write the student's buffer
-            student.grad[...] = 0.0  # the logits layer feeds no map and is not written
-            loss.backward()
-            grads.append(student.grad.tobytes())
-        assert grads[0] == grads[1], size
+        assert batch_segments.widths == widths
+        assert targets[idx].tobytes() == per_batch.tobytes(), size
 
 
 def test_one_row_batches_read_the_cached_targets(data, monkeypatch):
     """A batch of one row indexes the targets ``_frozen_outputs`` cached for
     the fold, as every other batch does, and its attention term stays finite."""
     cached, rows = [], []
-    real_outputs, real_attention = distill._frozen_outputs, distill._teacher_attention
+    real_outputs, real_attention = distill._frozen_outputs, distill.attention_loss_node
 
     def caching(*args):
         out = real_outputs(*args)
         cached.append(out[1])
         return out
 
-    def recording(t_unit, s_maps, segments, seed):
+    def recording(t_unit, *args):
         rows.append(t_unit)
-        return real_attention(t_unit, s_maps, segments, seed)
+        return real_attention(t_unit, *args)
 
     monkeypatch.setattr(distill, "_frozen_outputs", caching)
-    monkeypatch.setattr(distill, "_teacher_attention", recording)
+    monkeypatch.setattr(distill, "attention_loss_node", recording)
     n_train = train_test_split(data, 0.3, 0)[0].n
     for batch_size, singles in ((n_train - 1, 1), (1, n_train)):  # one-row batches per epoch
         cached.clear()
@@ -606,22 +591,19 @@ def test_shared_head_gradients_match_two_full_forwards(monkeypatch):
     s_trace, te_trace = forward(student, x), forward(trainee, x)
     l1, l2, l3, l4 = plan.effective_lambdas()
     g_trace = forward(pretrained, x, trainable=False)
-    t_maps = [ad.lift(m.data) for m in distill.build_attention_maps(g_trace, pretrained.spec)]
-    s_maps = distill.build_attention_maps(s_trace, student.spec)
-    pairs = [
-        distill.align_map_pair(t, s, i, plan.attention_seed)
-        for i, (t, s) in enumerate(zip(t_maps, s_maps))
-    ]
-    student_loss = (
-        l1 * cross_entropy_node(s_trace, y)
-        + l2 * distill.attention_loss_node([p[0] for p in pairs], [p[1] for p in pairs])
-        + l3 * distill.distillation_loss_node(ad.lift(te_trace.logits.data), s_trace.logits)
+    layers, seed = student.spec.layers, plan.attention_seed
+    t_unit, segments = distill.attention_targets(g_trace, pretrained.spec.layers, layers, seed)
+    al = distill.attention_loss_node(t_unit, s_trace.activations[:-1], layers, segments, seed)
+    dl = distill.distillation_loss_node(ad.lift(te_trace.logits.data), s_trace.logits)
+    student_loss = ops.add(
+        ops.add(ops.mul(cross_entropy_node(s_trace, y), l1), ops.mul(al, l2)), ops.mul(dl, l3)
     )
     # each pass writes the gradient views of the layers it ran, the shared
     # head's included, so each is read before the next pass overwrites it
     expected: dict[int, np.ndarray] = {}
     shared_parts = []
-    for model, loss in ((student, student_loss), (trainee, l4 * cross_entropy_node(te_trace, y))):
+    trainee_loss = ops.mul(cross_entropy_node(te_trace, y), l4)
+    for model, loss in ((student, student_loss), (trainee, trainee_loss)):
         loss.backward()
         for lp in model.layers:
             for name, arr in lp.params.items():

@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+import generic_ops as ops
 from edgeslim import compressor, distill
 from edgeslim.archspec import LayerKind, LayerSpec, NetworkSpec, check_valid
 from edgeslim.compressor import minimum_flops
@@ -148,7 +149,7 @@ def test_shared_prefix_views_the_trainee_buffer_and_moves_once():
     head = forward(student, data.features, stop=1)
     s_trace = distill._continued(student, head, 1)
     te_trace = distill._continued(trainee, head, 1)
-    loss = cross_entropy_node(s_trace, data.labels) + cross_entropy_node(te_trace, data.labels)
+    loss = ops.add(cross_entropy_node(s_trace, data.labels), cross_entropy_node(te_trace, data.labels))
     loss.backward()
     eta = 0.1
     # the prefix's gradient lands in the trainee's buffer, the rest in each model's own
@@ -185,7 +186,7 @@ def test_non_finite_gradient_leaves_every_model_of_the_step_unchanged():
     before = model_bytes(student), model_bytes(trainee)
     head = forward(student, data.features, stop=1)
     traces = [distill._continued(m, head, 1) for m in (student, trainee)]
-    (cross_entropy_node(traces[0], data.labels) + cross_entropy_node(traces[1], data.labels)).backward()
+    ops.add(*(cross_entropy_node(trace, data.labels) for trace in traces)).backward()
     trainee.grad_views[-1]["b"][-1] = np.nan  # the trainee's last view, checked after every other
     with pytest.raises(TrainingDiverged):
         descend([student, trainee], 0.1)
@@ -245,7 +246,7 @@ def test_backward_assigns_each_gradient_instead_of_adding_it():
         head = forward(student, data.features, stop=1)
         traces = [distill._continued(m, head, 1) for m in (student, trainee)]
         s_loss, te_loss = (cross_entropy_node(trace, data.labels) for trace in traces)
-        (s_loss + te_loss).backward()
+        ops.add(s_loss, te_loss).backward()
         return student.grad.tobytes(), trainee.grad.tobytes()
 
     once = one_pass()
@@ -253,10 +254,31 @@ def test_backward_assigns_each_gradient_instead_of_adding_it():
     assert one_pass() == once
 
 
-@pytest.mark.parametrize("spec", [STUDENT, TEACHER], ids=["fc", "fc-gru-fc"])
-def test_a_training_step_builds_no_tensor_per_parameter(spec, monkeypatch):
-    """One step of an L-layer model whose layers all emit flat rows builds
-    L + 2 ``Tensor``s: the lifted input, one node per layer and the loss."""
+def conv_first(name, width):
+    """conv (16 inputs, 9 outputs), then fc 9-``width`` and fc ``width``-3."""
+    return check_valid(NetworkSpec(name, [
+        LayerSpec(LayerKind.CONV, I=2, O=3, f=2, g=2, h=1, w=3),
+        LayerSpec(LayerKind.FC, I=9, O=width),
+        LayerSpec(LayerKind.FC, I=width, O=3),
+    ], class_count=3, shared_prefix=1))
+
+
+class _Stepped(Exception):
+    pass
+
+
+@pytest.mark.parametrize("spec, step", [
+    (STUDENT, "epoch"), (TEACHER, "epoch"), (conv_first("conv", 6), "epoch"),
+    (conv_first("conv", 6), "distill"),
+], ids=["fc", "fc-gru-fc", "conv-fc-fc", "conv-fc-fc-S6"])
+def test_a_training_step_builds_no_tensor_per_parameter(spec, step, monkeypatch):
+    """One ``run_epoch`` step of an L-layer model builds L + 2 ``Tensor``s:
+    the lifted input, one node per layer and the loss.  One pre-halt S6
+    batch of ``distill.train`` builds its layer nodes (the shared conv once,
+    both tails), the two CE, DL, attention and weighted-sum nodes, the
+    lifted input and DL target, and the 1/n constants DL and attention
+    lift: the conv maps' mean and the student's map projection (6 columns
+    onto the guides' 4) happen inside the attention node."""
     built = []
     real_init = ad.Tensor.__init__
 
@@ -264,8 +286,29 @@ def test_a_training_step_builds_no_tensor_per_parameter(spec, monkeypatch):
         built.append(1)
         real_init(self, *args, **kwargs)
 
-    data = make_synthetic(k=3, p=8, n=16, seed=21)
+    data = make_synthetic(k=3, p=spec.layers[0].input_width, n=16, seed=21)
     model = init_model(spec, seed=22)
+    if step == "epoch":
+        monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
+        run_epoch(model, data, eta=0.1, batch_size=data.n, rng=np.random.default_rng(0))
+        assert len(built) == spec.depth + 2
+        return
+    trainee, pretrained = (init_model(conv_first("guide", 4), seed=s) for s in (23, 24))
+    share_prefix_layers(model, trainee, 1)
+    real_outputs = distill._frozen_outputs
+
+    def from_the_first_batch(*args):
+        out = real_outputs(*args)
+        built.clear()
+        return out
+
+    def stop(root):
+        raise _Stepped
+
     monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
-    run_epoch(model, data, eta=0.1, batch_size=data.n, rng=np.random.default_rng(0))
-    assert len(built) == spec.depth + 2
+    monkeypatch.setattr(ad.Tensor, "backward", stop)
+    monkeypatch.setattr(distill, "_frozen_outputs", from_the_first_batch)
+    with pytest.raises(_Stepped):
+        train(model, trainee, pretrained, data, DistillPlan(0.5, 0.3, 0.2, total_epochs=2))
+    layer_nodes = spec.depth + (spec.depth - 1)
+    assert len(built) == layer_nodes + 5 + 2 + 2

@@ -1,5 +1,5 @@
 """Fused tape nodes: one per non-recurrent layer, and distillation's three
-loss nodes (attention over all maps, DL, the lambda-weighted sum).
+loss nodes (attention over the layer outputs, DL, the lambda-weighted sum).
 
 Each node's float32 output and gradients are checked bit for bit against the
 same computation written op by op in plain numpy, and the tape sizes are
@@ -7,19 +7,20 @@ counted: per layer of an fc stack, and per loss term of a pre-halt batch.
 The layer and attention nodes' gradients are also checked against central
 differences in float64, and, within a rounding bound, the conv kinds against
 a per-tap convolution loop and the attention node against the generic
-``Tensor`` chain.
+``Tensor`` chain of ``generic_ops``: conv mean, projection and unit rows.
 """
 
 import numpy as np
 import pytest
 
+import generic_ops as ops
 from edgeslim import distill
 from edgeslim.archspec import CONV_KINDS, LayerKind, LayerSpec, NetworkSpec, check_valid
 from edgeslim.datasets import make_synthetic
-from edgeslim.distill import NORM_FLOOR, align_map_pair, attention_loss_node, distillation_loss_node
+from edgeslim.distill import NORM_FLOOR, attention_loss_node, distillation_loss_node
 from edgeslim.engine import autodiff as ad
 from edgeslim.engine.layers import layer_forward, param_layout
-from edgeslim.engine.model import cross_entropy_node, forward, init_model
+from edgeslim.engine.model import ForwardTrace, cross_entropy_node, forward, init_model
 
 FUSED = {
     "fc": LayerSpec(LayerKind.FC, I=4, O=3),
@@ -49,9 +50,8 @@ def layer_fixture(kind, dtype, seed=0):
             mask.flat[0] = False
             params[pdef.name][~mask] = 0.0
     # centre each output channel on zero, so a ReLU cuts some entries
-    pre = layer_forward(layer, params, None, ad.Tensor(x))
-    axes = (0, 2, 3) if pre.data.ndim == 4 else (0,)
-    params["b" if "b" in params else "b2"] -= pre.data.mean(axis=axes).astype(dtype)
+    pre = layer_forward(layer, params, None, ad.Tensor(x)).data.reshape(BATCH, layer.O, -1)
+    params["b" if "b" in params else "b2"] -= pre.mean(axis=(0, 2)).astype(dtype)
     return layer, x, params
 
 
@@ -63,7 +63,7 @@ def run_node(layer, arrays, relu, upstream):
     params = {k: v for k, v in arrays.items() if k != "x"}
     grads = {k: np.full(v.shape, np.nan, np.result_type(v, upstream)) for k, v in params.items()}
     out = layer_forward(layer, params, grads, x, relu)
-    (out * ad.lift(upstream)).sum().backward()
+    ops.total(ops.mul(out, upstream)).backward()
     return out.data, {"x": x.grad, **grads}
 
 
@@ -119,11 +119,7 @@ def test_attention_pair_gradients_match_finite_differences():
     assert np.linalg.norm(students[0][1]) < NORM_FLOOR
 
     def node(student_tensors):
-        pairs = [
-            align_map_pair(ad.Tensor(t), s, i, 0)
-            for i, (t, s) in enumerate(zip(teachers, student_tensors))
-        ]
-        return attention_loss_node([p[0] for p in pairs], [p[1] for p in pairs])
+        return ops.fc_attention(teachers, student_tensors)
 
     tensors = [ad.Tensor(s, requires_grad=True) for s in students]
     node(tensors).backward()
@@ -170,7 +166,8 @@ def as_matrix(weight):
 def reference(layer, x, p, relu, g):
     """One step per numpy op: each factor's GEMM, bias add,
     ReLU, and each op's backward in reverse order.  A conv kind is its dense
-    kind over im2col patch rows, its weight read as the (I*f*g, O) matrix."""
+    kind over im2col patch rows, its weight read as the (I*f*g, O) matrix,
+    and its output and upstream gradient are (n, O*h*w) rows, channel-major."""
     if layer.kind in CONV_KINDS:
         n = len(x)
         x4 = x.reshape(n, layer.I, *layer.input_spatial)
@@ -181,9 +178,9 @@ def reference(layer, x, p, relu, g):
             im2col(x4, layer.f, layer.g),
             {**p, first: as_matrix(p[first])},
             relu,
-            g.transpose(0, 2, 3, 1).reshape(-1, layer.O),
+            g.reshape(n, layer.O, layer.h, layer.w).transpose(0, 2, 3, 1).reshape(-1, layer.O),
         )
-        out = out.reshape(n, layer.h, layer.w, layer.O).transpose(0, 3, 1, 2)
+        out = out.reshape(n, layer.h, layer.w, layer.O).transpose(0, 3, 1, 2).reshape(n, -1)
         grads[first] = grads[first].T.reshape(p[first].shape)
         grads["x"] = col2im(grads["x"], x4.shape, layer.f, layer.g).reshape(x.shape)
         return out, grads
@@ -252,8 +249,10 @@ def tap_conv_backward(grad, x4, w):
 
 def tap_reference(layer, x, p, relu, g):
     """A conv kind as a per-tap loop of channel contractions, with the 1x1
-    channel mix of the factorized kind as one contraction over (n, h, w)."""
+    channel mix of the factorized kind as one contraction over (n, h, w);
+    output and upstream gradient as (n, O*h*w) rows."""
     x4 = x.reshape(len(x), layer.I, *layer.input_spatial)
+    g = g.reshape(len(x), layer.O, layer.h, layer.w)
     grads = {}
     if layer.kind == LayerKind.CONV:
         W = p["W"]
@@ -276,7 +275,7 @@ def tap_reference(layer, x, p, relu, g):
         grads["b1"] = gmid.sum(axis=(0, 2, 3))
         gw, gx = tap_conv_backward(gmid, x4, W1)
         grads["W1"], grads["x"] = gw, gx.reshape(x.shape)
-    return out, grads
+    return out.reshape(len(x), -1), grads
 
 
 # Largest difference from the tap loop, relative to the largest magnitude of
@@ -310,17 +309,11 @@ def test_attention_pair_is_bit_identical_to_op_chain():
     expect_loss, (expect_grad,) = attention_chain([teacher], [student], np.float32(0.3))
 
     s = ad.Tensor(student, requires_grad=True)
-    loss = attention_loss_node([ad.Tensor(teacher)], [s])
-    (0.3 * loss).backward()
+    loss = ops.fc_attention([teacher], [s])
+    ops.mul(loss, 0.3).backward()
     assert loss.data.dtype == expect_loss.dtype and loss.data.tobytes() == expect_loss.tobytes()
     assert s.grad.dtype == expect_grad.dtype and s.grad.tobytes() == expect_grad.tobytes()
     np.testing.assert_array_equal(s.grad[3], 0.0)
-
-
-def test_attention_loss_rejects_a_teacher_map_with_gradient():
-    maps = np.ones((2, 3))
-    with pytest.raises(ValueError, match="detached"):
-        attention_loss_node([ad.Tensor(maps, requires_grad=True)], [ad.Tensor(maps)])
 
 
 def test_recurrent_layer_rejects_relu():
@@ -379,8 +372,8 @@ def test_attention_over_all_maps_is_one_node_bit_identical_to_op_chain():
     expect_loss, expect_grads = attention_chain(teachers, students, g)
 
     tensors = [ad.Tensor(s, requires_grad=True) for s in students]
-    loss = attention_loss_node([ad.Tensor(t) for t in teachers], tensors)
-    (0.3 * loss).backward()
+    loss = ops.fc_attention(teachers, tensors)
+    ops.mul(loss, 0.3).backward()
     assert loss._parents == tuple(tensors)  # one node over every map
     assert loss.data.dtype == expect_loss.dtype and loss.data.tobytes() == expect_loss.tobytes()
     for tensor, grad in zip(tensors, expect_grads):
@@ -404,18 +397,32 @@ def generic_unit_rows(m):
     a row whose float64 sum of squares is below the squared floor is masked
     out as a constant."""
     alive = (np.add.reduce(m.data.astype(np.float64) ** 2, axis=1, keepdims=True) >= NORM_FLOOR**2)
-    live = m * ad.lift(alive.astype(m.data.dtype))
-    return live * floored_inverse_norm((live * live).sum(axis=1, keepdims=True))
+    live = ops.mul(m, alive.astype(m.data.dtype))
+    return ops.mul(live, floored_inverse_norm(ops.total(ops.mul(live, live), axis=1, keepdims=True)))
 
 
-def generic_attention(teacher_maps, student_maps):
-    """The attention term as a chain of generic ``Tensor`` ops: the mean over
-    rows of the squared distance of unit rows, summed over the maps."""
+def generic_map(act, layer, width, idx):
+    """A layer output's attention map as generic ``Tensor`` ops: a conv
+    kind's mean over positions, then the projection to ``width`` where wider."""
+    m = act
+    if layer.kind in CONV_KINDS:
+        m = ops.mean(ops.reshape(act, (len(act.data), layer.O, layer.h, layer.w)), axis=(2, 3))
+    if m.data.shape[1] > width:
+        m = ops.matmul(m, distill._projection(0, idx, m.data.shape[1], width).astype(m.data.dtype))
+    return m
+
+
+def generic_attention(t_acts, s_acts, t_layers, s_layers):
+    """The attention term as a chain of generic ``Tensor`` ops over the
+    guide's and the student's layer outputs: each pair of maps, the wider
+    projected to the narrower's width, gives the mean over rows of the
+    squared distance of its unit rows; the terms are summed over the maps."""
     total = None
-    for t, s in zip(teacher_maps, student_maps):
-        diff = generic_unit_rows(t) - generic_unit_rows(s)
-        term = (diff * diff).sum(axis=1).mean()
-        total = term if total is None else total + term
+    for i, (t, s, t_layer, s_layer) in enumerate(zip(t_acts, s_acts, t_layers, s_layers)):
+        t_map, s_map = generic_map(t, t_layer, s_layer.O, i), generic_map(s, s_layer, t_layer.O, i)
+        diff = ops.sub(generic_unit_rows(t_map), generic_unit_rows(s_map))
+        term = ops.mean(ops.total(ops.mul(diff, diff), axis=1))
+        total = term if total is None else ops.add(total, term)
     return total
 
 
@@ -425,36 +432,94 @@ def generic_attention(teacher_maps, student_maps):
 CHAIN_BOUND = {np.float32: 256 * np.finfo(np.float32).eps, np.float64: 256 * np.finfo(np.float64).eps}
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_attention_node_matches_the_generic_chain(dtype):
-    """Mixed widths, a dead row, a row whose sum of squares overflows the
-    dtype (finite value, zero gradient), and a student map wider than the
-    teacher's (projected down before the node)."""
+def fc(width):
+    return LayerSpec(LayerKind.FC, I=1, O=width)
+
+
+def conv(channels):
+    return LayerSpec(LayerKind.CONV, I=1, O=channels, f=1, g=1, h=2, w=3)
+
+
+def backward_from(loss, *models):
+    """Backpropagate 0.3 * ``loss`` into zeroed gradient buffers of ``models``."""
+    for model in models:
+        model.grad[...] = 0.0
+    with np.errstate(over="ignore"):
+        ops.mul(loss, 0.3).backward()
+    return [model.grad.copy() for model in models]
+
+
+def maps_case(dtype):
+    """Random layer outputs: mixed widths; a dead row and a row whose sum of
+    squares overflows the dtype (finite value, zero gradient); a guide map
+    wider than the student's (projected in the targets); a student map wider
+    than its target (projected in the node); a conv map of equal channels,
+    and one of more channels than its target (mean, then projection)."""
+    t_layers = [fc(5), fc(3), fc(4), conv(4), conv(2), fc(1)]
+    s_layers = [fc(3), fc(3), fc(7), conv(4), conv(5), fc(1)]
     rng = np.random.default_rng(12)
-    teachers = [rng.normal(size=(6, w)).astype(dtype) for w in (5, 3, 4)]
-    students = [rng.normal(size=(6, w)).astype(dtype) for w in (3, 3, 7)]
+    teachers = [rng.normal(size=(6, layer.output_width)).astype(dtype) for layer in t_layers[:-1]]
+    students = [rng.normal(size=(6, layer.output_width)).astype(dtype) for layer in s_layers[:-1]]
     students[1][4] = 0.0  # dead
     students[1][1] = 2 * np.sqrt(np.finfo(dtype).max)  # its squares overflow
-    got_tensors, want_tensors = (
-        [ad.Tensor(s.copy(), requires_grad=True) for s in students] for _ in range(2)
-    )
-
-    def pairs(tensors):
-        aligned = [align_map_pair(ad.Tensor(t), s, i, 0) for i, (t, s) in enumerate(zip(teachers, tensors))]
-        return [p[0] for p in aligned], [p[1] for p in aligned]
-
+    got_acts, want_acts = ([ad.Tensor(s.copy(), requires_grad=True) for s in students] for _ in range(2))
+    guide = ForwardTrace(None, [*map(ad.lift, teachers), None], 6)
     with np.errstate(over="ignore"):
-        got = attention_loss_node(*pairs(got_tensors))
-        want = generic_attention(*pairs(want_tensors))
-        (0.3 * got).backward()
-        (0.3 * want).backward()
+        t_unit, segments = distill.attention_targets(guide, t_layers, s_layers, 0)
+        got = attention_loss_node(t_unit, got_acts, s_layers, segments, 0)
+        want = generic_attention([ad.lift(t) for t in teachers], want_acts, t_layers, s_layers)
+        ops.mul(got, 0.3).backward()
+        ops.mul(want, 0.3).backward()
+    np.testing.assert_array_equal(got_acts[1].grad[[1, 4]], 0.0)
+    return got, want, [a.grad for a in got_acts], [a.grad for a in want_acts]
+
+
+def s3_case(dtype):
+    """One S3 batch, the live trainee's outputs as the targets.  Both tails
+    continue a shared conv layer, whose maps are equal on both sides; then
+    a conv map wider on the student's side (projected in the node) and an
+    fc map wider on the trainee's (projected in the targets).  The
+    gradients are the model buffers; the trainee's own layers get none."""
+    head = LayerSpec(LayerKind.CONV, I=2, O=3, f=2, g=2, h=3, w=4)
+    student, trainee = (
+        init_model(check_valid(NetworkSpec(name, [
+            head,
+            LayerSpec(LayerKind.CONV, I=3, O=channels, f=2, g=2, h=2, w=3),
+            LayerSpec(LayerKind.FC, I=6 * channels, O=width),
+            LayerSpec(LayerKind.FC, I=width, O=3),
+        ], class_count=3, shared_prefix=1)), seed=seed, dtype=dtype)
+        for name, channels, width, seed in (("student", 4, 5, 1), ("trainee", 2, 7, 2))
+    )
+    distill.share_prefix_layers(student, trainee, 1)
+    x = np.random.default_rng(13).normal(size=(6, head.input_width))
+    traces = []
+    for _ in range(2):  # one batch each for the node and the chain
+        shared = forward(student, x, stop=1)
+        traces.append([distill._continued(m, shared, 1) for m in (student, trainee)])
+    (s_trace, te_trace), (s_chain, te_chain) = traces
+    layers, t_layers = student.spec.layers, trainee.spec.layers
+    t_unit, segments = distill.attention_targets(te_trace, t_layers, layers, 0)
+    got = attention_loss_node(t_unit, s_trace.activations[:-1], layers, segments, 0)
+    got_grads = backward_from(got, student, trainee)
+    t_acts = [ad.lift(a.data) for a in te_chain.activations[:-1]]
+    want = generic_attention(t_acts, s_chain.activations[:-1], t_layers, layers)
+    want_grads = backward_from(want, student, trainee)
+    for layer in trainee.grad_views[1:]:
+        for grad in layer.values():
+            np.testing.assert_array_equal(grad, 0.0)
+    return got, want, got_grads, want_grads
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", [maps_case, s3_case], ids=["maps", "s3"])
+def test_attention_node_matches_the_generic_chain(case, dtype):
+    got, want, got_grads, want_grads = case(dtype)
     assert got.data.dtype == want.data.dtype == dtype and np.isfinite(got.data)
     assert abs(got.data - want.data) <= CHAIN_BOUND[dtype] * abs(want.data)
-    for idx, (a, b) in enumerate(zip(got_tensors, want_tensors)):
-        assert a.grad.dtype == b.grad.dtype == dtype
-        err = np.abs(a.grad - b.grad).max() / np.abs(b.grad).max()
-        assert err <= CHAIN_BOUND[dtype], f"student map {idx}: relative difference {err:.2e}"
-    np.testing.assert_array_equal(got_tensors[1].grad[[1, 4]], 0.0)
+    for idx, (a, b) in enumerate(zip(got_grads, want_grads)):
+        assert a.dtype == b.dtype == dtype
+        err = np.abs(a - b).max() / np.abs(b).max()
+        assert err <= CHAIN_BOUND[dtype], f"gradient {idx}: relative difference {err:.2e}"
 
 
 def test_distillation_node_is_bit_identical_to_op_chain():
@@ -473,7 +538,7 @@ def test_distillation_node_is_bit_identical_to_op_chain():
 
     s = ad.Tensor(student, requires_grad=True)
     loss = distillation_loss_node(ad.Tensor(teacher), s)
-    (0.3 * loss).backward()
+    ops.mul(loss, 0.3).backward()
     assert loss._parents == (s,)
     assert loss.data.dtype == expect_loss.dtype and loss.data.tobytes() == expect_loss.tobytes()
     assert s.grad.dtype == expect_grad.dtype and s.grad.tobytes() == expect_grad.tobytes()
@@ -512,7 +577,7 @@ class _Taped(Exception):
 def test_pre_halt_batch_records_five_loss_nodes(monkeypatch):
     """One S6 pre-halt batch: one node per layer of the student and of the
     trainee's tail, then two CE nodes, the attention node, the DL node and
-    the weighted sum (equal map widths, so no projection node)."""
+    the weighted sum."""
     spec = check_valid(NetworkSpec("t", [
         LayerSpec(LayerKind.FC, I=6, O=5), LayerSpec(LayerKind.FC, I=5, O=4),
         LayerSpec(LayerKind.FC, I=4, O=4), LayerSpec(LayerKind.FC, I=4, O=3),

@@ -1,6 +1,5 @@
 """Depth sweep orchestration: seeding, ranking, and end-to-end determinism."""
 
-import numpy as np
 import pytest
 
 from edgeslim.archspec import LayerKind, LayerSpec, NetworkSpec, check_valid
