@@ -290,15 +290,21 @@ def attention_loss_node(
     is detached, not divided by zero.  With u = unit(s), diff = t_unit - u
     and p = 2 g/n diff, a row's gradient is (u (u . p) - p) / |s|, 0 if
     detached; it reaches ``acts[i]`` through the projection's transpose and,
-    for a conv kind, the mean's broadcast over positions.
+    for a conv kind, the mean's broadcast over positions.  ``acts`` holds
+    one output per map; a guide without maps gives a constant 0.
     """
+    if len(acts) != len(segments.widths):
+        n_maps, n_targets = len(acts), len(segments.widths)
+        raise ValueError(f"{n_maps} student maps do not match the targets' {n_targets}")
+    if not acts:  # a one-layer guide has no maps
+        return ad.lift(0.0, t_unit)
     pairs = zip(acts, layers, segments.widths)
     aligned = [_map(act.data, layer, w, i, seed) for i, (act, layer, w) in enumerate(pairs)]
     maps = [m for m, _ in aligned]
     shapes = [m.shape for m in maps], [(len(t_unit), w) for w in segments.widths]
-    if shapes[0] != shapes[1]:  # unequal map counts too
+    if shapes[0] != shapes[1]:
         raise ValueError(f"student map shapes {shapes[0]} do not match the targets' {shapes[1]}")
-    parents = tuple(acts[: len(maps)])
+    parents = tuple(acts)
     u, inv = _unit_rows(np.concatenate(maps, axis=1), segments)
     diff = t_unit - u
     inv_n = ad.lift(1.0 / len(diff), diff).data
@@ -527,8 +533,8 @@ def train(
                         te_trace, trainee.spec.layers, student.spec.layers, plan.attention_seed
                     )
                 al = attention_loss_node(
-                    t_unit, s_trace.activations[:-1], student.spec.layers, segments,
-                    plan.attention_seed,
+                    t_unit, s_trace.activations[: len(segments.widths)], student.spec.layers,
+                    segments, plan.attention_seed,
                 )
                 al_val = float(al.data)
                 terms.append((w2, al))

@@ -19,7 +19,6 @@ import numpy as np
 from edgeslim import distill
 from edgeslim.archspec import LayerKind, LayerSpec
 from edgeslim.engine.autodiff import Tensor, _node, lift
-from edgeslim.engine.model import ForwardTrace
 
 
 def as_tensor(value, like: np.ndarray | None = None) -> Tensor:
@@ -113,12 +112,12 @@ def fc_attention(teachers: list[np.ndarray], students: list[Tensor], seed: int =
     ``teachers``' unit rows, a map wider than its partner is projected down
     with ``seed`` as ``train`` projects it, and the node's parents are
     ``students``."""
-    def fc_layers(widths):
-        return [*(LayerSpec(LayerKind.FC, I=1, O=w) for w in widths), LayerSpec(LayerKind.FC, I=1, O=1)]
-
-    guide = ForwardTrace(None, [*map(lift, teachers), None], len(teachers[0]))
-    s_layers = fc_layers(s.data.shape[1] for s in students)
-    t_unit, segments = distill.attention_targets(
-        guide, fc_layers(t.shape[1] for t in teachers), s_layers, seed
-    )
-    return distill.attention_loss_node(t_unit, students, s_layers, segments, seed)
+    widths = [min(t.shape[1], s.data.shape[1]) for t, s in zip(teachers, students)]
+    maps = [
+        t if t.shape[1] == w else t @ distill._projection(seed, i, t.shape[1], w).astype(t.dtype)
+        for i, (t, w) in enumerate(zip(teachers, widths))
+    ]
+    segments = distill._segments(widths)
+    t_unit = distill._unit_rows(np.concatenate(maps, axis=1), segments)[0]
+    layers = [LayerSpec(LayerKind.FC, I=1, O=s.data.shape[1]) for s in students]
+    return distill.attention_loss_node(t_unit, students, layers, segments, seed)

@@ -55,6 +55,10 @@ STUDENT_SPEC = check_valid(
     )
 )
 
+ONE_LAYER_SPEC = check_valid(
+    NetworkSpec("one", [LayerSpec(LayerKind.FC, I=8, O=3)], class_count=3)
+)
+
 
 def plan_for(scheme="S6", **kw):
     kw.setdefault("total_epochs", 3)
@@ -128,18 +132,29 @@ def test_attention_loss_layer_handling():
     b = ad.lift(np.array([[0.0, 1.0]]))
     two = float(ops.fc_attention([a, a], [b, b]).data)
     assert two == pytest.approx(4.0)  # sums over layers
-    # a one-layer guide has no maps: its targets are (n, 0)
-    one = check_valid(NetworkSpec("one", [LayerSpec(LayerKind.FC, I=8, O=3)], class_count=3))
-    trace = forward(init_model(one, seed=0), np.ones((2, 8)), trainable=False)
-    t_unit, segments = distill.attention_targets(trace, one.layers, STUDENT_SPEC.layers, 0)
+    # a one-layer guide has no maps: its targets are (n, 0), its term 0
+    trace = forward(init_model(ONE_LAYER_SPEC, seed=0), np.ones((2, 8)), trainable=False)
+    t_unit, segments = distill.attention_targets(
+        trace, ONE_LAYER_SPEC.layers, STUDENT_SPEC.layers, 0
+    )
     assert t_unit.shape == (2, 0) and segments.widths == []
+    zero = attention_loss_node(t_unit, [], STUDENT_SPEC.layers, segments, 0).data
+    assert zero == 0.0 and zero.dtype == np.float32  # the model's dtype, as every term's
     # the student's maps must match the targets' layout, in count and in width
     segments = distill._segments([2])
     t_unit = distill._unit_rows(a, segments)[0]
     fc = [LayerSpec(LayerKind.FC, I=1, O=2), LayerSpec(LayerKind.FC, I=2, O=2)]
-    for acts in ([], [ad.lift(np.zeros((1, 1)))]):
+    for acts in ([], [b, b], [ad.lift(np.zeros((1, 1)))]):
         with pytest.raises(ValueError, match="do not match"):
             attention_loss_node(t_unit, acts, fc, segments, 0)
+
+
+def test_a_one_layer_trainee_gives_a_zero_attention_term(data):
+    student = init_model(STUDENT_SPEC, seed=0)
+    trainee = init_model(ONE_LAYER_SPEC, seed=1)
+    result = train(student, trainee, None, data, plan_for("S2", total_epochs=2))
+    assert [r.breakdown.attention for r in result.history] == [0.0, 0.0]
+    assert result.history[-1].breakdown.ce_student < result.history[0].breakdown.ce_student
 
 
 WIDER_STUDENT_SPEC = check_valid(
