@@ -36,7 +36,6 @@ GATE_NAMES = {
 
 RECURRENT_KINDS = frozenset(GATE_NAMES)
 CONV_KINDS = frozenset({LayerKind.CONV, LayerKind.FACTORIZED_CONV})
-DENSE_KINDS = frozenset({LayerKind.FC, LayerKind.FACTORIZED_FC})
 FACTORIZED_KINDS = frozenset({LayerKind.FACTORIZED_FC, LayerKind.FACTORIZED_CONV})
 
 

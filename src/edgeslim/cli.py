@@ -147,6 +147,8 @@ def cmd_estimate(args) -> int:
 def cmd_gendata(args) -> int:
     if args.k < 2:
         raise InputError("gendata needs at least two classes")
+    if args.p < 1:
+        raise InputError(f"gendata needs at least one feature, got --p {args.p}")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     tmp = out.with_name(out.name + ".tmp")

@@ -23,10 +23,11 @@ positions) projected to the student's width where wider, laid side by
 side, then row-normalised.  Each batch, one row or many, indexes the logits
 and targets by its rows; a live trainee's targets come from the same
 function, per batch.
-While the trainee is live and shares the student's leading layers, each
-batch runs that shared prefix once and both tails continue from its output;
-the student's prefix is the trainee's, so its gradient lands in the
-trainee's gradient buffer and one step moves it once.  Past the two
+Each batch runs the student's whole network.  A live trainee that shares
+the student's leading layers does not run them again: it continues from
+the student's output at the shared prefix.  Those layers are the
+trainee's, so one backward sums both paths' gradients into the trainee's
+gradient buffer, and one step moves them once.  Past the two
 cross-entropies, a batch's loss is three tape nodes: DL, the l-weighted
 sum, and AL, one node that forms the student's maps from its layer outputs
 in the same way and compares them side by side.  The layer nodes
@@ -100,18 +101,19 @@ class DistillPlan:
     """Loss weights, halting policy, and training knobs for one run.
 
     ``lambda1..3`` live strictly inside the simplex (sum 1 to 1e-9); the
-    trainee's own CE term always weighs 1.  ``halting_epoch`` may be fixed up
-    front or left None for plateau detection (halting schemes only).
-    ``plateau_*`` read validation accuracy in percentage points.
+    trainee's own CE term always weighs 1.  A halting scheme halts at the
+    first epoch where :func:`plateau_reached` fires, or at the cap
+    ``h_max`` (``total_epochs - 1`` when None).  To fix the halt at h, set
+    ``h_max=h`` and a ``plateau_window`` of at least h, so the plateau
+    cannot fire before the cap.  ``plateau_*`` read validation accuracy in
+    percentage points.
     """
 
     lambda1: float
     lambda2: float
     lambda3: float
-    halting_epoch: int | None = None
     total_epochs: int = 30
     scheme: str = "S6"
-    shared_prefix: int | None = None
     eta: float = 0.05
     batch_size: int = 32
     seed: int = 0
@@ -119,15 +121,13 @@ class DistillPlan:
     plateau_epsilon: float = 0.5
     plateau_window: int = 10
     h_max: int | None = None
-    attention_seed: int = 0
 
     def __post_init__(self) -> None:
         check_lambdas((self.lambda1, self.lambda2, self.lambda3))
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {sorted(SCHEMES)}")
         check_epochs(self.total_epochs, "total_epochs")
-        check_halting_epoch(self.halting_epoch, self.total_epochs, "halting_epoch")
-        check_halting_epoch(self.h_max, self.total_epochs, "h_max")
+        check_halting_epoch(self.h_max, self.total_epochs)
         check_plateau(self.plateau_epsilon, self.plateau_window)
         check_learning_rate(self.eta)
         check_batch_size(self.batch_size)
@@ -194,15 +194,13 @@ def combined_loss(
 # -- loss components --------------------------------------------------------
 
 
-def distillation_loss_node(teacher_logits: Tensor, student_logits: Tensor) -> Tensor:
-    """Mean over the batch of the squared L2 distance to detached teacher logits."""
-    t, s = teacher_logits.data, student_logits
+def distillation_loss_node(t: np.ndarray, s: Tensor) -> Tensor:
+    """Mean over the batch of the squared L2 distance of the logits ``s`` to
+    the guide's logits ``t``, a plain array and so detached."""
     if t.shape != s.data.shape:
         raise ValueError(f"logit shapes differ: {t.shape} vs {s.data.shape}")
-    if teacher_logits.requires_grad:
-        raise ValueError("teacher logits must be detached")
     diff = t - s.data
-    inv_n = ad.lift(1.0 / len(diff), diff).data
+    inv_n = ad.scalar(1.0 / len(diff), diff)
 
     def bwd(g):
         h = (g * inv_n) * diff
@@ -236,14 +234,14 @@ def _unit_rows(maps: np.ndarray, segments: Segments) -> tuple[np.ndarray, np.nda
     return maps * inv, inv
 
 
-def _projection(seed: int, layer_idx: int, width_from: int, width_to: int) -> np.ndarray:
-    rng = np.random.default_rng([seed, layer_idx, width_from, width_to])
+def _projection(layer_idx: int, width_from: int, width_to: int) -> np.ndarray:
+    """A fixed Gaussian (width_from, width_to) projection for layer
+    ``layer_idx``, the same for the guide's targets and the student's maps."""
+    rng = np.random.default_rng([0, layer_idx, width_from, width_to])
     return rng.normal(size=(width_from, width_to)) / np.sqrt(width_from)
 
 
-def _map(
-    x: np.ndarray, layer: LayerSpec, width: int, idx: int, seed: int
-) -> tuple[np.ndarray, np.ndarray | None]:
+def _map(x: np.ndarray, layer: LayerSpec, width: int, idx: int) -> tuple[np.ndarray, np.ndarray | None]:
     """The attention map of layer ``idx``'s (n, output_width) output ``x``,
     and the projection it went through: for conv kinds each channel's mean
     over its h*w positions, else ``x``; then, where wider than ``width``,
@@ -253,12 +251,12 @@ def _map(
         x = x * x.dtype.type(1.0 / (layer.h * layer.w))
     if x.shape[1] <= width:
         return x, None
-    proj = _projection(seed, idx, x.shape[1], width).astype(x.dtype)
+    proj = _projection(idx, x.shape[1], width).astype(x.dtype)
     return x @ proj, proj
 
 
 def attention_targets(
-    trace: ForwardTrace, layers: Sequence[LayerSpec], student_layers: Sequence[LayerSpec], seed: int
+    trace: ForwardTrace, layers: Sequence[LayerSpec], student_layers: Sequence[LayerSpec]
 ) -> tuple[np.ndarray, Segments]:
     """A guide's attention targets for one batch, from its ``trace``: the
     :func:`_map` of each non-logit layer (spec in ``layers``), projected to
@@ -266,7 +264,7 @@ def attention_targets(
     row-normalised by :func:`_unit_rows`; and the maps' column layout.
     Plain arrays: a target is detached by construction."""
     pairs = zip(trace.activations[:-1], layers, student_layers[:-1])
-    maps = [_map(act.data, layer, s.O, i, seed)[0] for i, (act, layer, s) in enumerate(pairs)]
+    maps = [_map(act.data, layer, s.O, i)[0] for i, (act, layer, s) in enumerate(pairs)]
     segments = _segments([m.shape[1] for m in maps])
     if not maps:  # a one-layer guide
         return np.empty((trace.batch_size, 0), trace.logits.data.dtype), segments
@@ -278,7 +276,6 @@ def attention_loss_node(
     acts: Sequence[Tensor],
     layers: Sequence[LayerSpec],
     segments: Segments,
-    seed: int,
 ) -> Tensor:
     """Sum over maps of the mean over rows of |t_unit - unit(s)|^2, one node
     over the student's layer outputs ``acts`` (specs in ``layers``).
@@ -297,9 +294,9 @@ def attention_loss_node(
         n_maps, n_targets = len(acts), len(segments.widths)
         raise ValueError(f"{n_maps} student maps do not match the targets' {n_targets}")
     if not acts:  # a one-layer guide has no maps
-        return ad.lift(0.0, t_unit)
+        return Tensor(ad.scalar(0.0, t_unit))
     pairs = zip(acts, layers, segments.widths)
-    aligned = [_map(act.data, layer, w, i, seed) for i, (act, layer, w) in enumerate(pairs)]
+    aligned = [_map(act.data, layer, w, i) for i, (act, layer, w) in enumerate(pairs)]
     maps = [m for m, _ in aligned]
     shapes = [m.shape for m in maps], [(len(t_unit), w) for w in segments.widths]
     if shapes[0] != shapes[1]:
@@ -307,7 +304,7 @@ def attention_loss_node(
     parents = tuple(acts)
     u, inv = _unit_rows(np.concatenate(maps, axis=1), segments)
     diff = t_unit - u
-    inv_n = ad.lift(1.0 / len(diff), diff).data
+    inv_n = ad.scalar(1.0 / len(diff), diff)
 
     def bwd(g):
         c = g * inv_n
@@ -327,7 +324,7 @@ def attention_loss_node(
 
 def _weighted_sum(terms: Sequence[tuple[np.ndarray, Tensor]]) -> Tensor:
     """Sum of lam * term as one tape node, added left to right as the chain's
-    add nodes do; :func:`train` lifts each lam once, as the chain's ``*`` would."""
+    add nodes do; :func:`train` casts each lam once, as the chain's ``*`` would."""
     total = terms[0][1].data * terms[0][0]
     for lam, term in terms[1:]:
         total = total + term.data * lam
@@ -388,7 +385,7 @@ def share_prefix_layers(student: MaskedModel, trainee: MaskedModel, prefix: int)
 
 
 def _frozen_outputs(
-    teacher: MaskedModel, features: np.ndarray, student: MaskedModel, seed: int
+    teacher: MaskedModel, features: np.ndarray, student: MaskedModel
 ) -> tuple[np.ndarray, np.ndarray, Segments]:
     """The frozen teacher's logits and :func:`attention_targets` for every
     row, and the targets' column layout.
@@ -407,16 +404,9 @@ def _frozen_outputs(
     for rows in (slice(b, e) for b, e in zip(starts, [*starts[1:], None])):
         trace = forward(teacher, features[rows], trainable=False)
         logits.append(trace.logits.data)
-        unit, segments = attention_targets(trace, teacher.spec.layers, student.spec.layers, seed)
+        unit, segments = attention_targets(trace, teacher.spec.layers, student.spec.layers)
         targets.append(unit)
     return np.concatenate(logits), np.concatenate(targets), segments
-
-
-def _continued(model: MaskedModel, head: ForwardTrace, start: int) -> ForwardTrace:
-    """The trace of a full pass of ``model``: ``head`` (layers before
-    ``start``), then the rest of ``model`` run on the head's output."""
-    tail = forward(model, head.logits, trainable=True, start=start)
-    return ForwardTrace(tail.logits, head.activations + tail.activations, head.batch_size)
 
 
 def train(
@@ -430,16 +420,17 @@ def train(
 
     The dataset splits 70/30 (by ``plan.val_fraction`` and seed) into the
     training and validation folds.  Guidance targets are always detached:
-    the trainee learns from its own CE only.  While the leading layers stay
-    aliased, one forward of them feeds both the student's and the trainee's
-    tail, and one backward through them carries the sum of both paths'
-    gradients.  On divergence a ``TrainingDiverged`` is raised with the
-    partial history attached as ``exc.history``.
+    the trainee learns from its own CE only.  While the leading
+    ``student.spec.shared_prefix`` layers stay aliased, the trainee
+    continues from the student's output at that prefix, and one backward
+    through the prefix carries the sum of both paths' gradients.  On
+    divergence a ``TrainingDiverged`` is raised with the partial history
+    attached as ``exc.history``.
 
-    Without a fixed ``plan.halting_epoch`` a halting scheme halts live: at
-    the first epoch e where :func:`plateau_reached` fires, or at the cap.
-    The trainee has then already trained through e, so h is e itself, not
-    an epoch backdated to where the plateau began.
+    A halting scheme halts live: at the first epoch e where
+    :func:`plateau_reached` fires, or at the cap ``plan.h_max``.  The
+    trainee has then already trained through e, so h is e itself, not an
+    epoch backdated to where the plateau began.
     """
     traits = SCHEMES[plan.scheme]
     for wanted, model, role in (
@@ -452,7 +443,7 @@ def train(
     if trainee is not None and pretrained_teacher is not None:
         if trainee.spec.layers != pretrained_teacher.spec.layers:
             raise ValueError("trainee and pretrained teacher must share one architecture")
-    prefix = plan.shared_prefix if plan.shared_prefix is not None else student.spec.shared_prefix
+    prefix = student.spec.shared_prefix
     if traits.shared:
         if student.borrowed != prefix or student.layers[:prefix] != trainee.layers[:prefix]:
             raise ValueError(
@@ -463,7 +454,7 @@ def train(
         check_labels(dataset.labels, model)
     train_set, val_set = train_test_split(dataset, plan.val_fraction, plan.seed)
     l1, l2, l3, l4 = plan.effective_lambdas()
-    w1, w2, w3, w4 = (ad.lift(lam, student.flat).data for lam in (l1, l2, l3, l4))  # model dtype
+    w1, w2, w3, w4 = (ad.scalar(lam, student.flat) for lam in (l1, l2, l3, l4))  # model dtype
     attend = l2 > 0.0 and len(student.spec.layers) > 1  # a one-layer network has no maps
     f_student = network_flops(student.spec)
     f_trainee = network_flops(trainee.spec) if trainee is not None else 0
@@ -484,12 +475,12 @@ def train(
         if traits.shared:
             student.pack()  # one copy gives the student a private buffer
 
-    if traits.halts and (plan.halting_epoch if plan.halting_epoch is not None else h_cap) == 0:
+    if traits.halts and h_cap == 0:
         halt_now(0)
 
     if pretrained_teacher is not None:
         teacher_logits, targets, segments = _frozen_outputs(
-            pretrained_teacher, train_set.features, student, plan.attention_seed
+            pretrained_teacher, train_set.features, student
         )
 
     acc_pct: list[float] = []
@@ -499,29 +490,26 @@ def train(
         seen_rows = 0
         for idx in iterate_minibatches(train_set.n, plan.batch_size, rng):
             x, y = train_set.features[idx], train_set.labels[idx]
-            if traits.shared and not halted:
-                # the aliased prefix runs once; both tails extend its tape
-                head = forward(student, x, trainable=True, stop=prefix)
-                s_trace = _continued(student, head, prefix)
-            else:
-                s_trace = forward(student, x, trainable=True)
+            s_trace = forward(student, x, trainable=True)
             ce_s = cross_entropy_node(s_trace, y)
             models = [student]
 
             ce_te_val = 0.0
             terms = [(w1, ce_s)]
             if not halted:
-                if traits.shared:
-                    te_trace = _continued(trainee, head, prefix)
+                if traits.shared and prefix:  # the aliased prefix ran in the student's pass
+                    head = s_trace.activations[:prefix]
+                    tail = forward(trainee, head[-1], trainable=True, start=prefix)
+                    te_trace = ForwardTrace(tail.logits, head + tail.activations, tail.batch_size)
                 else:
                     te_trace = forward(trainee, x, trainable=True)
                 ce_te = cross_entropy_node(te_trace, y)
                 ce_te_val = float(ce_te.data)
                 terms.append((w4, ce_te))
                 models.append(trainee)
-                dl_source = ad.lift(te_trace.logits.data)
+                dl_source = te_trace.logits.data
             else:  # only schemes with a pretrained teacher halt
-                dl_source = ad.lift(teacher_logits[idx])
+                dl_source = teacher_logits[idx]
 
             dl = distillation_loss_node(dl_source, s_trace.logits)
             al_val = 0.0
@@ -530,12 +518,10 @@ def train(
                     t_unit = targets[idx]
                 else:
                     t_unit, segments = attention_targets(
-                        te_trace, trainee.spec.layers, student.spec.layers, plan.attention_seed
+                        te_trace, trainee.spec.layers, student.spec.layers
                     )
-                al = attention_loss_node(
-                    t_unit, s_trace.activations[: len(segments.widths)], student.spec.layers,
-                    segments, plan.attention_seed,
-                )
+                acts = s_trace.activations[: len(segments.widths)]
+                al = attention_loss_node(t_unit, acts, student.spec.layers, segments)
                 al_val = float(al.data)
                 terms.append((w2, al))
             loss = _weighted_sum([*terms, (w3, dl)])
@@ -566,14 +552,10 @@ def train(
         acc_pct.append(100.0 * val_acc)
         history.append(EpochRecord(breakdown, val_acc, cumulative))
 
-        if traits.halts and not halted:
-            if plan.halting_epoch is not None:
-                if epoch >= plan.halting_epoch:
-                    halt_now(epoch)
-            elif epoch >= h_cap or plateau_reached(
-                acc_pct, plan.plateau_epsilon, plan.plateau_window
-            ):
-                halt_now(epoch)
+        if traits.halts and not halted and (
+            epoch >= h_cap or plateau_reached(acc_pct, plan.plateau_epsilon, plan.plateau_window)
+        ):
+            halt_now(epoch)
 
     return TrainResult(
         student=student,
@@ -588,10 +570,10 @@ def train(
 # -- the halting trigger ----------------------------------------------------
 
 
-def check_halting_epoch(epoch: int | None, total_epochs: int, name: str) -> None:
-    """A set halting epoch, fixed or a cap, satisfies 0 <= epoch < total_epochs."""
-    if epoch is not None and not 0 <= epoch < total_epochs:
-        raise ValueError(f"{name} must stay below total_epochs and be non-negative, got {epoch!r}")
+def check_halting_epoch(h_max: int | None, total_epochs: int) -> None:
+    """A set halting cap satisfies 0 <= h_max < total_epochs."""
+    if h_max is not None and not 0 <= h_max < total_epochs:
+        raise ValueError(f"h_max must stay below total_epochs and be non-negative, got {h_max!r}")
 
 
 def check_plateau(epsilon: float, window: int) -> None:

@@ -19,8 +19,8 @@ Parameters are not on the tape: a layer node's only parent is its input,
 and its backward assigns the weight gradients to the model's gradient
 views.  No node here knows about masks: a gradient is the true derivative
 at every entry, and :mod:`edgeslim.engine.model` drops the masked entries
-in its SGD step.  A Python scalar on the tape takes its partner's dtype in
-:func:`lift` (NEP 50), so float32 backward stays float32.
+in its SGD step.  A Python scalar that meets a node's values takes their
+dtype in :func:`scalar` (NEP 50), so float32 backward stays float32.
 """
 
 from __future__ import annotations
@@ -58,12 +58,10 @@ def _node(data, parents, bwd) -> Tensor:  # ``any`` of a list: a generator costs
     return Tensor(data, parents, bwd, any([p.requires_grad for p in parents]))
 
 
-def lift(value, like: np.ndarray | None = None) -> Tensor:
-    """Wrap a constant as a gradient-free Tensor.  A Python int or float
-    takes the dtype NEP 50 gives it against ``like``."""
-    if like is not None and type(value) in (int, float):
-        return Tensor(np.asarray(value, dtype=np.result_type(like, value)))
-    return Tensor(np.asarray(value))
+def scalar(value: float, like: np.ndarray) -> np.ndarray:
+    """A Python int or float as the 0-d array NEP 50 gives it against
+    ``like``: against float32 it stays float32."""
+    return np.asarray(value, dtype=np.result_type(like, value))
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:

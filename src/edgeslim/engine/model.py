@@ -37,7 +37,6 @@ from edgeslim.archspec import (
     network_from_dict,
     network_to_dict,
 )
-from edgeslim.engine import autodiff as ad
 from edgeslim.engine.autodiff import Tensor, softmax_cross_entropy
 from edgeslim.engine.layers import ParamDef, layer_forward, param_layout
 
@@ -151,36 +150,30 @@ def forward(
     x: np.ndarray | Tensor,
     trainable: bool = True,
     start: int = 0,
-    stop: int | None = None,
 ) -> ForwardTrace:
-    """Run layers ``start..stop-1`` of the network on a (n, width) batch.
+    """Run layers ``start..`` of the network on a (n, width) batch.
 
     Each layer is one tape node over the parameters as stored.  With
     ``trainable`` its backward assigns the layer's gradients to its
     ``grads`` views, so a backward pass leaves in ``model.grad`` the true
     derivative of its loss, masked entries included.  Assignment, not
     accumulation, is right because each parameter feeds exactly one node
-    per backward: a layer runs once per trace, and a shared prefix runs
-    once per batch, as a head that two tails continue.  Hidden conv/dense
-    layers get a ReLU; recurrent outputs and final logits pass through raw.
-    Every layer returns (n, output_width) rows, which the next layer takes
-    as they are.  ``stop`` defaults to the depth.
+    per backward: a layer runs once per trace, and a prefix shared with
+    another model runs once per batch, in the student's pass.  Hidden
+    conv/dense layers get a ReLU; recurrent outputs and final logits pass
+    through raw.  Every layer returns (n, output_width) rows, which the
+    next layer takes as they are.
 
-    A partial range splits one pass into a head and a tail: the head's
-    ``logits`` is its last layer's output, which is exactly the ``x`` the
-    tail (``start`` = the head's ``stop``) takes, as a Tensor, so the tail
-    extends the head's tape.  Joining the head's and the
-    tail's ``activations`` gives the trace of a full pass, with
-    bit-identical values.  Two tails that start from one head share its
-    nodes, so one backward sums both tails' gradients into the head.  The
-    logits-shape check applies only when ``stop`` is the depth.
+    From ``start`` > 0 the pass continues another's: ``x`` is that pass's
+    output of layer ``start - 1``, as a Tensor, so this pass extends its
+    tape, and one backward sums both passes' gradients into the layers
+    before ``start``.  At ``start`` = the depth, ``x`` is the logits.
     """
     depth = len(model.spec.layers)
-    stop = depth if stop is None else stop
-    if not 0 <= start <= stop <= depth:
-        raise ValueError(f"layer range {start}..{stop} does not fit depth {depth}")
+    if not 0 <= start <= depth:
+        raise ValueError(f"start layer {start} does not fit depth {depth}")
     if not isinstance(x, Tensor):
-        x = ad.lift(np.asarray(x).astype(model.dtype, copy=False))
+        x = Tensor(np.asarray(x).astype(model.dtype, copy=False))
     if x.data.ndim != 2:
         raise ValueError(f"input must be 2-d (batch, features), got shape {x.data.shape}")
     if start < depth:
@@ -193,12 +186,12 @@ def forward(
     cur = x
     activations: list[Tensor] = []
     last = depth - 1
-    for idx in range(start, stop):
+    for idx in range(start, depth):
         layer, lp = model.spec.layers[idx], model.layers[idx]
         relu = idx != last and layer.kind not in RECURRENT_KINDS
         cur = layer_forward(layer, lp.params, lp.grads if trainable else None, cur, relu)
         activations.append(cur)
-    if stop == depth and cur.data.shape != (n, model.spec.class_count):
+    if cur.data.shape != (n, model.spec.class_count):
         raise ValueError(
             f"logits shape {cur.data.shape} does not match class count "
             f"{model.spec.class_count}"

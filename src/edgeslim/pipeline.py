@@ -99,7 +99,7 @@ class PipelineSettings:
         check_epochs(self.de_epochs, "de_epochs")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {sorted(SCHEMES)}")
-        check_halting_epoch(self.h_max, self.total_epochs, "h_max")
+        check_halting_epoch(self.h_max, self.total_epochs)
         check_plateau(self.plateau_epsilon, self.plateau_window)
         check_batch_size(self.batch_size)
         if not self.reference_tolerance >= 0:  # NaN would pass every comparison

@@ -6,7 +6,7 @@ same computations one op at a time, each with the textbook backward, so the
 tests can compare a fused node with the chain it replaces (``test_fused``),
 check each op against finite differences (``test_autodiff``) and sum loss
 terms for criterion 2 (``test_acceptance``).  A Python int or float operand
-takes its partner's dtype, as :func:`edgeslim.engine.autodiff.lift` gives it.
+takes its partner's dtype, as :func:`edgeslim.engine.autodiff.scalar` gives it.
 
 :func:`fc_attention` feeds plain maps to the package's attention node, for
 the tests that check it against these chains or by hand.
@@ -18,12 +18,17 @@ import numpy as np
 
 from edgeslim import distill
 from edgeslim.archspec import LayerKind, LayerSpec
-from edgeslim.engine.autodiff import Tensor, _node, lift
+from edgeslim.engine.autodiff import Tensor, _node, scalar
 
 
 def as_tensor(value, like: np.ndarray | None = None) -> Tensor:
-    """``value`` itself if it is a Tensor, else lifted as a constant."""
-    return value if isinstance(value, Tensor) else lift(value, like)
+    """``value`` itself if it is a Tensor, else a gradient-free constant; a
+    Python int or float takes the dtype NEP 50 gives it against ``like``."""
+    if isinstance(value, Tensor):
+        return value
+    if like is not None and type(value) in (int, float):
+        return Tensor(scalar(value, like))
+    return Tensor(np.asarray(value))
 
 
 def unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -106,18 +111,17 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
     return _node(a.data.reshape(shape), (a,), lambda g: a._accum(g.reshape(a.data.shape)))
 
 
-def fc_attention(teachers: list[np.ndarray], students: list[Tensor], seed: int = 0) -> Tensor:
+def fc_attention(teachers: list[np.ndarray], students: list[Tensor]) -> Tensor:
     """:func:`edgeslim.distill.attention_loss_node` over plain maps, each read
     as the output of an fc layer, which is its own map: the targets are the
     ``teachers``' unit rows, a map wider than its partner is projected down
-    with ``seed`` as ``train`` projects it, and the node's parents are
-    ``students``."""
+    as ``train`` projects it, and the node's parents are ``students``."""
     widths = [min(t.shape[1], s.data.shape[1]) for t, s in zip(teachers, students)]
     maps = [
-        t if t.shape[1] == w else t @ distill._projection(seed, i, t.shape[1], w).astype(t.dtype)
+        t if t.shape[1] == w else t @ distill._projection(i, t.shape[1], w).astype(t.dtype)
         for i, (t, w) in enumerate(zip(teachers, widths))
     ]
     segments = distill._segments(widths)
     t_unit = distill._unit_rows(np.concatenate(maps, axis=1), segments)[0]
     layers = [LayerSpec(LayerKind.FC, I=1, O=s.data.shape[1]) for s in students]
-    return distill.attention_loss_node(t_unit, students, layers, segments, seed)
+    return distill.attention_loss_node(t_unit, students, layers, segments)

@@ -28,7 +28,6 @@ from edgeslim.distill import (
     share_prefix_layers,
     train,
 )
-from edgeslim.engine import autodiff as ad
 from edgeslim.engine.model import (
     copy_model,
     cross_entropy_node,
@@ -164,15 +163,15 @@ def _combined_value(student, trainee, teacher, x, y, dl_target):
     ce_s, ce_te = cross_entropy_node(s_trace, y), cross_entropy_node(te_trace, y)
     loss = ops.add(ops.mul(ce_s, l1), ops.mul(ce_te, l4))
     loss = ops.add(loss, ops.mul(_attention(teacher, student, g_trace, s_trace), l2))
-    dl = distill.distillation_loss_node(ad.lift(dl_target), s_trace.logits)
+    dl = distill.distillation_loss_node(dl_target, s_trace.logits)
     return ops.add(loss, ops.mul(dl, l3))
 
 
 def _attention(teacher, student, g_trace, s_trace):
     """The attention term of ``student``'s trace against ``teacher``'s maps."""
     layers = student.spec.layers
-    t_unit, segments = distill.attention_targets(g_trace, teacher.spec.layers, layers, 0)
-    return distill.attention_loss_node(t_unit, s_trace.activations[:-1], layers, segments, 0)
+    t_unit, segments = distill.attention_targets(g_trace, teacher.spec.layers, layers)
+    return distill.attention_loss_node(t_unit, s_trace.activations[:-1], layers, segments)
 
 
 def _single_value(kind, student, teacher, x, y):
@@ -181,7 +180,7 @@ def _single_value(kind, student, teacher, x, y):
         return cross_entropy_node(s_trace, y)
     if kind == "dl":
         g_trace = forward(teacher, x, trainable=False)
-        return distill.distillation_loss_node(ad.lift(g_trace.logits.data), s_trace.logits)
+        return distill.distillation_loss_node(g_trace.logits.data, s_trace.logits)
     return _attention(teacher, student, forward(teacher, x, trainable=False), s_trace)
 
 
@@ -528,12 +527,13 @@ _HALT_EPOCHS = 30
 _HALT_AT = 20
 
 
-def _halting_plan(scheme, fixed_h=None):
+def _halting_plan(scheme, h_max=None):
+    """The plateau window spans the run, so an S6 run halts at ``h_max``."""
     return DistillPlan(
         lambda1=0.5117, lambda2=0.3972, lambda3=0.0911,
-        total_epochs=_HALT_EPOCHS, scheme=scheme, shared_prefix=2,
-        eta=0.03, batch_size=32, seed=3, attention_seed=9,
-        halting_epoch=fixed_h,
+        total_epochs=_HALT_EPOCHS, scheme=scheme,
+        eta=0.03, batch_size=32, seed=3,
+        h_max=h_max, plateau_window=_HALT_EPOCHS,
     )
 
 
@@ -561,7 +561,7 @@ def halting_runs():
 
     s6_student, s6_trainee = copy_model(slim), init_model(_HALT_SPEC, seed=12)
     share_prefix_layers(s6_student, s6_trainee, 2)
-    r6 = train(s6_student, s6_trainee, teacher, data, _halting_plan("S6", fixed_h=_HALT_AT))
+    r6 = train(s6_student, s6_trainee, teacher, data, _halting_plan("S6", h_max=_HALT_AT))
 
     s5_student, s5_trainee = copy_model(slim), init_model(_HALT_SPEC, seed=12)
     share_prefix_layers(s5_student, s5_trainee, 2)
@@ -622,8 +622,8 @@ def test_criterion_9():
         student, trainee = copy_model(base_student), copy_model(base_trainee)
         share_prefix_layers(student, trainee, 1)
         plan = DistillPlan(
-            *lams, total_epochs=2, scheme="S6", shared_prefix=1,
-            eta=0.05, batch_size=32, seed=5, h_max=1, attention_seed=2,
+            *lams, total_epochs=2, scheme="S6",
+            eta=0.05, batch_size=32, seed=5, h_max=1,
         )
         return train(student, trainee, teacher, data, plan).final_accuracy
 

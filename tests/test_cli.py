@@ -84,6 +84,18 @@ def test_gendata_rejects_one_class(tmp_path, capsys):
     assert "two classes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["0", "10"])
+@pytest.mark.parametrize("p", ["0", "-2"])
+def test_gendata_rejects_no_features(tmp_path, capsys, n, p):
+    """``--p`` below 1 is an input error whatever ``--n`` is: zero rows would
+    write a bare ``label,`` header that ``load_csv`` rejects."""
+    out = tmp_path / "x.csv"
+    assert main(["gendata", "--out", str(out), "--n", n, "--p", p, "--k", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "at least one feature" in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_estimate_exit_codes_and_report(ws):
     report = ws / "report.json"
     rc = main(["estimate", "--arch", str(ws / "arch.json"), "--device", str(ws / "device.json"), "--out", str(report)])

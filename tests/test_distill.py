@@ -86,17 +86,16 @@ def data():
 
 
 def test_distillation_loss_fixtures():
-    lift = ad.lift
-    logits = lift(np.array([[0.3, -1.2, 4.0]]))
-    assert float(distillation_loss_node(logits, logits).data) == 0.0
-    one = distillation_loss_node(lift(np.array([[1.0, 2.0]])), lift(np.zeros((1, 2))))
+    logits = np.array([[0.3, -1.2, 4.0]])
+    assert float(distillation_loss_node(logits, ad.Tensor(logits)).data) == 0.0
+    one = distillation_loss_node(np.array([[1.0, 2.0]]), ad.Tensor(np.zeros((1, 2))))
     assert float(one.data) == pytest.approx(5.0)
     # mean over the batch
-    t = lift(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    s = lift(np.zeros((2, 2)))
+    t = np.array([[1.0, 0.0], [0.0, 0.0]])
+    s = ad.Tensor(np.zeros((2, 2)))
     assert float(distillation_loss_node(t, s).data) == pytest.approx(0.5)
     with pytest.raises(ValueError):
-        distillation_loss_node(lift(np.zeros((1, 2))), lift(np.zeros((1, 3))))
+        distillation_loss_node(np.zeros((1, 2)), ad.Tensor(np.zeros((1, 3))))
 
 
 def test_attention_loss_fixtures():
@@ -104,7 +103,7 @@ def test_attention_loss_fixtures():
     b = np.array([[0.0, 1.0]])
 
     def loss(t, s):
-        return float(ops.fc_attention([t], [ad.lift(s)]).data)
+        return float(ops.fc_attention([t], [ad.Tensor(s)]).data)
 
     assert loss(a, b) == pytest.approx(2.0)
     assert loss(a, a) == 0.0
@@ -129,24 +128,22 @@ def test_attention_loss_detaches_dead_rows():
 
 def test_attention_loss_layer_handling():
     a = np.array([[1.0, 0.0]])
-    b = ad.lift(np.array([[0.0, 1.0]]))
+    b = ad.Tensor(np.array([[0.0, 1.0]]))
     two = float(ops.fc_attention([a, a], [b, b]).data)
     assert two == pytest.approx(4.0)  # sums over layers
     # a one-layer guide has no maps: its targets are (n, 0), its term 0
     trace = forward(init_model(ONE_LAYER_SPEC, seed=0), np.ones((2, 8)), trainable=False)
-    t_unit, segments = distill.attention_targets(
-        trace, ONE_LAYER_SPEC.layers, STUDENT_SPEC.layers, 0
-    )
+    t_unit, segments = distill.attention_targets(trace, ONE_LAYER_SPEC.layers, STUDENT_SPEC.layers)
     assert t_unit.shape == (2, 0) and segments.widths == []
-    zero = attention_loss_node(t_unit, [], STUDENT_SPEC.layers, segments, 0).data
+    zero = attention_loss_node(t_unit, [], STUDENT_SPEC.layers, segments).data
     assert zero == 0.0 and zero.dtype == np.float32  # the model's dtype, as every term's
     # the student's maps must match the targets' layout, in count and in width
     segments = distill._segments([2])
     t_unit = distill._unit_rows(a, segments)[0]
     fc = [LayerSpec(LayerKind.FC, I=1, O=2), LayerSpec(LayerKind.FC, I=2, O=2)]
-    for acts in ([], [b, b], [ad.lift(np.zeros((1, 1)))]):
+    for acts in ([], [b, b], [ad.Tensor(np.zeros((1, 1)))]):
         with pytest.raises(ValueError, match="do not match"):
-            attention_loss_node(t_unit, acts, fc, segments, 0)
+            attention_loss_node(t_unit, acts, fc, segments)
 
 
 def test_a_one_layer_trainee_gives_a_zero_attention_term(data):
@@ -181,7 +178,7 @@ def test_cached_teacher_attention_matches_per_batch_bit_for_bit(student_spec):
     features = make_synthetic(k=3, p=8, n=300, seed=21).features
     pretrained = init_model(TEACHER_SPEC, seed=22)
     student = init_model(student_spec, seed=23)
-    logits, targets, segments = distill._frozen_outputs(pretrained, features, student, 5)
+    logits, targets, segments = distill._frozen_outputs(pretrained, features, student)
     pairs = zip(TEACHER_SPEC.layers[:-1], student_spec.layers[:-1])
     widths = [min(t.O, s.O) for t, s in pairs]
     assert segments.widths == widths and targets.shape == (300, sum(widths))
@@ -190,7 +187,7 @@ def test_cached_teacher_attention_matches_per_batch_bit_for_bit(student_spec):
         idx = rng.permutation(300)[:size]
         guide = forward(pretrained, features[idx], trainable=False)
         per_batch, batch_segments = distill.attention_targets(
-            guide, TEACHER_SPEC.layers, student_spec.layers, 5
+            guide, TEACHER_SPEC.layers, student_spec.layers
         )
         assert batch_segments.widths == widths
         assert targets[idx].tobytes() == per_batch.tobytes(), size
@@ -238,8 +235,6 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         DistillPlan(0.5, 0.3, 0.2, scheme="S9")
     with pytest.raises(ValueError):
-        DistillPlan(0.5, 0.3, 0.2, total_epochs=5, halting_epoch=5)
-    with pytest.raises(ValueError):
         DistillPlan(0.5, 0.3, 0.2, total_epochs=5, h_max=5)
     with pytest.raises(ValueError, match="h_max"):
         DistillPlan(0.5, 0.3, 0.2, h_max=-1)
@@ -263,7 +258,7 @@ def test_effective_lambdas_renormalize_without_trainee():
 
 
 def test_combined_loss_branches():
-    plan = DistillPlan(0.5, 0.3, 0.2, scheme="S6", total_epochs=10, halting_epoch=5)
+    plan = DistillPlan(0.5, 0.3, 0.2, scheme="S6", total_epochs=10, h_max=5, plateau_window=10)
     pre = combined_loss(1.0, 2.0, 3.0, 4.0, plan, epoch=5, halted=False)
     post = combined_loss(1.0, 2.0, 3.0, 4.0, plan, epoch=6, halted=True)
     assert pre.branch == "pre_halt" and post.branch == "post_halt"
@@ -327,7 +322,7 @@ def test_share_prefix_layers_aliases_and_validates():
 
 def test_fixed_halt_flips_branch_and_freezes_trainee(data):
     student, trainee, pretrained = fresh_models()
-    plan = plan_for("S6", total_epochs=4, halting_epoch=2)
+    plan = plan_for("S6", total_epochs=4, h_max=2, plateau_window=4)
     result = train(student, trainee, pretrained, data, plan)
     assert result.halting_epoch == 2
     branches = [r.breakdown.branch for r in result.history]
@@ -341,7 +336,7 @@ def test_fixed_halt_flips_branch_and_freezes_trainee(data):
 def test_halt_at_zero_means_never_train_the_trainee(data):
     student, trainee, pretrained = fresh_models()
     before = model_bytes(trainee)
-    plan = plan_for("S6", total_epochs=3, halting_epoch=0)
+    plan = plan_for("S6", total_epochs=3, h_max=0, plateau_window=3)
     result = train(student, trainee, pretrained, data, plan)
     assert result.halting_epoch == 0
     assert model_bytes(trainee) == before
@@ -382,7 +377,7 @@ def test_h_max_caps_online_halting(data):
 def test_s6_history_matches_s5_before_the_halt(data):
     s5 = train(*fresh_models(), data, plan_for("S5", total_epochs=3))
     s6 = train(
-        *fresh_models(), data, plan_for("S6", total_epochs=3, halting_epoch=2)
+        *fresh_models(), data, plan_for("S6", total_epochs=3, h_max=2, plateau_window=3)
     )
     for a, b in zip(s5.history[:2], s6.history[:2]):
         assert a.to_dict() == b.to_dict()  # bit-identical epochs before the halt
@@ -390,7 +385,7 @@ def test_s6_history_matches_s5_before_the_halt(data):
 
 
 def test_history_recompute_invariant(data):
-    result = train(*fresh_models(), data, plan_for("S6", total_epochs=4, halting_epoch=1))
+    result = train(*fresh_models(), data, plan_for("S6", total_epochs=4, h_max=1, plateau_window=4))
     l1, l2, l3, l4 = result.effective_lambdas
     for row in result.history:
         b = row.breakdown
@@ -401,7 +396,7 @@ def test_history_recompute_invariant(data):
 
 
 def test_flop_accounting_per_epoch(data):
-    plan = plan_for("S6", total_epochs=4, halting_epoch=2)
+    plan = plan_for("S6", total_epochs=4, h_max=2, plateau_window=4)
     result = train(*fresh_models(), data, plan)
     train_set, _ = train_test_split(data, plan.val_fraction, plan.seed)
     f_s = network_flops(STUDENT_SPEC)
@@ -422,8 +417,9 @@ def test_training_moves_the_loss(data):
 
 
 def test_train_is_deterministic(data):
-    a = train(*fresh_models(), data, plan_for("S6", total_epochs=3, halting_epoch=1))
-    b = train(*fresh_models(), data, plan_for("S6", total_epochs=3, halting_epoch=1))
+    plan = plan_for("S6", total_epochs=3, h_max=1, plateau_window=3)
+    a = train(*fresh_models(), data, plan)
+    b = train(*fresh_models(), data, plan)
     assert model_bytes(a.student) == model_bytes(b.student)
     assert [r.to_dict() for r in a.history] == [r.to_dict() for r in b.history]
 
@@ -606,10 +602,10 @@ def test_shared_head_gradients_match_two_full_forwards(monkeypatch):
     s_trace, te_trace = forward(student, x), forward(trainee, x)
     l1, l2, l3, l4 = plan.effective_lambdas()
     g_trace = forward(pretrained, x, trainable=False)
-    layers, seed = student.spec.layers, plan.attention_seed
-    t_unit, segments = distill.attention_targets(g_trace, pretrained.spec.layers, layers, seed)
-    al = distill.attention_loss_node(t_unit, s_trace.activations[:-1], layers, segments, seed)
-    dl = distill.distillation_loss_node(ad.lift(te_trace.logits.data), s_trace.logits)
+    layers = student.spec.layers
+    t_unit, segments = distill.attention_targets(g_trace, pretrained.spec.layers, layers)
+    al = distill.attention_loss_node(t_unit, s_trace.activations[:-1], layers, segments)
+    dl = distill.distillation_loss_node(te_trace.logits.data, s_trace.logits)
     student_loss = ops.add(
         ops.add(ops.mul(cross_entropy_node(s_trace, y), l1), ops.mul(al, l2)), ops.mul(dl, l3)
     )
@@ -703,7 +699,7 @@ def test_frozen_teacher_never_runs_a_one_row_chunk():
     ], class_count=3))
     teacher = init_model(wide, seed=30)
     features = make_synthetic(k=3, p=8, n=257, seed=31).features
-    logits, targets, segments = distill._frozen_outputs(teacher, features, teacher, 0)
+    logits, targets, segments = distill._frozen_outputs(teacher, features, teacher)
     pair = forward(teacher, features[-2:], trainable=False)
     assert logits[-1].tobytes() == pair.logits.data[-1].tobytes()
     unit = distill._unit_rows(pair.activations[0].data, segments)[0]
@@ -713,7 +709,7 @@ def test_frozen_teacher_never_runs_a_one_row_chunk():
 def test_prefix_runs_once_per_batch_and_teacher_once_per_call(monkeypatch):
     data = make_synthetic(k=3, p=8, n=400, seed=3)
     student, trainee, pretrained = fresh_models(seed=4)
-    plan = plan_for("S6", total_epochs=3, halting_epoch=2, batch_size=64)
+    plan = plan_for("S6", total_epochs=3, h_max=2, plateau_window=3, batch_size=64)
     n_train = train_test_split(data, plan.val_fraction, plan.seed)[0].n
     shared_w = trainee.layers[0].params["W"]
     frozen_calls, prefix_calls = [], []

@@ -458,23 +458,25 @@ def test_head_then_tail_matches_full_forward(name, rng):
     model = init_model(spec, seed=4)
     x = rng.normal(size=(5, spec.layers[0].input_width)).astype(np.float32)
     full = forward(model, x)
-    for split in range(spec.depth + 1):
-        head = forward(model, x, stop=split)
-        tail = forward(model, head.logits, start=split)
-        assert np.array_equal(tail.logits.data, full.logits.data), f"split {split}"
-        for joined, whole in zip(head.activations + tail.activations, full.activations):
-            assert np.array_equal(joined.data, whole.data)
-        assert len(head.activations) + len(tail.activations) == spec.depth
+    for split in range(1, spec.depth + 1):  # a pass continued from layer ``split - 1``'s output
+        tail = forward(model, full.activations[split - 1], start=split)
+        assert tail.logits.data.tobytes() == full.logits.data.tobytes(), f"split {split}"
+        assert len(tail.activations) == spec.depth - split
+        for part, whole in zip(tail.activations, full.activations[split:]):
+            assert part.data.tobytes() == whole.data.tobytes()
 
 
 def test_forward_range_checks(fc_spec, rng):
     model = init_model(fc_spec, seed=0)
     x = rng.normal(size=(2, 8)).astype(np.float32)
     with pytest.raises(ValueError, match="does not fit depth"):
-        forward(model, x, start=2, stop=1)
+        forward(model, x, start=4)
     with pytest.raises(ValueError, match="does not fit depth"):
-        forward(model, x, stop=4)
+        forward(model, x, start=-1)
     with pytest.raises(ValueError, match="does not match layer 1"):
         forward(model, x, start=1)
-    # a head stops short of the logits, so no class-count check applies
-    assert forward(model, x, stop=2).logits.data.shape == (2, 12)
+    # from the depth on no layer runs: the input is the logits
+    logits = forward(model, x).logits
+    assert forward(model, logits, start=3).logits is logits
+    with pytest.raises(ValueError, match="class count"):
+        forward(model, x, start=3)

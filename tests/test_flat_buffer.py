@@ -146,9 +146,8 @@ def test_shared_prefix_views_the_trainee_buffer_and_moves_once():
     assert not np.shares_memory(student.flat, trainee.flat)
 
     data = make_synthetic(k=3, p=8, n=24, seed=5)
-    head = forward(student, data.features, stop=1)
-    s_trace = distill._continued(student, head, 1)
-    te_trace = distill._continued(trainee, head, 1)
+    s_trace = forward(student, data.features)
+    te_trace = forward(trainee, s_trace.activations[0], start=1)  # continues the shared layer
     loss = ops.add(cross_entropy_node(s_trace, data.labels), cross_entropy_node(te_trace, data.labels))
     loss.backward()
     eta = 0.1
@@ -168,7 +167,7 @@ def test_halt_gives_the_student_one_private_buffer():
     student, trainee = init_model(STUDENT, seed=7), init_model(TEACHER, seed=8)
     pretrained = init_model(TEACHER, seed=9)
     share_prefix_layers(student, trainee, 1)
-    plan = DistillPlan(0.5, 0.3, 0.2, total_epochs=3, halting_epoch=1, batch_size=16)
+    plan = DistillPlan(0.5, 0.3, 0.2, total_epochs=3, h_max=1, plateau_window=3, batch_size=16)
     result = train(student, trainee, pretrained, data, plan)
     assert result.halting_epoch == 1
     assert_packed(student)
@@ -184,8 +183,8 @@ def test_non_finite_gradient_leaves_every_model_of_the_step_unchanged():
     student, trainee = init_model(STUDENT, seed=11), init_model(TEACHER, seed=12)
     share_prefix_layers(student, trainee, 1)
     before = model_bytes(student), model_bytes(trainee)
-    head = forward(student, data.features, stop=1)
-    traces = [distill._continued(m, head, 1) for m in (student, trainee)]
+    s_trace = forward(student, data.features)
+    traces = [s_trace, forward(trainee, s_trace.activations[0], start=1)]
     ops.add(*(cross_entropy_node(trace, data.labels) for trace in traces)).backward()
     trainee.grad_views[-1]["b"][-1] = np.nan  # the trainee's last view, checked after every other
     with pytest.raises(TrainingDiverged):
@@ -237,14 +236,15 @@ def test_gathered_gradient_is_cast_before_the_mask():
 def test_backward_assigns_each_gradient_instead_of_adding_it():
     """Two backward passes of one batch leave the gradient buffers as one
     pass does, byte for byte: each layer assigns its gradient, also where
-    two tails continue a shared head and sum into it."""
+    the trainee continues the student's pass after their shared layer and
+    both paths sum into it."""
     data = make_synthetic(k=3, p=8, n=24, seed=18)
     student, trainee = init_model(STUDENT, seed=19), init_model(TEACHER, seed=20)
     share_prefix_layers(student, trainee, 1)
 
     def one_pass():
-        head = forward(student, data.features, stop=1)
-        traces = [distill._continued(m, head, 1) for m in (student, trainee)]
+        s_trace = forward(student, data.features)
+        traces = [s_trace, forward(trainee, s_trace.activations[0], start=1)]
         s_loss, te_loss = (cross_entropy_node(trace, data.labels) for trace in traces)
         ops.add(s_loss, te_loss).backward()
         return student.grad.tobytes(), trainee.grad.tobytes()
@@ -273,12 +273,13 @@ class _Stepped(Exception):
 ], ids=["fc", "fc-gru-fc", "conv-fc-fc", "conv-fc-fc-S6"])
 def test_a_training_step_builds_no_tensor_per_parameter(spec, step, monkeypatch):
     """One ``run_epoch`` step of an L-layer model builds L + 2 ``Tensor``s:
-    the lifted input, one node per layer and the loss.  One pre-halt S6
-    batch of ``distill.train`` builds its layer nodes (the shared conv once,
-    both tails), the two CE, DL, attention and weighted-sum nodes, the
-    lifted input and DL target, and the 1/n constants DL and attention
-    lift: the conv maps' mean and the student's map projection (6 columns
-    onto the guides' 4) happen inside the attention node."""
+    the input, one node per layer and the loss.  One pre-halt S6 batch of
+    ``distill.train`` builds its layer nodes (the student's whole pass, the
+    shared conv included, and the trainee's layers after it), the two CE,
+    DL, attention and weighted-sum nodes, and the input.  The DL target and
+    the 1/n and weight constants are plain arrays, and the conv maps' mean
+    and the student's map projection (6 columns onto the guides' 4) happen
+    inside the attention node."""
     built = []
     real_init = ad.Tensor.__init__
 
@@ -311,4 +312,4 @@ def test_a_training_step_builds_no_tensor_per_parameter(spec, step, monkeypatch)
     with pytest.raises(_Stepped):
         train(model, trainee, pretrained, data, DistillPlan(0.5, 0.3, 0.2, total_epochs=2))
     layer_nodes = spec.depth + (spec.depth - 1)
-    assert len(built) == layer_nodes + 5 + 2 + 2
+    assert len(built) == layer_nodes + 5 + 1

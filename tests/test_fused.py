@@ -408,7 +408,7 @@ def generic_map(act, layer, width, idx):
     if layer.kind in CONV_KINDS:
         m = ops.mean(ops.reshape(act, (len(act.data), layer.O, layer.h, layer.w)), axis=(2, 3))
     if m.data.shape[1] > width:
-        m = ops.matmul(m, distill._projection(0, idx, m.data.shape[1], width).astype(m.data.dtype))
+        m = ops.matmul(m, distill._projection(idx, m.data.shape[1], width).astype(m.data.dtype))
     return m
 
 
@@ -463,11 +463,11 @@ def maps_case(dtype):
     students[1][4] = 0.0  # dead
     students[1][1] = 2 * np.sqrt(np.finfo(dtype).max)  # its squares overflow
     got_acts, want_acts = ([ad.Tensor(s.copy(), requires_grad=True) for s in students] for _ in range(2))
-    guide = ForwardTrace(None, [*map(ad.lift, teachers), None], 6)
+    guide = ForwardTrace(None, [*map(ad.Tensor, teachers), None], 6)
     with np.errstate(over="ignore"):
-        t_unit, segments = distill.attention_targets(guide, t_layers, s_layers, 0)
-        got = attention_loss_node(t_unit, got_acts, s_layers, segments, 0)
-        want = generic_attention([ad.lift(t) for t in teachers], want_acts, t_layers, s_layers)
+        t_unit, segments = distill.attention_targets(guide, t_layers, s_layers)
+        got = attention_loss_node(t_unit, got_acts, s_layers, segments)
+        want = generic_attention([ad.Tensor(t) for t in teachers], want_acts, t_layers, s_layers)
         ops.mul(got, 0.3).backward()
         ops.mul(want, 0.3).backward()
     np.testing.assert_array_equal(got_acts[1].grad[[1, 4]], 0.0)
@@ -475,8 +475,9 @@ def maps_case(dtype):
 
 
 def s3_case(dtype):
-    """One S3 batch, the live trainee's outputs as the targets.  Both tails
-    continue a shared conv layer, whose maps are equal on both sides; then
+    """One S3 batch, the live trainee's outputs as the targets.  The trainee
+    continues the student's pass after a shared conv layer, as ``train``
+    runs it, so that layer's maps are equal on both sides; then
     a conv map wider on the student's side (projected in the node) and an
     fc map wider on the trainee's (projected in the targets).  The
     gradients are the model buffers; the trainee's own layers get none."""
@@ -494,14 +495,16 @@ def s3_case(dtype):
     x = np.random.default_rng(13).normal(size=(6, head.input_width))
     traces = []
     for _ in range(2):  # one batch each for the node and the chain
-        shared = forward(student, x, stop=1)
-        traces.append([distill._continued(m, shared, 1) for m in (student, trainee)])
+        s_trace = forward(student, x)
+        tail = forward(trainee, s_trace.activations[0], start=1)
+        te_trace = ForwardTrace(tail.logits, s_trace.activations[:1] + tail.activations, 6)
+        traces.append([s_trace, te_trace])
     (s_trace, te_trace), (s_chain, te_chain) = traces
     layers, t_layers = student.spec.layers, trainee.spec.layers
-    t_unit, segments = distill.attention_targets(te_trace, t_layers, layers, 0)
-    got = attention_loss_node(t_unit, s_trace.activations[:-1], layers, segments, 0)
+    t_unit, segments = distill.attention_targets(te_trace, t_layers, layers)
+    got = attention_loss_node(t_unit, s_trace.activations[:-1], layers, segments)
     got_grads = backward_from(got, student, trainee)
-    t_acts = [ad.lift(a.data) for a in te_chain.activations[:-1]]
+    t_acts = [ad.Tensor(a.data) for a in te_chain.activations[:-1]]
     want = generic_attention(t_acts, s_chain.activations[:-1], t_layers, layers)
     want_grads = backward_from(want, student, trainee)
     for layer in trainee.grad_views[1:]:
@@ -537,15 +540,13 @@ def test_distillation_node_is_bit_identical_to_op_chain():
     expect_grad = -(g_sq * diff + g_sq * diff)
 
     s = ad.Tensor(student, requires_grad=True)
-    loss = distillation_loss_node(ad.Tensor(teacher), s)
+    loss = distillation_loss_node(teacher, s)
     ops.mul(loss, 0.3).backward()
     assert loss._parents == (s,)
     assert loss.data.dtype == expect_loss.dtype and loss.data.tobytes() == expect_loss.tobytes()
     assert s.grad.dtype == expect_grad.dtype and s.grad.tobytes() == expect_grad.tobytes()
-    with pytest.raises(ValueError, match="teacher logits must be detached"):
-        distillation_loss_node(ad.Tensor(teacher, requires_grad=True), s)
     with pytest.raises(ValueError, match="logit shapes differ"):
-        distillation_loss_node(ad.Tensor(teacher[:, :3]), s)
+        distillation_loss_node(teacher[:, :3], s)
 
 
 def test_weighted_sum_is_one_node_bit_identical_to_op_chain():

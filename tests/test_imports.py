@@ -1,4 +1,5 @@
-"""No module imports a name it never uses.
+"""No module imports a name it never uses, and no module under ``src/``
+defines a name that nothing reads.
 
 Every ``.py`` under ``src/``, ``tests/`` and ``tools/`` is parsed with
 ``ast``.  A name counts as used when it is read anywhere in its module, in
@@ -6,6 +7,12 @@ code or in an annotation, or listed in the module's ``__all__``; scopes are
 not told apart, so an import inside a function counts as used when the
 name is read anywhere in the file.  ``from __future__`` imports are
 directives, not names, and are skipped.
+
+A module-level def, class or assignment under ``src/`` (dunder names
+aside) is dead when no ``.py`` under ``src/``, ``tests/``, ``bench/`` or
+``tools/`` reads it: as a loaded name, as an attribute name, or as a name
+an import lists.  The scan does not tell modules apart, so a name that
+another module reads off a different object still counts as read.
 """
 
 import ast
@@ -15,6 +22,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(path for top in ("src", "tests", "tools") for path in (ROOT / top).rglob("*.py"))
+READERS = sorted(
+    path for top in ("src", "tests", "bench", "tools") for path in (ROOT / top).rglob("*.py")
+)
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -52,3 +62,53 @@ def test_the_scan_sees_an_unused_import():
 def test_module_uses_every_name_it_imports(path):
     unused = unused_imports(path.read_text())
     assert not unused, ", ".join(f"{path.relative_to(ROOT)}:{line} {name}" for line, name in unused)
+
+
+def defined_names(source: str) -> list[tuple[int, str]]:
+    """(line, name) for each name ``source`` binds at module level with a
+    def, a class or an assignment, dunder names aside."""
+    defined = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.extend(
+                (node.lineno, sub.id)
+                for target in targets for sub in ast.walk(target) if isinstance(sub, ast.Name)
+            )
+    return [(line, name) for line, name in defined if not name.startswith("__")]
+
+
+def read_names(source: str) -> set[str]:
+    """Every name ``source`` reads: loaded names, attribute names and the
+    names its imports list."""
+    read: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            read.update(part for alias in node.names for part in alias.name.split("."))
+    return read
+
+
+def test_the_scan_sees_a_dead_name():
+    source = (
+        "import os\nA, (B, C) = 1, (2, 3)\nD: int = A\n__all__ = []\n"
+        "def f():\n    return B\nclass G:\n    pass\n"
+    )
+    assert defined_names(source) == [(2, "A"), (2, "B"), (2, "C"), (3, "D"), (5, "f"), (7, "G")]
+    read = read_names(source + "from x import f\nos.G\n")
+    assert {"A", "B", "f", "G"} <= read and not {"C", "D"} & read
+
+
+def test_every_module_level_name_under_src_is_read():
+    read = set().union(*(read_names(path.read_text()) for path in READERS))
+    dead = [
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for path in MODULES if path.is_relative_to(ROOT / "src")
+        for line, name in defined_names(path.read_text()) if name not in read
+    ]
+    assert not dead, ", ".join(dead)
