@@ -48,15 +48,6 @@ class Dataset:
     def subset(self, indices: np.ndarray) -> "Dataset":
         return Dataset(self.features[indices], self.labels[indices], self.k)
 
-    def without_class(self, label: int) -> "Dataset":
-        """Drop every instance of one class; k is kept so logits still fit."""
-        if not 1 <= label <= self.k:
-            raise ValueError(f"class {label} is outside 1..{self.k}")
-        keep = self.labels != label
-        if not keep.any():
-            raise ValueError("removing the class would leave an empty dataset")
-        return self.subset(np.flatnonzero(keep))
-
 
 def check_fraction(fraction: float, name: str = "test_fraction") -> None:
     """Reject a split fraction that :func:`train_test_split` cannot apply."""
@@ -108,8 +99,8 @@ def save_csv(dataset: Dataset, path) -> None:
             writer.writerow([int(label)] + [repr(float(v)) for v in row])
 
 
-def load_csv(path, k: int | None = None) -> Dataset:
-    """Read a dataset CSV; ``k`` defaults to the largest label seen."""
+def load_csv(path) -> Dataset:
+    """Read a dataset CSV; ``k`` is the largest label seen, at least 2."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -135,6 +126,4 @@ def load_csv(path, k: int | None = None) -> Dataset:
     if not rows:
         raise ValueError(f"{path}: no data rows")
     labels = np.asarray(labels, dtype=np.int64)
-    if k is None:
-        k = int(labels.max())
-    return Dataset(np.asarray(rows, dtype=np.float64), labels, max(k, 2))
+    return Dataset(np.asarray(rows, dtype=np.float64), labels, max(int(labels.max()), 2))

@@ -611,13 +611,8 @@ def _draw_genomes(rng: np.random.Generator, count: int) -> np.ndarray:
     return rng.normal(size=(count, 3))
 
 
-def random_interior_points(seed: int, count: int) -> list[tuple[float, float, float]]:
-    """Baseline draw: the simplex points of the initial population that
-    :func:`optimize_lambdas` draws for the same seed and count."""
-    return [softmax_simplex(g) for g in _draw_genomes(np.random.default_rng(seed), count)]
-
-
 DIFFERENTIAL_WEIGHT, CROSSOVER = 0.7, 0.9  # rand/1/bin's F and CR (Storn & Price 1997)
+UNIFORM_LAMBDAS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -648,9 +643,9 @@ def optimize_lambdas(
 
     Genomes live in R^3 and decode through a softmax, so every candidate is
     strictly interior and sums to 1.  rand/1/bin with greedy replacement:
-    the population's best fitness never decreases, and because the initial
-    population is the ``random_interior_points`` draw for the same seed and
-    count, the result is never worse than that baseline.  If every
+    the population's best fitness never decreases, so the result is never
+    worse than the best of the initial population: ``budget.population``
+    standard-normal genomes, the first draws from ``budget.seed``.  If every
     evaluation came back identical the tuned point carries no information
     and the uniform weights are returned instead.
     """
@@ -676,118 +671,6 @@ def optimize_lambdas(
                 fitness[i] = trial_fit
 
     if all_equal:
-        uniform = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
-        return LambdaSolution(uniform, float(fitness[0]), evaluations)
+        return LambdaSolution(UNIFORM_LAMBDAS, float(fitness[0]), evaluations)
     best = int(np.argmax(fitness))
     return LambdaSolution(softmax_simplex(genomes[best]), float(fitness[best]), evaluations)
-
-
-# -- curvature probe for the per-coordinate loss surface ---------------------
-
-
-@dataclass(frozen=True)
-class LemmaPoint:
-    """A one-layer diagonal model s_i = w * x_i + b with frozen guidance.
-
-    ``teacher_maps`` holds the teacher's already-normalized attention rows
-    and ``student_map_norm`` the frozen normaliser C for the student side,
-    matching the convention that guidance terms are constants of the probe.
-    """
-
-    w: np.ndarray  # (k,) diagonal weights
-    b: np.ndarray  # (k,) bias
-    x: np.ndarray  # (n, k) inputs
-    labels: np.ndarray  # (n,) 1-based
-    teacher_logits: np.ndarray  # (n, k)
-    teacher_maps: np.ndarray  # (n, k), rows normalized
-    student_map_norm: float
-    lambdas: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 1.0)
-    ce_trainee: float = 0.0  # constant w.r.t. the probe input
-
-    def __post_init__(self) -> None:
-        for name in ("w", "b", "x", "labels", "teacher_logits", "teacher_maps"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        object.__setattr__(self, "labels", self.labels.astype(np.int64))
-        if self.student_map_norm <= 0:
-            raise ValueError("student_map_norm must be positive")
-
-
-def lemma_losses(point: LemmaPoint, x: np.ndarray) -> dict[str, float]:
-    """Loss terms of the probe model at inputs ``x`` (float64 throughout)."""
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
-    s = point.w * x + point.b
-    shifted = s - s.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    ce = float(-logp[np.arange(n), point.labels - 1].mean())
-    al_rows = ((point.teacher_maps - s / point.student_map_norm) ** 2).sum(axis=1)
-    al = float(al_rows.mean())
-    dl = float(((point.teacher_logits - s) ** 2).sum(axis=1).mean())
-    l1, l2, l3, l4 = point.lambdas
-    combined = l1 * ce + l2 * al + l3 * dl + l4 * point.ce_trainee
-    return {"ce_student": ce, "attention": al, "distillation": dl, "combined": combined}
-
-
-def _analytic_curvature(point: LemmaPoint, term: str) -> np.ndarray:
-    """Closed-form d2/dx_ij^2 of each term at the probe point, shape (n, k).
-
-    With s = w*x + b the chain rule pulls out w^2 per coordinate: the CE
-    Hessian diagonal is softmax curvature p(1-p), the guidance terms are
-    plain quadratics (the attention one through the frozen normaliser C).
-    """
-    n = point.x.shape[0]
-    s = point.w * point.x + point.b
-    shifted = s - s.max(axis=1, keepdims=True)
-    p = np.exp(shifted)
-    p /= p.sum(axis=1, keepdims=True)
-    w2 = np.broadcast_to(point.w**2, s.shape)
-    curvatures = {
-        "ce_student": w2 * p * (1.0 - p) / n,
-        "attention": 2.0 * w2 / (point.student_map_norm**2 * n),
-        "distillation": 2.0 * w2 / n,
-    }
-    l1, l2, l3, _ = point.lambdas
-    curvatures["combined"] = (
-        l1 * curvatures["ce_student"]
-        + l2 * curvatures["attention"]
-        + l3 * curvatures["distillation"]
-    )
-    return curvatures[term]
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    term: str
-    estimates: np.ndarray  # (n, k) central second differences
-    analytic: np.ndarray  # (n, k) closed-form curvature
-    min_estimate: float
-
-
-def convexity_probe(point: LemmaPoint, term: str = "combined", step: float = 0.05) -> ProbeReport:
-    """Second differences of one loss term in every input coordinate.
-
-    (f(x + h e) - 2 f(x) + f(x - h e)) / h^2 per coordinate, next to the
-    closed form from ``_analytic_curvature``; ``min_estimate`` is the
-    smallest observed curvature (non-negative when the term is convex in
-    each input coordinate).
-    """
-    if term not in ("ce_student", "attention", "distillation", "combined"):
-        raise ValueError(f"unknown term {term!r}")
-    if step <= 0:
-        raise ValueError("step must be positive")
-    n, k = point.x.shape
-    base = lemma_losses(point, point.x)[term]
-    estimates = np.empty((n, k))
-    for i in range(n):
-        for j in range(k):
-            bump = np.zeros_like(point.x)
-            bump[i, j] = step
-            up = lemma_losses(point, point.x + bump)[term]
-            down = lemma_losses(point, point.x - bump)[term]
-            estimates[i, j] = (up - 2.0 * base + down) / step**2
-    return ProbeReport(
-        term=term,
-        estimates=estimates,
-        analytic=_analytic_curvature(point, term),
-        min_estimate=float(estimates.min()),
-    )

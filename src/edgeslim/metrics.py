@@ -1,4 +1,4 @@
-"""Class-averaged evaluation metrics and the leave-one-class-out harness.
+"""Class-averaged evaluation metrics.
 
 Each class is scored one-vs-rest from its own confusion counts and the k
 per-class scores are averaged with equal weight.  A class with an empty
@@ -106,18 +106,3 @@ def evaluate_predictions(labels: np.ndarray, predictions: np.ndarray, k: int) ->
         accuracy=accuracy(counts), f1=f1(counts), precision=precision(counts), counts=counts
     )
 
-
-def leave_one_out(harness, dataset, label: int, test_fraction: float = 0.3, seed: int = 0):
-    """Score a model trained with one class withheld from the training split.
-
-    ``harness(train_dataset)`` must return a ``predict(features) -> labels``
-    callable.  The test split keeps all classes, so the report shows what the
-    missing class costs.  Raises if the class is absent from the dataset.
-    """
-    from edgeslim.datasets import train_test_split  # local to avoid a cycle
-
-    if not np.any(dataset.labels == label):
-        raise ValueError(f"class {label} does not occur in the dataset")
-    train, test = train_test_split(dataset, test_fraction=test_fraction, seed=seed)
-    predict = harness(train.without_class(label))
-    return evaluate_predictions(test.labels, predict(test.features), dataset.k)

@@ -21,12 +21,11 @@ from edgeslim.archspec import NetworkSpec, network_to_dict
 from edgeslim.datasets import Dataset, check_fraction, train_test_split
 from edgeslim.distill import (
     SCHEMES,
+    UNIFORM_LAMBDAS,
     DEBudget,
     DistillPlan,
     TrainResult,
-    check_halting_epoch,
     check_lambdas,
-    check_plateau,
     network_flops,
     optimize_lambdas,
     share_prefix_layers,
@@ -39,7 +38,7 @@ from edgeslim.engine.model import (
     copy_model,
     init_model,
 )
-from edgeslim.engine.training import check_batch_size, check_epochs, evaluate_loss, predict
+from edgeslim.engine.training import check_epochs, evaluate_loss, predict
 from edgeslim.metrics import MetricsReport, evaluate_predictions
 from edgeslim.resources import DeviceProfile, ResourceReport, resolve_alpha
 
@@ -94,25 +93,41 @@ class PipelineSettings:
             raise ValueError("omega must lie in [0, 1]")
         if self.lambdas is not None:
             object.__setattr__(self, "lambdas", tuple(float(l) for l in self.lambdas))
-            check_lambdas(self.lambdas)
-        check_epochs(self.total_epochs, "total_epochs")
+            check_lambdas(self.lambdas)  # before the plan unpacks them
         check_epochs(self.de_epochs, "de_epochs")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; choose from {sorted(SCHEMES)}")
-        check_halting_epoch(self.h_max, self.total_epochs)
-        check_plateau(self.plateau_epsilon, self.plateau_window)
-        check_batch_size(self.batch_size)
         if not self.reference_tolerance >= 0:  # NaN would pass every comparison
             raise ValueError("reference_tolerance must be non-negative")
         # the rules of the code each setting reaches only after pretraining
+        self.distill_plan(self.lambdas or UNIFORM_LAMBDAS, self.total_epochs, self.seed)
         check_fraction(self.val_fraction, "val_fraction")
         DEBudget(population=self.de_population, generations=self.de_generations)
         pruning.check_rate(self.dropout_initial_rate, "dropout_initial_rate")
         pruning.check_rate(self.dropout_input_rate, "dropout_input_rate")
         pruning.check_schedule(self.dropout_c, self.dropout_max_iteration)
         compressor.check_size_penalty(self.size_penalty)
-        check_learning_rate(self.eta, "eta")
         check_learning_rate(self.dropout_eta, "dropout_eta")
+
+    def distill_plan(
+        self, lambdas: tuple[float, float, float], epochs: int, seed: int
+    ) -> DistillPlan:
+        """The plan of one distillation run of ``epochs`` epochs.  A run
+        shorter than ``total_epochs`` (a loss-weight search fit) caps
+        ``h_max`` at its own last epoch but one."""
+        h_max = self.h_max
+        if h_max is not None and epochs < self.total_epochs:
+            h_max = min(h_max, epochs - 1)
+        return DistillPlan(
+            *lambdas,
+            total_epochs=epochs,
+            scheme=self.scheme,
+            eta=self.eta,
+            batch_size=self.batch_size,
+            seed=seed,
+            val_fraction=self.val_fraction,
+            plateau_epsilon=self.plateau_epsilon,
+            plateau_window=self.plateau_window,
+            h_max=h_max,
+        )
 
 
 @dataclass
@@ -200,24 +215,12 @@ def _distill(
     student, trainee = copy_model(student), copy_model(trainee)
     if traits.shared:
         share_prefix_layers(student, trainee, l)
-    plan = DistillPlan(
-        *lambdas,
-        total_epochs=epochs,
-        scheme=settings.scheme,
-        eta=settings.eta,
-        batch_size=settings.batch_size,
-        seed=seed,
-        val_fraction=settings.val_fraction,
-        plateau_epsilon=settings.plateau_epsilon,
-        plateau_window=settings.plateau_window,
-        h_max=None if settings.h_max is None else min(settings.h_max, epochs - 1),
-    )
     return train(
         student,
         trainee if traits.trainee else None,
         pretrained if traits.pretrained else None,
         dataset,
-        plan,
+        settings.distill_plan(lambdas, epochs, seed),
     )
 
 
@@ -306,6 +309,7 @@ def run(
     depth runs dropout, compression, the loss-weight search, and the full
     distillation, one depth after another.
     """
+    pruning.check_reference_loss(reference_loss)
     actual = evaluate_loss(pretrained, dataset)
     if not math.isfinite(actual) or abs(actual - reference_loss) > settings.reference_tolerance:
         raise ReferenceMismatch(

@@ -14,11 +14,13 @@ round (round 1 if none were).  Masked connections never return within a run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from edgeslim.archspec import is_json_number
 from edgeslim.engine.model import (
     MaskedModel,
     TrainingDiverged,
@@ -58,6 +60,14 @@ def check_schedule(c: float, max_iteration: int) -> None:
     factors positive."""
     if not (c > 0 and max_iteration > 0):  # NaN would pass ``c <= 0``
         raise ValueError("dropout c and max_iteration must be positive")
+
+
+def check_reference_loss(reference_loss) -> None:
+    """A reference loss is a finite number.  It may come from a checkpoint's
+    extras, which hold any JSON value; against NaN no round is accepted,
+    and against infinity every round is."""
+    if not (is_json_number(reference_loss) and math.isfinite(reference_loss)):
+        raise ValueError(f"reference loss must be a finite number, got {reference_loss!r}")
 
 
 def update_rate(state: DropoutState) -> float:
@@ -151,6 +161,7 @@ def run(
     loop body always runs at least once and stops when the loss degrades, a
     round stops removing connections, or ``max_iteration`` is hit.
     """
+    check_reference_loss(reference_loss)
     check_learning_rate(eta)
     check_rate(input_rate, "input dropout rate")
     target_layers = range(model.spec.shared_prefix, model.spec.depth)

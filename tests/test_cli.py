@@ -300,6 +300,61 @@ def test_dropout_without_reference_loss_fails(ws, capsys):
     assert "reference loss" in capsys.readouterr().err
 
 
+BAD_REFERENCES = pytest.mark.parametrize(
+    "reference", ["abc", [1], True, float("nan"), float("inf")],
+    ids=["string", "list", "bool", "nan", "inf"],
+)
+
+
+def _with_reference(ckpt, reference, out):
+    body = json.loads(ckpt.read_text())
+    body["extras"]["reference_loss"] = reference
+    out.write_text(json.dumps(body))
+    return out
+
+
+def _one_line_reference_error(capsys) -> None:
+    err = capsys.readouterr().err
+    assert "reference loss must be a finite number" in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+def _dropout_rejects(ws, capsys, checkpoint, *flags) -> None:
+    out, report = ws / "s.json", ws / "r.json"
+    capsys.readouterr()
+    rc = main([
+        "dropout", "--checkpoint", str(checkpoint), "--data", str(ws / "data.csv"),
+        "--out", str(out), "--report", str(report), *flags,
+    ])
+    assert rc == 2
+    _one_line_reference_error(capsys)
+    assert not out.exists() and not report.exists()
+
+
+@BAD_REFERENCES
+def test_dropout_rejects_a_checkpoint_reference_loss_that_is_not_finite(ws, capsys, reference):
+    _dropout_rejects(ws, capsys, _with_reference(train_checkpoint(ws), reference, ws / "bad.json"))
+
+
+@pytest.mark.parametrize("reference", ["nan", "inf", "-inf"])
+def test_dropout_rejects_a_reference_loss_flag_that_is_not_finite(ws, capsys, reference):
+    _dropout_rejects(ws, capsys, train_checkpoint(ws), f"--reference-loss={reference}")
+
+
+@BAD_REFERENCES
+def test_pipeline_rejects_a_teacher_reference_loss_that_is_not_finite(
+    pipeline_inputs, tmp_path, capsys, reference
+):
+    root, config, teacher = pipeline_inputs
+    bad = _with_reference(teacher, reference, tmp_path / "teacher.json")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**config, "teacher": str(bad), "output_dir": str(tmp_path / "out")}))
+    capsys.readouterr()
+    assert main(["pipeline", "--config", str(path)]) == 2
+    _one_line_reference_error(capsys)
+    assert not (tmp_path / "out").exists()
+
+
 def test_compress_infeasible_exit_code(ws):
     ckpt = train_checkpoint(ws)
     tight = ws / "tight.json"

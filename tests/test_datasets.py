@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from protocols import without_class
 from edgeslim.datasets import (
     Dataset,
     load_csv,
@@ -90,7 +91,7 @@ def test_subset_and_without_class():
     data = make_synthetic(k=3, p=4, n=30, seed=4)
     sub = data.subset(np.arange(10))
     assert sub.n == 10 and sub.k == 3
-    pruned = data.without_class(2)
+    pruned = without_class(data, 2)
     assert 2 not in pruned.labels
     assert pruned.k == 3  # label space is preserved
     assert pruned.n == 30 - (data.labels == 2).sum()

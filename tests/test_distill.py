@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import generic_ops as ops
+from protocols import LemmaPoint, analytic_curvature, convexity_probe, random_interior_points
 from edgeslim.archspec import LayerKind, LayerSpec, NetworkSpec, check_valid
 from edgeslim.datasets import make_synthetic, train_test_split
 from edgeslim.engine import autodiff as ad
@@ -14,16 +15,13 @@ from edgeslim import distill
 from edgeslim.distill import (
     DEBudget,
     DistillPlan,
-    LemmaPoint,
     SCHEMES,
     attention_loss_node,
     combined_loss,
-    convexity_probe,
     distillation_loss_node,
     network_flops,
     optimize_lambdas,
     plateau_reached,
-    random_interior_points,
     share_prefix_layers,
     softmax_simplex,
     train,
@@ -506,16 +504,16 @@ def probe_point(w, n=1, k=2, seed=0):
 
 
 def test_probe_zero_weight_is_flat():
-    report = convexity_probe(probe_point(w=0.0, n=3, k=4), term="combined")
-    np.testing.assert_array_equal(report.analytic, 0.0)
-    np.testing.assert_allclose(report.estimates, 0.0, atol=1e-9)
+    point = probe_point(w=0.0, n=3, k=4)
+    np.testing.assert_array_equal(analytic_curvature(point, "combined"), 0.0)
+    np.testing.assert_allclose(convexity_probe(point, "combined"), 0.0, atol=1e-9)
 
 
 def test_probe_distillation_fixture_is_exact():
-    report = convexity_probe(probe_point(w=3.0, n=1, k=2), term="distillation")
-    np.testing.assert_allclose(report.analytic, 18.0)
+    point = probe_point(w=3.0, n=1, k=2)
+    np.testing.assert_allclose(analytic_curvature(point, "distillation"), 18.0)
     # a quadratic has no truncation error in a central second difference
-    np.testing.assert_allclose(report.estimates, 18.0, atol=1e-8)
+    np.testing.assert_allclose(convexity_probe(point, "distillation"), 18.0, atol=1e-8)
 
 
 def test_probe_terms_match_analytic():
@@ -526,22 +524,18 @@ def test_probe_terms_match_analytic():
         ("distillation", 1e-8),
         ("combined", 1e-4),
     ]:
-        report = convexity_probe(point, term=term)
-        np.testing.assert_allclose(report.estimates, report.analytic, atol=tol)
-        assert report.min_estimate >= -1e-9
-    with pytest.raises(ValueError):
-        convexity_probe(point, term="nope")
-    with pytest.raises(ValueError):
-        convexity_probe(point, step=0.0)
+        estimates = convexity_probe(point, term)
+        np.testing.assert_allclose(estimates, analytic_curvature(point, term), atol=tol)
+        assert estimates.min() >= -1e-9
 
 
 def test_probe_combined_mixes_terms_by_lambda():
     point = probe_point(w=0.8, n=2, k=3, seed=9)
     parts = {
-        term: convexity_probe(point, term=term).analytic
+        term: analytic_curvature(point, term)
         for term in ("ce_student", "attention", "distillation")
     }
-    combined = convexity_probe(point, term="combined").analytic
+    combined = analytic_curvature(point, "combined")
     l1, l2, l3, _ = point.lambdas
     np.testing.assert_allclose(
         combined,

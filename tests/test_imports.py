@@ -9,10 +9,12 @@ name is read anywhere in the file.  ``from __future__`` imports are
 directives, not names, and are skipped.
 
 A module-level def, class or assignment under ``src/`` (dunder names
-aside) is dead when no ``.py`` under ``src/``, ``tests/``, ``bench/`` or
-``tools/`` reads it: as a loaded name, as an attribute name, or as a name
-an import lists.  The scan does not tell modules apart, so a name that
-another module reads off a different object still counts as read.
+aside) is dead when no ``.py`` under ``src/``, ``bench/`` or ``tools/``
+reads it: as a loaded name, as an attribute name, or as a name an import
+lists.  A name that only tests read is dead too, because the product never
+runs it; such code belongs under ``tests/``.  The scan does not tell
+modules apart, so a name that another module reads off a different object
+still counts as read.
 """
 
 import ast
@@ -22,9 +24,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(path for top in ("src", "tests", "tools") for path in (ROOT / top).rglob("*.py"))
-READERS = sorted(
-    path for top in ("src", "tests", "bench", "tools") for path in (ROOT / top).rglob("*.py")
-)
+READERS = ("src", "bench", "tools")
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -94,6 +94,20 @@ def read_names(source: str) -> set[str]:
     return read
 
 
+def dead_names(sources: dict[str, str]) -> list[str]:
+    """``path:line name`` for each module-level name of a ``src/`` module in
+    ``sources`` (relative path to text) that no module under a top
+    directory in :data:`READERS` reads."""
+    read = set().union(
+        *(read_names(text) for path, text in sources.items() if path.split("/")[0] in READERS)
+    )
+    return [
+        f"{path}:{line} {name}"
+        for path, text in sources.items() if path.startswith("src/")
+        for line, name in defined_names(text) if name not in read
+    ]
+
+
 def test_the_scan_sees_a_dead_name():
     source = (
         "import os\nA, (B, C) = 1, (2, 3)\nD: int = A\n__all__ = []\n"
@@ -102,13 +116,18 @@ def test_the_scan_sees_a_dead_name():
     assert defined_names(source) == [(2, "A"), (2, "B"), (2, "C"), (3, "D"), (5, "f"), (7, "G")]
     read = read_names(source + "from x import f\nos.G\n")
     assert {"A", "B", "f", "G"} <= read and not {"C", "D"} & read
+    sources = {
+        "src/m.py": "def used():\n    pass\ndef tested():\n    pass\n",
+        "tools/t.py": "from m import used\n",
+        "tests/test_m.py": "from m import tested\n",
+    }
+    assert dead_names(sources) == ["src/m.py:3 tested"]
 
 
 def test_every_module_level_name_under_src_is_read():
-    read = set().union(*(read_names(path.read_text()) for path in READERS))
-    dead = [
-        f"{path.relative_to(ROOT)}:{line} {name}"
-        for path in MODULES if path.is_relative_to(ROOT / "src")
-        for line, name in defined_names(path.read_text()) if name not in read
-    ]
+    sources = {
+        path.relative_to(ROOT).as_posix(): path.read_text()
+        for top in READERS for path in (ROOT / top).rglob("*.py")
+    }
+    dead = dead_names(sources)
     assert not dead, ", ".join(dead)

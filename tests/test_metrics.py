@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from protocols import leave_one_out
 from edgeslim.archspec import LayerKind, LayerSpec, NetworkSpec, check_valid
 from edgeslim.datasets import make_synthetic, train_test_split
 from edgeslim.engine.model import init_model
@@ -13,7 +14,6 @@ from edgeslim.metrics import (
     confusion_counts,
     evaluate_predictions,
     f1,
-    leave_one_out,
     precision,
 )
 
