@@ -298,8 +298,18 @@ def cmd_pipeline(args) -> int:
 # -- argument parsing --------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors end like every other input error: one ``error:``
+    line on stderr and exit code 2, without the usage block.  The
+    subcommand parsers are of this class too (``add_subparsers`` makes them
+    with the class of the parser it is called on)."""
+
+    def error(self, message: str):
+        self.exit(EXIT_INPUT, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="edgeslim",
         description="Slim a declared network to an edge budget and distill it.",
     )

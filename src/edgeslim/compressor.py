@@ -250,26 +250,31 @@ class CompressionOutcome:
         }
 
 
-def minimum_flops(spec: NetworkSpec) -> int:
-    """Total FLOPs when every non-shared layer is rewritten as small as it goes.
+def floor_spec(spec: NetworkSpec) -> NetworkSpec:
+    """``spec`` with every non-shared layer rewritten as small as it goes.
 
     Fc/conv layers with a legal rank and already-factorized layers sit at
     R=1, recurrent cells at their reduced kind.  This is the floor
-    :func:`run` reaches: budgets at or above it are satisfiable.
+    :func:`run` reaches: FLOPs alone decide feasibility, so budgets the
+    floor meets are satisfiable and no weights (pruned or not) fit a
+    budget it misses.
     """
-    total = 0
-    for idx, layer in enumerate(spec.layers):
-        candidate = layer
-        if idx >= spec.shared_prefix:
-            if layer.kind in _FACTORIZED:
-                if factorization_threshold(layer.I, layer.O) >= 1:
-                    candidate = replace(layer, kind=_FACTORIZED[layer.kind], R=1)
-            elif layer.kind in (LayerKind.LSTM, LayerKind.GRU):
-                candidate = reduce_gates(layer)
-            elif layer.kind in FACTORIZED_KINDS:
-                candidate = replace(layer, R=1)
-        total += estimate_layer(candidate).flops
-    return total
+    layers = list(spec.layers)
+    for idx in range(spec.shared_prefix, spec.depth):
+        layer = layers[idx]
+        if layer.kind in _FACTORIZED:
+            if factorization_threshold(layer.I, layer.O) >= 1:
+                layers[idx] = replace(layer, kind=_FACTORIZED[layer.kind], R=1)
+        elif layer.kind in (LayerKind.LSTM, LayerKind.GRU):
+            layers[idx] = reduce_gates(layer)
+        elif layer.kind in FACTORIZED_KINDS:
+            layers[idx] = replace(layer, R=1)
+    return replace(spec, layers=tuple(layers))
+
+
+def minimum_flops(spec: NetworkSpec) -> int:
+    """Total FLOPs of :func:`floor_spec`, the least :func:`run` can reach."""
+    return sum(estimate_layer(layer).flops for layer in floor_spec(spec).layers)
 
 
 def run(

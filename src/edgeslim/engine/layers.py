@@ -18,7 +18,8 @@ the matching array of a ``grads`` dict, the model's gradient views.  ``fc``,
 ``factorized_fc``, ``conv`` and ``factorized_conv`` share one node body:
 the GEMM of each factor, the bias and an optional ReLU over rows.
 The fc kinds take the input's rows as they are; the conv kinds take its
-im2col patch rows (one per output pixel, columns in (channel, tap) order),
+im2col patch rows (one per output pixel, columns in (channel, tap) order,
+gathered in one ``np.take`` through an index cached per input shape),
 read the conv weight as the (I*f*g, O) matrix of :func:`conv_matrix`, and
 scatter the input gradient back with col2im, so a convolution is one GEMM
 per factor and direction.  A recurrent cell concatenates its per-gate blocks
@@ -29,10 +30,10 @@ arrays, so storage, masks and checkpoints stay per gate.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from edgeslim.archspec import GATE_NAMES, LayerKind, LayerSpec
 from edgeslim.engine.autodiff import Tensor, _stable_sigmoid
@@ -100,11 +101,24 @@ def conv_weight(matrix: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return matrix.T.reshape(shape)
 
 
-def _patches(x4: np.ndarray, f: int, g: int) -> np.ndarray:
-    """im2col: (n, C, H, W) -> (n*h*w, C*f*g), one row per output pixel of
-    the stride-1 valid f x g window, columns in (channel, tap) order."""
-    windows = sliding_window_view(x4, (f, g), axis=(2, 3))  # (n, C, h, w, f, g)
-    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(-1, x4.shape[1] * f * g)
+@lru_cache(maxsize=64)
+def _patch_index(c: int, H: int, W: int, f: int, g: int) -> np.ndarray:
+    """The flat input offsets that :func:`_patches` reads: row ``i*w + j``,
+    column ``(ch*f + u)*g + v`` holds ``ch*H*W + (i+u)*W + (j+v)``."""
+    h, w = H - f + 1, W - g + 1
+    taps = np.arange(c)[:, None, None] * (H * W) + np.arange(f)[:, None] * W + np.arange(g)
+    pixels = np.arange(h)[:, None] * W + np.arange(w)
+    index = pixels.reshape(-1, 1) + taps.reshape(1, -1)  # (h*w, c*f*g)
+    index.flags.writeable = False
+    return index
+
+
+def _patches(x: np.ndarray, shape: tuple[int, int, int], f: int, g: int) -> np.ndarray:
+    """im2col: flat (n, C*H*W) rows of (C, H, W) inputs -> (n*h*w, C*f*g),
+    one row per output pixel of the stride-1 valid f x g window, columns in
+    (channel, tap) order.  One gather through an index cached per shape."""
+    c, H, W = shape
+    return np.take(x, _patch_index(c, H, W, f, g), axis=1).reshape(-1, c * f * g)
 
 
 def _unpatch(rows: np.ndarray, shape: tuple[int, ...], f: int, g: int) -> np.ndarray:
@@ -152,8 +166,8 @@ def _dense_forward(
     weights = [params[name] for name in names]
     n = x.data.shape[0]
     if conv:
-        x4 = x.data.reshape(n, layer.I, *layer.input_spatial)
-        pre = _patches(x4, layer.f, layer.g)
+        shape = (layer.I, *layer.input_spatial)
+        pre = _patches(x.data.reshape(n, -1), shape, layer.f, layer.g)
         weights[0] = conv_matrix(weights[0])
     else:
         pre = x.data
@@ -180,7 +194,7 @@ def _dense_forward(
                 return
             g = g @ weights[k].T
         if conv:
-            g = _unpatch(g, x4.shape, layer.f, layer.g).reshape(x.data.shape)
+            g = _unpatch(g, (n, *shape), layer.f, layer.g).reshape(x.data.shape)
         x._accum(g)
 
     return Tensor(out, (x,), bwd, x.requires_grad or grads is not None)
@@ -218,7 +232,9 @@ def _recurrent_forward(
     # Step-major rows, so each step's slice is contiguous.  Each step
     # overwrites its input projection with its activated gates.  The bias is
     # added after the state GEMM to keep the rounding of (x@Wx + h@Wh) + b,
-    # and step 0 skips the state GEMM because the state starts at zero.
+    # and step 0 skips the state GEMM because the state starts at zero.  The
+    # LSTM kinds run those ops with ``out=``, into the gate, state and
+    # scratch arrays below, so a step allocates only inside the sigmoid.
     xs = x.data.reshape(n, s, I).transpose(1, 0, 2).reshape(s * n, I)
     gates = (xs @ Wx).reshape(s, n, -1)
     dtype = gates.dtype
@@ -228,6 +244,10 @@ def _recurrent_forward(
     else:
         cs = np.zeros((s + 1, n, O), dtype=dtype)  # cell state, indexed like hs
         tcs = np.empty((s, n, O), dtype=dtype)  # tanh of the step's new cell state
+        state = np.empty((n, len(Ws) * O), dtype=dtype)  # h @ Wh
+        ig = np.empty((n, O), dtype=dtype)  # i * g
+        if kind == LayerKind.COUPLED_LSTM:
+            coupled = np.empty((n, O), dtype=dtype)  # the input gate 1 - f
     for t in range(s):
         h, a = hs[t], gates[t]
         if gated:
@@ -237,18 +257,20 @@ def _recurrent_forward(
             z, cand = a[:, :O], a[:, S:]
             hs[t + 1] = (1.0 - z) * h + z * cand
         else:
-            pre = (a + h @ Wh if t else a) + b
-            a[:, :S] = _stable_sigmoid(pre[:, :S])
-            a[:, S:] = np.tanh(pre[:, S:])
+            if t:
+                np.add(a, np.matmul(h, Wh, out=state), out=a)
+            np.add(a, b, out=a)
+            _stable_sigmoid(a[:, :S], out=a[:, :S])
+            np.tanh(a[:, S:], out=a[:, S:])
             o, g = a[:, S - O : S], a[:, S:]
             if kind == LayerKind.LSTM:
                 i, f = a[:, :O], a[:, O : 2 * O]
             else:  # coupled: the input gate is 1 - f
                 f = a[:, :O]
-                i = 1.0 - f
-            cs[t + 1] = f * cs[t] + i * g
-            tcs[t] = np.tanh(cs[t + 1])
-            hs[t + 1] = o * tcs[t]
+                i = np.subtract(1.0, f, out=coupled)
+            c = np.multiply(f, cs[t], out=cs[t + 1])
+            np.add(c, np.multiply(i, g, out=ig), out=c)
+            np.multiply(o, np.tanh(c, out=tcs[t]), out=hs[t + 1])
 
     def bwd(gh):
         dpre = np.empty(gates.shape, dtype=np.result_type(gh, dtype))

@@ -7,6 +7,14 @@ two-teacher distillation run (sharing its first l layers with a fresh
 trainee).  Candidates are ranked by the final epoch's mean training
 combined loss; infeasible depths stay in the report with their closest
 model but never win.
+
+Two kinds of depth skip dropout, and the compressor slims the teacher
+itself: full sharing (l equal to the depth), which leaves no tail, and a
+depth whose compression floor (:func:`~edgeslim.compressor.floor_spec`)
+misses the device budget.  Feasibility depends on FLOPs alone and the
+compressor cannot go below the floor, so no dropout would make such a
+depth fit; its record keeps the compressor's spec, report and steps and
+shows ``dropout_rounds`` 0.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from edgeslim.engine.model import (
 )
 from edgeslim.engine.training import check_epochs, evaluate_loss, predict
 from edgeslim.metrics import MetricsReport, evaluate_predictions
-from edgeslim.resources import DeviceProfile, ResourceReport, resolve_alpha
+from edgeslim.resources import DeviceProfile, ResourceReport, estimate_network, resolve_alpha
 
 
 class ReferenceMismatch(ValueError):
@@ -230,8 +238,10 @@ def _evaluate_candidate(
 ) -> CandidateRecord:
     teacher = _with_prefix(pretrained, l)
 
-    if teacher.spec.non_shared_count == 0:
-        # Full sharing leaves no tail to slim; the candidate is the teacher.
+    floor = estimate_network(compressor.floor_spec(teacher.spec), device, settings.omega)
+    if teacher.spec.non_shared_count == 0 or not floor.feasible:
+        # Full sharing leaves no tail to slim, and no dropout makes a depth
+        # fit whose floor misses the budget; the compressor gets the teacher.
         dropout = pruning.DropoutResult(
             model=teacher, surviving=connection_count(teacher), rounds=[]
         )

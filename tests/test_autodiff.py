@@ -143,10 +143,15 @@ def test_sigmoid_stays_finite(x, kind):
         assert np.isfinite(grad).all()
 
 
-def two_branch_sigmoid(x):
-    """The reference form of the gate kernel: its numerator picked by ``np.where``."""
+def two_branch_sigmoid(x, out=None):
+    """The reference form of the gate kernel: its numerator picked by
+    ``np.where``, the quotient copied into ``out`` when one is given."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    value = np.where(x >= 0, 1.0, e) / (1.0 + e)
+    if out is None:
+        return value
+    out[...] = value
+    return out
 
 
 def same_bits(a, b):
@@ -164,7 +169,13 @@ def test_stable_sigmoid_matches_the_two_branch_form_bit_for_bit(dtype):
     # the cell passes column slices of its gate buffer, a[:, :S]
     block = np.stack([values[:200], values[200:]], axis=1).repeat(3, axis=1)
     for x in (values, block, block[:, :4], block[:, 1::2]):
-        assert same_bits(ad._stable_sigmoid(x), two_branch_sigmoid(x))
+        expect = two_branch_sigmoid(x)
+        assert same_bits(ad._stable_sigmoid(x), expect)
+        # into a buffer, and over its own input as the LSTM cells call it
+        out = np.full_like(x, np.nan)
+        assert ad._stable_sigmoid(x, out=out) is out and same_bits(out, expect)
+        inplace = x.copy()
+        assert ad._stable_sigmoid(inplace, out=inplace) is inplace and same_bits(inplace, expect)
 
 
 @pytest.mark.parametrize("upstream_dtype", [np.float32, np.float64])
@@ -196,7 +207,8 @@ def test_recurrent_node_is_bit_identical_under_the_two_branch_sigmoid(
     shipped_out, shipped = run()
     calls = []
     monkeypatch.setattr(
-        layers, "_stable_sigmoid", lambda x: calls.append(1) or two_branch_sigmoid(x)
+        layers, "_stable_sigmoid",
+        lambda x, out=None: calls.append(1) or two_branch_sigmoid(x, out),
     )
     reference_out, reference = run()
     assert len(calls) == layer.s  # every step's gates went through the reference

@@ -341,6 +341,31 @@ def test_dropout_rejects_a_reference_loss_flag_that_is_not_finite(ws, capsys, re
     _dropout_rejects(ws, capsys, train_checkpoint(ws), f"--reference-loss={reference}")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["train", "--arch", "a.json", "--data", "d.csv", "--out", "m.json",
+          "--epochs", "notanint"],
+         "error: edgeslim train: argument --epochs: invalid int value: 'notanint'"),
+        # a value that starts with "-" and is no plain number reads as an option
+        (["dropout", "--checkpoint", "m.json", "--data", "d.csv", "--out", "s.json",
+          "--reference-loss", "-inf"],
+         "error: edgeslim dropout: argument --reference-loss: expected one argument"),
+        (["estimate", "--arch", "a.json", "--device", "v.json", "--out", "r.json", "--omega"],
+         "error: edgeslim estimate: argument --omega: expected one argument"),
+        (["eval", "--checkpoint", "m.json", "--data", "d.csv"],
+         "error: edgeslim eval: the following arguments are required: --out"),
+    ],
+    ids=["bad-value", "dash-value", "missing-value", "missing-option"],
+)
+def test_an_argument_error_is_one_line_and_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n" and captured.out == ""
+
+
 @BAD_REFERENCES
 def test_pipeline_rejects_a_teacher_reference_loss_that_is_not_finite(
     pipeline_inputs, tmp_path, capsys, reference

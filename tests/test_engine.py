@@ -5,12 +5,13 @@ import json
 import numpy as np
 import pytest
 
+import generic_ops as ops
 from edgeslim import compressor
-from edgeslim.archspec import LayerKind, LayerSpec, NetworkSpec, check_valid
+from edgeslim.archspec import GATE_NAMES, LayerKind, LayerSpec, NetworkSpec, check_valid
 from edgeslim.compressor import minimum_flops
 from edgeslim.datasets import make_synthetic
 from edgeslim.engine import autodiff as ad
-from edgeslim.engine.layers import layer_forward
+from edgeslim.engine.layers import layer_forward, param_layout
 from edgeslim.engine.model import (
     TrainingDiverged,
     backward,
@@ -107,6 +108,208 @@ def recurrent_reference(kind, params, x):
 
 
 RECURRENT = [LayerKind.LSTM, LayerKind.COUPLED_LSTM, LayerKind.GRU, LayerKind.MGU]
+
+
+def gate_sigmoid(x):
+    """The gates' logistic function, one op per line: both branches from
+    e = exp(-|x|), the numerator picked by ``np.where``."""
+    e = np.abs(x)
+    e = -e
+    e = np.exp(e)
+    numerator = np.where(x >= 0, 1.0, e)
+    denominator = 1.0 + e
+    return numerator / denominator
+
+
+def recurrent_op_chain(kind, params, x, upstream):
+    """The fused recurrent node written out step by step, one numpy op per
+    line, with no buffer reused or written in place: the same GEMMs (the
+    input projection of all steps as one, the per-gate blocks side by side)
+    and the same elementwise ops in the same order, so the node must match
+    it bit for bit.  Returns the output and the gradients of ``x`` and of
+    every parameter for the upstream gradient ``upstream``."""
+    gates = GATE_NAMES[kind]
+    n = len(x)
+    O = params["b" + gates[0]].shape[0]
+    I = params["W" + gates[0]].shape[0] - O
+    s = x.shape[1] // I
+    S = (len(gates) - 1) * O
+    gated = kind in (LayerKind.GRU, LayerKind.MGU)
+    reset = slice(O, 2 * O) if kind == LayerKind.GRU else slice(0, O)
+    Wx = np.concatenate([params["W" + gate][:I] for gate in gates], axis=1)
+    Wh = np.concatenate([params["W" + gate][I:] for gate in gates], axis=1)
+    b = np.concatenate([params["b" + gate] for gate in gates])
+    Wh_sig = np.ascontiguousarray(Wh[:, :S])  # the gated kinds' state GEMMs
+    Wh_cand = np.ascontiguousarray(Wh[:, S:])
+    xs = x.reshape(n, s, I)
+    xs = xs.transpose(1, 0, 2)
+    xs = xs.reshape(s * n, I)
+    proj = xs @ Wx
+    proj = proj.reshape(s, n, -1)
+
+    h = np.zeros((n, O), dtype=proj.dtype)
+    c = np.zeros((n, O), dtype=proj.dtype)
+    hs, cs, acts, tcs, hins = [], [], [], [], []
+    for t in range(s):
+        hs.append(h)
+        cs.append(c)
+        if gated:
+            pre = proj[t][:, :S]
+            if t:
+                pre = pre + h @ Wh_sig
+            pre = pre + b[:S]
+            sig = gate_sigmoid(pre)
+            hin = sig[:, reset] * h
+            pre = proj[t][:, S:]
+            if t:
+                pre = pre + hin @ Wh_cand
+            pre = pre + b[S:]
+            cand = np.tanh(pre)
+            z = sig[:, :O]
+            keep = 1.0 - z
+            kept = keep * h
+            blended = z * cand
+            h = kept + blended
+            hins.append(hin)
+            acts.append(np.concatenate([sig, cand], axis=1))
+        else:
+            pre = proj[t]
+            if t:
+                pre = pre + h @ Wh
+            pre = pre + b
+            sig = gate_sigmoid(pre[:, :S])
+            g = np.tanh(pre[:, S:])
+            o = sig[:, S - O : S]
+            if kind == LayerKind.LSTM:
+                i = sig[:, :O]
+                f = sig[:, O : 2 * O]
+            else:
+                f = sig[:, :O]
+                i = 1.0 - f
+            kept = f * c
+            written = i * g
+            c = kept + written
+            tc = np.tanh(c)
+            h = o * tc
+            tcs.append(tc)
+            acts.append(np.concatenate([sig, g], axis=1))
+    out = h
+
+    gh = upstream
+    dc = np.zeros_like(gh)
+    dpre = [None] * s
+    for t in reversed(range(s)):
+        h, a = hs[t], acts[t]
+        sig = a[:, :S]
+        slope = 1.0 - sig
+        slope = sig * slope
+        if gated:
+            z, cand = a[:, :O], a[:, S:]
+            dcand = gh * z
+            square = cand * cand
+            square = 1.0 - square
+            dcand = dcand * square
+            dsig = np.zeros((n, S), dtype=dcand.dtype)
+            diff = cand - h
+            dsig[:, :O] = gh * diff
+            if t:
+                dhin = dcand @ Wh_cand.T
+                dsig[:, reset] = dsig[:, reset] + dhin * h
+            dsig = dsig * slope
+            if t:
+                keep = 1.0 - z
+                gh_keep = gh * keep
+                gh_reset = dhin * a[:, reset]
+                gh = gh_keep + gh_reset
+                gh = gh + dsig @ Wh_sig.T
+            dpre[t] = np.concatenate([dsig, dcand], axis=1)
+        else:
+            tc, g = tcs[t], a[:, S:]
+            o = a[:, S - O : S]
+            dtc = gh * o
+            square = tc * tc
+            square = 1.0 - square
+            dtc = dtc * square
+            dc = dc + dtc
+            do = gh * tc
+            if kind == LayerKind.LSTM:
+                f = a[:, O : 2 * O]
+                di = dc * g
+                df = dc * cs[t]
+                dg = dc * a[:, :O]
+                dsig = np.concatenate([di, df, do], axis=1)
+            else:
+                f = a[:, :O]
+                diff = cs[t] - g
+                df = dc * diff
+                keep = 1.0 - f
+                dg = dc * keep
+                dsig = np.concatenate([df, do], axis=1)
+            dsig = dsig * slope
+            square = g * g
+            square = 1.0 - square
+            dg = dg * square
+            dpre[t] = np.concatenate([dsig, dg], axis=1)
+            if t:
+                dc = dc * f
+                gh = dpre[t] @ Wh.T
+    flat = np.stack(dpre)
+    flat = flat.reshape(s * n, -1)
+    dx = flat @ Wx.T
+    dx = dx.reshape(s, n, I)
+    dx = dx.transpose(1, 0, 2)
+    dx = dx.reshape(n, s * I)
+    dWx = xs.T @ flat
+    states = np.stack(hs)
+    states = states.reshape(s * n, O)
+    states = states.T
+    if gated:
+        gated_states = np.stack(hins)
+        gated_states = gated_states.reshape(s * n, O)
+        gated_states = gated_states.T
+        dWh_sig = states @ flat[:, :S]
+        dWh_cand = gated_states @ flat[:, S:]
+        dWh = np.concatenate([dWh_sig, dWh_cand], axis=1)
+    else:
+        dWh = states @ flat
+    db = flat.sum(axis=0)
+    grads = {"x": dx}
+    for k, gate in enumerate(gates):
+        cols = slice(k * O, (k + 1) * O)
+        grads["W" + gate] = np.concatenate([dWx[:, cols], dWh[:, cols]])
+        grads["b" + gate] = db[cols]
+    return out, grads
+
+
+@pytest.mark.parametrize("upstream_dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 32, 256])
+@pytest.mark.parametrize("kind", RECURRENT)
+def test_recurrent_node_is_bit_identical_to_op_chain(kind, batch, upstream_dtype):
+    """Output, dx and every gate's dW and db of a float32 cell, pruned and
+    with gates saturating on both sides, against :func:`recurrent_op_chain`."""
+    layer = LayerSpec(kind, I=5, O=6, s=4)
+    rng = np.random.default_rng([batch, 3])
+    x = rng.normal(scale=3.0, size=(batch, layer.input_width)).astype(np.float32)
+    params = {}
+    for pdef in param_layout(layer):
+        params[pdef.name] = rng.normal(scale=2.0, size=pdef.shape).astype(np.float32)
+        if pdef.masked:
+            params[pdef.name][rng.random(pdef.shape) <= 0.3] = 0.0
+    upstream = rng.normal(size=(batch, layer.O)).astype(upstream_dtype)
+
+    inputs = ad.Tensor(x, requires_grad=True)
+    grads = {k: np.full(v.shape, np.nan, np.result_type(v, upstream)) for k, v in params.items()}
+    out = layer_forward(layer, params, grads, inputs)
+    ops.total(ops.mul(out, upstream)).backward()
+    got = {"x": inputs.grad, **grads}
+
+    expect_out, expect = recurrent_op_chain(kind, params, x, upstream)
+    assert out.data.dtype == expect_out.dtype and out.data.tobytes() == expect_out.tobytes()
+    assert got.keys() == expect.keys()
+    for name, grad in got.items():
+        want = expect[name]
+        assert grad.dtype == want.dtype and grad.shape == want.shape, name
+        assert grad.tobytes() == want.tobytes(), name
 
 
 def mask_some(model, layer_idx, rng, fraction=0.3):

@@ -36,12 +36,12 @@ FUSED = {
 BATCH = 3
 
 
-def layer_fixture(kind, dtype, seed=0):
+def layer_fixture(kind, dtype, seed=0, batch=BATCH):
     """Input and parameters for one layer, pruned as a model prunes: every
     weight has entries zeroed under a drawn mask."""
     layer = FUSED[kind]
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(BATCH, layer.input_width)).astype(dtype)
+    x = rng.normal(size=(batch, layer.input_width)).astype(dtype)
     params = {}
     for pdef in param_layout(layer):
         params[pdef.name] = rng.normal(size=pdef.shape).astype(dtype)
@@ -50,7 +50,7 @@ def layer_fixture(kind, dtype, seed=0):
             mask.flat[0] = False
             params[pdef.name][~mask] = 0.0
     # centre each output channel on zero, so a ReLU cuts some entries
-    pre = layer_forward(layer, params, None, ad.Tensor(x)).data.reshape(BATCH, layer.O, -1)
+    pre = layer_forward(layer, params, None, ad.Tensor(x)).data.reshape(batch, layer.O, -1)
     params["b" if "b" in params else "b2"] -= pre.mean(axis=(0, 2)).astype(dtype)
     return layer, x, params
 
@@ -209,13 +209,13 @@ def reference(layer, x, p, relu, g):
     return out, grads
 
 
-@pytest.mark.parametrize("upstream_dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("relu", [False, True])
-@pytest.mark.parametrize("kind", sorted(FUSED))
-def test_fused_layer_is_bit_identical_to_op_chain(kind, relu, upstream_dtype):
+CONV_CASES = sorted(k for k in FUSED if FUSED[k].kind in CONV_KINDS)
+
+
+def check_op_chain(kind, relu, upstream_dtype, batch):
     # float32 data; a float32 model's training sends a float32 upstream
     # gradient, and the float64 case covers a float64 loss above the node
-    layer, x, params = layer_fixture(kind, np.float32, seed=4)
+    layer, x, params = layer_fixture(kind, np.float32, seed=4, batch=batch)
     out, grads = run_node(layer, {"x": x, **params}, relu, np.zeros(1))
     g = np.random.default_rng(5).normal(size=out.shape).astype(upstream_dtype)
     out, grads = run_node(layer, {"x": x, **params}, relu, g)
@@ -225,6 +225,21 @@ def test_fused_layer_is_bit_identical_to_op_chain(kind, relu, upstream_dtype):
     for name, grad in grads.items():
         assert grad.dtype == expect[name].dtype, name
         assert np.array_equal(grad, expect[name]), name
+
+
+@pytest.mark.parametrize("upstream_dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("kind", sorted(FUSED))
+def test_fused_layer_is_bit_identical_to_op_chain(kind, relu, upstream_dtype):
+    check_op_chain(kind, relu, upstream_dtype, BATCH)
+
+
+@pytest.mark.parametrize("upstream_dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("kind", CONV_CASES)
+def test_conv_kinds_are_bit_identical_to_op_chain_at_batch_1(kind, relu, upstream_dtype):
+    # one image: the im2col gather reads only that image's patch rows
+    check_op_chain(kind, relu, upstream_dtype, 1)
 
 
 def tap_conv(x4, w, out_h, out_w):
@@ -286,7 +301,7 @@ TAP_BOUND = {np.float32: 16 * np.finfo(np.float32).eps, np.float64: 1e-12}
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("relu", [False, True])
-@pytest.mark.parametrize("kind", sorted(k for k in FUSED if FUSED[k].kind in CONV_KINDS))
+@pytest.mark.parametrize("kind", CONV_CASES)
 def test_conv_kinds_match_tap_loop(kind, relu, dtype):
     layer, x, params = layer_fixture(kind, dtype, seed=7)
     out, _ = run_node(layer, {"x": x, **params}, relu, np.zeros(1))

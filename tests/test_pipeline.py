@@ -7,7 +7,7 @@ from edgeslim.compressor import minimum_flops
 from edgeslim.datasets import make_synthetic
 from edgeslim.engine.model import init_model, model_bytes
 from edgeslim.engine.training import evaluate_loss, train_classifier
-from edgeslim import pipeline
+from edgeslim import compressor, pipeline
 from edgeslim.pipeline import (
     CandidateRecord,
     PipelineSettings,
@@ -238,3 +238,47 @@ def test_settings_validation():
         PipelineSettings(batch_size=0)
     with pytest.raises(ValueError, match="h_max"):
         PipelineSettings(h_max=-1)
+
+
+def test_a_depth_whose_floor_misses_the_budget_skips_dropout(bench, monkeypatch):
+    """With a budget between the floors of depths 1 and 2, depth 2 cannot
+    fit whatever dropout prunes: it runs no dropout, yet its record is the
+    one that dropout followed by compression gives.  Depth 1 still prunes."""
+    teacher, data, reference = bench
+    floors = {l: minimum_flops(pipeline._with_prefix(teacher, l).spec) for l in (1, 2)}
+    assert floors[1] < floors[2]
+    target = (floors[1] + floors[2]) // 2
+    device = device_with(alpha=target * 4.0, beta=target * 1e-9)
+
+    pruned = []
+    real_run = pipeline.pruning.run
+    monkeypatch.setattr(
+        pipeline.pruning, "run",
+        lambda model, *args, **kwargs: pruned.append(model.spec.shared_prefix)
+        or real_run(model, *args, **kwargs),
+    )
+    by_l = {r.l: r for r in pipeline.run(teacher, reference, data, device, SETTINGS).records}
+    assert pruned == [1]
+    assert by_l[1].feasible and by_l[1].dropout_rounds > 0
+    for l in (2, 3):
+        assert not by_l[l].feasible
+        assert by_l[l].dropout_rounds == 0
+
+    # depth 2 along the path that prunes first: same spec, report and steps
+    dropped = real_run(
+        pipeline._with_prefix(teacher, 2),
+        data,
+        eta=SETTINGS.dropout_eta,
+        reference_loss=reference,
+        c=SETTINGS.dropout_c,
+        max_iteration=SETTINGS.dropout_max_iteration,
+        initial_rate=SETTINGS.dropout_initial_rate,
+        input_rate=SETTINGS.dropout_input_rate,
+        batch_size=SETTINGS.batch_size,
+        seed=derive_seed(SETTINGS.seed, "dropout", 2),
+    )
+    assert dropped.rounds  # that path does prune this depth
+    outcome = compressor.run(dropped.model, device, SETTINGS.omega)
+    assert by_l[2].spec == outcome.model.spec
+    assert by_l[2].report == outcome.report
+    assert by_l[2].compression_steps == len(outcome.records) > 0

@@ -51,7 +51,8 @@ def test_a_run_that_exits_non_zero_prints_its_exit_code_alone(tmp_path, monkeypa
     and no candidate lines follow it, and the runs after it still print."""
     same_output = load_tool(monkeypatch)
     record = {"l": 1, "val_accuracy": 0.5, "halting_epoch": 2, "final_combined_loss": 0.25,
-              "report": {"total_flops": 10}, "training_flops": 20}
+              "report": {"total_flops": 10}, "training_flops": 20, "dropout_rounds": 1,
+              "compression_steps": 2}
     runs = []
 
     def fake_run(name, workdir, seed):
@@ -72,7 +73,8 @@ def test_a_run_that_exits_non_zero_prints_its_exit_code_alone(tmp_path, monkeypa
     assert runs == [("dense", 405), ("dense", 7), ("mixed", 405), ("mixed", 7), ("layers", 0)]
     assert lines[0] == "dense seed=405 exit=3"
     assert lines[1].startswith("dense seed=7 exit=0 manifest=") and "best_student=" in lines[1]
-    assert lines[2].startswith("  candidate l=1 ")
+    assert lines[2] == ("  candidate l=1 val_accuracy=0.5 halting_epoch=2 total_flops=10"
+                        " training_flops=20 dropout_rounds=1 compression_steps=2")
     assert lines[3] == "mixed seed=405 exit=3"
     assert lines[6] == f"layers seed=0 kind=fc batch=32 loss={float.hex(0.5)}"
     assert len(lines) == 7
@@ -80,7 +82,7 @@ def test_a_run_that_exits_non_zero_prints_its_exit_code_alone(tmp_path, monkeypa
 
 BEFORE = """\
 dense seed=0 exit=0 manifest=aa best_student=bb val_accuracy=0.95 halting_epoch=11 final_combined_loss=0x1p-1
-  candidate l=2 val_accuracy=0.95 halting_epoch=11 total_flops=10 training_flops=20
+  candidate l=2 val_accuracy=0.95 halting_epoch=11 total_flops=10 training_flops=20 dropout_rounds=1 compression_steps=1
 dense seed=1 exit=0 manifest=cc best_student=dd val_accuracy=0.9 halting_epoch=11 final_combined_loss=0x1p-1
 dense seed=2 exit=0 manifest=ee best_student=ff val_accuracy=0.8 halting_epoch=5 final_combined_loss=0x1p-1
 dense seed=3 exit=0 manifest=gg best_student=hh val_accuracy=0.7 halting_epoch=5 final_combined_loss=0x1p-1
@@ -96,7 +98,7 @@ layers seed=0 kind=gru batch=256 loss=0x1.8p-1
 
 AFTER = """\
 dense seed=0 exit=0 manifest=aa best_student=bb val_accuracy=0.95 halting_epoch=11 final_combined_loss=0x1p-1
-  candidate l=2 val_accuracy=0.95 halting_epoch=11 total_flops=10 training_flops=20
+  candidate l=2 val_accuracy=0.95 halting_epoch=11 total_flops=10 training_flops=20 dropout_rounds=0 compression_steps=1
 dense seed=1 exit=0 manifest=xx best_student=yy val_accuracy=0.925 halting_epoch=11 final_combined_loss=0x1p-1
 dense seed=2 exit=0 manifest=xx best_student=yy val_accuracy=0.85 halting_epoch=7 final_combined_loss=0x1p-1
 dense seed=3 exit=3

@@ -21,7 +21,8 @@ waits for the first instead of emptying the directory under it.
 Each pipeline line also carries the best candidate's ``val_accuracy``,
 ``halting_epoch`` and ``final_combined_loss`` (float hex), and is followed by
 one line per candidate with its ``l``, ``val_accuracy``, ``halting_epoch``,
-``report.total_flops`` and ``training_flops``.  When a change moves float
+``report.total_flops``, ``training_flops``, ``dropout_rounds`` and
+``compression_steps``.  When a change moves float
 rounding and the digests differ, the diff shows how far the results moved
 and whether any candidate's outcome changed.
 
@@ -71,6 +72,7 @@ def _candidates(manifest: Path) -> list[str]:
         f"  candidate l={r['l']} val_accuracy={r['val_accuracy']!r}"
         f" halting_epoch={r['halting_epoch']}"
         f" total_flops={r['report']['total_flops']} training_flops={r['training_flops']}"
+        f" dropout_rounds={r['dropout_rounds']} compression_steps={r['compression_steps']}"
         for r in json.loads(manifest.read_text())["result"]["records"]
     ]
 
