@@ -21,8 +21,9 @@ attention targets are also computed once per call, by
 :func:`attention_targets`: each layer's map (a conv layer's mean over
 positions) projected to the student's width where wider, laid side by
 side, then row-normalised.  Each batch, one row or many, indexes the logits
-and targets by its rows; a live trainee's targets come from the same
-function, per batch.
+and targets by its rows, and the fold's features and 0-based labels, cast
+once per call; a live trainee's targets come from the same function, per
+batch.
 Each batch runs the student's whole network.  A live trainee that shares
 the student's leading layers does not run them again: it continues from
 the student's output at the shared prefix.  Those layers are the
@@ -37,6 +38,7 @@ applies them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -44,21 +46,19 @@ import numpy as np
 
 from edgeslim.archspec import CONV_KINDS, LayerSpec, NetworkSpec
 from edgeslim.datasets import Dataset, train_test_split
-from edgeslim.engine import autodiff as ad
-from edgeslim.engine.autodiff import Tensor, _node
+from edgeslim.engine.autodiff import Tensor, _node, softmax_cross_entropy
 from edgeslim.engine.model import (
     ForwardTrace,
     MaskedModel,
     TrainingDiverged,
     check_labels,
     check_learning_rate,
-    cross_entropy_node,
     descend,
     forward,
     model_bytes,
 )
 from edgeslim.engine.training import EVAL_BATCH, check_batch_size, check_epochs, epoch_seed
-from edgeslim.engine.training import iterate_minibatches, predict
+from edgeslim.engine.training import fold_arrays, iterate_minibatches, predict
 from edgeslim.metrics import accuracy as metric_accuracy
 from edgeslim.metrics import confusion_counts
 from edgeslim.resources import estimate_layer
@@ -200,11 +200,11 @@ def distillation_loss_node(t: np.ndarray, s: Tensor) -> Tensor:
     if t.shape != s.data.shape:
         raise ValueError(f"logit shapes differ: {t.shape} vs {s.data.shape}")
     diff = t - s.data
-    inv_n = ad.scalar(1.0 / len(diff), diff)
+    inv_n = diff.dtype.type(1.0 / len(diff))
 
     def bwd(g):
-        h = (g * inv_n) * diff
-        s._accum(-(h + h))
+        h = np.multiply(g * inv_n, diff)
+        s._accum(np.negative(np.add(h, h, out=h), out=h))
 
     return _node(np.add.reduce(np.add.reduce(diff * diff, axis=1)) * inv_n, (s,), bwd)
 
@@ -228,10 +228,11 @@ def _unit_rows(maps: np.ndarray, segments: Segments) -> tuple[np.ndarray, np.nda
     direction; it is detached -- inverse norm 0, so zero value and gradient
     -- not divided by the floor, which would make a 1/NORM_FLOOR gradient
     kick.  A row whose sum of squares overflows gets inverse norm 0 too."""
-    sumsq = np.add.reduceat(maps * maps, segments.starts, axis=1)
-    inv = (sumsq >= NORM_FLOOR**2) / np.sqrt(np.maximum(sumsq, NORM_FLOOR**2))
-    inv = np.repeat(inv, segments.widths, axis=1)
-    return maps * inv, inv
+    squares = maps * maps
+    sumsq = np.add.reduceat(squares, segments.starts, axis=1)
+    root = np.sqrt(np.maximum(sumsq, NORM_FLOOR**2))
+    inv = np.divide(sumsq >= NORM_FLOOR**2, root, out=root).repeat(segments.widths, axis=1)
+    return np.multiply(maps, inv, out=squares), inv
 
 
 def _projection(layer_idx: int, width_from: int, width_to: int) -> np.ndarray:
@@ -294,7 +295,7 @@ def attention_loss_node(
         n_maps, n_targets = len(acts), len(segments.widths)
         raise ValueError(f"{n_maps} student maps do not match the targets' {n_targets}")
     if not acts:  # a one-layer guide has no maps
-        return Tensor(ad.scalar(0.0, t_unit))
+        return Tensor(t_unit.dtype.type(0.0))
     pairs = zip(acts, layers, segments.widths)
     aligned = [_map(act.data, layer, w, i) for i, (act, layer, w) in enumerate(pairs)]
     maps = [m for m, _ in aligned]
@@ -304,13 +305,16 @@ def attention_loss_node(
     parents = tuple(acts)
     u, inv = _unit_rows(np.concatenate(maps, axis=1), segments)
     diff = t_unit - u
-    inv_n = ad.scalar(1.0 / len(diff), diff)
+    inv_n = diff.dtype.type(1.0 / len(diff))
 
     def bwd(g):
         c = g * inv_n
         p = (c + c) * diff
         along = np.add.reduceat(u * p, segments.starts, axis=1)
-        grad = (u * np.repeat(along, segments.widths, axis=1) - p) * inv
+        grad = along.repeat(segments.widths, axis=1)
+        np.multiply(u, grad, out=grad)
+        grad -= p
+        grad *= inv
         for act, layer, (_, proj), cols in zip(parents, layers, aligned, segments.cols):
             g_map = grad[:, cols] if proj is None else grad[:, cols] @ proj.T
             if layer.kind in CONV_KINDS:  # each position gets 1/(h*w) of its channel's
@@ -324,12 +328,14 @@ def attention_loss_node(
 
 def _weighted_sum(terms: Sequence[tuple[np.ndarray, Tensor]]) -> Tensor:
     """Sum of lam * term as one tape node, added left to right as the chain's
-    add nodes do; :func:`train` casts each lam once, as the chain's ``*`` would."""
-    total = terms[0][1].data * terms[0][0]
+    add nodes do, on numpy scalars; :func:`train` casts each lam once, as the
+    chain's ``*`` would."""
+    total = terms[0][1].data[()] * terms[0][0]
     for lam, term in terms[1:]:
-        total = total + term.data * lam
+        total = total + term.data[()] * lam
 
     def bwd(g):
+        g = g[()]  # a numpy scalar, like the values
         for lam, term in terms:
             term._accum(g * lam)
 
@@ -453,8 +459,9 @@ def train(
     for model in filter(None, (student, trainee)):
         check_labels(dataset.labels, model)
     train_set, val_set = train_test_split(dataset, plan.val_fraction, plan.seed)
+    features, labels0 = fold_arrays(train_set, student)
     l1, l2, l3, l4 = plan.effective_lambdas()
-    w1, w2, w3, w4 = (ad.scalar(lam, student.flat) for lam in (l1, l2, l3, l4))  # model dtype
+    w1, w2, w3, w4 = (student.dtype.type(lam) for lam in (l1, l2, l3, l4))  # model dtype
     attend = l2 > 0.0 and len(student.spec.layers) > 1  # a one-layer network has no maps
     f_student = network_flops(student.spec)
     f_trainee = network_flops(trainee.spec) if trainee is not None else 0
@@ -489,9 +496,9 @@ def train(
         sums = [0.0] * 4  # ce_s, ce_te, al, dl weighted by batch size
         seen_rows = 0
         for idx in iterate_minibatches(train_set.n, plan.batch_size, rng):
-            x, y = train_set.features[idx], train_set.labels[idx]
+            x, y0 = features.take(idx, axis=0), labels0[idx]  # take: a leaner row gather
             s_trace = forward(student, x, trainable=True)
-            ce_s = cross_entropy_node(s_trace, y)
+            ce_s = softmax_cross_entropy(s_trace.logits, y0)
             models = [student]
 
             ce_te_val = 0.0
@@ -501,21 +508,22 @@ def train(
                     head = s_trace.activations[:prefix]
                     tail = forward(trainee, head[-1], trainable=True, start=prefix)
                     te_trace = ForwardTrace(tail.logits, head + tail.activations, tail.batch_size)
-                else:
-                    te_trace = forward(trainee, x, trainable=True)
-                ce_te = cross_entropy_node(te_trace, y)
+                else:  # a trainee in another dtype casts the fold's rows itself
+                    te_x = x if trainee.dtype == student.dtype else train_set.features[idx]
+                    te_trace = forward(trainee, te_x, trainable=True)
+                ce_te = softmax_cross_entropy(te_trace.logits, y0)
                 ce_te_val = float(ce_te.data)
                 terms.append((w4, ce_te))
                 models.append(trainee)
                 dl_source = te_trace.logits.data
             else:  # only schemes with a pretrained teacher halt
-                dl_source = teacher_logits[idx]
+                dl_source = teacher_logits.take(idx, axis=0)
 
             dl = distillation_loss_node(dl_source, s_trace.logits)
             al_val = 0.0
             if attend:
                 if pretrained_teacher is not None:
-                    t_unit = targets[idx]
+                    t_unit = targets.take(idx, axis=0)
                 else:
                     t_unit, segments = attention_targets(
                         te_trace, trainee.spec.layers, student.spec.layers
@@ -527,7 +535,7 @@ def train(
             loss = _weighted_sum([*terms, (w3, dl)])
 
             try:
-                if not np.isfinite(float(loss.data)):
+                if not math.isfinite(loss.data):
                     raise TrainingDiverged(f"combined loss diverged at epoch {epoch}")
                 loss.backward()
                 descend(models, plan.eta)

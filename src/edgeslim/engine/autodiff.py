@@ -9,18 +9,19 @@ backward time.
 
 There are no generic ops: each node is one fused computation with a
 hand-written backward, built with :func:`_node` where it is used.  Here,
-``softmax_cross_entropy``; in :mod:`edgeslim.engine.layers`, every layer
-kind, each emitting flat ``(n, output_width)`` rows (one body of GEMM, bias
-and ReLU for fc, conv and both factorized kinds, the conv kinds over im2col
-patch rows; a whole recurrent cell, on :func:`_stable_sigmoid`); and in
+``softmax_cross_entropy``, which builds no one-hot array; in
+:mod:`edgeslim.engine.layers`, every layer kind, each emitting flat
+``(n, output_width)`` rows (one body of GEMM, bias and ReLU for fc, conv
+and both factorized kinds, the conv kinds over im2col patch rows; a whole
+recurrent cell, on :func:`_stable_sigmoid`); and in
 :mod:`edgeslim.distill` the loss: attention read straight off the layer
 outputs, logit distillation and the weighted sum.
 Parameters are not on the tape: a layer node's only parent is its input,
 and its backward assigns the weight gradients to the model's gradient
 views.  No node here knows about masks: a gradient is the true derivative
 at every entry, and :mod:`edgeslim.engine.model` drops the masked entries
-in its SGD step.  A Python scalar that meets a node's values takes their
-dtype in :func:`scalar` (NEP 50), so float32 backward stays float32.
+in its SGD step.  Scalars take the dtype of the values they meet (NEP 50),
+so float32 backward stays float32.
 """
 
 from __future__ import annotations
@@ -58,12 +59,6 @@ def _node(data, parents, bwd) -> Tensor:  # ``any`` of a list: a generator costs
     return Tensor(data, parents, bwd, any([p.requires_grad for p in parents]))
 
 
-def scalar(value: float, like: np.ndarray) -> np.ndarray:
-    """A Python int or float as the 0-d array NEP 50 gives it against
-    ``like``: against float32 it stays float32."""
-    return np.asarray(value, dtype=np.result_type(like, value))
-
-
 def _topo_order(root: Tensor) -> list[Tensor]:
     """``root`` and the nodes with a backward it reads, each after its inputs."""
     order, seen, stack = [], set(), [(root, False)]
@@ -72,12 +67,12 @@ def _topo_order(root: Tensor) -> list[Tensor]:
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:  # a Tensor hashes by identity
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for parent in node._parents:
-            if parent._backward is not None and id(parent) not in seen:
+            if parent._backward is not None and parent not in seen:
                 stack.append((parent, False))
     return order
 
@@ -116,22 +111,25 @@ def softmax_cross_entropy(logits: Tensor, labels0: np.ndarray) -> Tensor:
     """Mean negative log-likelihood; ``labels0`` are 0-based class indices.
 
     Fused op: backward is (softmax - onehot) / n, which avoids a tape through
-    exp/log and is exact for extreme logits.
+    exp/log and is exact for extreme logits.  1 comes off each row's label
+    entry of the softmax: the bits of subtracting a one-hot array.
     """
     z = logits.data
     n = z.shape[0]
     labels0 = np.asarray(labels0)
     if labels0.shape != (n,):
         raise ValueError(f"labels shape {labels0.shape} does not match batch {n}")
-    shifted = z - z.max(axis=1, keepdims=True)
-    ex = np.exp(shifted)
-    sums = ex.sum(axis=1, keepdims=True)
-    logp = shifted[np.arange(n), labels0] - np.log(sums[:, 0])
+    rows = np.arange(n)
+    shifted = z - np.maximum.reduce(z, axis=1, keepdims=True)
+    picked = shifted[rows, labels0]
+    ex = np.exp(shifted, out=shifted)
+    sums = np.add.reduce(ex, axis=1, keepdims=True)
+    logp = picked - np.log(sums[:, 0])
     out_data = -(np.add.reduce(logp) / n)
 
     def bwd(g):
-        # the softmax from the forward's exp and row sums, less 1 at each label
-        onehot = labels0[:, None] == np.arange(z.shape[1])
-        logits._accum(g * (ex / sums - onehot) / n)
+        d = ex / sums
+        d[rows, labels0] -= 1
+        logits._accum(g * d / n)
 
     return _node(out_data, (logits,), bwd)

@@ -16,7 +16,8 @@ they are.  Its only parent is its input: the parameters are plain arrays, and
 unless the layer is frozen the backward assigns each parameter's gradient to
 the matching array of a ``grads`` dict, the model's gradient views.  ``fc``,
 ``factorized_fc``, ``conv`` and ``factorized_conv`` share one node body:
-the GEMM of each factor, the bias and an optional ReLU over rows.
+``np.dot`` of each factor, the bias and an optional ReLU over rows, each
+array written once: bias and ReLU in place, dW and db with ``out=``.
 The fc kinds take the input's rows as they are; the conv kinds take its
 im2col patch rows (one per output pixel, columns in (channel, tap) order,
 gathered in one ``np.take`` through an index cached per input shape),
@@ -35,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from edgeslim.archspec import GATE_NAMES, LayerKind, LayerSpec
+from edgeslim.archspec import CONV_KINDS, GATE_NAMES, LayerKind, LayerSpec
 from edgeslim.engine.autodiff import Tensor, _stable_sigmoid
 
 
@@ -134,15 +135,6 @@ def _unpatch(rows: np.ndarray, shape: tuple[int, ...], f: int, g: int) -> np.nda
     return out
 
 
-# dense kind -> (weight names, bias names, reads im2col patch rows), one per factor
-_DENSE = {
-    LayerKind.FC: (("W",), ("b",), False),
-    LayerKind.FACTORIZED_FC: (("W1", "W2"), ("b1", "b2"), False),
-    LayerKind.CONV: (("W",), ("b",), True),
-    LayerKind.FACTORIZED_CONV: (("W1", "W2"), ("b1", "b2"), True),
-}
-
-
 def _dense_forward(
     x: Tensor,
     layer: LayerSpec,
@@ -157,27 +149,35 @@ def _dense_forward(
     rows with the first weight read as :func:`conv_matrix`, their
     (n*h*w, O) result laid out channel-major, (n, O, h, w), in the flat
     (n, O*h*w) rows that every kind returns.  No nonlinearity between
-    factors: together they stand in for one layer.  The backward assigns
-    each factor's dW and db into ``grads`` (first dW through
-    :func:`conv_matrix` for conv kinds), and computes the gradient of the
-    first factor's input only when ``x`` needs it.
+    factors: together they stand in for one layer.  ``params`` and
+    ``grads`` hold (W, b) or (W1, b1, W2, b2), :func:`param_layout`'s
+    order.  A product is ``np.dot``, which has the bits of ``@`` where the
+    input, the weights and the upstream gradient share one dtype, and ``@``
+    where they do not.  The backward writes each dW and db into ``grads`` (a conv kind's first
+    dW through :func:`conv_matrix`, a strided view), and computes the
+    gradient of the first factor's input only when ``x`` needs it.
     """
-    names, bias_names, conv = _DENSE[layer.kind]
-    weights = [params[name] for name in names]
+    conv = layer.kind in CONV_KINDS
+    W1, b1, *second = params.values()
     n = x.data.shape[0]
+    rows = x.data
     if conv:
         shape = (layer.I, *layer.input_spatial)
-        pre = _patches(x.data.reshape(n, -1), shape, layer.f, layer.g)
-        weights[0] = conv_matrix(weights[0])
-    else:
-        pre = x.data
-    ins = []  # each factor's input rows
-    for W, bias_name in zip(weights, bias_names):
-        ins.append(pre)
-        pre = pre @ W + params[bias_name]
-    out = np.maximum(pre, 0) if relu else pre
+        rows = _patches(rows.reshape(n, -1), shape, layer.f, layer.g)
+        W1 = conv_matrix(W1)
+    product = np.dot if rows.dtype == W1.dtype else np.matmul
+    pre = product(rows, W1)
+    pre += b1
+    if second:
+        W2, b2 = second
+        mid = pre  # the second factor's input rows
+        pre = product(mid, W2)
+        pre += b2
+    if relu:  # in place: pre > 0 still marks where the ReLU passed
+        np.maximum(pre, 0, out=pre)
+    out = pre
     if conv:
-        maps = out.reshape(n, layer.h, layer.w, layer.O).transpose(0, 3, 1, 2)
+        maps = pre.reshape(n, layer.h, layer.w, layer.O).transpose(0, 3, 1, 2)
         out = np.ascontiguousarray(maps).reshape(n, -1)
 
     def bwd(g):
@@ -185,14 +185,24 @@ def _dense_forward(
             g = g.reshape(n, layer.O, layer.h, layer.w).transpose(0, 2, 3, 1).reshape(-1, layer.O)
         if relu:
             g = g * (pre > 0)
-        for k in reversed(range(len(names))):
+        product = np.dot if g.dtype == rows.dtype == W1.dtype else np.matmul
+        if grads is not None:
+            dW1, db1, *dsecond = grads.values()
+        if second:
             if grads is not None:
-                grads[bias_names[k]][...] = np.add.reduce(g, axis=0)
-                dW = grads[names[k]]
-                (conv_matrix(dW) if conv and k == 0 else dW)[...] = ins[k].T @ g
-            if not (k or x.requires_grad):
-                return
-            g = g @ weights[k].T
+                dW2, db2 = dsecond
+                np.add.reduce(g, axis=0, out=db2)
+                product(mid.T, g, out=dW2)
+            g = product(g, W2.T)
+        if grads is not None:
+            np.add.reduce(g, axis=0, out=db1)
+            if conv:
+                conv_matrix(dW1)[...] = product(rows.T, g)
+            else:
+                product(rows.T, g, out=dW1)
+        if not x.requires_grad:
+            return
+        g = product(g, W1.T)
         if conv:
             g = _unpatch(g, (n, *shape), layer.f, layer.g).reshape(x.data.shape)
         x._accum(g)

@@ -239,7 +239,7 @@ def descend(models: list[MaskedModel], eta: float) -> None:
     :class:`TrainingDiverged` before any parameter moves."""
     for model in models:
         model.grad *= model.mask
-        if not np.isfinite(model.grad).all():
+        if not np.logical_and.reduce(np.isfinite(model.grad)):
             raise TrainingDiverged(f"non-finite gradient in model {model.spec.name!r}")
     for model in models:
         model.flat -= eta * model.grad

@@ -3,7 +3,8 @@
 This is ordinary cross-entropy SGD, used to pretrain teachers and as the
 inner loop of the dropout planner.  Batch order reshuffles every epoch from
 a generator seeded by (seed, epoch), so runs are reproducible and epochs
-are independent of how many came before.
+are independent of how many came before.  A training call casts the fold
+once (:func:`fold_arrays`), and each batch indexes the cast arrays.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from typing import Iterator
 import numpy as np
 
 from edgeslim import metrics
+from edgeslim.engine.autodiff import softmax_cross_entropy
 from edgeslim.engine.model import (
     MaskedModel,
     backward,
@@ -82,15 +84,22 @@ def run_epoch(
     per-instance loss under the weights each batch was scored with.
     """
     check_labels(dataset.labels, model)
+    features, labels0 = fold_arrays(dataset, model)
     total, count = 0.0, 0
     for idx in iterate_minibatches(dataset.n, batch_size, rng):
-        trace = forward(model, dataset.features[idx])
-        loss = cross_entropy_node(trace, dataset.labels[idx])
+        trace = forward(model, features.take(idx, axis=0))  # take: a leaner row gather
+        loss = softmax_cross_entropy(trace.logits, labels0[idx])
         grads = backward(model, trace, loss)
         sgd_step(model, grads, eta)
         total += float(loss.data) * len(idx)
         count += len(idx)
     return total / count
+
+
+def fold_arrays(dataset, model: MaskedModel) -> tuple[np.ndarray, np.ndarray]:
+    """``dataset``'s features in ``model``'s dtype and its labels 0-based:
+    what each training batch indexes, cast once."""
+    return dataset.features.astype(model.dtype, copy=False), dataset.labels - 1
 
 
 def evaluate_loss(model: MaskedModel, dataset) -> float:

@@ -8,13 +8,13 @@ trainee).  Candidates are ranked by the final epoch's mean training
 combined loss; infeasible depths stay in the report with their closest
 model but never win.
 
-Two kinds of depth skip dropout, and the compressor slims the teacher
-itself: full sharing (l equal to the depth), which leaves no tail, and a
-depth whose compression floor (:func:`~edgeslim.compressor.floor_spec`)
-misses the device budget.  Feasibility depends on FLOPs alone and the
-compressor cannot go below the floor, so no dropout would make such a
-depth fit; its record keeps the compressor's spec, report and steps and
-shows ``dropout_rounds`` 0.
+Two kinds of depth skip dropout.  Full sharing (l equal to the depth)
+leaves no tail, so the compressor gets the teacher itself.  A depth whose
+compression floor (:func:`~edgeslim.compressor.floor_spec`) misses the
+device budget runs neither dropout nor the compressor: feasibility depends
+on FLOPs alone, so nothing makes it fit, and the compressor would end at
+the floor.  Its record is the floor's spec and report, with one
+compression step per layer the floor rewrites and ``dropout_rounds`` 0.
 """
 
 from __future__ import annotations
@@ -238,10 +238,14 @@ def _evaluate_candidate(
 ) -> CandidateRecord:
     teacher = _with_prefix(pretrained, l)
 
-    floor = estimate_network(compressor.floor_spec(teacher.spec), device, settings.omega)
-    if teacher.spec.non_shared_count == 0 or not floor.feasible:
-        # Full sharing leaves no tail to slim, and no dropout makes a depth
-        # fit whose floor misses the budget; the compressor gets the teacher.
+    floor_net = compressor.floor_spec(teacher.spec)
+    floor = estimate_network(floor_net, device, settings.omega)
+    if not floor.feasible:
+        # nothing makes this depth fit, and the compressor would end at the floor
+        steps = sum(new != old for new, old in zip(floor_net.layers, teacher.spec.layers))
+        return CandidateRecord(l=l, spec=floor_net, feasible=False, report=floor,
+                               dropout_rounds=0, compression_steps=steps)
+    if teacher.spec.non_shared_count == 0:  # full sharing leaves no tail to slim
         dropout = pruning.DropoutResult(
             model=teacher, surviving=connection_count(teacher), rounds=[]
         )

@@ -18,7 +18,13 @@ import numpy as np
 
 from edgeslim import distill
 from edgeslim.archspec import LayerKind, LayerSpec
-from edgeslim.engine.autodiff import Tensor, _node, scalar
+from edgeslim.engine.autodiff import Tensor, _node
+
+
+def scalar(value: float, like: np.ndarray) -> np.ndarray:
+    """A Python int or float as the 0-d array NEP 50 gives it against
+    ``like``: against float32 it stays float32."""
+    return np.asarray(value, dtype=np.result_type(like, value))
 
 
 def as_tensor(value, like: np.ndarray | None = None) -> Tensor:

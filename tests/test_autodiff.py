@@ -102,6 +102,61 @@ def test_softmax_cross_entropy_gradient():
     check_op(lambda a: ad.softmax_cross_entropy(a, labels0), (3, 4))
 
 
+def one_hot_cross_entropy(z, labels0, upstream):
+    """The node's value and logits gradient by the one-hot formula, op by op:
+    shift by the row max, exp, row sums, the label's log-probability, the
+    negated mean; backward ``upstream * (softmax - onehot) / n``."""
+    n = len(z)
+    shifted = z - z.max(axis=1, keepdims=True)
+    ex = np.exp(shifted)
+    sums = ex.sum(axis=1, keepdims=True)
+    logp = shifted[np.arange(n), labels0] - np.log(sums[:, 0])
+    value = -(np.add.reduce(logp) / n)
+    onehot = labels0[:, None] == np.arange(z.shape[1])
+    return value, upstream * (ex / sums - onehot) / n
+
+
+def cross_entropy_under(upstream, logits, labels0):
+    """Backpropagate ``upstream`` into a cross-entropy node; its value and
+    the logits' gradient."""
+    z = ad.Tensor(logits, requires_grad=True)
+    node = ad.softmax_cross_entropy(z, labels0)
+    ad._node(node.data * upstream, (node,), lambda g: node._accum(g * upstream)).backward()
+    return node.data, z.grad
+
+
+@pytest.mark.parametrize("upstream_dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_cross_entropy_is_bit_identical_to_the_one_hot_formula(dtype, upstream_dtype):
+    k = 5
+    rng = np.random.default_rng([k, np.dtype(dtype).itemsize])
+    upstream = np.asarray(0.37, dtype=upstream_dtype)
+    batches = [np.array([label]) for label in range(k)]  # batch 1, each class
+    batches.append(rng.permutation(np.arange(32) % k))  # batch 32, every class
+    for labels0 in batches:
+        logits = rng.normal(scale=4.0, size=(len(labels0), k)).astype(dtype)
+        logits[0, labels0[0]] += 60.0  # one confident row
+        value, grad = cross_entropy_under(upstream, logits, labels0)
+        want_value, want_grad = one_hot_cross_entropy(logits, labels0, upstream)
+        assert value.dtype == np.asarray(want_value).dtype
+        assert value.tobytes() == np.asarray(want_value).tobytes()
+        assert grad.dtype == want_grad.dtype and grad.tobytes() == want_grad.tobytes()
+
+
+def test_cross_entropy_node_on_1_based_labels_is_softmax_cross_entropy_on_0_based():
+    from edgeslim.engine.model import ForwardTrace, cross_entropy_node
+
+    rng = np.random.default_rng(3)
+    logits = rng.normal(size=(32, 4)).astype(np.float32)
+    labels = rng.permutation(np.arange(32) % 4) + 1
+    trace = ForwardTrace(ad.Tensor(logits, requires_grad=True), [], 32)
+    value, grad = cross_entropy_under(np.float32(1.0), logits, labels - 1)
+    node = cross_entropy_node(trace, labels)
+    node.backward()
+    assert node.data.tobytes() == value.tobytes()
+    assert trace.logits.grad.tobytes() == grad.tobytes()
+
+
 def test_requires_grad_pruning():
     a = ad.Tensor(np.ones(3), requires_grad=True)
     b = ad.Tensor(np.ones(3))  # constant branch

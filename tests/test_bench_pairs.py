@@ -98,3 +98,53 @@ def test_parent_commit_is_read_from_the_tree_or_is_none(tmp_path):
     assert bench_pairs.tree_commit(tmp_path) == head
     (tmp_path / "sub").mkdir()
     assert bench_pairs.tree_commit(tmp_path / "sub") is None  # inside a checkout, not its top
+
+
+def bench_tree(root, run_py="print('run')\n"):
+    """A tree holding the files the benchmark digest covers."""
+    (root / "bench" / "__pycache__").mkdir(parents=True)
+    (root / "bench" / "run.py").write_text(run_py)
+    (root / "bench" / "workloads.py").write_text("WORKLOADS = {}\n")
+    (root / "bench" / "__pycache__" / "run.cpython.pyc").write_bytes(root.name.encode())
+    (root / "BENCHMARK.json").write_text('{"run_seconds": 30}\n')
+    return root
+
+
+def test_the_bench_digest_covers_bench_files_and_the_benchmark_declaration(tmp_path):
+    a, b = bench_tree(tmp_path / "a"), bench_tree(tmp_path / "b")
+    assert bench_pairs.bench_digest(a) == bench_pairs.bench_digest(b)  # __pycache__ left out
+    (b / "BENCHMARK.json").write_text('{"run_seconds": 20}\n')
+    assert bench_pairs.bench_digest(a) != bench_pairs.bench_digest(b)
+    c = bench_tree(tmp_path / "c")
+    (c / "bench" / "extra.py").write_text("")
+    assert bench_pairs.bench_digest(a) != bench_pairs.bench_digest(c)
+    d = bench_tree(tmp_path / "d")
+    (d / "bench" / "workloads.py").rename(d / "bench" / "workloads2.py")  # same bytes, new name
+    assert bench_pairs.bench_digest(a) != bench_pairs.bench_digest(d)
+
+
+def test_two_trees_with_different_benchmarks_exit_2_before_any_run(tmp_path, monkeypatch, capsys):
+    parent = bench_tree(tmp_path / "parent")
+    change = bench_tree(tmp_path / "change", run_py="print('changed')\n")
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    monkeypatch.setattr(bench_pairs, "run_one", lambda *a: runs.append(a))
+    argv = ["--parent", str(parent), "--change", str(change), "--tag", "t", "--seeds", "1", "2"]
+    assert bench_pairs.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "differ" in err
+    assert runs == [] and not (tmp_path / "BENCH_t.json").exists()
+
+
+def test_two_trees_with_one_benchmark_run_and_record_its_digest(tmp_path, monkeypatch):
+    parent, change = bench_tree(tmp_path / "parent"), bench_tree(tmp_path / "change")
+    monkeypatch.chdir(tmp_path)
+    line = result_line(1.0)
+    monkeypatch.setattr(bench_pairs, "run_one",
+                        lambda tree, workload, seed: (bench_pairs.parse_result(line), {}))
+    argv = ["--parent", str(parent), "--change", str(change), "--tag", "t", "--seeds", "1", "2",
+            "--workloads", "dense"]
+    assert bench_pairs.main(argv) == 0
+    body = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert body["method"]["bench_sha256"] == bench_pairs.bench_digest(parent)
+    assert body["workloads"]["dense"]["pairs"] == 2

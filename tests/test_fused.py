@@ -15,7 +15,9 @@ import pytest
 
 import generic_ops as ops
 from edgeslim import distill
-from edgeslim.archspec import CONV_KINDS, LayerKind, LayerSpec, NetworkSpec, check_valid
+from edgeslim.archspec import (
+    CONV_KINDS, FACTORIZED_KINDS, LayerKind, LayerSpec, NetworkSpec, check_valid,
+)
 from edgeslim.datasets import make_synthetic
 from edgeslim.distill import NORM_FLOOR, attention_loss_node, distillation_loss_node
 from edgeslim.engine import autodiff as ad
@@ -210,6 +212,52 @@ def reference(layer, x, p, relu, g):
 
 
 CONV_CASES = sorted(k for k in FUSED if FUSED[k].kind in CONV_KINDS)
+
+
+# The dense node's products: batch rows, and conv patch rows (36 per image
+# of the bench's 6x6 maps), by the bench's layer widths and ranks.
+DOT_ROWS = (1, 31, 32, 36, 256, 1152)
+DOT_WIDTHS = (1, 3, 4, 5, 6, 8, 9, 16, 32, 48, 64)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", DOT_ROWS)
+def test_np_dot_is_bit_identical_to_matmul_at_the_dense_node_shapes(rows, dtype):
+    """The dense node runs ``np.dot`` where the op chain runs ``@``, on
+    operands of one dtype: forward ``a @ w`` (w C-ordered, or a
+    :func:`conv_matrix` view, the transpose of a C-ordered array), and
+    backward ``a.T @ g`` (written into a gradient view) and ``g @ w.T``."""
+    rng = np.random.default_rng([rows, np.dtype(dtype).itemsize])
+    for I in DOT_WIDTHS:
+        a = rng.normal(size=(rows, I)).astype(dtype)
+        for O in DOT_WIDTHS:
+            w = rng.normal(size=(I, O)).astype(dtype)
+            g = rng.normal(size=(rows, O)).astype(dtype)
+            dw = np.empty_like(w)
+            pairs = [(np.dot(a, w), a @ w), (np.dot(g, w.T), g @ w.T),
+                     (np.dot(a.T, g, out=dw), a.T @ g)]
+            wf = np.ascontiguousarray(w.T).T
+            pairs += [(np.dot(a, wf), a @ wf), (np.dot(g, wf.T), g @ wf.T)]
+            for got, want in pairs:
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (I, O)
+
+
+@pytest.mark.parametrize("batch", [1, BATCH, 32])
+@pytest.mark.parametrize("kind", [LayerKind.CONV, LayerKind.FACTORIZED_CONV])
+def test_dense_forward_across_dtypes_keeps_the_bits_of_matmul(kind, batch):
+    """Rows and weights of two dtypes meet where a student borrows prefix
+    layers from a trainee of another dtype.  Float64 rows by the transposed
+    view of a float32 conv matrix round apart under ``np.dot`` and ``@`` at
+    these shapes (a 2x2 window over 2x2 maps, one output pixel per image),
+    and the node keeps ``@``."""
+    layer = LayerSpec(kind, I=4, O=4, f=2, g=2, h=1, w=1, R=2 if kind in FACTORIZED_KINDS else None)
+    rng = np.random.default_rng(batch)
+    for x_dtype, w_dtype in ((np.float64, np.float32), (np.float32, np.float64)):
+        x = rng.normal(size=(batch, layer.input_width)).astype(x_dtype)
+        params = {p.name: rng.normal(size=p.shape).astype(w_dtype) for p in param_layout(layer)}
+        out = layer_forward(layer, params, None, ad.Tensor(x), relu=True).data
+        want, _ = reference(layer, x, params, True, np.zeros(out.shape))
+        assert out.dtype == want.dtype and out.tobytes() == want.tobytes(), x_dtype
 
 
 def check_op_chain(kind, relu, upstream_dtype, batch):

@@ -240,15 +240,20 @@ def test_settings_validation():
         PipelineSettings(h_max=-1)
 
 
+def between_the_floors_of_depths_1_and_2(teacher):
+    """A device whose budget depth 1's floor meets and depth 2's misses."""
+    floors = {l: minimum_flops(pipeline._with_prefix(teacher, l).spec) for l in (1, 2)}
+    assert floors[1] < floors[2]
+    target = (floors[1] + floors[2]) // 2
+    return device_with(alpha=target * 4.0, beta=target * 1e-9)
+
+
 def test_a_depth_whose_floor_misses_the_budget_skips_dropout(bench, monkeypatch):
     """With a budget between the floors of depths 1 and 2, depth 2 cannot
     fit whatever dropout prunes: it runs no dropout, yet its record is the
     one that dropout followed by compression gives.  Depth 1 still prunes."""
     teacher, data, reference = bench
-    floors = {l: minimum_flops(pipeline._with_prefix(teacher, l).spec) for l in (1, 2)}
-    assert floors[1] < floors[2]
-    target = (floors[1] + floors[2]) // 2
-    device = device_with(alpha=target * 4.0, beta=target * 1e-9)
+    device = between_the_floors_of_depths_1_and_2(teacher)
 
     pruned = []
     real_run = pipeline.pruning.run
@@ -282,3 +287,31 @@ def test_a_depth_whose_floor_misses_the_budget_skips_dropout(bench, monkeypatch)
     assert by_l[2].spec == outcome.model.spec
     assert by_l[2].report == outcome.report
     assert by_l[2].compression_steps == len(outcome.records) > 0
+
+
+def test_a_depth_whose_floor_misses_the_budget_runs_no_compressor(bench, monkeypatch):
+    """Depths 2 and 3 cannot fit the budget between the floors of depths 1
+    and 2: their records come from the floor without ``compressor.run``,
+    and equal what ``compressor.run`` returns for them."""
+    teacher, data, reference = bench
+    device = between_the_floors_of_depths_1_and_2(teacher)
+
+    compressed = []
+    real_run = pipeline.compressor.run
+    monkeypatch.setattr(
+        pipeline.compressor, "run",
+        lambda model, *args, **kwargs: compressed.append(model.spec.shared_prefix)
+        or real_run(model, *args, **kwargs),
+    )
+    by_l = {r.l: r for r in pipeline.run(teacher, reference, data, device, SETTINGS).records}
+    assert compressed == [1]
+    assert by_l[2].compression_steps > 0  # the floor rewrites depth 2's tail
+    for l in (2, 3):
+        outcome = real_run(pipeline._with_prefix(teacher, l), device, SETTINGS.omega)
+        assert not outcome.feasible
+        want = pipeline.CandidateRecord(
+            l=l, spec=outcome.model.spec, feasible=False, report=outcome.report,
+            dropout_rounds=0, compression_steps=len(outcome.records),
+        )
+        assert by_l[l] == want
+        assert by_l[l].to_dict() == want.to_dict()

@@ -23,11 +23,16 @@ gain in ``run_s``: the change read lower in at least nine tenths of them
 (ties count for neither side) and its median sits below the parent's by
 more than the parent's interquartile range.  Every run is listed under
 ``runs``.  Only the standard library is used.
+
+Both sides must run the same benchmark: the tool exits 2 with one line,
+before any run, when the sha256 digests of the two trees' ``bench/`` files
+and ``BENCHMARK.json`` differ.  The digest is recorded under ``method``.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -58,6 +63,19 @@ def tree_commit(tree: Path) -> str | None:
     if done.returncode or len(lines) != 2 or Path(lines[0]).resolve() != tree.resolve():
         return None
     return lines[1]
+
+
+def bench_digest(tree: Path) -> str:
+    """The sha256 over ``BENCHMARK.json`` and the files under ``bench/``, in
+    sorted path order, each path hashed with its contents; ``__pycache__``
+    is left out."""
+    files = [tree / "BENCHMARK.json"] + sorted(
+        p for p in (tree / "bench").rglob("*") if p.is_file() and "__pycache__" not in p.parts)
+    digest = hashlib.sha256()
+    for path in files:
+        digest.update(path.relative_to(tree).as_posix().encode() + b"\0")
+        digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
 
 
 def parse_result(stdout: str) -> dict:
@@ -122,6 +140,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if len(args.seeds) < 2:
         parser.error("quartiles need at least two pairs")
+    digest = bench_digest(args.parent)
+    if bench_digest(args.change) != digest:
+        print("bench_pairs: the two trees' bench/ files or BENCHMARK.json differ; "
+              "both sides must run the same benchmark", file=sys.stderr)
+        return 2
 
     runs, provenance, parent_commit = [], None, tree_commit(args.parent)
     for workload in args.workloads:
@@ -143,6 +166,7 @@ def main(argv=None) -> int:
             "pairs_per_workload": len(args.seeds),
             "order": "alternating: parent first in even pairs, change first in odd pairs",
             "seeds": args.seeds,
+            "bench_sha256": digest,
             "note": "setup_s and run_s are medians over one run's operations, host-speed "
                     "rescaled by bench/run.py; the stats below are over the pairs",
         },
