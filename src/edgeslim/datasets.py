@@ -1,13 +1,16 @@
 """Labelled datasets: container, CSV round-trip, splits, synthetic generator.
 
 Instances are flat float vectors; labels run 1..k.  The CSV form has a
-``label,s0,...,s{p-1}`` header and one row per instance, floats written in
-shortest round-trip form so save/load is value-exact.
+``label,s0,...,s{p-1}`` header and one CRLF-ended row per instance, floats in
+shortest round-trip form so save/load is value-exact.  ``load_csv`` parses the
+body in one ``np.loadtxt`` call, so data rows must be ASCII without ``_``; on
+a bad row it rescans the file to name the line.
 """
 
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,49 +84,70 @@ def make_synthetic(
     centers = rng.normal(size=(k, p))
     centers *= separation / np.maximum(np.linalg.norm(centers, axis=1, keepdims=True), 1e-12)
     counts = [n // k + (1 if c < n % k else 0) for c in range(k)]
-    feats, labels = [], []
-    for cls, count in enumerate(counts):
-        feats.append(centers[cls] + rng.normal(size=(count, p)))
-        labels.append(np.full(count, cls + 1, dtype=np.int64))
-    features = np.concatenate(feats)
-    labels = np.concatenate(labels)
+    features = np.repeat(centers, counts, axis=0) + rng.normal(size=(n, p))
+    labels = np.repeat(np.arange(1, k + 1, dtype=np.int64), counts)
     order = rng.permutation(n)
     return Dataset(features[order], labels[order], k)
 
 
 def save_csv(dataset: Dataset, path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label"] + [f"s{i}" for i in range(dataset.p)])
-        for label, row in zip(dataset.labels, dataset.features):
-            writer.writerow([int(label)] + [repr(float(v)) for v in row])
+        fh.write(f"label,{','.join(f's{i}' for i in range(dataset.p))}\r\n")
+        for label, row in zip(dataset.labels.tolist(), dataset.features):
+            fh.write(f"{label},{','.join(map(repr, row.tolist()))}\r\n")
 
 
 def load_csv(path) -> Dataset:
     """Read a dataset CSV; ``k`` is the largest label seen, at least 2."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if not header or header[0] != "label":
-            raise ValueError(f"{path}: first column must be 'label'")
-        p = len(header) - 1
-        if p < 1 or header[1:] != [f"s{i}" for i in range(p)]:
-            raise ValueError(f"{path}: feature columns must be s0..s{{p-1}}")
-        labels, rows = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != p + 1:
-                raise ValueError(f"{path}:{lineno}: expected {p + 1} fields, got {len(row)}")
+    try:
+        with open(path, newline="") as fh:
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise ValueError(f"{path}: empty file")
+            if not header or header[0] != "label":
+                raise ValueError(f"{path}: first column must be 'label'")
+            p = len(header) - 1
+            if p < 1 or header[1:] != [f"s{i}" for i in range(p)]:
+                raise ValueError(f"{path}: feature columns must be s0..s{{p-1}}")
             try:
-                labels.append(np.int64(int(row[0])))
-                rows.append([float(v) for v in row[1:]])
-            except (ValueError, OverflowError) as exc:  # OverflowError: a label past int64
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if not rows:
+                with warnings.catch_warnings():  # a header-only file is "no data rows" below
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    body = np.loadtxt(map(_plain, fh), delimiter=",", quotechar='"', comments=None,
+                                      ndmin=1, dtype=[("label", np.int64), ("x", np.float64, (p,))])
+            except ValueError as exc:  # numpy's row numbers vary: name the line by rescanning
+                raise ValueError(_first_bad_row(path, p) or f"{path}: {exc}") from None
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not body.size:
         raise ValueError(f"{path}: no data rows")
-    labels = np.asarray(labels, dtype=np.int64)
-    return Dataset(np.asarray(rows, dtype=np.float64), labels, max(int(labels.max()), 2))
+    return Dataset(body["x"].copy(), body["label"].copy(), max(int(body["label"].max()), 2))
+
+
+def _plain(text: str) -> str:
+    """``text``, unless numpy's parser could read it apart from ``int``/``float``."""
+    if text.isascii() and not any(c in text for c in "_\x1c\x1d\x1e\x1f"):
+        return text
+    raise ValueError("a field holds a non-ASCII character, '_' or \\x1c-\\x1f")
+
+
+def _first_bad_row(path, p: int) -> str | None:
+    """The first data row that the ``csv`` reader, ``int``, ``float`` or
+    :func:`_plain` rejects, as ``path:lineno: why``; None if every row passes."""
+    with open(path, newline="") as fh:
+        rows = enumerate(csv.reader(fh), start=1)
+        lineno = next(rows)[0]  # the header, checked already
+        try:
+            for lineno, row in rows:
+                if not row:
+                    continue
+                if len(row) != p + 1:
+                    return f"{path}:{lineno}: expected {p + 1} fields, got {len(row)}"
+                try:
+                    np.int64(int(row[0]))
+                    [float(v) for v in row[1:]]
+                    _plain(",".join(row))
+                except (ValueError, OverflowError) as exc:  # OverflowError: a label past int64
+                    return f"{path}:{lineno}: {exc}"
+        except csv.Error as exc:  # a field past csv.field_size_limit()
+            return f"{path}:{lineno + 1}: {exc}"
+    return None

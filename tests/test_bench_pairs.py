@@ -9,25 +9,33 @@ import json
 import subprocess
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 
-def result_line(run_s, setup_s=0.1, accuracy=0.9, failed=0):
+def result_line(run_s, setup_s=0.1, accuracy=0.9, failed=0, peak_rss_mb=50.0):
     values = {
-        "setup_s": setup_s, "run_s": run_s, "peak_rss_mb": 50.0, "ok_ratio": 1 - failed / 10,
+        "setup_s": setup_s, "run_s": run_s, "peak_rss_mb": peak_rss_mb, "ok_ratio": 1 - failed / 10,
         "student_val_accuracy": accuracy, "student_flops": 1000, "train_flops": 5000,
     }
     metrics = {name: {"value": value, "unit": "1"} for name, value in values.items()}
     return json.dumps({"correct": failed == 0, "attempted": 10, "failed": failed, "metrics": metrics})
 
 
-def canned_runs(workload, parent, change, **change_kw):
+def canned_runs(workload, parent, change, metric="run_s", **change_kw):
+    """Pairs whose ``metric`` reads ``parent[i]`` and ``change[i]``; the other
+    timed metrics keep ``result_line``'s defaults, run_s 1.0."""
     runs = []
     for pair, (p, c) in enumerate(zip(parent, change)):
-        sides = [("parent", result_line(p)), ("change", result_line(c, **change_kw))]
+        if metric == "run_s":
+            sides = [("parent", result_line(p)), ("change", result_line(c, **change_kw))]
+        else:
+            sides = [("parent", result_line(1.0, **{metric: p})),
+                     ("change", result_line(1.0, **{metric: c}, **change_kw))]
         for side, line in sides if pair % 2 == 0 else sides[::-1]:
             stdout = f"workload {workload}  seed {pair}\n  run_s {p} s\n{line}\n"
             runs.append({"workload": workload, "pair": pair, "seed": pair, "side": side,
@@ -79,6 +87,27 @@ def test_a_run_s_gain_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_parent_i
     assert out["one-tie"]["run_s_gain_holds"]
     inside = out["inside-iqr"]
     assert inside["run_s_change_lower_in"] == 10 and not inside["run_s_gain_holds"]
+
+
+@pytest.mark.parametrize("metric", bench_pairs.TIMED)
+def test_every_timed_metric_reports_a_gain_by_the_run_s_rule(metric):
+    """``<metric>_gain_holds`` for each timed metric: lower in nine tenths of
+    the pairs and a median gap wider than the parent's IQR; a metric that
+    did not move reads false beside it."""
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]  # IQR 0.035
+    out = bench_pairs.summarize(
+        canned_runs("clear", parent, [p - 0.1 for p in parent], metric)
+        + canned_runs("one-loss", parent, [p - 0.1 for p in parent[:9]] + [1.2], metric)
+        + canned_runs("two-losses", parent, [p - 0.1 for p in parent[:8]] + [1.2, 1.2], metric)
+        + canned_runs("inside-iqr", parent, [p - 0.02 for p in parent], metric)
+        + canned_runs("worse", parent, [p + 0.1 for p in parent], metric)
+    )
+    holds = {workload: entry[f"{metric}_gain_holds"] for workload, entry in out.items()}
+    assert holds == {"clear": True, "one-loss": True, "two-losses": False,
+                     "inside-iqr": False, "worse": False}
+    assert out["inside-iqr"][f"{metric}_change_lower_in"] == 10
+    others = {name for name in bench_pairs.TIMED if name != metric}
+    assert not any(entry[f"{name}_gain_holds"] for entry in out.values() for name in others)
 
 
 def test_runs_last_as_long_as_the_benchmark_declares():

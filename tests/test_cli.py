@@ -703,6 +703,36 @@ def test_train_survives_any_csv_mutation(train_inputs, data):
     assert kind not in ("non-finite", "out-of-range") or rc == 2
 
 
+def _huge_field(rows):
+    rows[3][2] = "x" * 200_000  # past csv.field_size_limit()
+    return "\r\n".join(",".join(f'"{v}"' if len(v) > 100 else v for v in row) for row in rows)
+
+
+def _open_quote(rows):
+    rows = rows[:1] + [list(row) for row in rows[1:] * 300]
+    rows[3][2] = '"0.5'  # the quote never closes: the rest of the file is one field
+    return "\r\n".join(",".join(row) for row in rows)
+
+
+@pytest.mark.parametrize("make, message, encoding", [
+    (_huge_field, ":4: field larger than field limit", "utf-8"),
+    (_open_quote, ":4: field larger than field limit", "utf-8"),
+    (lambda rows: "\r\n".join(",".join(row) for row in rows) + "\xff", ": 'utf-8' codec", "latin-1"),
+], ids=["huge-field", "open-quote-on-a-large-file", "not-utf-8"])
+def test_train_on_a_malformed_csv_names_the_file(train_inputs, capsys, make, message, encoding):
+    """A field past the csv module's size limit and a file that is not UTF-8
+    are input errors: exit 2 and one line naming the file and, where the
+    reader knows it, the line."""
+    root, rows = train_inputs
+    bad = root / "malformed.csv"
+    bad.write_bytes(make([list(row) for row in rows]).encode(encoding))
+    capsys.readouterr()
+    assert main(["train", "--arch", str(root / "arch.json"), "--data", str(bad),
+                 "--out", str(root / "model.json"), "--epochs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}{message}") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["train", "dropout", "eval", "pipeline"])
 def test_feature_past_the_model_dtype_exits_2(ws, capsys, command):
     ckpt = train_checkpoint(ws)

@@ -1,14 +1,19 @@
-"""tools/same_output.py: two runs on one workdir take turns, and a run that
-exits non-zero prints its exit code alone."""
+"""tools/same_output.py: two runs on one workdir take turns, every pipeline
+line carries its dataset's digest, a run that exits non-zero prints no
+manifest digests, and the compare step sums two printouts up."""
 
+import hashlib
 import importlib.util
 import json
+import re
 import threading
 import time
 from pathlib import Path
 from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
+DATA = b"label,s0\r\n1,0.5\r\n"
+DATA_SHA256 = hashlib.sha256(DATA).hexdigest()
 
 
 def load_tool(monkeypatch):
@@ -46,9 +51,11 @@ def test_two_holders_of_the_workdir_lock_run_one_after_the_other(tmp_path, monke
     assert (tmp_path / "work.lock").is_file()
 
 
-def test_a_run_that_exits_non_zero_prints_its_exit_code_alone(tmp_path, monkeypatch, capsys):
-    """A failed pipeline run writes no manifest: its line carries no digests
-    and no candidate lines follow it, and the runs after it still print."""
+def test_a_run_that_exits_non_zero_prints_no_manifest_digests(tmp_path, monkeypatch, capsys):
+    """Every pipeline line carries the digest of the run's dataset CSV.  A
+    failed pipeline run writes no manifest: its line carries no manifest
+    digests and no candidate lines follow it, and the runs after it still
+    print."""
     same_output = load_tool(monkeypatch)
     record = {"l": 1, "val_accuracy": 0.5, "halting_epoch": 2, "final_combined_loss": 0.25,
               "report": {"total_flops": 10}, "training_flops": 20, "dropout_rounds": 1,
@@ -60,22 +67,26 @@ def test_a_run_that_exits_non_zero_prints_its_exit_code_alone(tmp_path, monkeypa
         if name == "layers":
             return SimpleNamespace(cells=[SimpleNamespace(kind="fc", batch=32)]), [0.5]
         out = workdir / f"{name}-{seed}"
-        if seed == 405:
-            return SimpleNamespace(output_dir=out), 3
         out.mkdir(parents=True)
+        (out / "data.csv").write_bytes(DATA)
+        (out / "config.json").write_text(json.dumps({"dataset": str(out / "data.csv")}))
+        state = SimpleNamespace(output_dir=out, config=str(out / "config.json"))
+        if seed == 405:
+            return state, 3
         (out / "manifest.json").write_text(json.dumps({"result": {"best_l": 1, "records": [record]}}))
         (out / "best_student.json").write_text("{}")
-        return SimpleNamespace(output_dir=out), 0
+        return state, 0
 
     monkeypatch.setattr(same_output, "_run", fake_run)
     same_output.main(["--workdir", str(tmp_path / "work"), "--seeds", "405", "7"])
     lines = capsys.readouterr().out.splitlines()
     assert runs == [("dense", 405), ("dense", 7), ("mixed", 405), ("mixed", 7), ("layers", 0)]
-    assert lines[0] == "dense seed=405 exit=3"
-    assert lines[1].startswith("dense seed=7 exit=0 manifest=") and "best_student=" in lines[1]
+    assert lines[0] == f"dense seed=405 exit=3 data={DATA_SHA256}"
+    assert lines[1].startswith(f"dense seed=7 exit=0 data={DATA_SHA256} manifest=")
+    assert "best_student=" in lines[1]
     assert lines[2] == ("  candidate l=1 val_accuracy=0.5 halting_epoch=2 total_flops=10"
                         " training_flops=20 dropout_rounds=1 compression_steps=2")
-    assert lines[3] == "mixed seed=405 exit=3"
+    assert lines[3] == f"mixed seed=405 exit=3 data={DATA_SHA256}"
     assert lines[6] == f"layers seed=0 kind=fc batch=32 loss={float.hex(0.5)}"
     assert len(lines) == 7
 
@@ -135,3 +146,16 @@ def test_compare_reports_exit_codes_halting_epochs_and_accuracy_moves(tmp_path, 
         path.write_text(text)
     same_output.main(["--compare", *map(str, paths)])
     assert capsys.readouterr().out.splitlines() == same_output.compare(BEFORE, AFTER)
+
+
+def test_compare_counts_changed_datasets_and_reads_printouts_without_them(monkeypatch):
+    """The dataset line appears only when both printouts carry ``data=``; a
+    printout from before the field existed compares as it did."""
+    same_output = load_tool(monkeypatch)
+    with_data = re.sub(r"^(dense seed=\S+ exit=\S+)", r"\1 data=d0", BEFORE, flags=re.M)
+    moved = with_data.replace("seed=1 exit=0 data=d0", "seed=1 exit=0 data=d1")
+    assert "  data changed: 1 of 6 (seeds 1)" in same_output.compare(with_data, moved)
+    assert "  data changed: 0 of 6" in same_output.compare(with_data, with_data)
+    old_to_new = same_output.compare(BEFORE, with_data)
+    assert not any("data changed" in line for line in old_to_new)
+    assert old_to_new[:2] == ["dense: 6 runs in both printouts", "  val_accuracy rose: 0"]

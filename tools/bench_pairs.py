@@ -18,11 +18,12 @@ The output holds, per workload and side, the median and quartiles of
 operations that passed; the change of each median in percent and the
 number of pairs in which the change read lower; and whether the workload's
 outputs (``student_val_accuracy``, ``student_flops``, ``train_flops``) were
-equal in every pair; and ``run_s_gain_holds``, whether the pairs show a
-gain in ``run_s``: the change read lower in at least nine tenths of them
-(ties count for neither side) and its median sits below the parent's by
-more than the parent's interquartile range.  Every run is listed under
-``runs``.  Only the standard library is used.
+equal in every pair; and, for each of ``run_s``, ``setup_s`` and
+``peak_rss_mb``, ``<metric>_gain_holds``, whether the pairs show a gain in
+that metric: the change read lower in at least nine tenths of them (ties
+count for neither side) and its median sits below the parent's by more than
+the parent's interquartile range.  Every run is listed under ``runs``.  Only
+the standard library is used.
 
 Both sides must run the same benchmark: the tool exits 2 with one line,
 before any run, when the sha256 digests of the two trees' ``bench/`` files
@@ -114,14 +115,14 @@ def summarize(runs: list[dict]) -> dict:
             attempted = sum(r["attempted"] for r in sided)
             entry[side]["ok_ratio"] = (attempted - sum(r["failed"] for r in sided)) / attempted
         for name in TIMED:
-            before, after = entry["parent"][name]["median"], entry["change"][name]["median"]
-            entry[f"{name}_change_pct"] = round(100 * (after - before) / before, 2)
-            entry[f"{name}_change_lower_in"] = sum(
-                p["change"][name] < p["parent"][name] for p in pairs.values())
-        parent, change = entry["parent"]["run_s"], entry["change"]["run_s"]
-        entry["run_s_gain_holds"] = (10 * entry["run_s_change_lower_in"] >= 9 * len(pairs)
-                                     and parent["median"] - change["median"]
-                                     > parent["q3"] - parent["q1"])
+            parent, change = entry["parent"][name], entry["change"][name]
+            entry[f"{name}_change_pct"] = round(
+                100 * (change["median"] - parent["median"]) / parent["median"], 2)
+            lower_in = sum(p["change"][name] < p["parent"][name] for p in pairs.values())
+            entry[f"{name}_change_lower_in"] = lower_in
+            entry[f"{name}_gain_holds"] = (10 * lower_in >= 9 * len(pairs)
+                                           and parent["median"] - change["median"]
+                                           > parent["q3"] - parent["q1"])
         entry["outputs_equal_in_every_pair"] = all(
             p["parent"][k] == p["change"][k] for p in pairs.values() for k in OUTPUTS)
         out[workload] = entry

@@ -8,9 +8,10 @@ once against each source tree and compare the two printouts:
     diff parent.txt change.txt
 
 It runs the ``dense`` and ``mixed`` workloads of ``bench/workloads.py`` at
-seeds 0-2 (or the ``--seeds`` given) and prints the exit code and the sha256
-of ``manifest.json`` and of ``best_student.json`` for each; a run that exits
-non-zero writes no manifest, so its line is the exit code alone.  It then
+seeds 0-2 (or the ``--seeds`` given) and prints, for each, the exit code,
+the sha256 of the dataset CSV that ``gendata`` wrote (``data=``), and the
+sha256 of ``manifest.json`` and of ``best_student.json``; a run that exits
+non-zero writes no manifest, so its line ends at ``data=``.  It then
 runs ``layers`` at seed 0 and prints
 each loss as float hex on its own line, labelled with its layer kind and
 batch.  Every run uses the same working directory, because the manifest
@@ -34,7 +35,9 @@ compare step sums two such printouts up instead of a diff:
 It prints, per pipeline workload, the runs whose exit code changed, the
 runs whose best halting epoch moved, and how many runs' best
 ``val_accuracy`` rose and fell, each direction with its worst move and the
-seeds that moved; and for ``layers``, the cells whose loss changed.
+seeds that moved; when both printouts carry ``data=``, how many runs'
+datasets changed; and for ``layers``, the cells whose loss changed.  A
+printout from before ``data=`` was added reads as one without datasets.
 """
 
 from __future__ import annotations
@@ -138,6 +141,11 @@ def compare(before: str, after: str) -> list[str]:
             elif a.get("halting_epoch") != b.get("halting_epoch"):
                 h, g = a["halting_epoch"], b["halting_epoch"]
                 lines.append(f"  halting epoch moved: seed={key[1]} {h} -> {g}")
+        datasets = [key for key in both if "data" in old[key] and "data" in new[key]]
+        if datasets:
+            moved = [str(key[1]) for key in datasets if old[key]["data"] != new[key]["data"]]
+            listed = f" (seeds {', '.join(moved)})" if moved else ""
+            lines.append(f"  data changed: {len(moved)} of {len(datasets)}{listed}")
         moves = sorted(
             (float(new[key]["val_accuracy"]) - float(old[key]["val_accuracy"]), key[1])
             for key in both
@@ -178,12 +186,14 @@ def main(argv=None) -> None:
         for name in ("dense", "mixed"):
             for seed in args.seeds:
                 state, code = _run(name, workdir, seed)
+                dataset = Path(json.loads(Path(state.config).read_text())["dataset"])
+                line = f"{name} seed={seed} exit={code} data={_sha256(dataset)}"
                 if code != 0:
-                    print(f"{name} seed={seed} exit={code}", flush=True)
+                    print(line, flush=True)
                     continue
                 out = state.output_dir
                 print(
-                    f"{name} seed={seed} exit={code}"
+                    f"{line}"
                     f" manifest={_sha256(out / 'manifest.json')}"
                     f" best_student={_sha256(out / 'best_student.json')}"
                     f" {_best_summary(out / 'manifest.json')}",
