@@ -31,11 +31,8 @@ def canned_runs(workload, parent, change, metric="run_s", **change_kw):
     timed metrics keep ``result_line``'s defaults, run_s 1.0."""
     runs = []
     for pair, (p, c) in enumerate(zip(parent, change)):
-        if metric == "run_s":
-            sides = [("parent", result_line(p)), ("change", result_line(c, **change_kw))]
-        else:
-            sides = [("parent", result_line(1.0, **{metric: p})),
-                     ("change", result_line(1.0, **{metric: c}, **change_kw))]
+        sides = [("parent", result_line(**{"run_s": 1.0, metric: p})),
+                 ("change", result_line(**{"run_s": 1.0, metric: c}, **change_kw))]
         for side, line in sides if pair % 2 == 0 else sides[::-1]:
             stdout = f"workload {workload}  seed {pair}\n  run_s {p} s\n{line}\n"
             runs.append({"workload": workload, "pair": pair, "seed": pair, "side": side,
@@ -71,40 +68,25 @@ def test_summarize_gives_quartiles_changes_and_wins_per_workload():
     assert not mixed["outputs_equal_in_every_pair"]
 
 
-def test_a_run_s_gain_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_parent_iqr():
-    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]  # IQR 0.035
-    out = bench_pairs.summarize(
-        canned_runs("clear", parent, [p - 0.1 for p in parent])
-        + canned_runs("one-loss", parent, [p - 0.1 for p in parent[:9]] + [1.2])
-        + canned_runs("two-losses", parent, [p - 0.1 for p in parent[:8]] + [1.2, 1.2])
-        + canned_runs("one-tie", parent, [p - 0.1 for p in parent[:8]] + parent[8:9] + [0.9])
-        + canned_runs("inside-iqr", parent, [p - 0.02 for p in parent])
-    )
-    assert out["clear"]["run_s_gain_holds"]
-    assert out["one-loss"]["run_s_change_lower_in"] == 9 and out["one-loss"]["run_s_gain_holds"]
-    assert not out["two-losses"]["run_s_gain_holds"]  # 8 of 10
-    assert out["one-tie"]["run_s_change_lower_in"] == 9  # a tie counts for neither side
-    assert out["one-tie"]["run_s_gain_holds"]
-    inside = out["inside-iqr"]
-    assert inside["run_s_change_lower_in"] == 10 and not inside["run_s_gain_holds"]
-
-
 @pytest.mark.parametrize("metric", bench_pairs.TIMED)
-def test_every_timed_metric_reports_a_gain_by_the_run_s_rule(metric):
-    """``<metric>_gain_holds`` for each timed metric: lower in nine tenths of
-    the pairs and a median gap wider than the parent's IQR; a metric that
-    did not move reads false beside it."""
+def test_a_gain_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_parent_iqr(metric):
+    """``<metric>_gain_holds``, for each timed metric, by one rule; a metric
+    that did not move reads false beside it."""
     parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]  # IQR 0.035
     out = bench_pairs.summarize(
         canned_runs("clear", parent, [p - 0.1 for p in parent], metric)
         + canned_runs("one-loss", parent, [p - 0.1 for p in parent[:9]] + [1.2], metric)
         + canned_runs("two-losses", parent, [p - 0.1 for p in parent[:8]] + [1.2, 1.2], metric)
+        + canned_runs("one-tie", parent, [p - 0.1 for p in parent[:8]] + parent[8:9] + [0.9],
+                      metric)
         + canned_runs("inside-iqr", parent, [p - 0.02 for p in parent], metric)
         + canned_runs("worse", parent, [p + 0.1 for p in parent], metric)
     )
     holds = {workload: entry[f"{metric}_gain_holds"] for workload, entry in out.items()}
-    assert holds == {"clear": True, "one-loss": True, "two-losses": False,
+    assert holds == {"clear": True, "one-loss": True, "two-losses": False, "one-tie": True,
                      "inside-iqr": False, "worse": False}
+    assert out["one-loss"][f"{metric}_change_lower_in"] == 9
+    assert out["one-tie"][f"{metric}_change_lower_in"] == 9  # a tie counts for neither side
     assert out["inside-iqr"][f"{metric}_change_lower_in"] == 10
     others = {name for name in bench_pairs.TIMED if name != metric}
     assert not any(entry[f"{name}_gain_holds"] for entry in out.values() for name in others)

@@ -105,6 +105,7 @@ def test_csv_writer_matches_csv_writer_bytes_and_round_trips_bits(tmp_path):
         writer.writerow([int(label)] + [repr(float(v)) for v in row])
     assert path.read_bytes() == expected.getvalue().encode()
     again = load_csv(path)
+    assert again.features.flags.c_contiguous and again.labels.flags.c_contiguous
     np.testing.assert_array_equal(again.features.view(np.uint64), features.view(np.uint64))
     np.testing.assert_array_equal(again.labels, np.arange(1, k + 1))
 

@@ -1,6 +1,7 @@
 """tools/same_output.py: two runs on one workdir take turns, every pipeline
 line carries its dataset's digest, a run that exits non-zero prints no
-manifest digests, and the compare step sums two printouts up."""
+manifest digests, and the compare step sums two printouts up, with or
+without dataset digests."""
 
 import hashlib
 import importlib.util
@@ -148,14 +149,14 @@ def test_compare_reports_exit_codes_halting_epochs_and_accuracy_moves(tmp_path, 
     assert capsys.readouterr().out.splitlines() == same_output.compare(BEFORE, AFTER)
 
 
-def test_compare_counts_changed_datasets_and_reads_printouts_without_them(monkeypatch):
-    """The dataset line appears only when both printouts carry ``data=``; a
-    printout from before the field existed compares as it did."""
+def test_compare_reads_printouts_with_and_without_data_digests(monkeypatch):
+    """``data=`` is read like any other field: a printout from before it was
+    added compares with one that has it as with its own kind."""
     same_output = load_tool(monkeypatch)
-    with_data = re.sub(r"^(dense seed=\S+ exit=\S+)", r"\1 data=d0", BEFORE, flags=re.M)
-    moved = with_data.replace("seed=1 exit=0 data=d0", "seed=1 exit=0 data=d1")
-    assert "  data changed: 1 of 6 (seeds 1)" in same_output.compare(with_data, moved)
-    assert "  data changed: 0 of 6" in same_output.compare(with_data, with_data)
-    old_to_new = same_output.compare(BEFORE, with_data)
-    assert not any("data changed" in line for line in old_to_new)
-    assert old_to_new[:2] == ["dense: 6 runs in both printouts", "  val_accuracy rose: 0"]
+    before, after = (re.sub(r"^(\w+ seed=\d+ exit=\d+)", r"\1 data=d0", text, flags=re.M)
+                     for text in (BEFORE, AFTER))
+    assert "dense seed=405 exit=3 data=d0" in before.splitlines()
+    expected = same_output.compare(BEFORE, AFTER)
+    assert same_output.compare(before, after) == expected
+    assert same_output.compare(BEFORE, after) == expected
+    assert same_output.compare(before, AFTER) == expected

@@ -35,9 +35,8 @@ compare step sums two such printouts up instead of a diff:
 It prints, per pipeline workload, the runs whose exit code changed, the
 runs whose best halting epoch moved, and how many runs' best
 ``val_accuracy`` rose and fell, each direction with its worst move and the
-seeds that moved; when both printouts carry ``data=``, how many runs'
-datasets changed; and for ``layers``, the cells whose loss changed.  A
-printout from before ``data=`` was added reads as one without datasets.
+seeds that moved; and for ``layers``, the cells whose loss changed.  It
+reads printouts with or without ``data=`` alike.
 """
 
 from __future__ import annotations
@@ -141,11 +140,6 @@ def compare(before: str, after: str) -> list[str]:
             elif a.get("halting_epoch") != b.get("halting_epoch"):
                 h, g = a["halting_epoch"], b["halting_epoch"]
                 lines.append(f"  halting epoch moved: seed={key[1]} {h} -> {g}")
-        datasets = [key for key in both if "data" in old[key] and "data" in new[key]]
-        if datasets:
-            moved = [str(key[1]) for key in datasets if old[key]["data"] != new[key]["data"]]
-            listed = f" (seeds {', '.join(moved)})" if moved else ""
-            lines.append(f"  data changed: {len(moved)} of {len(datasets)}{listed}")
         moves = sorted(
             (float(new[key]["val_accuracy"]) - float(old[key]["val_accuracy"]), key[1])
             for key in both
