@@ -187,8 +187,7 @@ def main(argv=None) -> None:
                     continue
                 out = state.output_dir
                 print(
-                    f"{line}"
-                    f" manifest={_sha256(out / 'manifest.json')}"
+                    f"{line} manifest={_sha256(out / 'manifest.json')}"
                     f" best_student={_sha256(out / 'best_student.json')}"
                     f" {_best_summary(out / 'manifest.json')}",
                 )
