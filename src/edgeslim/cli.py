@@ -32,7 +32,7 @@ from edgeslim import __version__, compressor, pruning
 from edgeslim import pipeline as pipeline_mod
 from edgeslim.archspec import check_valid, network_from_dict
 from edgeslim.config import apply_env_overrides, config_from_dict
-from edgeslim.datasets import load_csv, make_synthetic, save_csv
+from edgeslim.datasets import csv_header, load_csv, make_synthetic, save_csv
 from edgeslim.engine.model import (
     TrainingDiverged,
     init_model,
@@ -153,7 +153,7 @@ def cmd_gendata(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     tmp = out.with_name(out.name + ".tmp")
     if args.n == 0:
-        tmp.write_text("label," + ",".join(f"s{i}" for i in range(args.p)) + "\r\n")
+        tmp.write_text(csv_header(args.p), newline="")
     else:
         dataset = make_synthetic(
             k=args.k, p=args.p, n=args.n, seed=args.seed, separation=args.separation

@@ -90,9 +90,14 @@ def make_synthetic(
     return Dataset(features[order], labels[order], k)
 
 
+def csv_header(p: int) -> str:
+    """The header line of a dataset CSV with ``p`` features, CRLF included."""
+    return f"label,{','.join(f's{i}' for i in range(p))}\r\n"
+
+
 def save_csv(dataset: Dataset, path) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(f"label,{','.join(f's{i}' for i in range(dataset.p))}\r\n")
+        fh.write(csv_header(dataset.p))
         for label, row in zip(dataset.labels.tolist(), dataset.features):
             fh.write(f"{label},{','.join(map(repr, row.tolist()))}\r\n")
 

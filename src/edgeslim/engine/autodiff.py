@@ -89,15 +89,15 @@ def _stable_sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     on their halves.  The numerator picks its branch as max(e, x >= 0),
     which is 1 where x >= 0 (there e <= 1), e elsewhere and NaN for NaN,
     the bits of ``np.where(x >= 0, 1.0, e)``, but on ``maximum``'s fast
-    loop instead of ``where``'s generic one.  A (256, 96) float32 column
-    slice, the gate block of a recurrent step at batch 256, took 54 µs
-    against 159 µs (best of 5×200 calls; 2-CPU x86_64, numpy 2.4.6).
+    loop instead of ``where``'s generic one.  A contiguous (3, 256, 32)
+    float32 block, the sigmoid gates of a gate-major LSTM step at batch 256,
+    took 39-46 µs against 149-153 µs (best of 7×2000 calls, less the copy
+    that refreshes the block; 2-CPU x86_64, numpy 2.4.6).
     ``e`` is worked in place and the quotient written to ``out``, so a call
-    allocates three arrays, not seven.  Written over its own (32, 48)
-    float32 column slice, an LSTM step's sigmoid block in the ``mixed``
-    bench at batch 32, it took 9.9 µs against 10.4 µs for the returned
-    quotient assigned back (33.5 against 37.7 µs at batch 256; best of
-    7×2000 calls, same host).
+    allocates three arrays, not seven.  Written over its own (3, 32, 16)
+    block, an LSTM step's sigmoid gates in the ``mixed`` bench at batch 32,
+    it took 6.7-6.9 µs against 7.0-7.1 µs for the returned quotient
+    assigned back (39-46 against 41-42 µs at batch 256; same calls, host).
     """
     e = np.abs(x)
     np.negative(e, out=e)

@@ -24,9 +24,9 @@ gathered in one ``np.take`` through an index cached per input shape),
 read the conv weight as the (I*f*g, O) matrix of :func:`conv_matrix`, and
 scatter the input gradient back with col2im, so a convolution is one GEMM
 per factor and direction.  A recurrent cell concatenates its per-gate blocks
-for the forward, runs the input projection of all steps as a single GEMM,
-and writes the gradients of a hand-written BPTT back to the per-gate
-arrays, so storage, masks and checkpoints stay per gate.
+once, so each product is one GEMM, runs each step on gate-major (G, n, O)
+buffers, and writes the gradients of a hand-written BPTT back to the
+per-gate arrays, so storage, masks and checkpoints stay per gate.
 """
 
 from __future__ import annotations
@@ -215,108 +215,118 @@ def _recurrent_forward(
 ) -> Tensor:
     """All s steps of one recurrent cell as a single tape node.
 
-    The per-gate matrices are concatenated once into ``Wx`` (I, G*O)
-    and ``Wh`` (O, G*O); the input projection of every step is one GEMM and
-    each step adds one state GEMM.  Every kind lists its sigmoid gates first
-    and its tanh candidate last.  GRU and MGU feed the candidate ``r*h``
-    (``f*h`` for MGU) through the candidate's own ``Wh`` columns.  The
-    backward is hand-written BPTT over the stored gate activations; it
-    assigns each gate's ``Wx`` and ``Wh`` columns to the ``[:I]`` and
-    ``[I:]`` rows of that gate's gradient in ``grads``.
+    The per-gate matrices are concatenated once into ``Wx`` (I, G*O) and
+    ``Wh`` (O, G*O), so each product is one GEMM.  Every kind lists its
+    sigmoid gates first and its tanh candidate last.  GRU and MGU feed the
+    candidate ``r*h`` (``f*h`` for MGU) through the candidate's own ``Wh``
+    columns.  Step buffers are gate-major, (G, n, O), so every elementwise
+    op runs on contiguous (n, O) gate blocks.  The backward is hand-written
+    BPTT over the stored gate activations; it copies each step's derivative
+    once into a row-major (n, G*O) row for the GEMMs, and assigns each
+    gate's ``Wx`` and ``Wh`` columns to the ``[:I]`` and ``[I:]`` rows of
+    that gate's gradient in ``grads``.
     """
     kind = layer.kind
     n = x.data.shape[0]
     I, O, s = layer.I, layer.O, layer.s
     gate_names = GATE_NAMES[kind]
+    G = len(gate_names)
     Ws = [params[f"W{gate}"] for gate in gate_names]
-    S = (len(Ws) - 1) * O  # width of the sigmoid block
+    S = (G - 1) * O  # width of the sigmoid block
     Wx = np.concatenate([W[:I] for W in Ws], axis=1)
     Wh = np.concatenate([W[I:] for W in Ws], axis=1)
-    b = np.concatenate([params[f"b{gate}"] for gate in gate_names])
+    b = np.concatenate([params[f"b{gate}"] for gate in gate_names]).reshape(G, 1, O)
     gated = kind in (LayerKind.GRU, LayerKind.MGU)
     if gated:
-        # the gate that scales the candidate's state: r for GRU, f for MGU
-        reset = slice(O, 2 * O) if kind == LayerKind.GRU else slice(0, O)
+        reset = 1 if kind == LayerKind.GRU else 0  # the gate of the candidate's state: r, f
         Wh_sig, Wh_cand = Wh[:, :S].copy(), Wh[:, S:].copy()
 
-    # Step-major rows, so each step's slice is contiguous.  Each step
-    # overwrites its input projection with its activated gates.  The bias is
-    # added after the state GEMM to keep the rounding of (x@Wx + h@Wh) + b,
-    # and step 0 skips the state GEMM because the state starts at zero.  The
-    # LSTM kinds run those ops with ``out=``, into the gate, state and
-    # scratch arrays below, so a step allocates only inside the sigmoid.
+    # One GEMM projects all steps; each step's (n, G*O) rows are re-laid in
+    # place, through one held row, as its (G, n, O) block gates[t], so no
+    # second array of that size is made.  A step overwrites its block with
+    # its activated gates.  The bias is added after the state GEMM to keep
+    # the rounding of (x@Wx + h@Wh) + b, and step 0 skips the state GEMM
+    # because the state starts at zero.  Ops write with ``out=``: a step
+    # allocates only in the sigmoid and a GRU/MGU blend.
     xs = x.data.reshape(n, s, I).transpose(1, 0, 2).reshape(s * n, I)
-    gates = (xs @ Wx).reshape(s, n, -1)
-    dtype = gates.dtype
+    proj = (xs @ Wx).reshape(s, n, G * O)
+    gates, dtype = proj.reshape(s, G, n, O), proj.dtype
+    row = np.empty((n, G * O), dtype=dtype)
+    for t in range(s):
+        np.copyto(row, proj[t])
+        np.copyto(gates[t], row.reshape(n, G, O).transpose(1, 0, 2))
     hs = np.zeros((s + 1, n, O), dtype=dtype)  # hs[t] is the state entering step t
+    state = np.empty((n, S if gated else G * O), dtype=dtype)  # h @ Wh_sig or h @ Wh
+    added = state.reshape(n, -1, O).transpose(1, 0, 2)
+    scratch = np.empty((n, O), dtype=dtype)  # hin @ Wh_cand, or i * g
     if gated:
         hin = np.zeros((s, n, O), dtype=dtype)  # gated state fed to the candidate
     else:
         cs = np.zeros((s + 1, n, O), dtype=dtype)  # cell state, indexed like hs
         tcs = np.empty((s, n, O), dtype=dtype)  # tanh of the step's new cell state
-        state = np.empty((n, len(Ws) * O), dtype=dtype)  # h @ Wh
-        ig = np.empty((n, O), dtype=dtype)  # i * g
-        if kind == LayerKind.COUPLED_LSTM:
-            coupled = np.empty((n, O), dtype=dtype)  # the input gate 1 - f
     for t in range(s):
         h, a = hs[t], gates[t]
+        pre = a[:-1] if gated else a  # the gates fed h itself, not r*h or f*h
+        if t:
+            np.matmul(h, Wh_sig if gated else Wh, out=state)
+            np.add(pre, added, out=pre)
+        np.add(pre, b[: len(pre)], out=pre)
+        _stable_sigmoid(a[:-1], out=a[:-1])
         if gated:
-            a[:, :S] = _stable_sigmoid((a[:, :S] + h @ Wh_sig if t else a[:, :S]) + b[:S])
-            hin[t] = a[:, reset] * h
-            a[:, S:] = np.tanh((a[:, S:] + hin[t] @ Wh_cand if t else a[:, S:]) + b[S:])
-            z, cand = a[:, :O], a[:, S:]
-            hs[t + 1] = (1.0 - z) * h + z * cand
-        else:
+            np.multiply(a[reset], h, out=hin[t])
             if t:
-                np.add(a, np.matmul(h, Wh, out=state), out=a)
-            np.add(a, b, out=a)
-            _stable_sigmoid(a[:, :S], out=a[:, :S])
-            np.tanh(a[:, S:], out=a[:, S:])
-            o, g = a[:, S - O : S], a[:, S:]
-            if kind == LayerKind.LSTM:
-                i, f = a[:, :O], a[:, O : 2 * O]
-            else:  # coupled: the input gate is 1 - f
-                f = a[:, :O]
-                i = np.subtract(1.0, f, out=coupled)
-            c = np.multiply(f, cs[t], out=cs[t + 1])
-            np.add(c, np.multiply(i, g, out=ig), out=c)
-            np.multiply(o, np.tanh(c, out=tcs[t]), out=hs[t + 1])
+                np.add(a[-1], np.matmul(hin[t], Wh_cand, out=scratch), out=a[-1])
+            np.add(a[-1], b[-1], out=a[-1])
+        np.tanh(a[-1], out=a[-1])
+        if gated:
+            hs[t + 1] = (1.0 - a[0]) * h + a[0] * a[-1]
+            continue
+        o, g = a[-2], a[-1]
+        if kind == LayerKind.LSTM:
+            i, f = a[0], a[1]
+        else:  # coupled: the input gate is 1 - f, overwritten below by i * g
+            f = a[0]
+            i = np.subtract(1.0, f, out=scratch)
+        c = np.multiply(f, cs[t], out=cs[t + 1])
+        np.add(c, np.multiply(i, g, out=scratch), out=c)
+        np.multiply(o, np.tanh(c, out=tcs[t]), out=hs[t + 1])
 
     def bwd(gh):
-        dpre = np.empty(gates.shape, dtype=np.result_type(gh, dtype))
+        d = np.empty((G, n, O), dtype=np.result_type(gh, dtype))  # a step's derivative
+        dpre = np.empty((s, n, G * O), dtype=d.dtype)  # every step's, row-major
         dc = np.zeros_like(gh)
         for t in reversed(range(s)):
-            h, a, d = hs[t], gates[t], dpre[t]
+            h, a = hs[t], gates[t]
             if gated:
-                z, cand = a[:, :O], a[:, S:]
-                d[:, S:] = gh * z * (1.0 - cand * cand)
-                d[:, :S] = 0.0
-                d[:, :O] = gh * (cand - h)
+                z, cand = a[0], a[-1]
+                d[-1] = gh * z * (1.0 - cand * cand)
+                d[:-1] = 0.0
+                d[0] = gh * (cand - h)
                 if t:
-                    dhin = d[:, S:] @ Wh_cand.T
-                    d[:, reset] += dhin * h
-                d[:, :S] *= a[:, :S] * (1.0 - a[:, :S])
-                if t:
-                    gh = gh * (1.0 - z) + dhin * a[:, reset] + d[:, :S] @ Wh_sig.T
+                    dhin = d[-1] @ Wh_cand.T
+                    d[reset] += dhin * h
             else:
-                tc, g = tcs[t], a[:, S:]
-                dc = dc + gh * a[:, S - O : S] * (1.0 - tc * tc)
-                d[:, S - O : S] = gh * tc
+                tc, g = tcs[t], a[-1]
+                dc = dc + gh * a[-2] * (1.0 - tc * tc)
+                d[-2] = gh * tc
                 if kind == LayerKind.LSTM:
-                    f = a[:, O : 2 * O]
-                    d[:, :O] = dc * g
-                    d[:, O : 2 * O] = dc * cs[t]
-                    d[:, S:] = dc * a[:, :O]
+                    f = a[1]
+                    d[0] = dc * g
+                    d[1] = dc * cs[t]
+                    d[-1] = dc * a[0]
                 else:
-                    f = a[:, :O]
-                    d[:, :O] = dc * (cs[t] - g)
-                    d[:, S:] = dc * (1.0 - f)
-                d[:, :S] *= a[:, :S] * (1.0 - a[:, :S])
-                d[:, S:] *= 1.0 - g * g
-                if t:
-                    dc = dc * f
-                    gh = d @ Wh.T
-        flat = dpre.reshape(s * n, -1)
+                    f = a[0]
+                    d[0] = dc * (cs[t] - g)
+                    d[-1] = dc * (1.0 - f)
+                d[-1] *= 1.0 - g * g
+            d[:-1] *= a[:-1] * (1.0 - a[:-1])
+            np.copyto(dpre[t].reshape(n, G, O), d.transpose(1, 0, 2))
+            if t and gated:
+                gh = gh * (1.0 - z) + dhin * a[reset] + dpre[t][:, :S] @ Wh_sig.T
+            elif t:
+                dc = dc * f
+                gh = dpre[t] @ Wh.T
+        flat = dpre.reshape(s * n, G * O)
         if x.requires_grad:
             dx = (flat @ Wx.T).reshape(s, n, I).transpose(1, 0, 2).reshape(n, s * I)
             x._accum(dx)

@@ -23,7 +23,7 @@ from edgeslim.archspec import (
 )
 from edgeslim.cli import main
 from edgeslim.compressor import minimum_flops
-from edgeslim.datasets import load_csv
+from edgeslim.datasets import Dataset, load_csv, save_csv
 from edgeslim.distill import network_flops
 from edgeslim.engine.model import load_checkpoint, save_checkpoint
 
@@ -76,6 +76,17 @@ def test_gendata_zero_rows_writes_header_only(tmp_path):
     out = tmp_path / "empty.csv"
     assert main(["gendata", "--out", str(out), "--n", "0", "--p", "3", "--k", "2"]) == 0
     assert out.read_bytes() == b"label,s0,s1,s2\r\n"
+
+
+@pytest.mark.parametrize("p", [1, 3, 12])
+def test_gendata_zero_rows_writes_the_header_of_save_csv(tmp_path, p):
+    """``--n 0`` writes exactly the first line ``save_csv`` writes for the
+    same ``p``, CRLF included."""
+    empty, full = tmp_path / "empty.csv", tmp_path / "full.csv"
+    assert main(["gendata", "--out", str(empty), "--n", "0", "--p", str(p), "--k", "2"]) == 0
+    save_csv(Dataset(np.zeros((1, p)), np.ones(1), 2), full)
+    header = full.read_bytes().split(b"\r\n")[0] + b"\r\n"
+    assert empty.read_bytes() == header
 
 
 def test_gendata_rejects_one_class(tmp_path, capsys):

@@ -281,13 +281,10 @@ def recurrent_op_chain(kind, params, x, upstream):
     return out, grads
 
 
-@pytest.mark.parametrize("upstream_dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("batch", [1, 32, 256])
-@pytest.mark.parametrize("kind", RECURRENT)
-def test_recurrent_node_is_bit_identical_to_op_chain(kind, batch, upstream_dtype):
-    """Output, dx and every gate's dW and db of a float32 cell, pruned and
-    with gates saturating on both sides, against :func:`recurrent_op_chain`."""
-    layer = LayerSpec(kind, I=5, O=6, s=4)
+def check_node_against_op_chain(layer, batch, upstream_dtype):
+    """Output, dx and every gate's dW and db of ``layer`` as a float32 cell,
+    pruned and with gates saturating on both sides, against
+    :func:`recurrent_op_chain`, bit for bit."""
     rng = np.random.default_rng([batch, 3])
     x = rng.normal(scale=3.0, size=(batch, layer.input_width)).astype(np.float32)
     params = {}
@@ -303,13 +300,59 @@ def test_recurrent_node_is_bit_identical_to_op_chain(kind, batch, upstream_dtype
     ops.total(ops.mul(out, upstream)).backward()
     got = {"x": inputs.grad, **grads}
 
-    expect_out, expect = recurrent_op_chain(kind, params, x, upstream)
+    expect_out, expect = recurrent_op_chain(layer.kind, params, x, upstream)
     assert out.data.dtype == expect_out.dtype and out.data.tobytes() == expect_out.tobytes()
     assert got.keys() == expect.keys()
     for name, grad in got.items():
         want = expect[name]
         assert grad.dtype == want.dtype and grad.shape == want.shape, name
         assert grad.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("upstream_dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 32, 256])
+@pytest.mark.parametrize("kind", RECURRENT)
+def test_recurrent_node_is_bit_identical_to_op_chain(kind, batch, upstream_dtype):
+    """Output, dx and every gate's dW and db of a float32 cell, pruned and
+    with gates saturating on both sides, against :func:`recurrent_op_chain`."""
+    check_node_against_op_chain(LayerSpec(kind, I=5, O=6, s=4), batch, upstream_dtype)
+
+
+# (I, O, s) of the recurrent layer of the bench's ``mixed`` and ``layers`` workloads
+BENCH_CELLS = {"mixed": (36, 16, 4), "layers": (16, 32, 8)}
+
+
+@pytest.mark.parametrize("upstream_dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 32, 256])
+@pytest.mark.parametrize("workload", BENCH_CELLS)
+@pytest.mark.parametrize("kind", RECURRENT)
+def test_recurrent_node_at_the_bench_shapes_is_bit_identical_to_op_chain(
+    kind, workload, batch, upstream_dtype
+):
+    """The check above at the cell shapes the bench times, whose (n, O)
+    gate blocks span several SIMD registers where O=6 spans one."""
+    I, O, s = BENCH_CELLS[workload]
+    check_node_against_op_chain(LayerSpec(kind, I=I, O=O, s=s), batch, upstream_dtype)
+
+
+@pytest.mark.parametrize("shape", [(5, 6, 4), *BENCH_CELLS.values()])
+@pytest.mark.parametrize("kind", RECURRENT)
+def test_a_frozen_recurrent_node_needs_no_gradient_and_keeps_the_bits(kind, shape):
+    """A frozen cell (no ``grads``) on an input that needs no gradient
+    builds a node off the tape, with the output bits of the trainable run."""
+    I, O, s = shape
+    layer = LayerSpec(kind, I=I, O=O, s=s)
+    rng = np.random.default_rng([I, O, s])
+    x = rng.normal(scale=3.0, size=(32, layer.input_width)).astype(np.float32)
+    params = {p.name: rng.normal(scale=2.0, size=p.shape).astype(np.float32)
+              for p in param_layout(layer)}
+    grads = {k: np.empty_like(v) for k, v in params.items()}
+    trained = layer_forward(layer, params, grads, ad.Tensor(x, requires_grad=True))
+    frozen = layer_forward(layer, params, None, ad.Tensor(x))
+    assert trained.requires_grad and not frozen.requires_grad
+    assert frozen._backward is None and frozen._parents == ()
+    assert frozen.data.dtype == trained.data.dtype == np.float32
+    assert frozen.data.tobytes() == trained.data.tobytes()
 
 
 def mask_some(model, layer_idx, rng, fraction=0.3):

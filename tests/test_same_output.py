@@ -1,7 +1,7 @@
 """tools/same_output.py: two runs on one workdir take turns, every pipeline
 line carries its dataset's digest, a run that exits non-zero prints no
-manifest digests, and the compare step sums two printouts up, with or
-without dataset digests."""
+manifest digests, ``layers`` runs at every seed, and the compare step sums
+two printouts up, with or without dataset digests."""
 
 import hashlib
 import importlib.util
@@ -56,7 +56,7 @@ def test_a_run_that_exits_non_zero_prints_no_manifest_digests(tmp_path, monkeypa
     """Every pipeline line carries the digest of the run's dataset CSV.  A
     failed pipeline run writes no manifest: its line carries no manifest
     digests and no candidate lines follow it, and the runs after it still
-    print."""
+    print.  ``layers`` runs at each seed, its lines under the seed."""
     same_output = load_tool(monkeypatch)
     record = {"l": 1, "val_accuracy": 0.5, "halting_epoch": 2, "final_combined_loss": 0.25,
               "report": {"total_flops": 10}, "training_flops": 20, "dropout_rounds": 1,
@@ -66,7 +66,8 @@ def test_a_run_that_exits_non_zero_prints_no_manifest_digests(tmp_path, monkeypa
     def fake_run(name, workdir, seed):
         runs.append((name, seed))
         if name == "layers":
-            return SimpleNamespace(cells=[SimpleNamespace(kind="fc", batch=32)]), [0.5]
+            cells = [SimpleNamespace(kind="fc", batch=32), SimpleNamespace(kind="gru", batch=256)]
+            return SimpleNamespace(cells=cells), [0.5, seed / 4]
         out = workdir / f"{name}-{seed}"
         out.mkdir(parents=True)
         (out / "data.csv").write_bytes(DATA)
@@ -81,15 +82,20 @@ def test_a_run_that_exits_non_zero_prints_no_manifest_digests(tmp_path, monkeypa
     monkeypatch.setattr(same_output, "_run", fake_run)
     same_output.main(["--workdir", str(tmp_path / "work"), "--seeds", "405", "7"])
     lines = capsys.readouterr().out.splitlines()
-    assert runs == [("dense", 405), ("dense", 7), ("mixed", 405), ("mixed", 7), ("layers", 0)]
+    assert runs == [("dense", 405), ("dense", 7), ("mixed", 405), ("mixed", 7),
+                    ("layers", 405), ("layers", 7)]
     assert lines[0] == f"dense seed=405 exit=3 data={DATA_SHA256}"
     assert lines[1].startswith(f"dense seed=7 exit=0 data={DATA_SHA256} manifest=")
     assert "best_student=" in lines[1]
     assert lines[2] == ("  candidate l=1 val_accuracy=0.5 halting_epoch=2 total_flops=10"
                         " training_flops=20 dropout_rounds=1 compression_steps=2")
     assert lines[3] == f"mixed seed=405 exit=3 data={DATA_SHA256}"
-    assert lines[6] == f"layers seed=0 kind=fc batch=32 loss={float.hex(0.5)}"
-    assert len(lines) == 7
+    assert lines[6:] == [
+        f"layers seed=405 kind=fc batch=32 loss={float.hex(0.5)}",
+        f"layers seed=405 kind=gru batch=256 loss={float.hex(405 / 4)}",
+        f"layers seed=7 kind=fc batch=32 loss={float.hex(0.5)}",
+        f"layers seed=7 kind=gru batch=256 loss={float.hex(7 / 4)}",
+    ]
 
 
 BEFORE = """\
@@ -106,6 +112,7 @@ src/edgeslim/engine/layers.py:158: RuntimeWarning: overflow encountered in matmu
 mixed seed=0 exit=0 manifest=kk best_student=ll val_accuracy=0.825 halting_epoch=9 final_combined_loss=0x1p+2
 layers seed=0 kind=fc batch=32 loss=0x1.0p-1
 layers seed=0 kind=gru batch=256 loss=0x1.8p-1
+layers seed=1 kind=gru batch=256 loss=0x1.8p-1
 """
 
 AFTER = """\
@@ -120,14 +127,17 @@ dense seed=1104 exit=3
 mixed seed=0 exit=0 manifest=kk best_student=ll val_accuracy=0.825 halting_epoch=9 final_combined_loss=0x1p+2
 layers seed=0 kind=fc batch=32 loss=0x1.0p-1
 layers seed=0 kind=gru batch=256 loss=0x1.9p-1
+layers seed=1 kind=gru batch=256 loss=0x1.8p-1
+layers seed=2 kind=mgu batch=32 loss=0x1.8p-1
 """
 
 
 def test_compare_reports_exit_codes_halting_epochs_and_accuracy_moves(tmp_path, monkeypatch, capsys):
     """Per workload: a changed exit code, a moved halting epoch, each
-    direction's count, worst move and seeds, and the layers cells whose
-    loss changed; runs in one printout only are named, not compared, and
-    lines that are no run's (a warning on stderr) are skipped."""
+    direction's count, worst move and seeds, and the layers cells (seed,
+    kind, batch) whose loss changed; runs in one printout only are named,
+    not compared, and lines that are no run's (a warning on stderr) are
+    skipped."""
     same_output = load_tool(monkeypatch)
     assert same_output.compare(BEFORE, AFTER) == [
         "dense: 6 runs in both printouts",
@@ -139,8 +149,9 @@ def test_compare_reports_exit_codes_halting_epochs_and_accuracy_moves(tmp_path, 
         "mixed: 1 runs in both printouts",
         "  val_accuracy rose: 0",
         "  val_accuracy fell: 0",
-        "layers: 2 runs in both printouts",
-        "  loss changed: 1 (gru/256)",
+        "layers: 3 runs in both printouts",
+        "  in one printout only: seed=2 mgu/32",
+        "  loss changed: 1 (seed=0 gru/256)",
     ]
     paths = [tmp_path / "before.txt", tmp_path / "after.txt"]
     for path, text in zip(paths, (BEFORE, AFTER)):

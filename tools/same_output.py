@@ -11,10 +11,12 @@ It runs the ``dense`` and ``mixed`` workloads of ``bench/workloads.py`` at
 seeds 0-2 (or the ``--seeds`` given) and prints, for each, the exit code,
 the sha256 of the dataset CSV that ``gendata`` wrote (``data=``), and the
 sha256 of ``manifest.json`` and of ``best_student.json``; a run that exits
-non-zero writes no manifest, so its line ends at ``data=``.  It then
-runs ``layers`` at seed 0 and prints
-each loss as float hex on its own line, labelled with its layer kind and
-batch.  Every run uses the same working directory, because the manifest
+non-zero writes no manifest, so its line ends at ``data=``.  It then runs
+``layers`` at each of the same seeds and prints, under each seed, its 16
+losses as float hex, one line each, labelled with the seed, the layer kind
+and the batch; ``layers`` is the only workload that runs the gru, mgu,
+coupled_lstm and factorized_conv kinds.  The default seeds print 72 lines.
+Every run uses the same working directory, because the manifest
 records the paths of its inputs.  A run holds an exclusive lock on
 ``<workdir>.lock`` from start to end, so a second run on the same workdir
 waits for the first instead of emptying the directory under it.
@@ -35,8 +37,9 @@ compare step sums two such printouts up instead of a diff:
 It prints, per pipeline workload, the runs whose exit code changed, the
 runs whose best halting epoch moved, and how many runs' best
 ``val_accuracy`` rose and fell, each direction with its worst move and the
-seeds that moved; and for ``layers``, the cells whose loss changed.  It
-reads printouts with or without ``data=`` alike.
+seeds that moved; and for ``layers``, the cells (seed, kind and batch)
+whose loss changed.  It reads printouts with or without ``data=`` alike,
+and ones that ran ``layers`` at seed 0 only.
 """
 
 from __future__ import annotations
@@ -100,7 +103,7 @@ def _run(name: str, workdir: Path, seed: int):
 
 def _fields(text: str) -> dict[tuple, dict[str, str]]:
     """The run lines of a printout, keyed by (workload, seed) or, for
-    ``layers``, by (workload, kind, batch); each maps to its ``key=value``
+    ``layers``, by (workload, seed, kind, batch); each maps to its ``key=value``
     fields.  Candidate lines and any other line (a warning a run printed to
     stderr, say) are skipped."""
     runs = {}
@@ -111,10 +114,16 @@ def _fields(text: str) -> dict[tuple, dict[str, str]]:
         name, *pairs = words
         fields = dict(pair.split("=", 1) for pair in pairs)
         if "kind" in fields:
-            runs[name, fields["kind"], int(fields["batch"])] = fields
+            runs[name, int(fields["seed"]), fields["kind"], int(fields["batch"])] = fields
         else:
             runs[name, int(fields["seed"])] = fields
     return runs
+
+
+def _label(key: tuple) -> str:
+    """A run as a compare line names it: a pipeline run by its seed, a
+    ``layers`` cell by its seed, kind and batch."""
+    return f"seed={key[1]} {key[2]}/{key[3]}" if len(key) == 4 else str(key[1])
 
 
 def compare(before: str, after: str) -> list[str]:
@@ -126,10 +135,10 @@ def compare(before: str, after: str) -> list[str]:
         both = [key for key in keys if key in old and key in new]
         lines.append(f"{name}: {len(both)} runs in both printouts")
         if len(both) < len(keys):
-            only = [" ".join(map(str, key[1:])) for key in keys if key not in both]
+            only = [_label(key) for key in keys if key not in both]
             lines.append(f"  in one printout only: {', '.join(only)}")
         if name == "layers":
-            moved = [f"{k[1]}/{k[2]}" for k in both if old[k]["loss"] != new[k]["loss"]]
+            moved = [_label(k) for k in both if old[k]["loss"] != new[k]["loss"]]
             listed = f" ({', '.join(moved)})" if moved else ""
             lines.append(f"  loss changed: {len(moved)}{listed}")
             continue
@@ -164,7 +173,7 @@ def main(argv=None) -> None:
     )
     parser.add_argument(
         "--seeds", type=int, nargs="+", default=SEEDS,
-        help="seeds of the dense and mixed runs (default: %(default)s)",
+        help="seeds of the dense, mixed and layers runs (default: %(default)s)",
     )
     parser.add_argument(
         "--compare", nargs=2, metavar=("BEFORE", "AFTER"),
@@ -192,9 +201,11 @@ def main(argv=None) -> None:
                     f" {_best_summary(out / 'manifest.json')}",
                 )
                 print("\n".join(_candidates(out / "manifest.json")), flush=True)
-        state, losses = _run("layers", workdir, 0)
-        for cell, loss in zip(state.cells, losses):
-            print(f"layers seed=0 kind={cell.kind} batch={cell.batch} loss={float.hex(loss)}")
+        for seed in args.seeds:
+            state, losses = _run("layers", workdir, seed)
+            for cell, loss in zip(state.cells, losses):
+                print(f"layers seed={seed} kind={cell.kind} batch={cell.batch}"
+                      f" loss={float.hex(loss)}", flush=True)
         shutil.rmtree(workdir, ignore_errors=True)
 
 
