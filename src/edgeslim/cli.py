@@ -10,10 +10,11 @@ Subcommands::
     eval       score a checkpoint on a dataset (accuracy/F1/precision)
     pipeline   full sweep from a config file; writes a run manifest
 
-Exit codes: 0 success (and budgets met), 1 infeasible result, 2 bad input,
-3 training divergence.  All reports are JSON written atomically (temp file
-+ rename) with stable key order, so re-running with identical inputs and
-seeds reproduces the bytes exactly.
+Exit codes: 0 success (and budgets met), 1 infeasible result, 2 bad input
+(an architecture too large to allocate included), 3 training divergence.
+All reports are JSON written atomically (temp file + rename) with stable
+key order, so re-running with identical inputs and seeds reproduces the
+bytes exactly.
 """
 
 from __future__ import annotations
@@ -392,6 +393,9 @@ def main(argv=None) -> int:
         return EXIT_DIVERGED
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:  # numpy's names the size that failed
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_INPUT
 
 

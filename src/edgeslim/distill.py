@@ -57,7 +57,7 @@ from edgeslim.engine.model import (
     forward,
     model_bytes,
 )
-from edgeslim.engine.training import EVAL_BATCH, check_batch_size, check_epochs, epoch_seed
+from edgeslim.engine.training import check_batch_size, check_epochs, epoch_seed, eval_chunks
 from edgeslim.engine.training import fold_arrays, iterate_minibatches, predict
 from edgeslim.metrics import accuracy as metric_accuracy
 from edgeslim.metrics import confusion_counts
@@ -396,18 +396,15 @@ def _frozen_outputs(
     """The frozen teacher's logits and :func:`attention_targets` for every
     row, and the targets' column layout.
 
-    Runs the teacher in chunks of ``EVAL_BATCH`` rows, as ``predict`` does,
-    so the tape-free intermediates of a whole fold never live at once; a
-    trailing one-row chunk joins the one before, as numpy multiplies one
-    row by gemv, which can round unlike GEMM.  Each chunk's targets are
-    taken from its own trace, projected to the widths of ``student``'s maps.
-    Each output row is a function of its input row alone, so indexing these
-    arrays by a batch's rows gives what a forward pass on that batch would;
-    a one-row batch reads its row of the fold's GEMM, not a gemv of its own.
+    Runs the teacher over :func:`eval_chunks`, as ``predict`` does.  Each
+    chunk's targets are taken from its own trace, projected to the widths
+    of ``student``'s maps.  Each output row is a function of its input row
+    alone, so indexing these arrays by a batch's rows gives what a forward
+    pass on that batch would; a one-row batch reads its row of the fold's
+    GEMM, not a gemv of its own.
     """
-    starts = range(0, max(len(features) - 1, 1), EVAL_BATCH)
     logits, targets = [], []
-    for rows in (slice(b, e) for b, e in zip(starts, [*starts[1:], None])):
+    for rows in eval_chunks(len(features)):
         trace = forward(teacher, features[rows], trainable=False)
         logits.append(trace.logits.data)
         unit, segments = attention_targets(trace, teacher.spec.layers, student.spec.layers)
@@ -424,9 +421,10 @@ def train(
 ) -> TrainResult:
     """Run one scheme to completion; history carries one record per epoch.
 
-    The dataset splits 70/30 (by ``plan.val_fraction`` and seed) into the
-    training and validation folds.  Guidance targets are always detached:
-    the trainee learns from its own CE only.  While the leading
+    The three models share one dtype, and the dataset splits 70/30 (by
+    ``plan.val_fraction`` and seed) into the training and validation folds,
+    cast once.  Guidance targets are always detached: the trainee learns
+    from its own CE only.  While the leading
     ``student.spec.shared_prefix`` layers stay aliased, the trainee
     continues from the student's output at that prefix, and one backward
     through the prefix carries the sum of both paths' gradients.  On
@@ -449,6 +447,9 @@ def train(
     if trainee is not None and pretrained_teacher is not None:
         if trainee.spec.layers != pretrained_teacher.spec.layers:
             raise ValueError("trainee and pretrained teacher must share one architecture")
+    dtypes = sorted({m.dtype.name for m in filter(None, (student, trainee, pretrained_teacher))})
+    if len(dtypes) > 1:
+        raise ValueError(f"student, trainee and teacher must share one dtype, got {dtypes}")
     prefix = student.spec.shared_prefix
     if traits.shared:
         if student.borrowed != prefix or student.layers[:prefix] != trainee.layers[:prefix]:
@@ -508,9 +509,8 @@ def train(
                     head = s_trace.activations[:prefix]
                     tail = forward(trainee, head[-1], trainable=True, start=prefix)
                     te_trace = ForwardTrace(tail.logits, head + tail.activations, tail.batch_size)
-                else:  # a trainee in another dtype casts the fold's rows itself
-                    te_x = x if trainee.dtype == student.dtype else train_set.features[idx]
-                    te_trace = forward(trainee, te_x, trainable=True)
+                else:
+                    te_trace = forward(trainee, x, trainable=True)
                 ce_te = softmax_cross_entropy(te_trace.logits, y0)
                 ce_te_val = float(ce_te.data)
                 terms.append((w4, ce_te))

@@ -151,11 +151,12 @@ def _dense_forward(
     (n, O*h*w) rows that every kind returns.  No nonlinearity between
     factors: together they stand in for one layer.  ``params`` and
     ``grads`` hold (W, b) or (W1, b1, W2, b2), :func:`param_layout`'s
-    order.  A product is ``np.dot``, which has the bits of ``@`` where the
-    input, the weights and the upstream gradient share one dtype, and ``@``
-    where they do not.  The backward writes each dW and db into ``grads`` (a conv kind's first
-    dW through :func:`conv_matrix`, a strided view), and computes the
-    gradient of the first factor's input only when ``x`` needs it.
+    order.  A run has one dtype (``distill.train`` checks it), so rows and
+    weights share it and a forward product is ``np.dot``, with the bits of
+    ``@``; a backward product is ``@`` where the upstream gradient has
+    another dtype.  The backward writes each dW and db into ``grads`` (a
+    conv kind's first dW through :func:`conv_matrix`, a strided view), and
+    computes the gradient of the first factor's input only when ``x`` needs it.
     """
     conv = layer.kind in CONV_KINDS
     W1, b1, *second = params.values()
@@ -165,13 +166,12 @@ def _dense_forward(
         shape = (layer.I, *layer.input_spatial)
         rows = _patches(rows.reshape(n, -1), shape, layer.f, layer.g)
         W1 = conv_matrix(W1)
-    product = np.dot if rows.dtype == W1.dtype else np.matmul
-    pre = product(rows, W1)
+    pre = np.dot(rows, W1)
     pre += b1
     if second:
         W2, b2 = second
         mid = pre  # the second factor's input rows
-        pre = product(mid, W2)
+        pre = np.dot(mid, W2)
         pre += b2
     if relu:  # in place: pre > 0 still marks where the ReLU passed
         np.maximum(pre, 0, out=pre)
@@ -185,7 +185,7 @@ def _dense_forward(
             g = g.reshape(n, layer.O, layer.h, layer.w).transpose(0, 2, 3, 1).reshape(-1, layer.O)
         if relu:
             g = g * (pre > 0)
-        product = np.dot if g.dtype == rows.dtype == W1.dtype else np.matmul
+        product = np.dot if g.dtype == W1.dtype else np.matmul
         if grads is not None:
             dW1, db1, *dsecond = grads.values()
         if second:

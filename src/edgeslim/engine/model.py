@@ -19,7 +19,8 @@ writes every trainable layer's gradient straight into its ``grads`` views;
 an SGD step is then one mask multiply, one finite check and one
 ``flat -= eta * grad`` per model.  A student may borrow its leading layers
 from the trainee: those are the trainee's ``LayerParams``, so they view the
-trainee's buffers and their gradients land in the trainee's ``grad``.
+trainee's buffers and their gradients land in the trainee's ``grad``.  The
+two share the pretrained teacher's dtype, the one dtype of a run.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from edgeslim.engine.model import (
 )
 
 
-EVAL_BATCH = 256  # rows per tape-free forward in ``predict`` and ``evaluate_loss``
+EVAL_BATCH = 256  # rows per chunk of a tape-free pass (:func:`eval_chunks`)
 
 
 def check_batch_size(batch_size: int) -> None:
@@ -102,12 +102,20 @@ def fold_arrays(dataset, model: MaskedModel) -> tuple[np.ndarray, np.ndarray]:
     return dataset.features.astype(model.dtype, copy=False), dataset.labels - 1
 
 
+def eval_chunks(n: int) -> list[slice]:
+    """The row slices a tape-free pass over ``n`` rows runs, ``EVAL_BATCH``
+    rows each, so the intermediates of a whole fold never live at once.  A
+    trailing one-row chunk joins the one before, as numpy multiplies one
+    row by gemv, which can round unlike GEMM."""
+    starts = range(0, max(n - 1, 1), EVAL_BATCH)
+    return [slice(b, e) for b, e in zip(starts, [*starts[1:], None])]
+
+
 def evaluate_loss(model: MaskedModel, dataset) -> float:
     """Mean cross-entropy over the whole dataset, no updates."""
     check_labels(dataset.labels, model)
     total = 0.0
-    for start in range(0, dataset.n, EVAL_BATCH):
-        sl = slice(start, start + EVAL_BATCH)
+    for sl in eval_chunks(dataset.n):
         trace = forward(model, dataset.features[sl], trainable=False)
         node = cross_entropy_node(trace, dataset.labels[sl])
         total += float(node.data) * (trace.batch_size)
@@ -117,9 +125,8 @@ def evaluate_loss(model: MaskedModel, dataset) -> float:
 def predict(model: MaskedModel, features: np.ndarray) -> np.ndarray:
     """Predicted 1-based labels for a feature matrix."""
     out = []
-    for start in range(0, features.shape[0], EVAL_BATCH):
-        trace = forward(model, features[start : start + EVAL_BATCH], trainable=False)
-        out.append(trace.predictions)
+    for rows in eval_chunks(features.shape[0]):
+        out.append(forward(model, features[rows], trainable=False).predictions)
     return np.concatenate(out)
 
 

@@ -276,9 +276,8 @@ def _evaluate_candidate(
     if not outcome.feasible:
         return record
 
-    trainee = init_model(
-        replace(pretrained.spec, shared_prefix=l), seed=derive_seed(settings.seed, "trainee", l)
-    )
+    trainee_spec = replace(pretrained.spec, shared_prefix=l)
+    trainee = init_model(trainee_spec, derive_seed(settings.seed, "trainee", l), pretrained.dtype)
     fit = partial(_distill, settings, l, outcome.model, trainee, pretrained, dataset)
     if settings.lambdas is not None:
         lambdas = settings.lambdas

@@ -190,6 +190,30 @@ def test_train_divergence_exit_code(ws, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("exc", [
+    MemoryError("Unable to allocate 298. GiB for an array with shape "
+                "(4, 10000000000) and data type float64"),
+    MemoryError(),
+])
+def test_train_on_an_architecture_too_large_to_allocate_exits_2(ws, capsys, monkeypatch, exc):
+    """An allocation that fails is bad input, not an infeasible result.  The
+    failure is raised by a stub: a real oversized array may be allocated
+    lazily and exhaust the host instead of failing."""
+    def no_memory(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("edgeslim.cli.init_model", no_memory)
+    rc = main([
+        "train", "--arch", str(ws / "arch.json"), "--data", str(ws / "data.csv"),
+        "--out", str(ws / "big.json"),
+    ])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and err.startswith("error: out of memory: ")
+    assert "Traceback" not in err and not (ws / "big.json").exists()
+    assert str(exc) in err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_dropout_divergence_exit_code(ws, capsys):
     # one fc layer at this eta: the round's loss overflows while every

@@ -10,6 +10,7 @@ from edgeslim.datasets import make_synthetic, train_test_split
 from edgeslim.engine import autodiff as ad
 from edgeslim.engine import model as engine_model
 from edgeslim.engine.model import cross_entropy_node, forward, init_model, model_bytes
+from edgeslim.engine import training
 from edgeslim.engine.training import epoch_seed, iterate_minibatches, train_classifier
 from edgeslim import distill
 from edgeslim.distill import (
@@ -698,6 +699,57 @@ def test_frozen_teacher_never_runs_a_one_row_chunk():
     assert logits[-1].tobytes() == pair.logits.data[-1].tobytes()
     unit = distill._unit_rows(pair.activations[0].data, segments)[0]
     assert targets[-1].tobytes() == unit[-1].tobytes()
+
+
+@pytest.mark.parametrize("n", [257, 513])
+def test_every_tape_free_pass_walks_the_same_chunks(monkeypatch, n):
+    """``predict``, ``evaluate_loss`` and the frozen teacher run the rows in
+    chunks of ``EVAL_BATCH``, and none runs a one-row chunk: the row left
+    past the last full chunk joins it."""
+    teacher = init_model(TEACHER_SPEC, seed=30)
+    dataset = make_synthetic(k=3, p=8, n=n, seed=31)
+    sizes = []
+
+    def recording_forward(model, x, trainable=True, **kw):
+        sizes.append(len(x))
+        return forward(model, x, trainable=trainable, **kw)
+
+    monkeypatch.setattr(training, "forward", recording_forward)
+    monkeypatch.setattr(distill, "forward", recording_forward)
+    want = [training.EVAL_BATCH] * (n // training.EVAL_BATCH - 1) + [training.EVAL_BATCH + 1]
+    for run in (
+        lambda: training.predict(teacher, dataset.features),
+        lambda: training.evaluate_loss(teacher, dataset),
+        lambda: distill._frozen_outputs(teacher, dataset.features, init_model(STUDENT_SPEC, 0)),
+    ):
+        sizes.clear()
+        run()
+        assert sizes == want
+
+
+@pytest.mark.parametrize("scheme, odd", [
+    ("S4", "trainee"), ("S6", "trainee"), ("S1", "pretrained"), ("S6", "pretrained"),
+])
+def test_train_refuses_models_of_two_dtypes_before_any_step(monkeypatch, data, scheme, odd):
+    """A run has one dtype: a trainee or pretrained teacher whose dtype is
+    not the student's is refused before any forward pass or update."""
+    traits = SCHEMES[scheme]
+    dtypes = {"trainee": np.float32, "pretrained": np.float32, odd: np.float64}
+    student = init_model(STUDENT_SPEC, seed=0)
+    trainee = init_model(TEACHER_SPEC, seed=1, dtype=dtypes["trainee"]) if traits.trainee else None
+    pretrained = init_model(TEACHER_SPEC, seed=2, dtype=dtypes["pretrained"])
+    if traits.shared:
+        share_prefix_layers(student, trainee, 1)
+    before = [model_bytes(m) for m in filter(None, (student, trainee, pretrained))]
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(distill, "forward", no_step)
+    monkeypatch.setattr(distill, "descend", no_step)
+    with pytest.raises(ValueError, match="share one dtype, got \\['float32', 'float64'\\]"):
+        train(student, trainee, pretrained, data, plan_for(scheme))
+    assert [model_bytes(m) for m in filter(None, (student, trainee, pretrained))] == before
 
 
 def test_prefix_runs_once_per_batch_and_teacher_once_per_call(monkeypatch):

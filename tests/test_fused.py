@@ -16,7 +16,7 @@ import pytest
 import generic_ops as ops
 from edgeslim import distill
 from edgeslim.archspec import (
-    CONV_KINDS, FACTORIZED_KINDS, LayerKind, LayerSpec, NetworkSpec, check_valid,
+    CONV_KINDS, LayerKind, LayerSpec, NetworkSpec, check_valid,
 )
 from edgeslim.datasets import make_synthetic
 from edgeslim.distill import NORM_FLOOR, attention_loss_node, distillation_loss_node
@@ -240,24 +240,6 @@ def test_np_dot_is_bit_identical_to_matmul_at_the_dense_node_shapes(rows, dtype)
             pairs += [(np.dot(a, wf), a @ wf), (np.dot(g, wf.T), g @ wf.T)]
             for got, want in pairs:
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (I, O)
-
-
-@pytest.mark.parametrize("batch", [1, BATCH, 32])
-@pytest.mark.parametrize("kind", [LayerKind.CONV, LayerKind.FACTORIZED_CONV])
-def test_dense_forward_across_dtypes_keeps_the_bits_of_matmul(kind, batch):
-    """Rows and weights of two dtypes meet where a student borrows prefix
-    layers from a trainee of another dtype.  Float64 rows by the transposed
-    view of a float32 conv matrix round apart under ``np.dot`` and ``@`` at
-    these shapes (a 2x2 window over 2x2 maps, one output pixel per image),
-    and the node keeps ``@``."""
-    layer = LayerSpec(kind, I=4, O=4, f=2, g=2, h=1, w=1, R=2 if kind in FACTORIZED_KINDS else None)
-    rng = np.random.default_rng(batch)
-    for x_dtype, w_dtype in ((np.float64, np.float32), (np.float32, np.float64)):
-        x = rng.normal(size=(batch, layer.input_width)).astype(x_dtype)
-        params = {p.name: rng.normal(size=p.shape).astype(w_dtype) for p in param_layout(layer)}
-        out = layer_forward(layer, params, None, ad.Tensor(x), relu=True).data
-        want, _ = reference(layer, x, params, True, np.zeros(out.shape))
-        assert out.dtype == want.dtype and out.tobytes() == want.tobytes(), x_dtype
 
 
 def check_op_chain(kind, relu, upstream_dtype, batch):

@@ -1,5 +1,6 @@
 """Depth sweep orchestration: seeding, ranking, and end-to-end determinism."""
 
+import numpy as np
 import pytest
 
 from edgeslim.archspec import LayerKind, LayerSpec, NetworkSpec, check_valid
@@ -202,6 +203,29 @@ def test_run_is_deterministic(bench):
     b = pipeline.run(teacher, reference, data, device, SETTINGS)
     assert a.to_dict() == b.to_dict()
     assert model_bytes(a.best.model) == model_bytes(b.best.model)
+
+
+def test_a_float64_teacher_gives_a_float64_run(monkeypatch):
+    """A run has the pretrained teacher's dtype: every trainee is built in
+    it, so the layers the student borrows are float64 arrays too, and the
+    best student comes back float64."""
+    data = make_synthetic(k=3, p=8, n=150, seed=21, separation=2.5)
+    teacher = init_model(TEACHER_SPEC, seed=1, dtype=np.float64)
+    train_classifier(teacher, data, epochs=8, eta=0.1, seed=1)
+    device, _, _ = mid_budget_device(teacher)
+    seen = []
+    real_train = pipeline.train
+
+    def recording_train(student, trainee, pretrained, dataset, plan):
+        arrays = [a for lp in student.layers + trainee.layers for a in lp.params.values()]
+        seen.append({m.dtype for m in (student, trainee, pretrained)} | {a.dtype for a in arrays})
+        return real_train(student, trainee, pretrained, dataset, plan)
+
+    monkeypatch.setattr(pipeline, "train", recording_train)
+    result = pipeline.run(teacher, evaluate_loss(teacher, data), data, device, SETTINGS)
+    assert seen and all(dtypes == {np.dtype(np.float64)} for dtypes in seen)
+    assert result.best is not None and result.best.model.dtype == np.float64
+    assert all(a.dtype == np.float64 for lp in result.best.model.layers for a in lp.params.values())
 
 
 def test_run_leaves_the_teacher_untouched(bench):
