@@ -16,24 +16,18 @@ supplies AL targets whenever present.  The l-weights on the simplex are
 tuned by differential evolution against validation accuracy.
 
 The pretrained teacher is frozen and nothing augments the data, so each
-:func:`train` call runs it once over the training fold, in chunks.  Its
-attention targets are also computed once per call, by
-:func:`attention_targets`: each layer's map (a conv layer's mean over
-positions) projected to the student's width where wider, laid side by
-side, then row-normalised.  Each batch, one row or many, indexes the logits
-and targets by its rows, and the fold's features and 0-based labels, cast
-once per call; a live trainee's targets come from the same function, per
-batch.
-Each batch runs the student's whole network.  A live trainee that shares
-the student's leading layers does not run them again: it continues from
-the student's output at the shared prefix.  Those layers are the
-trainee's, so one backward sums both paths' gradients into the trainee's
-gradient buffer, and one step moves them once.  Past the two
-cross-entropies, a batch's loss is three tape nodes: DL, the l-weighted
-sum, and AL, one node that forms the student's maps from its layer outputs
-in the same way and compares them side by side.  The layer nodes
-write the parameter gradients, and one :func:`descend` of the step's models
-applies them.
+:func:`train` call runs it once over the training fold, in chunks, and each
+batch indexes its logits and attention targets by the batch's rows, as it
+indexes the fold's features and labels, cast once per call.  The maps'
+widths and projections are resolved once per call too (:class:`MapPlan`);
+a live trainee's targets are formed per batch.  A live trainee that shares
+the student's leading layers continues from the student's output at the
+shared prefix instead of running them again; those layers are the
+trainee's, so one backward sums both paths' gradients into its gradient
+buffer.  Past the two cross-entropies, a batch's loss is three tape nodes:
+DL, AL (one node over the student's layer outputs, their maps side by
+side) and the l-weighted sum.  The layer nodes write the parameter
+gradients, and one :func:`descend` of the step's models applies them.
 """
 
 from __future__ import annotations
@@ -46,7 +40,7 @@ import numpy as np
 
 from edgeslim.archspec import CONV_KINDS, LayerSpec, NetworkSpec
 from edgeslim.datasets import Dataset, train_test_split
-from edgeslim.engine.autodiff import Tensor, _node, softmax_cross_entropy
+from edgeslim.engine.autodiff import Tensor, _accum, _node, softmax_cross_entropy
 from edgeslim.engine.model import (
     ForwardTrace,
     MaskedModel,
@@ -162,13 +156,8 @@ class LossBreakdown:
 
 
 def combined_loss(
-    ce_student: float,
-    ce_trainee: float,
-    attention: float,
-    distillation: float,
-    plan: DistillPlan,
-    epoch: int,
-    halted: bool,
+    ce_student: float, ce_trainee: float, attention: float, distillation: float,
+    plan: DistillPlan, epoch: int, halted: bool,
 ) -> LossBreakdown:
     """Assemble one breakdown row; the branch decides whether CE_te counts.
 
@@ -180,15 +169,8 @@ def combined_loss(
     combined = l1 * ce_student + l2 * attention + l3 * distillation
     if not post:
         combined += l4 * ce_trainee
-    return LossBreakdown(
-        ce_student=ce_student,
-        ce_trainee=ce_trainee,
-        attention=attention,
-        distillation=distillation,
-        combined=combined,
-        epoch=epoch,
-        branch="post_halt" if post else "pre_halt",
-    )
+    branch = "post_halt" if post else "pre_halt"
+    return LossBreakdown(ce_student, ce_trainee, attention, distillation, combined, epoch, branch)
 
 
 # -- loss components --------------------------------------------------------
@@ -201,10 +183,11 @@ def distillation_loss_node(t: np.ndarray, s: Tensor) -> Tensor:
         raise ValueError(f"logit shapes differ: {t.shape} vs {s.data.shape}")
     diff = t - s.data
     inv_n = diff.dtype.type(1.0 / len(diff))
+    cell = s.cell
 
     def bwd(g):
         h = np.multiply(g * inv_n, diff)
-        s._accum(np.negative(np.add(h, h, out=h), out=h))
+        _accum(cell, np.negative(np.add(h, h, out=h), out=h))
 
     return _node(np.add.reduce(np.add.reduce(diff * diff, axis=1)) * inv_n, (s,), bwd)
 
@@ -242,70 +225,85 @@ def _projection(layer_idx: int, width_from: int, width_to: int) -> np.ndarray:
     return rng.normal(size=(width_from, width_to)) / np.sqrt(width_from)
 
 
-def _map(x: np.ndarray, layer: LayerSpec, width: int, idx: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """The attention map of layer ``idx``'s (n, output_width) output ``x``,
-    and the projection it went through: for conv kinds each channel's mean
-    over its h*w positions, else ``x``; then, where wider than ``width``,
-    projected down to it (the projection is None where not)."""
-    if layer.kind in CONV_KINDS:
-        x = x.reshape(len(x), layer.O, layer.h, layer.w).sum(axis=(2, 3))
-        x = x * x.dtype.type(1.0 / (layer.h * layer.w))
-    if x.shape[1] <= width:
-        return x, None
-    proj = _projection(idx, x.shape[1], width).astype(x.dtype)
-    return x @ proj, proj
+class MapPlan(NamedTuple):
+    """How layer outputs become attention maps at fixed widths: per map, the
+    conv layer whose channels it averages and 1/(h*w), or None, and the
+    projection to its width, or None; ``segments`` lays the maps side by side."""
+
+    steps: list[tuple[LayerSpec | None, np.generic | None, np.ndarray | None]]
+    segments: Segments
 
 
-def attention_targets(
-    trace: ForwardTrace, layers: Sequence[LayerSpec], student_layers: Sequence[LayerSpec]
-) -> tuple[np.ndarray, Segments]:
-    """A guide's attention targets for one batch, from its ``trace``: the
-    :func:`_map` of each non-logit layer (spec in ``layers``), projected to
-    the width of the student's map where wider, laid side by side and
-    row-normalised by :func:`_unit_rows`; and the maps' column layout.
-    Plain arrays: a target is detached by construction."""
-    pairs = zip(trace.activations[:-1], layers, student_layers[:-1])
-    maps = [_map(act.data, layer, s.O, i)[0] for i, (act, layer, s) in enumerate(pairs)]
-    segments = _segments([m.shape[1] for m in maps])
-    if not maps:  # a one-layer guide
-        return np.empty((trace.batch_size, 0), trace.logits.data.dtype), segments
-    return _unit_rows(np.concatenate(maps, axis=1), segments)[0], segments
+def map_plan(layers: Sequence[LayerSpec], widths: list[int], dtype) -> MapPlan:
+    """The :class:`MapPlan` of ``layers[:len(widths)]`` at ``widths``, in
+    ``dtype``.  Layer i's map, its conv channels' means or its output, is
+    ``layers[i].O`` wide: projected down where wider, refused where narrower."""
+    dtype, steps = np.dtype(dtype), []
+    for idx, (layer, width) in enumerate(zip(layers, widths)):
+        if layer.O < width:
+            raise ValueError(f"map {idx} of width {layer.O} and its target's {width} do not match")
+        conv = layer if layer.kind in CONV_KINDS else None
+        scale = dtype.type(1.0 / (layer.h * layer.w)) if conv else None
+        proj = _projection(idx, layer.O, width).astype(dtype) if layer.O > width else None
+        steps.append((conv, scale, proj))
+    return MapPlan(steps, _segments(widths))
 
 
-def attention_loss_node(
-    t_unit: np.ndarray,
-    acts: Sequence[Tensor],
-    layers: Sequence[LayerSpec],
-    segments: Segments,
-) -> Tensor:
+def guide_plan(layers: Sequence[LayerSpec], student_layers: Sequence[LayerSpec], dtype) -> MapPlan:
+    """The :func:`map_plan` of a guide with ``layers`` for a student with
+    ``student_layers``: one map per non-logit layer of both, each at the
+    narrower of the two maps' widths."""
+    widths = [min(g.O, s.O) for g, s in zip(layers[:-1], student_layers[:-1])]
+    return map_plan(layers, widths, dtype)
+
+
+def _maps(plan: MapPlan, outputs: Sequence[Tensor]) -> np.ndarray:
+    """``plan``'s maps of the layer ``outputs``, (n, output_width) each, side by side."""
+    maps = []
+    for output, (conv, scale, proj) in zip(outputs, plan.steps):
+        x = output.data
+        if conv is not None:
+            x = x.reshape(len(x), conv.O, conv.h, conv.w).sum(axis=(2, 3))
+            x = x * scale
+        if proj is not None:
+            x = x @ proj
+        maps.append(x)
+    return np.concatenate(maps, axis=1)
+
+
+def attention_targets(plan: MapPlan, trace: ForwardTrace) -> np.ndarray:
+    """A guide's batch ``trace``'s maps by ``plan`` (a :func:`guide_plan`), row-normalised
+    by :func:`_unit_rows`: plain arrays, so a target is detached by construction."""
+    if not plan.steps:  # a one-layer guide
+        return np.empty((trace.batch_size, 0), trace.logits.data.dtype)
+    return _unit_rows(_maps(plan, trace.activations), plan.segments)[0]
+
+
+def attention_loss_node(t_unit: np.ndarray, acts: Sequence[Tensor], plan: MapPlan) -> Tensor:
     """Sum over maps of the mean over rows of |t_unit - unit(s)|^2, one node
-    over the student's layer outputs ``acts`` (specs in ``layers``).
+    over the student's layer outputs ``acts``, one per map of ``plan``, the
+    student's :func:`map_plan` at the widths of the targets ``t_unit``.
 
-    ``t_unit`` and ``segments`` come from :func:`attention_targets`.  The
-    student's map i is the :func:`_map` of ``acts[i]`` at the width of
-    segment i, as the guide's was; the maps lie side by side.
     Normalization makes the loss scale-invariant in either map; a dead row
     is detached, not divided by zero.  With u = unit(s), diff = t_unit - u
     and p = 2 g/n diff, a row's gradient is (u (u . p) - p) / |s|, 0 if
-    detached; it reaches ``acts[i]`` through the projection's transpose and,
-    for a conv kind, the mean's broadcast over positions.  ``acts`` holds
-    one output per map; a guide without maps gives a constant 0.
+    detached; it reaches ``acts[i]`` through the projection's transpose
+    and, for a conv kind, the mean's broadcast over positions.  A guide
+    without maps gives a constant 0.
     """
+    segments = plan.segments
     if len(acts) != len(segments.widths):
         n_maps, n_targets = len(acts), len(segments.widths)
         raise ValueError(f"{n_maps} student maps do not match the targets' {n_targets}")
     if not acts:  # a one-layer guide has no maps
         return Tensor(t_unit.dtype.type(0.0))
-    pairs = zip(acts, layers, segments.widths)
-    aligned = [_map(act.data, layer, w, i) for i, (act, layer, w) in enumerate(pairs)]
-    maps = [m for m, _ in aligned]
-    shapes = [m.shape for m in maps], [(len(t_unit), w) for w in segments.widths]
-    if shapes[0] != shapes[1]:
-        raise ValueError(f"student map shapes {shapes[0]} do not match the targets' {shapes[1]}")
-    parents = tuple(acts)
-    u, inv = _unit_rows(np.concatenate(maps, axis=1), segments)
+    maps = _maps(plan, acts)
+    if maps.shape != t_unit.shape:
+        raise ValueError(f"student maps {maps.shape} do not match the targets' {t_unit.shape}")
+    u, inv = _unit_rows(maps, segments)
     diff = t_unit - u
     inv_n = diff.dtype.type(1.0 / len(diff))
+    cells = [act.cell for act in acts]
 
     def bwd(g):
         c = g * inv_n
@@ -315,15 +313,17 @@ def attention_loss_node(
         np.multiply(u, grad, out=grad)
         grad -= p
         grad *= inv
-        for act, layer, (_, proj), cols in zip(parents, layers, aligned, segments.cols):
+        for cell, (conv, scale, proj), cols in zip(cells, plan.steps, segments.cols):
+            if cell is None:
+                continue
             g_map = grad[:, cols] if proj is None else grad[:, cols] @ proj.T
-            if layer.kind in CONV_KINDS:  # each position gets 1/(h*w) of its channel's
-                g_map = g_map * act.data.dtype.type(1.0 / (layer.h * layer.w))
-                g_map = np.broadcast_to(g_map[:, :, None, None], (*g_map.shape, layer.h, layer.w))
-                g_map = g_map.reshape(act.data.shape)
-            act._accum(g_map)
+            if conv is not None:  # each position gets 1/(h*w) of its channel's
+                g_map = g_map * scale
+                g_map = np.broadcast_to(g_map[:, :, None, None], (*g_map.shape, conv.h, conv.w))
+                g_map = g_map.reshape(len(g_map), -1)
+            _accum(cell, g_map)
 
-    return _node(np.add.reduce(diff * diff, axis=None) * inv_n, parents, bwd)
+    return _node(np.add.reduce(diff * diff, axis=None) * inv_n, acts, bwd)
 
 
 def _weighted_sum(terms: Sequence[tuple[np.ndarray, Tensor]]) -> Tensor:
@@ -333,13 +333,15 @@ def _weighted_sum(terms: Sequence[tuple[np.ndarray, Tensor]]) -> Tensor:
     total = terms[0][1].data[()] * terms[0][0]
     for lam, term in terms[1:]:
         total = total + term.data[()] * lam
+    pieces = [(lam, term.cell) for lam, term in terms]
 
     def bwd(g):
         g = g[()]  # a numpy scalar, like the values
-        for lam, term in terms:
-            term._accum(g * lam)
+        for lam, cell in pieces:
+            if cell is not None:
+                _accum(cell, g * lam)
 
-    return _node(total, tuple(term for _, term in terms), bwd)
+    return _node(total, [term for _, term in terms], bwd)
 
 
 # -- training loop ----------------------------------------------------------
@@ -394,22 +396,17 @@ def _frozen_outputs(
     teacher: MaskedModel, features: np.ndarray, student: MaskedModel
 ) -> tuple[np.ndarray, np.ndarray, Segments]:
     """The frozen teacher's logits and :func:`attention_targets` for every
-    row, and the targets' column layout.
-
-    Runs the teacher over :func:`eval_chunks`, as ``predict`` does.  Each
-    chunk's targets are taken from its own trace, projected to the widths
-    of ``student``'s maps.  Each output row is a function of its input row
-    alone, so indexing these arrays by a batch's rows gives what a forward
-    pass on that batch would; a one-row batch reads its row of the fold's
-    GEMM, not a gemv of its own.
-    """
+    row, by its :func:`guide_plan` for ``student``, and their column layout,
+    over :func:`eval_chunks` as ``predict`` runs.  An output row depends on
+    its input row alone, so a batch's rows index what its own forward pass
+    would give; a one-row batch reads its row of a GEMM, not a gemv."""
+    plan = guide_plan(teacher.spec.layers, student.spec.layers, teacher.dtype)
     logits, targets = [], []
     for rows in eval_chunks(len(features)):
         trace = forward(teacher, features[rows], trainable=False)
         logits.append(trace.logits.data)
-        unit, segments = attention_targets(trace, teacher.spec.layers, student.spec.layers)
-        targets.append(unit)
-    return np.concatenate(logits), np.concatenate(targets), segments
+        targets.append(attention_targets(plan, trace))
+    return np.concatenate(logits), np.concatenate(targets), plan.segments
 
 
 def train(
@@ -453,16 +450,15 @@ def train(
     prefix = student.spec.shared_prefix
     if traits.shared:
         if student.borrowed != prefix or student.layers[:prefix] != trainee.layers[:prefix]:
-            raise ValueError(
-                "scheme shares the leading layers; call share_prefix_layers first"
-            )
+            raise ValueError("scheme shares the leading layers; call share_prefix_layers first")
 
     for model in filter(None, (student, trainee)):
         check_labels(dataset.labels, model)
     train_set, val_set = train_test_split(dataset, plan.val_fraction, plan.seed)
     features, labels0 = fold_arrays(train_set, student)
+    dtype = student.dtype
     l1, l2, l3, l4 = plan.effective_lambdas()
-    w1, w2, w3, w4 = (student.dtype.type(lam) for lam in (l1, l2, l3, l4))  # model dtype
+    w1, w2, w3, w4 = (dtype.type(lam) for lam in (l1, l2, l3, l4))  # model dtype
     attend = l2 > 0.0 and len(student.spec.layers) > 1  # a one-layer network has no maps
     f_student = network_flops(student.spec)
     f_trainee = network_flops(trainee.spec) if trainee is not None else 0
@@ -487,9 +483,14 @@ def train(
         halt_now(0)
 
     if pretrained_teacher is not None:
-        teacher_logits, targets, segments = _frozen_outputs(
+        teacher_logits, targets, _ = _frozen_outputs(
             pretrained_teacher, train_set.features, student
         )
+    if attend:  # the maps' widths and projections, fixed for the call
+        guide = pretrained_teacher if pretrained_teacher is not None else trainee
+        guide_maps = guide_plan(guide.spec.layers, student.spec.layers, dtype)
+        student_maps = map_plan(student.spec.layers, guide_maps.segments.widths, dtype)
+        n_maps = len(student_maps.steps)
 
     acc_pct: list[float] = []
     for epoch in range(1, plan.total_epochs + 1):
@@ -525,11 +526,8 @@ def train(
                 if pretrained_teacher is not None:
                     t_unit = targets.take(idx, axis=0)
                 else:
-                    t_unit, segments = attention_targets(
-                        te_trace, trainee.spec.layers, student.spec.layers
-                    )
-                acts = s_trace.activations[: len(segments.widths)]
-                al = attention_loss_node(t_unit, acts, student.spec.layers, segments)
+                    t_unit = attention_targets(guide_maps, te_trace)
+                al = attention_loss_node(t_unit, s_trace.activations[:n_maps], student_maps)
                 al_val = float(al.data)
                 terms.append((w2, al))
             loss = _weighted_sum([*terms, (w3, dl)])

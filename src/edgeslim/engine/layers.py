@@ -10,23 +10,20 @@ to its reduced form.  The coupled LSTM derives its input gate as ``1 - f``;
 the minimal gated cell uses its single forget gate both to gate the
 candidate input and to blend the new state.
 
-Every layer runs as one tape node with a hand-written backward, whatever its
-kind, and emits flat (n, output_width) rows, so the next layer takes them as
-they are.  Its only parent is its input: the parameters are plain arrays, and
-unless the layer is frozen the backward assigns each parameter's gradient to
-the matching array of a ``grads`` dict, the model's gradient views.  ``fc``,
-``factorized_fc``, ``conv`` and ``factorized_conv`` share one node body:
-``np.dot`` of each factor, the bias and an optional ReLU over rows, each
-array written once: bias and ReLU in place, dW and db with ``out=``.
-The fc kinds take the input's rows as they are; the conv kinds take its
-im2col patch rows (one per output pixel, columns in (channel, tap) order,
-gathered in one ``np.take`` through an index cached per input shape),
-read the conv weight as the (I*f*g, O) matrix of :func:`conv_matrix`, and
-scatter the input gradient back with col2im, so a convolution is one GEMM
-per factor and direction.  A recurrent cell concatenates its per-gate blocks
-once, so each product is one GEMM, runs each step on gate-major (G, n, O)
-buffers, and writes the gradients of a hand-written BPTT back to the
-per-gate arrays, so storage, masks and checkpoints stay per gate.
+Every layer runs as one tape node with a hand-written backward and emits
+flat (n, output_width) rows, the next layer's input as they are.  Its only
+input is its rows: the parameters are plain arrays in layout order, and the
+backward assigns each gradient to the matching array of ``grads``, the
+model's gradient views.  ``fc``, ``factorized_fc``, ``conv`` and
+``factorized_conv`` share one node body, each array written once: bias and
+ReLU in place, dW and db with ``out=``.  The conv kinds run it over im2col
+patch rows (one ``np.take`` through an index cached per input shape) with
+the weight read as the (I*f*g, O) matrix of :func:`conv_matrix`, and
+scatter the input gradient back with col2im.  A recurrent cell
+concatenates its per-gate blocks once, so each product is one GEMM, runs
+each step on gate-major (G, n, O) buffers, and writes the gradients of a
+hand-written BPTT back to the per-gate arrays, so storage, masks and
+checkpoints stay per gate.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from edgeslim.archspec import CONV_KINDS, GATE_NAMES, LayerKind, LayerSpec
-from edgeslim.engine.autodiff import Tensor, _stable_sigmoid
+from edgeslim.engine.autodiff import Tensor, _accum, _record, _stable_sigmoid
 
 
 class ParamDef(NamedTuple):
@@ -135,83 +132,11 @@ def _unpatch(rows: np.ndarray, shape: tuple[int, ...], f: int, g: int) -> np.nda
     return out
 
 
-def _dense_forward(
+def _recurrent_forward(
     x: Tensor,
     layer: LayerSpec,
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray] | None,
-    relu: bool,
-) -> Tensor:
-    """One fc, factorized_fc, conv or factorized_conv layer as one tape node.
-
-    All four run ``rows @ W1 + b1 [@ W2 + b2]`` and the optional ReLU: the
-    fc kinds over the rows of ``x``, the conv kinds over its im2col patch
-    rows with the first weight read as :func:`conv_matrix`, their
-    (n*h*w, O) result laid out channel-major, (n, O, h, w), in the flat
-    (n, O*h*w) rows that every kind returns.  No nonlinearity between
-    factors: together they stand in for one layer.  ``params`` and
-    ``grads`` hold (W, b) or (W1, b1, W2, b2), :func:`param_layout`'s
-    order.  A run has one dtype (``distill.train`` checks it), so rows and
-    weights share it and a forward product is ``np.dot``, with the bits of
-    ``@``; a backward product is ``@`` where the upstream gradient has
-    another dtype.  The backward writes each dW and db into ``grads`` (a
-    conv kind's first dW through :func:`conv_matrix`, a strided view), and
-    computes the gradient of the first factor's input only when ``x`` needs it.
-    """
-    conv = layer.kind in CONV_KINDS
-    W1, b1, *second = params.values()
-    n = x.data.shape[0]
-    rows = x.data
-    if conv:
-        shape = (layer.I, *layer.input_spatial)
-        rows = _patches(rows.reshape(n, -1), shape, layer.f, layer.g)
-        W1 = conv_matrix(W1)
-    pre = np.dot(rows, W1)
-    pre += b1
-    if second:
-        W2, b2 = second
-        mid = pre  # the second factor's input rows
-        pre = np.dot(mid, W2)
-        pre += b2
-    if relu:  # in place: pre > 0 still marks where the ReLU passed
-        np.maximum(pre, 0, out=pre)
-    out = pre
-    if conv:
-        maps = pre.reshape(n, layer.h, layer.w, layer.O).transpose(0, 3, 1, 2)
-        out = np.ascontiguousarray(maps).reshape(n, -1)
-
-    def bwd(g):
-        if conv:
-            g = g.reshape(n, layer.O, layer.h, layer.w).transpose(0, 2, 3, 1).reshape(-1, layer.O)
-        if relu:
-            g = g * (pre > 0)
-        product = np.dot if g.dtype == W1.dtype else np.matmul
-        if grads is not None:
-            dW1, db1, *dsecond = grads.values()
-        if second:
-            if grads is not None:
-                dW2, db2 = dsecond
-                np.add.reduce(g, axis=0, out=db2)
-                product(mid.T, g, out=dW2)
-            g = product(g, W2.T)
-        if grads is not None:
-            np.add.reduce(g, axis=0, out=db1)
-            if conv:
-                conv_matrix(dW1)[...] = product(rows.T, g)
-            else:
-                product(rows.T, g, out=dW1)
-        if not x.requires_grad:
-            return
-        g = product(g, W1.T)
-        if conv:
-            g = _unpatch(g, (n, *shape), layer.f, layer.g).reshape(x.data.shape)
-        x._accum(g)
-
-    return Tensor(out, (x,), bwd, x.requires_grad or grads is not None)
-
-
-def _recurrent_forward(
-    x: Tensor, layer: LayerSpec, params: dict[str, np.ndarray], grads: dict[str, np.ndarray] | None
+    params: tuple[np.ndarray, ...],
+    grads: tuple[np.ndarray, ...] | None,
 ) -> Tensor:
     """All s steps of one recurrent cell as a single tape node.
 
@@ -224,18 +149,18 @@ def _recurrent_forward(
     BPTT over the stored gate activations; it copies each step's derivative
     once into a row-major (n, G*O) row for the GEMMs, and assigns each
     gate's ``Wx`` and ``Wh`` columns to the ``[:I]`` and ``[I:]`` rows of
-    that gate's gradient in ``grads``.
+    that gate's gradient in ``grads``; ``params`` and ``grads`` hold every
+    gate's W, then every gate's b, in :func:`param_layout`'s order.
     """
     kind = layer.kind
     n = x.data.shape[0]
     I, O, s = layer.I, layer.O, layer.s
-    gate_names = GATE_NAMES[kind]
-    G = len(gate_names)
-    Ws = [params[f"W{gate}"] for gate in gate_names]
+    G = len(params) // 2
+    Ws = params[:G]
     S = (G - 1) * O  # width of the sigmoid block
     Wx = np.concatenate([W[:I] for W in Ws], axis=1)
     Wh = np.concatenate([W[I:] for W in Ws], axis=1)
-    b = np.concatenate([params[f"b{gate}"] for gate in gate_names]).reshape(G, 1, O)
+    b = np.concatenate(params[G:]).reshape(G, 1, O)
     gated = kind in (LayerKind.GRU, LayerKind.MGU)
     if gated:
         reset = 1 if kind == LayerKind.GRU else 0  # the gate of the candidate's state: r, f
@@ -290,6 +215,9 @@ def _recurrent_forward(
         c = np.multiply(f, cs[t], out=cs[t + 1])
         np.add(c, np.multiply(i, g, out=scratch), out=c)
         np.multiply(o, np.tanh(c, out=tcs[t]), out=hs[t + 1])
+    x_cell = x.cell
+    if grads is None and x_cell is None:
+        return Tensor(hs[s])
 
     def bwd(gh):
         d = np.empty((G, n, O), dtype=np.result_type(gh, dtype))  # a step's derivative
@@ -327,9 +255,9 @@ def _recurrent_forward(
                 dc = dc * f
                 gh = dpre[t] @ Wh.T
         flat = dpre.reshape(s * n, G * O)
-        if x.requires_grad:
+        if x_cell is not None:
             dx = (flat @ Wx.T).reshape(s, n, I).transpose(1, 0, 2).reshape(n, s * I)
-            x._accum(dx)
+            _accum(x_cell, dx)
         if grads is None:
             return
         dWx = xs.T @ flat
@@ -341,34 +269,85 @@ def _recurrent_forward(
         else:
             dWh = states @ flat
         db = flat.sum(axis=0)
-        for k, gate in enumerate(gate_names):
+        for k in range(G):
             cols = slice(k * O, (k + 1) * O)
-            dW = grads[f"W{gate}"]
+            dW = grads[k]
             dW[:I], dW[I:] = dWx[:, cols], dWh[:, cols]
-            grads[f"b{gate}"][...] = db[cols]
+            grads[G + k][...] = db[cols]
 
-    return Tensor(hs[s], (x,), bwd, x.requires_grad or grads is not None)
+    return _record(hs[s], bwd, x.tape)
 
 
 def layer_forward(
     layer: LayerSpec,
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray] | None,
+    params: tuple[np.ndarray, ...],
+    grads: tuple[np.ndarray, ...] | None,
     x: Tensor,
     relu: bool = False,
 ) -> Tensor:
     """Apply one layer to a flat (n, input_width) Tensor as one tape node.
 
-    ``params`` are the parameter arrays, used as stored.  ``grads`` holds an
-    array of the same shape per parameter, or is None for a frozen layer;
-    the node's backward assigns each parameter's gradient to it, once.
-    ``relu`` rectifies the output of a non-recurrent kind.  Every kind
-    returns (n, output_width) rows, the next layer's input as it is: a conv
-    kind's row holds its (O, h, w) maps channel-major.
+    ``params`` are the parameter arrays in :func:`param_layout`'s order,
+    used as stored; ``grads`` holds an array of the same shape per
+    parameter, in that order, or is None for a frozen layer, and the node's
+    backward assigns each parameter's gradient to it, once.  ``relu``
+    rectifies the output of a non-recurrent kind.  The four dense kinds run
+    ``rows @ W1 + b1 [@ W2 + b2]`` here, no nonlinearity between factors.
+    A run has one dtype (``distill.train`` checks it), so a forward product
+    is ``np.dot``, with the bits of ``@``, and a backward product is ``@``
+    only under an upstream gradient of another dtype.  The input's gradient
+    is computed only when ``x`` needs it.
     """
-    kind = layer.kind
-    if kind in GATE_NAMES:
+    if layer.kind in GATE_NAMES:
         if relu:
-            raise ValueError(f"{kind.value} layers take no ReLU")
+            raise ValueError(f"{layer.kind.value} layers take no ReLU")
         return _recurrent_forward(x, layer, params, grads)
-    return _dense_forward(x, layer, params, grads, relu)
+    W1, b1 = params[0], params[1]
+    rows, conv = x.data, None
+    if layer.kind in CONV_KINDS:  # im2col rows; conv: (layer, input maps' shape, x's shape)
+        conv = layer, (len(rows), layer.I, *layer.input_spatial), rows.shape
+        rows = _patches(rows.reshape(len(rows), -1), conv[1][1:], layer.f, layer.g)
+        W1 = conv_matrix(W1)
+    pre = np.dot(rows, W1)
+    pre += b1
+    second = None
+    if len(params) == 4:
+        second = params[2], pre  # the second factor and its input rows
+        pre = np.dot(pre, params[2])
+        pre += params[3]
+    if relu:  # in place: pre > 0 still marks where the ReLU passed
+        np.maximum(pre, 0, out=pre)
+    out = pre
+    if conv:
+        n = conv[1][0]
+        maps = pre.reshape(n, layer.h, layer.w, layer.O).transpose(0, 3, 1, 2)
+        out = np.ascontiguousarray(maps).reshape(n, -1)
+    x_cell = x.cell
+    if grads is None and x_cell is None:
+        return Tensor(out)
+
+    def bwd(g):
+        if conv:
+            O, h, w = conv[0].O, conv[0].h, conv[0].w
+            g = g.reshape(-1, O, h, w).transpose(0, 2, 3, 1).reshape(-1, O)
+        if relu:
+            g = g * (pre > 0)
+        product = np.dot if g.dtype is W1.dtype else np.matmul  # `is`: else @, same bits
+        if second:
+            if grads is not None:
+                np.add.reduce(g, axis=0, out=grads[3])
+                product(second[1].T, g, out=grads[2])
+            g = product(g, second[0].T)
+        if grads is not None:
+            np.add.reduce(g, axis=0, out=grads[1])
+            if conv:
+                conv_matrix(grads[0])[...] = product(rows.T, g)
+            else:
+                product(rows.T, g, out=grads[0])
+        if x_cell is not None:
+            g = product(g, W1.T)
+            if conv:
+                g = _unpatch(g, conv[1], conv[0].f, conv[0].g).reshape(conv[2])
+            _accum(x_cell, g)
+
+    return _record(out, bwd, x.tape)

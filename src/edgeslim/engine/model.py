@@ -29,6 +29,7 @@ import base64
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from edgeslim.archspec import (
     network_from_dict,
     network_to_dict,
 )
-from edgeslim.engine.autodiff import Tensor, softmax_cross_entropy
+from edgeslim.engine.autodiff import Tensor, _root, softmax_cross_entropy
 from edgeslim.engine.layers import ParamDef, layer_forward, param_layout
 
 CHECKPOINT_FORMAT = "edgeslim-checkpoint"
@@ -69,6 +70,7 @@ class MaskedModel:
     mask: np.ndarray = field(init=False, repr=False)
     grad_views: list[dict[str, np.ndarray]] = field(init=False, repr=False)
     borrowed: int = field(init=False, default=0)
+    runs: list[tuple] = field(init=False, repr=False)  # :func:`forward`'s per-layer arguments
 
     def __post_init__(self) -> None:
         self.dtype = np.dtype(self.dtype)
@@ -101,6 +103,12 @@ class MaskedModel:
                     masks[name][...] = lp.masks[name]
             self.layers[idx] = LayerParams(params, masks, grads)
             self.grad_views.append(grads)
+        last = len(self.layers) - 1
+        self.runs = [
+            (layer, tuple(lp.params.values()), tuple(lp.grads.values()),
+             idx != last and layer.kind not in RECURRENT_KINDS, layer.input_width)
+            for idx, (layer, lp) in enumerate(zip(self.spec.layers, self.layers))
+        ]
 
 
 def init_model(spec: NetworkSpec, seed: int, dtype=np.float32) -> MaskedModel:
@@ -132,8 +140,7 @@ def connection_count(model: MaskedModel) -> int:
     return int(sum(mask.sum() for lp in model.layers for mask in lp.masks.values()))
 
 
-@dataclass
-class ForwardTrace:
+class ForwardTrace(NamedTuple):
     """One forward pass: logits and layer outputs, each (n, output_width)."""
 
     logits: Tensor
@@ -154,50 +161,41 @@ def forward(
 ) -> ForwardTrace:
     """Run layers ``start..`` of the network on a (n, width) batch.
 
-    Each layer is one tape node over the parameters as stored.  With
-    ``trainable`` its backward assigns the layer's gradients to its
-    ``grads`` views, so a backward pass leaves in ``model.grad`` the true
-    derivative of its loss, masked entries included.  Assignment, not
-    accumulation, is right because each parameter feeds exactly one node
-    per backward: a layer runs once per trace, and a prefix shared with
-    another model runs once per batch, in the student's pass.  Hidden
-    conv/dense layers get a ReLU; recurrent outputs and final logits pass
-    through raw.  Every layer returns (n, output_width) rows, which the
-    next layer takes as they are.
+    Each layer is one tape node over the parameters as stored, with the
+    arguments, ReLU flag and input width that ``model.runs`` fixed at
+    packing (hidden conv/dense layers get a ReLU).  With ``trainable`` its
+    backward assigns the layer's gradients to its ``grads`` views, so a
+    backward pass leaves in ``model.grad`` the true derivative of its loss,
+    masked entries included.  Assignment is right because each parameter
+    feeds one node per backward: a layer runs once per trace, and a prefix
+    shared with another model once per batch, in the student's pass.
 
     From ``start`` > 0 the pass continues another's: ``x`` is that pass's
     output of layer ``start - 1``, as a Tensor, so this pass extends its
-    tape, and one backward sums both passes' gradients into the layers
+    tape and one backward sums both passes' gradients into the layers
     before ``start``.  At ``start`` = the depth, ``x`` is the logits.
     """
-    depth = len(model.spec.layers)
-    if not 0 <= start <= depth:
-        raise ValueError(f"start layer {start} does not fit depth {depth}")
+    runs = model.runs
+    if not 0 <= start <= len(runs):
+        raise ValueError(f"start layer {start} does not fit depth {len(runs)}")
     if not isinstance(x, Tensor):
         x = Tensor(np.asarray(x).astype(model.dtype, copy=False))
-    if x.data.ndim != 2:
-        raise ValueError(f"input must be 2-d (batch, features), got shape {x.data.shape}")
-    if start < depth:
-        expect = model.spec.layers[start].input_width
-        if x.data.shape[1] != expect:
-            raise ValueError(
-                f"input width {x.data.shape[1]} does not match layer {start} ({expect})"
-            )
-    n = x.data.shape[0]
+    shape = x.data.shape
+    if len(shape) != 2:
+        raise ValueError(f"input must be 2-d (batch, features), got shape {shape}")
+    if start < len(runs) and shape[1] != runs[start][4]:
+        raise ValueError(f"input width {shape[1]} does not match layer {start} ({runs[start][4]})")
     cur = x
     activations: list[Tensor] = []
-    last = depth - 1
-    for idx in range(start, depth):
-        layer, lp = model.spec.layers[idx], model.layers[idx]
-        relu = idx != last and layer.kind not in RECURRENT_KINDS
-        cur = layer_forward(layer, lp.params, lp.grads if trainable else None, cur, relu)
+    for layer, params, grads, relu, _ in runs[start:] if start else runs:
+        cur = layer_forward(layer, params, grads if trainable else None, cur, relu)
         activations.append(cur)
-    if cur.data.shape != (n, model.spec.class_count):
+    if cur.data.shape != (shape[0], model.spec.class_count):
         raise ValueError(
             f"logits shape {cur.data.shape} does not match class count "
             f"{model.spec.class_count}"
         )
-    return ForwardTrace(cur, activations, batch_size=n)
+    return ForwardTrace(cur, activations, shape[0])
 
 
 def check_labels(labels: np.ndarray, model: MaskedModel) -> None:
@@ -219,10 +217,14 @@ def backward(model: MaskedModel, trace: ForwardTrace, loss: Tensor) -> list[dict
     parameter dtype; the result is its views, ``model.grad_views``, which
     hold the true derivative until :func:`descend` masks them.  A layer the
     loss does not reach writes nothing and keeps its views' old values.
-    When several traces feed one loss, call this per model; the tape runs
-    on the first call only.
+    ``loss`` must be built from ``trace``: the two share one tape, else
+    ``ValueError``.  When several traces feed one loss, call this per
+    model; the tape runs on the first call only.
     """
     if loss.grad is None:
+        tape = _root(loss.tape)
+        if tape is None or tape is not _root(trace.logits.tape):
+            raise ValueError("loss was not built from this trace")
         loss.backward()
     return model.grad_views
 

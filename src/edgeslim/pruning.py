@@ -91,9 +91,9 @@ def apply_dropout(
 
     Returns a new model; the input is untouched.  A layer's maskable
     parameters are pooled (all gates, both factors), the floor(rate * alive)
-    smallest |W| entries get mask 0, ties resolved by parameter order then
-    flat index.  Already-masked entries stay masked and their weights stay
-    zeroed.
+    smallest |W| entries get mask 0, ties resolved by parameter order (the
+    sorted names) then flat index: one ``lexsort`` over the three keys.
+    Already-masked entries stay masked and their weights stay zeroed.
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"rate must lie in [0, 1], got {rate}")
@@ -103,17 +103,16 @@ def apply_dropout(
         if not 0 <= idx < depth:
             raise ValueError(f"target layer {idx} out of range for depth {depth}")
         lp = out.layers[idx]
-        entries = []  # (|w|, param order, flat index)
-        for order, name in enumerate(sorted(lp.masks)):
-            w = lp.params[name].ravel()
-            alive = np.flatnonzero(lp.masks[name].ravel() > 0)
-            for flat in alive:
-                entries.append((abs(float(w[flat])), order, int(flat), name))
-        drop = int(np.floor(rate * len(entries)))
-        entries.sort(key=lambda e: (e[0], e[1], e[2]))
-        for _, _, flat, name in entries[:drop]:
-            lp.masks[name].ravel()[flat] = 0.0
-            lp.params[name].ravel()[flat] = 0.0
+        names = sorted(lp.masks)
+        alive = [np.flatnonzero(lp.masks[name].ravel() > 0) for name in names]
+        flat = np.concatenate(alive)
+        order = np.repeat(np.arange(len(names)), [len(a) for a in alive])
+        size = np.concatenate([np.abs(lp.params[name].ravel()[a]) for name, a in zip(names, alive)])
+        drop = np.lexsort((flat, order, size))[: int(np.floor(rate * len(flat)))]
+        for k, name in enumerate(names):
+            hit = flat[drop[order[drop] == k]]
+            lp.masks[name].ravel()[hit] = 0.0
+            lp.params[name].ravel()[hit] = 0.0
     return out
 
 

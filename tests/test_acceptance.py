@@ -164,8 +164,8 @@ def _combined_value(student, trainee, teacher, x, y, dl_target):
 def _attention(teacher, student, g_trace, s_trace):
     """The attention term of ``student``'s trace against ``teacher``'s maps."""
     layers = student.spec.layers
-    t_unit, segments = distill.attention_targets(g_trace, teacher.spec.layers, layers)
-    return distill.attention_loss_node(t_unit, s_trace.activations[:-1], layers, segments)
+    t_unit, segments = ops.guide_targets(g_trace, teacher.spec.layers, layers)
+    return ops.attention(t_unit, s_trace.activations[:-1], layers, segments)
 
 
 def _single_value(kind, student, teacher, x, y):

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import generic_ops as ops
-from edgeslim.archspec import LayerKind, LayerSpec
+from edgeslim.archspec import LayerKind, LayerSpec, NetworkSpec
 from edgeslim.engine import autodiff as ad
 from edgeslim.engine import layers
-from edgeslim.engine.layers import layer_forward, param_layout
+from edgeslim.engine.layers import param_layout
 
 
 def numeric_grad(fn, x, h=1e-6):
@@ -77,10 +77,10 @@ def test_conv2d():
     params = {"W": arrays["W"], "b": arrays["b"]}
     grads = {name: np.zeros_like(arr) for name, arr in params.items()}
     x = ad.Tensor(arrays["x"], requires_grad=True)
-    ops.total(layer_forward(layer, params, grads, x)).backward()
+    ops.total(ops.apply_layer(layer, params, grads, x)).backward()
 
     def value(_):  # reads ``arrays``, which numeric_grad moves in place
-        return float(layer_forward(layer, params, None, ad.Tensor(arrays["x"])).data.sum())
+        return float(ops.apply_layer(layer, params, None, ad.Tensor(arrays["x"])).data.sum())
 
     for name, analytic in {"x": x.grad, **grads}.items():
         assert_rel_close(analytic, numeric_grad(value, arrays[name]), 1e-7, name)
@@ -121,7 +121,8 @@ def cross_entropy_under(upstream, logits, labels0):
     the logits' gradient."""
     z = ad.Tensor(logits, requires_grad=True)
     node = ad.softmax_cross_entropy(z, labels0)
-    ad._node(node.data * upstream, (node,), lambda g: node._accum(g * upstream)).backward()
+    cell = node.cell
+    ad._node(node.data * upstream, (node,), lambda g: ad._accum(cell, g * upstream)).backward()
     return node.data, z.grad
 
 
@@ -161,11 +162,11 @@ def test_requires_grad_pruning():
     a = ad.Tensor(np.ones(3), requires_grad=True)
     b = ad.Tensor(np.ones(3))  # constant branch
     loss = ops.total(ops.mul(a, b))
-    assert loss.requires_grad
+    assert loss.cell is not None
     loss.backward()
     assert b.grad is None  # no gradient work spent on constants
     const = ops.total(ops.mul(b, b))
-    assert not const.requires_grad
+    assert const.cell is None
 
 
 def test_backward_accumulates_across_reuse():
@@ -190,7 +191,7 @@ def test_sigmoid_stays_finite(x, kind):
     }
     grads = {name: np.full_like(arr, np.nan) for name, arr in params.items()}
     inputs = ad.Tensor(rng.normal(size=(2, 6)), requires_grad=True)
-    out = layer_forward(layer, params, grads, inputs)
+    out = ops.apply_layer(layer, params, grads, inputs)
     assert np.isfinite(out.data).all() and (np.abs(out.data) <= 1.0).all()
     ops.total(out).backward()
     assert np.isfinite(inputs.grad).all()
@@ -255,7 +256,7 @@ def test_recurrent_node_is_bit_identical_under_the_two_branch_sigmoid(
         grads = {
             k: np.full(v.shape, np.nan, np.result_type(v, upstream)) for k, v in params.items()
         }
-        out = layer_forward(layer, params, grads, x)
+        out = ops.apply_layer(layer, params, grads, x)
         ops.total(ops.mul(out, upstream)).backward()
         return out.data, {"x": x.grad, **grads}
 
@@ -278,5 +279,74 @@ def test_relu_zero_point_subgradient():
     layer = LayerSpec(LayerKind.FC, I=3, O=3)
     t = ad.Tensor(np.array([[0.0, -1.0, 1.0]]), requires_grad=True)
     params = {"W": np.eye(3), "b": np.zeros(3)}
-    ops.total(layer_forward(layer, params, None, t, relu=True)).backward()
+    ops.total(ops.apply_layer(layer, params, None, t, relu=True)).backward()
     np.testing.assert_array_equal(t.grad, [[0.0, 0.0, 1.0]])
+
+
+def counted(tape, calls, name):
+    """Wrap every backward on ``tape`` to log ``name`` into ``calls``."""
+    def wrap(bwd):
+        return lambda g: calls.append(name) or bwd(g)
+
+    tape.entries[:] = [(wrap(bwd), cell) for bwd, cell in tape.entries]
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_interleaved_graphs_keep_their_own_tapes(first):
+    """Two graphs built one after the other, both before either backward:
+    each backward gives the gradients its graph gives alone and walks only
+    its own tape, whichever runs first."""
+    from edgeslim.engine.model import backward, cross_entropy_node, forward, init_model
+
+    spec = NetworkSpec("t", [LayerSpec(LayerKind.FC, I=5, O=6),
+                             LayerSpec(LayerKind.FC, I=6, O=3)], class_count=3)
+    rng = np.random.default_rng(4)
+    batches = [(rng.normal(size=(8, 5)), rng.integers(1, 4, size=8)) for _ in range(2)]
+    model = init_model(spec, seed=5)
+
+    def graph(x, y):
+        trace = forward(model, x)
+        return trace, cross_entropy_node(trace, y)
+
+    alone = []
+    for x, y in batches:
+        trace, loss = graph(x, y)
+        alone.append(np.copy(backward(model, trace, loss)[0]["W"]))
+    graphs = [graph(x, y) for x, y in batches]
+    assert graphs[0][1].tape is not graphs[1][1].tape
+    with pytest.raises(ValueError, match="not built from this trace"):
+        backward(model, graphs[1 - first][0], graphs[first][1])
+    calls = []
+    for k, (_, loss) in enumerate(graphs):
+        counted(loss.tape, calls, k)
+    sizes = [len(loss.tape.entries) for _, loss in graphs]
+    for k in (first, 1 - first):
+        calls.clear()
+        trace, loss = graphs[k]
+        other = graphs[1 - k][1]
+        grads = backward(model, trace, loss)
+        assert calls == [k] * sizes[k]  # every node of its own tape, none of the other's
+        assert grads[0]["W"].tobytes() == alone[k].tobytes()
+        if other.tape.entries is not None:  # the other graph, not yet walked, is untouched
+            assert len(other.tape.entries) == sizes[1 - k] and other.grad is None
+
+
+def test_a_node_sums_its_pieces_in_reverse_creation_order():
+    """A value read by three nodes, made s, t, a, gets (a + t) + s: the
+    shared prefix's ``(attention + trainee) + student``.  The pieces are
+    float32 values whose sum depends on the association."""
+    s, t, a = (np.float32(v) for v in (2.0**-24, 2.0**-24, 1.0))
+    assert (a + t) + s != a + (t + s)
+    h = ad.Tensor(np.float32(0.0), requires_grad=True)
+    cell = h.cell
+    consumers = [ad._node(h.data, (h,), lambda g, p=p: ad._accum(cell, p)) for p in (s, t, a)]
+    ops.add(ops.add(consumers[0], consumers[1]), consumers[2]).backward()
+    assert h.grad.tobytes() == ((a + t) + s).tobytes()
+
+
+def test_a_walked_graph_takes_no_second_backward():
+    x = ad.Tensor(np.ones(3), requires_grad=True)
+    loss = ops.total(ops.mul(x, x))
+    loss.backward()
+    with pytest.raises(ValueError, match="already ran"):
+        loss.backward()

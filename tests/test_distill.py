@@ -17,7 +17,6 @@ from edgeslim.distill import (
     DEBudget,
     DistillPlan,
     SCHEMES,
-    attention_loss_node,
     combined_loss,
     distillation_loss_node,
     network_flops,
@@ -132,9 +131,9 @@ def test_attention_loss_layer_handling():
     assert two == pytest.approx(4.0)  # sums over layers
     # a one-layer guide has no maps: its targets are (n, 0), its term 0
     trace = forward(init_model(ONE_LAYER_SPEC, seed=0), np.ones((2, 8)), trainable=False)
-    t_unit, segments = distill.attention_targets(trace, ONE_LAYER_SPEC.layers, STUDENT_SPEC.layers)
+    t_unit, segments = ops.guide_targets(trace, ONE_LAYER_SPEC.layers, STUDENT_SPEC.layers)
     assert t_unit.shape == (2, 0) and segments.widths == []
-    zero = attention_loss_node(t_unit, [], STUDENT_SPEC.layers, segments).data
+    zero = ops.attention(t_unit, [], STUDENT_SPEC.layers, segments).data
     assert zero == 0.0 and zero.dtype == np.float32  # the model's dtype, as every term's
     # the student's maps must match the targets' layout, in count and in width
     segments = distill._segments([2])
@@ -142,7 +141,7 @@ def test_attention_loss_layer_handling():
     fc = [LayerSpec(LayerKind.FC, I=1, O=2), LayerSpec(LayerKind.FC, I=2, O=2)]
     for acts in ([], [b, b], [ad.Tensor(np.zeros((1, 1)))]):
         with pytest.raises(ValueError, match="do not match"):
-            attention_loss_node(t_unit, acts, fc, segments)
+            ops.attention(t_unit, acts, fc, segments)
 
 
 def test_a_one_layer_trainee_gives_a_zero_attention_term(data):
@@ -185,7 +184,7 @@ def test_cached_teacher_attention_matches_per_batch_bit_for_bit(student_spec):
     for size in [*range(2, 41), 64, 256, 300]:
         idx = rng.permutation(300)[:size]
         guide = forward(pretrained, features[idx], trainable=False)
-        per_batch, batch_segments = distill.attention_targets(
+        per_batch, batch_segments = ops.guide_targets(
             guide, TEACHER_SPEC.layers, student_spec.layers
         )
         assert batch_segments.widths == widths
@@ -578,6 +577,44 @@ class _FirstBatchDone(Exception):
     pass
 
 
+def test_shared_prefix_gradient_sums_attention_trainee_then_student(monkeypatch, data):
+    """In an S6 pre-halt batch the shared prefix's output gets three
+    gradient pieces, summed in reverse creation order:
+    ``(attention + trainee) + student``, bit for bit."""
+    from edgeslim.engine import layers
+
+    student, trainee, pretrained = fresh_models(seed=6)
+    prefix_cells, pieces = [], []
+    real_forward = distill.forward
+
+    def forward_capturing(model, x, **kw):
+        trace = real_forward(model, x, **kw)
+        if model is student and kw.get("trainable"):
+            prefix_cells.append(trace.activations[0].cell)
+        return trace
+
+    def recording(module, real):
+        def accum(cell, piece):
+            if prefix_cells and cell is prefix_cells[0]:
+                pieces.append((module, piece))
+            real(cell, piece)
+
+        return accum
+
+    def stop(models, eta):
+        raise _FirstBatchDone
+
+    monkeypatch.setattr(distill, "forward", forward_capturing)
+    monkeypatch.setattr(distill, "_accum", recording("attention", distill._accum))
+    monkeypatch.setattr(layers, "_accum", recording("layer", layers._accum))
+    monkeypatch.setattr(distill, "descend", stop)
+    with pytest.raises(_FirstBatchDone):
+        train(student, trainee, pretrained, data, plan_for("S6"))
+    assert [module for module, _ in pieces] == ["attention", "layer", "layer"]
+    (_, attention), (_, from_trainee), (_, from_student) = pieces
+    assert prefix_cells[0][0].tobytes() == ((attention + from_trainee) + from_student).tobytes()
+
+
 def test_shared_head_gradients_match_two_full_forwards(monkeypatch):
     """One S6 pre-halt batch in float64: the shared head's gradients equal
     those of separate student and trainee forwards and backward passes,
@@ -598,8 +635,8 @@ def test_shared_head_gradients_match_two_full_forwards(monkeypatch):
     l1, l2, l3, l4 = plan.effective_lambdas()
     g_trace = forward(pretrained, x, trainable=False)
     layers = student.spec.layers
-    t_unit, segments = distill.attention_targets(g_trace, pretrained.spec.layers, layers)
-    al = distill.attention_loss_node(t_unit, s_trace.activations[:-1], layers, segments)
+    t_unit, segments = ops.guide_targets(g_trace, pretrained.spec.layers, layers)
+    al = ops.attention(t_unit, s_trace.activations[:-1], layers, segments)
     dl = distill.distillation_loss_node(te_trace.logits.data, s_trace.logits)
     student_loss = ops.add(
         ops.add(ops.mul(cross_entropy_node(s_trace, y), l1), ops.mul(al, l2)), ops.mul(dl, l3)
@@ -664,7 +701,7 @@ def test_distillation_batch_stays_in_the_model_dtype(
     tape_backward = ad.Tensor.backward
 
     def record(root):
-        roots.append(root)
+        roots.append((root, list(root.tape.entries)))
         tape_backward(root)
 
     def capture(step_models, eta):
@@ -675,10 +712,9 @@ def test_distillation_batch_stays_in_the_model_dtype(
     monkeypatch.setattr(distill, "descend", capture)
     with pytest.raises(_FirstBatchDone):
         train(student, trainee, pretrained, data, plan_for(scheme, batch_size=16))
-    (loss,) = roots
+    ((loss, entries),) = roots
     assert loss.data.dtype == dtype
-    nodes = [node for node in ad._topo_order(loss) if node._backward is not None]
-    assert {node.grad.dtype for node in nodes} == {np.dtype(dtype)}
+    assert {cell[0].dtype for _, cell in entries} == {np.dtype(dtype)}
     assert models == [m for m in (student, trainee) if m is not None]
     views = [g for model in models for layer in model.grad_views for g in layer.values()]
     assert {g.dtype for g in views} == {np.dtype(dtype)}
@@ -770,7 +806,7 @@ def test_prefix_runs_once_per_batch_and_teacher_once_per_call(monkeypatch):
     real_layer_forward = engine_model.layer_forward
 
     def counting_layer_forward(layer, params, grads, x, relu=False):
-        if grads is not None and params["W"] is shared_w:
+        if grads is not None and params[0] is shared_w:
             prefix_calls.append(x.data.shape[0])
         return real_layer_forward(layer, params, grads, x, relu)
 

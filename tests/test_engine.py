@@ -11,7 +11,7 @@ from edgeslim.archspec import GATE_NAMES, LayerKind, LayerSpec, NetworkSpec, che
 from edgeslim.compressor import minimum_flops
 from edgeslim.datasets import make_synthetic
 from edgeslim.engine import autodiff as ad
-from edgeslim.engine.layers import layer_forward, param_layout
+from edgeslim.engine.layers import param_layout
 from edgeslim.engine.model import (
     TrainingDiverged,
     backward,
@@ -47,7 +47,7 @@ def test_fc_forward_matches_manual(rng):
     spec = NetworkSpec("t", [layer], class_count=3)
     model = init_model(spec, seed=1, dtype=np.float64)
     x = rng.normal(size=(4, 5))
-    out = layer_forward(layer, model.layers[0].params, None, ad.Tensor(x)).data
+    out = ops.apply_layer(layer, model.layers[0].params, None, ad.Tensor(x)).data
     p = model.layers[0].params
     np.testing.assert_allclose(out, x @ p["W"] + p["b"], rtol=1e-12)
 
@@ -57,7 +57,7 @@ def test_conv_forward_matches_loop(rng):
     spec = NetworkSpec("t", [layer, LayerSpec(LayerKind.FC, I=48, O=2)], class_count=2)
     model = init_model(spec, seed=2, dtype=np.float64)
     x = rng.normal(size=(2, 2, 6, 6))  # padded input plane
-    out = layer_forward(layer, model.layers[0].params, None, ad.Tensor(x)).data
+    out = ops.apply_layer(layer, model.layers[0].params, None, ad.Tensor(x)).data
     W, b = model.layers[0].params["W"], model.layers[0].params["b"]
     expect = np.zeros((2, 3, 4, 4))
     for n in range(2):
@@ -296,7 +296,7 @@ def check_node_against_op_chain(layer, batch, upstream_dtype):
 
     inputs = ad.Tensor(x, requires_grad=True)
     grads = {k: np.full(v.shape, np.nan, np.result_type(v, upstream)) for k, v in params.items()}
-    out = layer_forward(layer, params, grads, inputs)
+    out = ops.apply_layer(layer, params, grads, inputs)
     ops.total(ops.mul(out, upstream)).backward()
     got = {"x": inputs.grad, **grads}
 
@@ -347,10 +347,10 @@ def test_a_frozen_recurrent_node_needs_no_gradient_and_keeps_the_bits(kind, shap
     params = {p.name: rng.normal(scale=2.0, size=p.shape).astype(np.float32)
               for p in param_layout(layer)}
     grads = {k: np.empty_like(v) for k, v in params.items()}
-    trained = layer_forward(layer, params, grads, ad.Tensor(x, requires_grad=True))
-    frozen = layer_forward(layer, params, None, ad.Tensor(x))
-    assert trained.requires_grad and not frozen.requires_grad
-    assert frozen._backward is None and frozen._parents == ()
+    trained = ops.apply_layer(layer, params, grads, ad.Tensor(x, requires_grad=True))
+    frozen = ops.apply_layer(layer, params, None, ad.Tensor(x))
+    assert trained.cell is not None and frozen.cell is None
+    assert frozen.tape is None and frozen.cell is None
     assert frozen.data.dtype == trained.data.dtype == np.float32
     assert frozen.data.tobytes() == trained.data.tobytes()
 
@@ -371,7 +371,7 @@ def test_recurrent_cells_match_reference(kind, rng):
     spec = NetworkSpec("t", [layer, LayerSpec(LayerKind.FC, I=6, O=2)], class_count=2)
     model = init_model(spec, seed=3, dtype=np.float64)
     x = rng.normal(size=(5, 3, 4))
-    out = layer_forward(layer, model.layers[0].params, None, ad.Tensor(x)).data
+    out = ops.apply_layer(layer, model.layers[0].params, None, ad.Tensor(x)).data
     expect = recurrent_reference(kind, model.layers[0].params, x)
     np.testing.assert_allclose(out, expect, rtol=1e-10, atol=1e-12)
 
@@ -446,7 +446,7 @@ def test_fused_cell_tape_does_not_grow_with_steps(kind):
         model = init_model(spec, seed=0)
         x = np.ones((2, 3 * steps), dtype=np.float32)
         loss = cross_entropy_node(forward(model, x), np.array([1, 2]))
-        sizes.append(len(ad._topo_order(loss)))
+        sizes.append(len(loss.tape.entries))
     assert sizes[0] == sizes[1]
 
 
@@ -457,7 +457,7 @@ def test_mgu_zero_weights_keeps_state_at_zero():
     for name in model.layers[0].params:
         model.layers[0].params[name][...] = 0.0
     x = np.random.default_rng(1).normal(size=(2, 6, 3))
-    out = layer_forward(layer, model.layers[0].params, None, ad.Tensor(x)).data
+    out = ops.apply_layer(layer, model.layers[0].params, None, ad.Tensor(x)).data
     np.testing.assert_array_equal(out, np.zeros((2, 4)))
 
 

@@ -19,9 +19,9 @@ from edgeslim.archspec import (
     CONV_KINDS, LayerKind, LayerSpec, NetworkSpec, check_valid,
 )
 from edgeslim.datasets import make_synthetic
-from edgeslim.distill import NORM_FLOOR, attention_loss_node, distillation_loss_node
+from edgeslim.distill import NORM_FLOOR, distillation_loss_node
 from edgeslim.engine import autodiff as ad
-from edgeslim.engine.layers import layer_forward, param_layout
+from edgeslim.engine.layers import param_layout
 from edgeslim.engine.model import ForwardTrace, cross_entropy_node, forward, init_model
 
 FUSED = {
@@ -52,7 +52,7 @@ def layer_fixture(kind, dtype, seed=0, batch=BATCH):
             mask.flat[0] = False
             params[pdef.name][~mask] = 0.0
     # centre each output channel on zero, so a ReLU cuts some entries
-    pre = layer_forward(layer, params, None, ad.Tensor(x)).data.reshape(batch, layer.O, -1)
+    pre = ops.apply_layer(layer, params, None, ad.Tensor(x)).data.reshape(batch, layer.O, -1)
     params["b" if "b" in params else "b2"] -= pre.mean(axis=(0, 2)).astype(dtype)
     return layer, x, params
 
@@ -64,7 +64,7 @@ def run_node(layer, arrays, relu, upstream):
     x = ad.Tensor(arrays["x"], requires_grad=True)
     params = {k: v for k, v in arrays.items() if k != "x"}
     grads = {k: np.full(v.shape, np.nan, np.result_type(v, upstream)) for k, v in params.items()}
-    out = layer_forward(layer, params, grads, x, relu)
+    out = ops.apply_layer(layer, params, grads, x, relu)
     ops.total(ops.mul(out, upstream)).backward()
     return out.data, {"x": x.grad, **grads}
 
@@ -97,7 +97,7 @@ def test_fused_layer_gradients_match_finite_differences(kind, relu):
     weights = np.random.default_rng(1).normal(size=out.shape)
 
     def loss():  # reads ``arrays``, which the probes move in place
-        out_now = layer_forward(layer, params, None, ad.Tensor(x), relu)
+        out_now = ops.apply_layer(layer, params, None, ad.Tensor(x), relu)
         return float((out_now.data * weights).sum())
 
     _, grads = run_node(layer, arrays, relu, weights)
@@ -365,7 +365,7 @@ def test_recurrent_layer_rejects_relu():
     layer = LayerSpec(LayerKind.GRU, I=2, O=3, s=2)
     params = {p.name: np.zeros(p.shape) for p in param_layout(layer)}
     with pytest.raises(ValueError, match="ReLU"):
-        layer_forward(layer, params, None, ad.Tensor(np.zeros((1, 4))), relu=True)
+        ops.apply_layer(layer, params, None, ad.Tensor(np.zeros((1, 4))), relu=True)
 
 
 def test_fc_stack_records_one_node_per_layer():
@@ -377,7 +377,7 @@ def test_fc_stack_records_one_node_per_layer():
         )
         x = np.ones((3, 5), dtype=np.float32)
         loss = cross_entropy_node(forward(init_model(spec, seed=0), x), np.array([1, 2, 1]))
-        sizes[depth] = len(ad._topo_order(loss))
+        sizes[depth] = len(loss.tape.entries)
     # the backward walk visits the loss and one node per layer
     assert sizes == {2: 1 + 2, 4: 1 + 4}
 
@@ -418,8 +418,8 @@ def test_attention_over_all_maps_is_one_node_bit_identical_to_op_chain():
 
     tensors = [ad.Tensor(s, requires_grad=True) for s in students]
     loss = ops.fc_attention(teachers, tensors)
+    assert len(loss.tape.entries) == 1  # one node over every map
     ops.mul(loss, 0.3).backward()
-    assert loss._parents == tuple(tensors)  # one node over every map
     assert loss.data.dtype == expect_loss.dtype and loss.data.tobytes() == expect_loss.tobytes()
     for tensor, grad in zip(tensors, expect_grads):
         assert tensor.grad.dtype == grad.dtype and tensor.grad.tobytes() == grad.tobytes()
@@ -429,10 +429,10 @@ def test_attention_over_all_maps_is_one_node_bit_identical_to_op_chain():
 def floored_inverse_norm(sumsq):
     """1 / sqrt(max(sumsq, NORM_FLOOR**2)) as a tape node: the one op of the
     generic attention chain that ``Tensor`` lacks."""
-    root = np.sqrt(np.maximum(sumsq.data, NORM_FLOOR**2))
+    root, cell = np.sqrt(np.maximum(sumsq.data, NORM_FLOOR**2)), sumsq.cell
 
     def bwd(g):
-        sumsq._accum(g * (-0.5 / (root * root * root)) * (sumsq.data > NORM_FLOOR**2))
+        ad._accum(cell, g * (-0.5 / (root * root * root)) * (sumsq.data > NORM_FLOOR**2))
 
     return ad._node(1.0 / root, (sumsq,), bwd)
 
@@ -510,8 +510,8 @@ def maps_case(dtype):
     got_acts, want_acts = ([ad.Tensor(s.copy(), requires_grad=True) for s in students] for _ in range(2))
     guide = ForwardTrace(None, [*map(ad.Tensor, teachers), None], 6)
     with np.errstate(over="ignore"):
-        t_unit, segments = distill.attention_targets(guide, t_layers, s_layers)
-        got = attention_loss_node(t_unit, got_acts, s_layers, segments)
+        t_unit, segments = ops.guide_targets(guide, t_layers, s_layers)
+        got = ops.attention(t_unit, got_acts, s_layers, segments)
         want = generic_attention([ad.Tensor(t) for t in teachers], want_acts, t_layers, s_layers)
         ops.mul(got, 0.3).backward()
         ops.mul(want, 0.3).backward()
@@ -546,8 +546,8 @@ def s3_case(dtype):
         traces.append([s_trace, te_trace])
     (s_trace, te_trace), (s_chain, te_chain) = traces
     layers, t_layers = student.spec.layers, trainee.spec.layers
-    t_unit, segments = distill.attention_targets(te_trace, t_layers, layers)
-    got = attention_loss_node(t_unit, s_trace.activations[:-1], layers, segments)
+    t_unit, segments = ops.guide_targets(te_trace, t_layers, layers)
+    got = ops.attention(t_unit, s_trace.activations[:-1], layers, segments)
     got_grads = backward_from(got, student, trainee)
     t_acts = [ad.Tensor(a.data) for a in te_chain.activations[:-1]]
     want = generic_attention(t_acts, s_chain.activations[:-1], t_layers, layers)
@@ -586,8 +586,8 @@ def test_distillation_node_is_bit_identical_to_op_chain():
 
     s = ad.Tensor(student, requires_grad=True)
     loss = distillation_loss_node(teacher, s)
+    assert len(loss.tape.entries) == 1  # one node over the logits
     ops.mul(loss, 0.3).backward()
-    assert loss._parents == (s,)
     assert loss.data.dtype == expect_loss.dtype and loss.data.tobytes() == expect_loss.tobytes()
     assert s.grad.dtype == expect_grad.dtype and s.grad.tobytes() == expect_grad.tobytes()
     with pytest.raises(ValueError, match="logit shapes differ"):
@@ -608,8 +608,8 @@ def test_weighted_sum_is_one_node_bit_identical_to_op_chain():
 
     terms = [ad.Tensor(v, requires_grad=True) for v in values]
     loss = distill._weighted_sum(list(zip(lams, terms)))
+    assert len(loss.tape.entries) == 1  # one node over every term
     loss.backward()
-    assert loss._parents == tuple(terms)
     assert loss.data.dtype == expect_loss.dtype and loss.data.tobytes() == expect_loss.tobytes()
     for term, w in zip(terms, weights):
         grad = upstream * w
@@ -641,6 +641,6 @@ def test_pre_halt_batch_records_five_loss_nodes(monkeypatch):
     with pytest.raises(_Taped):
         distill.train(student, trainee, pretrained, data,
                       distill.DistillPlan(0.5, 0.3, 0.2, total_epochs=2, batch_size=16))
-    nodes = [n for n in ad._topo_order(roots[0]) if n._backward is not None]
+    nodes = roots[0].tape.entries
     layer_nodes = 4 + (4 - 2)
     assert len(nodes) == layer_nodes + 5

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from edgeslim.archspec import LayerKind, LayerSpec, NetworkSpec, check_valid
 from edgeslim.datasets import make_synthetic
-from edgeslim.engine.model import MaskedModel, connection_count, init_model, model_bytes
+from edgeslim.engine.model import (
+    MaskedModel,
+    connection_count,
+    copy_model,
+    init_model,
+    model_bytes,
+)
 from edgeslim.engine.training import evaluate_loss, train_classifier
 from edgeslim import pruning
 from edgeslim.pruning import DropoutState, apply_dropout, update_rate
@@ -143,6 +149,53 @@ def test_apply_dropout_tie_break_is_stable():
     # ties resolve in flat order: the first `dropped` entries go
     np.testing.assert_array_equal(flat[:dropped], 0.0)
     np.testing.assert_array_equal(flat[dropped:], 1.0)
+
+
+def tuple_rule_dropout(model, rate, target_layers):
+    """The selection rule spelled out: one (|w|, parameter order, flat index)
+    tuple per surviving weight of a layer, sorted, and the first
+    floor(rate * alive) masked."""
+    out = copy_model(model)
+    for idx in target_layers:
+        lp = out.layers[idx]
+        entries = []
+        for order, name in enumerate(sorted(lp.masks)):
+            w = lp.params[name].ravel()
+            for flat in np.flatnonzero(lp.masks[name].ravel() > 0):
+                entries.append((abs(float(w[flat])), order, int(flat), name))
+        entries.sort(key=lambda e: e[:3])
+        for _, _, flat, name in entries[: int(np.floor(rate * len(entries)))]:
+            lp.masks[name].ravel()[flat] = 0.0
+            lp.params[name].ravel()[flat] = 0.0
+    return out
+
+
+TIE_SPECS = [
+    NetworkSpec("lstm", [LayerSpec(LayerKind.LSTM, I=3, O=4, s=2),
+                         LayerSpec(LayerKind.FC, I=4, O=3)], class_count=3),
+    NetworkSpec("factorized", [LayerSpec(LayerKind.FC, I=6, O=8),
+                               LayerSpec(LayerKind.FACTORIZED_FC, I=8, O=5, R=3),
+                               LayerSpec(LayerKind.FC, I=5, O=3)], class_count=3),
+]
+
+
+@pytest.mark.parametrize("spec", TIE_SPECS, ids=lambda spec: spec.name)
+@pytest.mark.parametrize("seed", range(6))
+def test_apply_dropout_masks_the_weights_the_tuple_rule_picks(spec, seed):
+    """Bit for bit the masks and weights of sorting one tuple per weight,
+    with ties across gates and factors (every magnitude one of three
+    values, signs mixed) and with entries masked by an earlier round."""
+    model = init_model(spec, seed=seed)
+    rng = np.random.default_rng(seed)
+    for lp in model.layers:
+        for name in lp.masks:
+            w = lp.params[name]
+            w[...] = rng.choice([-0.5, -0.25, 0.25, 0.5, 0.75], size=w.shape)
+    layers = list(range(len(spec.layers)))
+    model = apply_dropout(model, 0.3, layers)  # some entries already masked
+    for rate in (0.0, 0.2, 0.5, 1.0):
+        got, want = apply_dropout(model, rate, layers), tuple_rule_dropout(model, rate, layers)
+        assert model_bytes(got) == model_bytes(want), rate
 
 
 def make_trained(seed=3):
