@@ -350,7 +350,7 @@ def test_a_frozen_recurrent_node_needs_no_gradient_and_keeps_the_bits(kind, shap
     trained = ops.apply_layer(layer, params, grads, ad.Tensor(x, requires_grad=True))
     frozen = ops.apply_layer(layer, params, None, ad.Tensor(x))
     assert trained.cell is not None and frozen.cell is None
-    assert frozen.tape is None and frozen.cell is None
+    assert frozen.tape is None  # off the tape: no backward recorded
     assert frozen.data.dtype == trained.data.dtype == np.float32
     assert frozen.data.tobytes() == trained.data.tobytes()
 
