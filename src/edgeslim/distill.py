@@ -15,19 +15,21 @@ targets and learns only from its own CE term; the pretrained teacher
 supplies AL targets whenever present.  The l-weights on the simplex are
 tuned by differential evolution against validation accuracy.
 
-The pretrained teacher is frozen and nothing augments the data, so each
-:func:`train` call runs it once over the training fold, in chunks, and each
-batch indexes its logits and attention targets by the batch's rows, as it
-indexes the fold's features and labels, cast once per call.  The maps'
-widths and projections are resolved once per call too (:class:`MapPlan`);
-a live trainee's targets are formed per batch.  A live trainee that shares
-the student's leading layers continues from the student's output at the
+Each :func:`train` call builds one :class:`MapPlan`: both sides' map
+steps (conv means, projections) and the maps' column layout.  A call with
+no map (l2 = 0, or a one-layer student or guide) has no plan and no AL
+term.  The pretrained teacher is frozen and nothing augments the data, so
+the call runs it once over the training fold, in chunks, and each batch
+indexes its logits and plan-formed attention targets by the batch's rows,
+as it indexes the fold's features and labels, cast once per call; a live
+trainee's targets are formed per batch.  A live trainee that shares the
+student's leading layers continues from the student's output at the
 shared prefix instead of running them again; those layers are the
 trainee's, so one backward sums both paths' gradients into its gradient
-buffer.  Past the two cross-entropies, a batch's loss is three tape nodes:
-DL, AL (one node over the student's layer outputs, their maps side by
-side) and the l-weighted sum.  The layer nodes write the parameter
-gradients, and one :func:`descend` of the step's models applies them.
+buffer.  Past the two cross-entropies, a batch's loss is at most three
+tape nodes: DL, AL (one node over the student's layer outputs, their maps
+side by side) and the l-weighted sum.  The layer nodes write the
+parameter gradients; one :func:`descend` of the step's models applies them.
 """
 
 from __future__ import annotations
@@ -192,32 +194,6 @@ def distillation_loss_node(t: np.ndarray, s: Tensor) -> Tensor:
     return _node(np.add.reduce(np.add.reduce(diff * diff, axis=1)) * inv_n, (s,), bwd)
 
 
-class Segments(NamedTuple):  # the column layout of attention maps laid side by side
-    starts: np.ndarray  # each map's first column, for ``reduceat``
-    widths: list[int]  # each map's width, for ``repeat``
-    cols: list[slice]  # each map's columns
-
-
-def _segments(widths: list[int]) -> Segments:
-    ends = np.cumsum(widths, dtype=np.intp)
-    cols = [slice(e - w, e) for e, w in zip(ends.tolist(), widths)]
-    return Segments(ends - widths, list(widths), cols)
-
-
-def _unit_rows(maps: np.ndarray, segments: Segments) -> tuple[np.ndarray, np.ndarray]:
-    """Row-normalize each of the side-by-side ``maps``: the unit rows, and
-    per entry the inverse norm of its row of its map.  A row whose sum of
-    squares is below the squared floor (dead ReLU rows, mostly) has no
-    direction; it is detached -- inverse norm 0, so zero value and gradient
-    -- not divided by the floor, which would make a 1/NORM_FLOOR gradient
-    kick.  A row whose sum of squares overflows gets inverse norm 0 too."""
-    squares = maps * maps
-    sumsq = np.add.reduceat(squares, segments.starts, axis=1)
-    root = np.sqrt(np.maximum(sumsq, NORM_FLOOR**2))
-    inv = np.divide(sumsq >= NORM_FLOOR**2, root, out=root).repeat(segments.widths, axis=1)
-    return np.multiply(maps, inv, out=squares), inv
-
-
 def _projection(layer_idx: int, width_from: int, width_to: int) -> np.ndarray:
     """A fixed Gaussian (width_from, width_to) projection for layer
     ``layer_idx``, the same for the guide's targets and the student's maps."""
@@ -225,42 +201,62 @@ def _projection(layer_idx: int, width_from: int, width_to: int) -> np.ndarray:
     return rng.normal(size=(width_from, width_to)) / np.sqrt(width_from)
 
 
+Step = tuple[LayerSpec | None, np.generic | None, np.ndarray | None]
+
+
 class MapPlan(NamedTuple):
-    """How layer outputs become attention maps at fixed widths: per map, the
-    conv layer whose channels it averages and 1/(h*w), or None, and the
-    projection to its width, or None; ``segments`` lays the maps side by side."""
+    """How a guide's and a student's layer outputs become attention maps,
+    fixed per :func:`train` call.  Per map and side, a step: the conv layer
+    whose channels it averages and 1/(h*w), or None, and the projection to
+    the map's width, or None.  The maps lie side by side in columns."""
 
-    steps: list[tuple[LayerSpec | None, np.generic | None, np.ndarray | None]]
-    segments: Segments
-
-
-def map_plan(layers: Sequence[LayerSpec], widths: list[int], dtype) -> MapPlan:
-    """The :class:`MapPlan` of ``layers[:len(widths)]`` at ``widths``, in
-    ``dtype``.  Layer i's map, its conv channels' means or its output, is
-    ``layers[i].O`` wide: projected down where wider, refused where narrower."""
-    dtype, steps = np.dtype(dtype), []
-    for idx, (layer, width) in enumerate(zip(layers, widths)):
-        if layer.O < width:
-            raise ValueError(f"map {idx} of width {layer.O} and its target's {width} do not match")
-        conv = layer if layer.kind in CONV_KINDS else None
-        scale = dtype.type(1.0 / (layer.h * layer.w)) if conv else None
-        proj = _projection(idx, layer.O, width).astype(dtype) if layer.O > width else None
-        steps.append((conv, scale, proj))
-    return MapPlan(steps, _segments(widths))
+    guide: list[Step]
+    student: list[Step]
+    starts: np.ndarray  # each map's first column, for ``reduceat``
+    widths: list[int]  # each map's width, for ``repeat``
+    cols: list[slice]  # each map's columns
 
 
-def guide_plan(layers: Sequence[LayerSpec], student_layers: Sequence[LayerSpec], dtype) -> MapPlan:
-    """The :func:`map_plan` of a guide with ``layers`` for a student with
-    ``student_layers``: one map per non-logit layer of both, each at the
-    narrower of the two maps' widths."""
-    widths = [min(g.O, s.O) for g, s in zip(layers[:-1], student_layers[:-1])]
-    return map_plan(layers, widths, dtype)
+def map_plan(
+    guide_layers: Sequence[LayerSpec], student_layers: Sequence[LayerSpec], dtype
+) -> MapPlan | None:
+    """The :class:`MapPlan` in ``dtype`` of a guide with ``guide_layers`` for
+    a student with ``student_layers``: one map per non-logit layer of both,
+    at the narrower of the two widths, the wider side's map projected down.
+    None when either side has one layer, and so no map."""
+    widths = [min(g.O, s.O) for g, s in zip(guide_layers[:-1], student_layers[:-1])]
+    if not widths:
+        return None
+    dtype, sides = np.dtype(dtype), ([], [])
+    for idx, (width, *layers) in enumerate(zip(widths, guide_layers, student_layers)):
+        for steps, layer in zip(sides, layers):
+            conv = layer if layer.kind in CONV_KINDS else None
+            scale = dtype.type(1.0 / (layer.h * layer.w)) if conv else None
+            proj = _projection(idx, layer.O, width).astype(dtype) if layer.O > width else None
+            steps.append((conv, scale, proj))
+    ends = np.cumsum(widths, dtype=np.intp)
+    cols = [slice(e - w, e) for e, w in zip(ends.tolist(), widths)]
+    return MapPlan(*sides, ends - widths, widths, cols)
 
 
-def _maps(plan: MapPlan, outputs: Sequence[Tensor]) -> np.ndarray:
-    """``plan``'s maps of the layer ``outputs``, (n, output_width) each, side by side."""
+def _unit_rows(maps: np.ndarray, plan: MapPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Row-normalize each of the side-by-side ``maps`` of ``plan``: the unit
+    rows, and per entry the inverse norm of its row of its map.  A row whose
+    sum of squares is below the squared floor (dead ReLU rows, mostly) has no
+    direction; it is detached -- inverse norm 0, so zero value and gradient
+    -- not divided by the floor, which would make a 1/NORM_FLOOR gradient
+    kick.  A row whose sum of squares overflows gets inverse norm 0 too."""
+    squares = maps * maps
+    sumsq = np.add.reduceat(squares, plan.starts, axis=1)
+    root = np.sqrt(np.maximum(sumsq, NORM_FLOOR**2))
+    inv = np.divide(sumsq >= NORM_FLOOR**2, root, out=root).repeat(plan.widths, axis=1)
+    return np.multiply(maps, inv, out=squares), inv
+
+
+def _maps(steps: Sequence[Step], outputs: Sequence[Tensor]) -> np.ndarray:
+    """One side's ``steps`` applied to its layer ``outputs``: the maps side by side."""
     maps = []
-    for output, (conv, scale, proj) in zip(outputs, plan.steps):
+    for output, (conv, scale, proj) in zip(outputs, steps):
         x = output.data
         if conv is not None:
             x = x.reshape(len(x), conv.O, conv.h, conv.w).sum(axis=(2, 3))
@@ -272,35 +268,29 @@ def _maps(plan: MapPlan, outputs: Sequence[Tensor]) -> np.ndarray:
 
 
 def attention_targets(plan: MapPlan, trace: ForwardTrace) -> np.ndarray:
-    """A guide's batch ``trace``'s maps by ``plan`` (a :func:`guide_plan`), row-normalised
-    by :func:`_unit_rows`: plain arrays, so a target is detached by construction."""
-    if not plan.steps:  # a one-layer guide
-        return np.empty((trace.batch_size, 0), trace.logits.data.dtype)
-    return _unit_rows(_maps(plan, trace.activations), plan.segments)[0]
+    """A guide's batch ``trace``'s maps by ``plan``, row-normalised by
+    :func:`_unit_rows`: plain arrays, so a target is detached by construction."""
+    return _unit_rows(_maps(plan.guide, trace.activations), plan)[0]
 
 
 def attention_loss_node(t_unit: np.ndarray, acts: Sequence[Tensor], plan: MapPlan) -> Tensor:
     """Sum over maps of the mean over rows of |t_unit - unit(s)|^2, one node
-    over the student's layer outputs ``acts``, one per map of ``plan``, the
-    student's :func:`map_plan` at the widths of the targets ``t_unit``.
+    over the student's layer outputs ``acts``, one per map of ``plan``,
+    against the guide's targets ``t_unit`` (:func:`attention_targets`).
 
     Normalization makes the loss scale-invariant in either map; a dead row
     is detached, not divided by zero.  With u = unit(s), diff = t_unit - u
     and p = 2 g/n diff, a row's gradient is (u (u . p) - p) / |s|, 0 if
     detached; it reaches ``acts[i]`` through the projection's transpose
-    and, for a conv kind, the mean's broadcast over positions.  A guide
-    without maps gives a constant 0.
+    and, for a conv kind, the mean's broadcast over positions.
     """
-    segments = plan.segments
-    if len(acts) != len(segments.widths):
-        n_maps, n_targets = len(acts), len(segments.widths)
+    if len(acts) != len(plan.widths):
+        n_maps, n_targets = len(acts), len(plan.widths)
         raise ValueError(f"{n_maps} student maps do not match the targets' {n_targets}")
-    if not acts:  # a one-layer guide has no maps
-        return Tensor(t_unit.dtype.type(0.0))
-    maps = _maps(plan, acts)
+    maps = _maps(plan.student, acts)
     if maps.shape != t_unit.shape:
         raise ValueError(f"student maps {maps.shape} do not match the targets' {t_unit.shape}")
-    u, inv = _unit_rows(maps, segments)
+    u, inv = _unit_rows(maps, plan)
     diff = t_unit - u
     inv_n = diff.dtype.type(1.0 / len(diff))
     cells = [act.cell for act in acts]
@@ -308,12 +298,12 @@ def attention_loss_node(t_unit: np.ndarray, acts: Sequence[Tensor], plan: MapPla
     def bwd(g):
         c = g * inv_n
         p = (c + c) * diff
-        along = np.add.reduceat(u * p, segments.starts, axis=1)
-        grad = along.repeat(segments.widths, axis=1)
+        along = np.add.reduceat(u * p, plan.starts, axis=1)
+        grad = along.repeat(plan.widths, axis=1)
         np.multiply(u, grad, out=grad)
         grad -= p
         grad *= inv
-        for cell, (conv, scale, proj), cols in zip(cells, plan.steps, segments.cols):
+        for cell, (conv, scale, proj), cols in zip(cells, plan.student, plan.cols):
             if cell is None:
                 continue
             g_map = grad[:, cols] if proj is None else grad[:, cols] @ proj.T
@@ -364,8 +354,8 @@ class TrainResult:
     trainee: MaskedModel | None
     history: list[EpochRecord]
     halting_epoch: int | None
-    effective_lambdas: tuple[float, float, float, float]
     trainee_bytes_at_halt: bytes | None
+    val_set: Dataset  # the validation fold each epoch scores
 
     @property
     def total_flops(self) -> int:
@@ -393,20 +383,20 @@ def share_prefix_layers(student: MaskedModel, trainee: MaskedModel, prefix: int)
 
 
 def _frozen_outputs(
-    teacher: MaskedModel, features: np.ndarray, student: MaskedModel
-) -> tuple[np.ndarray, np.ndarray, Segments]:
-    """The frozen teacher's logits and :func:`attention_targets` for every
-    row, by its :func:`guide_plan` for ``student``, and their column layout,
-    over :func:`eval_chunks` as ``predict`` runs.  An output row depends on
-    its input row alone, so a batch's rows index what its own forward pass
+    teacher: MaskedModel, features: np.ndarray, plan: MapPlan | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The frozen teacher's logits for every row, and its
+    :func:`attention_targets` by ``plan``, or None without a plan, over
+    :func:`eval_chunks` as ``predict`` runs.  An output row depends on its
+    input row alone, so a batch's rows index what its own forward pass
     would give; a one-row batch reads its row of a GEMM, not a gemv."""
-    plan = guide_plan(teacher.spec.layers, student.spec.layers, teacher.dtype)
     logits, targets = [], []
     for rows in eval_chunks(len(features)):
         trace = forward(teacher, features[rows], trainable=False)
         logits.append(trace.logits.data)
-        targets.append(attention_targets(plan, trace))
-    return np.concatenate(logits), np.concatenate(targets), plan.segments
+        if plan is not None:
+            targets.append(attention_targets(plan, trace))
+    return np.concatenate(logits), None if plan is None else np.concatenate(targets)
 
 
 def train(
@@ -459,7 +449,6 @@ def train(
     dtype = student.dtype
     l1, l2, l3, l4 = plan.effective_lambdas()
     w1, w2, w3, w4 = (dtype.type(lam) for lam in (l1, l2, l3, l4))  # model dtype
-    attend = l2 > 0.0 and len(student.spec.layers) > 1  # a one-layer network has no maps
     f_student = network_flops(student.spec)
     f_trainee = network_flops(trainee.spec) if trainee is not None else 0
     f_teacher = network_flops(pretrained_teacher.spec) if pretrained_teacher is not None else 0
@@ -482,15 +471,10 @@ def train(
     if traits.halts and h_cap == 0:
         halt_now(0)
 
+    guide = pretrained_teacher if pretrained_teacher is not None else trainee
+    maps = map_plan(guide.spec.layers, student.spec.layers, dtype) if l2 > 0.0 else None
     if pretrained_teacher is not None:
-        teacher_logits, targets, _ = _frozen_outputs(
-            pretrained_teacher, train_set.features, student
-        )
-    if attend:  # the maps' widths and projections, fixed for the call
-        guide = pretrained_teacher if pretrained_teacher is not None else trainee
-        guide_maps = guide_plan(guide.spec.layers, student.spec.layers, dtype)
-        student_maps = map_plan(student.spec.layers, guide_maps.segments.widths, dtype)
-        n_maps = len(student_maps.steps)
+        teacher_logits, targets = _frozen_outputs(pretrained_teacher, train_set.features, maps)
 
     acc_pct: list[float] = []
     for epoch in range(1, plan.total_epochs + 1):
@@ -522,12 +506,12 @@ def train(
 
             dl = distillation_loss_node(dl_source, s_trace.logits)
             al_val = 0.0
-            if attend:
+            if maps is not None:
                 if pretrained_teacher is not None:
                     t_unit = targets.take(idx, axis=0)
                 else:
-                    t_unit = attention_targets(guide_maps, te_trace)
-                al = attention_loss_node(t_unit, s_trace.activations[:n_maps], student_maps)
+                    t_unit = attention_targets(maps, te_trace)
+                al = attention_loss_node(t_unit, s_trace.activations[:len(maps.widths)], maps)
                 al_val = float(al.data)
                 terms.append((w2, al))
             loss = _weighted_sum([*terms, (w3, dl)])
@@ -568,8 +552,8 @@ def train(
         trainee=trainee,
         history=history,
         halting_epoch=halting_epoch,
-        effective_lambdas=(l1, l2, l3, l4),
         trainee_bytes_at_halt=trainee_bytes,
+        val_set=val_set,
     )
 
 

@@ -26,7 +26,7 @@ from functools import partial
 
 from edgeslim import compressor, pruning
 from edgeslim.archspec import NetworkSpec, network_to_dict
-from edgeslim.datasets import Dataset, check_fraction, train_test_split
+from edgeslim.datasets import Dataset, check_fraction
 from edgeslim.distill import (
     SCHEMES,
     UNIFORM_LAMBDAS,
@@ -294,7 +294,7 @@ def _evaluate_candidate(
 
     train_seed = derive_seed(settings.seed, "train", l)
     result = fit(lambdas, settings.total_epochs, train_seed)
-    _, val_set = train_test_split(dataset, settings.val_fraction, train_seed)
+    val_set = result.val_set
     metrics = evaluate_predictions(val_set.labels, predict(result.student, val_set.features), val_set.k)
     return replace(
         record,

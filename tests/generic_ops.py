@@ -12,7 +12,7 @@ takes its partner's dtype, as :func:`edgeslim.engine.autodiff.scalar` gives it.
 :func:`fc_attention` feeds plain maps to the package's attention node, for
 the tests that check it against these chains or by hand; :func:`guide_targets`
 and :func:`attention` run the package's attention targets and node on
-layer specs, planning the maps per call as ``train`` plans them once.
+layer specs, under one plan of guide and student as ``train`` builds it.
 """
 
 from __future__ import annotations
@@ -23,6 +23,9 @@ from edgeslim import distill
 from edgeslim.archspec import LayerKind, LayerSpec
 from edgeslim.engine.autodiff import Tensor, _accum, _node
 from edgeslim.engine.layers import layer_forward, param_layout
+from edgeslim.engine.model import ForwardTrace
+
+LOGITS = LayerSpec(LayerKind.FC, I=1, O=1)
 
 
 def scalar(value: float, like: np.ndarray) -> np.ndarray:
@@ -138,18 +141,17 @@ def apply_layer(layer, params: dict, grads: dict | None, x: Tensor, relu: bool =
 
 
 def guide_targets(trace, layers, student_layers):
-    """A guide ``trace``'s attention targets for a student, and their column
-    layout: :func:`edgeslim.distill.attention_targets` under the guide's
-    :func:`~edgeslim.distill.guide_plan`, in the dtype of its outputs."""
-    dtype = (trace.activations[0] if len(layers) > 1 else trace.logits).data.dtype
-    plan = distill.guide_plan(layers, student_layers, dtype)
-    return distill.attention_targets(plan, trace), plan.segments
+    """A guide ``trace``'s attention targets for a student, and the
+    :func:`~edgeslim.distill.map_plan` of the two that formed them, in the
+    dtype of the guide's outputs."""
+    plan = distill.map_plan(layers, student_layers, trace.activations[0].data.dtype)
+    return distill.attention_targets(plan, trace), plan
 
 
-def attention(t_unit, acts, layers, segments) -> Tensor:
+def attention(t_unit, acts, layers, plan) -> Tensor:
     """:func:`edgeslim.distill.attention_loss_node` of the student outputs
-    ``acts`` (specs in ``layers``) under their plan at ``segments``' widths."""
-    plan = distill.map_plan(layers, segments.widths, t_unit.dtype)
+    ``acts`` under ``plan``, the :func:`guide_targets` plan for a student
+    with specs ``layers``: the plan already holds their map steps."""
     return distill.attention_loss_node(t_unit, acts, plan)
 
 
@@ -158,12 +160,9 @@ def fc_attention(teachers: list[np.ndarray], students: list[Tensor]) -> Tensor:
     as the output of an fc layer, which is its own map: the targets are the
     ``teachers``' unit rows, a map wider than its partner is projected down
     as ``train`` projects it, and the node's parents are ``students``."""
-    widths = [min(t.shape[1], s.data.shape[1]) for t, s in zip(teachers, students)]
-    maps = [
-        t if t.shape[1] == w else t @ distill._projection(i, t.shape[1], w).astype(t.dtype)
-        for i, (t, w) in enumerate(zip(teachers, widths))
-    ]
-    segments = distill._segments(widths)
-    t_unit = distill._unit_rows(np.concatenate(maps, axis=1), segments)[0]
-    layers = [LayerSpec(LayerKind.FC, I=1, O=s.data.shape[1]) for s in students]
-    return attention(t_unit, students, layers, segments)
+    def fc(maps):  # one fc spec per map, then the logit layer that has none
+        return [*(LayerSpec(LayerKind.FC, I=1, O=m.shape[1]) for m in maps), LOGITS]
+
+    plan = distill.map_plan(fc(teachers), fc([s.data for s in students]), teachers[0].dtype)
+    guide = ForwardTrace(None, [Tensor(t) for t in teachers], len(teachers[0]))
+    return distill.attention_loss_node(distill.attention_targets(plan, guide), students, plan)

@@ -129,27 +129,66 @@ def test_attention_loss_layer_handling():
     b = ad.Tensor(np.array([[0.0, 1.0]]))
     two = float(ops.fc_attention([a, a], [b, b]).data)
     assert two == pytest.approx(4.0)  # sums over layers
-    # a one-layer guide has no maps: its targets are (n, 0), its term 0
-    trace = forward(init_model(ONE_LAYER_SPEC, seed=0), np.ones((2, 8)), trainable=False)
-    t_unit, segments = ops.guide_targets(trace, ONE_LAYER_SPEC.layers, STUDENT_SPEC.layers)
-    assert t_unit.shape == (2, 0) and segments.widths == []
-    zero = ops.attention(t_unit, [], STUDENT_SPEC.layers, segments).data
-    assert zero == 0.0 and zero.dtype == np.float32  # the model's dtype, as every term's
+    # a one-layer guide or student has no maps, and so no plan
+    for guide, student in ((ONE_LAYER_SPEC, STUDENT_SPEC), (STUDENT_SPEC, ONE_LAYER_SPEC)):
+        assert distill.map_plan(guide.layers, student.layers, np.float32) is None
     # the student's maps must match the targets' layout, in count and in width
-    segments = distill._segments([2])
-    t_unit = distill._unit_rows(a, segments)[0]
     fc = [LayerSpec(LayerKind.FC, I=1, O=2), LayerSpec(LayerKind.FC, I=2, O=2)]
+    maps = distill.map_plan(fc, fc, a.dtype)
+    t_unit = distill._unit_rows(a, maps)[0]
     for acts in ([], [b, b], [ad.Tensor(np.zeros((1, 1)))]):
         with pytest.raises(ValueError, match="do not match"):
-            ops.attention(t_unit, acts, fc, segments)
+            ops.attention(t_unit, acts, fc, maps)
 
 
-def test_a_one_layer_trainee_gives_a_zero_attention_term(data):
+def counting(monkeypatch, name: str) -> list:
+    """Patch ``distill.<name>`` to record each call's arguments; return the record."""
+    calls, real = [], getattr(distill, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(distill, name, wrapper)
+    return calls
+
+
+def test_a_one_layer_trainee_gives_a_zero_attention_term(data, monkeypatch):
     student = init_model(STUDENT_SPEC, seed=0)
     trainee = init_model(ONE_LAYER_SPEC, seed=1)
+    targets = counting(monkeypatch, "attention_targets")
     result = train(student, trainee, None, data, plan_for("S2", total_epochs=2))
+    assert targets == []  # no map, so no plan and no targets
     assert [r.breakdown.attention for r in result.history] == [0.0, 0.0]
     assert result.history[-1].breakdown.ce_student < result.history[0].breakdown.ce_student
+
+
+@pytest.mark.parametrize("scheme, student_spec", [
+    ("S1", STUDENT_SPEC),  # l2 = 0 without a trainee
+    ("S4", ONE_LAYER_SPEC),
+], ids=["S1", "one-layer-student"])
+def test_a_call_without_maps_forms_no_attention_targets(data, monkeypatch, scheme, student_spec):
+    traits = SCHEMES[scheme]
+    trainee = init_model(TEACHER_SPEC, seed=1) if traits.trainee else None
+    pretrained = init_model(TEACHER_SPEC, seed=2)
+    targets = counting(monkeypatch, "attention_targets")
+    result = train(init_model(student_spec, seed=0), trainee, pretrained, data,
+                   plan_for(scheme, total_epochs=1))
+    assert targets == [] and result.history[0].breakdown.attention == 0.0
+
+
+def test_one_train_call_draws_each_projection_once(data, monkeypatch):
+    """A student narrower than its teacher at the second layer: that map's
+    guide side is projected down, and the call draws its projection once."""
+    projections = counting(monkeypatch, "_projection")
+    train(*fresh_models(), data, plan_for("S6", total_epochs=1))
+    assert projections == [(1, 12, 6)]
+
+
+def test_the_result_carries_the_fold_its_epochs_score(data, monkeypatch):
+    scored = counting(monkeypatch, "predict")
+    result = train(*fresh_models(), data, plan_for("S6", total_epochs=2))
+    assert len(scored) == 2 and all(x is result.val_set.features for _, x in scored)
 
 
 WIDER_STUDENT_SPEC = check_valid(
@@ -176,18 +215,17 @@ def test_cached_teacher_attention_matches_per_batch_bit_for_bit(student_spec):
     features = make_synthetic(k=3, p=8, n=300, seed=21).features
     pretrained = init_model(TEACHER_SPEC, seed=22)
     student = init_model(student_spec, seed=23)
-    logits, targets, segments = distill._frozen_outputs(pretrained, features, student)
+    maps = distill.map_plan(TEACHER_SPEC.layers, student_spec.layers, pretrained.dtype)
+    logits, targets = distill._frozen_outputs(pretrained, features, maps)
     pairs = zip(TEACHER_SPEC.layers[:-1], student_spec.layers[:-1])
     widths = [min(t.O, s.O) for t, s in pairs]
-    assert segments.widths == widths and targets.shape == (300, sum(widths))
+    assert maps.widths == widths and targets.shape == (300, sum(widths))
     rng = np.random.default_rng(0)
     for size in [*range(2, 41), 64, 256, 300]:
         idx = rng.permutation(300)[:size]
         guide = forward(pretrained, features[idx], trainable=False)
-        per_batch, batch_segments = ops.guide_targets(
-            guide, TEACHER_SPEC.layers, student_spec.layers
-        )
-        assert batch_segments.widths == widths
+        per_batch, batch_maps = ops.guide_targets(guide, TEACHER_SPEC.layers, student_spec.layers)
+        assert batch_maps.widths == widths
         assert targets[idx].tobytes() == per_batch.tobytes(), size
 
 
@@ -383,8 +421,9 @@ def test_s6_history_matches_s5_before_the_halt(data):
 
 
 def test_history_recompute_invariant(data):
-    result = train(*fresh_models(), data, plan_for("S6", total_epochs=4, h_max=1, plateau_window=4))
-    l1, l2, l3, l4 = result.effective_lambdas
+    plan = plan_for("S6", total_epochs=4, h_max=1, plateau_window=4)
+    result = train(*fresh_models(), data, plan)
+    l1, l2, l3, l4 = plan.effective_lambdas()
     for row in result.history:
         b = row.breakdown
         expect = l1 * b.ce_student + l2 * b.attention + l3 * b.distillation
@@ -635,8 +674,8 @@ def test_shared_head_gradients_match_two_full_forwards(monkeypatch):
     l1, l2, l3, l4 = plan.effective_lambdas()
     g_trace = forward(pretrained, x, trainable=False)
     layers = student.spec.layers
-    t_unit, segments = ops.guide_targets(g_trace, pretrained.spec.layers, layers)
-    al = ops.attention(t_unit, s_trace.activations[:-1], layers, segments)
+    t_unit, maps = ops.guide_targets(g_trace, pretrained.spec.layers, layers)
+    al = ops.attention(t_unit, s_trace.activations[:-1], layers, maps)
     dl = distill.distillation_loss_node(te_trace.logits.data, s_trace.logits)
     student_loss = ops.add(
         ops.add(ops.mul(cross_entropy_node(s_trace, y), l1), ops.mul(al, l2)), ops.mul(dl, l3)
@@ -730,10 +769,11 @@ def test_frozen_teacher_never_runs_a_one_row_chunk():
     ], class_count=3))
     teacher = init_model(wide, seed=30)
     features = make_synthetic(k=3, p=8, n=257, seed=31).features
-    logits, targets, segments = distill._frozen_outputs(teacher, features, teacher)
+    maps = distill.map_plan(wide.layers, wide.layers, teacher.dtype)
+    logits, targets = distill._frozen_outputs(teacher, features, maps)
     pair = forward(teacher, features[-2:], trainable=False)
     assert logits[-1].tobytes() == pair.logits.data[-1].tobytes()
-    unit = distill._unit_rows(pair.activations[0].data, segments)[0]
+    unit = distill._unit_rows(pair.activations[0].data, maps)[0]
     assert targets[-1].tobytes() == unit[-1].tobytes()
 
 
@@ -744,6 +784,7 @@ def test_every_tape_free_pass_walks_the_same_chunks(monkeypatch, n):
     past the last full chunk joins it."""
     teacher = init_model(TEACHER_SPEC, seed=30)
     dataset = make_synthetic(k=3, p=8, n=n, seed=31)
+    maps = distill.map_plan(TEACHER_SPEC.layers, STUDENT_SPEC.layers, teacher.dtype)
     sizes = []
 
     def recording_forward(model, x, trainable=True, **kw):
@@ -756,7 +797,7 @@ def test_every_tape_free_pass_walks_the_same_chunks(monkeypatch, n):
     for run in (
         lambda: training.predict(teacher, dataset.features),
         lambda: training.evaluate_loss(teacher, dataset),
-        lambda: distill._frozen_outputs(teacher, dataset.features, init_model(STUDENT_SPEC, 0)),
+        lambda: distill._frozen_outputs(teacher, dataset.features, maps),
     ):
         sizes.clear()
         run()

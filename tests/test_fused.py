@@ -510,8 +510,8 @@ def maps_case(dtype):
     got_acts, want_acts = ([ad.Tensor(s.copy(), requires_grad=True) for s in students] for _ in range(2))
     guide = ForwardTrace(None, [*map(ad.Tensor, teachers), None], 6)
     with np.errstate(over="ignore"):
-        t_unit, segments = ops.guide_targets(guide, t_layers, s_layers)
-        got = ops.attention(t_unit, got_acts, s_layers, segments)
+        t_unit, maps = ops.guide_targets(guide, t_layers, s_layers)
+        got = ops.attention(t_unit, got_acts, s_layers, maps)
         want = generic_attention([ad.Tensor(t) for t in teachers], want_acts, t_layers, s_layers)
         ops.mul(got, 0.3).backward()
         ops.mul(want, 0.3).backward()
@@ -546,8 +546,8 @@ def s3_case(dtype):
         traces.append([s_trace, te_trace])
     (s_trace, te_trace), (s_chain, te_chain) = traces
     layers, t_layers = student.spec.layers, trainee.spec.layers
-    t_unit, segments = ops.guide_targets(te_trace, t_layers, layers)
-    got = ops.attention(t_unit, s_trace.activations[:-1], layers, segments)
+    t_unit, maps = ops.guide_targets(te_trace, t_layers, layers)
+    got = ops.attention(t_unit, s_trace.activations[:-1], layers, maps)
     got_grads = backward_from(got, student, trainee)
     t_acts = [ad.Tensor(a.data) for a in te_chain.activations[:-1]]
     want = generic_attention(t_acts, s_chain.activations[:-1], t_layers, layers)
