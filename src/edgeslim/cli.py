@@ -164,23 +164,29 @@ def cmd_gendata(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    spec = _load(args.arch, _arch)
-    dataset = _load_dataset(args.data)
-    model = init_model(spec, seed=args.seed)
-    _check_fits(model, dataset, args.data)
+def _pretrain(spec, dataset, data_path, epochs, eta, batch_size, seed):
+    """The teacher ``spec`` initialised at ``seed``, fit-checked, trained and
+    scored, with its checkpoint extras.  A ``pipeline`` run without ``teacher``
+    passes ``derive_seed(seed, "pretrain")``, so its ``teacher.json`` is the
+    checkpoint ``edgeslim train`` writes at that ``--seed``."""
+    model = init_model(spec, seed=seed)
+    _check_fits(model, dataset, data_path)
     history = train_classifier(
-        model, dataset, epochs=args.epochs, eta=args.eta,
-        batch_size=args.batch_size, seed=args.seed,
+        model, dataset, epochs=epochs, eta=eta, batch_size=batch_size, seed=seed
     )
-    reference_loss = evaluate_loss(model, dataset)
-    extras = {
-        "reference_loss": reference_loss,
+    return model, {
+        "reference_loss": evaluate_loss(model, dataset),
         "final_accuracy": evaluate_accuracy(model, dataset),
         "epoch_losses": history,
-        "training": {"epochs": args.epochs, "eta": args.eta,
-                     "batch_size": args.batch_size, "seed": args.seed},
+        "training": {"epochs": epochs, "eta": eta, "batch_size": batch_size, "seed": seed},
     }
+
+
+def cmd_train(args) -> int:
+    model, extras = _pretrain(
+        _load(args.arch, _arch), _load_dataset(args.data), args.data,
+        args.epochs, args.eta, args.batch_size, args.seed,
+    )
     write_json(args.out, save_checkpoint(model, extras))
     return EXIT_OK
 
@@ -242,31 +248,26 @@ def cmd_pipeline(args) -> int:
     dataset = _load_dataset(config.dataset)
     out_dir = Path(config.output_dir)
 
-    if config.teacher is not None:
+    if config.teacher is None:
+        teacher, extras = _pretrain(
+            spec, dataset, config.dataset, config.pretrain_epochs, config.pretrain_eta,
+            config.batch_size, derive_seed(config.seed, "pretrain"),
+        )
+        write_json(out_dir / "teacher.json", save_checkpoint(teacher, extras))
+    else:
         teacher, extras = _load(config.teacher, load_checkpoint)
         if teacher.spec.layers != spec.layers:
             raise InputError(
                 f"{config.teacher}: checkpoint architecture does not match "
                 f"{config.architecture}"
             )
-        reference_loss = extras.get("reference_loss")
-        if reference_loss is None:
+        if extras.get("reference_loss") is None:
             raise InputError(f"{config.teacher}: checkpoint records no reference loss")
-    else:
-        teacher = init_model(spec, seed=derive_seed(config.seed, "pretrain"))
-    _check_fits(teacher, dataset, config.dataset)
-    if config.teacher is None:
-        train_classifier(
-            teacher, dataset, epochs=config.pretrain_epochs, eta=config.pretrain_eta,
-            batch_size=config.batch_size, seed=derive_seed(config.seed, "pretrain"),
-        )
-        reference_loss = evaluate_loss(teacher, dataset)
-        write_json(out_dir / "teacher.json", save_checkpoint(teacher, {"reference_loss": reference_loss}))
+        _check_fits(teacher, dataset, config.dataset)
+    reference_loss = extras["reference_loss"]
 
     try:
-        result = pipeline_mod.run(
-            teacher, reference_loss, dataset, device, config.pipeline_settings()
-        )
+        result = pipeline_mod.run(teacher, reference_loss, dataset, device, config)
     except pipeline_mod.ReferenceMismatch as exc:
         raise InputError(str(exc)) from None
 

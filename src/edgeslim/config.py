@@ -51,11 +51,6 @@ class RunConfig(PipelineSettings):
         if missing:
             raise FileNotFoundError(f"missing input files: {', '.join(missing)}")
 
-    def pipeline_settings(self) -> PipelineSettings:
-        return PipelineSettings(
-            **{f.name: getattr(self, f.name) for f in dataclasses.fields(PipelineSettings)}
-        )
-
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
         if out["lambdas"] is not None:

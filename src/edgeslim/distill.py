@@ -35,7 +35,7 @@ parameter gradients; one :func:`descend` of the step's models applies them.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -152,9 +152,6 @@ class LossBreakdown:
     combined: float
     epoch: int
     branch: str  # "pre_halt" | "post_halt"
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def combined_loss(
@@ -342,10 +339,6 @@ class EpochRecord:
     breakdown: LossBreakdown
     val_accuracy: float  # class-averaged, fraction in [0, 1]
     cumulative_flops: int
-
-    def to_dict(self) -> dict:
-        extra = {"val_accuracy": self.val_accuracy, "cumulative_flops": self.cumulative_flops}
-        return {**self.breakdown.to_dict(), **extra}
 
 
 @dataclass
@@ -607,9 +600,9 @@ UNIFORM_LAMBDAS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
 @dataclass(frozen=True)
 class DEBudget:
-    population: int = 20
-    generations: int = 15
-    seed: int = 0
+    population: int
+    generations: int
+    seed: int
 
     def __post_init__(self) -> None:
         if self.population < 4:
@@ -627,7 +620,7 @@ class LambdaSolution:
 
 def optimize_lambdas(
     score: Callable[[tuple[float, float, float]], float],
-    budget: DEBudget = DEBudget(),
+    budget: DEBudget,
 ) -> LambdaSolution:
     """Maximise ``score`` over the open simplex by differential evolution.
 

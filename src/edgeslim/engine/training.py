@@ -57,7 +57,7 @@ def train_classifier(
     model: MaskedModel,
     dataset,
     epochs: int,
-    eta: float = 0.05,
+    eta: float,
     batch_size: int = 32,
     seed: int = 0,
 ) -> list[float]:

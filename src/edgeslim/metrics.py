@@ -23,10 +23,6 @@ class ConfusionCounts:
     fn: np.ndarray
     k: int
 
-    @property
-    def n(self) -> int:
-        return int(self.tp[0] + self.tn[0] + self.fp[0] + self.fn[0])
-
 
 def confusion_counts(labels: np.ndarray, predictions: np.ndarray, k: int) -> ConfusionCounts:
     labels = np.asarray(labels)

@@ -108,7 +108,7 @@ class PipelineSettings:
         # the rules of the code each setting reaches only after pretraining
         self.distill_plan(self.lambdas or UNIFORM_LAMBDAS, self.total_epochs, self.seed)
         check_fraction(self.val_fraction, "val_fraction")
-        DEBudget(population=self.de_population, generations=self.de_generations)
+        DEBudget(population=self.de_population, generations=self.de_generations, seed=self.seed)
         pruning.check_rate(self.dropout_initial_rate, "dropout_initial_rate")
         pruning.check_rate(self.dropout_input_rate, "dropout_input_rate")
         pruning.check_schedule(self.dropout_c, self.dropout_max_iteration)

@@ -26,6 +26,7 @@ from edgeslim.compressor import minimum_flops
 from edgeslim.datasets import Dataset, load_csv, save_csv
 from edgeslim.distill import network_flops
 from edgeslim.engine.model import load_checkpoint, save_checkpoint
+from edgeslim.pipeline import derive_seed
 
 ARCH = {
     "name": "bench",
@@ -898,6 +899,19 @@ def test_pipeline_manifest_is_byte_identical_across_runs(ws):
     manifest = json.loads(first)
     assert manifest["result"]["best_l"] is not None
     assert (ws / "run" / "teacher.json").exists()
+
+
+def test_pipeline_teacher_is_the_train_checkpoint_at_the_derived_seed(ws):
+    config = json.loads(pipeline_config(ws, ws / "run").read_text())
+    config.update(pretrain_epochs=3, pretrain_eta=0.05, batch_size=16, seed=5)
+    path = ws / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["pipeline", "--config", str(path)]) == 0
+    trained = ws / "trained.json"
+    assert main(["train", "--arch", str(ws / "arch.json"), "--data", str(ws / "data.csv"),
+                 "--out", str(trained), "--epochs", "3", "--eta", "0.05", "--batch-size", "16",
+                 "--seed", str(derive_seed(5, "pretrain"))]) == 0
+    assert (ws / "run" / "teacher.json").read_bytes() == trained.read_bytes()
 
 
 def test_pipeline_reuses_a_teacher_checkpoint(ws):

@@ -1,10 +1,13 @@
 """Run-configuration parsing and environment overrides."""
 
 import dataclasses
+import json
 
 import pytest
 
-from edgeslim.config import ENV_PREFIX, apply_env_overrides, config_from_dict
+from edgeslim import pipeline
+from edgeslim.cli import main
+from edgeslim.config import ENV_PREFIX, RunConfig, apply_env_overrides, config_from_dict
 from edgeslim.pipeline import PipelineSettings
 
 REQUIRED = {
@@ -101,21 +104,33 @@ SWEEP = {
 }
 
 
-def test_pipeline_settings_mirror():
-    config = config_from_dict(
-        {**REQUIRED, "omega": 0.7, "h_max": 5, "total_epochs": 9, "de_epochs": 3}
-    )
-    settings = config.pipeline_settings()
-    assert settings.omega == 0.7
-    assert settings.h_max == 5
-    assert settings.total_epochs == 9
-    assert settings.de_epochs == 3
-    # run-only fields stay out of the sweep settings
-    assert not hasattr(settings, "pretrain_epochs")
-    # every sweep field reaches the settings, not only the four above
+class _Stop(Exception):
+    """Raised by the stand-in sweep once it has seen its settings."""
+
+
+def test_pipeline_settings_mirror(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the REQUIRED paths are relative
+    layers = [{"kind": "fc", "I": 4, "O": 6}, {"kind": "fc", "I": 6, "O": 2}]
+    (tmp_path / "arch.json").write_text(json.dumps({"name": "t", "class_count": 2, "layers": layers}))
+    (tmp_path / "device.json").write_text(json.dumps({
+        "name": "dev", "b_e_bytes_per_flop": 4.0, "e_m_seconds_per_flop": 1e-9,
+        "flops_per_second": 1e9, "beta_seconds": 1.0, "alpha_bytes": 1e9,
+    }))
+    assert main(["gendata", "--out", "data.csv", "--n", "20", "--p", "4", "--k", "2"]) == 0
+    seen = []
+
+    def sweep(teacher, reference_loss, dataset, device, settings):
+        seen.append(settings)
+        raise _Stop
+
+    monkeypatch.setattr(pipeline, "run", sweep)
+    (tmp_path / "config.json").write_text(json.dumps({**REQUIRED, **SWEEP, "pretrain_epochs": 1}))
+    with pytest.raises(_Stop):
+        main(["pipeline", "--config", "config.json"])
+    # the sweep reads the run config itself, whose every sweep field came from the file
+    [settings] = seen
+    assert type(settings) is RunConfig and settings.pretrain_epochs == 1
     fields = dataclasses.fields(PipelineSettings)
     assert sorted(f.name for f in fields) == sorted(SWEEP)
-    settings = config_from_dict({**REQUIRED, **SWEEP}).pipeline_settings()
-    assert type(settings) is PipelineSettings
     for f in fields:
         assert getattr(settings, f.name) == SWEEP[f.name] != f.default, f.name

@@ -416,8 +416,8 @@ def test_s6_history_matches_s5_before_the_halt(data):
         *fresh_models(), data, plan_for("S6", total_epochs=3, h_max=2, plateau_window=3)
     )
     for a, b in zip(s5.history[:2], s6.history[:2]):
-        assert a.to_dict() == b.to_dict()  # bit-identical epochs before the halt
-    assert s5.history[2].to_dict() != s6.history[2].to_dict()
+        assert a == b  # bit-identical epochs before the halt
+    assert s5.history[2] != s6.history[2]
 
 
 def test_history_recompute_invariant(data):
@@ -458,7 +458,7 @@ def test_train_is_deterministic(data):
     a = train(*fresh_models(), data, plan)
     b = train(*fresh_models(), data, plan)
     assert model_bytes(a.student) == model_bytes(b.student)
-    assert [r.to_dict() for r in a.history] == [r.to_dict() for r in b.history]
+    assert a.history == b.history
 
 
 def test_s1_trains_a_fresh_student_against_the_teacher_only(data):
@@ -521,9 +521,9 @@ def test_optimize_lambdas_constant_score_returns_uniform():
 
 def test_de_budget_validation():
     with pytest.raises(ValueError):
-        DEBudget(population=3)
+        DEBudget(population=3, generations=15, seed=0)
     with pytest.raises(ValueError):
-        DEBudget(generations=-1)
+        DEBudget(population=20, generations=-1, seed=0)
 
 
 # -- curvature probe --------------------------------------------------------
